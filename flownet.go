@@ -282,8 +282,8 @@ func LoadNetwork(path string) (*Network, error) { return tin.LoadNetwork(path) }
 
 // LoadNetworkMmap is LoadNetwork with a zero-copy fast path: an
 // uncompressed FNTB v2 snapshot is mapped read-only into memory and served
-// in place instead of being decoded. Any other input — text, gzip, v1
-// binary, or a platform without mmap — falls back to a regular load. The
+// in place instead of being decoded. Any other input — text, gzip, or a
+// platform without mmap — falls back to a regular load. The
 // mapping is released automatically when the network is first mutated.
 func LoadNetworkMmap(path string) (*Network, error) { return tin.OpenNetworkMmap(path) }
 

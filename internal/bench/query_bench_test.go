@@ -56,6 +56,13 @@ func buildFootprintNetwork(tb testing.TB, background int) *tin.Network {
 	return n
 }
 
+// extractPair runs the serving path's pair query (footprint included) for
+// the fixture's fixed 0 -> 9 pair.
+func extractPair(n *tin.Network) (*tin.Graph, bool) {
+	x := n.Extract(tin.Query{Source: 0, Sink: 9, Footprint: true})
+	return x.Graph, x.Ok
+}
+
 // BenchmarkPairQueryFootprintScaling runs the identical pair query — same
 // source, sink, and extracted subgraph — against networks 100x apart in
 // size. Flat ns/op across the sub-benchmarks is the O(footprint) claim;
@@ -64,8 +71,7 @@ func BenchmarkPairQueryFootprintScaling(b *testing.B) {
 	for _, background := range []int{10_000, 100_000, 1_000_000} {
 		b.Run(fmt.Sprintf("background=%d", background), func(b *testing.B) {
 			n := buildFootprintNetwork(b, background)
-			sc := tin.NewQueryScratch()
-			g, ok, _ := n.FlowSubgraphBetweenFootprintScratch(0, 9, nil, sc)
+			g, ok := extractPair(n)
 			if !ok {
 				b.Fatal("pair 0->9 extracts nothing")
 			}
@@ -73,7 +79,7 @@ func BenchmarkPairQueryFootprintScaling(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				g, ok, _ := n.FlowSubgraphBetweenFootprintScratch(0, 9, nil, sc)
+				g, ok := extractPair(n)
 				if !ok || g.NumInteractions() != ia {
 					b.Fatal("extraction drifted")
 				}
@@ -93,11 +99,10 @@ func TestPairQueryCostIsFootprintBound(t *testing.T) {
 	}
 	small := buildFootprintNetwork(t, 10_000)
 	large := buildFootprintNetwork(t, 1_000_000)
-	sc := tin.NewQueryScratch()
 
 	// Same footprint => byte-identical subgraph and a working solve.
-	gs, oks, _ := small.FlowSubgraphBetweenFootprintScratch(0, 9, nil, sc)
-	gl, okl, _ := large.FlowSubgraphBetweenFootprintScratch(0, 9, nil, sc)
+	gs, oks := extractPair(small)
+	gl, okl := extractPair(large)
 	if !oks || !okl {
 		t.Fatal("pair 0->9 extracts nothing")
 	}
@@ -112,7 +117,7 @@ func TestPairQueryCostIsFootprintBound(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			r := testing.Benchmark(func(b *testing.B) {
 				for j := 0; j < b.N; j++ {
-					if _, ok, _ := n.FlowSubgraphBetweenFootprintScratch(0, 9, nil, sc); !ok {
+					if _, ok := extractPair(n); !ok {
 						b.Fatal("extraction failed")
 					}
 				}
@@ -132,7 +137,7 @@ func TestPairQueryCostIsFootprintBound(t *testing.T) {
 	}
 
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, ok, _ := large.FlowSubgraphBetweenFootprintScratch(0, 9, nil, sc); !ok {
+		if _, ok := extractPair(large); !ok {
 			t.Fatal("extraction failed")
 		}
 	})

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"sync"
 
 	"flownet/internal/par"
 	"flownet/internal/tin"
@@ -80,21 +79,12 @@ func BatchSeeds(n *tin.Network, seeds []tin.VertexID, extract tin.ExtractOptions
 func BatchSeedsContext(ctx context.Context, n *tin.Network, seeds []tin.VertexID, extract tin.ExtractOptions, engine Engine, workers int) ([]SeedResult, error) {
 	results := make([]SeedResult, len(seeds))
 	errs := make([]error, len(seeds))
-	// Extraction scratch is pooled across seeds: with W workers the batch
-	// settles on W scratches total instead of allocating marks and stacks
-	// for every seed.
-	var scratch sync.Pool
 	par.ForEach(par.Workers(workers), len(seeds), func(i int) {
 		results[i].Seed = seeds[i]
 		if ctx.Err() != nil {
 			return
 		}
-		sc, _ := scratch.Get().(*tin.QueryScratch)
-		if sc == nil {
-			sc = tin.NewQueryScratch()
-		}
-		g, ok := n.ExtractSubgraphScratch(seeds[i], extract, sc)
-		scratch.Put(sc)
+		g, ok := n.ExtractSubgraph(seeds[i], extract)
 		if !ok {
 			return
 		}

@@ -315,9 +315,32 @@ func (s *Server) sweepDirty() {
 	}
 }
 
-// sweepNetwork runs one retention scan over the response cache. Keys are
-// "<kind>|<network>|g<gen>|<query>" and network names cannot contain '|',
-// so matching on the second field is exact. For each of name's entries:
+// cacheKey builds a response-cache key, "<kind>|<network>|g<gen>|<query>".
+// The generation tag is what makes a cached answer unreachable once its
+// network changes; kind keeps the routes' query encodings apart. Kinds and
+// network names never contain '|' (the query may), so splitCacheKey is an
+// exact inverse.
+func cacheKey(kind, network string, gen uint64, query string) string {
+	return kind + "|" + network + "|g" + strconv.FormatUint(gen, 10) + "|" + query
+}
+
+// splitCacheKey takes a cacheKey apart; ok is false for any other string.
+func splitCacheKey(key string) (kind, network string, gen uint64, query string, ok bool) {
+	kind, rest, ok1 := strings.Cut(key, "|")
+	network, rest, ok2 := strings.Cut(rest, "|")
+	genStr, query, ok3 := strings.Cut(rest, "|")
+	if !ok1 || !ok2 || !ok3 || !strings.HasPrefix(genStr, "g") {
+		return "", "", 0, "", false
+	}
+	gen, err := strconv.ParseUint(genStr[1:], 10, 64)
+	if err != nil {
+		return "", "", 0, "", false
+	}
+	return kind, network, gen, query, true
+}
+
+// sweepNetwork runs one retention scan over the response cache. For each
+// of name's entries:
 //
 //   - generation >= sd.toGen: current (or newer — raced with a later
 //     ingest whose own sweep is queued); left untouched.
@@ -326,29 +349,19 @@ func (s *Server) sweepDirty() {
 //     vertices: dropped.
 //   - otherwise the answer provably survives every coalesced bump
 //     (footprint disjoint from all changed-edge endpoints — see the
-//     staleness-certificate arguments on tin.ExtractSubgraphFootprint and
-//     tin.FlowSubgraphBetweenFootprint) and the entry is re-keyed to
-//     sd.toGen, staying reachable at the new generation.
+//     staleness-certificate argument on tin.Extraction.Footprint) and the
+//     entry is re-keyed to sd.toGen, staying reachable at the new
+//     generation.
 func (s *Server) sweepNetwork(name string, sd *sweepDelta) {
-	prefix := name + "|g"
-	newTag := "|g" + strconv.FormatUint(sd.toGen, 10) + "|"
 	rekeyed, removed := s.cache.Rekey(func(key string, v cachedResponse) (string, bool) {
-		kind, rest, found := strings.Cut(key, "|")
-		if !found || !strings.HasPrefix(rest, prefix) {
-			return key, true // another network's entry
+		kind, network, gen, query, ok := splitCacheKey(key)
+		if !ok || network != name || gen >= sd.toGen {
+			return key, true // another network's entry, or already current
 		}
-		genStr, query, found := strings.Cut(rest[len(prefix):], "|")
-		if !found {
-			return key, true
-		}
-		g, err := strconv.ParseUint(genStr, 10, 64)
-		if err != nil || g >= sd.toGen {
-			return key, true
-		}
-		if sd.full || g < sd.base || v.foot == nil || footprintHits(v.foot, sd.verts) {
+		if sd.full || gen < sd.base || v.foot == nil || footprintHits(v.foot, sd.verts) {
 			return key, false
 		}
-		return kind + "|" + name + newTag + query, true
+		return cacheKey(kind, name, sd.toGen, query), true
 	})
 	s.derived.cacheRetained.Add(uint64(rekeyed))
 	s.derived.cachePurged.Add(uint64(removed))

@@ -278,3 +278,60 @@ func TestMetricsExposeDerivedFamilies(t *testing.T) {
 		}
 	}
 }
+
+// TestCacheKeyRoundTrip pins the cacheKey/splitCacheKey pair against the
+// keys the routes really store: every cached /flow (seed, pair, windowed),
+// /flow/batch and /patterns key splits back into its kind, network,
+// generation and query, rebuilds to the identical string, and re-keying it
+// to a later generation — what the retention sweep does — changes the
+// generation and nothing else.
+func TestCacheKeyRoundTrip(t *testing.T) {
+	s := New(Config{CacheSize: 64})
+	if err := s.AddNetwork("live", buildNet(t, 6, twoComponents)); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	for _, path := range []string{
+		"/flow?net=live&source=0&sink=2",
+		"/flow?net=live&source=0&sink=2&from=1&to=2.5",
+		"/flow?net=live&seed=0&hops=4&maxinteractions=-1",
+		"/patterns?net=live&pattern=P2&mode=gb",
+	} {
+		if status, _, body := get(t, ts, path, nil); status != 200 {
+			t.Fatalf("GET %s: status %d (%s)", path, status, body)
+		}
+	}
+	if status, body := post(t, ts, "/flow/batch", BatchRequest{Network: "live", Seeds: []int{0, 3}}, nil); status != 200 {
+		t.Fatalf("POST /flow/batch: status %d (%s)", status, body)
+	}
+
+	sh, err := s.network("live")
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[string]int{}
+	s.cache.Rekey(func(key string, v cachedResponse) (string, bool) {
+		kind, network, gen, query, ok := splitCacheKey(key)
+		if !ok || network != "live" || gen != sh.Generation() || query == "" {
+			t.Errorf("key %q split to (%q, %q, %d, %q, %v)", key, kind, network, gen, query, ok)
+		}
+		if back := cacheKey(kind, network, gen, query); back != key {
+			t.Errorf("key %q rebuilt as %q", key, back)
+		}
+		k2, n2, g2, q2, ok2 := splitCacheKey(cacheKey(kind, network, gen+7, query))
+		if !ok2 || k2 != kind || n2 != network || q2 != query || g2 != gen+7 {
+			t.Errorf("key %q re-keyed to (%q, %q, %d, %q, %v)", key, k2, n2, g2, q2, ok2)
+		}
+		kinds[kind]++
+		return key, true
+	})
+	if kinds["flow"] != 3 || kinds["batch"] != 1 || kinds["patterns"] != 1 {
+		t.Errorf("cached kinds = %v, want 3 flow, 1 batch, 1 patterns", kinds)
+	}
+	for _, bad := range []string{"", "flow", "flow|live", "flow|live|g1", "flow|live|7|q", "flow|live|gx|q"} {
+		if _, _, _, _, ok := splitCacheKey(bad); ok {
+			t.Errorf("splitCacheKey(%q) accepted a non-key", bad)
+		}
+	}
+}

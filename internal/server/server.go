@@ -159,12 +159,6 @@ type Server struct {
 	dirtyMu sync.Mutex
 	dirty   map[string]*sweepDelta
 	purging bool
-
-	// scratch pools the per-query extraction workspace (dense marks, DFS
-	// stacks, builder buffers) across requests and workers, so a
-	// steady-state /flow query touches only memory proportional to its
-	// footprint and makes (almost) no heap allocations.
-	scratch sync.Pool
 }
 
 // routes lists every instrumented endpoint, in /stats display order.
@@ -448,28 +442,84 @@ func extractParams(hops, maxIA int) (tin.ExtractOptions, error) {
 // fmtFloat renders a float for cache keys (shortest round-trip form).
 func fmtFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
 
-// getScratch / putScratch check the per-query extraction workspace in and
-// out of the server-wide pool. The scratch must be returned before the
-// handler publishes its answer; extraction results (graph, footprint)
-// never alias the scratch, so returning it right after extraction is safe.
-func (s *Server) getScratch() *tin.QueryScratch {
-	if sc, ok := s.scratch.Get().(*tin.QueryScratch); ok {
-		return sc
+// parseFlowQuery turns GET /flow parameters into the normalised extraction
+// query: seed addressing (seed, with the §6.2 knobs hops / maxinteractions)
+// or pair addressing (source, sink), either with an optional inclusive time
+// window (from, to; a missing side is unbounded). The footprint is always
+// requested — it is the staleness certificate under which the retention
+// sweep may keep the answer alive across ingests.
+func (s *Server) parseFlowQuery(p url.Values, n *tin.Network) (tin.Query, error) {
+	q := tin.Query{Footprint: true}
+	seed, seedMode, err := s.vertexParam(p, "seed", n)
+	if err != nil {
+		return q, err
 	}
-	return tin.NewQueryScratch()
+	from, hasFrom, err1 := floatParam(p, "from")
+	to, hasTo, err2 := floatParam(p, "to")
+	if err := errors.Join(err1, err2); err != nil {
+		return q, err
+	}
+	if hasFrom || hasTo {
+		if !hasFrom {
+			from = negInf
+		}
+		if !hasTo {
+			to = posInf
+		}
+		q.Window = &tin.TimeWindow{From: from, To: to}
+	}
+	if seedMode {
+		hops, err1 := intParam(p, "hops", 0)
+		maxIA, err2 := intParam(p, "maxinteractions", 0)
+		if err := errors.Join(err1, err2); err != nil {
+			return q, err
+		}
+		opts, err := extractParams(hops, maxIA)
+		if err != nil {
+			return q, err
+		}
+		q.Source, q.Sink = seed, seed
+		q.MaxHops, q.MaxInteractions = opts.MaxHops, opts.MaxInteractions
+		return q, nil
+	}
+	src, haveSrc, err1 := s.vertexParam(p, "source", n)
+	snk, haveSnk, err2 := s.vertexParam(p, "sink", n)
+	if err := errors.Join(err1, err2); err != nil {
+		return q, err
+	}
+	if !haveSrc || !haveSnk {
+		return q, errors.New("give either seed, or both source and sink")
+	}
+	if src == snk {
+		return q, fmt.Errorf("source and sink must differ (use seed=%d for returning-path flow)", src)
+	}
+	q.Source, q.Sink = src, snk
+	return q, nil
 }
 
-func (s *Server) putScratch(sc *tin.QueryScratch) { s.scratch.Put(sc) }
+// flowQueryKey renders a normalised /flow query as the <query> part of its
+// cache key.
+func flowQueryKey(q tin.Query) string {
+	window := ""
+	if q.Window != nil {
+		window = fmtFloat(q.Window.From) + ";" + fmtFloat(q.Window.To)
+	}
+	if q.Source == q.Sink {
+		return fmt.Sprintf("seed|%d|%d|%d|%s", q.Source, q.MaxHops, q.MaxInteractions, window)
+	}
+	return fmt.Sprintf("pair|%d|%d|%s", q.Source, q.Sink, window)
+}
 
 // ---- handlers ---------------------------------------------------------
 
-// handleFlow answers GET /flow. Addressing is either pair (source, sink) or
-// seed (seed, with the extraction knobs hops / maxinteractions); both
-// accept an optional inclusive time window (from, to) applied to the
-// extracted subgraph before solving.
+// handleFlow answers GET /flow, seed and pair addressing alike, as one
+// pipeline: parse and normalise the query, look its key up in the response
+// cache, extract the subgraph (the time window is applied during
+// extraction — out-of-window interactions are never materialized), solve
+// it, and respond.
 func (s *Server) handleFlow(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	sh, err := s.network(q.Get("net"))
+	p := r.URL.Query()
+	sh, err := s.network(p.Get("net"))
 	if err != nil {
 		writeError(w, http.StatusNotFound, "%v", err)
 		return
@@ -480,120 +530,38 @@ func (s *Server) handleFlow(w http.ResponseWriter, r *http.Request) {
 	// version's answer to a later request.
 	n, gen, release := sh.Acquire()
 	defer release()
-	seed, seedMode, err := s.vertexParam(q, "seed", n)
+	q, err := s.parseFlowQuery(p, n)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	from, hasFrom, err1 := floatParam(q, "from")
-	to, hasTo, err2 := floatParam(q, "to")
-	if err := errors.Join(err1, err2); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	window := hasFrom || hasTo
-	if !hasFrom {
-		from = negInf
-	}
-	if !hasTo {
-		to = posInf
-	}
-	windowKey := ""
-	if window {
-		windowKey = fmtFloat(from) + ";" + fmtFloat(to)
-	}
-
-	if seedMode {
-		hops, err1 := intParam(q, "hops", 0)
-		maxIA, err2 := intParam(q, "maxinteractions", 0)
-		if err := errors.Join(err1, err2); err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		opts, err := extractParams(hops, maxIA)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		key := fmt.Sprintf("flow|%s|g%d|seed|%d|%d|%d|%s", sh.Name(), gen, seed, opts.MaxHops, opts.MaxInteractions, windowKey)
-		if s.serveCached(w, "/flow", key) {
-			return
-		}
-		// The extraction and the solve are the expensive stages; the context
-		// is polled before each so an expired deadline fails fast (504)
-		// instead of burning a worker on an answer nobody is waiting for.
-		if err := r.Context().Err(); err != nil {
-			writeCtxError(w, err)
-			return
-		}
-		res := FlowResult{Network: sh.Name(), Query: "seed", Seed: int(seed)}
-		// The window is applied during extraction — out-of-window
-		// interactions are never materialized — and matches the
-		// RestrictWindow oracle byte for byte (see the differential tests).
-		if window {
-			opts.Window = &tin.TimeWindow{From: from, To: to}
-		}
-		// The footprint variant also reports every vertex the bounded DFS
-		// iterated — the staleness certificate under which the retention
-		// sweep may keep this answer alive across ingests.
-		sc := s.getScratch()
-		g, ok, foot := n.ExtractSubgraphFootprintScratch(seed, opts, sc)
-		s.putScratch(sc)
-		if ok {
-			if err := r.Context().Err(); err != nil {
-				writeCtxError(w, err)
-				return
-			}
-			if err := s.solveFlow(g, &res); err != nil {
-				writeError(w, http.StatusInternalServerError, "%v", err)
-				return
-			}
-		}
-		s.respond(w, r, key, foot, res)
-		return
-	}
-
-	src, haveSrc, err1 := s.vertexParam(q, "source", n)
-	snk, haveSnk, err2 := s.vertexParam(q, "sink", n)
-	if err := errors.Join(err1, err2); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if !haveSrc || !haveSnk {
-		writeError(w, http.StatusBadRequest, "give either seed, or both source and sink")
-		return
-	}
-	if src == snk {
-		writeError(w, http.StatusBadRequest, "source and sink must differ (use seed=%d for returning-path flow)", src)
-		return
-	}
-	key := fmt.Sprintf("flow|%s|g%d|pair|%d|%d|%s", sh.Name(), gen, src, snk, windowKey)
+	key := cacheKey("flow", sh.Name(), gen, flowQueryKey(q))
 	if s.serveCached(w, "/flow", key) {
 		return
 	}
+	// The extraction and the solve are the expensive stages; the context
+	// is polled before each so an expired deadline fails fast (504)
+	// instead of burning a worker on an answer nobody is waiting for.
 	if err := r.Context().Err(); err != nil {
 		writeCtxError(w, err)
 		return
 	}
-	res := FlowResult{Network: sh.Name(), Query: "pair", Source: int(src), Sink: int(snk)}
-	var win *tin.TimeWindow
-	if window {
-		win = &tin.TimeWindow{From: from, To: to}
+	res := FlowResult{Network: sh.Name(), Query: "pair", Source: int(q.Source), Sink: int(q.Sink)}
+	if q.Source == q.Sink {
+		res = FlowResult{Network: sh.Name(), Query: "seed", Seed: int(q.Source)}
 	}
-	sc := s.getScratch()
-	g, ok, foot := n.FlowSubgraphBetweenFootprintScratch(src, snk, win, sc)
-	s.putScratch(sc)
-	if ok {
+	x := n.Extract(q)
+	if x.Ok {
 		if err := r.Context().Err(); err != nil {
 			writeCtxError(w, err)
 			return
 		}
-		if err := s.solveFlow(g, &res); err != nil {
+		if err := s.solveFlow(x.Graph, &res); err != nil {
 			writeError(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
 	}
-	s.respond(w, r, key, foot, res)
+	s.respond(w, r, key, x.Footprint, res)
 }
 
 // solveFlow runs the PreSim pipeline on g (or the time-expanded engine when
@@ -680,7 +648,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	// Workers are excluded from the key: results are identical for every
 	// worker count (see the library's Concurrency guarantee).
-	key := fmt.Sprintf("batch|%s|g%d|%d|%d|%s", sh.Name(), gen, opts.MaxHops, opts.MaxInteractions, seedsKey)
+	key := cacheKey("batch", sh.Name(), gen, fmt.Sprintf("%d|%d|%s", opts.MaxHops, opts.MaxInteractions, seedsKey))
 	if s.serveCached(w, "/flow/batch", key) {
 		return
 	}
@@ -744,7 +712,7 @@ func (s *Server) handlePatterns(w http.ResponseWriter, r *http.Request) {
 	}
 	n, gen, release := sh.Acquire()
 	defer release()
-	key := fmt.Sprintf("patterns|%s|g%d|%s|%s|%d|%d", sh.Name(), gen, p.Name, mode, maxInst, minPaths)
+	key := cacheKey("patterns", sh.Name(), gen, fmt.Sprintf("%s|%s|%d|%d", p.Name, mode, maxInst, minPaths))
 	if s.serveCached(w, "/patterns", key) {
 		return
 	}

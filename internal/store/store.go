@@ -258,17 +258,6 @@ func (s *Store) abortOpen() {
 	s.unlockDir()
 }
 
-// Subscribe registers fn to be called after every change that bumps a
-// network's generation (append, reindex, grow) with the network's name and
-// new generation. It is SubscribeDelta for subscribers that only care that
-// something changed, not what; the same callback contract applies.
-func (s *Store) Subscribe(fn func(name string, gen uint64)) {
-	if fn == nil {
-		return
-	}
-	s.SubscribeDelta(func(name string, gen uint64, _ stream.Delta) { fn(name, gen) })
-}
-
 // SubscribeDelta registers fn to be called after every change that bumps a
 // network's generation (append, reindex, grow) with the network's name, new
 // generation, and the change delta (see stream.Delta) — the hook through

@@ -431,7 +431,7 @@ func TestChangeNotifications(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var evs []ev
-	s.Subscribe(func(name string, gen uint64) {
+	s.SubscribeDelta(func(name string, gen uint64, _ stream.Delta) {
 		mu.Lock()
 		evs = append(evs, ev{name, gen})
 		mu.Unlock()
@@ -463,7 +463,7 @@ func TestChangeNotifications(t *testing.T) {
 	}
 	defer s2.Close()
 	fired := false
-	s2.Subscribe(func(string, uint64) { fired = true })
+	s2.SubscribeDelta(func(string, uint64, stream.Delta) { fired = true })
 	if fired {
 		t.Fatal("recovery replay notified a post-Open subscriber")
 	}

@@ -3,6 +3,7 @@ package tin
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -15,13 +16,7 @@ import (
 // plus the full canonical re-rank in Finalize — dominates large-network
 // load times.
 //
-// Two versions exist:
-//
-// Version 1 (legacy, read-only): a header followed by numIA fixed-width
-// records { from u32, to u32, time f64, qty f64 } in canonical order. The
-// reader verifies the order and rebuilds the network from scratch.
-//
-// Version 2 (current, written by WriteNetworkBinary): a byte-for-byte
+// The format (version 2, written by WriteNetworkBinary) is a byte-for-byte
 // image of the finalized CSR layout (csr.go). After a 40-byte header the
 // file carries the flat arrays themselves, 8-byte aligned where their
 // element type needs it:
@@ -49,8 +44,10 @@ import (
 // Because the sections are exactly the in-memory arrays, an mmap of the
 // file serves the network zero-copy (mmap.go): load is a header check plus
 // O(V+E) validation, never an O(numIA) decode. The copying reader
-// (ReadNetworkBinary) accepts both versions and fully validates untrusted
-// input; corrupt bytes of any kind yield an error, never a panic.
+// (ReadNetworkBinary) fully validates untrusted input; corrupt bytes of any
+// kind yield an error, never a panic. Version 1 (a canonical-order record
+// stream, last written before the CSR layout existed) is recognized only to
+// be rejected with a message that says how to recover.
 //
 // LoadNetwork sniffs the magic, so binary and text files coexist behind one
 // loader — including gzip-compressed binary files under ".gz" names.
@@ -60,8 +57,10 @@ const (
 	binaryVersion1   = 1
 	binaryVersion2   = 2
 	binaryRecordSize = 24
-	binaryHeaderV1   = 4 + 2 + 2 + 8 + 8
-	binaryHeaderV2   = 4 + 2 + 2 + 8 + 8 + 8 + 8
+	// binaryHeaderPrefix covers magic, version, recordSize, numV and numE —
+	// what the reader needs before it dispatches on the version.
+	binaryHeaderPrefix = 4 + 2 + 2 + 8 + 8
+	binaryHeaderV2     = binaryHeaderPrefix + 8 + 8
 )
 
 // MaxVertices is the vertex count ceiling shared by every layer that
@@ -281,13 +280,13 @@ func buildPairArrays(edges []Edge) ([]int64, []EdgeID) {
 	return keys, ids
 }
 
-// ReadNetworkBinary parses the binary snapshot format, either version. The
-// returned network is finalized; because records carry the canonical order
-// on disk, no re-rank is performed. Corrupt input of any kind yields an
+// ReadNetworkBinary parses the binary snapshot format. The returned network
+// is finalized; because records carry the canonical order on disk, no
+// re-rank is performed. Corrupt input of any kind yields an
 // error, never a panic.
 func ReadNetworkBinary(r io.Reader) (*Network, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
-	var hdr [binaryHeaderV1]byte
+	var hdr [binaryHeaderPrefix]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, fmt.Errorf("tin: binary header: %w", err)
 	}
@@ -299,68 +298,12 @@ func ReadNetworkBinary(r io.Reader) (*Network, error) {
 	}
 	switch v := binary.LittleEndian.Uint16(hdr[4:6]); v {
 	case binaryVersion1:
-		return readBinaryV1(br, hdr)
+		return nil, errors.New("tin: version 1 snapshots are no longer supported; reload from the text format")
 	case binaryVersion2:
 		return readBinaryV2(br, hdr)
 	default:
 		return nil, fmt.Errorf("tin: unsupported binary version %d", v)
 	}
-}
-
-// readBinaryV1 parses the legacy record-stream format; hdr is the full v1
-// header, already magic- and record-size-checked.
-func readBinaryV1(br *bufio.Reader, hdr [binaryHeaderV1]byte) (*Network, error) {
-	numV := binary.LittleEndian.Uint64(hdr[8:16])
-	numIA := binary.LittleEndian.Uint64(hdr[16:24])
-	if numV == 0 {
-		return nil, fmt.Errorf("tin: binary network with zero vertices")
-	}
-	if numV > MaxVertices {
-		return nil, fmt.Errorf("tin: binary vertex count %d exceeds limit %d", numV, MaxVertices)
-	}
-
-	// Records are read and validated in full before the adjacency arrays
-	// are allocated: the slice below can only grow as large as the input
-	// actually is, so a lying length prefix fails at EOF instead of
-	// committing memory.
-	items := make([]BatchItem, 0, min(numIA, 1<<16))
-	var rec [binaryRecordSize]byte
-	lastTime := math.Inf(-1)
-	for i := uint64(0); i < numIA; i++ {
-		if _, err := io.ReadFull(br, rec[:]); err != nil {
-			return nil, fmt.Errorf("tin: binary record %d: %w", i, err)
-		}
-		from := binary.LittleEndian.Uint32(rec[0:4])
-		to := binary.LittleEndian.Uint32(rec[4:8])
-		t := math.Float64frombits(binary.LittleEndian.Uint64(rec[8:16]))
-		q := math.Float64frombits(binary.LittleEndian.Uint64(rec[16:24]))
-		if uint64(from) >= numV || uint64(to) >= numV {
-			return nil, fmt.Errorf("tin: binary record %d: vertex (%d,%d) out of range [0,%d)", i, from, to, numV)
-		}
-		if from == to {
-			return nil, fmt.Errorf("tin: binary record %d: self loop on vertex %d", i, from)
-		}
-		if q < 0 || math.IsNaN(q) || math.IsInf(q, 0) || math.IsNaN(t) || math.IsInf(t, 0) {
-			return nil, fmt.Errorf("tin: binary record %d: invalid interaction (%v,%v)", i, t, q)
-		}
-		if t < lastTime {
-			return nil, fmt.Errorf("tin: binary record %d: time %v precedes %v (records must be in canonical order)", i, t, lastTime)
-		}
-		lastTime = t
-		items = append(items, BatchItem{From: VertexID(from), To: VertexID(to), Time: t, Qty: q})
-	}
-
-	n := NewNetwork(int(numV))
-	for _, it := range items {
-		n.AddInteraction(it.From, it.To, it.Time, it.Qty)
-	}
-	// Records were written — and verified above — in canonical order, so
-	// the insertion-order Ords assigned by AddInteraction are already the
-	// canonical ranks; skip the Finalize re-rank and compact directly.
-	n.finalized = true
-	n.maxTime = lastTime
-	n.buildCSR()
-	return n, nil
 }
 
 // readBinaryV2 parses the CSR-image format from a stream, copying every
@@ -369,8 +312,8 @@ func readBinaryV1(br *bufio.Reader, hdr [binaryHeaderV1]byte) (*Network, error) 
 // snapshot the store itself wrote. Section sizes are implied by the header
 // counts, so a lying header fails at EOF instead of committing memory:
 // every section is read in bounded chunks.
-func readBinaryV2(br *bufio.Reader, hdr [binaryHeaderV1]byte) (*Network, error) {
-	var ext [binaryHeaderV2 - binaryHeaderV1]byte
+func readBinaryV2(br *bufio.Reader, hdr [binaryHeaderPrefix]byte) (*Network, error) {
+	var ext [binaryHeaderV2 - binaryHeaderPrefix]byte
 	if _, err := io.ReadFull(br, ext[:]); err != nil {
 		return nil, fmt.Errorf("tin: binary v2 header: %w", err)
 	}

@@ -175,34 +175,20 @@ func TestBinaryCorruptInputsError(t *testing.T) {
 	}
 }
 
-// TestBinaryReadsV1 pins backward compatibility: a version-1 file (the
-// record-stream format older stores wrote) still loads, producing the same
-// network as the v2 encoding of the same data.
-func TestBinaryReadsV1(t *testing.T) {
-	n := ioTestNetwork()
-	var v1 bytes.Buffer
-	hdr := make([]byte, binaryHeaderV1)
+// TestBinaryRejectsV1: a version-1 file (the record-stream format stores
+// wrote before the CSR layout) is refused with a message naming the way
+// out, not misparsed or reported as generic corruption.
+func TestBinaryRejectsV1(t *testing.T) {
+	hdr := make([]byte, binaryHeaderPrefix)
 	copy(hdr[0:4], binaryMagic)
 	binary.LittleEndian.PutUint16(hdr[4:6], binaryVersion1)
 	binary.LittleEndian.PutUint16(hdr[6:8], binaryRecordSize)
-	binary.LittleEndian.PutUint64(hdr[8:16], uint64(n.NumVertices()))
-	binary.LittleEndian.PutUint64(hdr[16:24], uint64(n.NumInteractions()))
-	v1.Write(hdr)
-	rec := make([]byte, binaryRecordSize)
-	for _, r := range canonicalRows(n) {
-		binary.LittleEndian.PutUint32(rec[0:4], uint32(r.from))
-		binary.LittleEndian.PutUint32(rec[4:8], uint32(r.to))
-		binary.LittleEndian.PutUint64(rec[8:16], math.Float64bits(r.ia.Time))
-		binary.LittleEndian.PutUint64(rec[16:24], math.Float64bits(r.ia.Qty))
-		v1.Write(rec)
-	}
-	m, err := ReadNetworkBinary(&v1)
-	if err != nil {
-		t.Fatalf("v1 read: %v", err)
-	}
-	sameNetwork(t, n, m)
-	if m.MaxTime() != n.MaxTime() {
-		t.Fatalf("MaxTime after v1 load = %v, want %v", m.MaxTime(), n.MaxTime())
+	binary.LittleEndian.PutUint64(hdr[8:16], 3)
+	binary.LittleEndian.PutUint64(hdr[16:24], 0)
+	_, err := ReadNetworkBinary(bytes.NewReader(hdr))
+	const want = "version 1 snapshots are no longer supported; reload from the text format"
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("v1 read: err = %v, want one containing %q", err, want)
 	}
 }
 

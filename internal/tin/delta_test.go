@@ -88,7 +88,8 @@ func TestFootprintCertifiesRetention(t *testing.T) {
 		}
 		seedAnswers := make([]seedAnswer, numV)
 		for v := VertexID(0); v < numV; v++ {
-			g, ok, foot := n.ExtractSubgraphFootprint(v, opts)
+			x := n.Extract(Query{Source: v, Sink: v, ExtractOptions: opts, Footprint: true})
+			g, ok, foot := x.Graph, x.Ok, x.Footprint
 			if len(foot) == 0 {
 				t.Fatalf("trial %d: empty footprint for seed %d (must at least contain the seed)", trial, v)
 			}
@@ -105,8 +106,8 @@ func TestFootprintCertifiesRetention(t *testing.T) {
 			if src == snk {
 				continue
 			}
-			g, ok, foot := n.FlowSubgraphBetweenFootprint(src, snk)
-			pairAnswers = append(pairAnswers, pairAnswer{src, snk, graphString(g, ok), foot})
+			x := n.Extract(Query{Source: src, Sink: snk, Footprint: true})
+			pairAnswers = append(pairAnswers, pairAnswer{src, snk, graphString(x.Graph, x.Ok), x.Footprint})
 		}
 
 		// Append a batch concentrated on a few vertices, so plenty of
@@ -153,8 +154,9 @@ func TestFootprintCertifiesRetention(t *testing.T) {
 	}
 }
 
-// TestFootprintMatchesPlainVariant checks the footprint variants answer
-// exactly what the plain ones do.
+// TestFootprintMatchesPlainVariant checks that asking for the footprint
+// does not change the answer, and the footprint's shape: strictly ascending
+// and containing the query's own vertices.
 func TestFootprintMatchesPlainVariant(t *testing.T) {
 	n := buildNetwork(t, 6, []BatchItem{
 		{0, 1, 1, 5}, {1, 2, 2, 4}, {2, 0, 3, 3}, {3, 4, 4, 2},
@@ -162,8 +164,9 @@ func TestFootprintMatchesPlainVariant(t *testing.T) {
 	opts := DefaultExtractOptions()
 	for v := VertexID(0); v < 6; v++ {
 		g1, ok1 := n.ExtractSubgraph(v, opts)
-		g2, ok2, foot := n.ExtractSubgraphFootprint(v, opts)
-		if ok1 != ok2 || graphString(g1, ok1) != graphString(g2, ok2) {
+		x := n.Extract(Query{Source: v, Sink: v, ExtractOptions: opts, Footprint: true})
+		foot := x.Footprint
+		if ok1 != x.Ok || graphString(g1, ok1) != graphString(x.Graph, x.Ok) {
 			t.Fatalf("seed %d: footprint variant answered differently", v)
 		}
 		hasSeed := false
@@ -180,11 +183,11 @@ func TestFootprintMatchesPlainVariant(t *testing.T) {
 		}
 	}
 	g1, ok1 := n.FlowSubgraphBetween(0, 2)
-	g2, ok2, foot := n.FlowSubgraphBetweenFootprint(0, 2)
-	if ok1 != ok2 || graphString(g1, ok1) != graphString(g2, ok2) {
+	x := n.Extract(Query{Source: 0, Sink: 2, Footprint: true})
+	if ok1 != x.Ok || graphString(g1, ok1) != graphString(x.Graph, x.Ok) {
 		t.Fatal("pair 0->2: footprint variant answered differently")
 	}
-	if len(foot) == 0 {
+	if len(x.Footprint) == 0 {
 		t.Fatal("pair 0->2: empty footprint")
 	}
 }

@@ -8,7 +8,7 @@ import (
 
 // This file is the query fast path: extraction cost is proportional to the
 // query's footprint, never to the network. Reachability and the §6.2 path
-// DFS run over dense epoch-stamped marks (QueryScratch), pair queries
+// DFS run over dense epoch-stamped marks (queryScratch), pair queries
 // collect their edge set by walking the CSR out-adjacency of the fwd∩bwd
 // frontier instead of scanning the edge table, time windows are applied
 // per edge with a binary search during graph assembly, and the flow graph
@@ -41,70 +41,135 @@ func DefaultExtractOptions() ExtractOptions {
 	return ExtractOptions{MaxHops: 3, MaxInteractions: 10000}
 }
 
-// ExtractSubgraph builds the flow-computation subgraph around a seed vertex
-// as described in Section 6.2: it enumerates all simple paths of length up
-// to opts.MaxHops that leave the seed, pass through other vertices and
-// return to the seed, and merges the edges along those paths into one
-// subgraph. The seed is split into a source (receiving the seed's outgoing
-// edges) and a sink (receiving its incoming edges), cf. Figure 10.
+// Query is one flow-instance extraction request. The paper cuts a flow
+// instance out of the network in exactly two ways, and Source/Sink select
+// between them:
 //
-// The paper's flow machinery requires DAG inputs, but a union of returning
-// paths can contain 2-cycles between intermediate vertices (x→y from one
-// path and y→x from another). Paths are therefore admitted in deterministic
-// adjacency order and a path is skipped if adding its edges would create a
-// cycle among intermediate vertices; this choice is documented in DESIGN.md.
+//   - Source == Sink is the §6.2 seed query: all simple paths of length up
+//     to MaxHops that leave the seed, pass through other vertices and
+//     return to it are merged into one subgraph, with the seed split into
+//     a source (receiving its outgoing edges) and a sink (receiving its
+//     incoming edges), cf. Figure 10. The paper's flow machinery requires
+//     DAG inputs, but a union of returning paths can contain 2-cycles
+//     between intermediate vertices (x→y from one path and y→x from
+//     another). Paths are therefore admitted in deterministic adjacency
+//     order and a path is skipped if adding its edges would create a cycle
+//     among intermediate vertices; this choice is documented in DESIGN.md.
 //
-// ExtractSubgraph returns (nil, false) if the seed has no returning path,
-// or if the subgraph exceeds opts.MaxInteractions interactions.
+//   - Source != Sink is the pair query of the problem statement: the
+//     subgraph induced by vertices lying on some directed path from source
+//     to sink, with edges entering the source or leaving the sink dropped
+//     (they cannot contribute to the flow — the source only emits and the
+//     sink only absorbs). The result may be cyclic; Greedy, the LP and the
+//     time-expanded engine handle cycles, while the Pre/PreSim pipelines
+//     require DAGs. MaxHops and MaxInteractions are ignored.
+//
+// Window applies to both, after the viability checks: a window never turns
+// an existing instance into a missing one, it only empties it.
+type Query struct {
+	Source, Sink VertexID
+	ExtractOptions
+	// Footprint asks for Extraction.Footprint.
+	Footprint bool
+}
+
+// Extraction is the answer to a Query.
+type Extraction struct {
+	// Graph is the finalized flow instance; nil when Ok is false.
+	Graph *Graph
+	// Ok is false when no instance exists: the seed has no returning path
+	// or its subgraph exceeds MaxInteractions, or the sink is unreachable
+	// from the source.
+	Ok bool
+	// Footprint (only when Query.Footprint is set) is the query's read
+	// footprint in ascending order: for a seed query the vertices whose
+	// outgoing adjacency the path enumeration iterated, for a pair query
+	// the union of the forward reachability set of the source and the
+	// backward reachability set of the sink.
+	//
+	// The footprint is a staleness certificate for caching the answer —
+	// positive or negative — across appends, which only ever add
+	// interactions. Seed: every edge of every candidate path departs from
+	// an iterated vertex, and a vertex never iterated was only ever reached
+	// at the hop limit, so an append that touches no footprint vertex
+	// cannot add, remove, or resize any admissible path. Pair: a batch that
+	// grows either reachability set must do so through a new edge departing
+	// from (forward) or arriving at (backward) a vertex already in that
+	// set, and a batch that changes the admitted edge set without growing
+	// reachability only touches edges whose endpoints sit in both sets. In
+	// both cases an append touching no footprint vertex leaves (Graph, Ok)
+	// byte-identical, so the footprint is reported for Ok == false too.
+	Footprint []VertexID
+}
+
+// Extract answers q against the finalized network. It only reads the
+// network, so concurrent calls are safe; working memory comes from one
+// package-wide pool, so steady-state calls allocate only the returned
+// graph (and footprint).
+func (n *Network) Extract(q Query) Extraction {
+	if !n.finalized {
+		panic("tin: Extract before Finalize")
+	}
+	if n.needsReindex {
+		panic("tin: Extract on a network awaiting Reindex")
+	}
+	sc := scratchPool.Get().(*queryScratch)
+	defer scratchPool.Put(sc)
+	sc.begin(n.numV)
+
+	// Both collectors leave the admitted edge ids in sc.edgeIDs (ascending,
+	// distinct) and the read footprint in sc.vertsA.
+	var ok bool
+	if q.Source == q.Sink {
+		ok = n.collectSeed(q.Source, q.ExtractOptions, sc)
+	} else {
+		ok = n.collectPair(q.Source, q.Sink, sc)
+	}
+	var x Extraction
+	if q.Footprint {
+		x.Footprint = slices.Clone(sc.vertsA)
+		slices.Sort(x.Footprint)
+	}
+	if !ok {
+		return x
+	}
+	g := n.buildFlowGraph(sc.edgeIDs, q.Source, q.Sink, q.Window, sc)
+	// Viability is judged on the unwindowed shape (the builder keeps edges
+	// the window emptied), matching extract-then-RestrictWindow semantics.
+	if g.InDegree(g.Source) != 0 || g.OutDegree(g.Sink) != 0 || g.OutDegree(g.Source) == 0 {
+		return x
+	}
+	if q.Window != nil {
+		g.DropEmptyEdges()
+	}
+	x.Graph, x.Ok = g, true
+	return x
+}
+
+// ExtractSubgraph is the seed query without a footprint: the §6.2
+// returning-path subgraph around seed, or (nil, false) if the seed has no
+// returning path or the subgraph exceeds opts.MaxInteractions.
 func (n *Network) ExtractSubgraph(seed VertexID, opts ExtractOptions) (*Graph, bool) {
-	sc := scratchPool.Get().(*QueryScratch)
-	g, ok, _ := n.extractSubgraph(seed, opts, sc, false)
-	scratchPool.Put(sc)
-	return g, ok
+	x := n.Extract(Query{Source: seed, Sink: seed, ExtractOptions: opts})
+	return x.Graph, x.Ok
 }
 
-// ExtractSubgraphScratch is ExtractSubgraph reusing the caller's scratch
-// memory; repeated calls make ~0 allocations beyond the returned graph.
-func (n *Network) ExtractSubgraphScratch(seed VertexID, opts ExtractOptions, sc *QueryScratch) (*Graph, bool) {
-	if sc == nil {
-		return n.ExtractSubgraph(seed, opts)
+// FlowSubgraphBetween is the unwindowed pair query without a footprint:
+// the flow instance between two distinct vertices, or (nil, false) if the
+// sink is unreachable from the source.
+func (n *Network) FlowSubgraphBetween(source, sink VertexID) (*Graph, bool) {
+	if source == sink {
+		panic("tin: source equals sink; use ExtractSubgraph for returning-path flow")
 	}
-	g, ok, _ := n.extractSubgraph(seed, opts, sc, false)
-	return g, ok
-}
-
-// ExtractSubgraphFootprint is ExtractSubgraph, additionally reporting the
-// query's read footprint: the ascending set of vertices whose outgoing
-// adjacency the path enumeration iterated. The footprint is a staleness
-// certificate for caching the answer across appends — including negative
-// answers (no returning path, or the interaction cap exceeded): every edge
-// of every candidate path departs from an iterated vertex, and a vertex
-// never iterated was only ever reached at the hop limit, so an append that
-// touches no footprint vertex cannot add, remove, or resize any admissible
-// path, and the (graph, ok) answer on the grown network is identical.
-// Appends only ever add interactions, so the footprint is returned for
-// unsuccessful extractions too.
-func (n *Network) ExtractSubgraphFootprint(seed VertexID, opts ExtractOptions) (*Graph, bool, []VertexID) {
-	sc := scratchPool.Get().(*QueryScratch)
-	g, ok, foot := n.extractSubgraph(seed, opts, sc, true)
-	scratchPool.Put(sc)
-	return g, ok, foot
-}
-
-// ExtractSubgraphFootprintScratch is ExtractSubgraphFootprint reusing the
-// caller's scratch memory.
-func (n *Network) ExtractSubgraphFootprintScratch(seed VertexID, opts ExtractOptions, sc *QueryScratch) (*Graph, bool, []VertexID) {
-	if sc == nil {
-		return n.ExtractSubgraphFootprint(seed, opts)
-	}
-	return n.extractSubgraph(seed, opts, sc, true)
+	x := n.Extract(Query{Source: source, Sink: sink})
+	return x.Graph, x.Ok
 }
 
 // seedDFS enumerates returning paths without per-call closure state; depth
 // counts edges on the current path.
 type seedDFS struct {
 	n                    *Network
-	sc                   *QueryScratch
+	sc                   *queryScratch
 	seed                 VertexID
 	maxHops              int
 	iterEpoch, pathEpoch int32
@@ -137,21 +202,18 @@ func (d *seedDFS) walk(v VertexID, depth int) {
 	}
 }
 
-func (n *Network) extractSubgraph(seed VertexID, opts ExtractOptions, sc *QueryScratch, wantFoot bool) (*Graph, bool, []VertexID) {
-	if !n.finalized {
-		panic("tin: ExtractSubgraph before Finalize")
-	}
-	if n.needsReindex {
-		panic("tin: ExtractSubgraph on a network awaiting Reindex")
-	}
+// collectSeed enumerates and admits the returning paths around seed. It
+// reports false when no path survives or the admitted edges carry more than
+// opts.MaxInteractions interactions.
+func (n *Network) collectSeed(seed VertexID, opts ExtractOptions, sc *queryScratch) bool {
 	if opts.MaxHops < 2 {
-		panic(fmt.Sprintf("tin: MaxHops must be >= 2, got %d", opts.MaxHops))
+		panic(fmt.Sprintf("tin: a seed query (Source == Sink) needs MaxHops >= 2, got %d", opts.MaxHops))
 	}
-	sc.begin(n.numV)
 
 	// Collect candidate returning paths as runs of edge ids in the shared
 	// flat buffer, in deterministic DFS order over adjacency lists. markA
-	// holds the iterated set (the footprint), markB the on-path set.
+	// holds the iterated set (listed in vertsA: the footprint), markB the
+	// on-path set.
 	d := seedDFS{n: n, sc: sc, seed: seed, maxHops: opts.MaxHops,
 		iterEpoch: sc.nextEpoch(), pathEpoch: sc.nextEpoch()}
 	sc.vertsA = append(sc.vertsA[:0], seed)
@@ -162,22 +224,11 @@ func (n *Network) extractSubgraph(seed VertexID, opts ExtractOptions, sc *QueryS
 	sc.pathEnds = sc.pathEnds[:0]
 	d.walk(seed, 0)
 
-	// Materialize the footprint now: the admission pass below re-purposes
-	// the mark arrays.
-	var foot []VertexID
-	if wantFoot {
-		foot = make([]VertexID, len(sc.vertsA))
-		copy(foot, sc.vertsA)
-		slices.Sort(foot)
-	}
-	if len(sc.pathEnds) == 0 {
-		return nil, false, foot
-	}
-
 	// Admit paths one by one, skipping any path whose inner edges would
 	// close a directed cycle among intermediate vertices. The incremental
 	// digraph lives in markA/valA (list heads) plus the shared adjacency
-	// pool; cycle checks stamp markB.
+	// pool; cycle checks stamp markB. The marks are re-purposed here, the
+	// vertsA list is not.
 	adjEpoch := sc.nextEpoch()
 	sc.innerTo = sc.innerTo[:0]
 	sc.innerNext = sc.innerNext[:0]
@@ -205,7 +256,7 @@ func (n *Network) extractSubgraph(seed VertexID, opts ExtractOptions, sc *QueryS
 		sc.edgeIDs = append(sc.edgeIDs, p...)
 	}
 	if len(sc.edgeIDs) == 0 {
-		return nil, false, foot
+		return false
 	}
 
 	slices.Sort(sc.edgeIDs)
@@ -214,18 +265,11 @@ func (n *Network) extractSubgraph(seed VertexID, opts ExtractOptions, sc *QueryS
 	for _, id := range sc.edgeIDs {
 		total += len(n.edges[id].Seq)
 	}
-	if opts.MaxInteractions > 0 && total > opts.MaxInteractions {
-		return nil, false, foot
-	}
-	g := n.buildFlowGraph(sc.edgeIDs, seed, seed, opts.Window, sc)
-	if opts.Window != nil {
-		g.DropEmptyEdges()
-	}
-	return g, true, foot
+	return opts.MaxInteractions <= 0 || total <= opts.MaxInteractions
 }
 
 // innerAdd records a→b in the admission digraph.
-func (sc *QueryScratch) innerAdd(a, b VertexID, adjEpoch int32) {
+func (sc *queryScratch) innerAdd(a, b VertexID, adjEpoch int32) {
 	head := int32(-1)
 	if sc.markA[a] == adjEpoch {
 		head = sc.valA[a]
@@ -238,7 +282,7 @@ func (sc *QueryScratch) innerAdd(a, b VertexID, adjEpoch int32) {
 
 // innerCreatesCycle reports whether adding edge a→b to the admission
 // digraph would close a directed cycle, i.e. whether b currently reaches a.
-func (sc *QueryScratch) innerCreatesCycle(a, b VertexID, adjEpoch int32) bool {
+func (sc *queryScratch) innerCreatesCycle(a, b VertexID, adjEpoch int32) bool {
 	if a == b {
 		return true
 	}
@@ -265,142 +309,31 @@ func (sc *QueryScratch) innerCreatesCycle(a, b VertexID, adjEpoch int32) bool {
 	return false
 }
 
-// BuildFlowGraph assembles a flow-computation Graph from a set of network
-// edges with the given source and sink network vertices. If source == sink,
-// the vertex is split: its outgoing edges attach to the graph source and
-// its incoming edges to the graph sink (Section 6.2 / Figure 10). The
-// graph's interactions inherit the network's canonical order, so tie
-// breaking is consistent with the full network. The returned graph is
-// finalized.
+// BuildFlowGraph assembles a flow-computation Graph from a set of distinct
+// network edges with the given source and sink network vertices. If source
+// == sink, the vertex is split: its outgoing edges attach to the graph
+// source and its incoming edges to the graph sink (Section 6.2 / Figure
+// 10). The graph's interactions inherit the network's canonical order, so
+// tie breaking is consistent with the full network. The returned graph is
+// finalized. A repeated edge id panics.
 func (n *Network) BuildFlowGraph(edgeIDs []EdgeID, source, sink VertexID) *Graph {
-	return n.BuildFlowGraphWindow(edgeIDs, source, sink, nil)
-}
-
-// BuildFlowGraphWindow is BuildFlowGraph with an optional time window:
-// interactions outside w are never materialized (per-edge binary search
-// over the canonical sequences). Edges left without in-window interactions
-// stay alive so source/sink degree semantics match the unwindowed build;
-// call DropEmptyEdges to remove them, which yields exactly the graph
-// BuildFlowGraph + RestrictWindow would produce.
-func (n *Network) BuildFlowGraphWindow(edgeIDs []EdgeID, source, sink VertexID, w *TimeWindow) *Graph {
-	sc := scratchPool.Get().(*QueryScratch)
+	sc := scratchPool.Get().(*queryScratch)
 	defer scratchPool.Put(sc)
-	sc.dup = append(sc.dup[:0], edgeIDs...)
-	slices.Sort(sc.dup)
-	for i := 1; i < len(sc.dup); i++ {
-		if sc.dup[i] == sc.dup[i-1] {
-			// Duplicated ids merge their (repeated) interactions onto one
-			// graph edge; the direct builder assumes distinct ids, so take
-			// the general path.
-			return buildFlowGraphDup(n, edgeIDs, source, sink, w)
-		}
-	}
 	sc.begin(n.numV)
-	return n.buildFlowGraph(edgeIDs, source, sink, w, sc)
-}
-
-// buildFlowGraphDup handles edge-id lists with duplicates via the original
-// lazy builder (kept as refBuildFlowGraph's twin): duplicates never occur
-// on the extraction paths, only in hand-built calls.
-func buildFlowGraphDup(n *Network, edgeIDs []EdgeID, source, sink VertexID, w *TimeWindow) *Graph {
-	local := make(map[VertexID]VertexID)
-	nv := VertexID(2)
-	mapInner := func(v VertexID) VertexID {
-		if id, ok := local[v]; ok {
-			return id
-		}
-		id := nv
-		local[v] = id
-		nv++
-		return id
-	}
-	type dupRef struct {
-		ia       Interaction
-		from, to VertexID
-		edge     EdgeID
-	}
-	var refs []dupRef
-	for _, id := range edgeIDs {
-		e := &n.edges[id]
-		var lf, lt VertexID
-		if e.From == source {
-			lf = 0
-		} else if e.From == sink && source != sink {
-			lf = 1
-		} else {
-			lf = mapInner(e.From)
-		}
-		if e.To == sink {
-			lt = 1
-		} else if e.To == source && source != sink {
-			lt = 0
-		} else {
-			lt = mapInner(e.To)
-		}
-		for _, ia := range e.Seq {
-			refs = append(refs, dupRef{ia: ia, from: lf, to: lt, edge: id})
-		}
-	}
-	slices.SortStableFunc(refs, func(a, b dupRef) int { return cmp.Compare(a.ia.Ord, b.ia.Ord) })
-
-	g := NewGraph(int(nv), 0, 1)
-	edgeOf := make(map[EdgeID]EdgeID, len(edgeIDs))
-	for _, r := range refs {
-		ge, ok := edgeOf[r.edge]
-		if !ok {
-			ge = g.AddEdge(r.from, r.to)
-			edgeOf[r.edge] = ge
-		}
-		g.AddInteraction(ge, r.ia.Time, r.ia.Qty)
-	}
-	g.Finalize()
-	if w != nil {
-		g.restrictInPlace(w)
-	}
-	return g
-}
-
-// restrictInPlace drops out-of-window interactions and re-ranks the
-// survivors' Ords densely, without deleting empty edges — the windowed-
-// build contract.
-func (g *Graph) restrictInPlace(w *TimeWindow) {
-	type ref struct {
-		e EdgeID
-		i int
-	}
-	var refs []ref
-	for e := range g.Edges {
-		if !g.edgeAlive[e] {
-			continue
-		}
-		seq := g.Edges[e].Seq
-		lo, hi := w.bounds(seq)
-		g.numIA -= len(seq) - (hi - lo)
-		g.Edges[e].Seq = seq[lo:hi]
-		for i := range g.Edges[e].Seq {
-			refs = append(refs, ref{EdgeID(e), i})
-		}
-	}
-	slices.SortFunc(refs, func(a, b ref) int {
-		return cmp.Compare(g.Edges[a.e].Seq[a.i].Ord, g.Edges[b.e].Seq[b.i].Ord)
-	})
-	for ord, r := range refs {
-		g.Edges[r.e].Seq[r.i].Ord = int64(ord)
-	}
-	g.nextOrd = int64(len(refs))
+	return n.buildFlowGraph(edgeIDs, source, sink, nil, sc)
 }
 
 // buildFlowGraph is the direct builder behind every extraction: it
 // assembles the finalized graph straight into its final memory layout.
-// edgeIDs must be distinct; their order fixes local vertex ids
-// (first-occurrence) exactly like the original builder, and graph edge ids
+// edgeIDs must be distinct (a repeat panics); their order fixes local vertex
+// ids (first-occurrence) exactly like the original builder, and graph edge ids
 // follow the earliest-full-interaction order the original lazy creation
 // produced. Interactions are inserted in network canonical order with
 // densely re-ranked Ords — relative order, and therefore every algorithm
 // decision, is unchanged. With a window, out-of-window interactions are
 // skipped via binary search; empty edges stay alive for the caller's
 // degree checks.
-func (n *Network) buildFlowGraph(edgeIDs []EdgeID, source, sink VertexID, w *TimeWindow, sc *QueryScratch) *Graph {
+func (n *Network) buildFlowGraph(edgeIDs []EdgeID, source, sink VertexID, w *TimeWindow, sc *queryScratch) *Graph {
 	k := len(edgeIDs)
 	// Local vertex ids: source 0, sink 1, inner 2+ in first-occurrence
 	// order (From before To, matching the original mapping order).
@@ -450,6 +383,10 @@ func (n *Network) buildFlowGraph(edgeIDs []EdgeID, source, sink VertexID, w *Tim
 	})
 	sc.gid = growBuf(sc.gid, k)
 	for r, i := range sc.order {
+		// Ords are unique network-wide, so a repeated id sorts next to itself.
+		if r > 0 && edgeIDs[i] == edgeIDs[sc.order[r-1]] {
+			panic(fmt.Sprintf("tin: BuildFlowGraph: duplicate edge id %d", edgeIDs[i]))
+		}
 		sc.gid[i] = EdgeID(r)
 	}
 
@@ -543,72 +480,9 @@ func (n *Network) buildFlowGraph(edgeIDs []EdgeID, source, sink VertexID, w *Tim
 	return g
 }
 
-// FlowSubgraphBetween builds the flow instance between two distinct network
-// vertices: the subgraph induced by vertices lying on some directed path
-// from source to sink, with edges entering the source or leaving the sink
-// dropped (per the problem statement they cannot contribute to the flow —
-// the source only emits and the sink only absorbs). Returns (nil, false)
-// if the sink is unreachable from the source. The result may be cyclic;
-// Greedy, the LP and the time-expanded engine handle cycles, while the
-// Pre/PreSim pipelines require DAGs.
-func (n *Network) FlowSubgraphBetween(source, sink VertexID) (*Graph, bool) {
-	sc := scratchPool.Get().(*QueryScratch)
-	g, ok, _ := n.flowSubgraphBetween(source, sink, nil, sc, false)
-	scratchPool.Put(sc)
-	return g, ok
-}
-
-// FlowSubgraphBetweenScratch is FlowSubgraphBetween reusing the caller's
-// scratch memory, with an optional time window applied during assembly
-// (nil = unbounded). The source/sink viability checks run before the
-// window, matching FlowSubgraphBetween + RestrictWindow semantics.
-func (n *Network) FlowSubgraphBetweenScratch(source, sink VertexID, w *TimeWindow, sc *QueryScratch) (*Graph, bool) {
-	if sc == nil {
-		sc = scratchPool.Get().(*QueryScratch)
-		defer scratchPool.Put(sc)
-	}
-	g, ok, _ := n.flowSubgraphBetween(source, sink, w, sc, false)
-	return g, ok
-}
-
-// FlowSubgraphBetweenFootprint is FlowSubgraphBetween, additionally
-// reporting the query's read footprint: the ascending union of the forward
-// reachability set of the source and the backward reachability set of the
-// sink. Like the seed variant's footprint, it certifies cached answers —
-// positive or negative — across appends: a batch that grows either
-// reachability set must do so through a new edge departing from (forward)
-// or arriving at (backward) a vertex already in that set, and a batch that
-// changes the admitted edge set without growing reachability only touches
-// edges whose endpoints sit in both sets. An append touching no footprint
-// vertex therefore leaves the (graph, ok) answer byte-identical.
-func (n *Network) FlowSubgraphBetweenFootprint(source, sink VertexID) (*Graph, bool, []VertexID) {
-	sc := scratchPool.Get().(*QueryScratch)
-	g, ok, foot := n.flowSubgraphBetween(source, sink, nil, sc, true)
-	scratchPool.Put(sc)
-	return g, ok, foot
-}
-
-// FlowSubgraphBetweenFootprintScratch is FlowSubgraphBetweenFootprint
-// reusing the caller's scratch memory, with an optional time window.
-func (n *Network) FlowSubgraphBetweenFootprintScratch(source, sink VertexID, w *TimeWindow, sc *QueryScratch) (*Graph, bool, []VertexID) {
-	if sc == nil {
-		sc = scratchPool.Get().(*QueryScratch)
-		defer scratchPool.Put(sc)
-	}
-	return n.flowSubgraphBetween(source, sink, w, sc, true)
-}
-
-func (n *Network) flowSubgraphBetween(source, sink VertexID, w *TimeWindow, sc *QueryScratch, wantFoot bool) (*Graph, bool, []VertexID) {
-	if !n.finalized {
-		panic("tin: FlowSubgraphBetween before Finalize")
-	}
-	if n.needsReindex {
-		panic("tin: FlowSubgraphBetween on a network awaiting Reindex")
-	}
-	if source == sink {
-		panic("tin: source equals sink; use ExtractSubgraph for returning-path flow")
-	}
-	sc.begin(n.numV)
+// collectPair gathers the edges on directed source→sink paths. It reports
+// false when the sink is unreachable from the source.
+func (n *Network) collectPair(source, sink VertexID, sc *queryScratch) bool {
 	// Reachability is computed on the modified graph in which edges into
 	// the source and out of the sink are already absent — otherwise a
 	// vertex whose only route to the sink passes through the source would
@@ -617,18 +491,6 @@ func (n *Network) flowSubgraphBetween(source, sink VertexID, w *TimeWindow, sc *
 	sc.vertsA, sc.stack = n.reachInto(source, false, source, sink, sc.markA, fwdEpoch, sc.vertsA, sc.stack)
 	bwdEpoch := sc.nextEpoch()
 	sc.vertsB, sc.stack = n.reachInto(sink, true, source, sink, sc.markB, bwdEpoch, sc.vertsB, sc.stack)
-
-	var foot []VertexID
-	if wantFoot {
-		foot = make([]VertexID, 0, len(sc.vertsA)+len(sc.vertsB))
-		foot = append(foot, sc.vertsA...)
-		for _, v := range sc.vertsB {
-			if sc.markA[v] != fwdEpoch {
-				foot = append(foot, v)
-			}
-		}
-		slices.Sort(foot)
-	}
 
 	// Frontier-driven edge collection: walk the out-adjacency of the
 	// fwd∩bwd vertices only. Every admitted edge departs from an
@@ -648,20 +510,17 @@ func (n *Network) flowSubgraphBetween(source, sink VertexID, w *TimeWindow, sc *
 			}
 		}
 	}
-	if len(sc.edgeIDs) == 0 {
-		return nil, false, foot
+	// The footprint is fwd ∪ bwd: extend the forward list with the
+	// backward-only vertices while the marks are still live.
+	for _, v := range sc.vertsB {
+		if sc.markA[v] != fwdEpoch {
+			sc.vertsA = append(sc.vertsA, v)
+		}
 	}
 	// Adjacency walks emit edges grouped by From vertex in discovery
 	// order; sort so the id order matches the original edge-table scan.
 	slices.Sort(sc.edgeIDs)
-	g := n.buildFlowGraph(sc.edgeIDs, source, sink, w, sc)
-	if g.InDegree(g.Source) != 0 || g.OutDegree(g.Sink) != 0 || g.OutDegree(g.Source) == 0 {
-		return nil, false, foot
-	}
-	if w != nil {
-		g.DropEmptyEdges()
-	}
-	return g, true, foot
+	return len(sc.edgeIDs) > 0
 }
 
 // reachInto marks every vertex reachable from v (backward: reaching v)

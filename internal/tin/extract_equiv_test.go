@@ -8,10 +8,10 @@ import (
 	"testing"
 )
 
-// Differential coverage for the O(footprint) query path: every extraction
-// (seed and pair, with and without a time window, with fresh or reused
-// scratch) must be byte-identical to the preserved map-and-scan reference
-// pipeline (extract_oracle_test.go), with windows checked against the
+// Differential coverage for the O(footprint) query path: every Extract
+// query — {seed, pair} × {no window, window} × {footprint off, on} — must
+// be byte-identical to the preserved map-and-scan reference pipeline
+// (extract_oracle_test.go), with windows checked against the
 // Graph.RestrictWindow oracle. The fuzz target additionally drives random
 // append interleavings first, so the fast path is exercised on every
 // internal array state appends can produce.
@@ -73,8 +73,47 @@ func oracleWindowed(g *Graph, ok bool, w *TimeWindow) (*Graph, bool) {
 	return g.RestrictWindow(w.From, w.To), ok
 }
 
-// checkExtractEquivalence compares every seed and pair extraction on n
-// against the reference pipeline, over a spread of windows.
+// refExtract answers the unwindowed form of q with the reference pipeline.
+func refExtract(n *Network, q Query) (*Graph, bool, []VertexID) {
+	if q.Source == q.Sink {
+		return refExtractSubgraphFootprint(n, q.Source, q.ExtractOptions)
+	}
+	return refFlowSubgraphBetweenFootprint(n, q.Source, q.Sink)
+}
+
+// checkQuery runs q (with its window, if any) footprint-on and
+// footprint-off on every given copy of the network and compares against
+// the reference answer (refG, refOK, refFoot) of the unwindowed query on n:
+// same graph as the RestrictWindow oracle, same footprint, and a
+// byte-identical graph whether or not the footprint was asked for.
+func checkQuery(t *testing.T, q Query, refG *Graph, refOK bool, refFoot []VertexID, copies ...*Network) {
+	t.Helper()
+	wantG, wantOK := oracleWindowed(refG, refOK, q.Window)
+	for ci, n := range copies {
+		q.Footprint = true
+		on := n.Extract(q)
+		if on.Ok != wantOK || graphSig(on.Graph) != graphSig(wantG) {
+			t.Fatalf("copy %d, %d->%d window %+v: fast path diverged\n got (%v): %s\nwant (%v): %s",
+				ci, q.Source, q.Sink, q.Window, on.Ok, graphSig(on.Graph), wantOK, graphSig(wantG))
+		}
+		if !slices.Equal(on.Footprint, refFoot) {
+			t.Fatalf("copy %d, %d->%d: footprint %v, want %v", ci, q.Source, q.Sink, on.Footprint, refFoot)
+		}
+		checkGraphInvariants(t, on.Graph)
+		q.Footprint = false
+		off := n.Extract(q)
+		if off.Footprint != nil {
+			t.Fatalf("copy %d, %d->%d: unrequested footprint %v", ci, q.Source, q.Sink, off.Footprint)
+		}
+		if off.Ok != on.Ok || graphSig(off.Graph) != graphSig(on.Graph) {
+			t.Fatalf("copy %d, %d->%d window %+v: footprint-off answer differs from footprint-on",
+				ci, q.Source, q.Sink, q.Window)
+		}
+	}
+}
+
+// checkExtractEquivalence compares every seed and pair query on n against
+// the reference pipeline, over a spread of windows.
 func checkExtractEquivalence(t *testing.T, n *Network) {
 	t.Helper()
 	maxT := n.MaxTime()
@@ -89,54 +128,25 @@ func checkExtractEquivalence(t *testing.T, n *Network) {
 		{From: maxT / 2, To: maxT / 2},
 		{From: maxT + 1, To: maxT + 2},
 	}
-	sc := NewQueryScratch()
-	opts := DefaultExtractOptions()
-	for v := 0; v < n.NumVertices(); v++ {
-		seed := VertexID(v)
-		refG, refOK, refFoot := refExtractSubgraphFootprint(n, seed, opts)
-		for _, w := range windows {
-			wantG, wantOK := oracleWindowed(refG, refOK, w)
-			wOpts := opts
-			wOpts.Window = w
-			g, ok, foot := n.ExtractSubgraphFootprintScratch(seed, wOpts, sc)
-			if ok != wantOK || graphSig(g) != graphSig(wantG) {
-				t.Fatalf("seed %d window %+v: fast path diverged\n got (%v): %s\nwant (%v): %s",
-					v, w, ok, graphSig(g), wantOK, graphSig(wantG))
-			}
-			if !slices.Equal(foot, refFoot) {
-				t.Fatalf("seed %d: footprint %v, want %v", v, foot, refFoot)
-			}
-			checkGraphInvariants(t, g)
-			// The pooled no-scratch wrapper must agree with the scratch path.
-			g2, ok2, foot2 := n.ExtractSubgraphFootprint(seed, wOpts)
-			if ok2 != ok || graphSig(g2) != graphSig(g) || !slices.Equal(foot2, foot) {
-				t.Fatalf("seed %d window %+v: pooled wrapper diverged from scratch path", v, w)
-			}
-		}
-	}
 	for src := 0; src < n.NumVertices(); src++ {
 		for snk := 0; snk < n.NumVertices(); snk++ {
-			if src == snk {
-				continue
-			}
-			s, k := VertexID(src), VertexID(snk)
-			refG, refOK, refFoot := refFlowSubgraphBetweenFootprint(n, s, k)
+			// src == snk is the seed query around that vertex.
+			q := Query{Source: VertexID(src), Sink: VertexID(snk), ExtractOptions: DefaultExtractOptions()}
+			refG, refOK, refFoot := refExtract(n, q)
 			for _, w := range windows {
-				wantG, wantOK := oracleWindowed(refG, refOK, w)
-				g, ok, foot := n.FlowSubgraphBetweenFootprintScratch(s, k, w, sc)
-				if ok != wantOK || graphSig(g) != graphSig(wantG) {
-					t.Fatalf("pair %d->%d window %+v: fast path diverged\n got (%v): %s\nwant (%v): %s",
-						src, snk, w, ok, graphSig(g), wantOK, graphSig(wantG))
-				}
-				if !slices.Equal(foot, refFoot) {
-					t.Fatalf("pair %d->%d: footprint %v, want %v", src, snk, foot, refFoot)
-				}
-				checkGraphInvariants(t, g)
+				q.Window = w
+				checkQuery(t, q, refG, refOK, refFoot, n)
 			}
-			// Unwindowed public wrappers.
-			g2, ok2, foot2 := n.FlowSubgraphBetweenFootprint(s, k)
-			if ok2 != refOK || graphSig(g2) != graphSig(refG) || !slices.Equal(foot2, refFoot) {
-				t.Fatalf("pair %d->%d: pooled wrapper diverged from reference", src, snk)
+			// The two kept wrappers are the same queries.
+			var g *Graph
+			var ok bool
+			if src == snk {
+				g, ok = n.ExtractSubgraph(q.Source, DefaultExtractOptions())
+			} else {
+				g, ok = n.FlowSubgraphBetween(q.Source, q.Sink)
+			}
+			if ok != refOK || graphSig(g) != graphSig(refG) {
+				t.Fatalf("%d->%d: wrapper diverged from reference", src, snk)
 			}
 		}
 	}
@@ -185,10 +195,10 @@ func TestExtractEquivalenceRandom(t *testing.T) {
 	}
 }
 
-// TestBuildFlowGraphWindowEquivalence pins the public windowed builder
-// against BuildFlowGraph + RestrictWindow, including duplicate edge-id
-// lists (which take the legacy path) and empty-edge retention.
-func TestBuildFlowGraphWindowEquivalence(t *testing.T) {
+// TestBuildFlowGraph pins the public hand-built-edge-list builder against
+// the reference builder, and its distinct-ids precondition: pattern
+// instances are injective, so a repeated id is a caller bug and panics.
+func TestBuildFlowGraph(t *testing.T) {
 	n := NewNetwork(5)
 	n.AddInteraction(0, 1, 1, 2)
 	n.AddInteraction(1, 2, 3, 1)
@@ -208,28 +218,25 @@ func TestBuildFlowGraphWindowEquivalence(t *testing.T) {
 		}
 		return out
 	}
-	lists := [][]EdgeID{
+	for li, list := range [][]EdgeID{
 		ids([2]VertexID{0, 1}, [2]VertexID{1, 2}, [2]VertexID{2, 4}),
 		ids([2]VertexID{0, 3}, [2]VertexID{3, 4}, [2]VertexID{0, 1}),
-		ids([2]VertexID{0, 1}, [2]VertexID{1, 2}, [2]VertexID{0, 1}), // duplicate id
-	}
-	windows := []*TimeWindow{nil, {From: 2, To: 8}, {From: 0, To: 0}}
-	for li, list := range lists {
-		want := n.BuildFlowGraph(list, 0, 4)
-		for _, w := range windows {
-			g := n.BuildFlowGraphWindow(list, 0, 4, w)
-			wantW := want
-			if w != nil {
-				wantW = want.RestrictWindow(w.From, w.To)
-			}
-			// The windowed builder keeps empty edges; drop them to compare
-			// against the RestrictWindow oracle.
-			g.DropEmptyEdges()
-			if graphSig(g) != graphSig(wantW) {
-				t.Fatalf("list %d window %+v:\n got %s\nwant %s", li, w, graphSig(g), graphSig(wantW))
-			}
+	} {
+		g, want := n.BuildFlowGraph(list, 0, 4), refBuildFlowGraph(n, list, 0, 4)
+		if graphSig(g) != graphSig(want) {
+			t.Fatalf("list %d:\n got %s\nwant %s", li, graphSig(g), graphSig(want))
 		}
+		checkGraphInvariants(t, g)
 	}
+
+	dup := ids([2]VertexID{0, 1}, [2]VertexID{1, 2}, [2]VertexID{0, 1})
+	defer func() {
+		want := fmt.Sprintf("tin: BuildFlowGraph: duplicate edge id %d", dup[0])
+		if r := recover(); r != want {
+			t.Fatalf("duplicate edge id: recovered %v, want panic %q", r, want)
+		}
+	}()
+	n.BuildFlowGraph(dup, 0, 4)
 }
 
 // decodeEquivFuzzInput splits fuzz bytes into a base network and a series
@@ -327,31 +334,12 @@ func FuzzExtractEquivalence(f *testing.F) {
 			}
 		}
 
-		sc := NewQueryScratch()
-		opts := DefaultExtractOptions()
-		wOpts := opts
-		wOpts.Window = w
 		for v := 0; v < numV; v++ {
-			seed := VertexID(v)
-			refG, refOK, refFoot := refExtractSubgraphFootprint(n, seed, opts)
-			wantG, wantOK := oracleWindowed(refG, refOK, w)
-			g, ok, foot := n.ExtractSubgraphFootprintScratch(seed, wOpts, sc)
-			if ok != wantOK || graphSig(g) != graphSig(wantG) || !slices.Equal(foot, refFoot) {
-				t.Fatalf("seed %d window %+v diverged:\n got (%v): %s\nwant (%v): %s",
-					v, w, ok, graphSig(g), wantOK, graphSig(wantG))
-			}
-			// Pair queries from this vertex to every other.
 			for u := 0; u < numV; u++ {
-				if u == v {
-					continue
-				}
-				refG, refOK, refFoot := refFlowSubgraphBetweenFootprint(n, seed, VertexID(u))
-				wantG, wantOK := oracleWindowed(refG, refOK, w)
-				g, ok, foot := n.FlowSubgraphBetweenFootprintScratch(seed, VertexID(u), w, sc)
-				if ok != wantOK || graphSig(g) != graphSig(wantG) || !slices.Equal(foot, refFoot) {
-					t.Fatalf("pair %d->%d window %+v diverged:\n got (%v): %s\nwant (%v): %s",
-						v, u, w, ok, graphSig(g), wantOK, graphSig(wantG))
-				}
+				q := Query{Source: VertexID(v), Sink: VertexID(u), ExtractOptions: DefaultExtractOptions()}
+				refG, refOK, refFoot := refExtract(n, q)
+				q.Window = w
+				checkQuery(t, q, refG, refOK, refFoot, n)
 			}
 		}
 	})

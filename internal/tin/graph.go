@@ -299,11 +299,10 @@ func (g *Graph) DeleteEdge(e EdgeID) {
 }
 
 // DropEmptyEdges deletes every live edge whose interaction sequence is
-// empty. It is the companion of the windowed builders (BuildFlowGraphWindow
-// and the Window extraction option), which keep emptied edges alive for
-// source/sink degree checks; dropping them afterwards yields exactly the
-// graph RestrictWindow's edge deletions would have produced. Vertices are
-// never deleted.
+// empty. It is the companion of windowed extraction (Query.Window), whose
+// builder keeps emptied edges alive for the source/sink degree checks;
+// dropping them afterwards yields exactly the graph RestrictWindow's edge
+// deletions would have produced. Vertices are never deleted.
 func (g *Graph) DropEmptyEdges() {
 	for id := range g.Edges {
 		if g.edgeAlive[id] && len(g.Edges[id].Seq) == 0 {

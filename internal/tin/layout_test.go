@@ -5,7 +5,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"testing"
 )
@@ -207,56 +206,13 @@ func FuzzLayoutEquivalence(f *testing.F) {
 		// windowed or not, identical to the scan-based map-backed oracle
 		// (the pre-refactor implementation), pinning the frontier-driven
 		// collector on every layout the network can be served from.
-		win := &TimeWindow{From: 64, To: 192}
-		for v := 0; v < numV; v++ {
-			opts := DefaultExtractOptions()
-			rg, rok, _ := refExtractSubgraphFootprint(n, VertexID(v), opts)
-			ga, oka := n.ExtractSubgraph(VertexID(v), opts)
-			gb, okb := dec.ExtractSubgraph(VertexID(v), opts)
-			gc, okc := mm.ExtractSubgraph(VertexID(v), opts)
-			if oka != okb || oka != okc || oka != rok {
-				t.Fatalf("seed %d: extraction ok %v / %v / %v (ref %v)", v, oka, okb, okc, rok)
-			}
-			if !oka {
-				continue
-			}
-			sr := graphSig(rg)
-			if sa, sb, sc := graphSig(ga), graphSig(gb), graphSig(gc); sa != sb || sa != sc || sa != sr {
-				t.Fatalf("seed %d: extracted subgraphs differ:\n%s\nvs\n%s\nvs\n%s\nref\n%s", v, sa, sb, sc, sr)
-			}
-			// In-extraction window vs the RestrictWindow oracle, per copy.
-			wopts := opts
-			wopts.Window = win
-			wg, wok := oracleWindowed(rg, rok, win)
-			for ci, cn := range []*Network{n, dec, mm} {
-				g, ok := cn.ExtractSubgraph(VertexID(v), wopts)
-				if ok != wok {
-					t.Fatalf("seed %d copy %d: windowed ok %v, oracle %v", v, ci, ok, wok)
-				}
-				if ok && graphSig(g) != graphSig(wg) {
-					t.Fatalf("seed %d copy %d: windowed subgraph differs:\n%s\nvs oracle\n%s",
-						v, ci, graphSig(g), graphSig(wg))
-				}
-			}
-		}
 		for src := 0; src < numV; src++ {
 			for snk := 0; snk < numV; snk++ {
-				if src == snk {
-					continue
-				}
-				s0, k0 := VertexID(src), VertexID(snk)
-				rg, rok, rfoot := refFlowSubgraphBetweenFootprint(n, s0, k0)
-				wg, wok := oracleWindowed(rg, rok, win)
-				for ci, cn := range []*Network{n, dec, mm} {
-					g, ok, foot := cn.FlowSubgraphBetweenFootprint(s0, k0)
-					if ok != rok || graphSig(g) != graphSig(rg) || !slices.Equal(foot, rfoot) {
-						t.Fatalf("pair %d->%d copy %d: frontier extraction diverged from scan oracle", src, snk, ci)
-					}
-					g, ok, _ = cn.FlowSubgraphBetweenFootprintScratch(s0, k0, win, nil)
-					if ok != wok || (ok && graphSig(g) != graphSig(wg)) {
-						t.Fatalf("pair %d->%d copy %d: windowed pair extraction diverged from oracle", src, snk, ci)
-					}
-				}
+				q := Query{Source: VertexID(src), Sink: VertexID(snk), ExtractOptions: DefaultExtractOptions()}
+				rg, rok, rfoot := refExtract(n, q)
+				checkQuery(t, q, rg, rok, rfoot, n, dec, mm)
+				q.Window = &TimeWindow{From: 64, To: 192}
+				checkQuery(t, q, rg, rok, rfoot, n, dec, mm)
 			}
 		}
 		mm.Unmap()

@@ -168,7 +168,7 @@ func TestMmapGrowKeepsMapping(t *testing.T) {
 }
 
 // TestMmapFallbacks: inputs the zero-copy path cannot serve — gzip names,
-// v1 streams, text files — must load through the regular decoder.
+// text files — must load through the regular decoder.
 func TestMmapFallbacks(t *testing.T) {
 	n := ioTestNetwork()
 	dir := t.TempDir()

@@ -6,19 +6,18 @@ import (
 	"sync"
 )
 
-// QueryScratch is the reusable working memory of the extraction fast path
+// queryScratch is the reusable working memory of the extraction fast path
 // (extract.go): dense epoch-stamped visited marks keyed by VertexID, the
 // DFS path stack, edge-id and interaction-reference buffers for the direct
-// flow-graph build, and the admission digraph's adjacency pool. Threading
-// one scratch through repeated queries makes steady-state extraction
-// allocate only the returned graph's own memory (~8 allocations) instead
-// of a fresh constellation of maps per query.
+// flow-graph build, and the admission digraph's adjacency pool. Reusing one
+// scratch across queries makes steady-state extraction allocate only the
+// returned graph's own memory (~8 allocations) instead of a fresh
+// constellation of maps per query.
 //
-// A scratch may be reused across networks of different sizes (the mark
-// arrays grow on demand) but must not be used concurrently; give each
-// goroutine its own, or draw from a sync.Pool as internal/server does.
-// The zero value is not ready for use — call NewQueryScratch.
-type QueryScratch struct {
+// A scratch is reused across networks of different sizes (the mark arrays
+// grow on demand) but never concurrently: Extract and BuildFlowGraph each
+// check one out of scratchPool for the duration of the call.
+type queryScratch struct {
 	// Epoch-stamped marks: markX[v] == e means v is in the set stamped at
 	// epoch e; bumping the epoch empties every set in O(1). Two mark
 	// arrays exist because extraction needs two simultaneous vertex sets
@@ -55,7 +54,6 @@ type QueryScratch struct {
 	runOff []int32    // arena offset per graph edge (len k+1)
 	cur    []int32    // fill cursor per graph edge
 	refs   []iaRef    // interaction refs, sorted into canonical order
-	dup    []EdgeID   // scratch copy for duplicate detection
 }
 
 // iaRef is one interaction tagged with its graph edge, used to establish
@@ -65,23 +63,18 @@ type iaRef struct {
 	ge EdgeID
 }
 
-// NewQueryScratch returns an empty scratch. Buffers are allocated lazily
-// as queries run.
-func NewQueryScratch() *QueryScratch {
-	return &QueryScratch{}
-}
-
-// scratchPool serves the public no-scratch wrappers (ExtractSubgraph,
-// FlowSubgraphBetween, BuildFlowGraph, ...), so even callers unaware of
-// scratch reuse hit steady-state allocation behaviour.
-var scratchPool = sync.Pool{New: func() any { return NewQueryScratch() }}
+// scratchPool is the one pool of extraction scratch: every caller — the
+// server's request goroutines, batch workers, pattern flow builds — draws
+// from it, so a process settles on about one scratch per concurrently
+// running query.
+var scratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
 
 // begin readies the scratch for a query over a network with numV vertices:
 // it grows the mark arrays and, when the epoch counter nears overflow,
 // resets it while no stamped set is live. The headroom (2^30 epochs) is
 // far beyond what a single query can consume, so mid-query resets — which
 // would invalidate live stamps — cannot happen.
-func (sc *QueryScratch) begin(numV int) {
+func (sc *queryScratch) begin(numV int) {
 	if len(sc.markA) < numV {
 		sc.markA = make([]int32, numV)
 		sc.markB = make([]int32, numV)
@@ -95,7 +88,7 @@ func (sc *QueryScratch) begin(numV int) {
 }
 
 // nextEpoch starts a fresh (empty) generation of stamped sets.
-func (sc *QueryScratch) nextEpoch() int32 {
+func (sc *queryScratch) nextEpoch() int32 {
 	sc.epoch++
 	return sc.epoch
 }

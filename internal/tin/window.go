@@ -8,11 +8,10 @@ import "sort"
 // interactions outside the window. This file implements that restriction
 // for both representations.
 //
-// Note the serving path no longer goes through Graph.RestrictWindow:
-// windowed queries apply the bounds during extraction (ExtractOptions.
-// Window, FlowSubgraphBetweenScratch), which never materializes
-// out-of-window interactions. RestrictWindow remains the public library
-// API and the oracle the differential tests compare that fast path
+// The serving path does not go through Graph.RestrictWindow: windowed
+// queries apply the bounds during extraction (Query.Window), which never
+// materializes out-of-window interactions. RestrictWindow is the public
+// library API and the oracle the differential tests compare that fast path
 // against.
 
 // RestrictWindow returns a copy of the graph containing only interactions
