@@ -20,10 +20,10 @@
 // retry backoff. Every HTTP attempt is observed — a request that rides out
 // two sheds contributes three latency samples and one op.
 //
-// The run is written to -out (default BENCH_load.json) in the same JSON
-// envelope cmd/benchjson emits, so CI archives load runs next to
-// BENCH_ci.json with one schema. Exit codes follow internal/cli: 0 on
-// success, 1 on runtime failure, 2 on usage errors.
+// The run is written to -out (default BENCH_load.json) as one JSON
+// document (see report): a go-test-bench-like envelope with one entry per
+// op kind. Exit codes follow internal/cli: 0 on success, 1 on runtime
+// failure, 2 on usage errors.
 package main
 
 import (
@@ -143,7 +143,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		allowIngest = fs.Bool("allow-ingest", false, "add ingest writers (the server must run with -allow-ingest)")
 		ingestWk    = fs.Int("ingest-workers", 1, "ingest writer goroutines when -allow-ingest is set")
 		windowFrac  = fs.Float64("window-frac", 0, "fraction of pair and seed queries that carry a random inclusive time window (0 = none, 1 = all)")
-		out         = fs.String("out", "BENCH_load.json", "benchjson-style JSON artifact path (empty = skip)")
+		out         = fs.String("out", "BENCH_load.json", "JSON report path (empty = skip)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -483,9 +483,9 @@ func (w *ingestWriter) loop(ctx context.Context) {
 	}
 }
 
-// report mirrors cmd/benchjson's JSON envelope so BENCH_load.json sits
-// next to BENCH_ci.json with one schema; each op kind becomes one
-// benchmark entry, plus the server-side /stats delta per touched route.
+// report is the -out document: a go-test-bench-like envelope in which each
+// op kind becomes one benchmark entry, plus the server-side /stats delta
+// per touched route.
 type report struct {
 	GoOS       string      `json:"goos,omitempty"`
 	GoArch     string      `json:"goarch,omitempty"`

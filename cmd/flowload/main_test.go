@@ -67,7 +67,7 @@ func TestFlowloadEndToEnd(t *testing.T) {
 	}
 	var rep report
 	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("artifact is not benchjson-shaped: %v\n%s", err, data)
+		t.Fatalf("artifact is not a report: %v\n%s", err, data)
 	}
 	if rep.Pkg != "flownet/cmd/flowload" || rep.GoOS == "" || rep.GoArch == "" {
 		t.Fatalf("artifact envelope incomplete: %+v", rep)

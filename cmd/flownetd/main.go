@@ -21,8 +21,8 @@
 // generation, so stale answers are never replayed. Ingests carry their
 // delta: cached answers whose read footprint provably missed the changed
 // edges survive the bump, and stale PB pattern tables are patched forward
-// incrementally when at most -table-update-threshold edges changed
-// (rebuilt from scratch otherwise). -workers bounds every worker pool.
+// incrementally when at most 256 edges changed (rebuilt from scratch
+// otherwise). -workers bounds every worker pool.
 // With -allow-ingest the service may start with no -net at all and be
 // populated entirely over HTTP.
 //
@@ -38,10 +38,10 @@
 // from the directory on the next start. -wal-sync additionally fsyncs the
 // WAL per batch, surviving power loss rather than just process death.
 // -mmap serves binary snapshots zero-copy: recovery maps the snapshot file
-// read-only instead of decoding it, and the mapping is released the first
-// time the network is mutated. -madvise additionally marks the mapped
-// interaction arena MADV_RANDOM, so footprint-bound queries on networks
-// larger than RAM fault in only the pages they touch.
+// read-only instead of decoding it (the interaction arena advised
+// MADV_RANDOM, so footprint-bound queries on networks larger than RAM
+// fault in only the pages they touch), and the mapping is released the
+// first time the network is mutated.
 //
 // Exit codes: 0 after a clean shutdown, 1 on a runtime failure, 2 on a
 // usage error.
@@ -99,10 +99,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		walSync     = fs.Bool("wal-sync", false, "fsync the WAL after every accepted batch instead of only at checkpoints (requires -data-dir)")
 		snapEvery   = fs.Int("snapshot-every", 0, "WAL records per network that trigger a background snapshot (0 = default 256, negative = never; requires -data-dir)")
 		useMmap     = fs.Bool("mmap", false, "serve binary snapshots zero-copy via mmap instead of decoding them (released when a network is first mutated)")
-		madvise     = fs.Bool("madvise", false, "advise the kernel (MADV_RANDOM) that mmap'd interaction arenas are accessed randomly, avoiding readahead on footprint-bound queries (requires -mmap)")
 		queryTO     = fs.Duration("query-timeout", 0, "per-request deadline for /flow, /flow/batch and /patterns; expired queries answer 504 (0 = no deadline)")
 		maxInflight = fs.Int("max-inflight", 0, "maximum concurrently executing queries; excess load answers 503 + Retry-After (0 = unbounded)")
-		tableUpd    = fs.Int("table-update-threshold", 0, "changed-edge count up to which stale PB pattern tables are patched forward incrementally instead of rebuilt (0 = default 256, negative = always rebuild)")
 	)
 	fs.Var(&nets, "net", "network to load, as name=path or path (repeatable)")
 	if err := fs.Parse(args); err != nil {
@@ -116,11 +114,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		fs.Usage()
 		return cli.ErrUsage
 	}
-	if *madvise && !*useMmap {
-		fmt.Fprintln(stderr, "flownetd: -madvise needs -mmap")
-		fs.Usage()
-		return cli.ErrUsage
-	}
 	eng := flownet.EngineLP
 	switch *engine {
 	case "lp":
@@ -131,7 +124,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return cli.ErrUsage
 	}
 
-	st, err := store.Open(store.Config{Dir: *dataDir, SyncEveryBatch: *walSync, SnapshotEvery: *snapEvery, Mmap: *useMmap, Madvise: *madvise})
+	st, err := store.Open(store.Config{Dir: *dataDir, SyncEveryBatch: *walSync, SnapshotEvery: *snapEvery, Mmap: *useMmap})
 	if err != nil {
 		return fmt.Errorf("opening data directory %s: %w", *dataDir, err)
 	}
@@ -154,14 +147,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return cli.ErrUsage
 	}
 	srv := server.New(server.Config{
-		Workers:              *workers,
-		CacheSize:            *cacheSize,
-		Engine:               eng,
-		AllowIngest:          *allowIngest,
-		Store:                st,
-		QueryTimeout:         *queryTO,
-		MaxInFlight:          *maxInflight,
-		TableUpdateThreshold: *tableUpd,
+		Workers:      *workers,
+		CacheSize:    *cacheSize,
+		Engine:       eng,
+		AllowIngest:  *allowIngest,
+		Store:        st,
+		QueryTimeout: *queryTO,
+		MaxInFlight:  *maxInflight,
 	})
 	for _, spec := range nets {
 		name, path := splitNetSpec(spec)
@@ -177,10 +169,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		t0 := time.Now()
 		load := flownet.LoadNetwork
 		if *useMmap {
-			opts := flownet.MmapOptions{AdviseRandom: *madvise}
-			load = func(path string) (*flownet.Network, error) {
-				return flownet.LoadNetworkMmapOptions(path, opts)
-			}
+			load = flownet.LoadNetworkMmap
 		}
 		n, err := load(path)
 		if err != nil {

@@ -53,7 +53,7 @@
 // HTTP/JSON, with repeated queries memoized in a bounded LRU and replayed
 // byte-identically. With -allow-ingest the service also accepts live
 // traffic: time-ordered interaction batches are appended to resident
-// networks (POST /ingest, backed by Network.AppendBatch and LiveNetwork),
+// networks (POST /ingest, backed by Network.AppendBatch and Shard.Append),
 // each append bumps the network's generation, and cache keys carry that
 // generation so stale answers are never replayed. Client (NewClient) is
 // the matching Go client; the wire types (FlowResult, BatchRequest,
@@ -92,7 +92,6 @@ import (
 	"flownet/internal/datagen"
 	"flownet/internal/pattern"
 	"flownet/internal/store"
-	"flownet/internal/stream"
 	"flownet/internal/teg"
 	"flownet/internal/tin"
 )
@@ -117,28 +116,31 @@ type (
 	BatchItem = tin.BatchItem
 )
 
-// Streaming types (see internal/stream): a LiveNetwork wraps a finalized
-// Network with a reader/writer lock and a generation counter so that
+// Streaming types (see internal/store): a LiveNetwork holds a finalized
+// Network behind a reader/writer lock and a generation counter so that
 // time-ordered interaction batches can extend it while queries keep
-// running. Network itself also exposes the single-writer append surface
-// directly — Append, AppendBatch, AppendUnordered, Reindex, MaxTime — for
-// callers that manage their own synchronization.
+// running. It is the same type as a Store's Shard — NewLiveNetwork returns
+// the shard of a private in-memory store — so everything said about Shard
+// (Append, Reindex, Grow, View/Acquire, Generation, Pending) holds for it.
+// Network itself also exposes the single-writer append surface directly —
+// Append, AppendBatch, MergeUnordered, MaxTime — for callers that manage
+// their own synchronization.
 type (
 	// LiveNetwork is a live-updatable network (generation-counted, safe
 	// for concurrent append and query).
-	LiveNetwork = stream.Network
-	// StreamOptions configure one LiveNetwork.Append call.
-	StreamOptions = stream.Options
-	// StreamResult reports what one LiveNetwork.Append did.
-	StreamResult = stream.Result
+	LiveNetwork = store.Shard
+	// StreamOptions configure one LiveNetwork/Shard Append call.
+	StreamOptions = store.Options
+	// StreamResult reports what one LiveNetwork/Shard mutation did.
+	StreamResult = store.Result
 )
 
-// Out-of-order policies for LiveNetwork.Append.
+// Out-of-order policies for LiveNetwork/Shard Append.
 const (
 	// StreamPolicyReject fails a batch with out-of-order items atomically.
-	StreamPolicyReject = stream.PolicyReject
+	StreamPolicyReject = store.PolicyReject
 	// StreamPolicyDefer parks out-of-order items until Reindex merges them.
-	StreamPolicyDefer = stream.PolicyDefer
+	StreamPolicyDefer = store.PolicyDefer
 )
 
 // ErrOutOfOrder reports an appended interaction whose timestamp precedes
@@ -167,7 +169,7 @@ type (
 	StoreCounters = store.Stats
 	// StreamItem is one streamed interaction for Shard.Append and
 	// LiveNetwork appends via the store.
-	StreamItem = stream.Item
+	StreamItem = store.Item
 )
 
 // Store error classes, for errors.Is on Shard/Store mutation errors.
@@ -193,13 +195,32 @@ func OpenStore(cfg StoreConfig) (*Store, error) { return store.Open(cfg) }
 // (the format is sniffed), so binary files are drop-in replacements.
 func SaveNetworkBinary(path string, n *Network) error { return tin.SaveNetworkBinary(path, n) }
 
-// NewLiveNetwork makes a finalized network live-updatable; the caller must
-// not use n directly afterwards.
-func NewLiveNetwork(n *Network) (*LiveNetwork, error) { return stream.Wrap(n) }
+// NewLiveNetwork makes a finalized network live-updatable — as the sole
+// shard of a private in-memory store; the caller must not use n directly
+// afterwards.
+func NewLiveNetwork(n *Network) (*LiveNetwork, error) {
+	return privateStore().Add(liveNetworkName, n)
+}
 
 // NewEmptyLiveNetwork creates a live network with numV vertices and no
-// interactions, to be populated entirely by appends.
-func NewEmptyLiveNetwork(numV int) *LiveNetwork { return stream.NewEmpty(numV) }
+// interactions, to be populated entirely by appends. It panics when numV
+// is negative or exceeds the store's vertex ceiling (1<<24).
+func NewEmptyLiveNetwork(numV int) *LiveNetwork {
+	sh, err := privateStore().Create(liveNetworkName, numV)
+	if err != nil {
+		panic(err)
+	}
+	return sh
+}
+
+// liveNetworkName is the name a standalone LiveNetwork is registered under
+// in its private store (and reports from Name).
+const liveNetworkName = "live"
+
+func privateStore() *Store {
+	st, _ := store.Open(store.Config{}) // memory-only Open cannot fail
+	return st
+}
 
 // Flow computation types (see internal/core).
 type (
@@ -283,20 +304,11 @@ func LoadNetwork(path string) (*Network, error) { return tin.LoadNetwork(path) }
 // LoadNetworkMmap is LoadNetwork with a zero-copy fast path: an
 // uncompressed FNTB v2 snapshot is mapped read-only into memory and served
 // in place instead of being decoded. Any other input — text, gzip, or a
-// platform without mmap — falls back to a regular load. The
+// platform without mmap — falls back to a regular load. The mapped
+// interaction arena is advised MADV_RANDOM, so cold footprint-bound queries
+// on networks larger than RAM fault in only the pages they touch. The
 // mapping is released automatically when the network is first mutated.
 func LoadNetworkMmap(path string) (*Network, error) { return tin.OpenNetworkMmap(path) }
-
-// MmapOptions tunes the zero-copy mapping set up by LoadNetworkMmapOptions.
-type MmapOptions = tin.MmapOptions
-
-// LoadNetworkMmapOptions is LoadNetworkMmap with explicit mapping options —
-// notably AdviseRandom, which marks the interaction arena MADV_RANDOM so
-// cold footprint-bound queries on networks larger than RAM fault in only
-// the pages they touch instead of triggering sequential readahead.
-func LoadNetworkMmapOptions(path string, opts MmapOptions) (*Network, error) {
-	return tin.OpenNetworkMmapOptions(path, opts)
-}
 
 // SaveNetwork writes a network to a text (optionally .gz) interaction file.
 func SaveNetwork(path string, n *Network) error { return tin.SaveNetwork(path, n) }

@@ -123,7 +123,7 @@ func populatedResponseCache(entries int) *cache.Cache[string, []tin.VertexID] {
 // BenchmarkCacheRetention measures the post-ingest cache sweep, per entry:
 // the delta-aware retention pass (parse the key, test the footprint
 // against the changed-vertex set, re-key survivors to the new generation)
-// vs the wholesale DeleteFunc purge it replaced. Retention does strictly
+// vs the wholesale purge it replaced. Retention does strictly
 // more work per entry — the win is that survivors keep serving hits
 // instead of being recomputed, which costs milliseconds per query.
 func BenchmarkCacheRetention(b *testing.B) {
@@ -160,7 +160,8 @@ func BenchmarkCacheRetention(b *testing.B) {
 			b.StopTimer()
 			c := populatedResponseCache(entries)
 			b.StartTimer()
-			if removed := c.DeleteFunc(func(string) bool { return true }); removed != entries {
+			drop := func(key string, _ []tin.VertexID) (string, bool) { return key, false }
+			if _, removed := c.Rekey(drop); removed != entries {
 				b.Fatalf("purged %d entries, want %d", removed, entries)
 			}
 		}

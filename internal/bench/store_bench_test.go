@@ -7,7 +7,6 @@ import (
 
 	"flownet/internal/datagen"
 	"flownet/internal/store"
-	"flownet/internal/stream"
 	"flownet/internal/tin"
 )
 
@@ -78,17 +77,17 @@ func BenchmarkWALReplay(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	items := make([]stream.Item, batchSize)
+	items := make([]store.Item, batchSize)
 	for i := 0; i < batches; i++ {
 		for j := range items {
-			items[j] = stream.Item{
+			items[j] = store.Item{
 				From: int32((i + j) % 1024),
 				To:   int32((i + j + 1) % 1024),
 				Time: float64(i*batchSize + j),
 				Qty:  1,
 			}
 		}
-		if _, err := sh.Append(items, stream.Options{}); err != nil {
+		if _, err := sh.Append(items, store.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

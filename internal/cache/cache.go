@@ -3,10 +3,9 @@
 // handlers see one immutable network version per request (identified by
 // its generation), so a (network, generation, query) triple always
 // produces the same answer and memoizing it turns repeated queries into
-// O(1) lookups. When a network changes, the server invalidates with
-// DeleteFunc (coarse: a whole network's entries at once) or Rekey (fine:
+// O(1) lookups. When a network changes, the server sweeps with Rekey:
 // entries provably unaffected by the change are moved to the new
-// generation's keys and keep serving hits).
+// generation's keys and keep serving hits, the rest are dropped.
 package cache
 
 import (
@@ -90,32 +89,6 @@ func (c *Cache[K, V]) Put(k K, v V) {
 		c.evictions++
 	}
 	c.items[k] = c.ll.PushFront(&entry[K, V]{key: k, val: v})
-}
-
-// DeleteFunc removes every entry whose key matches pred and returns how
-// many were removed. It is the coarse invalidation hook for callers whose
-// values can go stale in groups — flownetd uses it when a whole network's
-// entries must die at once (a reindex re-ranks everything); the finer
-// Rekey hook retains provably unaffected entries instead. Removals do not
-// count as evictions (the entries were not displaced by capacity
-// pressure).
-func (c *Cache[K, V]) DeleteFunc(pred func(K) bool) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.capacity <= 0 {
-		return 0
-	}
-	removed := 0
-	for el := c.ll.Front(); el != nil; {
-		next := el.Next()
-		if k := el.Value.(*entry[K, V]).key; pred(k) {
-			c.ll.Remove(el)
-			delete(c.items, k)
-			removed++
-		}
-		el = next
-	}
-	return removed
 }
 
 // Rekey visits every entry, letting fn move it to a new key or drop it:

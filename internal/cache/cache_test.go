@@ -97,37 +97,6 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 }
 
-func TestDeleteFunc(t *testing.T) {
-	c := New[string, int](8)
-	for _, k := range []string{"a|1", "a|2", "b|1", "b|2", "b|3"} {
-		c.Put(k, 1)
-	}
-	removed := c.DeleteFunc(func(k string) bool { return strings.HasPrefix(k, "b|") })
-	if removed != 3 {
-		t.Fatalf("DeleteFunc removed %d entries, want 3", removed)
-	}
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d after DeleteFunc, want 2", c.Len())
-	}
-	for _, k := range []string{"b|1", "b|2", "b|3"} {
-		if _, ok := c.Get(k); ok {
-			t.Errorf("deleted key %q still present", k)
-		}
-	}
-	for _, k := range []string{"a|1", "a|2"} {
-		if _, ok := c.Get(k); !ok {
-			t.Errorf("surviving key %q was removed", k)
-		}
-	}
-	if got := c.Stats().Evictions; got != 0 {
-		t.Errorf("DeleteFunc counted %d evictions, want 0", got)
-	}
-	// Disabled caches have nothing to delete.
-	if n := New[string, int](0).DeleteFunc(func(string) bool { return true }); n != 0 {
-		t.Errorf("DeleteFunc on disabled cache = %d, want 0", n)
-	}
-}
-
 func TestRekey(t *testing.T) {
 	c := New[string, int](8)
 	for _, k := range []string{"a|g1|x", "a|g1|y", "b|g1|x"} {

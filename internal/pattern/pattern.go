@@ -20,7 +20,7 @@
 // which aggregate any number of parallel anchored paths, and the delta
 // maintenance of footnote 2: Tables.Update brings precomputed tables
 // current after an append by recomputing only the row groups whose anchor
-// a changed edge can affect, so a live network (internal/stream) keeps its
+// a changed edge can affect, so a live network (internal/store) keeps its
 // PB tables warm at a cost proportional to the ingest, not the network.
 package pattern
 

@@ -13,7 +13,7 @@ package server
 //   - tableCache accumulates the changed-edge union and patches the PB
 //     path tables forward with pattern.Tables.Update on the next query,
 //     falling back to a full pattern.Precompute when the delta is too
-//     large (Config.TableUpdateThreshold), when a reindex re-ranked the
+//     large (tableUpdateThreshold), when a reindex re-ranked the
 //     edge order (Update's preconditions no longer hold), or when no
 //     tables were built yet.
 //
@@ -35,19 +35,18 @@ import (
 
 	"flownet/internal/pattern"
 	"flownet/internal/store"
-	"flownet/internal/stream"
 	"flownet/internal/tin"
 )
 
 const (
-	// defaultTableUpdateThreshold is the changed-edge count above which the
+	// tableUpdateThreshold is the changed-edge count above which the
 	// accumulated delta is abandoned and the next PB query rebuilds the
-	// tables from scratch (Config.TableUpdateThreshold = 0 selects it).
-	// Update cost scales with the affected-anchor neighborhoods, rebuild
-	// cost with the whole network; for deltas past a few hundred edges the
-	// bookkeeping stops paying for itself on the networks the benchmarks
-	// model.
-	defaultTableUpdateThreshold = 256
+	// tables from scratch. Update cost scales with the affected-anchor
+	// neighborhoods, rebuild cost with the whole network; for deltas past a
+	// few hundred edges the bookkeeping stops paying for itself on the
+	// networks the benchmarks model. (Tests set Server.tableThreshold:
+	// negative disables incremental updates entirely.)
+	tableUpdateThreshold = 256
 
 	// maxFootprintVertices caps the per-entry footprint recorded with a
 	// cached response. A footprint this large means the answer read a big
@@ -124,7 +123,7 @@ type tableCache struct {
 // recordDelta folds one generation bump's delta into the pending union.
 // Called from the store's change notification, under the network's write
 // lock — so no get() build can be in flight (builds hold the read lock).
-func (tc *tableCache) recordDelta(d stream.Delta, threshold int) {
+func (tc *tableCache) recordDelta(d store.Delta, threshold int) {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
 	if tc.gen == 0 || tc.full {
@@ -151,7 +150,7 @@ func (tc *tableCache) recordDelta(d stream.Delta, threshold int) {
 
 // get returns the PB path tables for generation gen of n (with the C2
 // chain table included, so every catalogue pattern has a PB plan). Callers
-// must hold the network's stream read lock, so n cannot change underneath
+// must hold the network's read lock, so n cannot change underneath
 // the build and gen is the network's current generation.
 //
 // When the cached tables lag, get patches them forward with Update if the
@@ -251,7 +250,7 @@ type sweepDelta struct {
 // network's write lock): it feeds the table cache's pending union, folds
 // the delta into the network's sweep, and kicks the single sweeper
 // goroutine. The sweep itself must not run here — it scans the whole LRU.
-func (s *Server) onStoreDelta(name string, gen uint64, d stream.Delta) {
+func (s *Server) onStoreDelta(name string, gen uint64, d store.Delta) {
 	s.tablesMu.Lock()
 	tc := s.tables[name]
 	s.tablesMu.Unlock()

@@ -184,13 +184,14 @@ func TestTablesUpdatedNotRebuilt(t *testing.T) {
 	}
 }
 
-// TestTableUpdateThresholdDisables checks the -table-update-threshold
-// escape hatches: a negative threshold always rebuilds, and a delta larger
-// than the threshold falls back to a rebuild too.
-func TestTableUpdateThresholdDisables(t *testing.T) {
+// TestTableThresholdDisables checks the update threshold's two
+// fallbacks: a negative threshold always rebuilds, and a delta larger than
+// the threshold falls back to a rebuild too.
+func TestTableThresholdDisables(t *testing.T) {
 	run := func(threshold int, ingest []IngestInteraction, wantUpdates, wantRebuilds uint64) {
 		t.Helper()
-		s := New(Config{CacheSize: 64, AllowIngest: true, TableUpdateThreshold: threshold})
+		s := New(Config{CacheSize: 64, AllowIngest: true})
+		s.tableThreshold = threshold
 		if err := s.AddNetwork("live", buildNet(t, 8, []tin.BatchItem{
 			{From: 0, To: 1, Time: 1, Qty: 5},
 			{From: 1, To: 0, Time: 2, Qty: 4},

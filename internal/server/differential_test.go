@@ -28,7 +28,8 @@ func TestDifferentialIncrementalVsRebuild(t *testing.T) {
 	var refItems, parked []tin.BatchItem
 	tm := 10.0
 
-	inc := New(Config{CacheSize: 256, AllowIngest: true, TableUpdateThreshold: 4})
+	inc := New(Config{CacheSize: 256, AllowIngest: true})
+	inc.tableThreshold = 4 // small, so the over-threshold rebuild path runs too
 	if err := inc.AddNetwork("diff", buildNet(t, numV, nil)); err != nil {
 		t.Fatal(err)
 	}

@@ -56,7 +56,6 @@ import (
 	"flownet/internal/par"
 	"flownet/internal/pattern"
 	"flownet/internal/store"
-	"flownet/internal/stream"
 	"flownet/internal/teg"
 	"flownet/internal/tin"
 )
@@ -114,13 +113,6 @@ type Config struct {
 	// unboundedly. 0 disables admission control. Health and stats endpoints
 	// are never shed.
 	MaxInFlight int
-	// TableUpdateThreshold bounds the accumulated changed-edge count up to
-	// which stale PB path tables are patched forward with
-	// pattern.Tables.Update on the next query; larger deltas (or a
-	// reindex, which re-ranks the edge order) rebuild the tables from
-	// scratch. 0 selects the default (256); negative disables incremental
-	// updates entirely (every stale table rebuilds).
-	TableUpdateThreshold int
 }
 
 // Server serves flow and pattern queries over the networks owned by its
@@ -140,9 +132,10 @@ type Server struct {
 	inflight chan struct{}
 	panics   atomic.Uint64
 
-	// tableThreshold is Config.TableUpdateThreshold with the default
-	// resolved; derived holds the update/rebuild and retained/purged
-	// counters (see derived.go).
+	// tableThreshold is the changed-edge count up to which stale PB tables
+	// are patched forward instead of rebuilt (tableUpdateThreshold; a field
+	// so in-package tests can lower or disable it); derived holds the
+	// update/rebuild and retained/purged counters (see derived.go).
 	tableThreshold int
 	derived        derivedStats
 
@@ -186,10 +179,8 @@ func New(cfg Config) *Server {
 		metrics: make(map[string]*endpointMetrics, len(routes)),
 		tables:  make(map[string]*tableCache),
 		dirty:   make(map[string]*sweepDelta),
-	}
-	s.tableThreshold = cfg.TableUpdateThreshold
-	if s.tableThreshold == 0 {
-		s.tableThreshold = defaultTableUpdateThreshold
+
+		tableThreshold: tableUpdateThreshold,
 	}
 	st.SubscribeDelta(s.onStoreDelta)
 	for _, r := range routes {
@@ -835,12 +826,9 @@ func (s *Server) networkInfos() map[string]NetworkInfo {
 	shs := s.store.Shards()
 	infos := make(map[string]NetworkInfo, len(shs))
 	for _, sh := range shs {
-		// Pending takes the stream's read lock itself, so it must be read
-		// before View (re-entering the RWMutex while a writer waits would
-		// deadlock). The two reads may straddle an append; a momentarily
-		// inconsistent stats row is fine.
-		pending := sh.Pending()
 		tc := s.tablesFor(sh)
+		// One View: Pending only moves under the write lock, so the row is
+		// a consistent (network, generation, pending) triple.
 		sh.View(func(n *tin.Network, gen uint64) {
 			st := n.Stats()
 			// An empty network reports MaxTime -Inf, which JSON cannot
@@ -857,7 +845,7 @@ func (s *Server) networkInfos() map[string]NetworkInfo {
 				MaxTime:             mt,
 				TablesReady:         tc.ready(gen),
 				Generation:          gen,
-				PendingInteractions: pending,
+				PendingInteractions: sh.Pending(),
 			}
 		})
 	}
@@ -933,19 +921,19 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	items := make([]stream.Item, len(req.Interactions))
+	items := make([]store.Item, len(req.Interactions))
 	for i, ia := range req.Interactions {
 		if ia.From < 0 || ia.From > math.MaxInt32 || ia.To < 0 || ia.To > math.MaxInt32 {
 			writeError(w, http.StatusBadRequest, "interaction %d: vertex ids must be in [0,%d]", i, math.MaxInt32)
 			return
 		}
-		items[i] = stream.Item{From: tin.VertexID(ia.From), To: tin.VertexID(ia.To), Time: ia.Time, Qty: ia.Qty}
+		items[i] = store.Item{From: tin.VertexID(ia.From), To: tin.VertexID(ia.To), Time: ia.Time, Qty: ia.Qty}
 	}
-	policy := stream.PolicyReject
+	policy := store.PolicyReject
 	if req.AllowOutOfOrder {
-		policy = stream.PolicyDefer
+		policy = store.PolicyDefer
 	}
-	ares, err := sh.Append(items, stream.Options{OnOutOfOrder: policy, Grow: req.Grow})
+	ares, err := sh.Append(items, store.Options{OnOutOfOrder: policy, Grow: req.Grow})
 	if err != nil {
 		status := http.StatusBadRequest
 		if errors.Is(err, store.ErrReadOnly) {

@@ -3,11 +3,12 @@
 // and — when configured with a data directory — makes each one crash-safe
 // with a per-network write-ahead log and binary snapshots.
 //
-// Layering: internal/stream makes one network live-updatable in memory;
-// this package owns the *set* of networks and their persistence, and
+// Layering: internal/tin is the network itself; this package owns the
+// *set* of networks, what makes each one live-updatable (live.go: lock,
+// generation, pending buffer, change deltas) and their persistence, and
 // internal/server is reduced to HTTP handling on top. Each network is a
-// Shard with its own mutation lock and its own WAL, so ingest on one
-// network never contends with ingest on another.
+// Shard with its own locks and its own WAL, so ingest on one network never
+// contends with ingest on another.
 //
 // Durability contract. Every accepted mutation — Append (including parked
 // out-of-order items), Reindex, vertex growth, CreateNetwork — is applied
@@ -48,7 +49,6 @@ import (
 	"time"
 
 	"flownet/internal/fault"
-	"flownet/internal/stream"
 	"flownet/internal/tin"
 )
 
@@ -101,12 +101,6 @@ type Config struct {
 	// first) or when the store closes. Snapshot open failures still go
 	// through FS, so fault injection keeps gating the load path.
 	Mmap bool
-	// Madvise marks the mapped interaction arena MADV_RANDOM when Mmap is
-	// set, so cold footprint-bound queries fault in only the pages they
-	// touch instead of dragging sequential readahead across the arena.
-	// No effect without Mmap, on platforms lacking madvise, or on loads
-	// that fall back to the copying decoder.
-	Madvise bool
 }
 
 // Stats are the store-wide durability counters, surfaced at /stats.
@@ -164,7 +158,7 @@ type Store struct {
 	reserved map[string]bool
 
 	subMu sync.RWMutex
-	subs  []func(name string, gen uint64, delta stream.Delta)
+	subs  []func(name string, gen uint64, delta Delta)
 
 	walAppends atomic.Uint64
 	walFsyncs  atomic.Uint64
@@ -236,7 +230,7 @@ func Open(cfg Config) (*Store, error) {
 			s.abortOpen()
 			return nil, fmt.Errorf("store: recovering network %q: %w", name, err)
 		}
-		s.finishRegister(sh)
+		s.shards[name] = sh
 		s.recoveries.Add(1)
 	}
 	s.ckCh = make(chan *Shard, 64)
@@ -260,7 +254,7 @@ func (s *Store) abortOpen() {
 
 // SubscribeDelta registers fn to be called after every change that bumps a
 // network's generation (append, reindex, grow) with the network's name, new
-// generation, and the change delta (see stream.Delta) — the hook through
+// generation, and the change delta (see Delta) — the hook through
 // which derived state (pattern tables, memoized answers) is maintained
 // incrementally instead of rebuilt. Callbacks run on the mutating goroutine
 // with the network's write lock held: they must be fast and must not query
@@ -272,7 +266,7 @@ func (s *Store) abortOpen() {
 // Subscriptions last for the store's lifetime — there is no unsubscribe —
 // so a subscriber must live as long as the store (one Server per Store, as
 // cmd/flownetd does).
-func (s *Store) SubscribeDelta(fn func(name string, gen uint64, delta stream.Delta)) {
+func (s *Store) SubscribeDelta(fn func(name string, gen uint64, delta Delta)) {
 	if fn == nil {
 		return
 	}
@@ -281,7 +275,9 @@ func (s *Store) SubscribeDelta(fn func(name string, gen uint64, delta stream.Del
 	s.subs = append(s.subs, fn)
 }
 
-func (s *Store) notify(name string, gen uint64, delta stream.Delta) {
+// notify fans one generation bump out to the subscribers. Shards call it
+// from bump, with their network write lock held.
+func (s *Store) notify(name string, gen uint64, delta Delta) {
 	s.subMu.RLock()
 	defer s.subMu.RUnlock()
 	for _, fn := range s.subs {
@@ -330,7 +326,7 @@ func (s *Store) register(sh *Shard) {
 	sh.publishWALStats()
 	s.mu.Lock()
 	delete(s.reserved, sh.name)
-	s.finishRegister(sh)
+	s.shards[sh.name] = sh
 	s.mu.Unlock()
 }
 
@@ -352,7 +348,10 @@ func (s *Store) Create(name string, vertices int) (*Shard, error) {
 	if err := s.reserve(name); err != nil {
 		return nil, err
 	}
-	sh := &Shard{store: s, name: name, live: stream.NewEmpty(vertices)}
+	empty := tin.NewNetwork(vertices)
+	empty.Finalize()
+	sh := &Shard{store: s, name: name}
+	sh.serve(empty, 1)
 	if s.durable() {
 		if err := sh.makeDir(); err != nil {
 			s.unreserve(name)
@@ -405,14 +404,14 @@ func (s *Store) Add(name string, n *tin.Network) (*Shard, error) {
 	if n != nil && (n.NumVertices() == 0 || n.NumVertices() > maxCreateVertices) {
 		return nil, fmt.Errorf("store: network %q: vertex count %d outside [1,%d]", name, n.NumVertices(), maxCreateVertices)
 	}
-	live, err := stream.Wrap(n)
-	if err != nil {
-		return nil, fmt.Errorf("store: network %q: %w", name, err)
+	if n == nil || !n.Finalized() {
+		return nil, fmt.Errorf("store: network %q must be non-nil and finalized", name)
 	}
 	if err := s.reserve(name); err != nil {
 		return nil, err
 	}
-	sh := &Shard{store: s, name: name, live: live}
+	sh := &Shard{store: s, name: name}
+	sh.serve(n, 1)
 	if s.durable() {
 		if err := sh.makeDir(); err != nil {
 			s.unreserve(name)
@@ -436,14 +435,6 @@ func (s *Store) Add(name string, n *tin.Network) (*Shard, error) {
 	}
 	s.register(sh)
 	return sh, nil
-}
-
-// finishRegister wires the change notification and publishes the shard.
-// Callers hold s.mu and have verified the name is free.
-func (s *Store) finishRegister(sh *Shard) {
-	name := sh.name
-	sh.live.SetOnChange(func(gen uint64, delta stream.Delta) { s.notify(name, gen, delta) })
-	s.shards[name] = sh
 }
 
 // Get returns the shard registered under name.
@@ -540,11 +531,14 @@ func (s *Store) Close() error {
 				sh.publishWALStats()
 			}
 			sh.mu.Unlock()
-			// Release any snapshot mapping. The exclusive lock guarantees
-			// no reader still holds references into the mapped memory; the
+			// Release any snapshot mapping. The write lock guarantees no
+			// reader still holds references into the mapped memory; the
 			// store is specified as unusable after Close, so the network
 			// going with it is part of the contract.
-			sh.live.Exclusive(func(n *tin.Network) { n.Unmap() })
+			sh.netMu.Lock()
+			sh.net.Unmap()
+			sh.mmapped.Store(false)
+			sh.netMu.Unlock()
 		}
 		s.unlockDir()
 	})
@@ -568,23 +562,43 @@ func (s *Store) checkpointer() {
 
 // ---- Shard -------------------------------------------------------------
 
-// Shard is one live network owned by the store: the stream wrapper that
-// serves queries plus the WAL that makes mutations durable. Mutations on
+// Shard is one live network owned by the store: the network that serves
+// queries, the versioning that lets appends and queries interleave (see
+// live.go), and the WAL that makes mutations durable. Mutations on
 // different shards proceed in parallel; mutations on one shard are
-// serialized by its lock.
+// serialized by mu. All methods are safe for concurrent use.
+//
+// Two locks, always taken in the order mu -> netMu:
+//
+//   - mu is the writer lock. One mutation (apply, then WAL append) or one
+//     checkpoint holds it at a time, across all of its disk IO. Queries
+//     never touch it.
+//   - netMu guards the network itself. Queries hold it shared; a mutation
+//     holds it exclusively only for the in-memory apply and the change
+//     notification — never across IO. A checkpoint holds it shared while
+//     the snapshot file is written, so queries keep running and only
+//     writers (already excluded by mu) wait.
+//
+// The control plane (Generation, Pending, Durability) takes neither: it
+// reads atomics and the statsMu-guarded mirrors.
 type Shard struct {
 	store *Store
 	name  string
 	dir   string // "" when the store is not durable
-	// live is assigned once at construction/recovery and never replaced;
-	// it is the only query surface, and the methods below are the only
-	// mutation path (going around them would skip the WAL).
-	live *stream.Network
 
-	// mu serializes this shard's mutation path (apply + WAL append) and
-	// its checkpoints. Queries go through live's read lock and are never
-	// blocked by mu — except during the snapshot write, which holds live's
-	// read lock only.
+	netMu sync.RWMutex
+	// net is assigned once at construction/recovery and never replaced; it
+	// is mutated only by apply. pending holds the parked out-of-order items
+	// in arrival order. Both are guarded by netMu.
+	net     *tin.Network
+	pending []Item
+	// gen, numPending and mmapped are written under netMu's write lock and
+	// read lock-free: gen is the generation itself, the other two mirror
+	// len(pending) and net.MmapBacked().
+	gen        atomic.Uint64
+	numPending atomic.Int64
+	mmapped    atomic.Bool
+
 	mu      sync.Mutex
 	wal     *walFile
 	baseGen uint64
@@ -637,77 +651,70 @@ func (sh *Shard) getWALErr() error {
 // Name returns the shard's registered network name.
 func (sh *Shard) Name() string { return sh.name }
 
-// Acquire read-locks the live network; see stream.Network.Acquire.
-func (sh *Shard) Acquire() (*tin.Network, uint64, func()) { return sh.live.Acquire() }
+// serve installs the finalized network the shard serves, at generation gen
+// (1 for a new network, the recovered value on the restore path) — once,
+// before the shard is shared.
+func (sh *Shard) serve(n *tin.Network, gen uint64) {
+	sh.net = n
+	sh.gen.Store(gen)
+	sh.mmapped.Store(n.MmapBacked())
+}
 
-// View runs fn with the live network read-locked; fn must only read.
-func (sh *Shard) View(fn func(n *tin.Network, gen uint64)) { sh.live.View(fn) }
+// Append applies a batch to the live network (see applyAppend for the
+// ordering contract) and records it to the WAL. Validation failures leave
+// both untouched — except that a Grow which already extended the vertex
+// space stays, bumps the generation and is logged on its own. A WAL failure
+// after a successful apply is reported as ErrDurability (the memory state
+// has the batch, the disk does not) and poisons the shard: further writes
+// are rejected until a successful Snapshot re-synchronizes disk with
+// memory, so no later batch can be validated against a state the WAL never
+// saw.
+func (sh *Shard) Append(items []Item, opts Options) (Result, error) {
+	return sh.mutate(walRec{op: opAppend, items: items, opts: opts}, "batch")
+}
 
-// Generation returns the live network's generation.
-func (sh *Shard) Generation() uint64 { return sh.live.Generation() }
+// Reindex merges the pending buffer into the live network and records the
+// merge to the WAL. It is a no-op when nothing is pending.
+func (sh *Shard) Reindex() (Result, error) {
+	return sh.mutate(walRec{op: opReindex}, "reindex")
+}
 
-// Pending returns the parked out-of-order interaction count.
-func (sh *Shard) Pending() int { return sh.live.Pending() }
+// Grow extends the vertex space to numV vertices (new vertices start
+// isolated) and records the growth to the WAL. It is a no-op when the
+// network already has that many; growth past tin.MaxVertices is refused.
+func (sh *Shard) Grow(numV int) (Result, error) {
+	return sh.mutate(walRec{op: opGrow, numV: numV}, "vertex growth")
+}
 
-// NetStats returns the live network's summary statistics.
-func (sh *Shard) NetStats() tin.Stats { return sh.live.Stats() }
-
-// Append applies a batch to the live network and records it to the WAL.
-// Validation failures leave both untouched; a WAL failure after a
-// successful apply is reported as ErrDurability (the memory state has the
-// batch, the disk does not) and poisons the shard: further writes are
-// rejected until a successful Snapshot re-synchronizes disk with memory,
-// so no later batch can be validated against a state the WAL never saw.
-func (sh *Shard) Append(items []stream.Item, opts stream.Options) (stream.Result, error) {
+// mutate is the one write path: apply the mutation in memory, then log
+// what actually happened. what names the mutation in durability errors.
+func (sh *Shard) mutate(m walRec, what string) (Result, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if err := sh.writable(); err != nil {
-		return stream.Result{}, err
+		return Result{}, err
 	}
-	genBefore := sh.live.Generation()
-	res, err := sh.live.Append(items, opts)
+	out, err := sh.apply(m)
 	if err != nil {
-		if sh.wal != nil && res.Generation != genBefore {
+		if sh.wal != nil && out.grew {
 			// The batch failed validation *after* Grow already extended
 			// the vertex space, which is query-observable and stays: log
 			// the grow on its own so recovery reproduces it. The original
 			// validation error rides along — the client needs it to
 			// construct a corrected retry.
-			if werr := sh.log(encodeGrow(sh.live.NumVertices())); werr != nil {
-				return res, errors.Join(fmt.Errorf("%w: recording vertex growth: %v", ErrDurability, werr), err)
+			if werr := sh.log(encodeGrow(out.numV)); werr != nil {
+				return out.Result, errors.Join(fmt.Errorf("%w: recording vertex growth: %v", ErrDurability, werr), err)
 			}
 		}
-		return res, err
+		return out.Result, err
 	}
-	if sh.wal != nil && (res.Appended > 0 || res.Deferred > 0 || res.Generation != genBefore) {
-		if werr := sh.log(encodeAppend(items, opts)); werr != nil {
-			return res, fmt.Errorf("%w: batch applied in memory but not logged: %v", ErrDurability, werr)
+	if sh.wal != nil && out.changed() {
+		if werr := sh.log(m.encode()); werr != nil {
+			return out.Result, fmt.Errorf("%w: %s applied in memory but not logged: %v", ErrDurability, what, werr)
 		}
 	}
 	sh.maybeCheckpoint()
-	return res, nil
-}
-
-// Reindex merges the pending buffer into the live network and records the
-// merge to the WAL.
-func (sh *Shard) Reindex() (stream.Result, error) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if err := sh.writable(); err != nil {
-		return stream.Result{}, err
-	}
-	genBefore := sh.live.Generation()
-	res, err := sh.live.Reindex()
-	if err != nil {
-		return res, err
-	}
-	if sh.wal != nil && res.Generation != genBefore {
-		if werr := sh.log(encodeReindex()); werr != nil {
-			return res, fmt.Errorf("%w: reindex applied in memory but not logged: %v", ErrDurability, werr)
-		}
-	}
-	sh.maybeCheckpoint()
-	return res, nil
+	return out.Result, nil
 }
 
 // writable rejects mutations on a poisoned durable shard. Callers hold
@@ -779,8 +786,8 @@ func (sh *Shard) snapshotPath(gen uint64) string {
 // Snapshot checkpoints the shard now: it writes the live network to a new
 // binary snapshot, starts a fresh WAL based on it (carrying the pending
 // out-of-order buffer forward), and deletes the previous snapshot/WAL
-// pair. Appends to this shard block for the duration; queries only block
-// while the snapshot file is written (the live read lock). A no-op when
+// pair. Appends to this shard block for the duration; queries never do
+// (the snapshot is written under the shared network lock). A no-op when
 // the current WAL has no records. A successful Snapshot also repairs a
 // poisoned shard (see Append): the new snapshot/WAL pair is derived from
 // the in-memory state, so disk and memory agree again and writes resume.
@@ -793,28 +800,26 @@ func (sh *Shard) Snapshot() error {
 	if sh.wal.records == 0 && sh.getWALErr() == nil {
 		return nil
 	}
-	var gen uint64
-	var saveErr error
-	sh.live.View(func(n *tin.Network, g uint64) {
-		gen = g
-		saveErr = sh.saveSnapshot(sh.snapshotPath(gen), n)
-	})
-	if saveErr != nil {
-		return saveErr
-	}
+	// mu keeps writers out, so the network cannot change between the
+	// snapshot write and the reads below; the shared netMu is what lets
+	// queries keep running meanwhile.
+	sh.netMu.RLock()
+	gen := sh.gen.Load()
+	hdr := walHeader{baseGen: gen, numV: uint64(sh.net.NumVertices()), hasBase: true}
 	// The pending buffer is not part of the tin snapshot; it rides in the
 	// new WAL as its first record, which replays into the same parked
 	// state (all pending items precede the snapshot's MaxTime, so a
 	// deferred append parks every one of them again without a bump).
 	var firstRecord []byte
-	if pending := sh.live.PendingItems(); len(pending) > 0 {
-		firstRecord = encodeAppend(pending, stream.Options{OnOutOfOrder: stream.PolicyDefer})
+	if len(sh.pending) > 0 {
+		firstRecord = encodeAppend(sh.pending, Options{OnOutOfOrder: PolicyDefer})
 	}
-	w, err := createWAL(sh.store.fs, sh.walPath(gen), walHeader{
-		baseGen: gen,
-		numV:    uint64(sh.live.NumVertices()),
-		hasBase: true,
-	}, firstRecord)
+	err := sh.saveSnapshot(sh.snapshotPath(gen), sh.net)
+	sh.netMu.RUnlock()
+	if err != nil {
+		return err
+	}
+	w, err := createWAL(sh.store.fs, sh.walPath(gen), hdr, firstRecord)
 	if err != nil {
 		return err
 	}
@@ -834,8 +839,9 @@ func (sh *Shard) Snapshot() error {
 }
 
 // Durability reports the shard's current durability state. It reads the
-// mirrored stats only — never sh.mu — so it stays responsive while a
-// checkpoint or a syncing append holds the shard lock.
+// mirrored stats only — never sh.mu or the network lock — so it stays
+// responsive while a checkpoint or a syncing append holds the shard lock,
+// or a writer queues behind a slow query.
 func (sh *Shard) Durability() Durability {
 	sh.statsMu.Lock()
 	d := Durability{
@@ -856,7 +862,7 @@ func (sh *Shard) Durability() Durability {
 		d.CheckpointError = sh.ckErr.Error()
 	}
 	sh.ckErrMu.Unlock()
-	sh.live.View(func(n *tin.Network, _ uint64) { d.Mmap = n.MmapBacked() })
+	d.Mmap = sh.mmapped.Load()
 	return d
 }
 
@@ -956,7 +962,7 @@ func (sh *Shard) loadSnapshot(path string) (*tin.Network, error) {
 	if sh.store.cfg.Mmap {
 		// The injected FS has approved the open; map the real file.
 		f.Close()
-		return tin.OpenNetworkMmapOptions(path, tin.MmapOptions{AdviseRandom: sh.store.cfg.Madvise})
+		return tin.OpenNetworkMmap(path)
 	}
 	defer f.Close()
 	return tin.ReadNetworkBinary(f)
@@ -1010,14 +1016,14 @@ func (s *Store) recoverShard(dir, name string) (*Shard, error) {
 			base = tin.NewNetwork(int(hdr.numV))
 			base.Finalize()
 		}
-		live, err := stream.WrapAt(base, hdr.baseGen)
-		if err != nil {
-			lastErr = err
+		if hdr.baseGen < 1 {
+			lastErr = fmt.Errorf("WAL base generation must be >= 1, got %d", hdr.baseGen)
 			continue
 		}
+		sh.serve(base, hdr.baseGen)
 		applied := 0
 		for _, rec := range recs {
-			if err := applyRecord(live, rec); err != nil {
+			if _, err := sh.apply(rec); err != nil {
 				// Records are written only after a successful apply, so a
 				// replay failure means the tail is inconsistent — cut it
 				// off like a torn frame.
@@ -1038,7 +1044,6 @@ func (s *Store) recoverShard(dir, name string) (*Shard, error) {
 			f.Close()
 			return nil, err
 		}
-		sh.live = live
 		sh.wal = &walFile{f: f, size: goodOff, records: applied}
 		sh.baseGen = hdr.baseGen
 		sh.publishWALStats()
@@ -1067,25 +1072,3 @@ func (s *Store) recoverShard(dir, name string) (*Shard, error) {
 // recovered WAL header cannot demand a larger allocation than a live
 // create could, and everything Create/Add accept is recoverable.
 const maxCreateVertices = tin.MaxVertices
-
-// applyRecord replays one WAL record onto a recovering network.
-func applyRecord(live *stream.Network, rec walRec) error {
-	switch rec.op {
-	case opAppend:
-		_, err := live.Append(rec.items, rec.opts)
-		return err
-	case opReindex:
-		_, err := live.Reindex()
-		return err
-	case opGrow:
-		if rec.numV > maxCreateVertices {
-			// No writer this code produces can log such a record (the
-			// stream layer refuses the growth), so it is corruption.
-			return fmt.Errorf("store: grow record to %d vertices exceeds limit %d", rec.numV, maxCreateVertices)
-		}
-		live.Grow(rec.numV)
-		return nil
-	default:
-		return fmt.Errorf("store: unknown WAL op %d", rec.op)
-	}
-}

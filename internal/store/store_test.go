@@ -7,11 +7,11 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"flownet/internal/fault"
-	"flownet/internal/stream"
 	"flownet/internal/tin"
 )
 
@@ -35,7 +35,7 @@ func openTestStore(t *testing.T, cfg Config) *Store {
 	return s
 }
 
-func items(its ...stream.Item) []stream.Item { return its }
+func items(its ...Item) []Item { return its }
 
 // netState captures everything the durability contract promises to
 // preserve across a restart.
@@ -81,7 +81,7 @@ func TestMemoryOnlyCatalog(t *testing.T) {
 	if _, err := s.Resolve("nope"); err == nil {
 		t.Fatal("Resolve of unknown name succeeded")
 	}
-	if _, err := sh.Append(items(stream.Item{From: 0, To: 1, Time: 1, Qty: 5}), stream.Options{}); err != nil {
+	if _, err := sh.Append(items(Item{From: 0, To: 1, Time: 1, Qty: 5}), Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if d := sh.Durability(); d.Durable {
@@ -110,26 +110,26 @@ func TestCreateAppendRecover(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mustAppend := func(its []stream.Item, opts stream.Options) {
+			mustAppend := func(its []Item, opts Options) {
 				t.Helper()
 				if _, err := sh.Append(its, opts); err != nil {
 					t.Fatal(err)
 				}
 			}
 			mustAppend(items(
-				stream.Item{From: 0, To: 1, Time: 1, Qty: 5},
-				stream.Item{From: 1, To: 2, Time: 2, Qty: 5},
-			), stream.Options{})
+				Item{From: 0, To: 1, Time: 1, Qty: 5},
+				Item{From: 1, To: 2, Time: 2, Qty: 5},
+			), Options{})
 			// Deferred out-of-order item (parks; pending must survive).
-			mustAppend(items(stream.Item{From: 0, To: 1, Time: 1.5, Qty: 3}), stream.Options{OnOutOfOrder: stream.PolicyDefer})
+			mustAppend(items(Item{From: 0, To: 1, Time: 1.5, Qty: 3}), Options{OnOutOfOrder: PolicyDefer})
 			// Growth through an append.
-			mustAppend(items(stream.Item{From: 2, To: 5, Time: 3, Qty: 1}), stream.Options{Grow: true})
+			mustAppend(items(Item{From: 2, To: 5, Time: 3, Qty: 1}), Options{Grow: true})
 			// Reindex merges the parked item.
 			if _, err := sh.Reindex(); err != nil {
 				t.Fatal(err)
 			}
 			// One more plain append on top.
-			mustAppend(items(stream.Item{From: 1, To: 2, Time: 4, Qty: 2}), stream.Options{})
+			mustAppend(items(Item{From: 1, To: 2, Time: 4, Qty: 2}), Options{})
 			before := stateOf(sh)
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
@@ -145,7 +145,7 @@ func TestCreateAppendRecover(t *testing.T) {
 				t.Fatalf("recoveries = %d, want 1", got)
 			}
 			// The recovered shard keeps accepting appends.
-			if _, err := sh2.Append(items(stream.Item{From: 0, To: 1, Time: 9, Qty: 1}), stream.Options{}); err != nil {
+			if _, err := sh2.Append(items(Item{From: 0, To: 1, Time: 9, Qty: 1}), Options{}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -166,7 +166,7 @@ func TestKillWithoutCloseRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if _, err := sh.Append(items(stream.Item{From: 0, To: 1, Time: float64(i), Qty: 1}), stream.Options{}); err != nil {
+		if _, err := sh.Append(items(Item{From: 0, To: 1, Time: float64(i), Qty: 1}), Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -192,10 +192,10 @@ func TestPendingBufferSurvivesSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sh.Append(items(stream.Item{From: 0, To: 1, Time: 5, Qty: 5}), stream.Options{}); err != nil {
+	if _, err := sh.Append(items(Item{From: 0, To: 1, Time: 5, Qty: 5}), Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sh.Append(items(stream.Item{From: 1, To: 2, Time: 2, Qty: 3}), stream.Options{OnOutOfOrder: stream.PolicyDefer}); err != nil {
+	if _, err := sh.Append(items(Item{From: 1, To: 2, Time: 2, Qty: 3}), Options{OnOutOfOrder: PolicyDefer}); err != nil {
 		t.Fatal(err)
 	}
 	if err := sh.Snapshot(); err != nil {
@@ -232,7 +232,7 @@ func TestSnapshotCompactsWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		if _, err := sh.Append(items(stream.Item{From: 0, To: 1, Time: float64(i), Qty: 1}), stream.Options{}); err != nil {
+		if _, err := sh.Append(items(Item{From: 0, To: 1, Time: float64(i), Qty: 1}), Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -249,7 +249,7 @@ func TestSnapshotCompactsWAL(t *testing.T) {
 	}
 	// More appends on the fresh WAL.
 	for i := 20; i < 25; i++ {
-		if _, err := sh.Append(items(stream.Item{From: 1, To: 2, Time: float64(i), Qty: 1}), stream.Options{}); err != nil {
+		if _, err := sh.Append(items(Item{From: 1, To: 2, Time: float64(i), Qty: 1}), Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -285,7 +285,7 @@ func TestAutoCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 12; i++ {
-		if _, err := sh.Append(items(stream.Item{From: 0, To: 1, Time: float64(i), Qty: 1}), stream.Options{}); err != nil {
+		if _, err := sh.Append(items(Item{From: 0, To: 1, Time: float64(i), Qty: 1}), Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -316,7 +316,7 @@ func TestAddExternalNetworkDurable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sh.Append(items(stream.Item{From: 0, To: 1, Time: 7, Qty: 2}), stream.Options{}); err != nil {
+	if _, err := sh.Append(items(Item{From: 0, To: 1, Time: 7, Qty: 2}), Options{}); err != nil {
 		t.Fatal(err)
 	}
 	before := stateOf(sh)
@@ -354,7 +354,7 @@ func TestTornTailIsDiscarded(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i < 3; i++ {
-				if _, err := sh.Append(items(stream.Item{From: 0, To: 1, Time: float64(i), Qty: 1}), stream.Options{}); err != nil {
+				if _, err := sh.Append(items(Item{From: 0, To: 1, Time: float64(i), Qty: 1}), Options{}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -380,7 +380,7 @@ func TestTornTailIsDiscarded(t *testing.T) {
 				t.Fatalf("recovered %d interactions, want >= 2", st.Interactions)
 			}
 			// The shard accepts appends after truncation.
-			if _, err := sh2.Append(items(stream.Item{From: 1, To: 2, Time: 99, Qty: 1}), stream.Options{}); err != nil {
+			if _, err := sh2.Append(items(Item{From: 1, To: 2, Time: 99, Qty: 1}), Options{}); err != nil {
 				t.Fatal(err)
 			}
 			before := stateOf(sh2)
@@ -402,12 +402,12 @@ func TestGrowOnRejectedBatchIsDurable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sh.Append(items(stream.Item{From: 0, To: 1, Time: 10, Qty: 1}), stream.Options{}); err != nil {
+	if _, err := sh.Append(items(Item{From: 0, To: 1, Time: 10, Qty: 1}), Options{}); err != nil {
 		t.Fatal(err)
 	}
 	// Out-of-order item addressed to a new vertex, grow allowed, reject
 	// policy: the batch fails but the vertex space grew.
-	if _, err := sh.Append(items(stream.Item{From: 1, To: 7, Time: 1, Qty: 1}), stream.Options{Grow: true}); err == nil {
+	if _, err := sh.Append(items(Item{From: 1, To: 7, Time: 1, Qty: 1}), Options{Grow: true}); err == nil {
 		t.Fatal("out-of-order batch unexpectedly succeeded")
 	}
 	before := stateOf(sh)
@@ -431,7 +431,7 @@ func TestChangeNotifications(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var evs []ev
-	s.SubscribeDelta(func(name string, gen uint64, _ stream.Delta) {
+	s.SubscribeDelta(func(name string, gen uint64, _ Delta) {
 		mu.Lock()
 		evs = append(evs, ev{name, gen})
 		mu.Unlock()
@@ -440,10 +440,10 @@ func TestChangeNotifications(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sh.Append(items(stream.Item{From: 0, To: 1, Time: 1, Qty: 1}), stream.Options{}); err != nil {
+	if _, err := sh.Append(items(Item{From: 0, To: 1, Time: 1, Qty: 1}), Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sh.Append(items(stream.Item{From: 1, To: 2, Time: 2, Qty: 1}), stream.Options{}); err != nil {
+	if _, err := sh.Append(items(Item{From: 1, To: 2, Time: 2, Qty: 1}), Options{}); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
@@ -463,7 +463,7 @@ func TestChangeNotifications(t *testing.T) {
 	}
 	defer s2.Close()
 	fired := false
-	s2.SubscribeDelta(func(string, uint64, stream.Delta) { fired = true })
+	s2.SubscribeDelta(func(string, uint64, Delta) { fired = true })
 	if fired {
 		t.Fatal("recovery replay notified a post-Open subscriber")
 	}
@@ -488,7 +488,7 @@ func TestConcurrentAppendsAndQueries(t *testing.T) {
 		go func(i int, sh *Shard) {
 			defer wg.Done()
 			for k := 0; k < 50; k++ {
-				if _, err := sh.Append(items(stream.Item{From: 0, To: 1, Time: float64(k), Qty: 1}), stream.Options{}); err != nil {
+				if _, err := sh.Append(items(Item{From: 0, To: 1, Time: float64(k), Qty: 1}), Options{}); err != nil {
 					t.Errorf("writer %d: %v", i, err)
 					return
 				}
@@ -536,7 +536,7 @@ func TestEscapedNames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sh.Append(items(stream.Item{From: 0, To: 1, Time: 1, Qty: 1}), stream.Options{}); err != nil {
+	if _, err := sh.Append(items(Item{From: 0, To: 1, Time: 1, Qty: 1}), Options{}); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -557,10 +557,10 @@ func names(s *Store) []string {
 // TestWALRecordCodec round-trips the record payload codec directly.
 func TestWALRecordCodec(t *testing.T) {
 	its := items(
-		stream.Item{From: 0, To: 1, Time: 1.5, Qty: 2.25},
-		stream.Item{From: 1 << 20, To: 3, Time: -4, Qty: 0},
+		Item{From: 0, To: 1, Time: 1.5, Qty: 2.25},
+		Item{From: 1 << 20, To: 3, Time: -4, Qty: 0},
 	)
-	opts := stream.Options{OnOutOfOrder: stream.PolicyDefer, Grow: true}
+	opts := Options{OnOutOfOrder: PolicyDefer, Grow: true}
 	rec, ok := decodeRecord(encodeAppend(its, opts))
 	if !ok || rec.op != opAppend {
 		t.Fatalf("append decode failed: %+v ok=%v", rec, ok)
@@ -609,7 +609,7 @@ func TestRecoverySkipsUnacknowledgedCreate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sh.Append(items(stream.Item{From: 0, To: 1, Time: 1, Qty: 1}), stream.Options{}); err != nil {
+	if _, err := sh.Append(items(Item{From: 0, To: 1, Time: 1, Qty: 1}), Options{}); err != nil {
 		t.Fatal(err)
 	}
 	before := stateOf(sh)
@@ -737,12 +737,12 @@ func TestWALFailurePoisonsShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sh.Append(items(stream.Item{From: 0, To: 1, Time: 1, Qty: 1}), stream.Options{}); err != nil {
+	if _, err := sh.Append(items(Item{From: 0, To: 1, Time: 1, Qty: 1}), Options{}); err != nil {
 		t.Fatal(err)
 	}
 	// Make the next WAL write fail: close the descriptor under the shard.
 	sh.wal.f.Close()
-	if _, err := sh.Append(items(stream.Item{From: 0, To: 1, Time: 2, Qty: 1}), stream.Options{}); !errors.Is(err, ErrDurability) {
+	if _, err := sh.Append(items(Item{From: 0, To: 1, Time: 2, Qty: 1}), Options{}); !errors.Is(err, ErrDurability) {
 		t.Fatalf("append on a dead WAL: err = %v, want ErrDurability", err)
 	}
 	if d := sh.Durability(); d.WALError == "" {
@@ -757,7 +757,7 @@ func TestWALFailurePoisonsShard(t *testing.T) {
 	// unlogged batch) and lifts the poison.
 	waitFor(t, "repair snapshot", func() bool { return sh.Durability().WALError == "" })
 	waitFor(t, "append after repair", func() bool {
-		_, err := sh.Append(items(stream.Item{From: 0, To: 1, Time: 4, Qty: 1}), stream.Options{})
+		_, err := sh.Append(items(Item{From: 0, To: 1, Time: 4, Qty: 1}), Options{})
 		return err == nil
 	})
 	before := stateOf(sh)
@@ -775,11 +775,11 @@ func TestSnapshotRepairsPoisonSynchronously(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sh.Append(items(stream.Item{From: 0, To: 1, Time: 1, Qty: 1}), stream.Options{}); err != nil {
+	if _, err := sh.Append(items(Item{From: 0, To: 1, Time: 1, Qty: 1}), Options{}); err != nil {
 		t.Fatal(err)
 	}
 	sh.wal.f.Close()
-	if _, err := sh.Append(items(stream.Item{From: 0, To: 1, Time: 2, Qty: 1}), stream.Options{}); !errors.Is(err, ErrDurability) {
+	if _, err := sh.Append(items(Item{From: 0, To: 1, Time: 2, Qty: 1}), Options{}); !errors.Is(err, ErrDurability) {
 		t.Fatalf("append on a dead WAL: err = %v, want ErrDurability", err)
 	}
 	if err := sh.Snapshot(); err != nil {
@@ -788,7 +788,7 @@ func TestSnapshotRepairsPoisonSynchronously(t *testing.T) {
 	if d := sh.Durability(); d.WALError != "" {
 		t.Fatalf("poison survives a successful snapshot: %+v", d)
 	}
-	if _, err := sh.Append(items(stream.Item{From: 0, To: 1, Time: 3, Qty: 1}), stream.Options{}); err != nil {
+	if _, err := sh.Append(items(Item{From: 0, To: 1, Time: 3, Qty: 1}), Options{}); err != nil {
 		t.Fatalf("append after synchronous repair: %v", err)
 	}
 }
@@ -807,12 +807,12 @@ func TestInjectedWALFaultPoisonsAndRepairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sh.Append(items(stream.Item{From: 0, To: 1, Time: 1, Qty: 1}), stream.Options{}); err != nil {
+	if _, err := sh.Append(items(Item{From: 0, To: 1, Time: 1, Qty: 1}), Options{}); err != nil {
 		t.Fatal(err) // WAL write #2: first record
 	}
 	// WAL write #3 hits the injected fault after the batch is applied in
 	// memory.
-	if _, err := sh.Append(items(stream.Item{From: 1, To: 2, Time: 2, Qty: 1}), stream.Options{}); !errors.Is(err, ErrDurability) {
+	if _, err := sh.Append(items(Item{From: 1, To: 2, Time: 2, Qty: 1}), Options{}); !errors.Is(err, ErrDurability) {
 		t.Fatalf("append through injected fault: err = %v, want ErrDurability", err)
 	} else if errors.Is(err, ErrReadOnly) {
 		t.Fatalf("the failing append itself must not be ErrReadOnly (its batch IS applied): %v", err)
@@ -822,7 +822,7 @@ func TestInjectedWALFaultPoisonsAndRepairs(t *testing.T) {
 	}
 	// The poisoned shard rejects the next write with ErrReadOnly — which
 	// still matches ErrDurability for callers using the broad sentinel.
-	_, err = sh.Append(items(stream.Item{From: 2, To: 3, Time: 3, Qty: 1}), stream.Options{})
+	_, err = sh.Append(items(Item{From: 2, To: 3, Time: 3, Qty: 1}), Options{})
 	if !errors.Is(err, ErrReadOnly) || !errors.Is(err, ErrDurability) {
 		t.Fatalf("append on poisoned shard: err = %v, want ErrReadOnly (wrapping ErrDurability)", err)
 	}
@@ -834,7 +834,7 @@ func TestInjectedWALFaultPoisonsAndRepairs(t *testing.T) {
 	// a restart reproduces the full state (fault rule is exhausted by now).
 	waitFor(t, "repair snapshot", func() bool { return sh.Durability().WALError == "" })
 	waitFor(t, "append after repair", func() bool {
-		_, err := sh.Append(items(stream.Item{From: 2, To: 3, Time: 4, Qty: 1}), stream.Options{})
+		_, err := sh.Append(items(Item{From: 2, To: 3, Time: 4, Qty: 1}), Options{})
 		return err == nil
 	})
 	before := stateOf(sh)
@@ -924,60 +924,128 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestSubscribeDelta checks that the store forwards the stream layer's
-// change deltas verbatim: edge ids + endpoints for appends, Full for
-// reindexes, an empty delta for growth — tagged with the right network.
+// TestSubscribeDelta checks the change notifications, on an in-memory and
+// on a durable store alike: every generation bump — append, grow (even
+// inside a rejected batch), reindex — fires exactly once with the new
+// generation and the right delta shape (edge ids + endpoints for appends,
+// an empty delta for growth, Full for reindexes), tagged with the right
+// network; a deferred-only append does not notify; and every callback runs
+// with the network write lock held, before any reader can see the bump.
 func TestSubscribeDelta(t *testing.T) {
-	s := openTestStore(t, Config{})
+	for name, cfg := range map[string]Config{"memory": {}, "durable": {Dir: t.TempDir()}} {
+		t.Run(name, func(t *testing.T) { testSubscribeDelta(t, openTestStore(t, cfg)) })
+	}
+}
+
+func testSubscribeDelta(t *testing.T, s *Store) {
 	type ev struct {
 		name  string
 		gen   uint64
-		delta stream.Delta
+		delta Delta
 	}
-	var mu sync.Mutex
-	var evs []ev
-	s.SubscribeDelta(func(name string, gen uint64, delta stream.Delta) {
-		mu.Lock()
+	var evs []ev // appended on the mutating goroutine, i.e. this one
+	s.SubscribeDelta(func(name string, gen uint64, delta Delta) {
 		evs = append(evs, ev{name, gen, delta})
-		mu.Unlock()
+		sh, _ := s.Get(name)
+		if sh.netMu.TryRLock() {
+			sh.netMu.RUnlock()
+			t.Errorf("notification for generation %d ran without the network write lock", gen)
+		}
+		if got := sh.Generation(); got != gen {
+			t.Errorf("notification for generation %d saw generation %d", gen, got)
+		}
 	})
 	sh, err := s.Create("live", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sh.Append(items(stream.Item{From: 0, To: 1, Time: 1, Qty: 1}), stream.Options{}); err != nil {
+	if _, err := sh.Append(items(Item{From: 0, To: 1, Time: 1, Qty: 1}), Options{}); err != nil {
 		t.Fatal(err)
 	}
 	// Out-of-range endpoints with Grow: one growth bump (empty delta)
 	// followed by the append bump carrying the new edge.
-	if _, err := sh.Append(items(stream.Item{From: 2, To: 3, Time: 2, Qty: 1}), stream.Options{Grow: true}); err != nil {
+	if _, err := sh.Append(items(Item{From: 2, To: 3, Time: 2, Qty: 1}), Options{Grow: true}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sh.Append(items(stream.Item{From: 0, To: 1, Time: 0.5, Qty: 1}), stream.Options{OnOutOfOrder: stream.PolicyDefer}); err != nil {
+	// Deferred-only append: no bump, no notification.
+	if _, err := sh.Append(items(Item{From: 0, To: 1, Time: 0.5, Qty: 1}), Options{OnOutOfOrder: PolicyDefer}); err != nil {
 		t.Fatal(err)
+	}
+	// Grow inside a rejected batch still bumps (and notifies) once.
+	if _, err := sh.Append(items(Item{From: 0, To: 5, Time: 0.1, Qty: 1}), Options{Grow: true}); err == nil {
+		t.Fatal("out-of-order append unexpectedly succeeded")
 	}
 	if _, err := sh.Reindex(); err != nil {
 		t.Fatal(err)
 	}
 
-	mu.Lock()
-	got := append([]ev(nil), evs...)
-	mu.Unlock()
-	if len(got) != 4 {
-		t.Fatalf("notifications = %+v, want 4 (append, grow, append, reindex; the parked append must not notify)", got)
+	if len(evs) != 5 {
+		t.Fatalf("notifications = %+v, want 5 (append, grow, append, grow, reindex; the parked append must not notify)", evs)
 	}
-	if d := got[0].delta; got[0].name != "live" || d.Full || len(d.Edges) != 1 || d.Edges[0] != 0 ||
+	for i, e := range evs {
+		if e.name != "live" || e.gen != uint64(i+2) {
+			t.Fatalf("notification %d = %+v, want generation %d on live", i, e, i+2)
+		}
+	}
+	if d := evs[0].delta; d.Full || len(d.Edges) != 1 || d.Edges[0] != 0 ||
 		len(d.Vertices) != 2 || d.Vertices[0] != 0 || d.Vertices[1] != 1 {
-		t.Fatalf("append notification = %+v, want edge 0 with endpoints [0 1] on live", got[0])
+		t.Fatalf("append notification = %+v, want edge 0 with endpoints [0 1]", evs[0])
 	}
-	if d := got[1].delta; d.Full || len(d.Edges) != 0 || len(d.Vertices) != 0 {
-		t.Fatalf("grow notification = %+v, want an empty delta", got[1])
+	for _, i := range []int{1, 3} {
+		if d := evs[i].delta; d.Full || len(d.Edges) != 0 || len(d.Vertices) != 0 {
+			t.Fatalf("grow notification = %+v, want an empty delta", evs[i])
+		}
 	}
-	if d := got[2].delta; d.Full || len(d.Edges) != 1 || d.Edges[0] != 1 ||
+	if d := evs[2].delta; d.Full || len(d.Edges) != 1 || d.Edges[0] != 1 ||
 		len(d.Vertices) != 2 || d.Vertices[0] != 2 || d.Vertices[1] != 3 {
-		t.Fatalf("grown-append notification = %+v, want edge 1 with endpoints [2 3]", got[2])
+		t.Fatalf("grown-append notification = %+v, want edge 1 with endpoints [2 3]", evs[2])
 	}
-	if d := got[3].delta; !d.Full {
-		t.Fatalf("reindex notification = %+v, want Full", got[3])
+	if d := evs[4].delta; !d.Full || d.Edges != nil || d.Vertices != nil {
+		t.Fatalf("reindex notification = %+v, want Full", evs[4])
 	}
+}
+
+// TestNoReaderSeesAnUnannouncedGeneration is the no-gap guarantee delta
+// consumers rely on: a reader that observes generation g under the read
+// lock is guaranteed the subscribers already ran for every bump up to g.
+func TestNoReaderSeesAnUnannouncedGeneration(t *testing.T) {
+	s := openTestStore(t, Config{})
+	var announced atomic.Uint64
+	announced.Store(1)
+	s.SubscribeDelta(func(_ string, gen uint64, _ Delta) {
+		if prev := announced.Swap(gen); prev != gen-1 {
+			t.Errorf("generation %d announced after %d", gen, prev)
+		}
+	})
+	sh, err := s.Create("live", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				sh.View(func(_ *tin.Network, gen uint64) {
+					if a := announced.Load(); gen > a {
+						t.Errorf("reader saw generation %d, only %d announced", gen, a)
+					}
+				})
+			}
+		}()
+	}
+	for k := 0; k < 200; k++ {
+		if _, err := sh.Append(items(Item{From: 0, To: 1, Time: float64(k), Qty: 1}), Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	wg.Wait()
 }

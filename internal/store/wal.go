@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 
 	"flownet/internal/fault"
-	"flownet/internal/stream"
 )
 
 // Per-network write-ahead log. One WAL file holds every accepted mutation
@@ -158,12 +157,14 @@ func (w *walFile) close() error {
 	return err
 }
 
-// walRec is one decoded WAL record plus its frame offsets, so that replay
-// can truncate back to the start of a record it rejects.
+// walRec is one mutation — the unit Shard.apply performs, whether it comes
+// from a live call or from replay — plus, for a decoded record, its frame
+// offsets, so that replay can truncate back to the start of a record it
+// rejects.
 type walRec struct {
 	op         byte
-	items      []stream.Item
-	opts       stream.Options
+	items      []Item
+	opts       Options
 	numV       int
 	start, end int64
 }
@@ -220,7 +221,7 @@ func readWAL(fs fault.FS, path string) (hdr walHeader, recs []walRec, goodOff in
 
 // ---- record payload codec ---------------------------------------------
 
-func encodeAppend(items []stream.Item, opts stream.Options) []byte {
+func encodeAppend(items []Item, opts Options) []byte {
 	buf := make([]byte, 0, 2+binary.MaxVarintLen64+len(items)*(2*binary.MaxVarintLen32+16))
 	buf = append(buf, opAppend, appendFlags(opts))
 	buf = binary.AppendUvarint(buf, uint64(len(items)))
@@ -236,9 +237,9 @@ func encodeAppend(items []stream.Item, opts stream.Options) []byte {
 	return buf
 }
 
-func appendFlags(opts stream.Options) byte {
+func appendFlags(opts Options) byte {
 	var fl byte
-	if opts.OnOutOfOrder == stream.PolicyDefer {
+	if opts.OnOutOfOrder == PolicyDefer {
 		fl |= flagDefer
 	}
 	if opts.Grow {
@@ -248,6 +249,18 @@ func appendFlags(opts stream.Options) byte {
 }
 
 func encodeReindex() []byte { return []byte{opReindex} }
+
+// encode renders the record's payload; decodeRecord is its inverse.
+func (r walRec) encode() []byte {
+	switch r.op {
+	case opAppend:
+		return encodeAppend(r.items, r.opts)
+	case opReindex:
+		return encodeReindex()
+	default:
+		return encodeGrow(r.numV)
+	}
+}
 
 func encodeGrow(numV int) []byte {
 	buf := append(make([]byte, 0, 1+binary.MaxVarintLen64), opGrow)
@@ -268,7 +281,7 @@ func decodeRecord(payload []byte) (walRec, bool) {
 		}
 		fl := body[0]
 		if fl&flagDefer != 0 {
-			rec.opts.OnOutOfOrder = stream.PolicyDefer
+			rec.opts.OnOutOfOrder = PolicyDefer
 		}
 		rec.opts.Grow = fl&flagGrow != 0
 		body = body[1:]
@@ -283,7 +296,7 @@ func decodeRecord(payload []byte) (walRec, bool) {
 		if count > uint64(len(body))/18 {
 			return walRec{}, false
 		}
-		rec.items = make([]stream.Item, 0, count)
+		rec.items = make([]Item, 0, count)
 		for i := uint64(0); i < count; i++ {
 			from, n1 := binary.Uvarint(body)
 			if n1 <= 0 || from > math.MaxUint32 {
@@ -301,7 +314,7 @@ func decodeRecord(payload []byte) (walRec, bool) {
 			t := math.Float64frombits(binary.LittleEndian.Uint64(body[0:8]))
 			q := math.Float64frombits(binary.LittleEndian.Uint64(body[8:16]))
 			body = body[16:]
-			rec.items = append(rec.items, stream.Item{
+			rec.items = append(rec.items, Item{
 				From: int32(uint32(from)), To: int32(uint32(to)), Time: t, Qty: q,
 			})
 		}

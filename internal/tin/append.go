@@ -8,7 +8,7 @@ import (
 
 // This file implements streaming append: extending a *finalized* network
 // with new interactions. The paper computes flow over a fixed network; a
-// live service (internal/stream, internal/server) must also absorb
+// live service (internal/store, internal/server) must also absorb
 // interactions that arrive after load.
 //
 // The ordering argument relies on the canonical order being (Time, Ord):
@@ -20,12 +20,12 @@ import (
 // an accepted batch re-finalizes the network: applyAppend rebuilds the
 // arena with the new interactions already in place. Out-of-order arrivals
 // cannot keep the invariants at all; they are accepted only through
-// AppendUnordered, which leaves the network marked as needing a Reindex
-// (the explicit full re-rank).
+// MergeUnordered, which re-ranks the whole network before it returns — so
+// a finalized network is always in canonical order and always queryable.
 
 // ErrOutOfOrder reports an interaction whose timestamp precedes the latest
 // timestamp already in the network. Callers that accept late data should
-// route such interactions through AppendUnordered + Reindex.
+// route such interactions through MergeUnordered.
 var ErrOutOfOrder = errors.New("tin: interaction out of time order")
 
 // BatchItem is one streamed interaction destined for a finalized network:
@@ -39,12 +39,6 @@ type BatchItem struct {
 // MaxTime returns the latest interaction timestamp in the network, or -inf
 // when the network has no interactions. Only valid after Finalize.
 func (n *Network) MaxTime() float64 { return n.maxTime }
-
-// NeedsReindex reports whether AppendUnordered has admitted out-of-order
-// interactions that have not yet been integrated by Reindex. While true,
-// the canonical order is stale: queries and further in-order appends are
-// rejected until Reindex is called.
-func (n *Network) NeedsReindex() bool { return n.needsReindex }
 
 // GrowVertices extends the vertex space to numV vertices (existing ids are
 // unchanged; new vertices start isolated). It is a no-op when the network
@@ -73,7 +67,7 @@ func (n *Network) GrowVertices(numV int) {
 
 // CheckItem validates an append candidate's vertex range and values
 // without applying it — the pre-admission check used by callers (such as
-// internal/stream) that buffer items for a later append.
+// internal/store) that buffer items for a later merge.
 func (n *Network) CheckItem(it BatchItem) error {
 	if it.From < 0 || int(it.From) >= n.numV || it.To < 0 || int(it.To) >= n.numV {
 		return fmt.Errorf("tin: interaction (%d,%d) out of vertex range [0,%d)", it.From, it.To, n.numV)
@@ -121,9 +115,6 @@ func (n *Network) AppendBatchDelta(items []BatchItem) (int, []EdgeID, error) {
 	if !n.finalized {
 		return 0, nil, errors.New("tin: AppendBatch before Finalize")
 	}
-	if n.needsReindex {
-		return 0, nil, errors.New("tin: AppendBatch on a network awaiting Reindex")
-	}
 	last := n.maxTime
 	for i, it := range items {
 		if it.From == it.To {
@@ -142,15 +133,19 @@ func (n *Network) AppendBatchDelta(items []BatchItem) (int, []EdgeID, error) {
 	return appended, changed, nil
 }
 
-// AppendUnordered admits interactions regardless of their position in time.
-// Every accepted out-of-order interaction leaves the network flagged as
-// needing a Reindex: until Reindex runs, the canonical order is stale and
-// queries and in-order appends are rejected. As with AppendBatch, the batch
-// is validated atomically and self loops are skipped. It returns the number
-// of interactions appended.
-func (n *Network) AppendUnordered(items []BatchItem) (int, error) {
+// MergeUnordered admits interactions regardless of their position in time
+// and integrates them before returning: when any item precedes the latest
+// timestamp, the canonical order of the whole network is re-derived — the
+// same (Time, insertion index) rank assignment Finalize performs — so the
+// result is indistinguishable from a from-scratch rebuild with the items
+// inserted last. That costs a full sort over the interactions, so callers
+// should batch out-of-order arrivals and merge once; a batch that happens
+// to be in time order costs no more than AppendBatch. As with AppendBatch,
+// the batch is validated atomically and self loops are skipped. It returns
+// the number of interactions merged.
+func (n *Network) MergeUnordered(items []BatchItem) (int, error) {
 	if !n.finalized {
-		return 0, errors.New("tin: AppendUnordered before Finalize")
+		return 0, errors.New("tin: MergeUnordered before Finalize")
 	}
 	for i, it := range items {
 		if it.From == it.To {
@@ -162,26 +157,7 @@ func (n *Network) AppendUnordered(items []BatchItem) (int, error) {
 	}
 	appended, anyLate, _ := n.applyAppend(items)
 	if anyLate {
-		n.needsReindex = true
+		n.rerank()
 	}
 	return appended, nil
-}
-
-// Reindex re-derives the canonical order of the whole network — the same
-// (Time, insertion index) rank assignment Finalize performs — integrating
-// any out-of-order interactions admitted by AppendUnordered, and clears the
-// NeedsReindex flag. Cost is a full sort over the interactions, so callers
-// should batch out-of-order arrivals and reindex once. When no out-of-order
-// interactions are pending the canonical order is already correct and
-// Reindex is a no-op — in particular it never touches (or detaches) an
-// mmap-backed network that has not been mutated.
-func (n *Network) Reindex() {
-	if !n.finalized {
-		panic("tin: Reindex before Finalize")
-	}
-	if !n.needsReindex {
-		return
-	}
-	n.csrReindex()
-	n.needsReindex = false
 }

@@ -123,56 +123,84 @@ func TestAppendValidation(t *testing.T) {
 	}
 }
 
-// TestAppendUnorderedReindex checks the explicit out-of-order path: late
-// interactions are admitted, the network demands a Reindex, and after
-// Reindex it matches a from-scratch rebuild byte for byte.
-func TestAppendUnorderedReindex(t *testing.T) {
+// TestMergeUnorderedMatchesRebuild checks the out-of-order path: late
+// interactions are merged in one step, the network is immediately
+// queryable and appendable again, and it matches a from-scratch rebuild
+// (base items first, then the late ones) byte for byte — also when heavy
+// timestamp ties leave only the insertion-index tiebreak to order rows.
+func TestMergeUnorderedMatchesRebuild(t *testing.T) {
 	items := []BatchItem{{0, 1, 10, 5}, {1, 2, 20, 4}, {2, 3, 30, 3}}
 	late := []BatchItem{{0, 2, 15, 2}, {1, 3, 5, 1}}
 
 	n := buildNetwork(t, 4, items)
-	appended, err := n.AppendUnordered(late)
+	appended, err := n.MergeUnordered(late)
 	if err != nil || appended != 2 {
-		t.Fatalf("AppendUnordered: appended=%d err=%v, want 2, nil", appended, err)
+		t.Fatalf("MergeUnordered: appended=%d err=%v, want 2, nil", appended, err)
 	}
-	if !n.NeedsReindex() {
-		t.Fatal("NeedsReindex = false after out-of-order append")
-	}
-	if _, err := n.AppendBatch([]BatchItem{{0, 1, 40, 1}}); err == nil {
-		t.Fatal("AppendBatch on a network awaiting Reindex succeeded, want error")
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("ExtractSubgraph on a network awaiting Reindex did not panic")
-			}
-		}()
-		n.ExtractSubgraph(0, DefaultExtractOptions())
-	}()
-
-	n.Reindex()
-	if n.NeedsReindex() {
-		t.Fatal("NeedsReindex = true after Reindex")
-	}
+	// No intermediate state: the merged network answers queries at once.
+	n.ExtractSubgraph(0, DefaultExtractOptions())
 	whole := buildNetwork(t, 4, append(append([]BatchItem{}, items...), late...))
-	// The rebuild interleaves the late arrivals at their time positions;
-	// Reindex must produce the identical canonical order. (Insertion order
-	// differs only among distinct timestamps here, so text must match.)
 	if got, want := networkText(t, n), networkText(t, whole); got != want {
-		t.Fatalf("reindexed network text differs from rebuild:\n%s\nvs\n%s", got, want)
+		t.Fatalf("merged network text differs from rebuild:\n%s\nvs\n%s", got, want)
 	}
-	// In-order appends work again after Reindex.
+	sameNetwork(t, whole, n)
+	// In-order appends keep working after a merge.
 	if err := n.Append(3, 0, 40, 2); err != nil {
-		t.Fatalf("Append after Reindex: %v", err)
+		t.Fatalf("Append after MergeUnordered: %v", err)
 	}
 
-	// In-time-order AppendUnordered never poisons the network.
+	// A batch that happens to be in time order is a plain append.
 	m := buildNetwork(t, 4, items)
-	if _, err := m.AppendUnordered([]BatchItem{{0, 2, 35, 1}}); err != nil {
+	if _, err := m.MergeUnordered([]BatchItem{{0, 2, 35, 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if m.NeedsReindex() {
-		t.Fatal("NeedsReindex = true after an in-order AppendUnordered")
+	sameNetwork(t, buildNetwork(t, 4, append(append([]BatchItem{}, items...), BatchItem{0, 2, 35, 1})), m)
+
+	// Validation is atomic, and self loops are skipped.
+	before := networkText(t, m)
+	if _, err := m.MergeUnordered([]BatchItem{{0, 1, 1, 1}, {0, 9, 2, 1}}); err == nil {
+		t.Fatal("MergeUnordered with an out-of-range vertex succeeded, want error")
+	}
+	if got := networkText(t, m); got != before {
+		t.Fatal("failed MergeUnordered left partial state behind")
+	}
+	if appended, err := m.MergeUnordered([]BatchItem{{2, 2, 1, 1}}); err != nil || appended != 0 {
+		t.Fatalf("self-loop merge: appended=%d err=%v, want 0, nil", appended, err)
+	}
+	if _, err := NewNetwork(2).MergeUnordered(nil); err == nil {
+		t.Error("MergeUnordered before Finalize succeeded, want error")
+	}
+
+	// Duplicate timestamps: times from a tiny domain, several merges in a
+	// row, interleaved with in-order appends.
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 30; trial++ {
+		numV := 3 + rng.Intn(4)
+		randItems := func(k int, lo, span int) []BatchItem {
+			out := make([]BatchItem, 0, k)
+			for len(out) < k {
+				f, to := VertexID(rng.Intn(numV)), VertexID(rng.Intn(numV))
+				if f != to {
+					out = append(out, BatchItem{f, to, float64(lo + rng.Intn(span)), float64(1 + rng.Intn(5))})
+				}
+			}
+			return out
+		}
+		all := randItems(5+rng.Intn(20), 0, 4)
+		n := buildNetwork(t, numV, all)
+		for round := 0; round < 3; round++ {
+			lateItems := randItems(1+rng.Intn(6), 0, 4)
+			if _, err := n.MergeUnordered(lateItems); err != nil {
+				t.Fatalf("trial %d: MergeUnordered: %v", trial, err)
+			}
+			all = append(all, lateItems...)
+			inOrder := randItems(1+rng.Intn(3), 4+round, 1)
+			if _, err := n.AppendBatch(inOrder); err != nil {
+				t.Fatalf("trial %d: AppendBatch after merge: %v", trial, err)
+			}
+			all = append(all, inOrder...)
+			sameNetwork(t, buildNetwork(t, numV, all), n)
+		}
 	}
 }
 

@@ -123,9 +123,9 @@ func layoutV2(numV, numE, numIA int64) v2Layout {
 
 // WriteNetworkBinary writes the network to w in the version-2 binary
 // snapshot format. The network's interactions must be in canonical order
-// (any finalized network that does not need a Reindex qualifies); the
-// written file is exactly the CSR memory image, so saving a network and
-// mmap'ing the file back reproduces it bit for bit.
+// (every finalized network qualifies); the written file is exactly the CSR
+// memory image, so saving a network and mmap'ing the file back reproduces
+// it bit for bit.
 func WriteNetworkBinary(w io.Writer, n *Network) error {
 	numV, numE, numIA := int64(n.numV), int64(len(n.edges)), int64(n.numIA)
 	l := layoutV2(numV, numE, numIA)
@@ -178,7 +178,7 @@ func WriteNetworkBinary(w io.Writer, n *Network) error {
 	// Adjacency and pair sections are recomputed from the edge table rather
 	// than taken from the network's fields, so the writer also serves
 	// networks still in the builder representation.
-	outOff, inOff, outAdj, inAdj := buildAdjacencyArrays(n.numV, n.edges)
+	outOff, inOff, outAdj, inAdj := buildAdjacency(n.numV, n.edges)
 	for _, v := range outOff {
 		if err := wi32(v); err != nil {
 			return err
@@ -210,7 +210,7 @@ func WriteNetworkBinary(w io.Writer, n *Network) error {
 			return err
 		}
 	}
-	pairKeys, pairIDs := buildPairArrays(n.edges)
+	pairKeys, pairIDs := buildPairIndex(n.edges)
 	for _, k := range pairKeys {
 		if err := wi64(k); err != nil {
 			return err
@@ -236,48 +236,6 @@ func WriteNetworkBinary(w io.Writer, n *Network) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// buildAdjacencyArrays derives offset-based out/in adjacency from an edge
-// table; each vertex's run lists its edges ascending by id.
-func buildAdjacencyArrays(numV int, edges []Edge) (outOff, inOff []int32, outAdj, inAdj []EdgeID) {
-	outOff = make([]int32, numV+1)
-	inOff = make([]int32, numV+1)
-	for e := range edges {
-		outOff[edges[e].From+1]++
-		inOff[edges[e].To+1]++
-	}
-	for v := 0; v < numV; v++ {
-		outOff[v+1] += outOff[v]
-		inOff[v+1] += inOff[v]
-	}
-	outAdj = make([]EdgeID, len(edges))
-	inAdj = make([]EdgeID, len(edges))
-	outCur := make([]int32, numV)
-	inCur := make([]int32, numV)
-	copy(outCur, outOff[:numV])
-	copy(inCur, inOff[:numV])
-	for e := range edges {
-		f, t := edges[e].From, edges[e].To
-		outAdj[outCur[f]] = EdgeID(e)
-		outCur[f]++
-		inAdj[inCur[t]] = EdgeID(e)
-		inCur[t]++
-	}
-	return outOff, inOff, outAdj, inAdj
-}
-
-// buildPairArrays derives the sorted (from,to) lookup index from an edge
-// table.
-func buildPairArrays(edges []Edge) ([]int64, []EdgeID) {
-	keys := make([]int64, len(edges))
-	ids := make([]EdgeID, len(edges))
-	for e := range edges {
-		keys[e] = pairKey(edges[e].From, edges[e].To)
-		ids[e] = EdgeID(e)
-	}
-	sort.Sort(&pairSorter{keys, ids})
-	return keys, ids
 }
 
 // ReadNetworkBinary parses the binary snapshot format. The returned network
@@ -359,23 +317,8 @@ func readBinaryV2(br *bufio.Reader, hdr [binaryHeaderPrefix]byte) (*Network, err
 		return nil, err
 	}
 
-	// Validate the edge table against the arena.
-	prev := int64(0)
-	for e := int64(0); e < numE; e++ {
-		f, t := edgeFrom[e], edgeTo[e]
-		if int64(f) < 0 || int64(f) >= numV || int64(t) < 0 || int64(t) >= numV {
-			return nil, fmt.Errorf("tin: binary v2 edge %d: vertex (%d,%d) out of range [0,%d)", e, f, t, numV)
-		}
-		if f == t {
-			return nil, fmt.Errorf("tin: binary v2 edge %d: self loop on vertex %d", e, f)
-		}
-		if seqEnd[e] <= prev || seqEnd[e] > numIA {
-			return nil, fmt.Errorf("tin: binary v2 edge %d: sequence end %d out of order (prev %d, total %d)", e, seqEnd[e], prev, numIA)
-		}
-		prev = seqEnd[e]
-	}
-	if prev != numIA {
-		return nil, fmt.Errorf("tin: binary v2 edge table covers %d of %d interactions", prev, numIA)
+	if err := checkEdgeTable("binary v2", edgeFrom, edgeTo, seqEnd, numV, numIA); err != nil {
+		return nil, err
 	}
 	keys := make([]int64, numE)
 	for e := int64(0); e < numE; e++ {
@@ -434,21 +377,46 @@ func readBinaryV2(br *bufio.Reader, hdr [binaryHeaderPrefix]byte) (*Network, err
 		maxTime:   wantMax,
 		arena:     arena,
 	}
-	n.edges = make([]Edge, numE)
-	off := int64(0)
-	for e := int64(0); e < numE; e++ {
-		end := seqEnd[e]
-		n.edges[e] = Edge{
-			From:      edgeFrom[e],
-			To:        edgeTo[e],
-			Seq:       arena[off:end:end],
-			canonical: true,
+	n.edges = edgesFromRuns(edgeFrom, edgeTo, seqEnd, arena)
+	n.indexEdges()
+	return n, nil
+}
+
+// checkEdgeTable validates a version-2 edge table against the header
+// counts — endpoints in range, no self loops, arena runs non-empty,
+// back to back and covering exactly numIA interactions. It is the O(E)
+// structural check the copying reader and the mmap loader share; what
+// names the caller in the error.
+func checkEdgeTable(what string, edgeFrom, edgeTo []int32, seqEnd []int64, numV, numIA int64) error {
+	prev := int64(0)
+	for e := range edgeFrom {
+		f, t := edgeFrom[e], edgeTo[e]
+		if f < 0 || int64(f) >= numV || t < 0 || int64(t) >= numV || f == t {
+			return fmt.Errorf("tin: %s: edge %d endpoints (%d,%d) invalid for %d vertices", what, e, f, t, numV)
 		}
+		if seqEnd[e] <= prev || seqEnd[e] > numIA {
+			return fmt.Errorf("tin: %s: edge %d sequence end %d out of order (prev %d, total %d)", what, e, seqEnd[e], prev, numIA)
+		}
+		prev = seqEnd[e]
+	}
+	if prev != numIA {
+		return fmt.Errorf("tin: %s: edge table covers %d of %d interactions", what, prev, numIA)
+	}
+	return nil
+}
+
+// edgesFromRuns builds the edge table over a checked version-2 image: edge
+// e's Seq is its arena run, three-index sliced so nothing can grow into the
+// neighbouring run (or into a read-only mapping).
+func edgesFromRuns(edgeFrom, edgeTo []int32, seqEnd []int64, arena []Interaction) []Edge {
+	edges := make([]Edge, len(edgeFrom))
+	off := int64(0)
+	for e := range edges {
+		end := seqEnd[e]
+		edges[e] = Edge{From: edgeFrom[e], To: edgeTo[e], Seq: arena[off:end:end], canonical: true}
 		off = end
 	}
-	n.buildAdjacency()
-	n.buildPairIndex()
-	return n, nil
+	return edges
 }
 
 // readI32Section reads count little-endian int32 values, growing the

@@ -46,53 +46,59 @@ func (n *Network) buildCSR() {
 		n.edges[e].canonical = true
 	}
 	n.arena = arena
-	n.buildAdjacency()
-	n.buildPairIndex()
+	n.indexEdges()
 	n.bOut, n.bIn, n.edgeIdx = nil, nil, nil
 }
 
-// buildAdjacency derives the offset-based out/in adjacency from the edge
+// indexEdges (re)derives the adjacency and pair-lookup arrays from the edge
+// table — after Finalize, after an append that created edges, and after the
+// copying snapshot reader rebuilt the table.
+func (n *Network) indexEdges() {
+	n.outOff, n.inOff, n.outAdj, n.inAdj = buildAdjacency(n.numV, n.edges)
+	n.pairKeys, n.pairIDs = buildPairIndex(n.edges)
+}
+
+// buildAdjacency derives the offset-based out/in adjacency from an edge
 // table. Edges are scanned in id order, so each vertex's run lists its
 // edges ascending by id — the same order the jagged builder produced.
-func (n *Network) buildAdjacency() {
-	outOff := make([]int32, n.numV+1)
-	inOff := make([]int32, n.numV+1)
-	for e := range n.edges {
-		outOff[n.edges[e].From+1]++
-		inOff[n.edges[e].To+1]++
+func buildAdjacency(numV int, edges []Edge) (outOff, inOff []int32, outAdj, inAdj []EdgeID) {
+	outOff = make([]int32, numV+1)
+	inOff = make([]int32, numV+1)
+	for e := range edges {
+		outOff[edges[e].From+1]++
+		inOff[edges[e].To+1]++
 	}
-	for v := 0; v < n.numV; v++ {
+	for v := 0; v < numV; v++ {
 		outOff[v+1] += outOff[v]
 		inOff[v+1] += inOff[v]
 	}
-	outAdj := make([]EdgeID, len(n.edges))
-	inAdj := make([]EdgeID, len(n.edges))
-	outCur := make([]int32, n.numV)
-	inCur := make([]int32, n.numV)
-	copy(outCur, outOff[:n.numV])
-	copy(inCur, inOff[:n.numV])
-	for e := range n.edges {
-		f, t := n.edges[e].From, n.edges[e].To
+	outAdj = make([]EdgeID, len(edges))
+	inAdj = make([]EdgeID, len(edges))
+	outCur := make([]int32, numV)
+	inCur := make([]int32, numV)
+	copy(outCur, outOff[:numV])
+	copy(inCur, inOff[:numV])
+	for e := range edges {
+		f, t := edges[e].From, edges[e].To
 		outAdj[outCur[f]] = EdgeID(e)
 		outCur[f]++
 		inAdj[inCur[t]] = EdgeID(e)
 		inCur[t]++
 	}
-	n.outOff, n.outAdj = outOff, outAdj
-	n.inOff, n.inAdj = inOff, inAdj
+	return outOff, inOff, outAdj, inAdj
 }
 
-// buildPairIndex derives the sorted (from,to) lookup arrays from the edge
+// buildPairIndex derives the sorted (from,to) lookup arrays from an edge
 // table.
-func (n *Network) buildPairIndex() {
-	keys := make([]int64, len(n.edges))
-	ids := make([]EdgeID, len(n.edges))
-	for e := range n.edges {
-		keys[e] = pairKey(n.edges[e].From, n.edges[e].To)
+func buildPairIndex(edges []Edge) ([]int64, []EdgeID) {
+	keys := make([]int64, len(edges))
+	ids := make([]EdgeID, len(edges))
+	for e := range edges {
+		keys[e] = pairKey(edges[e].From, edges[e].To)
 		ids[e] = EdgeID(e)
 	}
 	sort.Sort(&pairSorter{keys, ids})
-	n.pairKeys, n.pairIDs = keys, ids
+	return keys, ids
 }
 
 type pairSorter struct {
@@ -225,8 +231,8 @@ func (n *Network) applyAppend(items []BatchItem) (appended int, anyLate bool, ch
 		n.nextOrd++
 		cursor[e] = c + 1
 		if c > starts[e] && arena[c-1].Time > it.Time {
-			// The edge's sequence is no longer time-sorted; Reindex will
-			// restore it (the caller flags the network accordingly).
+			// The edge's sequence is no longer time-sorted; the caller's
+			// rerank (anyLate is set below) restores it.
 			n.edges[e].canonical = false
 		}
 		if it.Time < runningMax {
@@ -241,8 +247,7 @@ func (n *Network) applyAppend(items []BatchItem) (appended int, anyLate bool, ch
 	n.arena = arena
 	n.numIA += len(apply)
 	if len(n.edges) != oldE {
-		n.buildAdjacency()
-		n.buildPairIndex()
+		n.indexEdges()
 	}
 	// addCount marks exactly the edges whose runs grew (it was sized per
 	// resolved edge above), so the distinct changed set falls out of one
@@ -255,13 +260,12 @@ func (n *Network) applyAppend(items []BatchItem) (appended int, anyLate bool, ch
 	return len(apply), anyLate, changed
 }
 
-// csrReindex re-derives the canonical order of a finalized network in
-// place: the same (Time, insertion index) rank assignment rankBuilder
-// performs, expressed over the arena. Each edge's run is then re-sorted by
-// the new ranks, restoring the canonical invariants after out-of-order
-// appends.
-func (n *Network) csrReindex() {
-	n.detach()
+// rerank re-derives the canonical order of a finalized network in place:
+// the same (Time, insertion index) rank assignment rankBuilder performs,
+// expressed over the arena. Each edge's run is then re-sorted by the new
+// ranks, restoring the canonical invariants after applyAppend placed
+// out-of-order interactions (which also detached any snapshot mapping).
+func (n *Network) rerank() {
 	perm := make([]int32, len(n.arena))
 	for i := range perm {
 		perm[i] = int32(i)

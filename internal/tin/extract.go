@@ -110,9 +110,6 @@ func (n *Network) Extract(q Query) Extraction {
 	if !n.finalized {
 		panic("tin: Extract before Finalize")
 	}
-	if n.needsReindex {
-		panic("tin: Extract on a network awaiting Reindex")
-	}
 	sc := scratchPool.Get().(*queryScratch)
 	defer scratchPool.Put(sc)
 	sc.begin(n.numV)

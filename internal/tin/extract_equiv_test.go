@@ -154,7 +154,7 @@ func checkExtractEquivalence(t *testing.T, n *Network) {
 
 // TestExtractEquivalenceRandom drives the differential check over random
 // networks built with random append interleavings: a finalized base, then
-// a mix of in-order batches, unordered batches and reindexes.
+// a mix of in-order batches and unordered merges.
 func TestExtractEquivalenceRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 25; trial++ {
@@ -179,14 +179,13 @@ func TestExtractEquivalenceRandom(t *testing.T) {
 				batch[i] = randItem()
 			}
 			if rng.Intn(3) == 0 {
-				// Late items force the Reindex path.
+				// Late items force the re-rank path.
 				for i := range batch {
 					batch[i].Time = rng.Float64() * tm
 				}
-				if _, err := n.AppendUnordered(batch); err != nil {
+				if _, err := n.MergeUnordered(batch); err != nil {
 					t.Fatal(err)
 				}
-				n.Reindex()
 			} else if _, err := n.AppendBatch(batch); err != nil {
 				t.Fatal(err)
 			}
@@ -290,7 +289,7 @@ func decodeEquivFuzzInput(data []byte) (numV int, base []BatchItem, appends [][]
 // FuzzExtractEquivalence fuzzes the frontier-driven extraction fast path
 // against the scan-based reference, with and without windows, on networks
 // grown through random append interleavings (in-order batches via
-// AppendBatch, out-of-order ones via AppendUnordered + Reindex).
+// AppendBatch, out-of-order ones via MergeUnordered).
 func FuzzExtractEquivalence(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{0x55, 0, 1, 10, 3, 1, 2, 20, 4, 2, 0, 30, 5})
@@ -305,10 +304,9 @@ func FuzzExtractEquivalence(f *testing.F) {
 		n.Finalize()
 		for i, batch := range appends {
 			if unordered[i] {
-				if _, err := n.AppendUnordered(batch); err != nil {
-					t.Fatalf("AppendUnordered: %v", err)
+				if _, err := n.MergeUnordered(batch); err != nil {
+					t.Fatalf("MergeUnordered: %v", err)
 				}
-				n.Reindex()
 				continue
 			}
 			// In-order appends must not precede MaxTime; shift the chunk up.

@@ -2,9 +2,7 @@
 
 package tin
 
-const madviseSupported = false
-
 // adviseRandom is a no-op where syscall.Madvise does not exist (windows,
-// plan9, wasm, solaris/aix). MmapOptions.AdviseRandom silently degrades to
-// plain mmap behaviour there.
+// plan9, wasm, solaris/aix): mapped networks get plain mmap behaviour
+// there.
 func adviseRandom([]byte, int64, int64) error { return nil }

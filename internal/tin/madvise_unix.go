@@ -11,8 +11,6 @@ import (
 // absent on solaris/aix/illumos, where mmap itself still works. Those
 // platforms get the no-op stub and plain mmap behaviour.
 
-const madviseSupported = true
-
 // adviseRandom issues MADV_RANDOM for the byte range [off, off+n) of the
 // mapped region, telling the kernel not to run sequential readahead over
 // it. Advice, not a contract: the kernel may ignore it, and failures are

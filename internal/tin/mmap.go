@@ -19,8 +19,8 @@ import (
 // copies the aliased arrays onto the heap and munmaps — after which the
 // network is an ordinary heap network. Holders that drop a never-mutated
 // network (store shard close or repair) call Unmap directly, at a point
-// where no reader can still hold references into the mapping (the stream
-// layer's exclusive lock is that point).
+// where no reader can still hold references into the mapping (the store
+// shard's network write lock is that point).
 //
 // Portability. OpenNetworkMmap falls back to the copying decoder whenever
 // zero-copy cannot work: non-unix builds, big-endian hosts, a compiler
@@ -74,37 +74,17 @@ var interactionLayoutOK = unsafe.Sizeof(Interaction{}) == binaryRecordSize &&
 	unsafe.Offsetof(Interaction{}.Qty) == 8 &&
 	unsafe.Offsetof(Interaction{}.Ord) == 16
 
-// MmapOptions tunes how a zero-copy network mapping is set up.
-type MmapOptions struct {
-	// AdviseRandom issues MADV_RANDOM on the interaction arena at map
-	// time. Query extraction touches the arena footprint-at-a-time —
-	// scattered short runs, one per in-footprint edge — so the kernel's
-	// default sequential readahead drags in pages the query never reads.
-	// With the advice, a cold pair query on a network much larger than
-	// RAM faults in only (roughly) its footprint's pages. The smaller
-	// edge-table/offset/adjacency sections are left on default advice:
-	// they are dense, touched on every query, and profit from readahead.
-	// Ignored (silently) on platforms without madvise and on files that
-	// fall back to the copying loader.
-	AdviseRandom bool
-}
-
 // OpenNetworkMmap loads a network file, serving it zero-copy from an mmap
 // when possible. Files that cannot be mmap'd — gzip'd, text, version-1
 // binary, or any file on a platform or host where zero-copy is unavailable
 // — load through the regular copying path instead, so callers can use this
 // unconditionally; MmapBacked on the result tells which path was taken.
 func OpenNetworkMmap(path string) (*Network, error) {
-	return OpenNetworkMmapOptions(path, MmapOptions{})
-}
-
-// OpenNetworkMmapOptions is OpenNetworkMmap with explicit mapping options.
-func OpenNetworkMmapOptions(path string, opts MmapOptions) (*Network, error) {
 	if mmapSupported && hostLE && interactionLayoutOK && !strings.HasSuffix(path, ".gz") {
 		region, err := platformMmap(path)
 		if err == nil {
 			if isV2Image(region.data) {
-				n, err := mmapNetwork(region, opts)
+				n, err := mmapNetwork(region)
 				if err != nil {
 					region.close()
 					return nil, err
@@ -140,7 +120,7 @@ func leU64(b []byte) uint64 {
 // monotonicity, id ranges — matching the trust model of a snapshot the
 // store wrote itself; the O(numIA) canonical-order proof is the copying
 // reader's job for untrusted input.
-func mmapNetwork(region *mmapRegion, opts MmapOptions) (*Network, error) {
+func mmapNetwork(region *mmapRegion) (*Network, error) {
 	data := region.data
 	numV := int64(leU64(data[8:16]))
 	numE := int64(leU64(data[16:24]))
@@ -168,16 +148,10 @@ func mmapNetwork(region *mmapRegion, opts MmapOptions) (*Network, error) {
 	pairIDs := sliceI32(data, l.pairIDs, numE)
 	arena := sliceIA(data, l.arena, numIA)
 
-	prev := int64(0)
+	if err := checkEdgeTable("mmap", edgeFrom, edgeTo, seqEnd, numV, numIA); err != nil {
+		return nil, err
+	}
 	for e := int64(0); e < numE; e++ {
-		f, t := edgeFrom[e], edgeTo[e]
-		if int64(f) < 0 || int64(f) >= numV || int64(t) < 0 || int64(t) >= numV || f == t {
-			return nil, fmt.Errorf("tin: mmap: edge %d endpoints (%d,%d) invalid", e, f, t)
-		}
-		if seqEnd[e] <= prev || seqEnd[e] > numIA {
-			return nil, fmt.Errorf("tin: mmap: edge %d sequence end %d out of order", e, seqEnd[e])
-		}
-		prev = seqEnd[e]
 		if int64(outAdj[e]) < 0 || int64(outAdj[e]) >= numE || int64(inAdj[e]) < 0 || int64(inAdj[e]) >= numE {
 			return nil, fmt.Errorf("tin: mmap: adjacency entry %d out of range", e)
 		}
@@ -188,9 +162,6 @@ func mmapNetwork(region *mmapRegion, opts MmapOptions) (*Network, error) {
 			return nil, fmt.Errorf("tin: mmap: pair index not strictly sorted at %d", e)
 		}
 	}
-	if prev != numIA {
-		return nil, fmt.Errorf("tin: mmap: edge table covers %d of %d interactions", prev, numIA)
-	}
 	if outOff[0] != 0 || inOff[0] != 0 || int64(outOff[numV]) != numE || int64(inOff[numV]) != numE {
 		return nil, fmt.Errorf("tin: mmap: adjacency offsets do not cover the edge table")
 	}
@@ -200,11 +171,16 @@ func mmapNetwork(region *mmapRegion, opts MmapOptions) (*Network, error) {
 		}
 	}
 
-	if opts.AdviseRandom && madviseSupported {
-		// Best-effort: a kernel that rejects the advice still serves the
-		// mapping correctly, just with default readahead.
-		_ = adviseRandom(data, l.arena, numIA*binaryRecordSize)
-	}
+	// The arena is always advised MADV_RANDOM: query extraction touches it
+	// footprint-at-a-time — scattered short runs, one per in-footprint edge
+	// — so sequential readahead would drag in pages no query reads, and a
+	// cold query on a network much larger than RAM faults in only (roughly)
+	// its footprint's pages. The smaller edge-table/offset/adjacency
+	// sections keep default advice: they are dense, touched on every query,
+	// and profit from readahead. Best-effort: a platform without madvise
+	// (the stub is a no-op) or a kernel that rejects the advice still
+	// serves the mapping correctly.
+	_ = adviseRandom(data, l.arena, numIA*binaryRecordSize)
 
 	n := &Network{
 		numV:      int(numV),
@@ -224,18 +200,7 @@ func mmapNetwork(region *mmapRegion, opts MmapOptions) (*Network, error) {
 	if numIA == 0 {
 		n.maxTime = math.Inf(-1)
 	}
-	n.edges = make([]Edge, numE)
-	off := int64(0)
-	for e := int64(0); e < numE; e++ {
-		end := seqEnd[e]
-		n.edges[e] = Edge{
-			From:      edgeFrom[e],
-			To:        edgeTo[e],
-			Seq:       arena[off:end:end],
-			canonical: true,
-		}
-		off = end
-	}
+	n.edges = edgesFromRuns(edgeFrom, edgeTo, seqEnd, arena)
 	return n, nil
 }
 

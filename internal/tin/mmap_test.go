@@ -42,15 +42,15 @@ func TestMmapRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMmapAdviseRandom: AdviseRandom is pure advice — a mapping opened
-// with it must serve the identical network, on every platform (including
-// those where the advice is a stub).
+// TestMmapAdviseRandom: the MADV_RANDOM every mapped arena gets is pure
+// advice — the mapping must serve the identical network, on every platform
+// (including those where the advice is a stub).
 func TestMmapAdviseRandom(t *testing.T) {
 	n := ioTestNetwork()
 	path := saveTinb(t, n)
-	m, err := OpenNetworkMmapOptions(path, MmapOptions{AdviseRandom: true})
+	m, err := OpenNetworkMmap(path)
 	if err != nil {
-		t.Fatalf("OpenNetworkMmapOptions: %v", err)
+		t.Fatalf("OpenNetworkMmap: %v", err)
 	}
 	defer m.Unmap()
 	if got, want := m.MmapBacked(), mmapExpected(); got != want {
@@ -118,26 +118,24 @@ func TestMmapDetachOnAppend(t *testing.T) {
 	sameNetwork(t, n, m)
 }
 
-// TestMmapDetachOnReindex: an out-of-order append followed by Reindex is
-// the heaviest mutation path; it must detach and re-rank correctly.
-func TestMmapDetachOnReindex(t *testing.T) {
+// TestMmapDetachOnMerge: an out-of-order merge is the heaviest mutation
+// path; it must detach and re-rank correctly.
+func TestMmapDetachOnMerge(t *testing.T) {
 	n := ioTestNetwork()
 	m, err := OpenNetworkMmap(saveTinb(t, n))
 	if err != nil {
 		t.Fatal(err)
 	}
 	late := []BatchItem{{From: 3, To: 1, Time: 0.5, Qty: 2}}
-	if _, err := m.AppendUnordered(late); err != nil {
-		t.Fatalf("AppendUnordered: %v", err)
+	if _, err := m.MergeUnordered(late); err != nil {
+		t.Fatalf("MergeUnordered: %v", err)
 	}
-	m.Reindex()
 	if m.MmapBacked() {
-		t.Fatal("still mmap-backed after reindex")
+		t.Fatal("still mmap-backed after an out-of-order merge")
 	}
-	if _, err := n.AppendUnordered(late); err != nil {
+	if _, err := n.MergeUnordered(late); err != nil {
 		t.Fatal(err)
 	}
-	n.Reindex()
 	sameNetwork(t, n, m)
 }
 

@@ -51,11 +51,8 @@ type Network struct {
 	finalized bool
 
 	// maxTime is the latest interaction timestamp (-inf when empty); it is
-	// derived by Finalize/Reindex and maintained by the append path.
+	// derived by Finalize and maintained by the append path (append.go).
 	maxTime float64
-	// needsReindex is set by AppendUnordered when an out-of-order
-	// interaction is admitted, and cleared by Reindex (see append.go).
-	needsReindex bool
 }
 
 // NewNetwork creates an empty network with numV vertices.

@@ -1,7 +1,6 @@
 package tin
 
 import (
-	"math/rand"
 	"testing"
 )
 
@@ -74,56 +73,8 @@ func TestNetworkRestrictWindow(t *testing.T) {
 	}
 }
 
-// TestNetworkRestrictWindowCanonicalMerge is the regression test for the
-// k-way merge that replaced the global sort.Slice: on networks with many
-// duplicate timestamps (where only the insertion-index tiebreak orders the
-// rows) the merged result must reproduce the canonical order of the
-// sort-based reference exactly — same layout, same Ords, same String.
-func TestNetworkRestrictWindowCanonicalMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 20; trial++ {
-		numV := 3 + rng.Intn(5)
-		n := NewNetwork(numV)
-		for i, k := 0, 5+rng.Intn(40); i < k; i++ {
-			from := VertexID(rng.Intn(numV))
-			to := VertexID(rng.Intn(numV))
-			if from == to {
-				continue
-			}
-			// Times drawn from a tiny domain force heavy tie-breaking.
-			n.AddInteraction(from, to, float64(rng.Intn(4)), float64(rng.Intn(5))+1)
-		}
-		n.Finalize()
-		lo := float64(rng.Intn(3))
-		hi := lo + float64(rng.Intn(3))
-		got := n.RestrictWindow(lo, hi)
-		want := n.restrictWindowSlow(lo, hi)
-		// Edge ids are assigned in insertion order, so identical ids, rows,
-		// and Ords mean the merge replayed the exact canonical sequence.
-		ge, we := got.NumEdges(), want.NumEdges()
-		if ge != we {
-			t.Fatalf("trial %d window [%g,%g]: %d edges vs %d", trial, lo, hi, ge, we)
-		}
-		for e := 0; e < ge; e++ {
-			gEd, wEd := got.Edge(EdgeID(e)), want.Edge(EdgeID(e))
-			if gEd.From != wEd.From || gEd.To != wEd.To {
-				t.Fatalf("trial %d edge %d: (%d->%d) vs (%d->%d)",
-					trial, e, gEd.From, gEd.To, wEd.From, wEd.To)
-			}
-			if len(gEd.Seq) != len(wEd.Seq) {
-				t.Fatalf("trial %d edge %d: seq lengths %d vs %d", trial, e, len(gEd.Seq), len(wEd.Seq))
-			}
-			for i := range gEd.Seq {
-				if gEd.Seq[i] != wEd.Seq[i] {
-					t.Fatalf("trial %d edge %d[%d]: %+v vs %+v", trial, e, i, gEd.Seq[i], wEd.Seq[i])
-				}
-			}
-		}
-	}
-}
-
-// TestNetworkRestrictWindowBuilderState pins the fallback: restricting a
-// network that has not been finalized still works via the sort path.
+// TestNetworkRestrictWindowBuilderState: restricting a network that has not
+// been finalized works too (rows are sorted by Ord, not assumed sorted).
 func TestNetworkRestrictWindowBuilderState(t *testing.T) {
 	n := NewNetwork(3)
 	n.AddInteraction(0, 1, 5, 1)

@@ -51,7 +51,7 @@ func TestPublicStreamingAPI(t *testing.T) {
 	if res.Appended != 1 || res.Generation != 2 {
 		t.Fatalf("LiveNetwork.Append result %+v, want Appended=1 Generation=2", res)
 	}
-	if flownet.NewEmptyLiveNetwork(5).Stats().Vertices != 5 {
+	if flownet.NewEmptyLiveNetwork(5).NetStats().Vertices != 5 {
 		t.Fatal("NewEmptyLiveNetwork vertex count wrong")
 	}
 }
