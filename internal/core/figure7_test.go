@@ -159,3 +159,91 @@ func TestPaperFigure7ChainArrivalsStepwise(t *testing.T) {
 		t.Errorf("chain s->x->w arrivals %v, want [(10,2) (14,4)]", arr)
 	}
 }
+
+// figure2Network is the transaction network of the paper's Figure 2(a):
+// u1=0, u2=1, u3=2, u4=3.
+func figure2Network() *tin.Network {
+	n := tin.NewNetwork(4)
+	n.AddInteraction(0, 1, 2, 5)
+	n.AddInteraction(0, 1, 4, 3)
+	n.AddInteraction(0, 1, 8, 1)
+	n.AddInteraction(1, 2, 3, 4)
+	n.AddInteraction(1, 2, 5, 2)
+	n.AddInteraction(2, 0, 1, 2)
+	n.AddInteraction(2, 0, 6, 5)
+	n.AddInteraction(2, 3, 9, 4)
+	n.AddInteraction(3, 0, 7, 6)
+	n.AddInteraction(1, 3, 10, 1)
+	n.Finalize()
+	return n
+}
+
+// networkPath returns the interaction sequences along the given vertices.
+func networkPath(t *testing.T, n *tin.Network, verts ...tin.VertexID) [][]tin.Interaction {
+	t.Helper()
+	var seqs [][]tin.Interaction
+	for i := 0; i+1 < len(verts); i++ {
+		e, ok := n.HasEdge(verts[i], verts[i+1])
+		if !ok {
+			t.Fatalf("no edge %d->%d", verts[i], verts[i+1])
+		}
+		seqs = append(seqs, n.Edge(e).Seq)
+	}
+	return seqs
+}
+
+func TestPathArrivalsMatchesPaper(t *testing.T) {
+	// Section 5.1: greedy arrivals into u3 along u1→u2→u3 are
+	// {(3,$4),(5,$2)}.
+	n := figure2Network()
+	flow, arr := PathArrivals(networkPath(t, n, 0, 1, 2))
+	if flow != 6 {
+		t.Errorf("flow=%g, want 6", flow)
+	}
+	if len(arr) != 2 || arr[0].Time != 3 || arr[0].Qty != 4 || arr[1].Time != 5 || arr[1].Qty != 2 {
+		t.Errorf("arrivals=%v, want [(3,4) (5,2)]", arr)
+	}
+}
+
+func TestPathArrivalsCyclic(t *testing.T) {
+	// u1→u2→u3→u1: positional buffers make the shared endpoint behave as
+	// separate source and sink copies; flow is 5 (Figure 2(c)).
+	n := figure2Network()
+	flow, arr := PathArrivals(networkPath(t, n, 0, 1, 2, 0))
+	if flow != 5 {
+		t.Errorf("flow=%g, want 5", flow)
+	}
+	if len(arr) != 1 || arr[0].Time != 6 || arr[0].Qty != 5 {
+		t.Errorf("arrivals=%v, want [(6,5)]", arr)
+	}
+}
+
+func TestPathArrivalsSourceChain(t *testing.T) {
+	// What Simplify asks of the scan: the arrivals at the last vertex of a
+	// source chain inside a larger graph (Figure 7(b): s→y→z and s→x→w)
+	// equal GreedyArrivals on that chain taken alone, Ords aside — the
+	// chain inherits the Ords of the whole graph.
+	g := figure7()
+	for _, chain := range [][]tin.EdgeID{{0, 1}, {2, 3}} {
+		alone := tin.NewGraph(3, 0, 2)
+		var seqs [][]tin.Interaction
+		for i, e := range chain {
+			seqs = append(seqs, g.Edges[e].Seq)
+			ae := alone.AddEdge(tin.VertexID(i), tin.VertexID(i+1))
+			for _, ia := range g.Edges[e].Seq {
+				alone.AddInteraction(ae, ia.Time, ia.Qty)
+			}
+		}
+		alone.Finalize()
+		wantFlow, want := GreedyArrivals(alone)
+		flow, got := PathArrivals(seqs)
+		if flow != wantFlow || len(got) != len(want) || len(got) == 0 {
+			t.Fatalf("chain %v: flow %g arrivals %v, chain alone %g %v", chain, flow, got, wantFlow, want)
+		}
+		for i := range want {
+			if got[i].Time != want[i].Time || got[i].Qty != want[i].Qty {
+				t.Errorf("chain %v arrival %d: %v, chain alone %v", chain, i, got[i], want[i])
+			}
+		}
+	}
+}

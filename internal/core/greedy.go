@@ -4,6 +4,10 @@
 //   - Greedy flow computation (Section 4.1): a single scan of the
 //     interactions in canonical order.
 //   - The greedy-solubility test (Lemmas 1 and 2, Section 4.2.2).
+//   - The greedy scan along a single path with its arrival sequence
+//     (PathArrivals; Lemmas 1 and 3) — the one positional path scan, used
+//     by graph simplification here and by the path tables and relaxed
+//     searches of internal/pattern.
 //   - DAG preprocessing (Algorithm 1, Section 4.2.3).
 //   - Graph simplification (Algorithm 2, Section 4.2.4).
 //   - The LP formulation of temporal maximum flow (Section 4.2.1), solved
@@ -23,9 +27,10 @@
 // graph (the LP and TEG engines build fresh problem instances per call).
 // Concurrent calls on distinct graphs are therefore always safe — this is
 // what BatchPreSim and the parallel pattern searches rely on. The
-// non-mutating entry points (Greedy, GreedySoluble, Pre, PreSim, MaxFlow,
-// MaxFlowLP) are additionally safe to call concurrently on the same graph:
-// they treat the input as read-only and clone it before any modification.
+// non-mutating entry points (Greedy, PathArrivals, GreedySoluble, Pre,
+// PreSim, MaxFlow, MaxFlowLP) are additionally safe to call concurrently on
+// the same graph: they treat the input as read-only and clone it before any
+// modification.
 // Preprocess and Simplify mutate their argument in place and must not run
 // concurrently with any other use of the same graph.
 package core
@@ -90,6 +95,53 @@ func GreedyArrivals(g *tin.Graph) (float64, []Arrival) {
 		}
 	}
 	return buf[g.Sink], arrivals
+}
+
+// PathArrivals runs the greedy scan along a path given as the interaction
+// sequences of its edges, seqs[i] belonging to the i-th edge (each sorted by
+// Ord, all drawn from one container), with an infinite buffer in front of
+// the first edge. It returns the total flow into the path's end together
+// with the arrival sequence there, in the form GreedyArrivals reports.
+//
+// Vertices are positional — position i feeds seqs[i] and is fed by
+// seqs[i-1] — so a cyclic path (last vertex = first vertex) needs no
+// splitting: position 0 acts as the source copy, position len(seqs) as the
+// sink copy. By Lemma 1 the flow is the path's maximum flow, and by Lemma 3
+// the arrival sequence is an exact summary of the path: it is what
+// Simplify substitutes for a source chain and what the pattern path tables
+// of Section 5.2 store.
+func PathArrivals(seqs [][]tin.Interaction) (float64, []Arrival) {
+	k := len(seqs)
+	buf := make([]float64, k+1)
+	buf[0] = math.Inf(1)
+	next := make([]int, k) // next[i] is the first unread interaction of seqs[i]
+	var arrivals []Arrival
+	for {
+		// Merge the k sorted runs: the earliest unread interaction is next.
+		// Ties cannot occur within one container; the lowest position wins.
+		pos := -1
+		for i, seq := range seqs {
+			if next[i] < len(seq) && (pos < 0 || seq[next[i]].Ord < seqs[pos][next[pos]].Ord) {
+				pos = i
+			}
+		}
+		if pos < 0 {
+			return buf[k], arrivals
+		}
+		ia := seqs[pos][next[pos]]
+		next[pos]++
+		q := math.Min(ia.Qty, buf[pos])
+		if q <= 0 {
+			continue
+		}
+		if !math.IsInf(buf[pos], 1) {
+			buf[pos] -= q
+		}
+		buf[pos+1] += q
+		if pos+1 == k {
+			arrivals = append(arrivals, Arrival{Time: ia.Time, Qty: q, Ord: ia.Ord})
+		}
+	}
 }
 
 // GreedyTrace reproduces the paper's Table 2: it returns the buffer vector

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"math"
-
-	"flownet/internal/tin"
-)
+import "flownet/internal/tin"
 
 // SimplifyStats reports what Algorithm 2 did.
 type SimplifyStats struct {
@@ -36,7 +32,11 @@ func Simplify(g *tin.Graph) SimplifyStats {
 		st.ChainsReduced++
 		before := g.NumInteractions()
 
-		arrivals := chainArrivals(g, chain)
+		seqs := make([][]tin.Interaction, len(chain))
+		for i, e := range chain {
+			seqs[i] = g.Edges[e].Seq
+		}
+		_, arrivals := PathArrivals(seqs)
 		last := g.Edges[chain[len(chain)-1]].To // vk
 
 		// Remove the chain's edges and inner vertices.
@@ -95,56 +95,6 @@ func findSourceChain(g *tin.Graph) []tin.EdgeID {
 		chain = c
 	})
 	return chain
-}
-
-// chainEvent is an interaction with its endpoints, used by chainArrivals.
-type chainEvent struct {
-	ia       tin.Interaction
-	from, to tin.VertexID
-}
-
-// chainArrivals runs the greedy algorithm restricted to the chain's edges
-// and returns the positive arrivals at the chain's final vertex, with Ord
-// and Time inherited from the triggering interactions (Lemma 3).
-func chainArrivals(g *tin.Graph, chain []tin.EdgeID) []tin.Interaction {
-	var events []chainEvent
-	for _, e := range chain {
-		ed := &g.Edges[e]
-		for _, ia := range ed.Seq {
-			events = append(events, chainEvent{ia, ed.From, ed.To})
-		}
-	}
-	// Seq slices are Ord-sorted; merging k of them by a global sort keeps
-	// the code simple (chains are short).
-	sortEvents(events)
-	buf := make(map[tin.VertexID]float64)
-	buf[g.Source] = math.Inf(1)
-	last := g.Edges[chain[len(chain)-1]].To
-	var arrivals []tin.Interaction
-	for _, e := range events {
-		q := math.Min(e.ia.Qty, buf[e.from])
-		if q <= 0 {
-			continue
-		}
-		if !math.IsInf(buf[e.from], 1) {
-			buf[e.from] -= q
-		}
-		buf[e.to] += q
-		if e.to == last {
-			arrivals = append(arrivals, tin.Interaction{Time: e.ia.Time, Qty: q, Ord: e.ia.Ord})
-		}
-	}
-	return arrivals
-}
-
-func sortEvents(events []chainEvent) {
-	// Insertion sort on Ord: event lists here are concatenations of a few
-	// already-sorted runs, where insertion sort is near linear.
-	for i := 1; i < len(events); i++ {
-		for j := i; j > 0 && events[j].ia.Ord < events[j-1].ia.Ord; j-- {
-			events[j], events[j-1] = events[j-1], events[j]
-		}
-	}
 }
 
 // mergeByOrd merges two Ord-sorted interaction sequences into one.

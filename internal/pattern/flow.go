@@ -1,8 +1,6 @@
 package pattern
 
 import (
-	"math"
-
 	"flownet/internal/core"
 	"flownet/internal/tin"
 )
@@ -19,58 +17,4 @@ func InstanceFlow(n *tin.Network, p *Pattern, inst *Instance, engine core.Engine
 		return 0, err
 	}
 	return res.Flow, nil
-}
-
-// pathArrivals runs the greedy algorithm along a path of network edges
-// (edges[i].To must equal edges[i+1].From) with an infinite buffer at the
-// first vertex, and returns the total flow into the last vertex together
-// with its arrival sequence. Vertices are treated positionally, so cyclic
-// paths (last vertex = first vertex) are handled correctly: the first
-// position acts as the source copy, the last as the sink copy.
-//
-// By Lemma 1 the result is the path's maximum flow, and by Lemma 3 the
-// arrival sequence determines the quantity available at the path's end at
-// every time — exactly what the precomputed path tables of Section 5.2
-// store.
-func pathArrivals(n *tin.Network, edges []tin.EdgeID) (float64, []tin.Interaction) {
-	k := len(edges)
-	// Merge the per-edge canonical sequences into one ordered event stream,
-	// tagging each interaction with its path position.
-	type pev struct {
-		ia  tin.Interaction
-		pos int
-	}
-	total := 0
-	for _, e := range edges {
-		total += len(n.Edge(e).Seq)
-	}
-	events := make([]pev, 0, total)
-	for i, e := range edges {
-		for _, ia := range n.Edge(e).Seq {
-			events = append(events, pev{ia, i})
-		}
-	}
-	// Insertion sort by Ord: the input is a concatenation of k sorted runs.
-	for i := 1; i < len(events); i++ {
-		for j := i; j > 0 && events[j].ia.Ord < events[j-1].ia.Ord; j-- {
-			events[j], events[j-1] = events[j-1], events[j]
-		}
-	}
-	buf := make([]float64, k+1)
-	buf[0] = math.Inf(1)
-	var arrivals []tin.Interaction
-	for _, e := range events {
-		q := math.Min(e.ia.Qty, buf[e.pos])
-		if q <= 0 {
-			continue
-		}
-		if !math.IsInf(buf[e.pos], 1) {
-			buf[e.pos] -= q
-		}
-		buf[e.pos+1] += q
-		if e.pos+1 == k {
-			arrivals = append(arrivals, tin.Interaction{Time: e.ia.Time, Qty: q, Ord: e.ia.Ord})
-		}
-	}
-	return buf[k], arrivals
 }

@@ -81,20 +81,12 @@ func buildPlan(p *Pattern) (*matchPlan, error) {
 	}
 	plan.checkEdges = make([][]int, p.NV)
 	for j, e := range p.Edges {
-		if j == plan.anchorEdge[maxInt(pos[e[0]], pos[e[1]])] {
-			continue
+		at := max(pos[e[0]], pos[e[1]])
+		if j != plan.anchorEdge[at] {
+			plan.checkEdges[at] = append(plan.checkEdges[at], j)
 		}
-		at := maxInt(pos[e[0]], pos[e[1]])
-		plan.checkEdges[at] = append(plan.checkEdges[at], j)
 	}
 	return plan, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // EnumerateGB enumerates all instances of a rigid pattern in the network by

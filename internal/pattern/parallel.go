@@ -8,11 +8,12 @@ import (
 // This file contains the parallel execution layer of the pattern searches.
 // Both searchers keep their enumeration single-threaded (it is cheap and
 // inherently ordered) and fan the expensive per-instance flow computations
-// out to a bounded worker pool; results are folded back in enumeration
-// order via par.OrderedFanOut, so for any Options.Workers value the Summary
-// is bit-for-bit identical to the sequential search — including TotalFlow
+// out to a bounded worker pool; results reach the one fold (search.go) in
+// enumeration order via par.OrderedFanOut, so the Summary is bit-for-bit
+// the same for any Options.Workers value — including TotalFlow
 // (floating-point addition order preserved), the MaxInstances cut-off, the
-// Truncated flag, and which error is reported first.
+// Truncated flag, and which error is reported first. There is no separate
+// sequential arm: with one worker OrderedFanOut is the plain loop.
 
 // flowOutcome is one solved instance: its maximum flow or the error that
 // prevented computing it.
@@ -21,114 +22,60 @@ type flowOutcome struct {
 	err  error
 }
 
-// searchInstances aggregates the flows of the instances produced by
-// enumerate into a Summary, sequentially or on opts.workers() goroutines.
+// searchInstances folds the flows of the instances produced by enumerate
+// into a Summary, solving them on opts.workers() goroutines (with one
+// worker par.OrderedFanOut runs everything inline on the caller).
 // enumerate must call emit once per instance in deterministic order and
 // stop when emit returns false. If reused is true the emitted *Instance is
 // reused by the enumerator (as EnumerateGB does) and is cloned before it
 // crosses a goroutine boundary.
 func searchInstances(p *Pattern, n *tin.Network, opts Options, reused bool, enumerate func(emit func(*Instance) bool)) (Summary, error) {
-	sum := Summary{Pattern: p.Name}
-	var solveErr error
-	// Cancellation is polled in reduce, which runs on the caller goroutine
-	// in both the sequential and the fan-out path; abandoning the reduction
-	// drains the pool, so a cancelled search never leaks workers.
-	cc := canceller{ctx: opts.Ctx}
-	reduce := func(r flowOutcome) bool {
-		if solveErr = cc.err(); solveErr != nil {
-			return false
-		}
-		if r.err != nil {
-			solveErr = r.err
-			return false
-		}
-		sum.Instances++
-		sum.TotalFlow += r.flow
-		if opts.MaxInstances > 0 && sum.Instances >= opts.MaxInstances {
-			sum.Truncated = true
-			return false
-		}
-		return true
-	}
+	f := newFold(p.Name, opts)
 	workers := opts.workers()
-	if workers <= 1 {
-		enumerate(func(inst *Instance) bool {
-			f, err := InstanceFlow(n, p, inst, opts.Engine)
-			return reduce(flowOutcome{f, err})
-		})
-		return sum, solveErr
-	}
 	par.OrderedFanOut(workers,
 		func(emit func(*Instance) bool) {
 			var produced int64
 			enumerate(func(inst *Instance) bool {
-				if reused {
+				if reused && workers > 1 {
 					inst = inst.Clone()
 				}
 				if !emit(inst) {
 					return false
 				}
 				produced++
-				// The sequential search never looks past the cut-off;
-				// stopping the producer here keeps the work identical.
+				// The fold never looks past the cut-off; stopping the
+				// producer here keeps the work identical.
 				return opts.MaxInstances <= 0 || produced < opts.MaxInstances
 			})
 		},
 		func(inst *Instance) flowOutcome {
-			f, err := InstanceFlow(n, p, inst, opts.Engine)
-			return flowOutcome{f, err}
+			flow, err := InstanceFlow(n, p, inst, opts.Engine)
+			return flowOutcome{flow, err}
 		},
-		reduce)
-	return sum, solveErr
-}
-
-// anchorGroup is the aggregate a relaxed search forms at one anchor: the
-// summed flow of the anchored paths and how many paths contributed. For
-// cycle patterns an anchor yields at most one group; for chain patterns one
-// group per (anchor, end) pair, in ascending end order.
-type anchorGroup struct {
-	flow  float64
-	paths int
-}
-
-// searchAnchors aggregates per-anchor groups into a Summary, scanning the
-// anchors 0..NumVertices-1 either sequentially or on opts.workers()
-// goroutines. collect computes one anchor's groups in isolation (it runs
-// concurrently for distinct anchors when workers > 1); groups are reduced
-// in (anchor, group) order, so the result is identical to the sequential
-// scan for any worker count. The MinPaths filter and MaxInstances cut-off
-// are applied during reduction.
-func searchAnchors(name string, n *tin.Network, opts Options, collect func(a tin.VertexID) []anchorGroup) (Summary, error) {
-	sum := Summary{Pattern: name}
-	var ctxErr error
-	cc := canceller{ctx: opts.Ctx}
-	reduce := func(groups []anchorGroup) bool {
-		if ctxErr = cc.err(); ctxErr != nil {
-			return false
-		}
-		for _, g := range groups {
-			if g.paths < opts.minPaths() {
-				continue
-			}
-			sum.Instances++
-			sum.TotalFlow += g.flow
-			if opts.MaxInstances > 0 && sum.Instances >= opts.MaxInstances {
-				sum.Truncated = true
+		// Cancellation is polled here, on the caller goroutine; abandoning
+		// the reduction drains the pool, so a cancelled search never leaks
+		// workers.
+		func(r flowOutcome) bool {
+			if !f.live() {
 				return false
 			}
-		}
-		return true
-	}
-	workers := opts.workers()
-	if workers <= 1 {
-		for a := 0; a < n.NumVertices(); a++ {
-			if !reduce(collect(tin.VertexID(a))) {
-				break
+			if r.err != nil {
+				f.err = r.err
+				return false
 			}
-		}
-		return sum, ctxErr
-	}
-	par.OrderedFanOut(workers,
+			return f.add(r.flow)
+		})
+	return f.result()
+}
+
+// searchAnchors folds the relaxed instances found at each anchor
+// 0..NumVertices-1 into a Summary. collect computes the flows of one
+// anchor's instances in isolation (it runs concurrently for distinct
+// anchors when opts.workers() > 1); they are folded in (anchor, instance)
+// order, so the result is the same for any worker count.
+func searchAnchors(name string, n *tin.Network, opts Options, collect func(a tin.VertexID) []float64) (Summary, error) {
+	f := newFold(name, opts)
+	par.OrderedFanOut(opts.workers(),
 		func(emit func(tin.VertexID) bool) {
 			for a := 0; a < n.NumVertices(); a++ {
 				if !emit(tin.VertexID(a)) {
@@ -137,6 +84,6 @@ func searchAnchors(name string, n *tin.Network, opts Options, collect func(a tin
 			}
 		},
 		collect,
-		reduce)
-	return sum, ctxErr
+		func(flows []float64) bool { return f.live() && f.addAll(flows) })
+	return f.result()
 }

@@ -5,9 +5,11 @@
 //
 // Two strategies are provided, mirroring the paper's evaluation:
 //
-//   - GB (graph browsing, §5.1): backtracking enumeration over the network
-//     adjacency, computing each instance's flow with the algorithms of
-//     internal/core.
+//   - GB (graph browsing, §5.1): instances are found in the network
+//     adjacency — rigid patterns by the generic backtracking matcher
+//     EnumerateGB, with each instance's flow computed by the algorithms of
+//     internal/core; the relaxed patterns of §5.3 by the anchored-path
+//     walker.
 //   - PB (preprocessing-based, §5.2): instances are assembled by scanning
 //     and joining precomputed path tables (2-hop cycles L2, 3-hop cycles
 //     L3, 2-hop chains C2) that also carry the greedy arrival sequences of
@@ -16,12 +18,22 @@
 //     only accelerate instance discovery and the flow is computed on the
 //     assembled instance.
 //
-// The package also implements the relaxed (non-rigid) patterns of §5.3,
-// which aggregate any number of parallel anchored paths, and the delta
-// maintenance of footnote 2: Tables.Update brings precomputed tables
-// current after an append by recomputing only the row groups whose anchor
-// a changed edge can affect, so a live network (internal/store) keeps its
-// PB tables warm at a cost proportional to the ingest, not the network.
+// Each primitive of Section 5 has one body here: the walker over the
+// anchored 2-/3-hop paths of a vertex (anchoredPaths — table rows are its
+// output, a full build is an Update of every anchor, and the relaxed GB
+// searchers browse through it), the Lemma-3 scan along one path
+// (core.PathArrivals), the §5.3 rule grouping parallel paths into relaxed
+// instances (grouper — fed by the walker under GB and by a table's row
+// group under PB, which is all that tells the two apart), and the fold of
+// instances into a Summary (fold — the cut-off, the Truncated flag and
+// cancellation for every searcher and every worker count). EnumerateGB
+// shares none of them and serves as their independent check.
+//
+// The delta maintenance of footnote 2 is Tables.Update: it brings
+// precomputed tables current after an append by recomputing only the row
+// groups whose anchor a changed edge can affect, so a live network
+// (internal/store) keeps its PB tables warm at a cost proportional to the
+// ingest, not the network.
 package pattern
 
 import "fmt"

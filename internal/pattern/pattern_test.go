@@ -106,37 +106,6 @@ func TestFigure2P3Instances(t *testing.T) {
 	}
 }
 
-func TestPathArrivalsMatchesPaper(t *testing.T) {
-	// Section 5.1: greedy arrivals into u3 along u1→u2→u3 are
-	// {(3,$4),(5,$2)}.
-	n := figure2Network()
-	e1, _ := n.HasEdge(0, 1)
-	e2, _ := n.HasEdge(1, 2)
-	flow, arr := pathArrivals(n, []tin.EdgeID{e1, e2})
-	if flow != 6 {
-		t.Errorf("flow=%g, want 6", flow)
-	}
-	if len(arr) != 2 || arr[0].Time != 3 || arr[0].Qty != 4 || arr[1].Time != 5 || arr[1].Qty != 2 {
-		t.Errorf("arrivals=%v, want [(3,4) (5,2)]", arr)
-	}
-}
-
-func TestPathArrivalsCyclic(t *testing.T) {
-	// u1→u2→u3→u1: positional buffers make the shared endpoint behave as
-	// separate source and sink copies; flow is 5 (Figure 2(c)).
-	n := figure2Network()
-	e1, _ := n.HasEdge(0, 1)
-	e2, _ := n.HasEdge(1, 2)
-	e3, _ := n.HasEdge(2, 0)
-	flow, arr := pathArrivals(n, []tin.EdgeID{e1, e2, e3})
-	if flow != 5 {
-		t.Errorf("flow=%g, want 5", flow)
-	}
-	if len(arr) != 1 || arr[0].Time != 6 || arr[0].Qty != 5 {
-		t.Errorf("arrivals=%v, want [(6,5)]", arr)
-	}
-}
-
 func TestPrecomputeTables(t *testing.T) {
 	n := figure2Network()
 	tb := Precompute(n, true)
@@ -285,14 +254,36 @@ func TestMaxInstancesTruncation(t *testing.T) {
 	}
 }
 
+// TestP1RequiresChainTable, grown to the whole catalogue: every PB plan
+// names the first table it misses instead of dereferencing a nil *Table.
 func TestP1RequiresChainTable(t *testing.T) {
 	n := figure2Network()
-	tb := Precompute(n, false)
-	if _, err := SearchPB(n, tb, P1, Options{}); err == nil {
-		t.Errorf("P1 without C2 table should error")
-	}
-	if _, err := SearchPB(n, tb, RP1, Options{}); err == nil {
-		t.Errorf("RP1 without C2 table should error")
+	full := Precompute(n, true)
+	for _, c := range []struct {
+		tables  Tables
+		missing map[string]string // pattern -> the table its plan reports
+	}{
+		{Tables{}, map[string]string{
+			"P1": "C2", "P2": "L2", "P3": "L3", "P4": "L3", "P5": "L2", "P6": "L3",
+			"RP1": "C2", "RP2": "L2", "RP3": "L3"}},
+		{Tables{L2: full.L2}, map[string]string{
+			"P1": "C2", "P3": "L3", "P4": "L3", "P5": "L3", "P6": "L3", "RP1": "C2", "RP3": "L3"}},
+		{Tables{L2: full.L2, L3: full.L3}, map[string]string{"P1": "C2", "RP1": "C2"}},
+		{full, nil},
+	} {
+		for _, p := range Catalogue {
+			want := ""
+			if m, ok := c.missing[p.Name]; ok {
+				want = "pattern " + p.Name + ": no " + m + " table precomputed"
+			}
+			got := ""
+			if _, err := SearchPB(n, c.tables, p, Options{}); err != nil {
+				got = err.Error()
+			}
+			if got != want {
+				t.Errorf("%s with tables %+v: error %q, want %q", p.Name, c.tables, got, want)
+			}
+		}
 	}
 }
 

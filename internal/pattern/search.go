@@ -1,9 +1,10 @@
 package pattern
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"flownet/internal/core"
 	"flownet/internal/par"
@@ -88,6 +89,59 @@ func (s Summary) AvgFlow() float64 {
 	return s.TotalFlow / float64(s.Instances)
 }
 
+// fold accumulates the instances of one search, in enumeration order, into
+// its Summary. Every searcher — GB or PB, rigid or relaxed, on one goroutine
+// or many — counts through it, so the MaxInstances cut-off, the Truncated
+// flag and the cancellation poll are stated once. All methods run on the
+// searching goroutine.
+type fold struct {
+	sum Summary
+	max int64
+	cc  canceller
+	err error
+}
+
+func newFold(name string, opts Options) *fold {
+	return &fold{sum: Summary{Pattern: name}, max: opts.MaxInstances, cc: canceller{ctx: opts.Ctx}}
+}
+
+// live polls for cancellation (see canceller); searchers call it once per
+// unit of work and stop when it reports false.
+func (f *fold) live() bool {
+	if f.err == nil {
+		if err := f.cc.err(); err != nil {
+			f.err = err
+		}
+	}
+	return f.err == nil
+}
+
+// add counts one instance and reports whether the search goes on, that is,
+// whether the cut-off has not been reached.
+func (f *fold) add(flow float64) bool {
+	f.sum.Instances++
+	f.sum.TotalFlow += flow
+	if f.max > 0 && f.sum.Instances >= f.max {
+		f.sum.Truncated = true
+		return false
+	}
+	return true
+}
+
+// addAll counts the instances found at one anchor.
+func (f *fold) addAll(flows []float64) bool {
+	for _, flow := range flows {
+		if !f.add(flow) {
+			return false
+		}
+	}
+	return true
+}
+
+// result returns the Summary with the error that ended the search early,
+// if one did; the Summary is partial then.
+func (f *fold) result() (Summary, error) { return f.sum, f.err }
+
 // SearchGB finds all instances of the pattern by graph browsing and
 // computes each instance's maximum flow with the core algorithms
 // (Section 5.1): no precomputed data is used. Instance flows are computed
@@ -95,101 +149,118 @@ func (s Summary) AvgFlow() float64 {
 func SearchGB(n *tin.Network, p *Pattern, opts Options) (Summary, error) {
 	switch p.Kind {
 	case KindRigid:
-		return searchRigidGB(n, p, opts)
-	case KindRelaxed2Cycles:
-		return searchRelaxedCyclesGB(n, p, opts, 2)
-	case KindRelaxed3Cycles:
-		return searchRelaxedCyclesGB(n, p, opts, 3)
-	case KindRelaxedChains:
-		return searchRelaxedChainsGB(n, p, opts)
+		var enumErr error
+		sum, err := searchInstances(p, n, opts, true, func(emit func(*Instance) bool) {
+			enumErr = EnumerateGB(n, p, emit)
+		})
+		if enumErr != nil {
+			return sum, enumErr
+		}
+		return sum, err
+	case KindRelaxedChains, KindRelaxed2Cycles, KindRelaxed3Cycles:
+		// One anchor at a time (concurrently across anchors when
+		// opts.Workers allows), folding instances in ascending anchor order.
+		hops, cyclic := p.Kind.shape()
+		return searchAnchors(p.Name, n, opts, func(a tin.VertexID) []float64 {
+			g := grouper{kind: p.Kind}
+			for pa := range anchoredPaths(n, a, hops, cyclic) {
+				if g.admits(pa.verts()) {
+					flow, _ := pa.arrivals(n)
+					g.add(pa.verts(), flow)
+				}
+			}
+			return g.instances(opts.minPaths())
+		})
 	default:
 		return Summary{}, fmt.Errorf("pattern %s: unknown kind", p.Name)
 	}
 }
 
-func searchRigidGB(n *tin.Network, p *Pattern, opts Options) (Summary, error) {
-	var enumErr error
-	sum, err := searchInstances(p, n, opts, true, func(emit func(*Instance) bool) {
-		enumErr = EnumerateGB(n, p, emit)
-	})
-	if enumErr != nil {
-		return sum, enumErr
+// shape returns the path shape a relaxed pattern kind bundles.
+func (k Kind) shape() (hops int, cyclic bool) {
+	switch k {
+	case KindRelaxedChains:
+		return 2, false
+	case KindRelaxed2Cycles:
+		return 2, true
+	default:
+		return 3, true
 	}
-	return sum, err
 }
 
-// searchRelaxedCyclesGB aggregates, per anchor vertex, the flows of all
-// (hops = 2) or all vertex-disjoint (hops = 3) anchored cycles. One
-// instance per anchor with at least one cycle (Section 5.3). Anchors are
-// processed independently (and concurrently when opts.Workers allows), with
-// results folded in ascending anchor order.
-func searchRelaxedCyclesGB(n *tin.Network, p *Pattern, opts Options, hops int) (Summary, error) {
-	return searchAnchors(p.Name, n, opts, func(va tin.VertexID) []anchorGroup {
-		anchorFlow := 0.0
-		cycles := 0
-		used := make(map[tin.VertexID]bool)
-		for _, e1 := range n.OutEdges(va) {
-			b := n.Edge(e1).To
-			if hops == 2 {
-				if e2, ok := n.HasEdge(b, va); ok {
-					f, _ := pathArrivals(n, []tin.EdgeID{e1, e2})
-					anchorFlow += f
-					cycles++
-				}
-				continue
-			}
-			if used[b] {
-				continue
-			}
-			for _, e2 := range n.OutEdges(b) {
-				c := n.Edge(e2).To
-				if c == va || c == b || used[c] || used[b] {
-					continue
-				}
-				if e3, ok := n.HasEdge(c, va); ok {
-					f, _ := pathArrivals(n, []tin.EdgeID{e1, e2, e3})
-					anchorFlow += f
-					cycles++
-					used[b] = true
-					used[c] = true
-				}
-			}
-		}
-		return []anchorGroup{{flow: anchorFlow, paths: cycles}}
-	})
+// grouper is the grouping rule of Section 5.3: it forms the relaxed
+// instances out of the paths of one anchor, offered in walker order. GB
+// offers what the walker finds in the graph, PB the anchor's row group of
+// the matching table — the two differ in nothing else.
+//
+//   - RP1 bundles the chains a→x→c per end vertex c, instances in
+//     ascending end order.
+//   - RP2 bundles all 2-hop cycles of the anchor into one instance.
+//   - RP3 likewise, but admits cycles greedily in walker order, skipping
+//     any that reuses an intermediate vertex of an admitted one.
+//
+// An instance's flow is the sum of its paths' flows in walker order
+// (Lemma 2: the paths share only the anchor and the end).
+type grouper struct {
+	kind  Kind
+	used  map[tin.VertexID]bool // RP3: intermediates of the admitted cycles
+	paths []groupedPath         // admitted paths, in walker order
+	flows []float64             // what instances returned last
 }
 
-// searchRelaxedChainsGB aggregates all 2-hop chains a→x→c per (a, c) pair,
-// one anchor at a time (concurrently across anchors when opts.Workers
-// allows), folding groups in ascending (anchor, end) order.
-func searchRelaxedChainsGB(n *tin.Network, p *Pattern, opts Options) (Summary, error) {
-	return searchAnchors(p.Name, n, opts, func(va tin.VertexID) []anchorGroup {
-		flows := make(map[tin.VertexID]float64) // end vertex -> aggregated flow
-		paths := make(map[tin.VertexID]int)
-		for _, e1 := range n.OutEdges(va) {
-			b := n.Edge(e1).To
-			for _, e2 := range n.OutEdges(b) {
-				c := n.Edge(e2).To
-				if c == va || c == b {
-					continue
-				}
-				f, _ := pathArrivals(n, []tin.EdgeID{e1, e2})
-				flows[c] += f
-				paths[c]++
-			}
+type groupedPath struct {
+	key  tin.VertexID // what tells the anchor's instances apart: RP1's end vertex
+	flow float64
+}
+
+// admits reports whether a path joins its instance; GB computes a path's
+// flow only if it does.
+func (g *grouper) admits(verts []tin.VertexID) bool {
+	if g.kind != KindRelaxed3Cycles {
+		return true
+	}
+	for _, v := range verts[1:] {
+		if g.used[v] {
+			return false
 		}
-		// Deterministic accumulation order.
-		ends := make([]tin.VertexID, 0, len(flows))
-		for c := range flows {
-			ends = append(ends, c)
+	}
+	if g.used == nil {
+		g.used = make(map[tin.VertexID]bool)
+	}
+	for _, v := range verts[1:] {
+		g.used[v] = true
+	}
+	return true
+}
+
+// add records an admitted path and its flow.
+func (g *grouper) add(verts []tin.VertexID, flow float64) {
+	key := verts[0]
+	if g.kind == KindRelaxedChains {
+		key = verts[len(verts)-1]
+	}
+	g.paths = append(g.paths, groupedPath{key, flow})
+}
+
+// instances returns the flows of the anchor's instances that bundle at
+// least minPaths paths, and readies the grouper for the next anchor; the
+// result is valid until instances is called again.
+func (g *grouper) instances(minPaths int) []float64 {
+	slices.SortStableFunc(g.paths, func(x, y groupedPath) int { return cmp.Compare(x.key, y.key) })
+	g.flows = g.flows[:0]
+	for i := 0; i < len(g.paths); {
+		j, sum := i, 0.0
+		for ; j < len(g.paths) && g.paths[j].key == g.paths[i].key; j++ {
+			sum += g.paths[j].flow
 		}
-		sort.Slice(ends, func(i, j int) bool { return ends[i] < ends[j] })
-		groups := make([]anchorGroup, 0, len(ends))
-		for _, c := range ends {
-			groups = append(groups, anchorGroup{flow: flows[c], paths: paths[c]})
+		if j-i >= minPaths {
+			g.flows = append(g.flows, sum)
 		}
-		return groups
-	})
+		i = j
+	}
+	g.paths = g.paths[:0]
+	clear(g.used)
+	return g.flows
 }
 
 // SearchPB finds the pattern's instances using the precomputed path tables
@@ -200,103 +271,77 @@ func searchRelaxedChainsGB(n *tin.Network, p *Pattern, opts Options) (Summary, e
 // precomputed flows cannot be reused when the paths are not independent in
 // the instance.
 func SearchPB(n *tin.Network, t Tables, p *Pattern, opts Options) (Summary, error) {
+	type table struct {
+		name string
+		t    *Table
+	}
+	l2, l3, c2 := table{"L2", t.L2}, table{"L3", t.L3}, table{"C2", t.C2}
+	var needs []table
 	switch p.Name {
-	case "P1":
-		if t.C2 == nil {
-			return Summary{}, fmt.Errorf("pattern P1: no C2 table precomputed")
+	case "P1", "RP1":
+		needs = []table{c2}
+	case "P2", "RP2":
+		needs = []table{l2}
+	case "P3", "P4", "P6", "RP3":
+		needs = []table{l3}
+	case "P5":
+		needs = []table{l2, l3}
+	default:
+		return Summary{}, fmt.Errorf("pattern %s: no PB plan", p.Name)
+	}
+	for _, need := range needs {
+		if need.t == nil {
+			return Summary{}, fmt.Errorf("pattern %s: no %s table precomputed", p.Name, need.name)
 		}
-		return scanTable(t.C2, p, opts)
-	case "P2":
-		return scanTable(t.L2, p, opts)
-	case "P3":
-		return scanTable(t.L3, p, opts)
+	}
+	switch p.Name {
+	case "P1", "P2", "P3":
+		return scanTable(needs[0].t, p, opts)
 	case "P4":
 		return searchP4PB(n, t, opts)
 	case "P5":
 		return searchP5PB(t, opts)
 	case "P6":
 		return searchP6PB(n, t, opts)
-	case "RP1":
-		if t.C2 == nil {
-			return Summary{}, fmt.Errorf("pattern RP1: no C2 table precomputed")
-		}
-		return groupChainTable(t.C2, p, opts)
-	case "RP2":
-		return groupCycleTable(t.L2, p, opts, false)
-	case "RP3":
-		return groupCycleTable(t.L3, p, opts, true)
 	default:
-		return Summary{}, fmt.Errorf("pattern %s: no PB plan", p.Name)
+		return groupTable(needs[0].t, p, opts)
 	}
 }
 
 // scanTable handles the patterns that are exactly one table row per
 // instance (P1, P2, P3): a single scan with precomputed flows.
 func scanTable(t *Table, p *Pattern, opts Options) (Summary, error) {
-	sum := Summary{Pattern: p.Name}
-	cc := canceller{ctx: opts.Ctx}
+	f := newFold(p.Name, opts)
 	for i := range t.Rows {
-		if err := cc.err(); err != nil {
-			return sum, err
-		}
-		sum.Instances++
-		sum.TotalFlow += t.Rows[i].Flow
-		if opts.MaxInstances > 0 && sum.Instances >= opts.MaxInstances {
-			sum.Truncated = true
+		if !f.live() || !f.add(t.Rows[i].Flow) {
 			break
 		}
 	}
-	return sum, nil
+	return f.result()
 }
 
-// searchP5PB merge-joins L2 and L3 on the anchor (both tables are grouped
-// by ascending anchor) and sums the two precomputed flows of each
+// searchP5PB joins L2 and L3 on the anchor (both tables are grouped by
+// ascending anchor) and sums the two precomputed flows of each
 // vertex-disjoint pair — the "easy pattern" plan of Figure 8(a).
 func searchP5PB(t Tables, opts Options) (Summary, error) {
-	sum := Summary{Pattern: "P5"}
-	cc := canceller{ctx: opts.Ctx}
-	i, j := 0, 0
-	r2, r3 := t.L2.Rows, t.L3.Rows
-	for i < len(r2) && j < len(r3) {
-		a2, a3 := r2[i].Anchor(), r3[j].Anchor()
-		if a2 < a3 {
-			i++
-			continue
-		}
-		if a3 < a2 {
-			j++
-			continue
-		}
-		// Same anchor: cross the two groups.
-		i2 := i
-		for i2 < len(r2) && r2[i2].Anchor() == a2 {
-			j2 := j
-			for j2 < len(r3) && r3[j2].Anchor() == a2 {
-				if err := cc.err(); err != nil {
-					return sum, err
+	f := newFold("P5", opts)
+	for a, r2 := range t.L2.groups() {
+		r3 := t.L3.RowsFor(a)
+		for i := range r2 {
+			for j := range r3 {
+				if !f.live() {
+					return f.result()
 				}
-				b := r2[i2].Verts[1]
-				c, d := r3[j2].Verts[1], r3[j2].Verts[2]
-				if b != c && b != d {
-					sum.Instances++
-					sum.TotalFlow += r2[i2].Flow + r3[j2].Flow
-					if opts.MaxInstances > 0 && sum.Instances >= opts.MaxInstances {
-						sum.Truncated = true
-						return sum, nil
-					}
+				if b := r2[i].Verts[1]; b == r3[j].Verts[1] || b == r3[j].Verts[2] {
+					continue // the two cycles must share the anchor only
 				}
-				j2++
+				if !f.add(r2[i].Flow + r3[j].Flow) {
+					return f.result()
+				}
 			}
-			i2++
-		}
-		for i < len(r2) && r2[i].Anchor() == a2 {
-			i++
-		}
-		for j < len(r3) && r3[j].Anchor() == a2 {
-			j++
 		}
 	}
-	return sum, nil
+	return f.result()
 }
 
 // searchP4PB pairs 3-hop cycles sharing both the anchor and the second
@@ -305,22 +350,13 @@ func searchP5PB(t Tables, opts Options) (Summary, error) {
 // the assembled instance (Figure 8(b)'s "hard pattern" case).
 func searchP4PB(n *tin.Network, t Tables, opts Options) (Summary, error) {
 	return searchInstances(P4, n, opts, false, func(emit func(*Instance) bool) {
-		stopped := false
-		t.L3.Anchors(func(a tin.VertexID, rows []Row) {
-			if stopped {
-				return
-			}
+		for a, rows := range t.L3.groups() {
 			for x := range rows {
 				for y := range rows {
-					if x == y {
-						continue
-					}
-					if rows[x].Verts[1] != rows[y].Verts[1] {
-						continue // must share b
-					}
+					// Must share b; c < d kills the automorphism (and x == y).
 					c, d := rows[x].Verts[2], rows[y].Verts[2]
-					if c >= d {
-						continue // canonical order kills the automorphism
+					if rows[x].Verts[1] != rows[y].Verts[1] || c >= d {
+						continue
 					}
 					inst := &Instance{
 						V: []tin.VertexID{a, rows[x].Verts[1], c, d},
@@ -333,12 +369,11 @@ func searchP4PB(n *tin.Network, t Tables, opts Options) (Summary, error) {
 						},
 					}
 					if !emit(inst) {
-						stopped = true
 						return
 					}
 				}
 			}
-		})
+		}
 	})
 }
 
@@ -365,91 +400,24 @@ func searchP6PB(n *tin.Network, t Tables, opts Options) (Summary, error) {
 	})
 }
 
-// groupCycleTable aggregates a cycle table per anchor (RP2/RP3). With
-// disjoint set, rows are admitted greedily in table order, skipping rows
-// that reuse an intermediate vertex — the same deterministic rule the GB
-// searcher applies, so the two agree exactly.
-func groupCycleTable(t *Table, p *Pattern, opts Options, disjoint bool) (Summary, error) {
-	sum := Summary{Pattern: p.Name}
-	cc := canceller{ctx: opts.Ctx}
-	var ctxErr error
-	t.Anchors(func(a tin.VertexID, rows []Row) {
-		if sum.Truncated || ctxErr != nil {
-			return
-		}
-		if ctxErr = cc.err(); ctxErr != nil {
-			return
-		}
-		flow := 0.0
-		count := 0
-		var used map[tin.VertexID]bool
-		if disjoint {
-			used = make(map[tin.VertexID]bool, 2*len(rows))
+// groupTable handles the relaxed patterns (RP1 on C2, RP2 on L2, RP3 on
+// L3): the grouping rule applied to each anchor's row group, with the
+// precomputed flows.
+func groupTable(t *Table, p *Pattern, opts Options) (Summary, error) {
+	f := newFold(p.Name, opts)
+	g := grouper{kind: p.Kind}
+	for _, rows := range t.groups() {
+		if !f.live() {
+			break
 		}
 		for i := range rows {
-			if disjoint {
-				skip := false
-				for _, v := range rows[i].Verts[1:] {
-					if used[v] {
-						skip = true
-						break
-					}
-				}
-				if skip {
-					continue
-				}
-				for _, v := range rows[i].Verts[1:] {
-					used[v] = true
-				}
-			}
-			flow += rows[i].Flow
-			count++
-		}
-		if count >= opts.minPaths() {
-			sum.Instances++
-			sum.TotalFlow += flow
-			if opts.MaxInstances > 0 && sum.Instances >= opts.MaxInstances {
-				sum.Truncated = true
+			if g.admits(rows[i].Verts) {
+				g.add(rows[i].Verts, rows[i].Flow)
 			}
 		}
-	})
-	return sum, ctxErr
-}
-
-// groupChainTable aggregates the chain table per (anchor, end) pair (RP1).
-func groupChainTable(t *Table, p *Pattern, opts Options) (Summary, error) {
-	sum := Summary{Pattern: p.Name}
-	cc := canceller{ctx: opts.Ctx}
-	var ctxErr error
-	t.Anchors(func(a tin.VertexID, rows []Row) {
-		if sum.Truncated || ctxErr != nil {
-			return
+		if !f.addAll(g.instances(opts.minPaths())) {
+			break
 		}
-		if ctxErr = cc.err(); ctxErr != nil {
-			return
-		}
-		flows := make(map[tin.VertexID]float64)
-		paths := make(map[tin.VertexID]int)
-		for i := range rows {
-			flows[rows[i].Last()] += rows[i].Flow
-			paths[rows[i].Last()]++
-		}
-		ends := make([]tin.VertexID, 0, len(flows))
-		for c := range flows {
-			ends = append(ends, c)
-		}
-		sort.Slice(ends, func(i, j int) bool { return ends[i] < ends[j] })
-		for _, c := range ends {
-			if paths[c] < opts.minPaths() {
-				continue
-			}
-			sum.Instances++
-			sum.TotalFlow += flows[c]
-			if opts.MaxInstances > 0 && sum.Instances >= opts.MaxInstances {
-				sum.Truncated = true
-				return
-			}
-		}
-	})
-	return sum, ctxErr
+	}
+	return f.result()
 }

@@ -2,6 +2,8 @@ package pattern
 
 import (
 	"fmt"
+	"iter"
+	"slices"
 
 	"flownet/internal/tin"
 )
@@ -45,17 +47,27 @@ func (t *Table) RowsFor(anchor tin.VertexID) []Row {
 	return t.Rows[r[0]:r[1]]
 }
 
+// groups iterates over the row groups in ascending anchor order.
+func (t *Table) groups() iter.Seq2[tin.VertexID, []Row] {
+	return func(yield func(tin.VertexID, []Row) bool) {
+		for start := 0; start < len(t.Rows); {
+			a := t.Rows[start].Anchor()
+			end := start
+			for end < len(t.Rows) && t.Rows[end].Anchor() == a {
+				end++
+			}
+			if !yield(a, t.Rows[start:end]) {
+				return
+			}
+			start = end
+		}
+	}
+}
+
 // Anchors iterates over the distinct anchors in ascending order.
 func (t *Table) Anchors(fn func(anchor tin.VertexID, rows []Row)) {
-	start := 0
-	for start < len(t.Rows) {
-		a := t.Rows[start].Anchor()
-		end := start
-		for end < len(t.Rows) && t.Rows[end].Anchor() == a {
-			end++
-		}
-		fn(a, t.Rows[start:end])
-		start = end
+	for a, rows := range t.groups() {
+		fn(a, rows)
 	}
 }
 
@@ -69,95 +81,73 @@ func (t *Table) NumInteractions() int {
 	return total
 }
 
-func (t *Table) buildIndex() {
-	t.index = make(map[tin.VertexID][2]int)
-	start := 0
-	for start < len(t.Rows) {
-		a := t.Rows[start].Anchor()
-		end := start
-		for end < len(t.Rows) && t.Rows[end].Anchor() == a {
-			end++
+// rebuilt returns the table brought current with n: the row groups of the
+// given anchors (ascending, distinct) are recomputed with the walker — a
+// group that does not exist yet appears, one whose paths are gone
+// disappears — and every other group is carried over, keeping the
+// ascending-anchor layout. Rows within a group are in walker order.
+func (t *Table) rebuilt(n *tin.Network, anchors []tin.VertexID) *Table {
+	out := &Table{Hops: t.Hops, Cyclic: t.Cyclic}
+	walk := func(a tin.VertexID) {
+		for p := range anchoredPaths(n, a, t.Hops, t.Cyclic) {
+			flow, arr := p.arrivals(n)
+			out.Rows = append(out.Rows, Row{
+				Verts: slices.Clone(p.verts()),
+				Edges: slices.Clone(p.edges()),
+				Flow:  flow, Arr: arr,
+			})
 		}
-		t.index[a] = [2]int{start, end}
-		start = end
 	}
+	for a, rows := range t.groups() {
+		recomputed := false
+		for len(anchors) > 0 && anchors[0] <= a {
+			recomputed = anchors[0] == a
+			walk(anchors[0])
+			anchors = anchors[1:]
+		}
+		if !recomputed {
+			out.Rows = append(out.Rows, rows...)
+		}
+	}
+	for _, a := range anchors {
+		walk(a)
+	}
+	out.index = make(map[tin.VertexID][2]int)
+	start := 0
+	for a, rows := range out.groups() {
+		out.index[a] = [2]int{start, start + len(rows)}
+		start += len(rows)
+	}
+	return out
+}
+
+// build computes a whole table: the update of an empty one in which every
+// vertex is an affected anchor.
+func build(n *tin.Network, hops int, cyclic bool) *Table {
+	all := make([]tin.VertexID, n.NumVertices())
+	for a := range all {
+		all[a] = tin.VertexID(a)
+	}
+	return (&Table{Hops: hops, Cyclic: cyclic}).rebuilt(n, all)
 }
 
 // PrecomputeCycles builds the table of all simple cycles of exactly the
 // given hop count (2 → L2: a→b→a; 3 → L3: a→b→c→a), with per-row greedy
 // flows and arrival sequences. Rows are produced anchor by anchor in
-// ascending vertex order, and within an anchor in adjacency (DFS) order —
-// the same deterministic order the graph-browsing searchers use, so GB and
-// PB results are comparable exactly.
+// ascending vertex order, and within an anchor in adjacency order — the
+// same walk the graph-browsing relaxed searchers make, so GB and PB
+// results are comparable exactly.
 func PrecomputeCycles(n *tin.Network, hops int) *Table {
 	if hops != 2 && hops != 3 {
 		panic(fmt.Sprintf("pattern: unsupported cycle hops %d", hops))
 	}
-	t := &Table{Hops: hops, Cyclic: true}
-	for a := 0; a < n.NumVertices(); a++ {
-		va := tin.VertexID(a)
-		for _, e1 := range n.OutEdges(va) {
-			b := n.Edge(e1).To
-			if b == va {
-				continue
-			}
-			if hops == 2 {
-				if e2, ok := n.HasEdge(b, va); ok {
-					flow, arr := pathArrivals(n, []tin.EdgeID{e1, e2})
-					t.Rows = append(t.Rows, Row{
-						Verts: []tin.VertexID{va, b},
-						Edges: []tin.EdgeID{e1, e2},
-						Flow:  flow, Arr: arr,
-					})
-				}
-				continue
-			}
-			for _, e2 := range n.OutEdges(b) {
-				c := n.Edge(e2).To
-				if c == va || c == b {
-					continue
-				}
-				if e3, ok := n.HasEdge(c, va); ok {
-					flow, arr := pathArrivals(n, []tin.EdgeID{e1, e2, e3})
-					t.Rows = append(t.Rows, Row{
-						Verts: []tin.VertexID{va, b, c},
-						Edges: []tin.EdgeID{e1, e2, e3},
-						Flow:  flow, Arr: arr,
-					})
-				}
-			}
-		}
-	}
-	t.buildIndex()
-	return t
+	return build(n, hops, true)
 }
 
 // PrecomputeChains builds the table of all 2-hop chains a→b→c over three
 // distinct vertices (C2), which the paper precomputes for the Prosper
 // Loans dataset only.
-func PrecomputeChains(n *tin.Network) *Table {
-	t := &Table{Hops: 2, Cyclic: false}
-	for a := 0; a < n.NumVertices(); a++ {
-		va := tin.VertexID(a)
-		for _, e1 := range n.OutEdges(va) {
-			b := n.Edge(e1).To
-			for _, e2 := range n.OutEdges(b) {
-				c := n.Edge(e2).To
-				if c == va || c == b {
-					continue
-				}
-				flow, arr := pathArrivals(n, []tin.EdgeID{e1, e2})
-				t.Rows = append(t.Rows, Row{
-					Verts: []tin.VertexID{va, b, c},
-					Edges: []tin.EdgeID{e1, e2},
-					Flow:  flow, Arr: arr,
-				})
-			}
-		}
-	}
-	t.buildIndex()
-	return t
-}
+func PrecomputeChains(n *tin.Network) *Table { return build(n, 2, false) }
 
 // Tables bundles the precomputed tables used by the PB searcher.
 type Tables struct {

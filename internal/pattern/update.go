@@ -1,7 +1,8 @@
 package pattern
 
 import (
-	"sort"
+	"maps"
+	"slices"
 
 	"flownet/internal/tin"
 )
@@ -30,113 +31,18 @@ import (
 func (t *Table) Update(n *tin.Network, changed []tin.EdgeID) *Table {
 	affected := make(map[tin.VertexID]bool)
 	for _, e := range changed {
-		ed := n.Edge(e)
-		u, v := ed.From, ed.To
-		switch {
-		case t.Cyclic && t.Hops == 2:
-			affected[u] = true
+		u, v := n.Edge(e).From, n.Edge(e).To
+		affected[u] = true
+		if t.Cyclic {
 			affected[v] = true
-		case t.Cyclic && t.Hops == 3:
-			affected[u] = true
-			affected[v] = true
-			for _, in := range n.InEdges(u) {
-				affected[n.Edge(in).From] = true
-			}
-		default: // 2-hop chains
-			affected[u] = true
+		}
+		if t.Hops == 3 || !t.Cyclic {
 			for _, in := range n.InEdges(u) {
 				affected[n.Edge(in).From] = true
 			}
 		}
 	}
-
-	out := &Table{Hops: t.Hops, Cyclic: t.Cyclic}
-	// Carry over unaffected groups and recompute affected ones, keeping the
-	// ascending-anchor layout. Affected anchors without existing groups
-	// (new cycle sources) are computed too.
-	anchors := make([]tin.VertexID, 0, len(affected))
-	for a := range affected {
-		anchors = append(anchors, a)
-	}
-	sort.Slice(anchors, func(i, j int) bool { return anchors[i] < anchors[j] })
-
-	ai := 0
-	emitAffectedBelow := func(limit tin.VertexID, inclusive bool) {
-		for ai < len(anchors) && (anchors[ai] < limit || (inclusive && anchors[ai] == limit)) {
-			out.Rows = append(out.Rows, t.rowsForAnchor(n, anchors[ai])...)
-			ai++
-		}
-	}
-	t.Anchors(func(a tin.VertexID, rows []Row) {
-		emitAffectedBelow(a, false)
-		if affected[a] {
-			if ai < len(anchors) && anchors[ai] == a {
-				ai++
-			}
-			out.Rows = append(out.Rows, t.rowsForAnchor(n, a)...)
-			return
-		}
-		out.Rows = append(out.Rows, rows...)
-	})
-	emitAffectedBelow(tin.VertexID(n.NumVertices()), true)
-	out.buildIndex()
-	return out
-}
-
-// rowsForAnchor recomputes one anchor's row group on the current network
-// state, in the same deterministic order Precompute uses.
-func (t *Table) rowsForAnchor(n *tin.Network, a tin.VertexID) []Row {
-	var rows []Row
-	if t.Cyclic {
-		for _, e1 := range n.OutEdges(a) {
-			b := n.Edge(e1).To
-			if b == a {
-				continue
-			}
-			if t.Hops == 2 {
-				if e2, ok := n.HasEdge(b, a); ok {
-					flow, arr := pathArrivals(n, []tin.EdgeID{e1, e2})
-					rows = append(rows, Row{
-						Verts: []tin.VertexID{a, b},
-						Edges: []tin.EdgeID{e1, e2},
-						Flow:  flow, Arr: arr,
-					})
-				}
-				continue
-			}
-			for _, e2 := range n.OutEdges(b) {
-				c := n.Edge(e2).To
-				if c == a || c == b {
-					continue
-				}
-				if e3, ok := n.HasEdge(c, a); ok {
-					flow, arr := pathArrivals(n, []tin.EdgeID{e1, e2, e3})
-					rows = append(rows, Row{
-						Verts: []tin.VertexID{a, b, c},
-						Edges: []tin.EdgeID{e1, e2, e3},
-						Flow:  flow, Arr: arr,
-					})
-				}
-			}
-		}
-		return rows
-	}
-	for _, e1 := range n.OutEdges(a) {
-		b := n.Edge(e1).To
-		for _, e2 := range n.OutEdges(b) {
-			c := n.Edge(e2).To
-			if c == a || c == b {
-				continue
-			}
-			flow, arr := pathArrivals(n, []tin.EdgeID{e1, e2})
-			rows = append(rows, Row{
-				Verts: []tin.VertexID{a, b, c},
-				Edges: []tin.EdgeID{e1, e2},
-				Flow:  flow, Arr: arr,
-			})
-		}
-	}
-	return rows
+	return t.rebuilt(n, slices.Sorted(maps.Keys(affected)))
 }
 
 // Update refreshes all bundled tables (see Table.Update).

@@ -3,6 +3,7 @@ package pattern
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"flownet/internal/core"
@@ -239,4 +240,50 @@ func TestMinPathsRelaxedChains(t *testing.T) {
 	if math.Abs(gb.TotalFlow-(3+2)) > 1e-9 {
 		t.Errorf("flow=%g, want 5", gb.TotalFlow)
 	}
+}
+
+// FuzzTablesUpdate fuzzes the identity the table builder rests on — a full
+// build is the update in which every anchor is affected, so patching any
+// append forward must give exactly the freshly precomputed tables: same
+// rows in the same order, same edges, flows and arrival sequences bit for
+// bit.
+func FuzzTablesUpdate(f *testing.F) {
+	f.Add(int64(1), uint8(12), uint8(40), uint8(10))
+	f.Add(int64(2), uint8(3), uint8(0), uint8(6))
+	f.Add(int64(3), uint8(30), uint8(200), uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, numV, base, appended uint8) {
+		v := 2 + int(numV)%40
+		rng := rand.New(rand.NewSource(seed))
+		n := tin.NewNetwork(v)
+		for i := 0; i < int(base); i++ {
+			n.AddInteraction(tin.VertexID(rng.Intn(v)), tin.VertexID(rng.Intn(v)), float64(rng.Intn(50)), float64(rng.Intn(9)))
+		}
+		n.Finalize()
+		tables := Precompute(n, true)
+
+		items := make([]tin.BatchItem, appended)
+		at := math.Max(n.MaxTime(), 0)
+		for i := range items {
+			at += float64(rng.Intn(2)) // duplicate timestamps included
+			items[i] = tin.BatchItem{From: tin.VertexID(rng.Intn(v)), To: tin.VertexID(rng.Intn(v)), Time: at, Qty: float64(rng.Intn(9))}
+		}
+		_, changed, err := n.AppendBatchDelta(items)
+		if err != nil {
+			t.Fatalf("append: %v", err)
+		}
+		updated, fresh := tables.Update(n, changed), Precompute(n, true)
+		for _, c := range []struct {
+			name      string
+			got, want *Table
+		}{{"L2", updated.L2, fresh.L2}, {"L3", updated.L3, fresh.L3}, {"C2", updated.C2, fresh.C2}} {
+			if got, want := freezeTable(c.got), freezeTable(c.want); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s after Update differs from Precompute:\n got %v\nwant %v", c.name, got, want)
+			}
+			for a, rows := range c.got.groups() {
+				if len(c.got.RowsFor(a)) != len(rows) {
+					t.Errorf("%s: index of anchor %d covers %d rows of %d", c.name, a, len(c.got.RowsFor(a)), len(rows))
+				}
+			}
+		}
+	})
 }

@@ -157,7 +157,9 @@ func (n *Network) MergeUnordered(items []BatchItem) (int, error) {
 	}
 	appended, anyLate, _ := n.applyAppend(items)
 	if anyLate {
-		n.rerank()
+		// applyAppend placed out-of-order interactions (and detached any
+		// snapshot mapping); re-rank the arena-backed runs in place.
+		n.nextOrd, n.maxTime = rankEdges(n.edges, n.numIA)
 	}
 	return appended, nil
 }

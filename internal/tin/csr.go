@@ -1,9 +1,6 @@
 package tin
 
-import (
-	"math"
-	"sort"
-)
+import "sort"
 
 // CSR layout of a finalized network.
 //
@@ -35,7 +32,7 @@ import (
 // ever grow into a neighbouring edge's run (or into a read-only mapping).
 
 // buildCSR compacts the ranked builder representation (jagged sequences,
-// already sorted canonically by rankBuilder) into the CSR arrays and
+// already sorted canonically by rankEdges) into the CSR arrays and
 // releases the builder state.
 func (n *Network) buildCSR() {
 	arena := make([]Interaction, 0, n.numIA)
@@ -232,7 +229,7 @@ func (n *Network) applyAppend(items []BatchItem) (appended int, anyLate bool, ch
 		cursor[e] = c + 1
 		if c > starts[e] && arena[c-1].Time > it.Time {
 			// The edge's sequence is no longer time-sorted; the caller's
-			// rerank (anyLate is set below) restores it.
+			// re-rank (anyLate is set below) restores it.
 			n.edges[e].canonical = false
 		}
 		if it.Time < runningMax {
@@ -258,38 +255,4 @@ func (n *Network) applyAppend(items []BatchItem) (appended int, anyLate bool, ch
 		}
 	}
 	return len(apply), anyLate, changed
-}
-
-// rerank re-derives the canonical order of a finalized network in place:
-// the same (Time, insertion index) rank assignment rankBuilder performs,
-// expressed over the arena. Each edge's run is then re-sorted by the new
-// ranks, restoring the canonical invariants after applyAppend placed
-// out-of-order interactions (which also detached any snapshot mapping).
-func (n *Network) rerank() {
-	perm := make([]int32, len(n.arena))
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	sort.Slice(perm, func(a, b int) bool {
-		ia, ib := &n.arena[perm[a]], &n.arena[perm[b]]
-		if ia.Time != ib.Time {
-			return ia.Time < ib.Time
-		}
-		return ia.Ord < ib.Ord
-	})
-	for rank, idx := range perm {
-		n.arena[idx].Ord = int64(rank)
-	}
-	n.maxTime = math.Inf(-1)
-	if len(perm) > 0 {
-		n.maxTime = n.arena[perm[len(perm)-1]].Time
-	}
-	for e := range n.edges {
-		seq := n.edges[e].Seq
-		if !n.edges[e].canonical {
-			sort.Slice(seq, func(a, b int) bool { return seq[a].Ord < seq[b].Ord })
-			n.edges[e].canonical = true
-		}
-	}
-	n.nextOrd = int64(len(n.arena))
 }

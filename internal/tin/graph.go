@@ -151,33 +151,7 @@ func (g *Graph) Finalize() {
 		panic("tin: Finalize called twice")
 	}
 	g.finalized = true
-	type ref struct {
-		e EdgeID
-		i int
-	}
-	refs := make([]ref, 0, g.numIA)
-	for e := range g.Edges {
-		for i := range g.Edges[e].Seq {
-			refs = append(refs, ref{EdgeID(e), i})
-		}
-	}
-	sort.SliceStable(refs, func(a, b int) bool {
-		ia := g.Edges[refs[a].e].Seq[refs[a].i]
-		ib := g.Edges[refs[b].e].Seq[refs[b].i]
-		if ia.Time != ib.Time {
-			return ia.Time < ib.Time
-		}
-		return ia.Ord < ib.Ord
-	})
-	for ord, r := range refs {
-		g.Edges[r.e].Seq[r.i].Ord = int64(ord)
-	}
-	for e := range g.Edges {
-		seq := g.Edges[e].Seq
-		sort.Slice(seq, func(a, b int) bool { return seq[a].Ord < seq[b].Ord })
-		g.Edges[e].canonical = true
-	}
-	g.nextOrd = int64(len(refs))
+	g.nextOrd, _ = rankEdges(g.Edges, g.numIA)
 }
 
 // Finalized reports whether Finalize has been called.

@@ -119,46 +119,47 @@ func (n *Network) Finalize() {
 		panic("tin: Finalize called twice")
 	}
 	n.finalized = true
-	n.rankBuilder()
+	n.nextOrd, n.maxTime = rankEdges(n.edges, n.numIA)
 	n.buildCSR()
 }
 
-// rankBuilder performs the canonical (Time, insertion index) rank
-// assignment over the jagged builder representation and re-derives
-// maxTime. Only valid before buildCSR has run.
-func (n *Network) rankBuilder() {
-	type ref struct {
-		e EdgeID
-		i int32
-	}
-	refs := make([]ref, 0, n.numIA)
-	for e := range n.edges {
-		for i := range n.edges[e].Seq {
-			refs = append(refs, ref{EdgeID(e), int32(i)})
+// rankEdges assigns the canonical order to the interactions of an edge
+// table: every interaction gets its rank by (Time, current Ord) — current
+// Ords are insertion indices, unique within the table — as its new Ord,
+// and each run not already marked canonical is re-sorted by it. It returns
+// the number of interactions ranked (the next free Ord) and the latest
+// timestamp (-inf when there is none). The Seq slices are the storage,
+// jagged or arena-backed, so the same body serves Network.Finalize,
+// Graph.Finalize and the re-rank that ends MergeUnordered. total is a
+// capacity hint.
+func rankEdges(edges []Edge, total int) (next int64, maxTime float64) {
+	refs := make([]*Interaction, 0, total)
+	for e := range edges {
+		for i := range edges[e].Seq {
+			refs = append(refs, &edges[e].Seq[i])
 		}
 	}
 	sort.Slice(refs, func(a, b int) bool {
-		ia := n.edges[refs[a].e].Seq[refs[a].i]
-		ib := n.edges[refs[b].e].Seq[refs[b].i]
+		ia, ib := refs[a], refs[b]
 		if ia.Time != ib.Time {
 			return ia.Time < ib.Time
 		}
 		return ia.Ord < ib.Ord
 	})
-	for ord, r := range refs {
-		n.edges[r.e].Seq[r.i].Ord = int64(ord)
-	}
-	for e := range n.edges {
-		seq := n.edges[e].Seq
-		sort.Slice(seq, func(a, b int) bool { return seq[a].Ord < seq[b].Ord })
-		n.edges[e].canonical = true
-	}
-	n.nextOrd = int64(len(refs))
-	n.maxTime = math.Inf(-1)
+	maxTime = math.Inf(-1)
 	if len(refs) > 0 {
-		last := refs[len(refs)-1]
-		n.maxTime = n.edges[last.e].Seq[len(n.edges[last.e].Seq)-1].Time
+		maxTime = refs[len(refs)-1].Time
 	}
+	for rank, ia := range refs {
+		ia.Ord = int64(rank)
+	}
+	for e := range edges {
+		if seq := edges[e].Seq; !edges[e].canonical {
+			sort.Slice(seq, func(a, b int) bool { return seq[a].Ord < seq[b].Ord })
+			edges[e].canonical = true
+		}
+	}
+	return int64(len(refs)), maxTime
 }
 
 // Finalized reports whether Finalize has been called.
