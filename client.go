@@ -173,8 +173,8 @@ type Attempt struct {
 	Path   string // URL path only, no query — safe to use as a label
 	Status int    // HTTP status, 0 when the exchange died in transport
 	Err    error  // nil exactly when Status is 200
-	// CacheStatus is the X-Flownet-Cache response header ("hit", "miss",
-	// "bypass"; empty on routes without the cache or on transport errors).
+	// CacheStatus is the X-Flownet-Cache response header ("hit" or "miss";
+	// empty on routes without the cache and on errors, HTTP or transport).
 	CacheStatus string
 	// Duration is the attempt's wall-clock time: request sent to response
 	// body fully read.

@@ -13,7 +13,9 @@
 //	    worker pool (-seeds all scans every vertex; -workers bounds the pool)
 //
 // Methods: greedy, lp, teg, pre, presim (default; batch mode is always
-// presim). Example:
+// presim). pre and presim are the paper's DAG pipelines; on a cyclic
+// subgraph (pair extractions may be) they fall back to teg and say so.
+// Example:
 //
 //	flowcalc -input transfers.txt.gz -seed 143 -method presim -v
 //
@@ -32,6 +34,7 @@ import (
 
 	flownet "flownet"
 	"flownet/internal/cli"
+	"flownet/internal/core"
 )
 
 func main() {
@@ -96,10 +99,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		g = sub
 		fmt.Fprintf(stdout, "flow subgraph %d -> %d: %d vertices, %d edges, %d interactions\n",
 			*source, *sink, g.NumLiveVertices(), g.NumLiveEdges(), g.NumInteractions())
-		if !g.IsDAG() && (*method == "pre" || *method == "presim") {
-			fmt.Fprintln(stdout, "note: subgraph is cyclic; pre/presim require DAGs — falling back to teg")
-			*method = "teg"
-		}
 	default:
 		fmt.Fprintln(stderr, "flowcalc: give either -seed, or both -source and -sink")
 		fs.Usage()
@@ -129,13 +128,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 	case "teg":
 		fmt.Fprintf(stdout, "maximum flow (time-expanded Dinic): %g\n", flownet.MaxFlowTEG(g))
 	case "pre", "presim":
-		pipeline := flownet.Pre
-		if *method == "presim" {
-			pipeline = flownet.PreSim
+		// presim's answer, or the cyclic fallback of either method.
+		res, err := core.Solve(g, core.EngineLP)
+		if err == nil && *method == "pre" && !res.Cyclic {
+			res, err = core.Pre(g, core.EngineLP)
 		}
-		res, err := pipeline(g, flownet.EngineLP)
 		if err != nil {
 			return err
+		}
+		if res.Cyclic {
+			fmt.Fprintln(stdout, "note: subgraph is cyclic; pre/presim require DAGs — falling back to teg")
+			fmt.Fprintf(stdout, "maximum flow (time-expanded Dinic): %g\n", res.Flow)
+			return nil
 		}
 		fmt.Fprintf(stdout, "maximum flow (%s): %g\n", *method, res.Flow)
 		if *verbose {

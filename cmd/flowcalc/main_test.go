@@ -157,3 +157,27 @@ func TestGreedyAndEngineMethods(t *testing.T) {
 		}
 	}
 }
+
+// TestCyclicPairFallsBack pins the one dispatch the DAG pipelines have: on
+// a cyclic pair subgraph (0→1, the 1⇄2 cycle, both draining into 3) pre
+// and presim say so and answer with the time-expanded engine.
+func TestCyclicPairFallsBack(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cyclic.txt")
+	if err := os.WriteFile(path, []byte("0 1 1 5\n1 2 2 3\n2 1 3 2\n1 3 4 4\n2 3 5 1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, method := range []string{"pre", "presim"} {
+		stdout, _, err := runCLI(t, "-input", path, "-source", "0", "-sink", "3", "-method", method)
+		if err != nil {
+			t.Fatalf("method %s: %v", method, err)
+		}
+		for _, want := range []string{
+			"note: subgraph is cyclic; pre/presim require DAGs — falling back to teg",
+			"maximum flow (time-expanded Dinic): 5",
+		} {
+			if !strings.Contains(stdout, want) {
+				t.Fatalf("method %s: stdout missing %q:\n%s", method, want, stdout)
+			}
+		}
+	}
+}

@@ -26,40 +26,58 @@
 // results are identical for every worker count. The per-subgraph runtime
 // measurements of Tables 6–8 and Figure 11 always run sequentially — they
 // time individual calls.
+//
+// Exit codes: 0 on success, 1 on a runtime failure, 2 on a usage error.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
 
 	"flownet/internal/bench"
+	"flownet/internal/cli"
 	"flownet/internal/core"
 	"flownet/internal/datagen"
 	"flownet/internal/tin"
 )
 
 func main() {
+	cli.Exit("repro", run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the testable entry point: it parses args, generates the selected
+// datasets and prints the selected tables to stdout.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("repro", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		dataset      = flag.String("dataset", "all", "bitcoin | ctu13 | prosper | all")
-		exp          = flag.String("exp", "all", "experiment: all | 4 | 5 | 6 | 7 | 8 | 9 | 10 | 11 | fig11")
-		vertices     = flag.Int("vertices", 0, "override dataset vertex count (0 = dataset default)")
-		seed         = flag.Int64("seed", 0, "generator seed")
-		quick        = flag.Bool("quick", false, "small sizes for a fast end-to-end run")
-		lpSample     = flag.Int("lpsample", 25, "raw-LP sample size per class/bucket (0 = all)")
-		lpMax        = flag.Int("lpmax", 2000, "skip raw LP above this many interactions (0 = no cap)")
-		maxInstances = flag.Int64("maxinstances", 100000, "pattern-search instance cut-off (0 = exhaustive)")
-		maxSubgraphs = flag.Int("maxsubgraphs", 0, "cap the subgraph corpus size (0 = all seeds)")
-		workers      = flag.Int("workers", 0, "worker pool for extraction and pattern search (0 = GOMAXPROCS, 1 = sequential)")
+		dataset      = fs.String("dataset", "all", "bitcoin | ctu13 | prosper | all")
+		exp          = fs.String("exp", "all", "experiment: all | 4 | 5 | 6 | 7 | 8 | 9 | 10 | 11 | fig11")
+		vertices     = fs.Int("vertices", 0, "override dataset vertex count (0 = dataset default)")
+		seed         = fs.Int64("seed", 0, "generator seed")
+		quick        = fs.Bool("quick", false, "small sizes for a fast end-to-end run")
+		lpSample     = fs.Int("lpsample", 25, "raw-LP sample size per class/bucket (0 = all)")
+		lpMax        = fs.Int("lpmax", 2000, "skip raw LP above this many interactions (0 = no cap)")
+		maxInstances = fs.Int64("maxinstances", 100000, "pattern-search instance cut-off (0 = exhaustive)")
+		maxSubgraphs = fs.Int("maxsubgraphs", 0, "cap the subgraph corpus size (0 = all seeds)")
+		workers      = fs.Int("workers", 0, "worker pool for extraction and pattern search (0 = GOMAXPROCS, 1 = sequential)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return cli.ErrUsage
+	}
 
 	datasets := pickDatasets(*dataset)
 	if datasets == nil {
-		fmt.Fprintf(os.Stderr, "unknown dataset %q\n", *dataset)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "repro: unknown dataset %q\n", *dataset)
+		return cli.ErrUsage
 	}
 
 	for _, d := range datasets {
@@ -69,11 +87,11 @@ func main() {
 		}
 		start := time.Now()
 		n := datagen.Generate(d, cfg)
-		fmt.Printf("== %s: %d vertices, %d edges, %d interactions (generated in %v)\n",
+		fmt.Fprintf(stdout, "== %s: %d vertices, %d edges, %d interactions (generated in %v)\n",
 			d, n.NumVertices(), n.NumEdges(), n.NumInteractions(), time.Since(start).Round(time.Millisecond))
 
 		if runExp(*exp, "4") {
-			printTable4(n, d)
+			printTable4(stdout, n, d)
 		}
 
 		var corpus []bench.Subgraph
@@ -85,12 +103,12 @@ func main() {
 				MaxSubgraphs: *maxSubgraphs,
 				Workers:      *workers,
 			})
-			fmt.Printf("-- corpus: %d subgraphs (extracted in %v)\n",
+			fmt.Fprintf(stdout, "-- corpus: %d subgraphs (extracted in %v)\n",
 				len(corpus), time.Since(start).Round(time.Millisecond))
 		}
 		if runExp(*exp, "5") {
-			fmt.Println("\nTable 5 (subgraph statistics)")
-			bench.PrintTable5(os.Stdout, d.String(), bench.Stats(corpus))
+			fmt.Fprintln(stdout, "\nTable 5 (subgraph statistics)")
+			bench.PrintTable5(stdout, d.String(), bench.Stats(corpus))
 		}
 		fopts := bench.FlowBenchOptions{
 			Engine:            core.EngineLP,
@@ -100,15 +118,19 @@ func main() {
 		}
 		if runExp(*exp, flowTable(d)) {
 			rep, err := bench.RunFlowBench(corpus, fopts)
-			fail(err)
-			fmt.Println()
-			rep.Print(os.Stdout, fmt.Sprintf("Table %s (avg msec per subgraph, %s)", flowTable(d), d))
+			if err != nil {
+				return err
+			}
+			fmt.Fprintln(stdout)
+			rep.Print(stdout, fmt.Sprintf("Table %s (avg msec per subgraph, %s)", flowTable(d), d))
 		}
 		if runExp(*exp, "fig11") {
 			rep, err := bench.RunBucketBench(corpus, fopts)
-			fail(err)
-			fmt.Println()
-			rep.Print(os.Stdout, fmt.Sprintf("Figure 11 (%s): avg msec by #interactions", d))
+			if err != nil {
+				return err
+			}
+			fmt.Fprintln(stdout)
+			rep.Print(stdout, fmt.Sprintf("Figure 11 (%s): avg msec by #interactions", d))
 		}
 		if runExp(*exp, patternTable(d)) {
 			popts := bench.PatternBenchOptions{
@@ -118,12 +140,15 @@ func main() {
 				Workers:      *workers,
 			}
 			rep, err := bench.RunPatternBench(n, popts)
-			fail(err)
-			fmt.Println()
-			rep.Print(os.Stdout, fmt.Sprintf("Table %s (pattern search, %s)", patternTable(d), d))
+			if err != nil {
+				return err
+			}
+			fmt.Fprintln(stdout)
+			rep.Print(stdout, fmt.Sprintf("Table %s (pattern search, %s)", patternTable(d), d))
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
+	return nil
 }
 
 func pickDatasets(s string) []datagen.Dataset {
@@ -173,16 +198,9 @@ func runExp(sel, id string) bool {
 	return false
 }
 
-func printTable4(n *tin.Network, d datagen.Dataset) {
+func printTable4(w io.Writer, n *tin.Network, d datagen.Dataset) {
 	st := n.Stats()
-	fmt.Println("\nTable 4 (dataset statistics)")
-	fmt.Printf("%-16s %10s %10s %14s %12s\n", "dataset", "#nodes", "#edges", "#interactions", "avg qty")
-	fmt.Printf("%-16s %10d %10d %14d %12.2f\n", d, st.Vertices, st.Edges, st.Interactions, st.AvgQty)
-}
-
-func fail(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "repro:", err)
-		os.Exit(1)
-	}
+	fmt.Fprintln(w, "\nTable 4 (dataset statistics)")
+	fmt.Fprintf(w, "%-16s %10s %10s %14s %12s\n", "dataset", "#nodes", "#edges", "#interactions", "avg qty")
+	fmt.Fprintf(w, "%-16s %10d %10d %14d %12.2f\n", d, st.Vertices, st.Edges, st.Interactions, st.AvgQty)
 }

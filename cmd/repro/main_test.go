@@ -1,0 +1,84 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"strings"
+	"testing"
+
+	"flownet/internal/bench"
+	"flownet/internal/cli"
+	"flownet/internal/core"
+	"flownet/internal/datagen"
+	"flownet/internal/tin"
+)
+
+func runCLI(t *testing.T, args ...string) (string, string, error) {
+	t.Helper()
+	var out, errb bytes.Buffer
+	err := run(args, &out, &errb)
+	return out.String(), errb.String(), err
+}
+
+func TestUsageErrors(t *testing.T) {
+	for name, tc := range map[string][]string{
+		"unknown flag":    {"-nosuchflag"},
+		"unknown dataset": {"-dataset", "nope"},
+	} {
+		if _, _, err := runCLI(t, tc...); !errors.Is(err, cli.ErrUsage) {
+			t.Errorf("%s: err = %v, want cli.ErrUsage", name, err)
+		}
+	}
+}
+
+// TestQuickProsperShapeClaims is the end-to-end smoke test (about a second)
+// and the machine check of the paper's shape claims in the form that does
+// not depend on a clock: every table prints, no method disagrees on any
+// flow (Tables 6–8 verify LP ≡ Pre ≡ PreSim on every sampled subgraph), GB
+// and PB agree on every untruncated pattern row, and on every class-C
+// subgraph the LP the exact engine is handed shrinks along raw ≥ Pre ≥
+// PreSim — the mechanism behind "Greedy ≪ PreSim ≤ Pre ≪ LP".
+func TestQuickProsperShapeClaims(t *testing.T) {
+	stdout, stderr, err := runCLI(t, "-quick", "-dataset", "prosper")
+	if err != nil {
+		t.Fatalf("run: %v\n%s", err, stderr)
+	}
+	for _, want := range []string{"Table 4", "Table 5", "Table 8", "Figure 11", "Table 11", "Class C (", "RP3"} {
+		if !strings.Contains(stdout, want) {
+			t.Errorf("stdout missing %q:\n%s", want, stdout)
+		}
+	}
+	for _, bad := range []string{"WARNING", "MISMATCH"} {
+		if strings.Contains(stdout, bad) {
+			t.Errorf("stdout reports a %s:\n%s", bad, stdout)
+		}
+	}
+
+	// The same dataset and corpus the run above printed.
+	d := datagen.DatasetProsper
+	n := datagen.Generate(d, datagen.Config{Vertices: quickVertices(d)})
+	corpus := bench.BuildCorpus(n, bench.CorpusOptions{Extract: tin.DefaultExtractOptions()})
+	classC := 0
+	for _, s := range corpus {
+		if s.Class != core.ClassC {
+			continue
+		}
+		classC++
+		raw := core.BuildLP(s.G).Prob.NumVars()
+		pre, err := core.Pre(s.G, core.EngineLP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim, err := core.PreSim(s.G, core.EngineLP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if raw < pre.LPVariables || pre.LPVariables < sim.LPVariables {
+			t.Errorf("seed %d: LP variables raw %d, Pre %d, PreSim %d; want raw >= Pre >= PreSim",
+				s.Seed, raw, pre.LPVariables, sim.LPVariables)
+		}
+	}
+	if classC == 0 {
+		t.Fatal("the quick Prosper corpus has no class-C subgraph; the LP-size check is vacuous")
+	}
+}

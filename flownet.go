@@ -26,7 +26,9 @@
 // runs the paper's complete PreSim pipeline: a solubility test, the
 // Algorithm 1 preprocessing, the Algorithm 2 chain simplification, and —
 // only if still necessary — an exact solver (LP by default; the
-// time-expanded Dinic reduction via Pre/PreSim with EngineTEG).
+// time-expanded Dinic reduction via Pre/PreSim with EngineTEG). Pre and
+// PreSim require DAGs, as the paper does; MaxFlow also answers the cyclic
+// instances FlowSubgraphBetween can return, by the time-expanded reduction.
 //
 // # Pattern search
 //
@@ -88,6 +90,8 @@
 package flownet
 
 import (
+	"context"
+
 	"flownet/internal/core"
 	"flownet/internal/datagen"
 	"flownet/internal/pattern"
@@ -326,7 +330,8 @@ func Greedy(g *Graph) float64 { return core.Greedy(g) }
 func GreedySoluble(g *Graph) bool { return core.GreedySoluble(g) }
 
 // MaxFlow computes the temporal maximum flow of g with the paper's complete
-// PreSim pipeline (solubility test, preprocessing, simplification, LP).
+// PreSim pipeline (solubility test, preprocessing, simplification, LP), or
+// with the time-expanded reduction when g is cyclic.
 func MaxFlow(g *Graph) (float64, error) { return core.MaxFlow(g) }
 
 // MaxFlowLP computes the maximum flow by solving the LP formulation
@@ -369,12 +374,12 @@ func BatchFlow(gs []*Graph, opts BatchOptions) ([]Result, error) {
 
 // BatchFlowSeeds runs the paper's Section 6.2 per-seed experiment
 // concurrently: for every seed it extracts the returning-path flow
-// subgraph around the seed (Figure 10) and solves it with the PreSim
-// pipeline. Seeds without a subgraph (no returning path, or above the
-// extraction size cap) are reported with Ok == false. Results are in seed
-// order, identical to a sequential loop.
+// subgraph around the seed (Figure 10) and solves it as MaxFlow would
+// (opts.Engine is the pipeline's exact engine). Seeds without a subgraph
+// (no returning path, or above the extraction size cap) are reported with
+// Ok == false. Results are in seed order, identical to a sequential loop.
 func BatchFlowSeeds(n *Network, seeds []VertexID, extract ExtractOptions, opts BatchOptions) ([]SeedFlow, error) {
-	return core.BatchSeeds(n, seeds, extract, opts.Engine, opts.Workers)
+	return core.BatchSeedsContext(context.TODO(), n, seeds, extract, opts.Engine, opts.Workers)
 }
 
 // Preprocess applies Algorithm 1 (interaction/edge/vertex elimination) to g

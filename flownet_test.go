@@ -1,7 +1,9 @@
 package flownet_test
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"path/filepath"
 	"testing"
 
@@ -187,5 +189,68 @@ func TestPublicExtractAndIO(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("no extractable subgraph in generated network")
+	}
+}
+
+// TestMaxFlowCyclicInstance pins that MaxFlow answers the cyclic instances
+// FlowSubgraphBetween returns (it used to fail them with Algorithm 1's
+// "graph contains a directed cycle"), in agreement with the two engines
+// that never needed a DAG.
+func TestMaxFlowCyclicInstance(t *testing.T) {
+	check := func(name string, g *flownet.Graph) float64 {
+		t.Helper()
+		if g.IsDAG() {
+			t.Fatalf("%s: instance is acyclic; the test is vacuous", name)
+		}
+		got, err := flownet.MaxFlow(g)
+		if err != nil {
+			t.Fatalf("%s: MaxFlow: %v", name, err)
+		}
+		lp, err := flownet.MaxFlowLP(g)
+		if err != nil {
+			t.Fatalf("%s: MaxFlowLP: %v", name, err)
+		}
+		teg := flownet.MaxFlowTEG(g)
+		tol := 1e-6 * (1 + math.Abs(teg))
+		if math.Abs(got-lp) > tol || math.Abs(got-teg) > tol {
+			t.Fatalf("%s: MaxFlow = %g, MaxFlowLP = %g, MaxFlowTEG = %g", name, got, lp, teg)
+		}
+		return got
+	}
+
+	// 0→1, then the 1⇄2 cycle, both draining into 3: all 5 units arrive.
+	n := flownet.NewNetwork(4)
+	n.AddInteraction(0, 1, 1, 5)
+	n.AddInteraction(1, 2, 2, 3)
+	n.AddInteraction(2, 1, 3, 2)
+	n.AddInteraction(1, 3, 4, 4)
+	n.AddInteraction(2, 3, 5, 1)
+	n.Finalize()
+	g, ok := n.FlowSubgraphBetween(0, 3)
+	if !ok {
+		t.Fatal("0 cannot reach 3")
+	}
+	if f := check("4-vertex", g); math.Abs(f-5) > 1e-9 {
+		t.Fatalf("4-vertex: MaxFlow = %g, want 5", f)
+	}
+
+	rng := rand.New(rand.NewSource(15))
+	for found := 0; found < 50; {
+		const numV = 7
+		n := flownet.NewNetwork(numV)
+		for i := 0; i < 24; i++ {
+			if a, b := rng.Intn(numV), rng.Intn(numV); a != b {
+				n.AddInteraction(flownet.VertexID(a), flownet.VertexID(b), float64(rng.Intn(12)), float64(1+rng.Intn(9)))
+			}
+		}
+		n.Finalize()
+		src, snk := flownet.VertexID(rng.Intn(numV)), flownet.VertexID(rng.Intn(numV))
+		if src == snk {
+			continue
+		}
+		if g, ok := n.FlowSubgraphBetween(src, snk); ok && !g.IsDAG() {
+			found++
+			check(fmt.Sprintf("random #%d", found), g)
+		}
 	}
 }

@@ -117,67 +117,70 @@ func (s *lpSampler) take(stratum, interactions int) bool {
 	return true
 }
 
-// RunFlowBench times Greedy, LP, Pre and PreSim on every corpus subgraph
-// (LP subject to the sampling options) and aggregates averages per class.
-func RunFlowBench(corpus []Subgraph, opts FlowBenchOptions) (FlowReport, error) {
-	var rep FlowReport
-	var classCounts [3]int
+// measure is the timing loop behind Tables 6–8 and Figure 11: it times
+// Greedy, Pre, PreSim and (sampled per stratum, subject to opts) the raw LP
+// on every corpus subgraph and returns the average runtimes overall and
+// per stratum; stratum maps a subgraph to 0..2.
+func measure(corpus []Subgraph, opts FlowBenchOptions, stratum func(Subgraph) int) (all Cell, strata [3]Cell, err error) {
+	var counts [3]int
 	for _, s := range corpus {
 		if opts.LPMaxInteractions == 0 || s.G.NumInteractions() <= opts.LPMaxInteractions {
-			classCounts[s.Class]++
+			counts[stratum(s)]++
 		}
 	}
-	sampler := newLPSampler(classCounts, opts)
+	sampler := newLPSampler(counts, opts)
 	for _, s := range corpus {
-		g := s.G
+		g, st := s.G, stratum(s)
 
 		t0 := time.Now()
-		greedyFlow := core.Greedy(g)
+		core.Greedy(g)
 		dGreedy := time.Since(t0)
-		_ = greedyFlow
 
 		t0 = time.Now()
 		preRes, err := core.Pre(g, opts.Engine)
 		if err != nil {
-			return rep, fmt.Errorf("bench: Pre on seed %d: %w", s.Seed, err)
+			return all, strata, fmt.Errorf("bench: Pre on seed %d: %w", s.Seed, err)
 		}
 		dPre := time.Since(t0)
 
 		t0 = time.Now()
 		simRes, err := core.PreSim(g, opts.Engine)
 		if err != nil {
-			return rep, fmt.Errorf("bench: PreSim on seed %d: %w", s.Seed, err)
+			return all, strata, fmt.Errorf("bench: PreSim on seed %d: %w", s.Seed, err)
 		}
 		dPreSim := time.Since(t0)
 
-		runLP := sampler.take(int(s.Class), g.NumInteractions())
+		mismatch := relErr(preRes.Flow, simRes.Flow) > 1e-6
+		runLP := sampler.take(st, g.NumInteractions())
 		var dLP time.Duration
 		if runLP {
 			t0 = time.Now()
 			lpFlow, err := core.MaxFlowLP(g)
 			if err != nil {
-				return rep, fmt.Errorf("bench: LP on seed %d: %w", s.Seed, err)
+				return all, strata, fmt.Errorf("bench: LP on seed %d: %w", s.Seed, err)
 			}
 			dLP = time.Since(t0)
-			if opts.VerifyFlows {
-				if relErr(lpFlow, preRes.Flow) > 1e-6 || relErr(lpFlow, simRes.Flow) > 1e-6 {
-					rep.All.Mismatch++
-					rep.PerClass[s.Class].Mismatch++
-				}
-			}
+			mismatch = mismatch || relErr(lpFlow, preRes.Flow) > 1e-6 || relErr(lpFlow, simRes.Flow) > 1e-6
 		}
-		if opts.VerifyFlows && relErr(preRes.Flow, simRes.Flow) > 1e-6 {
-			rep.All.Mismatch++
+		if opts.VerifyFlows && mismatch {
+			all.Mismatch++
+			strata[st].Mismatch++
 		}
+		all.addAvg(dGreedy, dLP, dPre, dPreSim, runLP)
+		strata[st].addAvg(dGreedy, dLP, dPre, dPreSim, runLP)
+	}
+	all = all.avg()
+	for i := range strata {
+		strata[i] = strata[i].avg()
+	}
+	return all, strata, nil
+}
 
-		rep.All.addAvg(dGreedy, dLP, dPre, dPreSim, runLP)
-		rep.PerClass[s.Class].addAvg(dGreedy, dLP, dPre, dPreSim, runLP)
-	}
-	rep.All = rep.All.avg()
-	for i := range rep.PerClass {
-		rep.PerClass[i] = rep.PerClass[i].avg()
-	}
-	return rep, nil
+// RunFlowBench times Greedy, LP, Pre and PreSim on every corpus subgraph
+// (LP subject to the sampling options) and aggregates averages per class.
+func RunFlowBench(corpus []Subgraph, opts FlowBenchOptions) (FlowReport, error) {
+	all, perClass, err := measure(corpus, opts, func(s Subgraph) int { return int(s.Class) })
+	return FlowReport{All: all, PerClass: perClass}, err
 }
 
 // Print renders the report in the layout of Tables 6–8 (average msec per
@@ -225,48 +228,8 @@ type BucketReport struct {
 // interaction count (<100, 100–1000, >1000) and each method's average
 // runtime is measured per bucket.
 func RunBucketBench(corpus []Subgraph, opts FlowBenchOptions) (BucketReport, error) {
-	var rep BucketReport
-	var bucketCounts [3]int
-	for _, s := range corpus {
-		if opts.LPMaxInteractions == 0 || s.G.NumInteractions() <= opts.LPMaxInteractions {
-			bucketCounts[bucketOf(s.G.NumInteractions())]++
-		}
-	}
-	sampler := newLPSampler(bucketCounts, opts)
-	for _, s := range corpus {
-		b := bucketOf(s.G.NumInteractions())
-
-		t0 := time.Now()
-		core.Greedy(s.G)
-		dGreedy := time.Since(t0)
-
-		t0 = time.Now()
-		if _, err := core.Pre(s.G, opts.Engine); err != nil {
-			return rep, err
-		}
-		dPre := time.Since(t0)
-
-		t0 = time.Now()
-		if _, err := core.PreSim(s.G, opts.Engine); err != nil {
-			return rep, err
-		}
-		dPreSim := time.Since(t0)
-
-		runLP := sampler.take(b, s.G.NumInteractions())
-		var dLP time.Duration
-		if runLP {
-			t0 = time.Now()
-			if _, err := core.MaxFlowLP(s.G); err != nil {
-				return rep, err
-			}
-			dLP = time.Since(t0)
-		}
-		rep.Buckets[b].addAvg(dGreedy, dLP, dPre, dPreSim, runLP)
-	}
-	for i := range rep.Buckets {
-		rep.Buckets[i] = rep.Buckets[i].avg()
-	}
-	return rep, nil
+	_, buckets, err := measure(corpus, opts, func(s Subgraph) int { return bucketOf(s.G.NumInteractions()) })
+	return BucketReport{Buckets: buckets}, err
 }
 
 // Print renders the bucket report as the series behind Figure 11.

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"testing"
 
 	"flownet/internal/core"
@@ -65,7 +66,7 @@ func benchBatchSeeds(b *testing.B, workers int) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.BatchSeeds(n, seeds, tin.DefaultExtractOptions(), core.EngineLP, workers); err != nil {
+		if _, err := core.BatchSeedsContext(context.Background(), n, seeds, tin.DefaultExtractOptions(), core.EngineLP, workers); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -141,7 +141,7 @@ func TestPairQueryCostIsFootprintBound(t *testing.T) {
 			t.Fatal("extraction failed")
 		}
 	})
-	if allocs > 10 {
+	if allocs > 10 && !raceEnabled {
 		t.Errorf("steady-state pair extraction allocates %.0f objects per query, budget 10", allocs)
 	}
 	t.Logf("steady-state pair extraction: %.0f allocs per query", allocs)

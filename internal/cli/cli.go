@@ -1,7 +1,7 @@
 // Package cli holds the tiny exit protocol shared by the command-line
-// entry points (cmd/flowcalc, cmd/patternfind, cmd/flownetd): run()
-// returns an error and main maps it to the conventional exit code — 0 on
-// success or -h/-help, 2 on usage errors, 1 on runtime failures.
+// entry points (every command under cmd/ except datagen): run() returns an
+// error and main maps it to the conventional exit code — 0 on success or
+// -h/-help, 2 on usage errors, 1 on runtime failures.
 package cli
 
 import (

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"flownet/internal/datagen"
@@ -54,35 +55,18 @@ func TestBatchPreSimMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestBatchPreMatchesPre covers the Pre (no simplification) variant.
-func TestBatchPreMatchesPre(t *testing.T) {
-	_, _, gs := batchTestGraphs(t)
-	got, err := BatchPre(gs, EngineLP, 4)
-	if err != nil {
-		t.Fatalf("BatchPre: %v", err)
-	}
-	for i, g := range gs {
-		want, err := Pre(g, EngineLP)
-		if err != nil {
-			t.Fatalf("Pre #%d: %v", i, err)
-		}
-		if got[i] != want {
-			t.Errorf("item %d: %+v, want %+v", i, got[i], want)
-		}
-	}
-}
-
 // TestBatchSeeds checks the end-to-end per-seed batch against individual
-// extraction + PreSim, including seeds with no returning-path subgraph.
+// extraction + PreSim (3-hop seed subgraphs are DAGs, where Solve must be
+// PreSim exactly), including seeds with no returning-path subgraph.
 func TestBatchSeeds(t *testing.T) {
 	n, _, _ := batchTestGraphs(t)
 	seeds := make([]tin.VertexID, n.NumVertices())
 	for i := range seeds {
 		seeds[i] = tin.VertexID(i)
 	}
-	got, err := BatchSeeds(n, seeds, tin.DefaultExtractOptions(), EngineLP, 8)
+	got, err := BatchSeedsContext(context.Background(), n, seeds, tin.DefaultExtractOptions(), EngineLP, 8)
 	if err != nil {
-		t.Fatalf("BatchSeeds: %v", err)
+		t.Fatalf("BatchSeedsContext: %v", err)
 	}
 	if len(got) != len(seeds) {
 		t.Fatalf("%d results for %d seeds", len(got), len(seeds))

@@ -32,22 +32,3 @@ func TestBatchSeedsContextCancelled(t *testing.T) {
 		}
 	}
 }
-
-// TestBatchSeedsContextBackground checks that the context-aware entry point
-// with a live context matches BatchSeeds exactly.
-func TestBatchSeedsContextBackground(t *testing.T) {
-	n, seeds, _ := batchTestGraphs(t)
-	want, err := BatchSeeds(n, seeds, tin.DefaultExtractOptions(), EngineLP, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := BatchSeedsContext(context.Background(), n, seeds, tin.DefaultExtractOptions(), EngineLP, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("seed %d: %+v, want %+v", seeds[i], got[i], want[i])
-		}
-	}
-}

@@ -8,13 +8,16 @@ import (
 	"flownet/internal/tin"
 )
 
-// fuzzGraph decodes fuzz bytes into a small random acyclic flow instance:
-// byte 0 picks the vertex count (3..8), then every 4-byte chunk encodes one
-// interaction on an edge that always points from a lower to a higher vertex
-// id — so the graph is a DAG by construction, vertex 0 is a pure source and
-// the last vertex a pure sink. Inputs whose graph fails Validate (isolated
-// vertices break the paper's connectivity precondition) are skipped.
-func fuzzGraph(data []byte) (*tin.Graph, bool) {
+// fuzzGraph decodes fuzz bytes into a small random flow instance: byte 0
+// picks the vertex count (3..8), then every 4-byte chunk encodes one
+// interaction; vertex 0 is a pure source and the last vertex a pure sink.
+// With acyclic set, an edge always points from a lower to a higher vertex
+// id, so the graph is a DAG by construction; without it, any edge between
+// distinct vertices that respects the two terminals may appear, cycles
+// included, and timestamps are folded onto 0..7 so that most of them are
+// shared. Inputs whose graph fails Validate (isolated vertices break the
+// paper's connectivity precondition) are skipped.
+func fuzzGraph(data []byte, acyclic bool) (*tin.Graph, bool) {
 	if len(data) < 5 {
 		return nil, false
 	}
@@ -30,13 +33,21 @@ func fuzzGraph(data []byte) (*tin.Graph, bool) {
 	for ; len(rest) >= 4; rest = rest[4:] {
 		from := int(rest[0]) % (numV - 1)
 		to := from + 1 + int(rest[1])%(numV-1-from)
+		time := float64(rest[2])
+		if !acyclic {
+			to = 1 + int(rest[1])%(numV-1)
+			time = float64(rest[2] % 8)
+			if to == from {
+				continue
+			}
+		}
 		p := pair{tin.VertexID(from), tin.VertexID(to)}
 		e, ok := edges[p]
 		if !ok {
 			e = g.AddEdge(p.from, p.to)
 			edges[p] = e
 		}
-		g.AddInteraction(e, float64(rest[2]), float64(rest[3]%32))
+		g.AddInteraction(e, time, float64(rest[3]%32))
 		added++
 	}
 	if added == 0 {
@@ -61,7 +72,7 @@ func FuzzFlowEquivalence(f *testing.F) {
 	f.Add([]byte{3, 0, 0, 7, 0, 1, 1, 3, 3})             // zero-quantity interaction
 	f.Add([]byte{0, 0, 0, 5, 5, 0, 0, 1, 5, 1, 0, 9, 5}) // parallel sequence on one edge
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, ok := fuzzGraph(data)
+		g, ok := fuzzGraph(data, true)
 		if !ok {
 			return
 		}
@@ -87,6 +98,53 @@ func FuzzFlowEquivalence(f *testing.F) {
 		}
 		if GreedySoluble(g) && math.Abs(greedy-tegFlow) > tol {
 			t.Fatalf("greedy-soluble graph: greedy %v != maximum %v\n%s", greedy, tegFlow, g)
+		}
+	})
+}
+
+// FuzzSolveAgreesWithEngines cross-checks Solve, the one answer path, on
+// random instances with and without cycles and with heavily shared
+// timestamps: under either engine it must agree with the raw LP and the raw
+// time-expanded reduction (neither needs a DAG), report Cyclic exactly when
+// the instance is, and never fall below the greedy scan — matching it on
+// acyclic greedy-soluble instances (Lemma 2 is stated for DAGs).
+func FuzzSolveAgreesWithEngines(f *testing.F) {
+	f.Add([]byte{1, 0, 0, 1, 5, 1, 1, 2, 3, 2, 0, 3, 2, 1, 2, 4, 4, 2, 2, 5, 1}) // 0→1, 1⇄2, both into 3: flow 5
+	f.Add([]byte{1, 0, 0, 1, 5, 1, 1, 1, 3, 2, 0, 1, 2, 1, 2, 1, 4, 2, 2, 1, 1}) // the same at one shared timestamp
+	f.Add([]byte{0, 0, 0, 1, 5, 1, 1, 2, 4})                                     // a chain: acyclic, class A
+	f.Add([]byte{1, 0, 0, 1, 5, 0, 1, 2, 3, 1, 1, 3, 5, 1, 2, 4, 4, 2, 2, 5, 1}) // the paper's Figure 3: acyclic, class C
+	f.Add([]byte{2, 0, 0, 0, 9, 1, 2, 0, 9, 3, 1, 0, 9, 2, 3, 0, 5, 2, 0, 0, 9}) // 0→1→3→2→4 with 2→1 closing a cycle, all ties
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, ok := fuzzGraph(data, false)
+		if !ok {
+			return
+		}
+		lpFlow, err := MaxFlowLP(g)
+		if err != nil {
+			t.Fatalf("MaxFlowLP failed on valid input: %v\n%s", err, g)
+		}
+		tegFlow := teg.MaxFlow(g)
+		if !feq(lpFlow, tegFlow) {
+			t.Fatalf("raw LP flow %v != raw TEG flow %v\n%s", lpFlow, tegFlow, g)
+		}
+		greedy := Greedy(g)
+		for _, engine := range []Engine{EngineLP, EngineTEG} {
+			res, err := Solve(g, engine)
+			if err != nil {
+				t.Fatalf("Solve(%s) failed on valid input: %v\n%s", engine, err, g)
+			}
+			if !feq(res.Flow, tegFlow) {
+				t.Fatalf("Solve(%s) flow %v != engines' %v\n%s", engine, res.Flow, tegFlow, g)
+			}
+			if res.Cyclic == g.IsDAG() {
+				t.Fatalf("Solve(%s): Cyclic = %t on a graph with IsDAG = %t\n%s", engine, res.Cyclic, g.IsDAG(), g)
+			}
+			if greedy > res.Flow && !feq(greedy, res.Flow) {
+				t.Fatalf("greedy flow %v exceeds Solve(%s) = %v\n%s", greedy, engine, res.Flow, g)
+			}
+			if !res.Cyclic && GreedySoluble(g) && !feq(greedy, res.Flow) {
+				t.Fatalf("acyclic greedy-soluble graph: greedy %v != Solve(%s) = %v\n%s", greedy, engine, res.Flow, g)
+			}
 		}
 	})
 }

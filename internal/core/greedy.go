@@ -1,8 +1,10 @@
 // Package core implements the flow-computation algorithms of Kosyfaki et
-// al., "Flow Computation in Temporal Interaction Networks" (ICDE 2021):
+// al., "Flow Computation in Temporal Interaction Networks" (ICDE 2021),
+// each stated once:
 //
-//   - Greedy flow computation (Section 4.1): a single scan of the
-//     interactions in canonical order.
+//   - Greedy flow computation (Section 4.1): scan, a single pass over the
+//     interactions in canonical order, with Greedy, GreedyArrivals and
+//     GreedyTrace as its visitors.
 //   - The greedy-solubility test (Lemmas 1 and 2, Section 4.2.2).
 //   - The greedy scan along a single path with its arrival sequence
 //     (PathArrivals; Lemmas 1 and 3) — the one positional path scan, used
@@ -11,10 +13,12 @@
 //   - DAG preprocessing (Algorithm 1, Section 4.2.3).
 //   - Graph simplification (Algorithm 2, Section 4.2.4).
 //   - The LP formulation of temporal maximum flow (Section 4.2.1), solved
-//     with the bounded-variable simplex of internal/lp.
-//   - The Pre and PreSim pipelines evaluated in Section 6.2, with a
-//     pluggable exact engine (LP, or the time-expanded reduction of
-//     internal/teg).
+//     (by solveLP alone) with the bounded-variable simplex of internal/lp.
+//   - The Pre and PreSim pipelines evaluated in Section 6.2, DAG-only as in
+//     the paper, with a pluggable exact engine (LP, or the time-expanded
+//     reduction of internal/teg).
+//   - Solve, the one answer path for any flow instance: PreSim on a DAG,
+//     the time-expanded reduction on a cyclic one.
 //
 // All algorithms interpret "before" via the canonical interaction order
 // defined by package tin, so greedy, LP and the time-expanded reduction
@@ -26,11 +30,11 @@
 // mutable variables, and every algorithm works exclusively on its argument
 // graph (the LP and TEG engines build fresh problem instances per call).
 // Concurrent calls on distinct graphs are therefore always safe — this is
-// what BatchPreSim and the parallel pattern searches rely on. The
-// non-mutating entry points (Greedy, PathArrivals, GreedySoluble, Pre,
-// PreSim, MaxFlow, MaxFlowLP) are additionally safe to call concurrently on
-// the same graph: they treat the input as read-only and clone it before any
-// modification.
+// what BatchPreSim, BatchSeedsContext and the parallel pattern searches
+// rely on. The non-mutating entry points (Greedy, PathArrivals,
+// GreedySoluble, Pre, PreSim, Solve, MaxFlow, MaxFlowLP) are additionally
+// safe to call concurrently on the same graph: they treat the input as
+// read-only and clone it before any modification.
 // Preprocess and Simplify mutate their argument in place and must not run
 // concurrently with any other use of the same graph.
 package core
@@ -41,29 +45,36 @@ import (
 	"flownet/internal/tin"
 )
 
-// Greedy computes the greedy flow of g (Definition 5): interactions are
-// processed in canonical order and each transfers the maximum possible
-// quantity min(q, B_v) from its origin's buffer. The result is the quantity
-// buffered at the sink after the last interaction.
-//
-// Greedy runs in O(n log n) for n interactions (the log factor is the event
-// sort) and is exact for the maximum-flow problem whenever GreedySoluble
-// reports true.
-func Greedy(g *tin.Graph) float64 {
+// scan is the greedy scan of Definition 5: interactions are processed in
+// canonical order and each transfers the maximum possible quantity
+// min(q, B_v) from its origin's buffer. It returns the quantity buffered at
+// the sink after the last interaction. visit, when non-nil, sees every
+// interaction once processed, with the quantity it moved (0 if none) and
+// the live buffer vector, which it must not keep.
+func scan(g *tin.Graph, visit func(ev tin.Event, q float64, buf []float64)) float64 {
 	buf := make([]float64, g.NumV)
 	buf[g.Source] = math.Inf(1)
 	for _, ev := range g.Events() {
 		q := math.Min(ev.Qty, buf[ev.From])
-		if q <= 0 {
-			continue
+		if q > 0 {
+			if !math.IsInf(buf[ev.From], 1) {
+				buf[ev.From] -= q
+			}
+			buf[ev.To] += q
 		}
-		if !math.IsInf(buf[ev.From], 1) {
-			buf[ev.From] -= q
+		if visit != nil {
+			visit(ev, q, buf)
 		}
-		buf[ev.To] += q
 	}
 	return buf[g.Sink]
 }
+
+// Greedy computes the greedy flow of g (Definition 5).
+//
+// Greedy runs in O(n log n) for n interactions (the log factor is the event
+// sort) and is exact for the maximum-flow problem whenever GreedySoluble
+// reports true.
+func Greedy(g *tin.Graph) float64 { return scan(g, nil) }
 
 // Arrival is one positive greedy transfer into a designated vertex: the
 // triggering interaction's time and canonical position, with the quantity
@@ -78,23 +89,13 @@ type Arrival = tin.Interaction
 // quantity available at the sink at every time, which is what graph
 // simplification and the pattern path tables store.
 func GreedyArrivals(g *tin.Graph) (float64, []Arrival) {
-	buf := make([]float64, g.NumV)
-	buf[g.Source] = math.Inf(1)
 	var arrivals []Arrival
-	for _, ev := range g.Events() {
-		q := math.Min(ev.Qty, buf[ev.From])
-		if q <= 0 {
-			continue
-		}
-		if !math.IsInf(buf[ev.From], 1) {
-			buf[ev.From] -= q
-		}
-		buf[ev.To] += q
-		if ev.To == g.Sink {
+	flow := scan(g, func(ev tin.Event, q float64, _ []float64) {
+		if q > 0 && ev.To == g.Sink {
 			arrivals = append(arrivals, Arrival{Time: ev.Time, Qty: q, Ord: ev.Ord})
 		}
-	}
-	return buf[g.Sink], arrivals
+	})
+	return flow, arrivals
 }
 
 // PathArrivals runs the greedy scan along a path given as the interaction
@@ -149,19 +150,10 @@ func PathArrivals(seqs [][]tin.Interaction) (float64, []Arrival) {
 // Row i corresponds to the i-th interaction in canonical order. Intended
 // for examples, documentation and tests; use Greedy for computation.
 func GreedyTrace(g *tin.Graph) [][]float64 {
-	buf := make([]float64, g.NumV)
-	buf[g.Source] = math.Inf(1)
 	var rows [][]float64
-	for _, ev := range g.Events() {
-		q := math.Min(ev.Qty, buf[ev.From])
-		if q > 0 {
-			if !math.IsInf(buf[ev.From], 1) {
-				buf[ev.From] -= q
-			}
-			buf[ev.To] += q
-		}
+	scan(g, func(_ tin.Event, _ float64, buf []float64) {
 		rows = append(rows, append([]float64(nil), buf...))
-	}
+	})
 	return rows
 }
 

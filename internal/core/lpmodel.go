@@ -85,31 +85,37 @@ func BuildLP(g *tin.Graph) *LPModel {
 	return m
 }
 
-// MaxFlowLP computes the temporal maximum flow of g by building and solving
-// the LP model. An unbounded LP (possible only with synthetic
-// infinite-quantity interactions forming an infinite channel) is reported
-// as math.Inf(1).
-func MaxFlowLP(g *tin.Graph) (float64, error) {
+// solveLP builds and solves the LP model of g — the package's one call of
+// the simplex — and returns the maximum flow with the model and solution.
+// An unbounded LP (possible only with synthetic infinite-quantity
+// interactions forming an infinite channel) is math.Inf(1), nil solution.
+func solveLP(g *tin.Graph) (float64, *LPModel, *lp.Solution, error) {
 	m := BuildLP(g)
 	sol, err := lp.Solve(m.Prob)
 	if err == lp.ErrUnbounded {
-		return math.Inf(1), nil
+		return math.Inf(1), m, nil, nil
 	}
 	if err != nil {
-		return 0, err
+		return 0, m, nil, err
 	}
-	return sol.Objective + m.ConstFlow, nil
+	return sol.Objective + m.ConstFlow, m, sol, nil
+}
+
+// MaxFlowLP computes the temporal maximum flow of g from the LP model alone,
+// the paper's baseline. An unbounded LP is reported as math.Inf(1).
+func MaxFlowLP(g *tin.Graph) (float64, error) {
+	flow, _, _, err := solveLP(g)
+	return flow, err
 }
 
 // LPTransfers solves the LP and returns the total flow together with the
 // per-interaction transfer quantities, keyed by canonical Ord (interactions
-// leaving the source transfer their full quantity). Used by tests to verify
-// feasibility of the optimum.
+// leaving the source transfer their full quantity); the map is nil when the
+// LP is unbounded. Used by tests to verify feasibility of the optimum.
 func LPTransfers(g *tin.Graph) (float64, map[int64]float64, error) {
-	m := BuildLP(g)
-	sol, err := lp.Solve(m.Prob)
-	if err != nil {
-		return 0, nil, err
+	flow, m, sol, err := solveLP(g)
+	if sol == nil {
+		return flow, nil, err
 	}
 	byOrd := make(map[int64]float64, len(m.VarOf))
 	for _, ev := range g.Events() {
@@ -119,5 +125,5 @@ func LPTransfers(g *tin.Graph) (float64, map[int64]float64, error) {
 			byOrd[ev.Ord] = sol.X[m.VarOf[ev.Ord]]
 		}
 	}
-	return sol.Objective + m.ConstFlow, byOrd, nil
+	return flow, byOrd, nil
 }

@@ -2,9 +2,7 @@ package core
 
 import (
 	"fmt"
-	"math"
 
-	"flownet/internal/lp"
 	"flownet/internal/teg"
 	"flownet/internal/tin"
 )
@@ -50,7 +48,7 @@ const (
 // String returns "A", "B" or "C".
 func (c Class) String() string { return [...]string{"A", "B", "C"}[c] }
 
-// Result is the outcome of a pipeline run.
+// Result is the outcome of a pipeline run or of Solve.
 type Result struct {
 	// Flow is the maximum flow from source to sink.
 	Flow float64
@@ -66,23 +64,46 @@ type Result struct {
 	Sim SimplifyStats
 	// LPVariables is the variable count of the final LP (0 if none ran).
 	LPVariables int
+	// Cyclic is true when Solve met a directed cycle and the time-expanded
+	// engine answered: the pipeline and its classes are defined on DAGs.
+	// Class is ClassC and UsedEngine true then, the statistics zero.
+	Cyclic bool
+}
+
+// Solve computes the maximum flow of any flow instance: the one answer path
+// behind served and batched queries, cmd/flowcalc and the root MaxFlow. One
+// topological sort decides. A cyclic instance (pair extractions may be)
+// goes to the time-expanded reduction, which needs no DAG, whatever engine
+// was asked for: the LP is as exact there, but its rows grow quadratically
+// and cyclic instances are the large ones. An acyclic instance runs PreSim,
+// with that order handed to Algorithm 1. The input graph is not modified.
+func Solve(g *tin.Graph, engine Engine) (Result, error) {
+	order, err := g.TopoOrder()
+	if err != nil {
+		return Result{Flow: teg.MaxFlow(g), Class: ClassC, UsedEngine: true, Cyclic: true}, nil
+	}
+	return pipeline(g, engine, true, order)
 }
 
 // Pre is the paper's "Pre" method: test greedy solubility (Lemma 2); if it
 // fails, preprocess (Algorithm 1) and re-test; only if that also fails run
-// the exact engine. The input graph is not modified.
+// the exact engine. The input graph is not modified and must be a DAG.
 func Pre(g *tin.Graph, engine Engine) (Result, error) {
-	return pipeline(g, engine, false)
+	return pipeline(g, engine, false, nil)
 }
 
 // PreSim is the paper's complete solution: Pre plus graph simplification
 // (Algorithm 2) before the exact engine runs. The input graph is not
-// modified.
+// modified and must be a DAG (Solve takes cycles): a caller that knows its
+// instances acyclic, as rigid pattern instances are, pays no topological
+// sort on the greedy-soluble ones.
 func PreSim(g *tin.Graph, engine Engine) (Result, error) {
-	return pipeline(g, engine, true)
+	return pipeline(g, engine, true, nil)
 }
 
-func pipeline(g *tin.Graph, engine Engine, simplify bool) (Result, error) {
+// pipeline is Pre (simplify false) or PreSim. order is g's topological
+// order if the caller has it; nil computes it when Algorithm 1 runs.
+func pipeline(g *tin.Graph, engine Engine, simplify bool, order []tin.VertexID) (Result, error) {
 	var res Result
 	if GreedySoluble(g) {
 		res.Flow = Greedy(g)
@@ -90,7 +111,7 @@ func pipeline(g *tin.Graph, engine Engine, simplify bool) (Result, error) {
 		return res, nil
 	}
 	h := g.Clone()
-	pre, err := Preprocess(h)
+	pre, err := preprocess(h, order)
 	if err != nil {
 		return res, err
 	}
@@ -116,28 +137,21 @@ func pipeline(g *tin.Graph, engine Engine, simplify bool) (Result, error) {
 		}
 	}
 	res.UsedEngine = true
-	switch engine {
-	case EngineTEG:
+	if engine == EngineTEG {
 		res.Flow = teg.MaxFlow(h)
-	default:
-		m := BuildLP(h)
-		res.LPVariables = m.Prob.NumVars()
-		sol, err := lp.Solve(m.Prob)
-		switch {
-		case err == lp.ErrUnbounded:
-			res.Flow = math.Inf(1)
-		case err != nil:
-			return res, fmt.Errorf("core: %s engine: %w", engine, err)
-		default:
-			res.Flow = sol.Objective + m.ConstFlow
-		}
+		return res, nil
 	}
+	flow, m, _, err := solveLP(h)
+	if err != nil {
+		return res, fmt.Errorf("core: %s engine: %w", engine, err)
+	}
+	res.Flow, res.LPVariables = flow, m.Prob.NumVars()
 	return res, nil
 }
 
-// MaxFlow computes the temporal maximum flow of g with the full PreSim
-// pipeline and the LP engine — the paper's recommended configuration.
+// MaxFlow computes the temporal maximum flow of g with Solve and the LP
+// engine — the paper's recommended configuration.
 func MaxFlow(g *tin.Graph) (float64, error) {
-	res, err := PreSim(g, EngineLP)
+	res, err := Solve(g, EngineLP)
 	return res.Flow, err
 }

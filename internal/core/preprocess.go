@@ -25,11 +25,17 @@ type PreprocessStats struct {
 //
 // Preprocess preserves the maximum flow of the graph and never deletes
 // interactions on the source's outgoing edges. The graph must be a DAG.
-func Preprocess(g *tin.Graph) (PreprocessStats, error) {
+func Preprocess(g *tin.Graph) (PreprocessStats, error) { return preprocess(g, nil) }
+
+// preprocess is Preprocess given a topological order of g's live vertices
+// (nil computes it).
+func preprocess(g *tin.Graph, order []tin.VertexID) (PreprocessStats, error) {
 	var st PreprocessStats
-	order, err := g.TopoOrder()
-	if err != nil {
-		return st, fmt.Errorf("core: preprocess: %w", err)
+	if order == nil {
+		var err error
+		if order, err = g.TopoOrder(); err != nil {
+			return st, fmt.Errorf("core: preprocess: %w", err)
+		}
 	}
 
 	// deleteUpstream removes v (which has no live outgoing edges) and its

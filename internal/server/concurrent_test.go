@@ -45,7 +45,7 @@ func TestConcurrentClients(t *testing.T) {
 		wantPattern[name] = sum
 	}
 	batchSeeds := seeds[:4]
-	wantBatch, err := core.BatchSeeds(n, batchSeeds, extract, core.EngineLP, 0)
+	wantBatch, err := core.BatchSeedsContext(context.Background(), n, batchSeeds, extract, core.EngineLP, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

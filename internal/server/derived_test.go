@@ -307,7 +307,7 @@ func TestCacheKeyRoundTrip(t *testing.T) {
 		t.Fatalf("POST /flow/batch: status %d (%s)", status, body)
 	}
 
-	sh, err := s.network("live")
+	sh, err := s.store.Resolve("live")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,8 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"flownet/internal/core"
+	"flownet/internal/teg"
 	"flownet/internal/tin"
 )
 
@@ -139,6 +141,25 @@ func TestDifferentialIncrementalVsRebuild(t *testing.T) {
 // field-identical to the pre-optimization pipeline — extract the full
 // subgraph, Graph.RestrictWindow, solve — for every seed, every pair, and
 // a spread of windows (full, interior, point, inverted, disjoint).
+//
+// oracleSolve fills res for g the way the server did before core.Solve
+// existed — its own acyclicity test, then the time-expanded engine or
+// PreSim — so the comparison also checks Solve's dispatch independently.
+func oracleSolve(t *testing.T, g *tin.Graph, res *FlowResult) {
+	t.Helper()
+	res.Ok = true
+	res.Vertices, res.Edges, res.Interactions = g.NumLiveVertices(), g.NumLiveEdges(), g.NumInteractions()
+	if !g.IsDAG() {
+		res.Flow, res.Method, res.UsedEngine = teg.MaxFlow(g), "teg", true
+		return
+	}
+	r, err := core.PreSim(g, core.EngineLP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Flow, res.Class, res.Method, res.UsedEngine = r.Flow, r.Class.String(), "presim", r.UsedEngine
+}
+
 func TestWindowedServingMatchesRestrictOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	const numV = 9
@@ -168,9 +189,7 @@ func TestWindowedServingMatchesRestrictOracle(t *testing.T) {
 		for seed := 0; seed < numV; seed++ {
 			want := FlowResult{Network: "w", Query: "seed", Seed: seed}
 			if g, ok := n.ExtractSubgraph(tin.VertexID(seed), opts); ok {
-				if err := s.solveFlow(g.RestrictWindow(w[0], w[1]), &want); err != nil {
-					t.Fatal(err)
-				}
+				oracleSolve(t, g.RestrictWindow(w[0], w[1]), &want)
 			}
 			var got FlowResult
 			q := fmt.Sprintf("/flow?net=w&seed=%d&from=%g&to=%g", seed, w[0], w[1])
@@ -188,9 +207,7 @@ func TestWindowedServingMatchesRestrictOracle(t *testing.T) {
 				}
 				want := FlowResult{Network: "w", Query: "pair", Source: src, Sink: snk}
 				if g, ok := n.FlowSubgraphBetween(tin.VertexID(src), tin.VertexID(snk)); ok {
-					if err := s.solveFlow(g.RestrictWindow(w[0], w[1]), &want); err != nil {
-						t.Fatal(err)
-					}
+					oracleSolve(t, g.RestrictWindow(w[0], w[1]), &want)
 				}
 				var got FlowResult
 				q := fmt.Sprintf("/flow?net=w&source=%d&sink=%d&from=%g&to=%g", src, snk, w[0], w[1])

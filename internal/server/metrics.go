@@ -140,7 +140,7 @@ const retryAfterSeconds = "1"
 // Deadline: each admitted request runs under Config.QueryTimeout (when
 // set). Handlers thread the request context through batch and pattern
 // evaluation and poll it at stage boundaries; expiry surfaces as 504 (see
-// writeCtxError) and the partial result is never cached.
+// serveQuery) and the partial result is never cached.
 func (s *Server) guard(route string, h http.HandlerFunc) http.HandlerFunc {
 	m := s.metrics[route]
 	return func(w http.ResponseWriter, r *http.Request) {

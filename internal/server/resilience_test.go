@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"flownet/internal/store"
 )
 
 // TestAdmissionControlShedsOnlyQueries pins the admission-control contract
@@ -218,6 +220,73 @@ func TestMetricsEndpoint(t *testing.T) {
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("metrics body missing %q; body:\n%s", want, body)
+		}
+	}
+}
+
+// stalledWriter is a client that stops reading: its first Write signals
+// entered and then blocks until release is closed.
+type stalledWriter struct {
+	*httptest.ResponseRecorder
+	entered, release chan struct{}
+}
+
+func (w *stalledWriter) Write(p []byte) (int, error) {
+	close(w.entered)
+	<-w.release
+	return w.ResponseRecorder.Write(p)
+}
+
+// TestSlowClientDoesNotBlockIngest pins that no query route holds the
+// network's read lock while it writes its response: with a client stalled
+// mid-write on each route, miss or hit, an append must still go through —
+// before this was fixed it queued behind the read lock, and every later
+// reader of the network behind the queued writer. The stalled response,
+// once drained, is still the answer of the version it was computed on.
+func TestSlowClientDoesNotBlockIngest(t *testing.T) {
+	for _, cacheSize := range []int{0, 16} { // a computed answer, a replayed one
+		s := New(Config{CacheSize: cacheSize, AllowIngest: true})
+		if err := s.AddNetwork("live", buildNet(t, 3, chainItems)); err != nil {
+			t.Fatal(err)
+		}
+		sh, err := s.store.Resolve("live")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, req := range []string{
+			"GET /flow?source=0&sink=2",
+			`POST /flow/batch {"seeds":[0,1,2]}`,
+			"GET /patterns?pattern=P2&mode=gb",
+		} {
+			_, _, want := issue(s, req)
+			w := &stalledWriter{httptest.NewRecorder(), make(chan struct{}), make(chan struct{})}
+			served := make(chan struct{})
+			go func() {
+				defer close(served)
+				s.Handler().ServeHTTP(w, scripted(req))
+			}()
+			<-w.entered
+
+			appended := make(chan error, 1)
+			go func() {
+				_, err := sh.Append([]store.Item{{From: 0, To: 1, Time: float64(10 + i), Qty: 1}}, store.Options{})
+				appended <- err
+			}()
+			select {
+			case err := <-appended:
+				if err != nil {
+					t.Fatalf("cache %d, %s: append: %v", cacheSize, req, err)
+				}
+			case <-time.After(2 * time.Second):
+				close(w.release)
+				t.Fatalf("cache %d, %s: append blocked behind a client that is not reading its response", cacheSize, req)
+			}
+
+			close(w.release)
+			<-served
+			if got := w.Body.String(); w.Code != http.StatusOK || got != want {
+				t.Fatalf("cache %d, %s: stalled response = %d %q, want 200 %q", cacheSize, req, w.Code, got, want)
+			}
 		}
 	}
 }

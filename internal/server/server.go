@@ -56,7 +56,6 @@ import (
 	"flownet/internal/par"
 	"flownet/internal/pattern"
 	"flownet/internal/store"
-	"flownet/internal/teg"
 	"flownet/internal/tin"
 )
 
@@ -197,8 +196,8 @@ func New(cfg Config) *Server {
 	s.mux.Handle("POST /flow/batch", s.instrument("/flow/batch", s.guard("/flow/batch", s.handleBatch)))
 	s.mux.Handle("GET /patterns", s.instrument("/patterns", s.guard("/patterns", s.handlePatterns)))
 	s.mux.Handle("GET /networks", s.instrument("/networks", s.handleNetworks))
-	s.mux.Handle("POST /networks", s.instrument("/networks", s.handleCreateNetwork))
-	s.mux.Handle("POST /ingest", s.instrument("/ingest", s.handleIngest))
+	s.mux.Handle("POST /networks", s.instrument("/networks", s.ingestOnly(s.handleCreateNetwork)))
+	s.mux.Handle("POST /ingest", s.instrument("/ingest", s.ingestOnly(s.handleIngest)))
 	s.mux.Handle("GET /stats", s.instrument("/stats", s.handleStats))
 	s.mux.Handle("GET /healthz", s.instrument("/healthz", s.handleHealthz))
 	s.mux.Handle("GET /metrics", s.instrument("/metrics", s.handleMetrics))
@@ -283,10 +282,16 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	}
 }
 
-// network resolves the "net" query parameter (or BatchRequest.Network):
+// shard resolves the "net" query parameter (or a request body's Network):
 // empty selects the sole loaded network, anything else must match a name.
-func (s *Server) network(name string) (*store.Shard, error) {
-	return s.store.Resolve(name)
+// It answers the 404 itself and returns nil then.
+func (s *Server) shard(w http.ResponseWriter, name string) *store.Shard {
+	sh, err := s.store.Resolve(name)
+	if err != nil {
+		writeError(w, http.StatusNotFound, "%v", err)
+		return nil
+	}
+	return sh
 }
 
 // workers clamps a per-request worker count to the server's bound.
@@ -303,13 +308,30 @@ func (s *Server) workers(requested int) int {
 
 // ---- response plumbing ------------------------------------------------
 
-func writeRaw(w http.ResponseWriter, status int, body []byte, cacheStatus string) {
+// answer is a finished response: serveQuery computes one under the network
+// pin and writes it after letting go.
+type answer struct {
+	status int
+	body   []byte
+	cache  string // X-Flownet-Cache; empty = no header
+}
+
+func (a answer) write(w http.ResponseWriter) {
 	w.Header().Set("Content-Type", "application/json")
-	if cacheStatus != "" {
-		w.Header().Set("X-Flownet-Cache", cacheStatus)
+	if a.cache != "" {
+		w.Header().Set("X-Flownet-Cache", a.cache)
 	}
-	w.WriteHeader(status)
-	w.Write(body)
+	w.WriteHeader(a.status)
+	w.Write(a.body)
+}
+
+func errorAnswer(status int, format string, args ...any) answer {
+	body, _ := json.Marshal(errorBody{Error: fmt.Sprintf(format, args...)}) // a string field always marshals
+	return answer{status: status, body: append(body, '\n')}
+}
+
+func writeError(w http.ResponseWriter, status int, format string, args ...any) {
+	errorAnswer(status, format, args...).write(w)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -318,59 +340,99 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	writeRaw(w, status, append(body, '\n'), "")
+	answer{status: status, body: append(body, '\n')}.write(w)
 }
 
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
+// decodeBody reads a POST body into req — size-capped, unknown fields
+// rejected — answering the 400 itself and reporting false on failure.
+func decodeBody(w http.ResponseWriter, r *http.Request, req any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(req); err != nil {
+		writeError(w, http.StatusBadRequest, "decoding request body: %v", err)
+		return false
+	}
+	return true
 }
 
-// respond marshals a successful result, memoizes it under key (unless key
-// is empty) and writes it with the cache-status header. Bodies above
-// maxCachedBytes are served but not cached: the LRU is bounded in entry
-// count, so admitting huge batch responses would make its byte footprint
-// effectively unbounded. A response produced under an already-expired or
-// cancelled request context is served but never cached either — a handler
-// that happened to finish right at the deadline must not plant a result
-// the timed-out path would have refused to compute.
+// runFunc computes a query on the network version its prepareFunc was
+// handed: the value to marshal and the answer's read footprint (ascending
+// vertex ids; nil = unknown), recorded with the cache entry so the
+// retention sweep can keep it across ingests that provably missed it (see
+// derived.go). It polls ctx between expensive stages and returns its error.
+type runFunc func(ctx context.Context) (result any, foot []tin.VertexID, err error)
+
+// prepareFunc validates a request against the pinned network (an error is
+// a 400) and returns the normalised <query> part of its cache key with the
+// computation to run on a miss.
+type prepareFunc func(n *tin.Network, gen uint64) (key string, run runFunc, err error)
+
+// serveQuery is the one request path of the cached routes (/flow,
+// /flow/batch, /patterns), which differ only in their prepareFunc: pin the
+// network, build the key, replay a memoized answer or compute and memoize
+// one, or map the failure to its status.
 //
-// foot is the answer's read footprint (ascending vertex ids; nil =
-// unknown), recorded with the entry so the retention sweep can keep it
-// alive across ingests that provably missed it (see derived.go). Large
-// footprints are demoted to unknown by clampFootprint.
-func (s *Server) respond(w http.ResponseWriter, r *http.Request, key string, foot []tin.VertexID, v any) {
-	body, err := json.Marshal(v)
+// The pin (the shard's read lock) spans validation to marshalled body: the
+// version that resolves the parameters is the one that answers, and gen
+// tags the key so an ingest (which bumps it) can never serve this version's
+// answer to a later request. It ends before the first byte is written: a
+// slow client must not hold a lock that ingest — and, behind the waiting
+// writer, every later reader of the network — queues on.
+func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, route, kind string, sh *store.Shard, prepare prepareFunc) {
+	s.answerQuery(r.Context(), route, kind, sh, prepare).write(w)
+}
+
+func (s *Server) answerQuery(ctx context.Context, route, kind string, sh *store.Shard, prepare prepareFunc) answer {
+	n, gen, release := sh.Acquire()
+	defer release()
+	query, run, err := prepare(n, gen)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "encoding response: %v", err)
-		return
+		return errorAnswer(http.StatusBadRequest, "%v", err)
+	}
+	key := cacheKey(kind, sh.Name(), gen, query)
+	if hit, ok := s.serveCached(route, key); ok {
+		return hit
+	}
+	// An expired deadline fails fast instead of burning a worker on an
+	// answer nobody is waiting for.
+	err = ctx.Err()
+	var result any
+	var foot []tin.VertexID
+	if err == nil {
+		result, foot, err = run(ctx)
+	}
+	switch {
+	case errors.Is(err, context.DeadlineExceeded): // the server's own QueryTimeout
+		return errorAnswer(http.StatusGatewayTimeout, "query timed out (server -query-timeout); narrow the query or raise the limit")
+	case errors.Is(err, context.Canceled):
+		return errorAnswer(statusClientClosedRequest, "client closed request")
+	case err != nil:
+		return errorAnswer(http.StatusInternalServerError, "%v", err)
+	}
+	body, err := json.Marshal(result)
+	if err != nil {
+		return errorAnswer(http.StatusInternalServerError, "encoding response: %v", err)
 	}
 	body = append(body, '\n')
-	if key != "" && len(body) <= maxCachedBytes && r.Context().Err() == nil {
+	// Bodies above maxCachedBytes are served but not cached: the LRU is
+	// bounded in entry count, so huge batch responses would make its byte
+	// footprint effectively unbounded. Nor is a response that finished right
+	// at the deadline: it must not plant a result the timed-out path would
+	// have refused to compute.
+	if len(body) <= maxCachedBytes && ctx.Err() == nil {
 		s.cache.Put(key, cachedResponse{body: body, foot: clampFootprint(foot)})
 	}
-	writeRaw(w, http.StatusOK, body, "miss")
-}
-
-// writeCtxError maps a request context error to its HTTP status: deadline
-// expiry (the server's own QueryTimeout) is 504, a client disconnect is
-// the conventional 499.
-func writeCtxError(w http.ResponseWriter, err error) {
-	if errors.Is(err, context.DeadlineExceeded) {
-		writeError(w, http.StatusGatewayTimeout, "query timed out (server -query-timeout); narrow the query or raise the limit")
-		return
-	}
-	writeError(w, statusClientClosedRequest, "client closed request")
+	return answer{status: http.StatusOK, body: body, cache: "miss"}
 }
 
 // serveCached replays a memoized response if one exists.
-func (s *Server) serveCached(w http.ResponseWriter, route, key string) bool {
+func (s *Server) serveCached(route, key string) (answer, bool) {
 	v, ok := s.cache.Get(key)
 	if !ok {
-		return false
+		return answer{}, false
 	}
 	s.metrics[route].cacheHits.Add(1)
-	writeRaw(w, http.StatusOK, v.body, "hit")
-	return true
+	return answer{status: http.StatusOK, body: v.body, cache: "hit"}, true
 }
 
 // ---- parameter parsing ------------------------------------------------
@@ -503,247 +565,192 @@ func flowQueryKey(q tin.Query) string {
 
 // ---- handlers ---------------------------------------------------------
 
-// handleFlow answers GET /flow, seed and pair addressing alike, as one
-// pipeline: parse and normalise the query, look its key up in the response
-// cache, extract the subgraph (the time window is applied during
-// extraction — out-of-window interactions are never materialized), solve
-// it, and respond.
+// classMethod renders a core.Solve result in the wire's terms: the class
+// under "presim", or none under "teg" for a cyclic instance.
+func classMethod(r core.Result) (class, method string) {
+	if r.Cyclic {
+		return "", "teg"
+	}
+	return r.Class.String(), "presim"
+}
+
+// handleFlow answers GET /flow, seed and pair addressing alike: a miss
+// extracts the subgraph (the time window is applied during extraction —
+// out-of-window interactions are never materialized) and solves it.
 func (s *Server) handleFlow(w http.ResponseWriter, r *http.Request) {
 	p := r.URL.Query()
-	sh, err := s.network(p.Get("net"))
-	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
+	sh := s.shard(w, p.Get("net"))
+	if sh == nil {
 		return
 	}
-	// Hold the read lock for the whole query: the network version that
-	// resolves the parameters is the one that answers, and gen tags every
-	// cache key so an ingest (which bumps gen) can never serve this
-	// version's answer to a later request.
-	n, gen, release := sh.Acquire()
-	defer release()
-	q, err := s.parseFlowQuery(p, n)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	key := cacheKey("flow", sh.Name(), gen, flowQueryKey(q))
-	if s.serveCached(w, "/flow", key) {
-		return
-	}
-	// The extraction and the solve are the expensive stages; the context
-	// is polled before each so an expired deadline fails fast (504)
-	// instead of burning a worker on an answer nobody is waiting for.
-	if err := r.Context().Err(); err != nil {
-		writeCtxError(w, err)
-		return
-	}
-	res := FlowResult{Network: sh.Name(), Query: "pair", Source: int(q.Source), Sink: int(q.Sink)}
-	if q.Source == q.Sink {
-		res = FlowResult{Network: sh.Name(), Query: "seed", Seed: int(q.Source)}
-	}
-	x := n.Extract(q)
-	if x.Ok {
-		if err := r.Context().Err(); err != nil {
-			writeCtxError(w, err)
-			return
+	s.serveQuery(w, r, "/flow", "flow", sh, func(n *tin.Network, _ uint64) (string, runFunc, error) {
+		q, err := s.parseFlowQuery(p, n)
+		if err != nil {
+			return "", nil, err
 		}
-		if err := s.solveFlow(x.Graph, &res); err != nil {
-			writeError(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
-	}
-	s.respond(w, r, key, x.Footprint, res)
+		return flowQueryKey(q), func(ctx context.Context) (any, []tin.VertexID, error) {
+			res := FlowResult{Network: sh.Name(), Query: "pair", Source: int(q.Source), Sink: int(q.Sink)}
+			if q.Source == q.Sink {
+				res = FlowResult{Network: sh.Name(), Query: "seed", Seed: int(q.Source)}
+			}
+			x := n.Extract(q)
+			if !x.Ok {
+				return res, x.Footprint, nil
+			}
+			if err := ctx.Err(); err != nil { // between the two expensive stages
+				return nil, nil, err
+			}
+			sol, err := core.Solve(x.Graph, s.cfg.Engine)
+			if err != nil {
+				return nil, nil, err
+			}
+			res.Ok = true
+			res.Vertices = x.Graph.NumLiveVertices()
+			res.Edges = x.Graph.NumLiveEdges()
+			res.Interactions = x.Graph.NumInteractions()
+			res.Flow = sol.Flow
+			res.Class, res.Method = classMethod(sol)
+			res.UsedEngine = sol.UsedEngine
+			return res, x.Footprint, nil
+		}, nil
+	})
 }
 
-// solveFlow runs the PreSim pipeline on g (or the time-expanded engine when
-// g is cyclic — pair subgraphs may be) and fills res.
-func (s *Server) solveFlow(g *tin.Graph, res *FlowResult) error {
-	res.Ok = true
-	res.Vertices = g.NumLiveVertices()
-	res.Edges = g.NumLiveEdges()
-	res.Interactions = g.NumInteractions()
-	if !g.IsDAG() {
-		res.Flow = teg.MaxFlow(g)
-		res.Method = "teg"
-		res.UsedEngine = true
-		return nil
-	}
-	r, err := core.PreSim(g, s.cfg.Engine)
-	if err != nil {
-		return err
-	}
-	res.Flow = r.Flow
-	res.Class = r.Class.String()
-	res.Method = "presim"
-	res.UsedEngine = r.UsedEngine
-	return nil
-}
-
-// handleBatch answers POST /flow/batch: BatchFlowSeeds over the JSON-listed
-// seeds (or every vertex with "all": true).
+// handleBatch answers POST /flow/batch: core.BatchSeedsContext — each seed
+// answered as /flow?seed= answers it — over the JSON-listed seeds (or every
+// vertex with "all": true).
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
-	sh, err := s.network(req.Network)
-	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
+	sh := s.shard(w, req.Network)
+	if sh == nil {
 		return
 	}
-	n, gen, release := sh.Acquire()
-	defer release()
-	opts, err := extractParams(req.Hops, req.MaxInteractions)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	var seeds []tin.VertexID
-	var seedsKey string
-	switch {
-	case req.All && len(req.Seeds) > 0:
-		writeError(w, http.StatusBadRequest, "give either seeds or all, not both")
-		return
-	case req.All:
-		seeds = make([]tin.VertexID, n.NumVertices())
-		for i := range seeds {
-			seeds[i] = tin.VertexID(i)
+	s.serveQuery(w, r, "/flow/batch", "batch", sh, func(n *tin.Network, _ uint64) (string, runFunc, error) {
+		opts, err := extractParams(req.Hops, req.MaxInteractions)
+		if err != nil {
+			return "", nil, err
 		}
-		seedsKey = "all"
-	case len(req.Seeds) > 0:
-		var b strings.Builder
-		for i, v := range req.Seeds {
-			if v < 0 || v >= n.NumVertices() {
-				writeError(w, http.StatusBadRequest, "seed %d is not a vertex id in [0,%d)", v, n.NumVertices())
-				return
+		var seeds []tin.VertexID
+		var seedsKey string
+		switch {
+		case req.All && len(req.Seeds) > 0:
+			return "", nil, errors.New("give either seeds or all, not both")
+		case req.All:
+			seeds = make([]tin.VertexID, n.NumVertices())
+			for i := range seeds {
+				seeds[i] = tin.VertexID(i)
 			}
-			seeds = append(seeds, tin.VertexID(v))
-			if i > 0 {
-				b.WriteByte(',')
+			seedsKey = "all"
+		case len(req.Seeds) > 0:
+			var b strings.Builder
+			for i, v := range req.Seeds {
+				if v < 0 || v >= n.NumVertices() {
+					return "", nil, fmt.Errorf("seed %d is not a vertex id in [0,%d)", v, n.NumVertices())
+				}
+				seeds = append(seeds, tin.VertexID(v))
+				if i > 0 {
+					b.WriteByte(',')
+				}
+				b.WriteString(strconv.Itoa(v))
 			}
-			b.WriteString(strconv.Itoa(v))
+			seedsKey = b.String()
+			// Long seed lists are hashed so the entry-count-bounded LRU does
+			// not hold multi-MB keys.
+			if len(seedsKey) > 64 {
+				sum := sha256.Sum256([]byte(seedsKey))
+				seedsKey = "h:" + hex.EncodeToString(sum[:])
+			}
+		default:
+			return "", nil, errors.New("no seeds given (pass seeds or all)")
 		}
-		seedsKey = b.String()
-		// Long seed lists are hashed so the entry-count-bounded LRU does
-		// not hold multi-MB keys.
-		if len(seedsKey) > 64 {
-			sum := sha256.Sum256([]byte(seedsKey))
-			seedsKey = "h:" + hex.EncodeToString(sum[:])
-		}
-	default:
-		writeError(w, http.StatusBadRequest, "no seeds given (pass seeds or all)")
-		return
-	}
-	// Workers are excluded from the key: results are identical for every
-	// worker count (see the library's Concurrency guarantee).
-	key := cacheKey("batch", sh.Name(), gen, fmt.Sprintf("%d|%d|%s", opts.MaxHops, opts.MaxInteractions, seedsKey))
-	if s.serveCached(w, "/flow/batch", key) {
-		return
-	}
-	// The request context aborts the remaining seeds when the client
-	// disconnects mid-batch or the server's QueryTimeout expires; a
-	// cancelled batch is partial and must not be cached or reported as
-	// success.
-	results, err := core.BatchSeedsContext(r.Context(), n, seeds, opts, s.cfg.Engine, s.workers(req.Workers))
-	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			writeCtxError(w, err)
-			return
-		}
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	// Batch answers carry no footprint (the union over many seeds would
-	// rarely survive retention); they fall back to purge-on-change.
-	res := BatchResult{Network: sh.Name(), Results: make([]SeedFlowResult, len(results))}
-	for i, sr := range results {
-		res.Results[i] = SeedFlowResult{Seed: int(sr.Seed), Ok: sr.Ok}
-		if sr.Ok {
-			res.Results[i].Flow = sr.Flow
-			res.Results[i].Class = sr.Class.String()
-			res.Solved++
-			res.TotalFlow += sr.Flow
-		}
-	}
-	s.respond(w, r, key, nil, res)
+		// Workers are excluded from the key: results are identical for every
+		// worker count (see the library's Concurrency guarantee).
+		key := fmt.Sprintf("%d|%d|%s", opts.MaxHops, opts.MaxInteractions, seedsKey)
+		return key, func(ctx context.Context) (any, []tin.VertexID, error) {
+			// ctx aborts the remaining seeds on a client disconnect or the
+			// QueryTimeout; a partial batch is an error, not an answer.
+			results, err := core.BatchSeedsContext(ctx, n, seeds, opts, s.cfg.Engine, s.workers(req.Workers))
+			if err != nil {
+				return nil, nil, err
+			}
+			res := BatchResult{Network: sh.Name(), Results: make([]SeedFlowResult, len(results))}
+			for i, sr := range results {
+				res.Results[i] = SeedFlowResult{Seed: int(sr.Seed), Ok: sr.Ok}
+				if sr.Ok {
+					res.Results[i].Flow = sr.Flow
+					res.Results[i].Class, _ = classMethod(sr.Result)
+					res.Solved++
+					res.TotalFlow += sr.Flow
+				}
+			}
+			// No footprint (the union over many seeds would rarely survive
+			// retention): batch answers fall back to purge-on-change.
+			return res, nil, nil
+		}, nil
+	})
 }
 
 // handlePatterns answers GET /patterns: one catalogue pattern search, PB
 // (default; tables built lazily per network) or GB.
 func (s *Server) handlePatterns(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	sh, err := s.network(q.Get("net"))
-	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
+	sh := s.shard(w, q.Get("net"))
+	if sh == nil {
 		return
 	}
-	name := q.Get("pattern")
-	p := pattern.ByName(name)
-	if p == nil {
-		writeError(w, http.StatusBadRequest, "unknown pattern %q (want P1..P6 or RP1..RP3)", name)
-		return
-	}
-	mode := q.Get("mode")
-	if mode == "" {
-		mode = "pb"
-	}
-	if mode != "pb" && mode != "gb" {
-		writeError(w, http.StatusBadRequest, "unknown mode %q (want pb or gb)", mode)
-		return
-	}
-	maxInst, err1 := intParam(q, "max", 0)
-	minPaths, err2 := intParam(q, "minpaths", 0)
-	workers, err3 := intParam(q, "workers", 0)
-	if err := errors.Join(err1, err2, err3); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	n, gen, release := sh.Acquire()
-	defer release()
-	key := cacheKey("patterns", sh.Name(), gen, fmt.Sprintf("%s|%s|%d|%d", p.Name, mode, maxInst, minPaths))
-	if s.serveCached(w, "/patterns", key) {
-		return
-	}
-	// Polled before the (possibly expensive) lazy table build, and threaded
-	// into the search itself via Options.Ctx, so a deadline cuts a long
-	// enumeration short instead of letting it run to completion unobserved.
-	if err := r.Context().Err(); err != nil {
-		writeCtxError(w, err)
-		return
-	}
-	opts := pattern.Options{
-		MaxInstances: int64(maxInst),
-		Engine:       s.cfg.Engine,
-		MinPaths:     minPaths,
-		Workers:      s.workers(workers),
-		Ctx:          r.Context(),
-	}
-	var sum pattern.Summary
-	if mode == "pb" {
-		sum, err = pattern.SearchPB(n, s.tablesFor(sh).get(n, gen), p, opts)
-	} else {
-		sum, err = pattern.SearchGB(n, p, opts)
-	}
-	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			writeCtxError(w, err)
-			return
+	s.serveQuery(w, r, "/patterns", "patterns", sh, func(n *tin.Network, gen uint64) (string, runFunc, error) {
+		name := q.Get("pattern")
+		p := pattern.ByName(name)
+		if p == nil {
+			return "", nil, fmt.Errorf("unknown pattern %q (want P1..P6 or RP1..RP3)", name)
 		}
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	// Pattern answers depend on anchors network-wide; no useful footprint.
-	s.respond(w, r, key, nil, PatternResult{
-		Network:   sh.Name(),
-		Pattern:   sum.Pattern,
-		Mode:      mode,
-		Instances: sum.Instances,
-		TotalFlow: sum.TotalFlow,
-		AvgFlow:   sum.AvgFlow(),
-		Truncated: sum.Truncated,
+		mode := q.Get("mode")
+		if mode == "" {
+			mode = "pb"
+		}
+		if mode != "pb" && mode != "gb" {
+			return "", nil, fmt.Errorf("unknown mode %q (want pb or gb)", mode)
+		}
+		maxInst, err1 := intParam(q, "max", 0)
+		minPaths, err2 := intParam(q, "minpaths", 0)
+		workers, err3 := intParam(q, "workers", 0)
+		if err := errors.Join(err1, err2, err3); err != nil {
+			return "", nil, err
+		}
+		key := fmt.Sprintf("%s|%s|%d|%d", p.Name, mode, maxInst, minPaths)
+		return key, func(ctx context.Context) (any, []tin.VertexID, error) {
+			// Ctx lets a deadline cut a long enumeration short.
+			opts := pattern.Options{
+				MaxInstances: int64(maxInst),
+				Engine:       s.cfg.Engine,
+				MinPaths:     minPaths,
+				Workers:      s.workers(workers),
+				Ctx:          ctx,
+			}
+			var sum pattern.Summary
+			var err error
+			if mode == "pb" {
+				sum, err = pattern.SearchPB(n, s.tablesFor(sh).get(n, gen), p, opts)
+			} else {
+				sum, err = pattern.SearchGB(n, p, opts)
+			}
+			if err != nil {
+				return nil, nil, err
+			}
+			// Anchors are network-wide: no useful footprint.
+			return PatternResult{
+				Network:   sh.Name(),
+				Pattern:   sum.Pattern,
+				Mode:      mode,
+				Instances: sum.Instances,
+				TotalFlow: sum.TotalFlow,
+				AvgFlow:   sum.AvgFlow(),
+				Truncated: sum.Truncated,
+			}, nil, nil
+		}, nil
 	})
 }
 
@@ -854,18 +861,46 @@ func (s *Server) networkInfos() map[string]NetworkInfo {
 
 // ---- ingestion --------------------------------------------------------
 
-// handleCreateNetwork answers POST /networks: register a new, empty,
-// ingest-ready network. Gated by Config.AllowIngest.
-func (s *Server) handleCreateNetwork(w http.ResponseWriter, r *http.Request) {
-	if !s.cfg.AllowIngest {
-		writeError(w, http.StatusForbidden, "ingestion disabled (start flownetd with -allow-ingest)")
-		return
+// ingestOnly gates the write path (POST /networks, POST /ingest) behind
+// Config.AllowIngest.
+func (s *Server) ingestOnly(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if !s.cfg.AllowIngest {
+			writeError(w, http.StatusForbidden, "ingestion disabled (start flownetd with -allow-ingest)")
+			return
+		}
+		h(w, r)
 	}
+}
+
+// writeStoreError answers a failed store write; fallback is the status of
+// an error the store does not name.
+func writeStoreError(w http.ResponseWriter, err error, fallback int) {
+	status := fallback
+	switch {
+	case errors.Is(err, store.ErrDuplicate):
+		status = http.StatusConflict
+	case errors.Is(err, store.ErrReadOnly):
+		// The shard is poisoned from an earlier WAL failure: nothing of
+		// this write was applied, a repair snapshot is queued, and the
+		// write is safe to retry once it lands — a retryable 503, unlike
+		// the fresh durability failure below.
+		status = http.StatusServiceUnavailable
+		w.Header().Set("Retry-After", retryAfterSeconds)
+	case errors.Is(err, store.ErrDurability):
+		// The write is applied in memory but not on disk: the client must
+		// not treat it as acknowledged — and must not blindly retry either
+		// (a retry would double-apply), hence 500, not 503.
+		status = http.StatusInternalServerError
+	}
+	writeError(w, status, "%v", err)
+}
+
+// handleCreateNetwork answers POST /networks: register a new, empty,
+// ingest-ready network.
+func (s *Server) handleCreateNetwork(w http.ResponseWriter, r *http.Request) {
 	var req CreateNetworkRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Vertices < 0 || req.Vertices > maxCreateVertices {
@@ -874,13 +909,7 @@ func (s *Server) handleCreateNetwork(w http.ResponseWriter, r *http.Request) {
 	}
 	sh, err := s.store.Create(req.Name, req.Vertices)
 	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, store.ErrDuplicate) {
-			status = http.StatusConflict
-		} else if errors.Is(err, store.ErrDurability) {
-			status = http.StatusInternalServerError
-		}
-		writeError(w, status, "%v", err)
+		writeStoreError(w, err, http.StatusBadRequest)
 		return
 	}
 	writeJSON(w, http.StatusOK, CreateNetworkResult{
@@ -892,33 +921,25 @@ func (s *Server) handleCreateNetwork(w http.ResponseWriter, r *http.Request) {
 
 // handleIngest answers POST /ingest: append a time-ordered interaction
 // batch to a loaded network (and/or merge its pending out-of-order buffer
-// when Reindex is set). Gated by Config.AllowIngest. The store both makes
-// the batch durable (WAL, on a durable store) and drives the derived
-// state: its delta-bearing change notification fires for every append
-// that changed what queries can observe, feeding the PB table cache's
-// pending-edge union and the retention sweep that re-keys cached answers
-// the delta provably missed (dropping only the rest) — and only that
-// network's. The bumped generation would make stale entries unreachable
-// anyway; the sweep either frees their LRU slots or keeps them serving.
+// when Reindex is set). The store both makes the batch durable (WAL, on a
+// durable store) and drives the derived state: its delta-bearing change
+// notification fires for every append that changed what queries can
+// observe, feeding the PB table cache's pending-edge union and the
+// retention sweep that re-keys cached answers the delta provably missed
+// (dropping only the rest) — and only that network's. The bumped
+// generation would make stale entries unreachable anyway; the sweep either
+// frees their LRU slots or keeps them serving.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	if !s.cfg.AllowIngest {
-		writeError(w, http.StatusForbidden, "ingestion disabled (start flownetd with -allow-ingest)")
-		return
-	}
 	var req IngestRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Interactions) == 0 && !req.Reindex {
 		writeError(w, http.StatusBadRequest, "no interactions given (pass interactions, or reindex to merge the pending buffer)")
 		return
 	}
-	sh, err := s.network(req.Network)
-	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
+	sh := s.shard(w, req.Network)
+	if sh == nil {
 		return
 	}
 	items := make([]store.Item, len(req.Interactions))
@@ -935,21 +956,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	ares, err := sh.Append(items, store.Options{OnOutOfOrder: policy, Grow: req.Grow})
 	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, store.ErrReadOnly) {
-			// The shard is poisoned from an earlier WAL failure: nothing of
-			// this batch was applied, a repair snapshot is queued, and the
-			// write is safe to retry once it lands — a retryable 503, unlike
-			// the fresh durability failure below.
-			status = http.StatusServiceUnavailable
-			w.Header().Set("Retry-After", retryAfterSeconds)
-		} else if errors.Is(err, store.ErrDurability) {
-			// The batch is applied in memory but not on disk: the client
-			// must not treat it as acknowledged — and must not blindly
-			// retry either (a retry would double-apply), hence 500, not 503.
-			status = http.StatusInternalServerError
-		}
-		writeError(w, status, "%v", err)
+		writeStoreError(w, err, http.StatusBadRequest)
 		return
 	}
 	res := IngestResult{
@@ -962,12 +969,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if req.Reindex {
 		rres, err := sh.Reindex()
 		if err != nil {
-			status := http.StatusInternalServerError
-			if errors.Is(err, store.ErrReadOnly) {
-				status = http.StatusServiceUnavailable
-				w.Header().Set("Retry-After", retryAfterSeconds)
-			}
-			writeError(w, status, "reindex: %v", err)
+			writeStoreError(w, fmt.Errorf("reindex: %w", err), http.StatusInternalServerError)
 			return
 		}
 		res.Appended += rres.Appended
