@@ -168,23 +168,42 @@ func verifyServerSurfacesAgree(t *testing.T, ts *httptest.Server) {
 	t.Helper()
 	routes := []string{"/flow", "/flow/batch", "/patterns", "/ingest"}
 
-	// Quiesce: requests land before their latency observation, so equal
-	// requests/latency_count on every route means all counters settled.
-	var st struct {
-		Endpoints map[string]struct {
-			Requests     uint64 `json:"requests"`
-			LatencySumNs int64  `json:"latency_sum_ns"`
-			LatencyCount uint64 `json:"latency_count"`
-		} `json:"endpoints"`
+	// Quiesce: a handler the finished load run abandoned keeps computing and
+	// records its latency whenever it is done, so the counters are settled
+	// only when /stats reads the same before and after /metrics was fetched
+	// (and, within one read, requests == latency_count on every route:
+	// requests land before their latency observation).
+	type endpoints map[string]struct {
+		Requests     uint64 `json:"requests"`
+		LatencySumNs int64  `json:"latency_sum_ns"`
+		LatencyCount uint64 `json:"latency_count"`
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st.Endpoints = nil
+	readStats := func() endpoints {
+		var st struct {
+			Endpoints endpoints `json:"endpoints"`
+		}
 		getJSON(t, ts, "/stats", &st)
+		return st.Endpoints
+	}
+	var st endpoints
+	var body string
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		st = readStats()
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		body = string(raw)
+		after := readStats()
 		settled := true
 		for _, route := range routes {
-			ep := st.Endpoints[route]
-			settled = settled && ep.LatencyCount == ep.Requests
+			settled = settled && st[route].LatencyCount == st[route].Requests && st[route] == after[route]
 		}
 		if settled {
 			break
@@ -194,19 +213,8 @@ func verifyServerSurfacesAgree(t *testing.T, ts *httptest.Server) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := string(raw)
 	for _, route := range routes {
-		ep := st.Endpoints[route]
+		ep := st[route]
 		if ep.LatencyCount == 0 {
 			t.Fatalf("route %s saw no traffic; the load mix is broken", route)
 		}

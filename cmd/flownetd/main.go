@@ -40,8 +40,10 @@
 // -mmap serves binary snapshots zero-copy: recovery maps the snapshot file
 // read-only instead of decoding it (the interaction arena advised
 // MADV_RANDOM, so footprint-bound queries on networks larger than RAM
-// fault in only the pages they touch), and the mapping is released the
-// first time the network is mutated.
+// fault in only the pages they touch). Ingest leaves the mapped base in
+// place — appended interactions live in a heap tail over it — and the
+// mapping is released once a fold (the next checkpoint, at the latest) has
+// moved the network onto the heap and its last reader is gone.
 //
 // Exit codes: 0 after a clean shutdown, 1 on a runtime failure, 2 on a
 // usage error.
@@ -98,7 +100,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		dataDir     = fs.String("data-dir", "", "durable storage directory (per-network WAL + binary snapshots); empty = in-memory only")
 		walSync     = fs.Bool("wal-sync", false, "fsync the WAL after every accepted batch instead of only at checkpoints (requires -data-dir)")
 		snapEvery   = fs.Int("snapshot-every", 0, "WAL records per network that trigger a background snapshot (0 = default 256, negative = never; requires -data-dir)")
-		useMmap     = fs.Bool("mmap", false, "serve binary snapshots zero-copy via mmap instead of decoding them (released when a network is first mutated)")
+		useMmap     = fs.Bool("mmap", false, "serve binary snapshots zero-copy via mmap instead of decoding them (released once ingest has folded a network onto the heap)")
 		queryTO     = fs.Duration("query-timeout", 0, "per-request deadline for /flow, /flow/batch and /patterns; expired queries answer 504 (0 = no deadline)")
 		maxInflight = fs.Int("max-inflight", 0, "maximum concurrently executing queries; excess load answers 503 + Retry-After (0 = unbounded)")
 	)

@@ -120,10 +120,10 @@ type (
 	BatchItem = tin.BatchItem
 )
 
-// Streaming types (see internal/store): a LiveNetwork holds a finalized
-// Network behind a reader/writer lock and a generation counter so that
-// time-ordered interaction batches can extend it while queries keep
-// running. It is the same type as a Store's Shard — NewLiveNetwork returns
+// Streaming types (see internal/store): a LiveNetwork publishes versions
+// of a finalized Network — immutable values, each with its generation — so
+// that time-ordered interaction batches can extend it while queries keep
+// running on the version they pinned, neither waiting for the other. It is the same type as a Store's Shard — NewLiveNetwork returns
 // the shard of a private in-memory store — so everything said about Shard
 // (Append, Reindex, Grow, View/Acquire, Generation, Pending) holds for it.
 // Network itself also exposes the single-writer append surface directly —
@@ -310,8 +310,10 @@ func LoadNetwork(path string) (*Network, error) { return tin.LoadNetwork(path) }
 // in place instead of being decoded. Any other input — text, gzip, or a
 // platform without mmap — falls back to a regular load. The mapped
 // interaction arena is advised MADV_RANDOM, so cold footprint-bound queries
-// on networks larger than RAM fault in only the pages they touch. The
-// mapping is released automatically when the network is first mutated.
+// on networks larger than RAM fault in only the pages they touch. Appends
+// leave the mapping in place (what they add lives on the heap beside it);
+// it is released when an AppendBatch or MergeUnordered folds the network
+// onto the heap, or by Network.Unmap.
 func LoadNetworkMmap(path string) (*Network, error) { return tin.OpenNetworkMmap(path) }
 
 // SaveNetwork writes a network to a text (optionally .gz) interaction file.

@@ -223,30 +223,40 @@ func TestMmapLoadFasterThanDecode(t *testing.T) {
 // the result graph are fine, O(interactions) allocation churn is not (the
 // corpus has ~10^4 interactions per extraction, two orders of magnitude above the budget).
 func TestQueryAllocationBudget(t *testing.T) {
-	n := loadBenchNetwork(t)
-	seed := tin.VertexID(0)
-	opts := tin.DefaultExtractOptions()
-	if _, ok := n.ExtractSubgraph(seed, opts); !ok {
-		t.Skip("seed extracts nothing")
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		g, ok := n.ExtractSubgraph(seed, opts)
-		if !ok {
-			t.Fatal("extraction failed")
+	forBaseAndTail(t, func(t *testing.T, n *tin.Network) {
+		seed := tin.VertexID(0)
+		opts := tin.DefaultExtractOptions()
+		if _, ok := n.ExtractSubgraph(seed, opts); !ok {
+			t.Skip("seed extracts nothing")
 		}
-		if _, err := core.PreSim(g, core.EngineTEG); err != nil {
-			t.Fatal(err)
+		allocs := testing.AllocsPerRun(10, func() {
+			g, ok := n.ExtractSubgraph(seed, opts)
+			if !ok {
+				t.Fatal("extraction failed")
+			}
+			if _, err := core.PreSim(g, core.EngineTEG); err != nil {
+				t.Fatal(err)
+			}
+		})
+		// Scratch pooling dropped steady-state extraction to a handful of
+		// result-graph blocks (measured: ~12 for the whole pipeline); the
+		// budget leaves slack for solver variance but forbids any return of
+		// per-path or per-interaction churn.
+		const budget = 40
+		if allocs > budget {
+			t.Errorf("query path allocates %.0f objects per run, budget %d", allocs, budget)
 		}
+		t.Logf("extract+preprocess+flow: %.0f allocs per query", allocs)
 	})
-	// Scratch pooling dropped steady-state extraction to a handful of
-	// result-graph blocks (measured: ~12 for the whole pipeline); the
-	// budget leaves slack for solver variance but forbids any return of
-	// per-path or per-interaction churn.
-	const budget = 40
-	if allocs > budget {
-		t.Errorf("query path allocates %.0f objects per run, budget %d", allocs, budget)
-	}
-	t.Logf("extract+preprocess+flow: %.0f allocs per query", allocs)
+}
+
+// forBaseAndTail runs a hot-path guard on the benchmark network as loaded
+// (all base, no tail) and on the same network after 64 appended batches:
+// reading through a tail must fit the same budgets.
+func forBaseAndTail(t *testing.T, guard func(t *testing.T, n *tin.Network)) {
+	n := loadBenchNetwork(t)
+	t.Run("base", func(t *testing.T) { guard(t, n) })
+	t.Run("tail", func(t *testing.T) { guard(t, withTail(t, n, 0)) })
 }
 
 // TestWindowedQueryAllocationBudget is the same guard for the windowed
@@ -254,25 +264,26 @@ func TestQueryAllocationBudget(t *testing.T) {
 // allocation churn (the pre-optimization path cloned the whole subgraph in
 // RestrictWindow).
 func TestWindowedQueryAllocationBudget(t *testing.T) {
-	n := loadBenchNetwork(t)
-	seed := tin.VertexID(0)
-	opts := tin.DefaultExtractOptions()
-	opts.Window = &tin.TimeWindow{From: 0, To: n.MaxTime() / 2}
-	if _, ok := n.ExtractSubgraph(seed, opts); !ok {
-		t.Skip("seed extracts nothing in the window")
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		g, ok := n.ExtractSubgraph(seed, opts)
-		if !ok {
-			t.Fatal("extraction failed")
+	forBaseAndTail(t, func(t *testing.T, n *tin.Network) {
+		seed := tin.VertexID(0)
+		opts := tin.DefaultExtractOptions()
+		opts.Window = &tin.TimeWindow{From: 0, To: n.MaxTime() / 2}
+		if _, ok := n.ExtractSubgraph(seed, opts); !ok {
+			t.Skip("seed extracts nothing in the window")
 		}
-		if _, err := core.PreSim(g, core.EngineTEG); err != nil {
-			t.Fatal(err)
+		allocs := testing.AllocsPerRun(10, func() {
+			g, ok := n.ExtractSubgraph(seed, opts)
+			if !ok {
+				t.Fatal("extraction failed")
+			}
+			if _, err := core.PreSim(g, core.EngineTEG); err != nil {
+				t.Fatal(err)
+			}
+		})
+		const budget = 40
+		if allocs > budget {
+			t.Errorf("windowed query path allocates %.0f objects per run, budget %d", allocs, budget)
 		}
+		t.Logf("windowed extract+preprocess+flow: %.0f allocs per query", allocs)
 	})
-	const budget = 40
-	if allocs > budget {
-		t.Errorf("windowed query path allocates %.0f objects per run, budget %d", allocs, budget)
-	}
-	t.Logf("windowed extract+preprocess+flow: %.0f allocs per query", allocs)
 }

@@ -128,21 +128,33 @@ func TestPairQueryCostIsFootprintBound(t *testing.T) {
 		}
 		return best
 	}
-	tSmall, tLarge := time(small), time(large)
-	t.Logf("pair query: %.1fµs on 10K background, %.1fµs on 1M (%.2fx)",
-		tSmall*1e6, tLarge*1e6, tLarge/tSmall)
-	if tLarge > 2*tSmall {
-		t.Errorf("pair query on 1M-edge background took %.2fx the 10K time; extraction cost is not footprint-bound",
-			tLarge/tSmall)
+	// The same bounds hold when the large network is read through a tail:
+	// 64 appended batches that touch background vertices only, so the
+	// footprint — and the subgraph — are still the same.
+	tailed := withTail(t, large, footV)
+	if gt, ok := extractPair(tailed); !ok || gt.String() != gs.String() {
+		t.Fatal("footprint subgraph differs after appends that do not touch it")
 	}
-
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, ok := extractPair(large); !ok {
-			t.Fatal("extraction failed")
+	tSmall := time(small)
+	for _, c := range []struct {
+		what string
+		n    *tin.Network
+	}{{"1M", large}, {"1M + 64 appended batches", tailed}} {
+		tLarge := time(c.n)
+		t.Logf("pair query: %.1fµs on 10K background, %.1fµs on %s (%.2fx)",
+			tSmall*1e6, tLarge*1e6, c.what, tLarge/tSmall)
+		if tLarge > 2*tSmall {
+			t.Errorf("pair query on the %s background took %.2fx the 10K time; extraction cost is not footprint-bound",
+				c.what, tLarge/tSmall)
 		}
-	})
-	if allocs > 10 && !raceEnabled {
-		t.Errorf("steady-state pair extraction allocates %.0f objects per query, budget 10", allocs)
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, ok := extractPair(c.n); !ok {
+				t.Fatal("extraction failed")
+			}
+		})
+		if allocs > 10 && !raceEnabled {
+			t.Errorf("steady-state pair extraction on %s allocates %.0f objects per query, budget 10", c.what, allocs)
+		}
+		t.Logf("steady-state pair extraction on %s: %.0f allocs per query", c.what, allocs)
 	}
-	t.Logf("steady-state pair extraction: %.0f allocs per query", allocs)
 }

@@ -10,12 +10,12 @@ package server
 // names the edges an ingest touched and their endpoint vertices. Two
 // consumers use it:
 //
-//   - tableCache accumulates the changed-edge union and patches the PB
+//   - tableCache logs the changed edges per generation and patches the PB
 //     path tables forward with pattern.Tables.Update on the next query,
 //     falling back to a full pattern.Precompute when the delta is too
 //     large (tableUpdateThreshold), when a reindex re-ranked the
-//     edge order (Update's preconditions no longer hold), or when no
-//     tables were built yet.
+//     edge order (Update's preconditions no longer hold), when the log
+//     misses a bump, or when no tables were built yet.
 //
 //   - the retention sweep re-keys cached responses whose recorded read
 //     footprint (the vertex set the answer depended on) is disjoint from
@@ -27,7 +27,7 @@ package server
 // never depends on a sweep running, only on generation tags.
 
 import (
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -90,119 +90,164 @@ func clampFootprint(foot []tin.VertexID) []tin.VertexID {
 
 // ---- warm PB path tables ----------------------------------------------
 
+// tableDelta is one entry of a tableCache's change log: what the bumps of
+// generations (from, gen] did to the network. A single bump has from ==
+// gen-1 and lists its changed edges; full marks a range the tables cannot
+// be patched across — a reindex re-ranked the canonical order, or the log
+// outgrew tableLogLimit and was collapsed.
+type tableDelta struct {
+	from, gen uint64
+	edges     []tin.EdgeID
+	full      bool
+}
+
+// tableLogLimit caps the edge ids a change log holds (an empty delta
+// counts as one). A network that keeps ingesting while nobody asks a PB
+// question must not grow the log without bound: past the limit the log
+// collapses into one full entry and the next PB query rebuilds.
+const tableLogLimit = 16 * tableUpdateThreshold
+
 // tableCache is one network's lazily built, generation-tagged PB path
-// tables, kept warm across ingests: between a build at gen and the next PB
-// query it accumulates the changed-edge union of every generation bump, and
-// the next get patches the tables forward with pattern.Tables.Update when
-// the delta is small enough (srv.tableThreshold), rebuilding otherwise.
+// tables, kept warm across ingests. Readers are not held up by writers (a
+// version is pinned, not locked), so a delta can arrive while a reader
+// pinned at an older generation is still building — its first build
+// included. The cache therefore logs every delta it is told of, tagged
+// with its generation, and a reader pinned at generation g brings the
+// tables to g with exactly the entries in (tables' generation, g] —
+// pattern.Tables.Update when they are few enough (srv.tableThreshold), a
+// rebuild otherwise — leaving later entries for later readers. The tables
+// are only ever patched across a range the log covers without a gap: a
+// bump the cache was never told of (it is created lazily, by the first
+// reader) rebuilds, it is never skipped.
 //
-// The build/update runs outside tc.mu under a single-flight guard
-// (building + cond), so concurrent first queries run one build — not one
-// each — and ready() keeps answering (for /stats and /networks) while a
-// build is in progress.
+// The build runs outside tc.mu under a single-flight guard (building +
+// cond), so concurrent first queries run one build — not one each — and
+// ready() keeps answering (for /stats and /networks) meanwhile. Only a
+// reader that moves the tables forward installs them: one pinned below the
+// cached tables has nothing to patch from, builds its own from scratch and
+// installs nothing — it is holding a version at least one complete table
+// refresh old.
 type tableCache struct {
 	srv  *Server
 	mu   sync.Mutex
 	cond *sync.Cond
-	// building marks an in-progress build/update; waiters sleep on cond.
-	// Every waiter holds the network's read lock at the same generation as
-	// the builder (writers are blocked), so they all want the same tables.
+	// building marks an in-progress build that will move gen forward;
+	// readers the cached tables do not serve yet sleep on cond.
 	building bool
 	tables   pattern.Tables
-	// gen is the generation the cached tables were built for; 0 means
+	// gen is the generation the cached tables are current for; 0 means
 	// never built.
 	gen uint64
-	// pending is the union of changed edges since the build at gen; full
-	// marks the accumulated delta unusable (reindex re-ranked the edges,
-	// the union outgrew the threshold, or updates are disabled) so the
-	// next get rebuilds.
-	pending map[tin.EdgeID]struct{}
-	full    bool
+	// log holds the deltas past gen in ascending order, logged holds their
+	// size against tableLogLimit.
+	log    []tableDelta
+	logged int
 }
 
-// recordDelta folds one generation bump's delta into the pending union.
-// Called from the store's change notification, under the network's write
-// lock — so no get() build can be in flight (builds hold the read lock).
-func (tc *tableCache) recordDelta(d store.Delta, threshold int) {
+// recordDelta logs one generation bump. Called from the store's change
+// notification, before the bumped version is published — so the entry is
+// in the log before any reader can be pinned at gen.
+func (tc *tableCache) recordDelta(gen uint64, d store.Delta) {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
-	if tc.gen == 0 || tc.full {
-		return // nothing built yet, or already resigned to a rebuild
-	}
-	if d.Full || threshold < 0 {
-		tc.full = true
-		tc.pending = nil
+	if last := len(tc.log) - 1; last >= 0 && tc.log[last].full {
+		tc.log[last].gen = gen // already resigned to a rebuild across this range
 		return
 	}
-	if tc.pending == nil {
-		tc.pending = make(map[tin.EdgeID]struct{}, len(d.Edges))
+	tc.logged += max(1, len(d.Edges))
+	if d.Full || tc.logged > tableLogLimit {
+		from := gen - 1
+		if len(tc.log) > 0 {
+			from = tc.log[0].from
+		}
+		tc.log = append(tc.log[:0], tableDelta{from: from, gen: gen, full: true})
+		tc.logged = 0
+		return
 	}
-	for _, e := range d.Edges {
-		tc.pending[e] = struct{}{}
+	tc.log = append(tc.log, tableDelta{from: gen - 1, gen: gen, edges: d.Edges})
+}
+
+// plan says how to bring the cached tables to generation gen > tc.gen: the
+// distinct changed edges of (tc.gen, gen] in ascending order, or rebuild
+// when there are no tables yet, updates are disabled, the delta is over
+// the threshold, or the log does not lead from tc.gen to gen one patchable
+// entry after the other. Callers hold tc.mu.
+func (tc *tableCache) plan(gen uint64) (changed []tin.EdgeID, rebuild bool) {
+	threshold := tc.srv.tableThreshold
+	if tc.gen == 0 || threshold < 0 {
+		return nil, true
 	}
-	if len(tc.pending) > threshold {
-		// Over the update threshold: the next query rebuilds anyway, so
-		// stop spending memory on the union.
-		tc.full = true
-		tc.pending = nil
+	at := tc.gen // the generation the entries read so far lead to
+	for _, d := range tc.log {
+		if at == gen {
+			break
+		}
+		if d.full || d.from != at {
+			return nil, true
+		}
+		changed = append(changed, d.edges...)
+		at = d.gen
 	}
+	if at != gen {
+		return nil, true // the log ends short: a bump recorded by nobody
+	}
+	slices.Sort(changed)
+	changed = slices.Compact(changed)
+	return changed, len(changed) > threshold
 }
 
 // get returns the PB path tables for generation gen of n (with the C2
 // chain table included, so every catalogue pattern has a PB plan). Callers
-// must hold the network's read lock, so n cannot change underneath
-// the build and gen is the network's current generation.
+// must hold a pin on n, and gen must be the generation it was pinned at.
 //
 // When the cached tables lag, get patches them forward with Update if the
-// pending delta qualifies (counted in derived.tableUpdates), else rebuilds
+// logged delta qualifies (counted in derived.tableUpdates), else rebuilds
 // from scratch (derived.tableRebuilds). Concurrent callers single-flight:
-// one builds, the rest wait on cond and reuse the result.
+// one builds, those it may serve wait on cond and reuse the result.
 func (tc *tableCache) get(n *tin.Network, gen uint64) pattern.Tables {
 	tc.mu.Lock()
-	for {
-		if tc.gen == gen {
-			t := tc.tables
-			tc.mu.Unlock()
-			return t
-		}
-		if !tc.building {
-			break
-		}
+	for tc.building && tc.gen < gen {
 		tc.cond.Wait()
 	}
+	if tc.gen >= gen {
+		t, stale := tc.tables, tc.gen > gen
+		tc.mu.Unlock()
+		if stale {
+			// Pinned below the cached tables: what it builds is its own.
+			tc.srv.derived.tableRebuilds.Add(1)
+			return pattern.Precompute(n, true)
+		}
+		return t
+	}
+	prev := tc.tables
+	changed, rebuild := tc.plan(gen)
 	tc.building = true
-	prev, prevGen := tc.tables, tc.gen
-	pending, full := tc.pending, tc.full
 	tc.mu.Unlock()
 
-	// Build outside the mutex: ready() and concurrent same-gen getters
-	// must not block behind a long Precompute.
+	// Build outside the mutex: ready() and concurrent getters must not
+	// block behind a long Precompute.
 	var tables pattern.Tables
-	threshold := tc.srv.tableThreshold
-	if prevGen > 0 && !full && threshold >= 0 && len(pending) <= threshold {
-		if len(pending) == 0 {
-			// Growth-only bumps (new isolated vertices): no edge changed,
-			// the tables are already correct — just retag them.
-			tables = prev
-		} else {
-			changed := make([]tin.EdgeID, 0, len(pending))
-			for e := range pending {
-				changed = append(changed, e)
-			}
-			sort.Slice(changed, func(a, b int) bool { return changed[a] < changed[b] })
-			tables = prev.Update(n, changed)
-		}
-		tc.srv.derived.tableUpdates.Add(1)
-	} else {
+	switch {
+	case rebuild:
 		tables = pattern.Precompute(n, true)
 		tc.srv.derived.tableRebuilds.Add(1)
+	case len(changed) == 0:
+		// Growth-only bumps (new isolated vertices): no edge changed, the
+		// tables are already correct — just retag them.
+		tables = prev
+		tc.srv.derived.tableUpdates.Add(1)
+	default:
+		tables = prev.Update(n, changed)
+		tc.srv.derived.tableUpdates.Add(1)
 	}
 
 	tc.mu.Lock()
-	tc.tables = tables
-	tc.gen = gen
-	tc.pending = nil
-	tc.full = false
+	tc.tables, tc.gen = tables, gen
+	tc.log = slices.DeleteFunc(tc.log, func(d tableDelta) bool { return d.gen <= gen })
+	tc.logged = 0
+	for _, d := range tc.log {
+		tc.logged += max(1, len(d.edges))
+	}
 	tc.building = false
 	tc.cond.Broadcast()
 	tc.mu.Unlock()
@@ -246,16 +291,17 @@ type sweepDelta struct {
 	verts map[tin.VertexID]struct{}
 }
 
-// onStoreDelta is the store's change notification (fired under the
-// network's write lock): it feeds the table cache's pending union, folds
-// the delta into the network's sweep, and kicks the single sweeper
-// goroutine. The sweep itself must not run here — it scans the whole LRU.
+// onStoreDelta is the store's change notification (fired on the writer's
+// goroutine, before the bumped version is published): it logs the delta
+// with the table cache, folds it into the network's sweep, and kicks the
+// single sweeper goroutine. The sweep itself must not run here — it scans
+// the whole LRU.
 func (s *Server) onStoreDelta(name string, gen uint64, d store.Delta) {
 	s.tablesMu.Lock()
 	tc := s.tables[name]
 	s.tablesMu.Unlock()
 	if tc != nil {
-		tc.recordDelta(d, s.tableThreshold)
+		tc.recordDelta(gen, d)
 	}
 
 	s.dirtyMu.Lock()

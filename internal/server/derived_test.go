@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"flownet/internal/pattern"
+	"flownet/internal/store"
 	"flownet/internal/tin"
 )
 
@@ -247,6 +249,108 @@ func TestTableBuildSingleFlight(t *testing.T) {
 	if got := s.derived.tableUpdates.Load(); got != 0 {
 		t.Fatalf("concurrent first PB queries counted %d updates, want 0", got)
 	}
+}
+
+// pbEqualsGB requires the P2 search over tables to agree with graph browsing
+// on the same pinned network and returns the instance count.
+func pbEqualsGB(t *testing.T, n *tin.Network, tables pattern.Tables, what string) int64 {
+	t.Helper()
+	pb, err := pattern.SearchPB(n, tables, pattern.P2, pattern.Options{})
+	if err != nil {
+		t.Fatalf("%s: PB: %v", what, err)
+	}
+	gb, err := pattern.SearchGB(n, pattern.P2, pattern.Options{})
+	if err != nil {
+		t.Fatalf("%s: GB: %v", what, err)
+	}
+	if pb.Instances != gb.Instances || pb.TotalFlow != gb.TotalFlow {
+		t.Fatalf("%s: PB=(%d,%g) GB=(%d,%g) on one pinned network", what, pb.Instances, pb.TotalFlow, gb.Instances, gb.TotalFlow)
+	}
+	return pb.Instances
+}
+
+// TestFirstTableBuildBelowCurrentGeneration: readers pin versions and
+// writers do not wait for them, so the reader that runs the *first* build
+// may hold a generation the network has already left. The bump it missed
+// must not be lost: the next reader has to get tables that know the new
+// edge — patched forward when the cache saw the delta, rebuilt when the
+// cache did not exist yet — never the first reader's tables retagged.
+func TestFirstTableBuildBelowCurrentGeneration(t *testing.T) {
+	for _, c := range []struct {
+		name                      string
+		cacheExists               bool
+		wantUpdates, wantRebuilds uint64
+	}{
+		{"delta logged before the first build", true, 1, 1},
+		{"cache created after the bump", false, 0, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := New(Config{AllowIngest: true})
+			if err := s.AddNetwork("live", buildNet(t, 4, []tin.BatchItem{{From: 0, To: 1, Time: 1, Qty: 5}})); err != nil {
+				t.Fatal(err)
+			}
+			sh, _ := s.Store().Get("live")
+			if c.cacheExists {
+				s.tablesFor(sh)
+			}
+			old, oldGen, release := sh.Acquire()
+			// Close a 2-cycle while the first reader is still on its way.
+			if _, err := sh.Append([]store.Item{{From: 1, To: 0, Time: 2, Qty: 4}}, store.Options{}); err != nil {
+				t.Fatal(err)
+			}
+			tc := s.tablesFor(sh)
+			if got := pbEqualsGB(t, old, tc.get(old, oldGen), "first reader"); got != 0 {
+				t.Fatalf("first reader's version has %d P2 instances, want 0", got)
+			}
+			release()
+			sh.View(func(n *tin.Network, gen uint64) {
+				if gen != oldGen+1 {
+					t.Fatalf("generation %d after one append to %d", gen, oldGen)
+				}
+				if got := pbEqualsGB(t, n, tc.get(n, gen), "next reader"); got != 2 {
+					t.Fatalf("next reader sees %d P2 instances, want the new 2-cycle from both anchors", got)
+				}
+			})
+			if u, r := s.derived.tableUpdates.Load(), s.derived.tableRebuilds.Load(); u != c.wantUpdates || r != c.wantRebuilds {
+				t.Fatalf("%d updates, %d rebuilds; want %d and %d", u, r, c.wantUpdates, c.wantRebuilds)
+			}
+		})
+	}
+}
+
+// TestReaderBelowCachedTablesBuildsItsOwn: a reader still holding a version
+// older than the cached tables gets tables for its own version and leaves
+// the cached ones alone.
+func TestReaderBelowCachedTablesBuildsItsOwn(t *testing.T) {
+	s := New(Config{AllowIngest: true})
+	if err := s.AddNetwork("live", buildNet(t, 4, []tin.BatchItem{{From: 0, To: 1, Time: 1, Qty: 5}})); err != nil {
+		t.Fatal(err)
+	}
+	sh, _ := s.Store().Get("live")
+	tc := s.tablesFor(sh)
+	old, oldGen, release := sh.Acquire()
+	defer release()
+	if _, err := sh.Append([]store.Item{{From: 1, To: 0, Time: 2, Qty: 4}}, store.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	s.PrecomputeTables()
+	if !tc.ready(oldGen+1) || s.derived.tableRebuilds.Load() != 1 {
+		t.Fatalf("tables not built once at generation %d", oldGen+1)
+	}
+	if got := pbEqualsGB(t, old, tc.get(old, oldGen), "reader below the cached tables"); got != 0 {
+		t.Fatalf("old version has %d P2 instances, want 0", got)
+	}
+	if !tc.ready(oldGen + 1) {
+		t.Fatal("a reader below the cached tables installed what it built")
+	}
+	if got := s.derived.tableRebuilds.Load(); got != 2 {
+		t.Fatalf("%d rebuilds, want 2 (the old reader's own)", got)
+	}
+	sh.View(func(n *tin.Network, gen uint64) {
+		if got := pbEqualsGB(t, n, tc.get(n, gen), "current reader"); got != 2 {
+			t.Fatalf("current reader sees %d P2 instances, want the 2-cycle from both anchors", got)
+		}
+	})
 }
 
 // TestMetricsExposeDerivedFamilies checks the Prometheus surface of the

@@ -372,12 +372,13 @@ type prepareFunc func(n *tin.Network, gen uint64) (key string, run runFunc, err 
 // network, build the key, replay a memoized answer or compute and memoize
 // one, or map the failure to its status.
 //
-// The pin (the shard's read lock) spans validation to marshalled body: the
-// version that resolves the parameters is the one that answers, and gen
-// tags the key so an ingest (which bumps it) can never serve this version's
-// answer to a later request. It ends before the first byte is written: a
-// slow client must not hold a lock that ingest — and, behind the waiting
-// writer, every later reader of the network — queues on.
+// The pin (on the shard's current version) spans validation to marshalled
+// body: the version that resolves the parameters is the one that answers,
+// and gen tags the key so an ingest (which bumps it) can never serve this
+// version's answer to a later request. It holds nobody up — ingest
+// publishes the next version beside it — and ends before the first byte is
+// written: a slow client must not keep a superseded version (and, under
+// -mmap, its mapping) alive.
 func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, route, kind string, sh *store.Shard, prepare prepareFunc) {
 	s.answerQuery(r.Context(), route, kind, sh, prepare).write(w)
 }
@@ -834,8 +835,9 @@ func (s *Server) networkInfos() map[string]NetworkInfo {
 	infos := make(map[string]NetworkInfo, len(shs))
 	for _, sh := range shs {
 		tc := s.tablesFor(sh)
-		// One View: Pending only moves under the write lock, so the row is
-		// a consistent (network, generation, pending) triple.
+		// One View, so the network's numbers and its generation belong to
+		// one version (Pending is the current version's, which an ingest
+		// in flight may already have moved on).
 		sh.View(func(n *tin.Network, gen uint64) {
 			st := n.Stats()
 			// An empty network reports MaxTime -Inf, which JSON cannot

@@ -258,9 +258,10 @@ type DurabilityInfo struct {
 	// WALError surfaces a WAL write failure that made the network
 	// read-only (a successful snapshot repairs it).
 	WALError string `json:"wal_error,omitempty"`
-	// Mmap reports whether the network is currently served zero-copy from
-	// an mmap'd snapshot (it flips to false once a mutation detaches the
-	// network onto the heap).
+	// Mmap reports whether the network's base is currently served
+	// zero-copy from an mmap'd snapshot (it flips to false once ingest has
+	// folded the network onto the heap — the next checkpoint, at the
+	// latest).
 	Mmap bool `json:"mmap"`
 }
 

@@ -4,11 +4,11 @@
 // with a per-network write-ahead log and binary snapshots.
 //
 // Layering: internal/tin is the network itself; this package owns the
-// *set* of networks, what makes each one live-updatable (live.go: lock,
-// generation, pending buffer, change deltas) and their persistence, and
-// internal/server is reduced to HTTP handling on top. Each network is a
-// Shard with its own locks and its own WAL, so ingest on one network never
-// contends with ingest on another.
+// *set* of networks, what makes each one live-updatable (live.go: published
+// versions, generation, pending buffer, change deltas) and their
+// persistence, and internal/server is reduced to HTTP handling on top. Each
+// network is a Shard with its own writer mutex and its own WAL, so ingest
+// on one network never contends with ingest on another.
 //
 // Durability contract. Every accepted mutation — Append (including parked
 // out-of-order items), Reindex, vertex growth, CreateNetwork — is applied
@@ -96,10 +96,13 @@ type Config struct {
 	// Mmap serves recovered snapshots zero-copy via mmap where the
 	// platform supports it (falling back to the regular decode elsewhere):
 	// recovery becomes a header check instead of a full read, and networks
-	// larger than RAM stay servable. The mapping is released as soon as
-	// the network is mutated (the CSR arrays are copied onto the heap
-	// first) or when the store closes. Snapshot open failures still go
-	// through FS, so fault injection keeps gating the load path.
+	// larger than RAM stay servable. Ingest leaves the mapped base in place
+	// (appended interactions live in a heap tail over it); the mapping is
+	// released once a fold — at a checkpoint, or when the tail has grown
+	// large — has moved the network onto the heap and the last reader of
+	// the mapped versions is gone, or when the store closes. Snapshot open
+	// failures still go through FS, so fault injection keeps gating the
+	// load path.
 	Mmap bool
 }
 
@@ -135,10 +138,10 @@ type Durability struct {
 	// (memory is ahead of disk; a successful snapshot repairs it). Empty
 	// on a healthy shard.
 	WALError string
-	// Mmap reports whether the live network is currently served zero-copy
-	// from an mmap'd snapshot. It flips to false on the first mutation
-	// (the network detaches onto the heap) and is always false when
-	// Config.Mmap is off or the platform lacks mmap.
+	// Mmap reports whether the live network's base is currently served
+	// zero-copy from an mmap'd snapshot. It flips to false at the first
+	// fold after recovery (the next checkpoint, at the latest) and is
+	// always false when Config.Mmap is off or the platform lacks mmap.
 	Mmap bool
 }
 
@@ -150,15 +153,17 @@ type Store struct {
 	snapshotEvery int
 	fs            fault.FS
 
-	mu     sync.RWMutex
+	mu     sync.Mutex
 	shards map[string]*Shard
 	// reserved holds names whose Create/Add is doing disk work outside
 	// s.mu: the name is taken (duplicate checks see it) but not yet
 	// queryable, so a slow initial snapshot never blocks readers.
 	reserved map[string]bool
 
-	subMu sync.RWMutex
-	subs  []func(name string, gen uint64, delta Delta)
+	// subs is replaced, never modified, so notify reads it without a lock
+	// (two networks' ingests do not meet here); subMu orders subscribers.
+	subMu sync.Mutex
+	subs  atomic.Pointer[[]func(name string, gen uint64, delta Delta)]
 
 	walAppends atomic.Uint64
 	walFsyncs  atomic.Uint64
@@ -257,11 +262,14 @@ func (s *Store) abortOpen() {
 // generation, and the change delta (see Delta) — the hook through
 // which derived state (pattern tables, memoized answers) is maintained
 // incrementally instead of rebuilt. Callbacks run on the mutating goroutine
-// with the network's write lock held: they must be fast and must not query
-// the store. Because the lock is still held, a reader that later observes
-// generation g has a guarantee that the callback already ran for every bump
-// up to g — delta consumers can therefore keep an exact per-network change
-// accumulator with no gaps. Recovery replay does not notify (it happens
+// *before* the bumped version is published: they must be fast and must not
+// query the store. Because of that order, a reader that pins generation g
+// has a guarantee that the callback already ran for every bump up to g —
+// delta consumers can therefore keep an exact per-network change log with
+// no gaps. Readers are not held up meanwhile: one pinned at an older
+// generation may be running while the callback records a newer delta, so a
+// consumer must tag what it records with the generation. Recovery replay
+// does not notify (it happens
 // before SubscribeDelta can be called on the returned store).
 // Subscriptions last for the store's lifetime — there is no unsubscribe —
 // so a subscriber must live as long as the store (one Server per Store, as
@@ -272,16 +280,21 @@ func (s *Store) SubscribeDelta(fn func(name string, gen uint64, delta Delta)) {
 	}
 	s.subMu.Lock()
 	defer s.subMu.Unlock()
-	s.subs = append(s.subs, fn)
+	var subs []func(string, uint64, Delta)
+	if old := s.subs.Load(); old != nil {
+		subs = append(subs, *old...)
+	}
+	subs = append(subs, fn)
+	s.subs.Store(&subs)
 }
 
 // notify fans one generation bump out to the subscribers. Shards call it
-// from bump, with their network write lock held.
+// from draft.bump, before the bumped version is published.
 func (s *Store) notify(name string, gen uint64, delta Delta) {
-	s.subMu.RLock()
-	defer s.subMu.RUnlock()
-	for _, fn := range s.subs {
-		fn(name, gen, delta)
+	if subs := s.subs.Load(); subs != nil {
+		for _, fn := range *subs {
+			fn(name, gen, delta)
+		}
 	}
 }
 
@@ -351,7 +364,7 @@ func (s *Store) Create(name string, vertices int) (*Shard, error) {
 	empty := tin.NewNetwork(vertices)
 	empty.Finalize()
 	sh := &Shard{store: s, name: name}
-	sh.serve(empty, 1)
+	sh.publish(empty, 1, 0)
 	if s.durable() {
 		if err := sh.makeDir(); err != nil {
 			s.unreserve(name)
@@ -411,7 +424,7 @@ func (s *Store) Add(name string, n *tin.Network) (*Shard, error) {
 		return nil, err
 	}
 	sh := &Shard{store: s, name: name}
-	sh.serve(n, 1)
+	sh.publish(n, 1, 0)
 	if s.durable() {
 		if err := sh.makeDir(); err != nil {
 			s.unreserve(name)
@@ -439,8 +452,8 @@ func (s *Store) Add(name string, n *tin.Network) (*Shard, error) {
 
 // Get returns the shard registered under name.
 func (s *Store) Get(name string) (*Shard, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	sh, ok := s.shards[name]
 	return sh, ok
 }
@@ -448,8 +461,8 @@ func (s *Store) Get(name string) (*Shard, bool) {
 // Resolve resolves a request's network name: empty selects the sole
 // registered network, anything else must match exactly.
 func (s *Store) Resolve(name string) (*Shard, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if name == "" {
 		if len(s.shards) == 1 {
 			for _, sh := range s.shards {
@@ -467,8 +480,8 @@ func (s *Store) Resolve(name string) (*Shard, error) {
 
 // Shards returns the registered shards, sorted by name.
 func (s *Store) Shards() []*Shard {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	shs := make([]*Shard, 0, len(s.shards))
 	for _, sh := range s.shards {
 		shs = append(shs, sh)
@@ -479,8 +492,8 @@ func (s *Store) Shards() []*Shard {
 
 // Len returns the number of registered networks.
 func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return len(s.shards)
 }
 
@@ -512,8 +525,9 @@ func (s *Store) SnapshotAll() error {
 	return first
 }
 
-// Close stops the background checkpointer and fsyncs and closes every WAL.
-// The store must not be used afterwards. Close is idempotent.
+// Close stops the background checkpointer, fsyncs and closes every WAL and
+// releases every snapshot mapping, waiting for the readers still pinned on
+// one. The store must not be used afterwards. Close is idempotent.
 func (s *Store) Close() error {
 	var first error
 	s.closeOnce.Do(func() {
@@ -530,15 +544,19 @@ func (s *Store) Close() error {
 				sh.wal = nil
 				sh.publishWALStats()
 			}
+			// Release every snapshot mapping: retire the current version if
+			// it sits on one, and wait until the last reader pinned on a
+			// mapped base — current or superseded — lets go. The store is
+			// specified as unusable after Close, so the network going with
+			// it is part of the contract.
+			if cur := sh.cur.Load(); cur.mapping != nil {
+				cur.unpin()
+			}
+			mappings := sh.mappings
 			sh.mu.Unlock()
-			// Release any snapshot mapping. The write lock guarantees no
-			// reader still holds references into the mapped memory; the
-			// store is specified as unusable after Close, so the network
-			// going with it is part of the contract.
-			sh.netMu.Lock()
-			sh.net.Unmap()
-			sh.mmapped.Store(false)
-			sh.netMu.Unlock()
+			for _, m := range mappings {
+				<-m.gone
+			}
 		}
 		s.unlockDir()
 	})
@@ -562,44 +580,43 @@ func (s *Store) checkpointer() {
 
 // ---- Shard -------------------------------------------------------------
 
-// Shard is one live network owned by the store: the network that serves
-// queries, the versioning that lets appends and queries interleave (see
-// live.go), and the WAL that makes mutations durable. Mutations on
-// different shards proceed in parallel; mutations on one shard are
-// serialized by mu. All methods are safe for concurrent use.
+// Shard is one live network owned by the store: the published version that
+// serves queries (see live.go) and the WAL that makes mutations durable.
+// Mutations on different shards proceed in parallel; mutations on one shard
+// are serialized by mu. All methods are safe for concurrent use.
 //
-// Two locks, always taken in the order mu -> netMu:
+// One writer mutex and one published version:
 //
-//   - mu is the writer lock. One mutation (apply, then WAL append) or one
-//     checkpoint holds it at a time, across all of its disk IO. Queries
-//     never touch it.
-//   - netMu guards the network itself. Queries hold it shared; a mutation
-//     holds it exclusively only for the in-memory apply and the change
-//     notification — never across IO. A checkpoint holds it shared while
-//     the snapshot file is written, so queries keep running and only
-//     writers (already excluded by mu) wait.
+//   - mu is the writer lock. One mutation (derive the next version, notify,
+//     publish, then WAL append) or one checkpoint (fold, publish, snapshot
+//     write, WAL switch) holds it at a time, across all of its disk IO.
+//     Queries never touch it.
+//   - cur is the current version. Queries load and pin it (Acquire): they
+//     never wait for a writer, a writer never waits for them, and a pinned
+//     version stays exactly as it was for as long as the pin is held —
+//     through any number of appends, folds and checkpoints. A superseded
+//     version is garbage once its pins are gone; if its base was an mmap'd
+//     snapshot, the last pin to drop (over all versions sharing that base)
+//     unmaps it.
 //
-// The control plane (Generation, Pending, Durability) takes neither: it
-// reads atomics and the statsMu-guarded mirrors.
+// The control plane (Generation, Pending, Durability) loads cur and reads
+// the statsMu-guarded mirrors; it takes no lock a writer holds across IO.
 type Shard struct {
 	store *Store
 	name  string
 	dir   string // "" when the store is not durable
 
-	netMu sync.RWMutex
-	// net is assigned once at construction/recovery and never replaced; it
-	// is mutated only by apply. pending holds the parked out-of-order items
-	// in arrival order. Both are guarded by netMu.
-	net     *tin.Network
-	pending []Item
-	// gen, numPending and mmapped are written under netMu's write lock and
-	// read lock-free: gen is the generation itself, the other two mirror
-	// len(pending) and net.MmapBacked().
-	gen        atomic.Uint64
-	numPending atomic.Int64
-	mmapped    atomic.Bool
+	// cur is replaced, never modified; only the holder of mu stores it.
+	cur atomic.Pointer[version]
+	// mappings lists the snapshot mappings this shard has served from (one,
+	// made at recovery, unless a later change starts mapping folded bases),
+	// for Close to wait on. Guarded by mu.
+	mappings []*mapping
 
-	mu      sync.Mutex
+	mu sync.Mutex
+	// pending holds the parked out-of-order items in arrival order; its
+	// length rides every published version.
+	pending []Item
 	wal     *walFile
 	baseGen uint64
 
@@ -650,15 +667,6 @@ func (sh *Shard) getWALErr() error {
 
 // Name returns the shard's registered network name.
 func (sh *Shard) Name() string { return sh.name }
-
-// serve installs the finalized network the shard serves, at generation gen
-// (1 for a new network, the recovered value on the restore path) — once,
-// before the shard is shared.
-func (sh *Shard) serve(n *tin.Network, gen uint64) {
-	sh.net = n
-	sh.gen.Store(gen)
-	sh.mmapped.Store(n.MmapBacked())
-}
 
 // Append applies a batch to the live network (see applyAppend for the
 // ordering contract) and records it to the WAL. Validation failures leave
@@ -783,12 +791,13 @@ func (sh *Shard) snapshotPath(gen uint64) string {
 	return filepath.Join(sh.dir, fmt.Sprintf("snapshot-g%d.tinb", gen))
 }
 
-// Snapshot checkpoints the shard now: it writes the live network to a new
-// binary snapshot, starts a fresh WAL based on it (carrying the pending
+// Snapshot checkpoints the shard now: it folds the live network's tail
+// into a fresh base (the file is that image, and the write is O(N)
+// anyway), publishes the folded version, writes it to a new binary
+// snapshot, starts a fresh WAL based on it (carrying the pending
 // out-of-order buffer forward), and deletes the previous snapshot/WAL
-// pair. Appends to this shard block for the duration; queries never do
-// (the snapshot is written under the shared network lock). A no-op when
-// the current WAL has no records. A successful Snapshot also repairs a
+// pair. Appends to this shard block for the duration; queries never do. A
+// no-op when the current WAL has no records. A successful Snapshot also repairs a
 // poisoned shard (see Append): the new snapshot/WAL pair is derived from
 // the in-memory state, so disk and memory agree again and writes resume.
 func (sh *Shard) Snapshot() error {
@@ -800,12 +809,16 @@ func (sh *Shard) Snapshot() error {
 	if sh.wal.records == 0 && sh.getWALErr() == nil {
 		return nil
 	}
-	// mu keeps writers out, so the network cannot change between the
-	// snapshot write and the reads below; the shared netMu is what lets
-	// queries keep running meanwhile.
-	sh.netMu.RLock()
-	gen := sh.gen.Load()
-	hdr := walHeader{baseGen: gen, numV: uint64(sh.net.NumVertices()), hasBase: true}
+	// mu keeps writers out, so the current version stays current — and its
+	// mapping, if any, mapped — for the whole checkpoint; queries keep
+	// running on whatever they pinned. The fold changes the representation,
+	// not the content: same generation, nothing to announce.
+	cur := sh.cur.Load()
+	gen, net := cur.gen, cur.net.Folded()
+	if net != cur.net {
+		sh.publish(net, gen, cur.pending)
+	}
+	hdr := walHeader{baseGen: gen, numV: uint64(net.NumVertices()), hasBase: true}
 	// The pending buffer is not part of the tin snapshot; it rides in the
 	// new WAL as its first record, which replays into the same parked
 	// state (all pending items precede the snapshot's MaxTime, so a
@@ -814,9 +827,7 @@ func (sh *Shard) Snapshot() error {
 	if len(sh.pending) > 0 {
 		firstRecord = encodeAppend(sh.pending, Options{OnOutOfOrder: PolicyDefer})
 	}
-	err := sh.saveSnapshot(sh.snapshotPath(gen), sh.net)
-	sh.netMu.RUnlock()
-	if err != nil {
+	if err := sh.saveSnapshot(sh.snapshotPath(gen), net); err != nil {
 		return err
 	}
 	w, err := createWAL(sh.store.fs, sh.walPath(gen), hdr, firstRecord)
@@ -839,9 +850,9 @@ func (sh *Shard) Snapshot() error {
 }
 
 // Durability reports the shard's current durability state. It reads the
-// mirrored stats only — never sh.mu or the network lock — so it stays
-// responsive while a checkpoint or a syncing append holds the shard lock,
-// or a writer queues behind a slow query.
+// mirrored stats and the published version only — never sh.mu — so it
+// stays responsive while a checkpoint or a syncing append holds the shard
+// lock.
 func (sh *Shard) Durability() Durability {
 	sh.statsMu.Lock()
 	d := Durability{
@@ -862,7 +873,7 @@ func (sh *Shard) Durability() Durability {
 		d.CheckpointError = sh.ckErr.Error()
 	}
 	sh.ckErrMu.Unlock()
-	d.Mmap = sh.mmapped.Load()
+	d.Mmap = sh.cur.Load().mapping != nil
 	return d
 }
 
@@ -1020,7 +1031,7 @@ func (s *Store) recoverShard(dir, name string) (*Shard, error) {
 			lastErr = fmt.Errorf("WAL base generation must be >= 1, got %d", hdr.baseGen)
 			continue
 		}
-		sh.serve(base, hdr.baseGen)
+		sh.publish(base, hdr.baseGen, 0)
 		applied := 0
 		for _, rec := range recs {
 			if _, err := sh.apply(rec); err != nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -930,7 +931,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // generation and the right delta shape (edge ids + endpoints for appends,
 // an empty delta for growth, Full for reindexes), tagged with the right
 // network; a deferred-only append does not notify; and every callback runs
-// with the network write lock held, before any reader can see the bump.
+// before its version is published, i.e. before any reader can see the bump.
 func TestSubscribeDelta(t *testing.T) {
 	for name, cfg := range map[string]Config{"memory": {}, "durable": {Dir: t.TempDir()}} {
 		t.Run(name, func(t *testing.T) { testSubscribeDelta(t, openTestStore(t, cfg)) })
@@ -947,12 +948,8 @@ func testSubscribeDelta(t *testing.T, s *Store) {
 	s.SubscribeDelta(func(name string, gen uint64, delta Delta) {
 		evs = append(evs, ev{name, gen, delta})
 		sh, _ := s.Get(name)
-		if sh.netMu.TryRLock() {
-			sh.netMu.RUnlock()
-			t.Errorf("notification for generation %d ran without the network write lock", gen)
-		}
-		if got := sh.Generation(); got != gen {
-			t.Errorf("notification for generation %d saw generation %d", gen, got)
+		if got := sh.Generation(); got >= gen {
+			t.Errorf("notification for generation %d ran with generation %d already published", gen, got)
 		}
 	})
 	sh, err := s.Create("live", 2)
@@ -1048,4 +1045,211 @@ func TestNoReaderSeesAnUnannouncedGeneration(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
+}
+
+// ---- published versions: readers and writers do not wait for each other --
+
+// versionTestNetwork is a small dense network: 40 vertices, 600 interactions
+// at times 1..600, so seeds have returning paths and pairs have routes.
+func versionTestNetwork() *tin.Network {
+	n := tin.NewNetwork(40)
+	for i := 0; i < 600; i++ {
+		from, to := tin.VertexID(i*7%40), tin.VertexID((i*11+3)%40)
+		if from != to {
+			n.AddInteraction(from, to, float64(i+1), float64(i%9+1))
+		}
+	}
+	n.Finalize()
+	return n
+}
+
+// versionBatch returns the i-th 64-item batch of the append stream used by
+// the tests below: some items grow existing edges, some open new ones.
+func versionBatch(i int) []Item {
+	its := make([]Item, 64)
+	for j := range its {
+		k := i*64 + j
+		from, to := tin.VertexID(k%40), tin.VertexID((k*13+5+i)%40)
+		if from == to {
+			to = (to + 1) % 40
+		}
+		its[j] = Item{From: from, To: to, Time: float64(1000 + k), Qty: float64(k%5 + 1)}
+	}
+	return its
+}
+
+// answersOf renders what a reader can learn from n: seed, pair and windowed
+// extractions with their footprints, and the network's totals.
+func answersOf(n *tin.Network) string {
+	out := fmt.Sprintf("ia=%d edges=%d max=%v avg=%v\n", n.NumInteractions(), n.NumEdges(), n.MaxTime(), n.AvgQty())
+	for v := tin.VertexID(0); v < 8; v++ {
+		for _, q := range []tin.Query{
+			{Source: v, Sink: v, ExtractOptions: tin.DefaultExtractOptions(), Footprint: true},
+			{Source: v, Sink: v + 9, Footprint: true},
+			{Source: v, Sink: v + 9, ExtractOptions: tin.ExtractOptions{Window: &tin.TimeWindow{From: 100, To: 400}}},
+		} {
+			x := n.Extract(q)
+			out += fmt.Sprintf("%d->%d ok=%v foot=%v\n", q.Source, q.Sink, x.Ok, x.Footprint)
+			if x.Ok {
+				out += x.Graph.String() + "\n"
+			}
+		}
+	}
+	return out
+}
+
+// parkReader pins the shard's current version in a goroutine and hands the
+// pinned network over; the reader stays inside View until release is closed.
+func parkReader(t *testing.T, sh *Shard) (n *tin.Network, gen uint64, release chan struct{}, done chan struct{}) {
+	t.Helper()
+	type pinned struct {
+		n   *tin.Network
+		gen uint64
+	}
+	parked := make(chan pinned)
+	release, done = make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		sh.View(func(n *tin.Network, gen uint64) {
+			parked <- pinned{n, gen}
+			<-release
+		})
+	}()
+	p := <-parked
+	return p.n, p.gen, release, done
+}
+
+// appendHundred applies versionBatch(0..99) and fails the test if any
+// Append takes 100 ms or the lot does not finish — at the parent commit the
+// first one queued forever behind the read lock the parked reader held.
+func appendHundred(t *testing.T, sh *Shard) {
+	t.Helper()
+	took := make(chan time.Duration, 100)
+	go func() {
+		defer close(took)
+		for i := 0; i < 100; i++ {
+			start := time.Now()
+			if _, err := sh.Append(versionBatch(i), Options{}); err != nil {
+				t.Errorf("append %d: %v", i, err)
+				return
+			}
+			took <- time.Since(start)
+		}
+	}()
+	deadline := time.After(30 * time.Second)
+	for i := 0; ; i++ {
+		select {
+		case d, ok := <-took:
+			if !ok {
+				if i != 100 {
+					t.Fatalf("%d of 100 appends completed", i)
+				}
+				return
+			}
+			if d >= 100*time.Millisecond {
+				t.Errorf("append %d took %v with a reader parked, want < 100ms", i, d)
+			}
+		case <-deadline:
+			t.Fatalf("append %d has not returned: the writer is waiting for the parked reader", i)
+		}
+	}
+}
+
+// TestIngestDoesNotWaitForReaders: a reader parked inside View holds no
+// lock a writer needs. A hundred appends — enough to cross a tail fold
+// (6400 interactions) and, on the durable store, several checkpoints —
+// each return promptly, and a fresh reader sees all of them.
+func TestIngestDoesNotWaitForReaders(t *testing.T) {
+	for name, cfg := range map[string]Config{"memory": {}, "durable": {Dir: t.TempDir(), SnapshotEvery: 16}} {
+		t.Run(name, func(t *testing.T) {
+			s := openTestStore(t, cfg)
+			sh, err := s.Add("live", versionTestNetwork())
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, gen, release, done := parkReader(t, sh)
+			appendHundred(t, sh)
+			sh.View(func(n *tin.Network, g uint64) {
+				if g != gen+100 || n.NumInteractions() != versionTestNetwork().NumInteractions()+6400 {
+					t.Errorf("fresh reader sees generation %d with %d interactions, want %d with 6400 more than the seed network",
+						g, n.NumInteractions(), gen+100)
+				}
+			})
+			if cfg.Dir != "" {
+				waitFor(t, "a background checkpoint", func() bool { return s.Stats().Snapshots > 0 })
+			}
+			close(release)
+			<-done
+		})
+	}
+}
+
+// TestReadersKeepTheirVersion: a pinned version is a value. The parked
+// reader — on a recovered shard, so under FLOWNET_TEST_MMAP=1 it reads a
+// mapped base — gets byte-for-byte the same answers after a hundred
+// appends, a fold and checkpoints have superseded its version, and still
+// does while Store.Close runs in another goroutine: Close waits for the pin
+// on a mapped base instead of unmapping it under the reader.
+func TestReadersKeepTheirVersion(t *testing.T) {
+	dir := t.TempDir()
+	first, err := Open(testConfig(Config{Dir: dir}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := first.Add("live", versionTestNetwork()); err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s := openTestStore(t, Config{Dir: dir, SnapshotEvery: 16})
+	sh, ok := s.Get("live")
+	if !ok {
+		t.Fatal("network not recovered")
+	}
+	mapped := sh.Durability().Mmap
+	if testConfig(Config{}).Mmap && runtime.GOOS == "linux" && !mapped {
+		t.Fatal("recovered from a tip snapshot with Config.Mmap, but the base is not mapped")
+	}
+	n, gen, release, done := parkReader(t, sh)
+	before := answersOf(n)
+	ia, maxTime := n.NumInteractions(), n.MaxTime()
+
+	appendHundred(t, sh)
+	waitFor(t, "a background checkpoint", func() bool { return s.Stats().Snapshots > 0 })
+	if sh.Durability().Mmap {
+		t.Error("shard still reports a mapped base after a checkpoint folded it onto the heap")
+	}
+	if got := answersOf(n); got != before || n.NumInteractions() != ia || n.MaxTime() != maxTime {
+		t.Fatalf("the parked reader's version changed under it:\n--- before\n%s--- after\n%s", before, got)
+	}
+	sh.View(func(_ *tin.Network, g uint64) {
+		if g != gen+100 {
+			t.Errorf("fresh reader sees generation %d, want %d", g, gen+100)
+		}
+	})
+
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	if mapped {
+		select {
+		case err := <-closed:
+			t.Fatalf("Close returned (%v) while a reader was still pinned on the mapped base", err)
+		case <-time.After(50 * time.Millisecond):
+		}
+	}
+	if got := answersOf(n); got != before {
+		t.Fatal("the parked reader's answers changed while the store was closing")
+	}
+	close(release)
+	<-done
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return after the last pin was released")
+	}
 }

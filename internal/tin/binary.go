@@ -127,13 +127,17 @@ func layoutV2(numV, numE, numIA int64) v2Layout {
 // memory image, so saving a network and mmap'ing the file back reproduces
 // it bit for bit.
 func WriteNetworkBinary(w io.Writer, n *Network) error {
-	numV, numE, numIA := int64(n.numV), int64(len(n.edges)), int64(n.numIA)
+	// A version with a tail is written as its fold: the file is the image
+	// of one base, whatever the network was derived through.
+	n = n.Folded()
+	edges := n.base.edges
+	numV, numE, numIA := int64(n.numV), int64(len(edges)), int64(n.numIA)
 	l := layoutV2(numV, numE, numIA)
 	bw := bufio.NewWriterSize(w, 1<<20)
 
 	maxTime := math.Inf(-1)
-	for e := range n.edges {
-		for _, ia := range n.edges[e].Seq {
+	for e := range edges {
+		for _, ia := range edges[e].Seq {
 			if ia.Time > maxTime {
 				maxTime = ia.Time
 			}
@@ -165,20 +169,20 @@ func WriteNetworkBinary(w io.Writer, n *Network) error {
 		return err
 	}
 
-	for e := range n.edges {
-		if err := wi32(n.edges[e].From); err != nil {
+	for e := range edges {
+		if err := wi32(edges[e].From); err != nil {
 			return err
 		}
 	}
-	for e := range n.edges {
-		if err := wi32(n.edges[e].To); err != nil {
+	for e := range edges {
+		if err := wi32(edges[e].To); err != nil {
 			return err
 		}
 	}
 	// Adjacency and pair sections are recomputed from the edge table rather
 	// than taken from the network's fields, so the writer also serves
 	// networks still in the builder representation.
-	outOff, inOff, outAdj, inAdj := buildAdjacency(n.numV, n.edges)
+	outOff, inOff, outAdj, inAdj := buildAdjacency(n.numV, edges)
 	for _, v := range outOff {
 		if err := wi32(v); err != nil {
 			return err
@@ -204,13 +208,13 @@ func WriteNetworkBinary(w io.Writer, n *Network) error {
 		return err
 	}
 	end := int64(0)
-	for e := range n.edges {
-		end += int64(len(n.edges[e].Seq))
+	for e := range edges {
+		end += int64(len(edges[e].Seq))
 		if err := wi64(end); err != nil {
 			return err
 		}
 	}
-	pairKeys, pairIDs := buildPairIndex(n.edges)
+	pairKeys, pairIDs := buildPairIndex(edges)
 	for _, k := range pairKeys {
 		if err := wi64(k); err != nil {
 			return err
@@ -225,8 +229,8 @@ func WriteNetworkBinary(w io.Writer, n *Network) error {
 		return err
 	}
 	var rec [binaryRecordSize]byte
-	for e := range n.edges {
-		for _, ia := range n.edges[e].Seq {
+	for e := range edges {
+		for _, ia := range edges[e].Seq {
 			binary.LittleEndian.PutUint64(rec[0:8], math.Float64bits(ia.Time))
 			binary.LittleEndian.PutUint64(rec[8:16], math.Float64bits(ia.Qty))
 			binary.LittleEndian.PutUint64(rec[16:24], uint64(ia.Ord))
@@ -369,17 +373,16 @@ func readBinaryV2(br *bufio.Reader, hdr [binaryHeaderPrefix]byte) (*Network, err
 		return nil, fmt.Errorf("tin: binary v2 header maxTime %v does not match records (%v)", maxTime, wantMax)
 	}
 
-	n := &Network{
+	b := &base{edges: edgesFromRuns(edgeFrom, edgeTo, seqEnd, arena), arena: arena}
+	b.indexEdges(int(numV), nil, nil)
+	return &Network{
 		numV:      int(numV),
 		numIA:     int(numIA),
 		nextOrd:   numIA,
 		finalized: true,
 		maxTime:   wantMax,
-		arena:     arena,
-	}
-	n.edges = edgesFromRuns(edgeFrom, edgeTo, seqEnd, arena)
-	n.indexEdges()
-	return n, nil
+		base:      b,
+	}, nil
 }
 
 // checkEdgeTable validates a version-2 edge table against the header

@@ -1,8 +1,12 @@
 package tin
 
-import "sort"
+import (
+	"sort"
+	"sync"
+	"sync/atomic"
+)
 
-// CSR layout of a finalized network.
+// CSR image of a finalized network — its base.
 //
 // Finalize compacts the jagged builder representation into flat,
 // offset-indexed arrays chosen so that the hot loops — Algorithm 1
@@ -25,34 +29,107 @@ import "sort"
 // snapshot (binary.go) a byte-for-byte image of this struct: an mmap'd
 // snapshot serves these slices zero-copy (mmap.go).
 //
-// The layout is immutable in place. Appends (append.go) rebuild the arena
-// — the ISSUE's "live networks re-finalize into CSR on generation bumps" —
-// which costs O(numIA) per accepted batch but keeps every query on the
-// compact path; three-index sub-slicing of Seq guarantees that nothing can
-// ever grow into a neighbouring edge's run (or into a read-only mapping).
+// A base is never written after it is built: an append derives a new
+// network version that shares the base and carries what was added in a
+// small tail (append.go), so deriving costs O(batch) whatever the size of
+// the base. The one O(N) routine is buildBase, which lays out a fresh image
+// — for Finalize, for the fold of base + tail into a new base, and for the
+// re-rank that ends an out-of-order merge. Three-index sub-slicing of Seq
+// guarantees that nothing can ever grow into a neighbouring edge's run (or
+// into a read-only mapping).
+type base struct {
+	edges         []Edge
+	arena         []Interaction
+	outOff, inOff []int32
+	outAdj, inAdj []EdgeID
+	pairKeys      []int64
+	pairIDs       []EdgeID
 
-// buildCSR compacts the ranked builder representation (jagged sequences,
-// already sorted canonically by rankEdges) into the CSR arrays and
-// releases the builder state.
-func (n *Network) buildCSR() {
-	arena := make([]Interaction, 0, n.numIA)
-	for e := range n.edges {
-		off := len(arena)
-		arena = append(arena, n.edges[e].Seq...)
-		n.edges[e].Seq = arena[off:len(arena):len(arena)]
-		n.edges[e].canonical = true
-	}
-	n.arena = arena
-	n.indexEdges()
-	n.bOut, n.bIn, n.edgeIdx = nil, nil, nil
+	// mm keeps the snapshot mapping alive while the arrays alias it; nil
+	// for heap-backed images. See mmap.go.
+	mm *mmapRegion
+
+	// tip is the newest tail derived over this base. A tail's runs grow in
+	// place past the length older versions can see, so only one line of
+	// versions may extend them: a derivation must swap itself in for the
+	// tail it started from, and one that loses (its parent was already
+	// superseded) folds onto a base of its own first.
+	tip atomic.Pointer[tail]
+
+	// qty is the sum of all quantities in the arena: handed over by whoever
+	// laid the image out (Finalize, a fold), else scanned at most once and
+	// only when asked for — a mapped image must not be read at load.
+	qtyOnce sync.Once
+	qty     float64
 }
 
-// indexEdges (re)derives the adjacency and pair-lookup arrays from the edge
-// table — after Finalize, after an append that created edges, and after the
-// copying snapshot reader rebuilt the table.
-func (n *Network) indexEdges() {
-	n.outOff, n.inOff, n.outAdj, n.inAdj = buildAdjacency(n.numV, n.edges)
-	n.pairKeys, n.pairIDs = buildPairIndex(n.edges)
+// numV is the vertex count the image was laid out for. A version can have
+// more (GrowVertices); the extra vertices have no adjacency in the base.
+func (b *base) numV() int { return len(b.outOff) - 1 }
+
+func (b *base) outRun(v VertexID) []EdgeID {
+	if int(v) >= b.numV() {
+		return nil
+	}
+	return b.outAdj[b.outOff[v]:b.outOff[v+1]]
+}
+
+func (b *base) inRun(v VertexID) []EdgeID {
+	if int(v) >= b.numV() {
+		return nil
+	}
+	return b.inAdj[b.inOff[v]:b.inOff[v+1]]
+}
+
+// qtySum returns the sum of all quantities in the image.
+func (b *base) qtySum() float64 {
+	b.qtyOnce.Do(func() {
+		for e := range b.edges {
+			b.qty += b.edges[e].TotalQty()
+		}
+	})
+	return b.qty
+}
+
+// setQtySum hands a fresh image the sum its builder already knows — what
+// was added while building, or the folded base's sum plus its tail's — and
+// saves it the scan.
+func (b *base) setQtySum(s float64) {
+	b.qtyOnce.Do(func() { b.qty = s })
+}
+
+// buildBase lays out a fresh CSR image over numV vertices from numE edges
+// whose sequences (jagged, arena-backed or tail runs — edge(e) says where)
+// hold total interactions: it copies every run into one arena in edge-id
+// order and derives the adjacency arrays. pairKeys/pairIDs are the sorted
+// pair index when the caller has one cheaper than a sort of all edges (a
+// fold merges two sorted indexes); nil derives it from the edge table.
+// Nothing of the source is retained.
+func buildBase(numV, numE, total int, edge func(EdgeID) *Edge, pairKeys []int64, pairIDs []EdgeID) *base {
+	b := &base{
+		edges: make([]Edge, numE),
+		arena: make([]Interaction, 0, total),
+	}
+	for e := range b.edges {
+		src := edge(EdgeID(e))
+		off := len(b.arena)
+		b.arena = append(b.arena, src.Seq...)
+		b.edges[e] = Edge{From: src.From, To: src.To, canonical: src.canonical,
+			Seq: b.arena[off:len(b.arena):len(b.arena)]}
+	}
+	b.indexEdges(numV, pairKeys, pairIDs)
+	return b
+}
+
+// indexEdges derives the adjacency and (unless given) pair-lookup arrays
+// from the edge table — for buildBase, and after the copying snapshot
+// reader rebuilt the table.
+func (b *base) indexEdges(numV int, pairKeys []int64, pairIDs []EdgeID) {
+	b.outOff, b.inOff, b.outAdj, b.inAdj = buildAdjacency(numV, b.edges)
+	if pairKeys == nil {
+		pairKeys, pairIDs = buildPairIndex(b.edges)
+	}
+	b.pairKeys, b.pairIDs = pairKeys, pairIDs
 }
 
 // buildAdjacency derives the offset-based out/in adjacency from an edge
@@ -110,149 +187,19 @@ func (p *pairSorter) Swap(a, b int) {
 	p.ids[a], p.ids[b] = p.ids[b], p.ids[a]
 }
 
-// lookupPair binary-searches the sorted pair index.
-func (n *Network) lookupPair(key int64) (EdgeID, bool) {
-	i, ok := sort.Find(len(n.pairKeys), func(i int) int {
-		switch {
-		case key < n.pairKeys[i]:
-			return -1
-		case key > n.pairKeys[i]:
-			return 1
+// findPair binary-searches a sorted pair index — the base's, or a tail's.
+func findPair(keys []int64, ids []EdgeID, key int64) (EdgeID, bool) {
+	lo, hi := 0, len(keys)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if keys[mid] < key {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
-		return 0
-	})
-	if !ok {
+	}
+	if lo == len(keys) || keys[lo] != key {
 		return 0, false
 	}
-	return n.pairIDs[i], true
-}
-
-// detach copies every CSR array that may alias the snapshot mapping onto
-// the heap and releases the mapping. It must run before any in-place
-// mutation of a zero-copy network (the mapping is read-only), and it is
-// what makes munmap safe: after detach, nothing in the network references
-// mapped memory.
-func (n *Network) detach() {
-	if n.mm == nil {
-		return
-	}
-	arena := make([]Interaction, len(n.arena))
-	copy(arena, n.arena)
-	// The arena is grouped by edge in id order, so offsets are cumulative.
-	off := 0
-	for e := range n.edges {
-		l := len(n.edges[e].Seq)
-		n.edges[e].Seq = arena[off : off+l : off+l]
-		off += l
-	}
-	n.arena = arena
-	n.outOff = append([]int32(nil), n.outOff...)
-	n.outAdj = append([]EdgeID(nil), n.outAdj...)
-	n.inOff = append([]int32(nil), n.inOff...)
-	n.inAdj = append([]EdgeID(nil), n.inAdj...)
-	n.pairKeys = append([]int64(nil), n.pairKeys...)
-	n.pairIDs = append([]EdgeID(nil), n.pairIDs...)
-	n.releaseMmap()
-}
-
-// applyAppend extends a finalized network with pre-validated items by
-// rebuilding the CSR arena with the new interactions in place — the
-// re-finalize step behind every streaming generation bump. Self loops are
-// skipped. It returns the number of interactions appended, whether any
-// appended item was out of time order relative to the evolving maximum
-// timestamp (the caller decides whether that is legal), and the distinct
-// ids of the edges that are new or received new interactions, in ascending
-// order — the change delta that incremental consumers (pattern-table
-// updates, footprint-based cache retention) key on.
-func (n *Network) applyAppend(items []BatchItem) (appended int, anyLate bool, changed []EdgeID) {
-	apply := items[:0:0]
-	for _, it := range items {
-		if it.From != it.To {
-			apply = append(apply, it)
-		}
-	}
-	if len(apply) == 0 {
-		return 0, false, nil
-	}
-	n.detach()
-
-	// Resolve every item's edge, creating missing edges in first-occurrence
-	// order (ids continue the existing sequence, so adjacency runs stay
-	// ascending by id).
-	oldE := len(n.edges)
-	var newPairs map[int64]EdgeID
-	edgeOf := make([]EdgeID, len(apply))
-	addCount := make([]int32, oldE)
-	for i, it := range apply {
-		key := pairKey(it.From, it.To)
-		id, ok := n.lookupPair(key)
-		if !ok {
-			if newPairs != nil {
-				id, ok = newPairs[key]
-			}
-			if !ok {
-				id = EdgeID(len(n.edges))
-				n.edges = append(n.edges, Edge{From: it.From, To: it.To, canonical: true})
-				if newPairs == nil {
-					newPairs = make(map[int64]EdgeID)
-				}
-				newPairs[key] = id
-			}
-		}
-		edgeOf[i] = id
-		if int(id) >= len(addCount) {
-			addCount = append(addCount, make([]int32, len(n.edges)-len(addCount))...)
-		}
-		addCount[id]++
-	}
-
-	// Lay out the new arena: each edge's old run followed by its new items.
-	arena := make([]Interaction, n.numIA+len(apply))
-	cursor := make([]int, len(n.edges))
-	starts := make([]int, len(n.edges))
-	off := 0
-	for e := range n.edges {
-		old := n.edges[e].Seq
-		copy(arena[off:], old)
-		starts[e] = off
-		cursor[e] = off + len(old)
-		end := off + len(old) + int(addCount[e])
-		n.edges[e].Seq = arena[off:end:end] // filled below
-		off = end
-	}
-	runningMax := n.maxTime
-	for i, it := range apply {
-		e := edgeOf[i]
-		c := cursor[e]
-		arena[c] = Interaction{Time: it.Time, Qty: it.Qty, Ord: n.nextOrd}
-		n.nextOrd++
-		cursor[e] = c + 1
-		if c > starts[e] && arena[c-1].Time > it.Time {
-			// The edge's sequence is no longer time-sorted; the caller's
-			// re-rank (anyLate is set below) restores it.
-			n.edges[e].canonical = false
-		}
-		if it.Time < runningMax {
-			anyLate = true
-		} else {
-			runningMax = it.Time
-		}
-		if it.Time > n.maxTime {
-			n.maxTime = it.Time
-		}
-	}
-	n.arena = arena
-	n.numIA += len(apply)
-	if len(n.edges) != oldE {
-		n.indexEdges()
-	}
-	// addCount marks exactly the edges whose runs grew (it was sized per
-	// resolved edge above), so the distinct changed set falls out of one
-	// ascending scan.
-	for e, c := range addCount {
-		if c > 0 {
-			changed = append(changed, EdgeID(e))
-		}
-	}
-	return len(apply), anyLate, changed
+	return ids[lo], true
 }

@@ -175,7 +175,7 @@ type seedDFS struct {
 func (d *seedDFS) walk(v VertexID, depth int) {
 	n, sc := d.n, d.sc
 	for _, e := range n.OutEdges(v) {
-		u := n.edges[e].To
+		u := n.Edge(e).To
 		if u == d.seed {
 			if depth >= 1 { // at least one intermediate vertex
 				sc.pathEdges = append(sc.pathEdges, sc.pathStack...)
@@ -237,7 +237,7 @@ func (n *Network) collectSeed(seed VertexID, opts ExtractOptions, sc *queryScrat
 		ok := true
 		// Inner edges of the path are all but the first and last.
 		for i := 1; i < len(p)-1; i++ {
-			e := &n.edges[p[i]]
+			e := n.Edge(p[i])
 			if sc.innerCreatesCycle(e.From, e.To, adjEpoch) {
 				ok = false
 				break
@@ -247,7 +247,7 @@ func (n *Network) collectSeed(seed VertexID, opts ExtractOptions, sc *queryScrat
 			continue
 		}
 		for i := 1; i < len(p)-1; i++ {
-			e := &n.edges[p[i]]
+			e := n.Edge(p[i])
 			sc.innerAdd(e.From, e.To, adjEpoch)
 		}
 		sc.edgeIDs = append(sc.edgeIDs, p...)
@@ -260,7 +260,7 @@ func (n *Network) collectSeed(seed VertexID, opts ExtractOptions, sc *queryScrat
 	sc.edgeIDs = slices.Compact(sc.edgeIDs)
 	total := 0
 	for _, id := range sc.edgeIDs {
-		total += len(n.edges[id].Seq)
+		total += len(n.Edge(id).Seq)
 	}
 	return opts.MaxInteractions <= 0 || total <= opts.MaxInteractions
 }
@@ -349,7 +349,7 @@ func (n *Network) buildFlowGraph(edgeIDs []EdgeID, source, sink VertexID, w *Tim
 		return id
 	}
 	for i, id := range edgeIDs {
-		e := &n.edges[id]
+		e := n.Edge(id)
 		var lf, lt VertexID
 		if e.From == source {
 			lf = 0
@@ -376,7 +376,7 @@ func (n *Network) buildFlowGraph(edgeIDs []EdgeID, source, sink VertexID, w *Tim
 		sc.order[i] = int32(i)
 	}
 	slices.SortFunc(sc.order, func(a, b int32) int {
-		return cmp.Compare(n.edges[edgeIDs[a]].Seq[0].Ord, n.edges[edgeIDs[b]].Seq[0].Ord)
+		return cmp.Compare(n.Edge(edgeIDs[a]).Seq[0].Ord, n.Edge(edgeIDs[b]).Seq[0].Ord)
 	})
 	sc.gid = growBuf(sc.gid, k)
 	for r, i := range sc.order {
@@ -392,7 +392,7 @@ func (n *Network) buildFlowGraph(edgeIDs []EdgeID, source, sink VertexID, w *Tim
 	sc.hi = growBuf(sc.hi, k)
 	totalIA := 0
 	for i, id := range edgeIDs {
-		lo, hi := w.bounds(n.edges[id].Seq)
+		lo, hi := w.bounds(n.Edge(id).Seq)
 		sc.lo[i], sc.hi[i] = int32(lo), int32(hi)
 		totalIA += hi - lo
 	}
@@ -456,7 +456,7 @@ func (n *Network) buildFlowGraph(edgeIDs []EdgeID, source, sink VertexID, w *Tim
 	// network order is (Time, tie) order, Finalize's sort key).
 	sc.refs = sc.refs[:0]
 	for i, id := range edgeIDs {
-		seq := n.edges[id].Seq
+		seq := n.Edge(id).Seq
 		ge := sc.gid[i]
 		for _, ia := range seq[sc.lo[i]:sc.hi[i]] {
 			sc.refs = append(sc.refs, iaRef{ia: ia, ge: ge})
@@ -498,7 +498,7 @@ func (n *Network) collectPair(source, sink VertexID, sc *queryScratch) bool {
 			continue
 		}
 		for _, e := range n.OutEdges(v) {
-			u := n.edges[e].To
+			u := n.Edge(e).To
 			if u == source {
 				continue
 			}
@@ -538,7 +538,7 @@ func (n *Network) reachInto(v VertexID, backward bool, source, sink VertexID, ma
 			edges = n.OutEdges(x)
 		}
 		for _, e := range edges {
-			ed := &n.edges[e]
+			ed := n.Edge(e)
 			if ed.To == source || ed.From == sink {
 				continue
 			}

@@ -20,7 +20,7 @@ func refExtractSubgraphFootprint(n *Network, seed VertexID, opts ExtractOptions)
 	var dfs func(v VertexID, depth int, edges []EdgeID, onPath map[VertexID]bool)
 	dfs = func(v VertexID, depth int, edges []EdgeID, onPath map[VertexID]bool) {
 		for _, e := range n.OutEdges(v) {
-			u := n.edges[e].To
+			u := n.Edge(e).To
 			if u == seed {
 				if depth >= 1 {
 					p := make([]EdgeID, len(edges)+1)
@@ -50,7 +50,7 @@ func refExtractSubgraphFootprint(n *Network, seed VertexID, opts ExtractOptions)
 	for _, p := range paths {
 		ok := true
 		for i := 1; i < len(p)-1; i++ {
-			e := &n.edges[p[i]]
+			e := n.Edge(p[i])
 			if inner.createsCycle(e.From, e.To) {
 				ok = false
 				break
@@ -60,7 +60,7 @@ func refExtractSubgraphFootprint(n *Network, seed VertexID, opts ExtractOptions)
 			continue
 		}
 		for i := 1; i < len(p)-1; i++ {
-			e := &n.edges[p[i]]
+			e := n.Edge(p[i])
 			inner.add(e.From, e.To)
 		}
 		for _, id := range p {
@@ -75,7 +75,7 @@ func refExtractSubgraphFootprint(n *Network, seed VertexID, opts ExtractOptions)
 	total := 0
 	for id := range edgeSet {
 		ids = append(ids, id)
-		total += len(n.edges[id].Seq)
+		total += len(n.Edge(id).Seq)
 	}
 	if opts.MaxInteractions > 0 && total > opts.MaxInteractions {
 		return nil, false, foot
@@ -113,7 +113,7 @@ func refBuildFlowGraph(n *Network, edgeIDs []EdgeID, source, sink VertexID) *Gra
 	}
 	var refs []iaRefT
 	for _, id := range edgeIDs {
-		e := &n.edges[id]
+		e := n.Edge(id)
 		var lf, lt VertexID
 		if e.From == source {
 			lf = 0
@@ -164,8 +164,8 @@ func refFlowSubgraphBetweenFootprint(n *Network, source, sink VertexID) (*Graph,
 	}
 	foot := refSortedVertexSet(union)
 	var ids []EdgeID
-	for e := range n.edges {
-		ed := &n.edges[e]
+	for e := range n.NumEdges() {
+		ed := n.Edge(EdgeID(e))
 		if ed.From == sink || ed.To == source {
 			continue
 		}
@@ -196,7 +196,7 @@ func refReach(n *Network, v VertexID, backward bool, source, sink VertexID) map[
 			edges = n.OutEdges(x)
 		}
 		for _, e := range edges {
-			ed := &n.edges[e]
+			ed := n.Edge(e)
 			if ed.To == source || ed.From == sink {
 				continue
 			}

@@ -48,8 +48,8 @@ type ioRow struct {
 // the on-disk order of both the text and the binary codec.
 func canonicalRows(n *Network) []ioRow {
 	rows := make([]ioRow, 0, n.numIA)
-	for e := range n.edges {
-		ed := &n.edges[e]
+	for e := range n.NumEdges() {
+		ed := n.Edge(EdgeID(e))
 		for _, ia := range ed.Seq {
 			rows = append(rows, ioRow{ed.From, ed.To, ia})
 		}

@@ -14,13 +14,15 @@ import (
 // networks larger than RAM remain servable because pages are faulted in on
 // demand.
 //
-// Lifecycle. The mapping is read-only; nothing in the network may ever
-// write through it. Every mutation path first calls detach (csr.go), which
-// copies the aliased arrays onto the heap and munmaps — after which the
-// network is an ordinary heap network. Holders that drop a never-mutated
-// network (store shard close or repair) call Unmap directly, at a point
-// where no reader can still hold references into the mapping (the store
-// shard's network write lock is that point).
+// Lifecycle. The mapping is read-only, and nothing ever writes through it:
+// a base image is immutable (csr.go), an append derives a version whose
+// tail lives on the heap and whose base stays mapped, and a fold lays the
+// next base out on the heap. The mapping is released by whoever owns the
+// versions that share it, once none of them can be read any more: a single
+// owner's AppendBatch/MergeUnordered releases it when a fold moves the
+// receiver onto a heap base, the store releases it when the last pin on
+// the last version over the mapped base drops (and its Close waits for
+// that), and anyone else calls Unmap.
 //
 // Portability. OpenNetworkMmap falls back to the copying decoder whenever
 // zero-copy cannot work: non-unix builds, big-endian hosts, a compiler
@@ -42,20 +44,18 @@ func (m *mmapRegion) close() {
 	m.data = nil
 }
 
-// MmapBacked reports whether the network's arrays currently alias an
+// MmapBacked reports whether the network's base currently aliases an
 // mmap'd snapshot file.
-func (n *Network) MmapBacked() bool { return n.mm != nil }
+func (n *Network) MmapBacked() bool { return n.base.mm != nil && n.base.mm.data != nil }
 
-// Unmap releases the network's snapshot mapping, if any, without copying.
-// The network must not be used afterwards: its arrays dangle. It is for
-// owners discarding a network (shard close, repair); use on a network that
-// will still be queried is a use-after-free. No-op on heap-backed networks.
-func (n *Network) Unmap() { n.releaseMmap() }
-
-func (n *Network) releaseMmap() {
-	if n.mm != nil {
-		n.mm.close()
-		n.mm = nil
+// Unmap releases the snapshot mapping under the network's base, if any,
+// without copying. Neither the network nor any other version sharing that
+// base may be used afterwards: their arrays dangle. It is for owners
+// discarding a network; use on a network that will still be queried is a
+// use-after-free. No-op on heap-backed networks.
+func (n *Network) Unmap() {
+	if n.base.mm != nil {
+		n.base.mm.close()
 	}
 }
 
@@ -188,25 +188,27 @@ func mmapNetwork(region *mmapRegion) (*Network, error) {
 		nextOrd:   numIA,
 		finalized: true,
 		maxTime:   maxTime,
-		arena:     arena,
-		outOff:    outOff,
-		inOff:     inOff,
-		outAdj:    outAdj,
-		inAdj:     inAdj,
-		pairKeys:  pairKeys,
-		pairIDs:   pairIDs,
-		mm:        region,
+		base: &base{
+			edges:    edgesFromRuns(edgeFrom, edgeTo, seqEnd, arena),
+			arena:    arena,
+			outOff:   outOff,
+			inOff:    inOff,
+			outAdj:   outAdj,
+			inAdj:    inAdj,
+			pairKeys: pairKeys,
+			pairIDs:  pairIDs,
+			mm:       region,
+		},
 	}
 	if numIA == 0 {
 		n.maxTime = math.Inf(-1)
 	}
-	n.edges = edgesFromRuns(edgeFrom, edgeTo, seqEnd, arena)
 	return n, nil
 }
 
-// The slice casts below produce len == cap slices, so any append on them
-// (GrowVertices on the offset arrays) reallocates to the heap instead of
-// writing through the read-only mapping.
+// The slice casts below produce len == cap slices, so an append on one of
+// them could only reallocate to the heap, never write through the
+// read-only mapping.
 
 func sliceI32(data []byte, off, count int64) []int32 {
 	if count == 0 {

@@ -85,48 +85,69 @@ func TestMmapSurvivesUnlink(t *testing.T) {
 	sameNetwork(t, n, m)
 }
 
-// TestMmapDetachOnAppend: the first mutation must copy the network onto the
-// heap and release the mapping, leaving the data intact plus the new item.
-func TestMmapDetachOnAppend(t *testing.T) {
+// TestMmapAppendKeepsBaseMapped: an append derives a version over the same
+// mapped base — nothing is copied to the heap, nothing is written through
+// the mapping — and every answer equals the heap network's.
+func TestMmapAppendKeepsBaseMapped(t *testing.T) {
 	n := ioTestNetwork()
 	path := saveTinb(t, n)
 	m, err := OpenNetworkMmap(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer m.Unmap()
+	mapped := m.MmapBacked()
 	last := m.MaxTime()
 	if err := m.Append(0, 1, last+1, 7); err != nil {
 		t.Fatalf("Append on mapped network: %v", err)
 	}
-	if m.MmapBacked() {
-		t.Fatal("still mmap-backed after a mutation")
+	if m.MmapBacked() != mapped {
+		t.Fatal("an append released the receiver's mapped base")
 	}
 	if m.NumInteractions() != n.NumInteractions()+1 {
 		t.Fatalf("%d interactions after append, want %d", m.NumInteractions(), n.NumInteractions()+1)
 	}
 	e, ok := m.HasEdge(0, 1)
 	if !ok {
-		t.Fatal("edge 0->1 missing after detach")
+		t.Fatal("edge 0->1 missing after the append")
 	}
 	seq := m.Edge(e).Seq
 	got := seq[len(seq)-1]
 	if got.Time != last+1 || got.Qty != 7 {
 		t.Fatalf("appended interaction = %+v, want time %g qty 7", got, last+1)
 	}
-	// The pre-existing data must have been copied out verbatim.
+	// A new edge as well, so adjacency and the pair index grow a tail too.
+	if err := m.Append(4, 0, last+2, 3); err != nil {
+		t.Fatal(err)
+	}
 	n.Append(0, 1, last+1, 7)
+	n.Append(4, 0, last+2, 3)
 	sameNetwork(t, n, m)
 }
 
-// TestMmapDetachOnMerge: an out-of-order merge is the heaviest mutation
-// path; it must detach and re-rank correctly.
-func TestMmapDetachOnMerge(t *testing.T) {
+// TestMmapMergeYieldsHeapVersion: an out-of-order merge is the heaviest
+// mutation path: it folds onto a heap base and re-ranks there. The derived
+// version leaves the mapped one readable; the single-owner form releases
+// the mapping, since nothing else can be reading it.
+func TestMmapMergeYieldsHeapVersion(t *testing.T) {
 	n := ioTestNetwork()
 	m, err := OpenNetworkMmap(saveTinb(t, n))
 	if err != nil {
 		t.Fatal(err)
 	}
+	mapped := m.MmapBacked()
 	late := []BatchItem{{From: 3, To: 1, Time: 0.5, Qty: 2}}
+	merged, _, err := m.WithMerged(late)
+	if err != nil {
+		t.Fatalf("WithMerged: %v", err)
+	}
+	if merged.MmapBacked() {
+		t.Fatal("merged version is still mmap-backed")
+	}
+	if m.MmapBacked() != mapped {
+		t.Fatal("deriving a merged version released the mapping under its parent")
+	}
+	sameNetwork(t, n, m) // the parent is untouched and still readable
 	if _, err := m.MergeUnordered(late); err != nil {
 		t.Fatalf("MergeUnordered: %v", err)
 	}
@@ -137,10 +158,35 @@ func TestMmapDetachOnMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameNetwork(t, n, m)
+	sameNetwork(t, n, merged)
 }
 
-// TestMmapGrowKeepsMapping: growing the vertex space only extends the
-// offset arrays (copy-on-append); the interaction arena stays mapped.
+// TestMmapFoldLeavesNothingMapped: a fold of a mapped base must copy every
+// array — the pair index too, also when the tail opened no edge to merge
+// into it — because the mapping does not outlive the versions over it.
+func TestMmapFoldLeavesNothingMapped(t *testing.T) {
+	n := ioTestNetwork()
+	m, err := OpenNetworkMmap(saveTinb(t, n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := m.MaxTime()
+	grown, _, _, err := m.WithBatch([]BatchItem{{From: 0, To: 1, Time: last + 1, Qty: 7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	folded := grown.Folded()
+	if folded.MmapBacked() {
+		t.Fatal("folded version is mmap-backed")
+	}
+	m.Unmap() // takes grown's base with it; folded must not notice
+	n.Append(0, 1, last+1, 7)
+	sameNetwork(t, n, folded)
+	checkExtractEquivalence(t, folded)
+}
+
+// TestMmapGrowKeepsMapping: growing the vertex space derives a version
+// with more vertices over the same base; everything stays mapped.
 func TestMmapGrowKeepsMapping(t *testing.T) {
 	if !mmapExpected() {
 		t.Skip("no mmap on this platform")

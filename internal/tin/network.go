@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync/atomic"
 )
 
 // Network is a whole interaction network (Definition 1 of the paper): a
@@ -13,38 +14,30 @@ import (
 // extracted from it (ExtractSubgraph, or the pattern matchers in
 // internal/pattern).
 //
-// Two internal representations back the same API:
+// One representation backs both states of the API — a base (csr.go) and,
+// over it, a tail (append.go) holding what was added since the base was
+// laid out:
 //
-//   - Building (before Finalize): jagged per-edge sequences, per-vertex
-//     adjacency slices and a (from,to) hash index — cheap to append to.
-//   - Finalized: one interaction arena holding every sequence back to back
-//     in canonical order, a flat edge table whose Seq fields are sub-slices
-//     of the arena, offset-based out/in adjacency, and a sorted pair index
-//     replacing the hash map. The arena layout is exactly the FNTB v2
-//     on-disk layout, so snapshots can be mmap'd and served zero-copy.
+//   - Building (before Finalize): a tail over an empty base — jagged
+//     per-edge sequences and per-vertex adjacency runs — owned by the one
+//     builder and written in place, one interaction at a time; its pair
+//     index is a hash map because edges arrive one by one.
+//   - Finalized: an immutable value. Finalize folds the builder's tail
+//     into a base: one interaction arena holding every sequence back to
+//     back in canonical order, a flat edge table whose Seq fields are
+//     sub-slices of the arena, offset-based out/in adjacency and a sorted
+//     pair index; its layout is exactly the FNTB v2 on-disk layout, so
+//     snapshots can be mmap'd and served zero-copy. The tail is nil until
+//     something is appended, and neither is ever written once a reader can
+//     see it: an append derives the next version, which shares the base.
 type Network struct {
-	numV  int
-	edges []Edge
-
-	// Builder state, released by Finalize.
-	bOut, bIn [][]EdgeID
-	// edgeIdx maps (from<<32 | to) to the edge id, for O(1) edge lookup
-	// while building. Parallel edges are collapsed at load time:
-	// AddInteraction on an existing (from,to) pair appends to the existing
-	// edge's sequence. After Finalize the sorted pair index (pairKeys /
-	// pairIDs in csr.go) answers the same lookups without a map.
-	edgeIdx map[int64]EdgeID
-
-	// Finalized CSR state; see csr.go.
-	arena         []Interaction
-	outOff, inOff []int32
-	outAdj, inAdj []EdgeID
-	pairKeys      []int64
-	pairIDs       []EdgeID
-
-	// mm keeps the snapshot mapping alive while the CSR arrays alias it;
-	// nil for heap-backed networks. See mmap.go.
-	mm *mmapRegion
+	numV int
+	// base is the CSR image; empty while building.
+	base *base
+	// tail is what was added since base was laid out; nil when nothing was.
+	// Parallel edges are collapsed: an interaction on an existing (from,to)
+	// pair joins that edge's sequence.
+	tail *tail
 
 	numIA     int
 	nextOrd   int64
@@ -58,10 +51,12 @@ type Network struct {
 // NewNetwork creates an empty network with numV vertices.
 func NewNetwork(numV int) *Network {
 	return &Network{
-		numV:    numV,
-		bOut:    make([][]EdgeID, numV),
-		bIn:     make([][]EdgeID, numV),
-		edgeIdx: make(map[int64]EdgeID),
+		numV: numV,
+		base: &base{},
+		tail: &tail{
+			slots: &slots{out: make([]atomic.Int32, numV), in: make([]atomic.Int32, numV)},
+			idx:   make(map[int64]EdgeID),
+		},
 		maxTime: math.Inf(-1),
 	}
 }
@@ -72,13 +67,25 @@ func pairKey(from, to VertexID) int64 { return int64(from)<<32 | int64(uint32(to
 func (n *Network) NumVertices() int { return n.numV }
 
 // NumEdges returns the number of distinct (from, to) edges.
-func (n *Network) NumEdges() int { return len(n.edges) }
+func (n *Network) NumEdges() int {
+	if n.tail != nil {
+		return len(n.base.edges) + len(n.tail.fresh)
+	}
+	return len(n.base.edges)
+}
 
 // NumInteractions returns the total number of interactions.
 func (n *Network) NumInteractions() int { return n.numIA }
 
-// Edge returns the edge with the given id.
-func (n *Network) Edge(e EdgeID) *Edge { return &n.edges[e] }
+// Edge returns the edge with the given id. Its Seq is one contiguous run
+// wherever it lives — base arena or tail — and, like the edge itself, is
+// owned by the network and must not be modified.
+func (n *Network) Edge(e EdgeID) *Edge {
+	if n.tail != nil {
+		return n.tail.edge(n.base, e)
+	}
+	return &n.base.edges[e]
+}
 
 // AddInteraction records that quantity q flowed from -> to at time t,
 // creating the edge if necessary. Self loops are ignored (they cannot
@@ -96,16 +103,19 @@ func (n *Network) AddInteraction(from, to VertexID, t, q float64) bool {
 	if q < 0 || math.IsNaN(q) || math.IsNaN(t) || math.IsInf(t, 0) || math.IsInf(q, 0) {
 		panic(fmt.Sprintf("tin: invalid interaction (%v,%v)", t, q))
 	}
+	b := n.tail
 	key := pairKey(from, to)
-	id, ok := n.edgeIdx[key]
+	id, ok := b.idx[key]
 	if !ok {
-		id = EdgeID(len(n.edges))
-		n.edges = append(n.edges, Edge{From: from, To: to})
-		n.edgeIdx[key] = id
-		n.bOut[from] = append(n.bOut[from], id)
-		n.bIn[to] = append(n.bIn[to], id)
+		id = EdgeID(len(b.fresh))
+		b.fresh = append(b.fresh, Edge{From: from, To: to})
+		b.idx[key] = id
+		b.out = extend(b.out, b.slots.out, nil, from, id)
+		b.in = extend(b.in, b.slots.in, nil, to, id)
 	}
-	n.edges[id].Seq = append(n.edges[id].Seq, Interaction{Time: t, Qty: q, Ord: n.nextOrd})
+	b.fresh[id].Seq = append(b.fresh[id].Seq, Interaction{Time: t, Qty: q, Ord: n.nextOrd})
+	b.added++
+	b.qty += q
 	n.nextOrd++
 	n.numIA++
 	return true
@@ -119,8 +129,11 @@ func (n *Network) Finalize() {
 		panic("tin: Finalize called twice")
 	}
 	n.finalized = true
-	n.nextOrd, n.maxTime = rankEdges(n.edges, n.numIA)
-	n.buildCSR()
+	edges, qty := n.tail.fresh, n.tail.qty
+	n.nextOrd, n.maxTime = rankEdges(edges, n.numIA)
+	n.base = buildBase(n.numV, len(edges), n.numIA, func(e EdgeID) *Edge { return &edges[e] }, nil, nil)
+	n.base.setQtySum(qty)
+	n.tail = nil
 }
 
 // rankEdges assigns the canonical order to the interactions of an edge
@@ -130,8 +143,8 @@ func (n *Network) Finalize() {
 // the number of interactions ranked (the next free Ord) and the latest
 // timestamp (-inf when there is none). The Seq slices are the storage,
 // jagged or arena-backed, so the same body serves Network.Finalize,
-// Graph.Finalize and the re-rank that ends MergeUnordered. total is a
-// capacity hint.
+// Graph.Finalize and the re-rank that ends MergeUnordered (on a freshly
+// folded base nobody else can see yet). total is a capacity hint.
 func rankEdges(edges []Edge, total int) (next int64, maxTime float64) {
 	refs := make([]*Interaction, 0, total)
 	for e := range edges {
@@ -167,29 +180,33 @@ func (n *Network) Finalized() bool { return n.finalized }
 
 // HasEdge reports whether an edge from -> to exists, and returns its id.
 func (n *Network) HasEdge(from, to VertexID) (EdgeID, bool) {
-	if !n.finalized {
-		id, ok := n.edgeIdx[pairKey(from, to)]
+	key := pairKey(from, to)
+	if id, ok := findPair(n.base.pairKeys, n.base.pairIDs, key); ok || n.tail == nil {
 		return id, ok
 	}
-	return n.lookupPair(pairKey(from, to))
+	return n.tail.find(key)
 }
 
 // OutEdges returns the ids of the outgoing edges of v. The returned slice
 // is owned by the network and must not be modified.
 func (n *Network) OutEdges(v VertexID) []EdgeID {
-	if !n.finalized {
-		return n.bOut[v]
+	if n.tail != nil {
+		if run, ok := tailRun(n.tail.out, n.tail.slots.out, v); ok {
+			return run
+		}
 	}
-	return n.outAdj[n.outOff[v]:n.outOff[v+1]]
+	return n.base.outRun(v)
 }
 
 // InEdges returns the ids of the incoming edges of v. The returned slice is
 // owned by the network and must not be modified.
 func (n *Network) InEdges(v VertexID) []EdgeID {
-	if !n.finalized {
-		return n.bIn[v]
+	if n.tail != nil {
+		if run, ok := tailRun(n.tail.in, n.tail.slots.in, v); ok {
+			return run
+		}
 	}
-	return n.inAdj[n.inOff[v]:n.inOff[v+1]]
+	return n.base.inRun(v)
 }
 
 // OutDegree returns the number of distinct successors of v.
@@ -200,14 +217,17 @@ func (n *Network) InDegree(v VertexID) int { return len(n.InEdges(v)) }
 
 // AvgQty returns the mean interaction quantity over the whole network
 // (the "avg. flow" column of the paper's Table 4 reports per-dataset
-// average transferred quantity).
+// average transferred quantity). The sum rides the version — a base's is
+// handed on from fold to fold and scanned only for an image read from disk,
+// once; a tail's is kept as interactions are added — so the call does not
+// cost a pass over the interactions.
 func (n *Network) AvgQty() float64 {
 	if n.numIA == 0 {
 		return 0
 	}
-	var s float64
-	for e := range n.edges {
-		s += n.edges[e].TotalQty()
+	s := n.base.qtySum()
+	if n.tail != nil {
+		s += n.tail.qty
 	}
 	return s / float64(n.numIA)
 }
@@ -224,7 +244,7 @@ type Stats struct {
 func (n *Network) Stats() Stats {
 	return Stats{
 		Vertices:     n.numV,
-		Edges:        len(n.edges),
+		Edges:        n.NumEdges(),
 		Interactions: n.numIA,
 		AvgQty:       n.AvgQty(),
 	}

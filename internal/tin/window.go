@@ -50,8 +50,8 @@ func (g *Graph) RestrictWindow(from, to float64) *Graph {
 func (n *Network) RestrictWindow(from, to float64) *Network {
 	m := NewNetwork(n.numV)
 	var rows []ioRow
-	for e := range n.edges {
-		ed := &n.edges[e]
+	for e := range n.NumEdges() {
+		ed := n.Edge(EdgeID(e))
 		for _, ia := range ed.Seq {
 			if ia.Time >= from && ia.Time <= to {
 				rows = append(rows, ioRow{ed.From, ed.To, ia})
