@@ -1,5 +1,5 @@
 // Command docslint is the mechanical guard against documentation drift,
-// run by the CI docs job over the repository root. It enforces three
+// run by the CI docs job over the repository root. It enforces four
 // properties the prose docs promise but nothing else checks:
 //
 //   - Markdown links resolve: every relative link target in every *.md
@@ -12,6 +12,9 @@
 //     that names one of the CLI commands (flownetd, flowcalc, patternfind,
 //     ...) is actually defined by that command — a renamed or removed flag
 //     fails the build instead of rotting in a walkthrough.
+//   - Metric families are real: every `flownet_*` token in README.md or
+//     DESIGN.md is a string literal of internal/server/prom.go, where the
+//     /metrics families are declared.
 //
 // Usage: docslint [root]   (root defaults to the current directory)
 //
@@ -57,6 +60,7 @@ func run(root string, stdout, stderr io.Writer) error {
 	checkLinks(root, mds, addf)
 	checkPackageComments(root, addf)
 	checkFlagMentions(root, mds, addf)
+	checkMetricMentions(root, mds, addf)
 
 	if len(violations) > 0 {
 		for _, v := range violations {
@@ -64,7 +68,7 @@ func run(root string, stdout, stderr io.Writer) error {
 		}
 		return fmt.Errorf("%d documentation violation(s)", len(violations))
 	}
-	fmt.Fprintf(stdout, "docslint: %d markdown files, all links, package comments and flag mentions check out\n", len(mds))
+	fmt.Fprintf(stdout, "docslint: %d markdown files, all links, package comments, flag and metric mentions check out\n", len(mds))
 	return nil
 }
 
@@ -273,6 +277,23 @@ func checkFlagMentions(root string, mds []string, addf func(string, ...any)) {
 		}
 	}
 
+	walkthroughLines(mds, func(md string, lineNo int, line string) {
+		for cmd, flags := range flagsOf {
+			if !strings.Contains(line, cmd) {
+				continue
+			}
+			for _, m := range flagMentionRE.FindAllStringSubmatch(line, -1) {
+				if !flags[m[2]] {
+					addf("%s:%d: mentions %s flag -%s, which cmd/%s does not define", md, lineNo, cmd, m[2], cmd)
+				}
+			}
+		}
+	})
+}
+
+// walkthroughLines calls fn for every line of the README.md and DESIGN.md
+// files among mds: the documents whose walkthroughs name flags and metrics.
+func walkthroughLines(mds []string, fn func(md string, lineNo int, line string)) {
 	for _, md := range mds {
 		base := filepath.Base(md)
 		if base != "README.md" && base != "DESIGN.md" {
@@ -283,16 +304,29 @@ func checkFlagMentions(root string, mds []string, addf func(string, ...any)) {
 			continue
 		}
 		for i, line := range strings.Split(string(raw), "\n") {
-			for cmd, flags := range flagsOf {
-				if !strings.Contains(line, cmd) {
-					continue
-				}
-				for _, m := range flagMentionRE.FindAllStringSubmatch(line, -1) {
-					if !flags[m[2]] {
-						addf("%s:%d: mentions %s flag -%s, which cmd/%s does not define", md, i+1, cmd, m[2], cmd)
-					}
-				}
-			}
+			fn(md, i+1, line)
 		}
 	}
+}
+
+var (
+	metricDefRE     = regexp.MustCompile(`"(flownet_[a-z0-9_]+)"`)
+	metricMentionRE = regexp.MustCompile(`flownet_[a-z0-9_]+`)
+)
+
+// checkMetricMentions asserts that every flownet_* token in README.md or
+// DESIGN.md is a metric family internal/server/prom.go declares.
+func checkMetricMentions(root string, mds []string, addf func(string, ...any)) {
+	families := make(map[string]bool)
+	prom, _ := os.ReadFile(filepath.Join(root, "internal", "server", "prom.go")) // no file, no families
+	for _, m := range metricDefRE.FindAllSubmatch(prom, -1) {
+		families[string(m[1])] = true
+	}
+	walkthroughLines(mds, func(md string, lineNo int, line string) {
+		for _, name := range metricMentionRE.FindAllString(line, -1) {
+			if !families[name] {
+				addf("%s:%d: mentions metric family %s, which internal/server/prom.go does not declare", md, lineNo, name)
+			}
+		}
+	})
 }

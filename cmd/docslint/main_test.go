@@ -110,3 +110,15 @@ func TestHyphenatedProseIsNotAFlag(t *testing.T) {
 		t.Fatalf("hyphenated prose read as flag mentions:\n%s", out)
 	}
 }
+
+func TestUnknownMetricMention(t *testing.T) {
+	root := scaffold(t)
+	write(t, filepath.Join(root, "internal", "server", "prom.go"),
+		"// Package server is documented.\npackage server\n\nvar families = []string{\"flownet_requests_total\"}\n")
+	write(t, filepath.Join(root, "README.md"),
+		"# Demo\n\nWatch `flownet_requests_total{route}`, not flownet_request_total.\n")
+	ok, out := lint(t, root)
+	if ok || !strings.Contains(out, "flownet_request_total,") || strings.Contains(out, "flownet_requests_total") {
+		t.Fatalf("want exactly the misspelt family reported (ok=%v):\n%s", ok, out)
+	}
+}

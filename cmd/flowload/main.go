@@ -80,7 +80,7 @@ const patternMaxInstances = 1000
 
 // ingestBatchSize is the interaction count per writer batch: small enough
 // to keep write latency in the same range as queries, large enough that
-// the generation bump (cache sweep + table refresh) is exercised.
+// the generation bump (stale cache entries + table refresh) is exercised.
 const ingestBatchSize = 32
 
 // opMetrics aggregates everything one operation kind saw, attempt by

@@ -116,7 +116,8 @@ func TestFlowloadEndToEnd(t *testing.T) {
 }
 
 // TestFlowloadZipfSkewHitsCache runs a pair-only zipf burst with no ingest
-// writers (whose generation bumps would sweep the cache between queries):
+// writers (whose generation bumps would make cached pairs stale between
+// queries):
 // the skewed key distribution must revisit hot pairs, and the observer
 // must surface the server's cache header as a non-zero hit rate.
 func TestFlowloadZipfSkewHitsCache(t *testing.T) {

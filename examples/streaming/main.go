@@ -2,8 +2,8 @@
 // drives the live-update loop a payment-fraud service would: register an
 // empty network, stream a first batch of transfers, query a flow, stream
 // more transfers, and query again — the answer changes, because the
-// network's generation advanced and the stale cached result became
-// unreachable. It also shows the out-of-order path: a late-arriving
+// network's generation advanced and the stale cached result is no longer
+// served. It also shows the out-of-order path: a late-arriving
 // transfer is parked, invisible to queries, until an explicit reindex
 // merges it.
 //

@@ -56,8 +56,8 @@
 // byte-identically. With -allow-ingest the service also accepts live
 // traffic: time-ordered interaction batches are appended to resident
 // networks (POST /ingest, backed by Network.AppendBatch and Shard.Append),
-// each append bumps the network's generation, and cache keys carry that
-// generation so stale answers are never replayed. Client (NewClient) is
+// each append bumps the network's generation, and cached answers record
+// theirs so stale ones are never replayed. Client (NewClient) is
 // the matching Go client; the wire types (FlowResult, BatchRequest,
 // IngestRequest, PatternResult, StatsResult, ...) are shared with the
 // server. See the README's Serving and Streaming ingestion sections for

@@ -1,19 +1,23 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
+	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"testing"
 
-	"flownet/internal/cache"
+	"flownet/internal/datagen"
 	"flownet/internal/pattern"
+	"flownet/internal/server"
+	"flownet/internal/store"
 	"flownet/internal/tin"
 )
 
-// Benchmarks behind the incremental derived-state path (BENCH_ci.json in
-// CI): patching PB path tables forward from an ingest delta vs rebuilding
-// them from scratch, and the response-cache retention sweep vs the
-// wholesale purge it replaced.
+// Benchmarks behind the incremental derived-state path: patching PB path
+// tables forward from an ingest delta vs rebuilding them from scratch, and
+// an ingest beside a full response cache vs beside an empty one.
 
 // appendedBenchNetwork returns a private copy of the bench corpus with a
 // small in-order batch appended (touching `deltaEdges` existing edges),
@@ -109,62 +113,51 @@ func TestUpdateFasterThanRebuild(t *testing.T) {
 	}
 }
 
-// populatedResponseCache fills a response cache shaped like flownetd's:
-// generation-tagged keys and a small vertex footprint per entry.
-func populatedResponseCache(entries int) *cache.Cache[string, []tin.VertexID] {
-	c := cache.New[string, []tin.VertexID](entries)
-	for i := 0; i < entries; i++ {
-		foot := []tin.VertexID{tin.VertexID(i % 1024), tin.VertexID((i + 7) % 1024)}
-		c.Put(fmt.Sprintf("flow|bench|g1|seed|%d", i), foot)
-	}
-	return c
-}
-
-// BenchmarkCacheRetention measures the post-ingest cache sweep, per entry:
-// the delta-aware retention pass (parse the key, test the footprint
-// against the changed-vertex set, re-key survivors to the new generation)
-// vs the wholesale purge it replaced. Retention does strictly
-// more work per entry — the win is that survivors keep serving hits
-// instead of being recomputed, which costs milliseconds per query.
-func BenchmarkCacheRetention(b *testing.B) {
+// BenchmarkAppendBesideCache measures what the response cache costs an
+// ingest: Shard.Append of 32 on a served network whose 4 096-entry cache is
+// full against one whose cache is empty. The store's change notification
+// stamps the touched vertices and returns — nothing walks the cache and no
+// goroutine is started — so the two must cost the same (a fold every 128
+// appends included, on both sides).
+func BenchmarkAppendBesideCache(b *testing.B) {
 	const entries = 4096
-	// An ingest touching 8 vertices: ~1.5% of entries are affected.
-	touched := map[tin.VertexID]struct{}{}
-	for v := tin.VertexID(0); v < 8; v++ {
-		touched[v] = struct{}{}
-	}
-	b.Run("retain", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			c := populatedResponseCache(entries)
-			newTag := fmt.Sprintf("|g%d|", i+2)
-			b.StartTimer()
-			rekeyed, removed := c.Rekey(func(key string, foot []tin.VertexID) (string, bool) {
-				for _, v := range foot {
-					if _, hit := touched[v]; hit {
-						return key, false
-					}
+	for _, c := range []struct {
+		name string
+		fill int
+	}{{"full", entries}, {"empty", 0}} {
+		b.Run(c.name, func(b *testing.B) {
+			n := datagen.Bitcoin(datagen.Config{Vertices: 5000, Seed: 11})
+			next := uniformBatches(n, 0, 1)
+			s := server.New(server.Config{CacheSize: entries})
+			if err := s.AddNetwork("bench", n); err != nil {
+				b.Fatal(err)
+			}
+			// Two-hop seed queries: cheap, and one cache entry per seed.
+			for v := 0; v < c.fill; v++ {
+				w := httptest.NewRecorder()
+				s.Handler().ServeHTTP(w, httptest.NewRequest("GET", fmt.Sprintf("/flow?seed=%d&hops=2", v), nil))
+				if w.Code != 200 {
+					b.Fatalf("seed %d: status %d (%s)", v, w.Code, w.Body)
 				}
-				return "flow|bench" + newTag + key[len("flow|bench|g1|"):], true
-			})
-			if rekeyed == 0 || removed == 0 {
-				b.Fatalf("sweep retained %d / removed %d, want both > 0", rekeyed, removed)
 			}
-		}
-		b.ReportMetric(entries, "entries/op")
-	})
-	b.Run("purge", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
+			w := httptest.NewRecorder()
+			s.Handler().ServeHTTP(w, httptest.NewRequest("GET", "/stats", nil))
+			var st server.StatsResult
+			if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil || st.Cache.Len != c.fill {
+				b.Fatalf("cache holds %d entries (%v), want %d", st.Cache.Len, err, c.fill)
+			}
+			sh, _ := s.Store().Get("bench")
+			goroutines := runtime.NumGoroutine()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := sh.Append(next(), store.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
 			b.StopTimer()
-			c := populatedResponseCache(entries)
-			b.StartTimer()
-			drop := func(key string, _ []tin.VertexID) (string, bool) { return key, false }
-			if _, removed := c.Rekey(drop); removed != entries {
-				b.Fatalf("purged %d entries, want %d", removed, entries)
+			if left := runtime.NumGoroutine() - goroutines; left > 0 {
+				b.Fatalf("%d appends left %d goroutines behind", b.N, left)
 			}
-		}
-		b.ReportMetric(entries, "entries/op")
-	})
+		})
+	}
 }

@@ -9,10 +9,10 @@ import (
 	"flownet/internal/tin"
 )
 
-// Benchmarks behind the CSR layout refactor and the mmap load path
-// (BENCH_layout.json in CI): loading a snapshot zero-copy vs decoding it,
-// and traversing the flat adjacency vs a replica of the jagged layout the
-// CSR representation replaced.
+// Benchmarks behind the CSR layout refactor and the mmap load path:
+// loading a snapshot zero-copy vs decoding it, and traversing the flat
+// adjacency vs a replica of the jagged layout the CSR representation
+// replaced.
 
 // BenchmarkLoadMmap is BenchmarkLoadBinary's zero-copy counterpart: the
 // same snapshot served by mapping the file instead of decoding it.

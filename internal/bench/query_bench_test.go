@@ -9,12 +9,12 @@ import (
 	"flownet/internal/tin"
 )
 
-// Benchmarks behind the O(footprint) query path (BENCH_query.json in CI):
-// pair-query latency as the network grows around a fixed footprint. The
-// frontier-driven extractor walks only the adjacency of the vertices
-// reachable between source and sink, so the cost of a query must track its
-// footprint, not the network — these benchmarks pin that by holding the
-// footprint constant while the background grows 100x.
+// Benchmarks behind the O(footprint) query path: pair-query latency as the
+// network grows around a fixed footprint. The frontier-driven extractor
+// walks only the adjacency of the vertices reachable between source and
+// sink, so the cost of a query must track its footprint, not the network —
+// these benchmarks pin that by holding the footprint constant while the
+// background grows 100x.
 
 // footV is the vertex count of the fixed footprint: a diamond DAG
 // 0 -> {1,2,3} -> {4,5,6} -> {7,8} -> 9 whose pair subgraph 0->9 is

@@ -12,8 +12,8 @@ import (
 
 // The load/replay benchmark corpus: one Bitcoin-shaped network, built once
 // per test binary. ~5k vertices keeps a single -benchtime 1x pass (the CI
-// BENCH_store.json job) in seconds while still being parse-dominated on
-// the text path.
+// step that runs every benchmark once) in seconds while still being
+// parse-dominated on the text path.
 var (
 	loadNetOnce sync.Once
 	loadNet     *tin.Network

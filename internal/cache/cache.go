@@ -3,9 +3,9 @@
 // handlers see one immutable network version per request (identified by
 // its generation), so a (network, generation, query) triple always
 // produces the same answer and memoizing it turns repeated queries into
-// O(1) lookups. When a network changes, the server sweeps with Rekey:
-// entries provably unaffected by the change are moved to the new
-// generation's keys and keep serving hits, the rest are dropped.
+// O(1) lookups. Keys name the network and the query only: whether a stored
+// answer still holds at the reader's generation is for the predicate the
+// server hands Get to say, so nothing walks the cache when a network changes.
 package cache
 
 import (
@@ -23,8 +23,9 @@ type Stats struct {
 }
 
 // Cache is a bounded LRU from K to V, safe for concurrent use. A capacity
-// of zero or less disables it entirely — Get always misses and Put is a
-// no-op — so callers need no special-casing for the "caching off" path.
+// of zero or less disables it entirely — ll and items stay nil, Get always
+// misses and Put is a no-op — so callers need no special-casing for the
+// "caching off" path.
 type Cache[K comparable, V any] struct {
 	mu        sync.Mutex
 	capacity  int
@@ -50,23 +51,21 @@ func New[K comparable, V any](capacity int) *Cache[K, V] {
 	return c
 }
 
-// Get returns the value stored under k and marks it most recently used.
-func (c *Cache[K, V]) Get(k K) (V, bool) {
-	var zero V
+// Get returns the value stored under k and marks it most recently used,
+// provided fresh accepts it. A refused value is a miss and stays where it
+// is, recency included: the caller's recompute replaces it with Put. fresh
+// runs under the cache's lock and must not call back into the cache.
+func (c *Cache[K, V]) Get(k K, fresh func(V) bool) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.capacity <= 0 {
-		c.misses++
-		return zero, false
+	if el, ok := c.items[k]; ok && fresh(el.Value.(*entry[K, V]).val) {
+		c.hits++
+		c.ll.MoveToFront(el)
+		return el.Value.(*entry[K, V]).val, true
 	}
-	el, ok := c.items[k]
-	if !ok {
-		c.misses++
-		return zero, false
-	}
-	c.hits++
-	c.ll.MoveToFront(el)
-	return el.Value.(*entry[K, V]).val, true
+	c.misses++
+	var zero V
+	return zero, false
 }
 
 // Put inserts or refreshes k -> v, evicting the least recently used entry
@@ -91,77 +90,22 @@ func (c *Cache[K, V]) Put(k K, v V) {
 	c.items[k] = c.ll.PushFront(&entry[K, V]{key: k, val: v})
 }
 
-// Rekey visits every entry, letting fn move it to a new key or drop it:
-// fn returns the key the entry should live under (the same key to leave it
-// alone) and whether to keep it at all. LRU order is preserved — a re-keyed
-// entry keeps its recency position. It returns how many entries were moved
-// to a new key and how many were removed.
-//
-// Rekey is the delta-aware invalidation hook: flownetd tags cache keys with
-// the network generation, and after an ingest it re-keys entries whose
-// recorded read footprint is disjoint from the ingested delta to the new
-// generation (keeping them reachable) while dropping only the possibly
-// affected ones. If fn maps an entry onto a key that already exists, the
-// visited entry is removed and the existing one kept — in the flownetd use
-// the two are byte-identical answers, so nothing of value is lost.
-//
-// fn must not call back into the cache. Entries inserted into newly freed
-// keys by fn are visited at most once (the traversal walks the recency
-// list snapshot-free but never revisits an element).
-func (c *Cache[K, V]) Rekey(fn func(K, V) (K, bool)) (rekeyed, removed int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.capacity <= 0 {
-		return 0, 0
-	}
-	for el := c.ll.Front(); el != nil; {
-		next := el.Next()
-		ent := el.Value.(*entry[K, V])
-		newKey, keep := fn(ent.key, ent.val)
-		switch {
-		case !keep:
-			c.ll.Remove(el)
-			delete(c.items, ent.key)
-			removed++
-		case newKey != ent.key:
-			if _, taken := c.items[newKey]; taken {
-				c.ll.Remove(el)
-				delete(c.items, ent.key)
-				removed++
-				break
-			}
-			delete(c.items, ent.key)
-			ent.key = newKey
-			c.items[newKey] = el
-			rekeyed++
-		}
-		el = next
-	}
-	return rekeyed, removed
-}
-
 // Len returns the number of cached entries.
 func (c *Cache[K, V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.capacity <= 0 {
-		return 0
-	}
-	return c.ll.Len()
+	return len(c.items)
 }
 
 // Stats returns a snapshot of the hit/miss/eviction counters.
 func (c *Cache[K, V]) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s := Stats{
+	return Stats{
 		Hits:      c.hits,
 		Misses:    c.misses,
 		Evictions: c.evictions,
+		Len:       len(c.items),
 		Capacity:  c.capacity,
 	}
-	if c.capacity > 0 {
-		s.Len = c.ll.Len()
-	}
-	return s
 }

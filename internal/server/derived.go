@@ -2,9 +2,9 @@ package server
 
 // Derived state: everything the server computes *from* a network and would
 // be correct to throw away — memoized responses and PB path tables. Both
-// are keyed (or tagged) by the network generation, so they can never serve
-// a stale answer; this file is about keeping as much of them as possible
-// *warm* across ingests instead of rebuilding from scratch.
+// are tagged with the network generation they hold for, so they can never
+// serve a stale answer; this file is about keeping as much of them as
+// possible *warm* across ingests instead of rebuilding from scratch.
 //
 // The store's delta-bearing change notification (store.SubscribeDelta)
 // names the edges an ingest touched and their endpoint vertices. Two
@@ -17,19 +17,18 @@ package server
 //     edge order (Update's preconditions no longer hold), when the log
 //     misses a bump, or when no tables were built yet.
 //
-//   - the retention sweep re-keys cached responses whose recorded read
-//     footprint (the vertex set the answer depended on) is disjoint from
-//     the delta's vertices up to the new generation, instead of letting
-//     the whole network's cache die with the generation bump.
+//   - stamps notes, per vertex, the last generation that touched it: a
+//     lookup serves a cached response across a bump iff no vertex of its
+//     recorded read footprint (the vertex set the answer depended on) was
+//     touched since, instead of the whole network's cache dying with it.
 //
 // Both are optimizations only: a dropped table cache rebuilds on the next
-// PB query, and a dropped response recomputes on the next hit. Correctness
-// never depends on a sweep running, only on generation tags.
+// PB query, and a refused response recomputes on the spot. The writer's
+// share is O(delta), and nothing runs between an ingest and the next query.
 
 import (
+	"maps"
 	"slices"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -51,27 +50,25 @@ const (
 	// maxFootprintVertices caps the per-entry footprint recorded with a
 	// cached response. A footprint this large means the answer read a big
 	// slice of the network — retention would rarely succeed and the
-	// intersection scans would be slow — so the entry falls back to
-	// purge-on-change (nil footprint).
+	// stamp compares would be slow — so the entry falls back to
+	// stale-on-change (nil footprint).
 	maxFootprintVertices = 1024
-
-	// maxSweepVertices caps the vertex union a pending sweep accumulates
-	// across coalesced ingests; past it the sweep degrades to a full purge
-	// of the network's stale entries.
-	maxSweepVertices = 4096
 )
 
-// cachedResponse is one memoized response body plus the read footprint the
-// retention sweep tests against ingest deltas. foot is ascending; nil means
-// the footprint is unknown (batch and pattern answers, or over the cap) and
-// the entry is dropped on any change to its network.
+// cachedResponse is one memoized response body, the generation it was
+// computed at and the read footprint its freshness is judged by (see
+// stamps.fresh). foot is ascending; nil means the footprint is unknown
+// (batch and pattern answers, or over the cap) and the entry is stale after
+// any change to its network.
 type cachedResponse struct {
 	body []byte
+	gen  uint64
 	foot []tin.VertexID
 }
 
 // derivedStats holds the counters behind /stats "derived" and the
-// flownet_derived_* metric families.
+// flownet_table_refreshes_total / flownet_cache_sweep_entries_total metric
+// families.
 type derivedStats struct {
 	tableUpdates  atomic.Uint64
 	tableRebuilds atomic.Uint64
@@ -80,7 +77,7 @@ type derivedStats struct {
 }
 
 // clampFootprint applies maxFootprintVertices: an over-the-cap footprint is
-// recorded as unknown (nil), falling back to purge-on-change.
+// recorded as unknown (nil), falling back to stale-on-change.
 func clampFootprint(foot []tin.VertexID) []tin.VertexID {
 	if len(foot) > maxFootprintVertices {
 		return nil
@@ -277,25 +274,97 @@ func (s *Server) tablesFor(sh *store.Shard) *tableCache {
 	return tc
 }
 
-// ---- delta-aware response-cache retention -----------------------------
+// ---- response-cache freshness -----------------------------------------
 
-// sweepDelta accumulates the coalesced invalidation work of one network:
-// every generation bump since the last sweep, folded together. base is the
-// generation the oldest coalesced bump started from — entries built at
-// generations below it have unknown intermediate deltas and are dropped;
-// entries in [base, toGen) are retained iff their footprint misses verts.
-type sweepDelta struct {
-	base  uint64
-	toGen uint64
-	full  bool
-	verts map[tin.VertexID]struct{}
+// stamps is one network's invalidation record: which generation last
+// changed what. The store's change notification writes it, on the writer's
+// goroutine and before the bumped version is published, so a reader pinned
+// at generation g sees every stamp up to g — the ordering that lets
+// tableCache keep an exact log. Lookups only load.
+type stamps struct {
+	// touched[v] is the last generation whose delta had v as an endpoint of
+	// a changed edge; a vertex beyond the table reads as 0. The table grows
+	// by replacement: a reader still holding the old one misses only stamps
+	// above its own pin.
+	touched atomic.Pointer[[]atomic.Uint64]
+	floor   atomic.Uint64 // the last Full (reindex) bump
+	last    atomic.Uint64 // the last bump of any kind
+}
+
+// record stamps one generation bump. A network has one writer at a time
+// (the shard's writer lock is held around the notification).
+func (st *stamps) record(gen uint64, d store.Delta) {
+	if len(d.Vertices) > 0 {
+		t := *st.touched.Load()
+		// Vertices is ascending: the last one decides whether the table fits.
+		if need := int(d.Vertices[len(d.Vertices)-1]) + 1; need > len(t) {
+			grown := make([]atomic.Uint64, max(need, 2*len(t)))
+			for i := range t {
+				grown[i].Store(t[i].Load())
+			}
+			t = grown
+			st.touched.Store(&t)
+		}
+		for _, v := range d.Vertices {
+			t[v].Store(gen)
+		}
+	}
+	if d.Full {
+		st.floor.Store(gen)
+	}
+	st.last.Store(gen)
+}
+
+// fresh reports whether e is still the answer for a reader pinned at gen:
+// it is not from the reader's future, and nothing it read has changed since
+// e.gen — no reindex, and no edge at a vertex of its footprint (the
+// staleness-certificate argument is on tin.Extraction.Footprint). Exact for
+// a current reader; one pinned in the past may also see stamps above its
+// pin and recompute needlessly.
+func (st *stamps) fresh(e cachedResponse, gen uint64) bool {
+	switch {
+	case e.gen > gen:
+		return false
+	case st.last.Load() <= e.gen:
+		return true // the network has not changed at all
+	case e.foot == nil || e.gen < st.floor.Load():
+		return false
+	}
+	t := *st.touched.Load()
+	for _, v := range e.foot {
+		if int(v) >= len(t) {
+			break // ascending: the rest was never touched either
+		}
+		if t[v].Load() > e.gen {
+			return false
+		}
+	}
+	return true
+}
+
+// stampsFor returns (creating it on first use) the stamps of a network.
+// Readers and the change notification both come through here, so no bump
+// is stamped nowhere; the map is copy-on-write, so neither takes a lock.
+func (s *Server) stampsFor(name string) *stamps {
+	for {
+		old := s.stamps.Load()
+		if st := (*old)[name]; st != nil {
+			return st
+		}
+		st := &stamps{}
+		st.touched.Store(new([]atomic.Uint64))
+		next := maps.Clone(*old)
+		next[name] = st
+		if s.stamps.CompareAndSwap(old, &next) {
+			return st
+		}
+	}
 }
 
 // onStoreDelta is the store's change notification (fired on the writer's
 // goroutine, before the bumped version is published): it logs the delta
-// with the table cache, folds it into the network's sweep, and kicks the
-// single sweeper goroutine. The sweep itself must not run here — it scans
-// the whole LRU.
+// with the table cache and stamps it for the response cache, both in
+// O(delta) whatever the cache holds.
 func (s *Server) onStoreDelta(name string, gen uint64, d store.Delta) {
 	s.tablesMu.Lock()
 	tc := s.tables[name]
@@ -303,122 +372,5 @@ func (s *Server) onStoreDelta(name string, gen uint64, d store.Delta) {
 	if tc != nil {
 		tc.recordDelta(gen, d)
 	}
-
-	s.dirtyMu.Lock()
-	sd := s.dirty[name]
-	if sd == nil {
-		sd = &sweepDelta{base: gen - 1}
-		s.dirty[name] = sd
-	}
-	sd.toGen = gen
-	if d.Full {
-		sd.full = true
-		sd.verts = nil
-	}
-	if !sd.full {
-		if sd.verts == nil {
-			sd.verts = make(map[tin.VertexID]struct{}, len(d.Vertices))
-		}
-		for _, v := range d.Vertices {
-			sd.verts[v] = struct{}{}
-		}
-		if len(sd.verts) > maxSweepVertices {
-			sd.full = true
-			sd.verts = nil
-		}
-	}
-	spawn := !s.purging
-	s.purging = true
-	s.dirtyMu.Unlock()
-	if spawn {
-		go s.sweepDirty()
-	}
-}
-
-// sweepDirty drains the dirty map, one cache sweep per distinct network,
-// and exits when the map is empty. Eagerness is an optimization only:
-// cache keys carry the generation, so the bump already made every stale
-// entry unreachable — the sweep either frees the LRU slot or, better,
-// re-keys the entry to the new generation so it stays reachable.
-func (s *Server) sweepDirty() {
-	for {
-		s.dirtyMu.Lock()
-		var name string
-		var sd *sweepDelta
-		for n, d := range s.dirty {
-			name, sd = n, d
-			break
-		}
-		if sd == nil {
-			s.purging = false
-			s.dirtyMu.Unlock()
-			return
-		}
-		delete(s.dirty, name)
-		s.dirtyMu.Unlock()
-		s.sweepNetwork(name, sd)
-	}
-}
-
-// cacheKey builds a response-cache key, "<kind>|<network>|g<gen>|<query>".
-// The generation tag is what makes a cached answer unreachable once its
-// network changes; kind keeps the routes' query encodings apart. Kinds and
-// network names never contain '|' (the query may), so splitCacheKey is an
-// exact inverse.
-func cacheKey(kind, network string, gen uint64, query string) string {
-	return kind + "|" + network + "|g" + strconv.FormatUint(gen, 10) + "|" + query
-}
-
-// splitCacheKey takes a cacheKey apart; ok is false for any other string.
-func splitCacheKey(key string) (kind, network string, gen uint64, query string, ok bool) {
-	kind, rest, ok1 := strings.Cut(key, "|")
-	network, rest, ok2 := strings.Cut(rest, "|")
-	genStr, query, ok3 := strings.Cut(rest, "|")
-	if !ok1 || !ok2 || !ok3 || !strings.HasPrefix(genStr, "g") {
-		return "", "", 0, "", false
-	}
-	gen, err := strconv.ParseUint(genStr[1:], 10, 64)
-	if err != nil {
-		return "", "", 0, "", false
-	}
-	return kind, network, gen, query, true
-}
-
-// sweepNetwork runs one retention scan over the response cache. For each
-// of name's entries:
-//
-//   - generation >= sd.toGen: current (or newer — raced with a later
-//     ingest whose own sweep is queued); left untouched.
-//   - sweep degraded to full, generation < sd.base (unknown intermediate
-//     deltas), nil footprint, or footprint intersecting the delta's
-//     vertices: dropped.
-//   - otherwise the answer provably survives every coalesced bump
-//     (footprint disjoint from all changed-edge endpoints — see the
-//     staleness-certificate argument on tin.Extraction.Footprint) and the
-//     entry is re-keyed to sd.toGen, staying reachable at the new
-//     generation.
-func (s *Server) sweepNetwork(name string, sd *sweepDelta) {
-	rekeyed, removed := s.cache.Rekey(func(key string, v cachedResponse) (string, bool) {
-		kind, network, gen, query, ok := splitCacheKey(key)
-		if !ok || network != name || gen >= sd.toGen {
-			return key, true // another network's entry, or already current
-		}
-		if sd.full || gen < sd.base || v.foot == nil || footprintHits(v.foot, sd.verts) {
-			return key, false
-		}
-		return cacheKey(kind, name, sd.toGen, query), true
-	})
-	s.derived.cacheRetained.Add(uint64(rekeyed))
-	s.derived.cachePurged.Add(uint64(removed))
-}
-
-// footprintHits reports whether any footprint vertex was an endpoint of a
-// changed edge.
-func footprintHits(foot []tin.VertexID, verts map[tin.VertexID]struct{}) bool {
-	for _, v := range foot {
-		if _, ok := verts[v]; ok {
-			return true
-		}
-	}
-	return false
+	s.stampsFor(name).record(gen, d)
 }

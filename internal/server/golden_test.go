@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"flownet/internal/core"
 	"flownet/internal/pattern"
@@ -208,24 +207,6 @@ func issue(s *Server, req string) (int, string, string) {
 	return w.Code, w.Header().Get("X-Flownet-Cache"), w.Body.String()
 }
 
-// waitSwept blocks until the asynchronous retention sweep an ingest kicked
-// off has finished, so which entries were re-keyed (hits) and which dropped
-// (misses) no longer depends on timing.
-func waitSwept(t *testing.T, s *Server) {
-	t.Helper()
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		s.dirtyMu.Lock()
-		idle := !s.purging && len(s.dirty) == 0
-		s.dirtyMu.Unlock()
-		if idle {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("retention sweep did not finish")
-		}
-	}
-}
-
 // computeGolden runs the script on the current code: one pass, one ingest,
 // the same pass again.
 func computeGolden(t *testing.T, engine core.Engine) []goldenEntry {
@@ -257,7 +238,6 @@ func computeGolden(t *testing.T, engine core.Engine) []goldenEntry {
 	pass()
 	status, cache, body := issue(s, ingest)
 	out = append(out, goldenEntry{Req: ingest, Status: status, Cache: cache, Body: body})
-	waitSwept(t, s)
 	pass()
 	return out
 }

@@ -152,7 +152,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		add(promLabel("method", "update"), float64(s.derived.tableUpdates.Load()))
 		add(promLabel("method", "rebuild"), float64(s.derived.tableRebuilds.Load()))
 	})
-	p.family("flownet_cache_sweep_entries_total", "Cached responses processed by the post-ingest retention sweep, by outcome (retained = re-keyed to the new generation, purged = dropped).", "counter", func(add func(string, float64)) {
+	p.family("flownet_cache_sweep_entries_total", "Cache lookups that met a response from before an ingest, by outcome (retained = served, its footprint untouched since; purged = refused as stale and recomputed).", "counter", func(add func(string, float64)) {
 		add(promLabel("outcome", "retained"), float64(s.derived.cacheRetained.Load()))
 		add(promLabel("outcome", "purged"), float64(s.derived.cachePurged.Load()))
 	})

@@ -26,12 +26,13 @@
 // catalog (registration, lookup, ingestion, durability) and this package
 // is only the HTTP surface over it. Cache invalidation and PB-table
 // staleness are driven by the store's delta-bearing change notifications
-// (store.SubscribeDelta): a generation bump re-keys memoized responses
-// whose recorded read footprint provably missed the ingested edges (and
-// drops only the rest), and the lazily built pattern tables are patched
-// forward with pattern.Tables.Update for small deltas instead of being
-// rebuilt from scratch. See derived.go for the machinery and /stats
-// "derived" for the update/rebuild and retained/purged counters.
+// (store.SubscribeDelta): a generation bump stamps the vertices it touched,
+// a lookup serves a memoized response only if the stamps prove its recorded
+// read footprint missed every ingested edge since (and recomputes it
+// otherwise), and the lazily built pattern tables are patched forward with
+// pattern.Tables.Update for small deltas instead of being rebuilt from
+// scratch. See derived.go for the machinery and /stats "derived" for the
+// update/rebuild and retained/purged counters.
 package server
 
 import (
@@ -144,13 +145,10 @@ type Server struct {
 	tablesMu sync.Mutex
 	tables   map[string]*tableCache
 
-	// dirty accumulates, per network, the coalesced delta of every
-	// generation bump since the last retention sweep; a single sweeper
-	// goroutine (purging) coalesces bursts so ingest-heavy traffic runs at
-	// most one cache scan at a time. See derived.go.
-	dirtyMu sync.Mutex
-	dirty   map[string]*sweepDelta
-	purging bool
+	// stamps holds, per network name, what each generation bump touched:
+	// what cached responses are judged fresh by (see derived.go). The map is
+	// replaced, never modified, so lookups read it without a lock.
+	stamps atomic.Pointer[map[string]*stamps]
 }
 
 // routes lists every instrumented endpoint, in /stats display order.
@@ -159,8 +157,8 @@ var routes = []string{"/flow", "/flow/batch", "/patterns", "/ingest", "/networks
 // New creates a server over cfg.Store (or a fresh in-memory store when
 // nil). Every change the store accepts — from this server's /ingest or
 // from any other store client — drives that network's derived state: the
-// PB table cache accumulates the changed edges and the retention sweep
-// re-keys or drops cached responses (see derived.go). The subscription
+// PB table cache accumulates the changed edges and the touched vertices
+// are stamped for the response cache (see derived.go). The subscription
 // lasts for the store's lifetime (store.SubscribeDelta has no
 // unsubscribe), so create at most one server per store and let them share
 // that lifetime; a discarded server would otherwise stay pinned by the
@@ -177,10 +175,10 @@ func New(cfg Config) *Server {
 		started: time.Now(),
 		metrics: make(map[string]*endpointMetrics, len(routes)),
 		tables:  make(map[string]*tableCache),
-		dirty:   make(map[string]*sweepDelta),
 
 		tableThreshold: tableUpdateThreshold,
 	}
+	s.stamps.Store(&map[string]*stamps{})
 	st.SubscribeDelta(s.onStoreDelta)
 	for _, r := range routes {
 		s.metrics[r] = newEndpointMetrics()
@@ -357,9 +355,9 @@ func decodeBody(w http.ResponseWriter, r *http.Request, req any) bool {
 
 // runFunc computes a query on the network version its prepareFunc was
 // handed: the value to marshal and the answer's read footprint (ascending
-// vertex ids; nil = unknown), recorded with the cache entry so the
-// retention sweep can keep it across ingests that provably missed it (see
-// derived.go). It polls ctx between expensive stages and returns its error.
+// vertex ids; nil = unknown), recorded with the cache entry so it keeps
+// serving across ingests that provably missed it (see derived.go). It polls
+// ctx between expensive stages and returns its error.
 type runFunc func(ctx context.Context) (result any, foot []tin.VertexID, err error)
 
 // prepareFunc validates a request against the pinned network (an error is
@@ -374,11 +372,11 @@ type prepareFunc func(n *tin.Network, gen uint64) (key string, run runFunc, err 
 //
 // The pin (on the shard's current version) spans validation to marshalled
 // body: the version that resolves the parameters is the one that answers,
-// and gen tags the key so an ingest (which bumps it) can never serve this
-// version's answer to a later request. It holds nobody up — ingest
-// publishes the next version beside it — and ends before the first byte is
-// written: a slow client must not keep a superseded version (and, under
-// -mmap, its mapping) alive.
+// and gen tags the memoized answer so that no request pinned across an
+// ingest that touched what it read is served it, in either direction. It
+// holds nobody up — ingest publishes the next version beside it — and ends
+// before the first byte is written: a slow client must not keep a
+// superseded version (and, under -mmap, its mapping) alive.
 func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, route, kind string, sh *store.Shard, prepare prepareFunc) {
 	s.answerQuery(r.Context(), route, kind, sh, prepare).write(w)
 }
@@ -390,8 +388,10 @@ func (s *Server) answerQuery(ctx context.Context, route, kind string, sh *store.
 	if err != nil {
 		return errorAnswer(http.StatusBadRequest, "%v", err)
 	}
-	key := cacheKey(kind, sh.Name(), gen, query)
-	if hit, ok := s.serveCached(route, key); ok {
+	// Kinds and network names never contain '|', so keys of different
+	// routes or networks cannot collide whatever the query part holds.
+	key := kind + "|" + sh.Name() + "|" + query
+	if hit, ok := s.serveCached(route, key, s.stampsFor(sh.Name()), gen); ok {
 		return hit
 	}
 	// An expired deadline fails fast instead of burning a worker on an
@@ -421,14 +421,27 @@ func (s *Server) answerQuery(ctx context.Context, route, kind string, sh *store.
 	// at the deadline: it must not plant a result the timed-out path would
 	// have refused to compute.
 	if len(body) <= maxCachedBytes && ctx.Err() == nil {
-		s.cache.Put(key, cachedResponse{body: body, foot: clampFootprint(foot)})
+		s.cache.Put(key, cachedResponse{body: body, gen: gen, foot: clampFootprint(foot)})
 	}
 	return answer{status: http.StatusOK, body: body, cache: "miss"}
 }
 
-// serveCached replays a memoized response if one exists.
-func (s *Server) serveCached(route, key string) (answer, bool) {
-	v, ok := s.cache.Get(key)
+// serveCached replays the response memoized under key if it still holds for
+// a reader pinned at gen (stamps.fresh). One found and refused counts as
+// purged (the caller's recompute overwrites it), a hit computed at an
+// earlier generation as retained.
+func (s *Server) serveCached(route, key string, st *stamps, gen uint64) (answer, bool) {
+	refused := false
+	v, ok := s.cache.Get(key, func(e cachedResponse) bool {
+		refused = !st.fresh(e, gen)
+		return !refused
+	})
+	switch {
+	case refused:
+		s.derived.cachePurged.Add(1)
+	case ok && v.gen < gen:
+		s.derived.cacheRetained.Add(1)
+	}
 	if !ok {
 		return answer{}, false
 	}
@@ -451,14 +464,15 @@ func intParam(q url.Values, name string, def int) (int, error) {
 	return v, nil
 }
 
-// floatParam parses a float query parameter; ok is false when absent.
+// floatParam parses a float query parameter; ok is false when absent. NaN
+// parses but bounds no window: it is refused like any other non-number.
 func floatParam(q url.Values, name string) (float64, bool, error) {
 	raw := q.Get(name)
 	if raw == "" {
 		return 0, false, nil
 	}
 	v, err := strconv.ParseFloat(raw, 64)
-	if err != nil {
+	if err != nil || math.IsNaN(v) {
 		return 0, false, fmt.Errorf("parameter %s=%q is not a number", name, raw)
 	}
 	return v, true, nil
@@ -493,15 +507,16 @@ func extractParams(hops, maxIA int) (tin.ExtractOptions, error) {
 	return tin.ExtractOptions{MaxHops: hops, MaxInteractions: maxIA}, nil
 }
 
-// fmtFloat renders a float for cache keys (shortest round-trip form).
-func fmtFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
+// fmtFloat renders a float for cache keys (shortest round-trip form). The
+// sum turns -0 into 0: they bound the same window, so they share an entry.
+func fmtFloat(f float64) string { return strconv.FormatFloat(f+0, 'g', -1, 64) }
 
 // parseFlowQuery turns GET /flow parameters into the normalised extraction
 // query: seed addressing (seed, with the §6.2 knobs hops / maxinteractions)
 // or pair addressing (source, sink), either with an optional inclusive time
 // window (from, to; a missing side is unbounded). The footprint is always
-// requested — it is the staleness certificate under which the retention
-// sweep may keep the answer alive across ingests.
+// requested — it is the staleness certificate under which the answer keeps
+// serving across ingests.
 func (s *Server) parseFlowQuery(p url.Values, n *tin.Network) (tin.Query, error) {
 	q := tin.Query{Footprint: true}
 	seed, seedMode, err := s.vertexParam(p, "seed", n)
@@ -687,8 +702,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 					res.TotalFlow += sr.Flow
 				}
 			}
-			// No footprint (the union over many seeds would rarely survive
-			// retention): batch answers fall back to purge-on-change.
+			// No footprint (the union over many seeds would rarely survive an
+			// ingest): batch answers fall back to stale-on-change.
 			return res, nil, nil
 		}, nil
 	})
@@ -926,11 +941,11 @@ func (s *Server) handleCreateNetwork(w http.ResponseWriter, r *http.Request) {
 // when Reindex is set). The store both makes the batch durable (WAL, on a
 // durable store) and drives the derived state: its delta-bearing change
 // notification fires for every append that changed what queries can
-// observe, feeding the PB table cache's pending-edge union and the
-// retention sweep that re-keys cached answers the delta provably missed
-// (dropping only the rest) — and only that network's. The bumped
-// generation would make stale entries unreachable anyway; the sweep either
-// frees their LRU slots or keeps them serving.
+// observe, feeding the PB table cache's change log and stamping the
+// touched vertices, by which later lookups tell the cached answers the
+// delta provably missed (still served) from the rest (recomputed in
+// place) — that network's only. The request does nothing else for the
+// cache: its cost does not depend on what the cache holds.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	var req IngestRequest
 	if !decodeBody(w, r, &req) {

@@ -196,25 +196,36 @@ func TestFlowNotFoundAndErrors(t *testing.T) {
 	for _, tc := range []struct {
 		path   string
 		status int
+		text   string // part of the error message, when it matters which
 	}{
-		{"/flow?net=nope&source=0&sink=1", http.StatusNotFound},
-		{"/flow?source=0", http.StatusBadRequest},
-		{"/flow?source=0&sink=0", http.StatusBadRequest},
-		{"/flow?source=0&sink=999999", http.StatusBadRequest},
-		{"/flow?seed=abc", http.StatusBadRequest},
-		{"/flow?seed=1&hops=1", http.StatusBadRequest},
-		{"/flow?seed=1&from=zzz", http.StatusBadRequest},
-		{"/patterns?pattern=P99", http.StatusBadRequest},
-		{"/patterns?pattern=P2&mode=xx", http.StatusBadRequest},
+		{"/flow?net=nope&source=0&sink=1", http.StatusNotFound, ""},
+		{"/flow?source=0", http.StatusBadRequest, ""},
+		{"/flow?source=0&sink=0", http.StatusBadRequest, ""},
+		{"/flow?source=0&sink=999999", http.StatusBadRequest, ""},
+		{"/flow?seed=abc", http.StatusBadRequest, ""},
+		{"/flow?seed=1&hops=1", http.StatusBadRequest, ""},
+		{"/flow?seed=1&from=zzz", http.StatusBadRequest, `from="zzz" is not a number`},
+		// ParseFloat accepts NaN, but a window it bounds holds nothing and
+		// equals no other: it used to answer 200 with a flow of 0.
+		{"/flow?source=0&sink=1&from=NaN", http.StatusBadRequest, `from="NaN" is not a number`},
+		{"/flow?seed=1&to=nan", http.StatusBadRequest, `to="nan" is not a number`},
+		{"/patterns?pattern=P99", http.StatusBadRequest, ""},
+		{"/patterns?pattern=P2&mode=xx", http.StatusBadRequest, ""},
 	} {
 		status, _, body := get(t, ts, tc.path, nil)
 		if status != tc.status {
 			t.Errorf("GET %s: status %d, want %d (body %s)", tc.path, status, tc.status, body)
 		}
 		var eb errorBody
-		if err := json.Unmarshal(body, &eb); err != nil || eb.Error == "" {
-			t.Errorf("GET %s: non-JSON error body %q", tc.path, body)
+		if err := json.Unmarshal(body, &eb); err != nil || eb.Error == "" || !strings.Contains(eb.Error, tc.text) {
+			t.Errorf("GET %s: error body %q, want JSON naming %q", tc.path, body, tc.text)
 		}
+	}
+
+	// from=-0 and from=0 bound the same window, so they share one entry.
+	get(t, ts, "/flow?source=0&sink=1&from=0", nil)
+	if _, cacheHdr, _ := get(t, ts, "/flow?source=0&sink=1&from=-0", nil); cacheHdr != "hit" {
+		t.Errorf("from=-0 after from=0: cache %q, want hit on the same key", cacheHdr)
 	}
 }
 

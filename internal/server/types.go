@@ -211,8 +211,10 @@ type StoreStats struct {
 // DerivedStats counts how the server maintained its derived state across
 // ingests: whether stale PB path tables were patched forward
 // (table_updates) or rebuilt from scratch (table_rebuilds), and how many
-// cached responses the retention sweep re-keyed to the new generation
-// (cache_retained) versus dropped (cache_purged).
+// lookups served a cached response computed at an earlier generation,
+// proved fresh by its footprint (cache_retained), versus found one and
+// refused it as stale (cache_purged). Both move on the lookup, not on the
+// ingest.
 type DerivedStats struct {
 	TableUpdates  uint64 `json:"table_updates"`
 	TableRebuilds uint64 `json:"table_rebuilds"`

@@ -19,10 +19,11 @@ import (
 //     it found; they see that version, unchanged, for as long as they hold
 //     the pin, and never wait for a writer — nor a writer for them. The
 //     generation they observe identifies exactly which version answered
-//     their query, which is what makes (network, generation, query) a sound
-//     cache key: a successful append bumps the generation, so every cached
-//     answer from an older version becomes unreachable without touching
-//     answers for other networks.
+//     their query, which is what makes memoizing (network, query) answers
+//     sound: an answer records the generation it was computed at, a
+//     successful append bumps the generation, and the Deltas below say
+//     which older answers the bump left true — without touching answers
+//     for other networks.
 //   - Writers call Append with batches that are internally time-ordered
 //     and start at or after the network's latest timestamp. Out-of-order
 //     arrivals are detected per item and — under PolicyDefer — parked in a
