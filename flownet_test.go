@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	flownet "flownet"
@@ -69,6 +70,36 @@ func TestPublicMutators(t *testing.T) {
 	if err != nil || math.Abs(f-5) > 1e-9 {
 		t.Errorf("flow after reductions=%g (%v), want 5", f, err)
 	}
+}
+
+// TestReducedEdgeRaisesOrdBound pins that the exported mutators keep every
+// Ord below OrdBound: an edge added with an Ord past the bound used to leave
+// Greedy and MaxFlowLP answering 3 while MaxFlowTEG indexed out of range.
+func TestReducedEdgeRaisesOrdBound(t *testing.T) {
+	g := flownet.NewGraph(3, 0, 2)
+	g.AddInteraction(g.AddEdge(0, 1), 1, 5)
+	g.Finalize()
+	e := g.AddReducedEdge(1, 2, []flownet.Interaction{{Time: 2, Qty: 3, Ord: 7}})
+	check := func(want float64) {
+		t.Helper()
+		lp, err := flownet.MaxFlowLP(g)
+		if err != nil {
+			t.Fatalf("MaxFlowLP: %v", err)
+		}
+		if gr, teg := flownet.Greedy(g), flownet.MaxFlowTEG(g); gr != want || lp != want || teg != want {
+			t.Fatalf("Greedy = %g, MaxFlowLP = %g, MaxFlowTEG = %g, want %g", gr, lp, teg, want)
+		}
+	}
+	check(3)
+	g.SetSeq(e, []flownet.Interaction{{Time: 2, Qty: 2, Ord: 7}, {Time: 3, Qty: 2, Ord: 40}})
+	check(4)
+
+	defer func() {
+		if r := recover(); r == nil || !strings.HasPrefix(fmt.Sprint(r), "tin:") {
+			t.Fatalf("SetSeq of a sequence descending in Ord: recovered %v, want a tin: panic", r)
+		}
+	}()
+	g.SetSeq(e, []flownet.Interaction{{Time: 2, Qty: 2, Ord: 9}, {Time: 3, Qty: 2, Ord: 8}})
 }
 
 func TestPublicNetworkAndPatterns(t *testing.T) {

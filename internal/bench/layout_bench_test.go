@@ -250,6 +250,34 @@ func TestQueryAllocationBudget(t *testing.T) {
 	})
 }
 
+// TestSolveAllocationBudget guards the solve half of a seed query, which
+// TestQueryAllocationBudget only bounds together with extraction: on a
+// class-A subgraph core.Solve is one topological sort and one greedy scan,
+// and the scan's event stream is two blocks (slots and their occupancy)
+// however many interactions it orders.
+func TestSolveAllocationBudget(t *testing.T) {
+	n := loadBenchNetwork(t)
+	var g *tin.Graph
+	for seed := 0; seed < n.NumVertices() && g == nil; seed++ {
+		if h, ok := n.ExtractSubgraph(tin.VertexID(seed), tin.DefaultExtractOptions()); ok && core.GreedySoluble(h) {
+			g = h
+		}
+	}
+	if g == nil {
+		t.Skip("no class-A seed subgraph")
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if res, err := core.Solve(g, core.EngineTEG); err != nil || res.Class != core.ClassA {
+			t.Fatalf("Solve = %+v, %v; want class A", res, err)
+		}
+	})
+	t.Logf("Solve on a class-A subgraph of %d vertices, %d interactions: %.0f allocs", g.NumLiveVertices(), g.NumInteractions(), allocs)
+	const budget = 9
+	if allocs > budget {
+		t.Errorf("Solve allocates %.0f objects per run, budget %d", allocs, budget)
+	}
+}
+
 // forBaseAndTail runs a hot-path guard on the benchmark network as loaded
 // (all base, no tail) and on the same network after 64 appended batches:
 // reading through a tail must fit the same budgets.

@@ -114,6 +114,25 @@ func FuzzSolveAgreesWithEngines(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 5, 1, 1, 2, 4})                                     // a chain: acyclic, class A
 	f.Add([]byte{1, 0, 0, 1, 5, 0, 1, 2, 3, 1, 1, 3, 5, 1, 2, 4, 4, 2, 2, 5, 1}) // the paper's Figure 3: acyclic, class C
 	f.Add([]byte{2, 0, 0, 0, 9, 1, 2, 0, 9, 3, 1, 0, 9, 2, 3, 0, 5, 2, 0, 0, 9}) // 0→1→3→2→4 with 2→1 closing a cycle, all ties
+	// Massive ties: 64 interactions spread over 6 and over 8 vertices, all at
+	// one timestamp and alternating between two, with every edge pointing
+	// forward (a DAG, so PreSim runs) and with edges both ways (cyclic) — the
+	// order of the whole instance is the insertion order alone.
+	for _, inner := range []int{5, 7} { // vertices other than the sink
+		for _, times := range []int{1, 2} {
+			for _, forward := range []bool{true, false} {
+				data := []byte{byte(inner - 2)}
+				for i := 0; i < 64; i++ {
+					from, to := i%inner, i/3
+					if forward {
+						to = from + i/inner%(inner-from)
+					}
+					data = append(data, byte(from), byte(to), byte(i%times), byte(1+i%7))
+				}
+				f.Add(data)
+			}
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, ok := fuzzGraph(data, false)
 		if !ok {

@@ -71,9 +71,9 @@ func scan(g *tin.Graph, visit func(ev tin.Event, q float64, buf []float64)) floa
 
 // Greedy computes the greedy flow of g (Definition 5).
 //
-// Greedy runs in O(n log n) for n interactions (the log factor is the event
-// sort) and is exact for the maximum-flow problem whenever GreedySoluble
-// reports true.
+// Greedy runs in O(n) for n interactions — the paper's single scan: the
+// events are placed by Ord, not sorted — and is exact for the maximum-flow
+// problem whenever GreedySoluble reports true.
 func Greedy(g *tin.Graph) float64 { return scan(g, nil) }
 
 // Arrival is one positive greedy transfer into a designated vertex: the

@@ -20,9 +20,10 @@ import (
 // constant inflow v has received from source-adjacent interactions before i.
 type LPModel struct {
 	Prob *lp.Problem
-	// VarOf maps an interaction's canonical Ord to its LP variable index.
-	// Interactions leaving the source have no variable.
-	VarOf map[int64]int
+	// VarOf maps an interaction's canonical Ord, as an index below
+	// OrdBound, to its LP variable; -1 for interactions leaving the source
+	// (they have no variable) and for Ords no live interaction has.
+	VarOf []int32
 	// ConstFlow is the flow contributed by interactions going directly from
 	// source to sink; it is added to the LP objective value.
 	ConstFlow float64
@@ -34,15 +35,18 @@ func BuildLP(g *tin.Graph) *LPModel {
 	events := g.Events()
 
 	// First pass: number the variables.
-	varOf := make(map[int64]int, len(events))
-	nvars := 0
+	varOf := make([]int32, g.OrdBound())
+	for i := range varOf {
+		varOf[i] = -1
+	}
+	nvars := int32(0)
 	for _, ev := range events {
 		if ev.From != g.Source {
 			varOf[ev.Ord] = nvars
 			nvars++
 		}
 	}
-	p := lp.NewProblem(nvars)
+	p := lp.NewProblem(int(nvars))
 	m := &LPModel{Prob: p, VarOf: varOf}
 
 	// Per-vertex running ledgers of earlier events.
@@ -60,7 +64,7 @@ func BuildLP(g *tin.Graph) *LPModel {
 			}
 			continue
 		}
-		x := varOf[ev.Ord]
+		x := int(varOf[ev.Ord])
 		if !math.IsInf(ev.Qty, 1) {
 			p.SetBound(x, ev.Qty)
 		}
@@ -109,20 +113,19 @@ func MaxFlowLP(g *tin.Graph) (float64, error) {
 }
 
 // LPTransfers solves the LP and returns the total flow together with the
-// per-interaction transfer quantities, keyed by canonical Ord (interactions
-// leaving the source transfer their full quantity); the map is nil when the
-// LP is unbounded. Used by tests to verify feasibility of the optimum.
-func LPTransfers(g *tin.Graph) (float64, map[int64]float64, error) {
+// per-interaction transfer quantities, indexed by Ord like VarOf
+// (interactions leaving the source transfer their full quantity); nil when
+// the LP is unbounded. Used by tests to verify feasibility of the optimum.
+func LPTransfers(g *tin.Graph) (float64, []float64, error) {
 	flow, m, sol, err := solveLP(g)
 	if sol == nil {
 		return flow, nil, err
 	}
-	byOrd := make(map[int64]float64, len(m.VarOf))
+	byOrd := make([]float64, len(m.VarOf))
 	for _, ev := range g.Events() {
-		if ev.From == g.Source {
-			byOrd[ev.Ord] = ev.Qty
-		} else {
-			byOrd[ev.Ord] = sol.X[m.VarOf[ev.Ord]]
+		byOrd[ev.Ord] = ev.Qty
+		if x := m.VarOf[ev.Ord]; x >= 0 {
+			byOrd[ev.Ord] = sol.X[x]
 		}
 	}
 	return flow, byOrd, nil

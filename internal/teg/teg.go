@@ -122,15 +122,15 @@ func MaxFlowEdmondsKarp(g *tin.Graph) float64 {
 	return ex.G.EdmondsKarp(ex.S, ex.T)
 }
 
-// Transfers solves the expanded network and returns, per interaction Ord,
-// the quantity the optimal solution moves through that interaction.
-func Transfers(g *tin.Graph) (total float64, byOrd map[int64]float64) {
+// Transfers solves the expanded network and returns, indexed by Ord like
+// ArcOf, the quantity the optimal solution moves through each interaction.
+func Transfers(g *tin.Graph) (total float64, byOrd []float64) {
 	ex := Build(g)
 	total = ex.G.Dinic(ex.S, ex.T)
-	byOrd = make(map[int64]float64, len(ex.ArcOf))
+	byOrd = make([]float64, len(ex.ArcOf))
 	for ord, arc := range ex.ArcOf {
 		if arc >= 0 {
-			byOrd[int64(ord)] = ex.G.Flow(int(arc))
+			byOrd[ord] = ex.G.Flow(int(arc))
 		}
 	}
 	return total, byOrd

@@ -297,11 +297,6 @@ func (n *Network) appended(items []BatchItem) (next *Network, count int, anyLate
 			opened[key] = id
 		}
 		ed := t.own(b, id)
-		if l := len(ed.Seq); l > 0 && ed.Seq[l-1].Time > it.Time {
-			// The edge's sequence is no longer time-sorted; the caller's
-			// re-rank (anyLate is set below) restores it.
-			ed.canonical = false
-		}
 		ed.Seq = append(ed.Seq, Interaction{Time: it.Time, Qty: it.Qty, Ord: next.nextOrd})
 		next.nextOrd++
 		changed = append(changed, id)
@@ -545,7 +540,7 @@ func (n *Network) WithMerged(items []BatchItem) (next *Network, merged int, err 
 		// The late items sit at the ends of their runs. Fold, so that every
 		// run lies in an arena no other version shares, and re-rank there.
 		next = next.Folded()
-		next.nextOrd, next.maxTime = rankEdges(next.base.edges, next.numIA)
+		next.nextOrd, next.maxTime = rankEdges(next.base.edges, next.nextOrd)
 	}
 	return next, merged, nil
 }

@@ -7,7 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Binary network codec. The text format (io.go) is the interchange format;
@@ -328,7 +328,7 @@ func readBinaryV2(br *bufio.Reader, hdr [binaryHeaderPrefix]byte) (*Network, err
 	for e := int64(0); e < numE; e++ {
 		keys[e] = pairKey(edgeFrom[e], edgeTo[e])
 	}
-	sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
+	slices.Sort(keys)
 	for e := int64(1); e < numE; e++ {
 		if keys[e] == keys[e-1] {
 			return nil, fmt.Errorf("tin: binary v2 duplicate edge (%d,%d)", keys[e]>>32, int32(keys[e])) //nolint:gosec

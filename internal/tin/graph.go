@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -79,45 +79,36 @@ func (g *Graph) AddEdge(from, to VertexID) EdgeID {
 	if g.finalized {
 		panic("tin: AddEdge after Finalize")
 	}
-	if from == to {
-		panic(fmt.Sprintf("tin: self loop on vertex %d", from))
-	}
-	if from < 0 || int(from) >= g.NumV || to < 0 || int(to) >= g.NumV {
-		panic(fmt.Sprintf("tin: edge (%d,%d) out of range [0,%d)", from, to, g.NumV))
-	}
-	id := EdgeID(len(g.Edges))
-	g.Edges = append(g.Edges, Edge{From: from, To: to})
-	g.edgeAlive = append(g.edgeAlive, true)
-	g.out[from] = append(g.out[from], id)
-	g.in[to] = append(g.in[to], id)
-	g.outDeg[from]++
-	g.inDeg[to]++
-	g.liveEdges++
-	return id
+	return g.addEdge(Edge{From: from, To: to})
 }
 
 // AddReducedEdge inserts an edge carrying an interaction sequence that is
-// already in canonical order (ascending Ord, with Ord values unique in this
-// graph). Unlike AddEdge it is legal after Finalize; it exists for the
-// graph-simplification algorithm (core.Simplify), which replaces chains
-// with single edges whose interactions inherit the Ord of the arrivals they
-// represent.
+// already in canonical order (see admitSeq), with Ords no other interaction
+// of this graph has. Unlike AddEdge it is legal after Finalize; it exists
+// for the graph-simplification algorithm (core.Simplify), which replaces
+// chains with single edges whose interactions inherit the Ord of the
+// arrivals they represent.
 func (g *Graph) AddReducedEdge(from, to VertexID, seq []Interaction) EdgeID {
-	if from == to {
-		panic(fmt.Sprintf("tin: self loop on vertex %d", from))
+	g.admitSeq(seq)
+	return g.addEdge(Edge{From: from, To: to, Seq: seq, canonical: true})
+}
+
+func (g *Graph) addEdge(e Edge) EdgeID {
+	if e.From == e.To {
+		panic(fmt.Sprintf("tin: self loop on vertex %d", e.From))
 	}
-	if from < 0 || int(from) >= g.NumV || to < 0 || int(to) >= g.NumV {
-		panic(fmt.Sprintf("tin: edge (%d,%d) out of range [0,%d)", from, to, g.NumV))
+	if e.From < 0 || int(e.From) >= g.NumV || e.To < 0 || int(e.To) >= g.NumV {
+		panic(fmt.Sprintf("tin: edge (%d,%d) out of range [0,%d)", e.From, e.To, g.NumV))
 	}
 	id := EdgeID(len(g.Edges))
-	g.Edges = append(g.Edges, Edge{From: from, To: to, Seq: seq, canonical: true})
+	g.Edges = append(g.Edges, e)
 	g.edgeAlive = append(g.edgeAlive, true)
-	g.out[from] = append(g.out[from], id)
-	g.in[to] = append(g.in[to], id)
-	g.outDeg[from]++
-	g.inDeg[to]++
+	g.out[e.From] = append(g.out[e.From], id)
+	g.in[e.To] = append(g.in[e.To], id)
+	g.outDeg[e.From]++
+	g.inDeg[e.To]++
 	g.liveEdges++
-	g.numIA += len(seq)
+	g.numIA += len(e.Seq)
 	return id
 }
 
@@ -151,16 +142,31 @@ func (g *Graph) Finalize() {
 		panic("tin: Finalize called twice")
 	}
 	g.finalized = true
-	g.nextOrd, _ = rankEdges(g.Edges, g.numIA)
+	g.nextOrd, _ = rankEdges(g.Edges, g.nextOrd)
 }
 
 // Finalized reports whether Finalize has been called.
 func (g *Graph) Finalized() bool { return g.finalized }
 
-// OrdBound returns an exclusive upper bound on the canonical Ord values of
-// the graph's interactions: every live Ord is in [0, OrdBound). It lets
-// algorithms replace Ord-keyed maps with dense slices.
+// OrdBound returns the exclusive upper bound of the graph's Ords. Every
+// interaction's Ord is unique in the graph and inside [0, OrdBound):
+// AddInteraction, Finalize and extraction hand out dense ranks, deletions
+// only leave holes, AddReducedEdge and SetSeq raise the bound past what
+// they admit. Consumers index by Ord and never compare Ords for an order.
 func (g *Graph) OrdBound() int64 { return g.nextOrd }
+
+// admitSeq panics unless seq is in canonical order — Ords non-negative and
+// strictly ascending — and raises OrdBound past its largest Ord.
+func (g *Graph) admitSeq(seq []Interaction) {
+	prev := int64(-1)
+	for _, ia := range seq {
+		if ia.Ord <= prev {
+			panic(fmt.Sprintf("tin: sequence not strictly ascending in Ord: %d after %d", ia.Ord, prev))
+		}
+		prev = ia.Ord
+	}
+	g.nextOrd = max(g.nextOrd, prev+1)
+}
 
 // Clone returns a deep copy of the graph, preserving liveness state and
 // canonical order.
@@ -252,8 +258,9 @@ func (g *Graph) DeleteInteraction(e EdgeID, i int) {
 
 // SetSeq replaces edge e's interaction sequence wholesale (used by
 // simplification, which rebuilds sequences from greedy arrivals). The new
-// sequence must already be in canonical order; numIA is adjusted.
+// sequence must be in canonical order (see admitSeq); numIA is adjusted.
 func (g *Graph) SetSeq(e EdgeID, seq []Interaction) {
+	g.admitSeq(seq)
 	g.numIA += len(seq) - len(g.Edges[e].Seq)
 	g.Edges[e].Seq = seq
 }
@@ -309,21 +316,18 @@ type Event struct {
 	Edge     EdgeID
 }
 
-// Events returns all live interactions of the graph in canonical order.
-// The slice is freshly allocated on every call.
+// Events returns all live interactions of the graph (a deleted edge keeps
+// none) in canonical order, each placed at its Ord (see OrdBound) in a
+// freshly allocated slice.
 func (g *Graph) Events() []Event {
-	evs := make([]Event, 0, g.numIA)
-	for id := range g.Edges {
-		if !g.edgeAlive[id] {
-			continue
+	return placeByOrd(g.nextOrd, func(put func(int64, Event)) {
+		for id := range g.Edges {
+			e := &g.Edges[id]
+			for _, ia := range e.Seq {
+				put(ia.Ord, Event{Interaction: ia, From: e.From, To: e.To, Edge: EdgeID(id)})
+			}
 		}
-		e := &g.Edges[id]
-		for _, ia := range e.Seq {
-			evs = append(evs, Event{Interaction: ia, From: e.From, To: e.To, Edge: EdgeID(id)})
-		}
-	}
-	sort.Slice(evs, func(a, b int) bool { return evs[a].Ord < evs[b].Ord })
-	return evs
+	})
 }
 
 // TopoOrder returns the live vertices in a topological order of the live
@@ -337,9 +341,6 @@ func (g *Graph) TopoOrder() ([]VertexID, error) {
 			indeg[v] = g.inDeg[v]
 		}
 	}
-	// Min-heap-free Kahn: collect frontier, sort, repeat. Graphs handled
-	// here are small subgraphs, so the simple O(V^2) frontier management is
-	// irrelevant next to interaction processing; for large V we chunk.
 	order := make([]VertexID, 0, g.liveVerts)
 	frontier := make([]VertexID, 0)
 	for v := 0; v < g.NumV; v++ {
@@ -348,7 +349,7 @@ func (g *Graph) TopoOrder() ([]VertexID, error) {
 		}
 	}
 	for len(frontier) > 0 {
-		sort.Slice(frontier, func(a, b int) bool { return frontier[a] < frontier[b] })
+		slices.Sort(frontier)
 		next := frontier[:0:0]
 		for _, v := range frontier {
 			order = append(order, v)

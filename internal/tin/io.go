@@ -8,7 +8,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -30,32 +29,25 @@ func WriteNetwork(w io.Writer, n *Network) error {
 	}
 	// Emit in canonical order so that reloading reproduces the same
 	// tie-break order (Ord is re-derived from (time, line order) at load).
-	for _, r := range canonicalRows(n) {
-		if _, err := fmt.Fprintf(bw, "%d %d %g %g\n", r.from, r.to, r.ia.Time, r.ia.Qty); err != nil {
+	for _, ev := range n.events() {
+		if _, err := fmt.Fprintf(bw, "%d %d %g %g\n", ev.From, ev.To, ev.Time, ev.Qty); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
 }
 
-// ioRow pairs an interaction with its edge endpoints for serialization.
-type ioRow struct {
-	from, to VertexID
-	ia       Interaction
-}
-
-// canonicalRows flattens the network's interactions into canonical order,
-// the on-disk order of both the text and the binary codec.
-func canonicalRows(n *Network) []ioRow {
-	rows := make([]ioRow, 0, n.numIA)
-	for e := range n.NumEdges() {
-		ed := n.Edge(EdgeID(e))
-		for _, ia := range ed.Seq {
-			rows = append(rows, ioRow{ed.From, ed.To, ia})
+// events is Graph.Events for a network: every interaction placed at its
+// Ord, which is the order of the text format's lines.
+func (n *Network) events() []Event {
+	return placeByOrd(n.nextOrd, func(put func(int64, Event)) {
+		for e := range n.NumEdges() {
+			ed := n.Edge(EdgeID(e))
+			for _, ia := range ed.Seq {
+				put(ia.Ord, Event{Interaction: ia, From: ed.From, To: ed.To, Edge: EdgeID(e)})
+			}
 		}
-	}
-	sort.Slice(rows, func(a, b int) bool { return rows[a].ia.Ord < rows[b].ia.Ord })
-	return rows
+	})
 }
 
 // SaveNetwork writes the network to the named file, gzip-compressed if the

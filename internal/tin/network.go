@@ -1,9 +1,10 @@
 package tin
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync/atomic"
 )
 
@@ -130,47 +131,44 @@ func (n *Network) Finalize() {
 	}
 	n.finalized = true
 	edges, qty := n.tail.fresh, n.tail.qty
-	n.nextOrd, n.maxTime = rankEdges(edges, n.numIA)
+	n.nextOrd, n.maxTime = rankEdges(edges, n.nextOrd)
 	n.base = buildBase(n.numV, len(edges), n.numIA, func(e EdgeID) *Edge { return &edges[e] }, nil, nil)
 	n.base.setQtySum(qty)
 	n.tail = nil
 }
 
 // rankEdges assigns the canonical order to the interactions of an edge
-// table: every interaction gets its rank by (Time, current Ord) — current
-// Ords are insertion indices, unique within the table — as its new Ord,
-// and each run not already marked canonical is re-sorted by it. It returns
-// the number of interactions ranked (the next free Ord) and the latest
-// timestamp (-inf when there is none). The Seq slices are the storage,
-// jagged or arena-backed, so the same body serves Network.Finalize,
-// Graph.Finalize and the re-rank that ends MergeUnordered (on a freshly
-// folded base nobody else can see yet). total is a capacity hint.
-func rankEdges(edges []Edge, total int) (next int64, maxTime float64) {
-	refs := make([]*Interaction, 0, total)
-	for e := range edges {
-		for i := range edges[e].Seq {
-			refs = append(refs, &edges[e].Seq[i])
-		}
-	}
-	sort.Slice(refs, func(a, b int) bool {
-		ia, ib := refs[a], refs[b]
-		if ia.Time != ib.Time {
-			return ia.Time < ib.Time
-		}
-		return ia.Ord < ib.Ord
-	})
-	maxTime = math.Inf(-1)
-	if len(refs) > 0 {
-		maxTime = refs[len(refs)-1].Time
-	}
-	for rank, ia := range refs {
-		ia.Ord = int64(rank)
-	}
-	for e := range edges {
-		if seq := edges[e].Seq; !edges[e].canonical {
-			sort.Slice(seq, func(a, b int) bool { return seq[a].Ord < seq[b].Ord })
+// table whose current Ords are insertion indices — unique, below bound,
+// ascending along every run: each gets its rank by (Time, insertion index)
+// as its new Ord. Refs are placed in insertion order, not sorted into it;
+// a table already in time order (a saved file, a stream) needs no sort at
+// all, and otherwise one stable sort on Time alone is the rank order, for
+// the refs and for any run out of time order. It returns the new Ord bound
+// (the number of interactions ranked) and the latest timestamp (-inf when
+// there is none). The Seq slices are the storage, jagged or arena-backed:
+// the same body serves Network.Finalize, Graph.Finalize and the re-rank
+// that ends MergeUnordered (on a freshly folded base nobody else can see).
+func rankEdges(edges []Edge, bound int64) (next int64, maxTime float64) {
+	byTime := func(a, b Interaction) int { return cmp.Compare(a.Time, b.Time) }
+	byRefTime := func(a, b *Interaction) int { return cmp.Compare(a.Time, b.Time) }
+	refs := placeByOrd(bound, func(put func(int64, *Interaction)) {
+		for e := range edges {
+			seq := edges[e].Seq
+			if !slices.IsSortedFunc(seq, byTime) {
+				slices.SortStableFunc(seq, byTime)
+			}
 			edges[e].canonical = true
+			for i := range seq {
+				put(seq[i].Ord, &seq[i])
+			}
 		}
+	})
+	if !slices.IsSortedFunc(refs, byRefTime) {
+		slices.SortStableFunc(refs, byRefTime)
+	}
+	maxTime = math.Inf(-1)
+	for rank, ia := range refs {
+		ia.Ord, maxTime = int64(rank), ia.Time // the last ranked is the latest
 	}
 	return int64(len(refs)), maxTime
 }

@@ -2,8 +2,12 @@ package tin
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"path/filepath"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 )
 
@@ -109,6 +113,96 @@ func TestNetworkCanonicalOrder(t *testing.T) {
 	}
 	if n.Edge(e12).Seq[0].Ord != 2 {
 		t.Errorf("(5,2) should have Ord 2, got %d", n.Edge(e12).Seq[0].Ord)
+	}
+}
+
+// TestRankEdges compares rankEdges with a naive ranking by (Time, insertion
+// index). An item is {edge, time}; its position in the case is its
+// insertion index, stored as the Ord going in (times stride) and, to find
+// it again, as its Qty.
+func TestRankEdges(t *testing.T) {
+	type item struct {
+		edge int
+		time float64
+	}
+	cases := []struct {
+		name   string
+		stride int64 // Ord going in = stride * insertion index: > 1 leaves holes
+		items  []item
+	}{
+		{"already in order", 1, []item{{0, 1}, {1, 2}, {0, 3}, {2, 3}, {1, 4}}},
+		{"fully reversed", 1, []item{{0, 9}, {1, 8}, {0, 7}, {2, 6}, {1, 5}, {0, 4}}},
+		{"equal timestamps keep insertion order", 1, []item{{2, 5}, {0, 5}, {1, 5}, {0, 5}, {2, 5}, {1, 5}}},
+		{"ties among out-of-order times", 1, []item{{0, 5}, {1, 2}, {0, 5}, {1, 2}, {2, 5}, {0, 2}}},
+		{"one late item on one edge", 1, []item{{0, 1}, {1, 2}, {0, 3}, {1, 4}, {0, 2}}},
+		{"holes in the incoming Ords", 3, []item{{0, 4}, {1, 1}, {0, 2}, {1, 1}}},
+		{"empty", 1, nil},
+	}
+	for _, tc := range cases {
+		edges := make([]Edge, 3)
+		for i, it := range tc.items {
+			edges[it.edge].Seq = append(edges[it.edge].Seq, Interaction{Time: it.time, Qty: float64(i), Ord: tc.stride * int64(i)})
+		}
+		order := make([]int, len(tc.items))
+		for i := range order {
+			order[i] = i
+		}
+		sort.Slice(order, func(a, b int) bool {
+			ia, ib := tc.items[order[a]], tc.items[order[b]]
+			if ia.time != ib.time {
+				return ia.time < ib.time
+			}
+			return order[a] < order[b]
+		})
+		wantOrd := make([]int64, len(tc.items))
+		wantMax := math.Inf(-1)
+		for rank, i := range order {
+			wantOrd[i] = int64(rank)
+			wantMax = tc.items[i].time
+		}
+
+		next, maxTime := rankEdges(edges, tc.stride*int64(len(tc.items)))
+		if next != int64(len(tc.items)) || maxTime != wantMax {
+			t.Errorf("%s: rankEdges = (%d, %v), want (%d, %v)", tc.name, next, maxTime, len(tc.items), wantMax)
+		}
+		for e := range edges {
+			if !edges[e].canonical {
+				t.Errorf("%s: edge %d not marked canonical", tc.name, e)
+			}
+			for i, ia := range edges[e].Seq {
+				if ia.Ord != wantOrd[int(ia.Qty)] {
+					t.Errorf("%s: item %d ranked %d, want %d", tc.name, int(ia.Qty), ia.Ord, wantOrd[int(ia.Qty)])
+				}
+				if i > 0 && edges[e].Seq[i-1].Ord >= ia.Ord {
+					t.Errorf("%s: edge %d run not ascending in Ord: %v", tc.name, e, edges[e].Seq)
+				}
+			}
+		}
+	}
+}
+
+// TestPlaceByOrdRejectsBrokenOrds pins the two ways an Ord can break the
+// invariant placement relies on: outside the bound, and taken twice.
+func TestPlaceByOrdRejectsBrokenOrds(t *testing.T) {
+	place := func(ords ...int64) []int64 {
+		return placeByOrd(4, func(put func(int64, int64)) {
+			for _, ord := range ords {
+				put(ord, ord)
+			}
+		})
+	}
+	if got := place(3, 0); !slices.Equal(got, []int64{0, 3}) {
+		t.Errorf("placed = %v, want [0 3]", got)
+	}
+	for _, ords := range [][]int64{{4}, {-1}, {1, 1}} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.HasPrefix(fmt.Sprint(r), "tin:") {
+					t.Errorf("placing Ords %v in [0,4): recovered %v, want a tin: panic", ords, r)
+				}
+			}()
+			place(ords...)
+		}()
 	}
 }
 

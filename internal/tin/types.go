@@ -53,6 +53,27 @@ func (a Interaction) Less(b Interaction) bool {
 	return a.Ord < b.Ord
 }
 
+// placeByOrd returns the items fill puts, each in the slot its Ord names,
+// empty slots squeezed out. Every ordering this module derives from Ords is
+// derived here, by index and never by comparison, so it is the one check of
+// what an Ord is (see Graph.OrdBound): unique and inside [0, bound).
+func placeByOrd[T any](bound int64, fill func(put func(ord int64, item T))) []T {
+	slot, full := make([]T, bound), make([]bool, bound)
+	fill(func(ord int64, item T) {
+		if uint64(ord) >= uint64(bound) || full[ord] {
+			panic(fmt.Sprintf("tin: Ord %d is taken twice or outside [0,%d)", ord, bound))
+		}
+		slot[ord], full[ord] = item, true
+	})
+	placed := slot[:0]
+	for ord, ok := range full {
+		if ok {
+			placed = append(placed, slot[ord])
+		}
+	}
+	return placed
+}
+
 // String renders the interaction in the paper's "(t, q)" notation.
 func (a Interaction) String() string {
 	return fmt.Sprintf("(%v,%v)", trimFloat(a.Time), trimFloat(a.Qty))

@@ -1,7 +1,5 @@
 package tin
 
-import "sort"
-
 // The paper's conclusion notes that all techniques apply unchanged to the
 // time-restricted version of the problem — flow carried only by
 // interactions inside a window [from, to] — by simply disregarding
@@ -45,22 +43,14 @@ func (g *Graph) RestrictWindow(from, to float64) *Graph {
 // RestrictWindow returns a new network containing only the interactions
 // with Time in [from, to] (inclusive). Vertex ids are preserved; edges
 // whose sequences become empty are dropped. The result is finalized:
-// surviving rows are collected, sorted by Ord and re-inserted, so their
-// canonical order is that of the original.
+// surviving rows are re-inserted in the original's canonical order, so
+// theirs is the same.
 func (n *Network) RestrictWindow(from, to float64) *Network {
 	m := NewNetwork(n.numV)
-	var rows []ioRow
-	for e := range n.NumEdges() {
-		ed := n.Edge(EdgeID(e))
-		for _, ia := range ed.Seq {
-			if ia.Time >= from && ia.Time <= to {
-				rows = append(rows, ioRow{ed.From, ed.To, ia})
-			}
+	for _, ev := range n.events() {
+		if ev.Time >= from && ev.Time <= to {
+			m.AddInteraction(ev.From, ev.To, ev.Time, ev.Qty)
 		}
-	}
-	sort.Slice(rows, func(a, b int) bool { return rows[a].ia.Ord < rows[b].ia.Ord })
-	for _, r := range rows {
-		m.AddInteraction(r.from, r.to, r.ia.Time, r.ia.Qty)
 	}
 	m.Finalize()
 	return m
