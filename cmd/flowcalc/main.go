@@ -13,8 +13,10 @@
 //	    worker pool (-seeds all scans every vertex; -workers bounds the pool)
 //
 // Methods: greedy, lp, teg, pre, presim (default; batch mode is always
-// presim). pre and presim are the paper's DAG pipelines; on a cyclic
-// subgraph (pair extractions may be) they fall back to teg and say so.
+// presim). pre and presim are the paper's DAG pipelines with teg as their
+// exact engine (presim is what flownetd answers with; lp is the paper's
+// baseline, run only when asked for); on a cyclic subgraph (pair
+// extractions may be) they fall back to teg and say so.
 // Example:
 //
 //	flowcalc -input transfers.txt.gz -seed 143 -method presim -v
@@ -129,12 +131,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "maximum flow (time-expanded Dinic): %g\n", flownet.MaxFlowTEG(g))
 	case "pre", "presim":
 		// presim's answer, or the cyclic fallback of either method.
-		res, err := core.Solve(g, core.EngineLP)
-		if err == nil && *method == "pre" && !res.Cyclic {
-			res, err = core.Pre(g, core.EngineLP)
-		}
-		if err != nil {
-			return err
+		res := core.Solve(g)
+		if *method == "pre" && !res.Cyclic {
+			var err error
+			if res, err = core.Pre(g, core.EngineTEG); err != nil {
+				return err
+			}
 		}
 		if res.Cyclic {
 			fmt.Fprintln(stdout, "note: subgraph is cyclic; pre/presim require DAGs — falling back to teg")
@@ -151,7 +153,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 					res.Sim.ChainsReduced, res.Sim.Vertices)
 			}
 			if res.UsedEngine {
-				fmt.Fprintf(stdout, "exact engine ran with %d LP variables\n", res.LPVariables)
+				fmt.Fprintln(stdout, "exact engine ran (time-expanded Dinic on the reduced graph)")
 			} else {
 				fmt.Fprintln(stdout, "exact engine not needed (solved greedily)")
 			}

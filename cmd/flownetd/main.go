@@ -94,7 +94,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		listen      = fs.String("listen", ":8080", "address to serve on")
 		workers     = fs.Int("workers", 0, "worker pool bound for batch and pattern queries (0 = GOMAXPROCS, 1 = sequential)")
 		cacheSize   = fs.Int("cache-size", 4096, "result cache capacity in entries (0 = disable caching)")
-		engine      = fs.String("engine", "lp", "exact engine for class-C instances: lp | teg")
 		precompute  = fs.Bool("precompute", false, "build the PB pattern tables of every network at startup instead of on first use")
 		allowIngest = fs.Bool("allow-ingest", false, "enable the write path: POST /ingest and POST /networks")
 		dataDir     = fs.String("data-dir", "", "durable storage directory (per-network WAL + binary snapshots); empty = in-memory only")
@@ -114,15 +113,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if *dataDir == "" && (*walSync || *snapEvery != 0) {
 		fmt.Fprintln(stderr, "flownetd: -wal-sync and -snapshot-every need -data-dir")
 		fs.Usage()
-		return cli.ErrUsage
-	}
-	eng := flownet.EngineLP
-	switch *engine {
-	case "lp":
-	case "teg":
-		eng = flownet.EngineTEG
-	default:
-		fmt.Fprintf(stderr, "flownetd: unknown engine %q (want lp or teg)\n", *engine)
 		return cli.ErrUsage
 	}
 
@@ -151,7 +141,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	srv := server.New(server.Config{
 		Workers:      *workers,
 		CacheSize:    *cacheSize,
-		Engine:       eng,
 		AllowIngest:  *allowIngest,
 		Store:        st,
 		QueryTimeout: *queryTO,
@@ -199,8 +188,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if *dataDir != "" {
 		durable = *dataDir
 	}
-	logger.Printf("serving on %s (workers=%d, cache-size=%d, engine=%s, ingest=%v, data-dir=%s)",
-		ln.Addr(), *workers, *cacheSize, *engine, *allowIngest, durable)
+	logger.Printf("serving on %s (workers=%d, cache-size=%d, ingest=%v, data-dir=%s)",
+		ln.Addr(), *workers, *cacheSize, *allowIngest, durable)
 	if err := srv.Serve(ctx, ln); err != nil {
 		return err
 	}

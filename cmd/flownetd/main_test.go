@@ -59,13 +59,18 @@ func TestUsageErrors(t *testing.T) {
 	for name, tc := range map[string][]string{
 		"no nets without ingest":    {},
 		"unknown flag":              {"-nosuchflag"},
-		"bad engine":                {"-net", "x.txt", "-engine", "quantum"},
 		"wal-sync without data-dir": {"-allow-ingest", "-wal-sync"},
 		"snapshot without data-dir": {"-allow-ingest", "-snapshot-every", "8"},
 	} {
 		if err := run(ctx, tc, &out, &errb); !errors.Is(err, cli.ErrUsage) {
 			t.Errorf("%s: err = %v, want cli.ErrUsage", name, err)
 		}
+	}
+	// Which exact engine answers is core.Solve's decision, not an operator's.
+	errb.Reset()
+	err := run(ctx, []string{"-net", "x.txt", "-engine", "teg"}, &out, &errb)
+	if !errors.Is(err, cli.ErrUsage) || !strings.Contains(errb.String(), "flag provided but not defined: -engine") {
+		t.Errorf("-engine: err = %v, stderr %q; want it rejected as an unknown flag", err, errb.String())
 	}
 }
 

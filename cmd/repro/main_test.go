@@ -33,9 +33,11 @@ func TestUsageErrors(t *testing.T) {
 
 // TestQuickProsperShapeClaims is the end-to-end smoke test (about a second)
 // and the machine check of the paper's shape claims in the form that does
-// not depend on a clock: every table prints, no method disagrees on any
-// flow (Tables 6–8 verify LP ≡ Pre ≡ PreSim on every sampled subgraph), GB
-// and PB agree on every untruncated pattern row, and on every class-C
+// not depend on a clock: every table prints, Table 8 and Figure 11 carry
+// the Solve column (what the service runs) beside the paper's methods, no
+// method disagrees on any flow (Tables 6–8 verify LP ≡ Pre ≡ PreSim ≡ Solve
+// on every sampled subgraph, the last two on every subgraph), GB and PB
+// agree on every untruncated pattern row, and on every class-C
 // subgraph the LP the exact engine is handed shrinks along raw ≥ Pre ≥
 // PreSim — the mechanism behind "Greedy ≪ PreSim ≤ Pre ≪ LP".
 func TestQuickProsperShapeClaims(t *testing.T) {
@@ -47,6 +49,15 @@ func TestQuickProsperShapeClaims(t *testing.T) {
 		if !strings.Contains(stdout, want) {
 			t.Errorf("stdout missing %q:\n%s", want, stdout)
 		}
+	}
+	solveColumns := 0
+	for _, line := range strings.Split(stdout, "\n") {
+		if f := strings.Fields(line); len(f) > 1 && f[len(f)-2] == "PreSim" && f[len(f)-1] == "Solve" {
+			solveColumns++
+		}
+	}
+	if solveColumns != 2 {
+		t.Errorf("%d tables end in the columns PreSim, Solve; want Table 8 and Figure 11:\n%s", solveColumns, stdout)
 	}
 	for _, bad := range []string{"WARNING", "MISMATCH"} {
 		if strings.Contains(stdout, bad) {

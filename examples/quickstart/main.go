@@ -66,12 +66,13 @@ func main() {
 	fmt.Println("\nSimplified network (cf. Figure 1(b)):")
 	fmt.Print(h)
 
+	// The paper's LP, an independent check, on the reduced graph:
 	max2, err := flownet.MaxFlowLP(h)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nMaximum flow on the reduced graph: $%g (unchanged, as guaranteed)\n", max2)
 
-	// The alternative exact engine (time-expanded Dinic) agrees:
+	// MaxFlow's exact engine (time-expanded Dinic) on the unreduced graph:
 	fmt.Printf("Time-expanded reduction agrees:    $%g\n", flownet.MaxFlowTEG(g))
 }

@@ -25,10 +25,12 @@
 // general; it is exact when GreedySoluble reports true (Lemma 2). MaxFlow
 // runs the paper's complete PreSim pipeline: a solubility test, the
 // Algorithm 1 preprocessing, the Algorithm 2 chain simplification, and —
-// only if still necessary — an exact solver (LP by default; the
-// time-expanded Dinic reduction via Pre/PreSim with EngineTEG). Pre and
-// PreSim require DAGs, as the paper does; MaxFlow also answers the cyclic
-// instances FlowSubgraphBetween can return, by the time-expanded reduction.
+// only if still necessary — an exact solver: the time-expanded reduction
+// of Akrida et al. solved with Dinic's algorithm, which also answers the
+// cyclic instances FlowSubgraphBetween can return. The LP of the paper's
+// Section 4.2.1 is the reproduction baseline (MaxFlowLP, and Pre/PreSim
+// with EngineLP, which require DAGs as the paper does); MaxFlow, the batch
+// API and the service never run it.
 //
 // # Pattern search
 //
@@ -44,9 +46,8 @@
 // exploit this: PatternOptions.Workers fans the per-instance flow
 // computations of SearchGB/SearchPB out to a bounded worker pool (results
 // are aggregated in enumeration order, so any worker count produces a
-// Summary identical to the sequential search), and BatchFlow /
-// BatchFlowSeeds run the PreSim pipeline over many independent instances
-// or seeds concurrently.
+// Summary identical to the sequential search), and BatchFlowSeeds answers
+// many independent seeds concurrently.
 //
 // # Serving
 //
@@ -331,13 +332,18 @@ func Greedy(g *Graph) float64 { return core.Greedy(g) }
 // exactly one outgoing edge).
 func GreedySoluble(g *Graph) bool { return core.GreedySoluble(g) }
 
-// MaxFlow computes the temporal maximum flow of g with the paper's complete
-// PreSim pipeline (solubility test, preprocessing, simplification, LP), or
-// with the time-expanded reduction when g is cyclic.
-func MaxFlow(g *Graph) (float64, error) { return core.MaxFlow(g) }
+// MaxFlow computes the temporal maximum flow of g the way the service
+// does (core.Solve): the paper's complete PreSim pipeline (solubility test,
+// preprocessing, simplification) with the time-expanded reduction as its
+// exact engine, or that reduction alone when g is cyclic. The error is
+// always nil: unlike the LP, neither can fail.
+func MaxFlow(g *Graph) (float64, error) { return core.Solve(g).Flow, nil }
 
 // MaxFlowLP computes the maximum flow by solving the LP formulation
-// directly — the paper's baseline, quadratic in the interaction count.
+// directly — the paper's baseline, quadratic in the interaction count, and
+// the independent oracle the tests hold MaxFlow to. Its simplex compares
+// with an absolute 1e-9, so it is an oracle for quantities of about 1e-6
+// and up; it is percent-level off around 1e-9 and answers 0 below that.
 func MaxFlowLP(g *Graph) (float64, error) { return core.MaxFlowLP(g) }
 
 // MaxFlowTEG computes the maximum flow via the time-expanded static
@@ -352,10 +358,8 @@ func Pre(g *Graph, engine Engine) (Result, error) { return core.Pre(g, engine) }
 // g is not modified.
 func PreSim(g *Graph, engine Engine) (Result, error) { return core.PreSim(g, engine) }
 
-// BatchOptions configure the batch flow-computation APIs.
+// BatchOptions configure BatchFlowSeeds.
 type BatchOptions struct {
-	// Engine is the exact solver for class-C instances (default EngineLP).
-	Engine Engine
 	// Workers bounds the worker pool: 0 selects GOMAXPROCS, 1 (or any
 	// negative value) runs sequentially.
 	Workers int
@@ -364,24 +368,14 @@ type BatchOptions struct {
 // SeedFlow is one BatchFlowSeeds outcome (see core.SeedResult).
 type SeedFlow = core.SeedResult
 
-// BatchFlow runs the complete PreSim pipeline over many independent flow
-// instances on a bounded worker pool. Results are returned in input order
-// and are identical to looping over PreSim sequentially — the instances
-// never interact. Every item is attempted even if another fails; the
-// returned error is the lowest-indexed failure (its Result slot is zero),
-// or nil.
-func BatchFlow(gs []*Graph, opts BatchOptions) ([]Result, error) {
-	return core.BatchPreSim(gs, opts.Engine, opts.Workers)
-}
-
 // BatchFlowSeeds runs the paper's Section 6.2 per-seed experiment
 // concurrently: for every seed it extracts the returning-path flow
-// subgraph around the seed (Figure 10) and solves it as MaxFlow would
-// (opts.Engine is the pipeline's exact engine). Seeds without a subgraph
-// (no returning path, or above the extraction size cap) are reported with
-// Ok == false. Results are in seed order, identical to a sequential loop.
+// subgraph around the seed (Figure 10) and solves it as MaxFlow would.
+// Seeds without a subgraph (no returning path, or above the extraction
+// size cap) are reported with Ok == false. Results are in seed order,
+// identical to a sequential loop; the error is always nil.
 func BatchFlowSeeds(n *Network, seeds []VertexID, extract ExtractOptions, opts BatchOptions) ([]SeedFlow, error) {
-	return core.BatchSeedsContext(context.TODO(), n, seeds, extract, opts.Engine, opts.Workers)
+	return core.BatchSeedsContext(context.TODO(), n, seeds, extract, opts.Workers)
 }
 
 // Preprocess applies Algorithm 1 (interaction/edge/vertex elimination) to g

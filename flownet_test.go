@@ -285,3 +285,31 @@ func TestMaxFlowCyclicInstance(t *testing.T) {
 		}
 	}
 }
+
+// TestExactEnginesCarryTinyQuantities: an exact answer may never fall below
+// the greedy lower bound, however small the quantities. The instance is not
+// greedy-soluble (vertex 1 has two ways out) but greedy happens to find its
+// maximum, 3q; a max-flow search that compares residual capacities with an
+// absolute tolerance instead of 0 answers 0 once q is below it.
+func TestExactEnginesCarryTinyQuantities(t *testing.T) {
+	for _, q := range []float64{1e-13, 1e-12, 1, 1e12} {
+		g := flownet.NewGraph(4, 0, 3)
+		for _, ia := range []struct {
+			from, to  flownet.VertexID
+			time, qty float64
+		}{{0, 1, 1, 2 * q}, {0, 2, 1, q}, {1, 2, 2, q}, {1, 3, 3, q}, {2, 3, 4, 2 * q}} {
+			g.AddInteraction(g.AddEdge(ia.from, ia.to), ia.time, ia.qty)
+		}
+		g.Finalize()
+		greedy := flownet.Greedy(g)
+		max, err := flownet.MaxFlow(g)
+		if err != nil {
+			t.Fatalf("q=%g: MaxFlow: %v", q, err)
+		}
+		for name, f := range map[string]float64{"Greedy": greedy, "MaxFlow": max, "MaxFlowTEG": flownet.MaxFlowTEG(g)} {
+			if math.Abs(f-3*q) > 1e-9*3*q {
+				t.Errorf("q=%g: %s = %g, want 3q = %g", q, name, f, 3*q)
+			}
+		}
+	}
+}

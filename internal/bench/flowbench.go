@@ -45,14 +45,16 @@ type Cell struct {
 	LP       time.Duration
 	Pre      time.Duration
 	PreSim   time.Duration
-	Mismatch int // flow disagreements detected (should stay 0)
+	Solve    time.Duration // core.Solve: what the service runs
+	Mismatch int           // flow disagreements detected (should stay 0)
 }
 
-func (c *Cell) addAvg(greedy, lp, pre, presim time.Duration, lpRan bool) {
+func (c *Cell) addAvg(greedy, lp, pre, presim, solve time.Duration, lpRan bool) {
 	c.Count++
 	c.Greedy += greedy
 	c.Pre += pre
 	c.PreSim += presim
+	c.Solve += solve
 	if lpRan {
 		c.LPCount++
 		c.LP += lp
@@ -65,6 +67,7 @@ func (c Cell) avg() Cell {
 		out.Greedy /= time.Duration(c.Count)
 		out.Pre /= time.Duration(c.Count)
 		out.PreSim /= time.Duration(c.Count)
+		out.Solve /= time.Duration(c.Count)
 	}
 	if c.LPCount > 0 {
 		out.LP /= time.Duration(c.LPCount)
@@ -73,7 +76,7 @@ func (c Cell) avg() Cell {
 }
 
 // FlowReport is the Table 6–8 content: per-class and overall average
-// runtimes of the four methods.
+// runtimes of the paper's four methods, and of core.Solve beside them.
 type FlowReport struct {
 	All      Cell
 	PerClass [3]Cell
@@ -118,9 +121,11 @@ func (s *lpSampler) take(stratum, interactions int) bool {
 }
 
 // measure is the timing loop behind Tables 6–8 and Figure 11: it times
-// Greedy, Pre, PreSim and (sampled per stratum, subject to opts) the raw LP
-// on every corpus subgraph and returns the average runtimes overall and
-// per stratum; stratum maps a subgraph to 0..2.
+// Greedy, Pre, PreSim, core.Solve (PreSim's reductions with the
+// time-expanded engine: the served path, measured beside the paper's) and
+// (sampled per stratum, subject to opts) the raw LP on every corpus
+// subgraph and returns the average runtimes overall and per stratum;
+// stratum maps a subgraph to 0..2.
 func measure(corpus []Subgraph, opts FlowBenchOptions, stratum func(Subgraph) int) (all Cell, strata [3]Cell, err error) {
 	var counts [3]int
 	for _, s := range corpus {
@@ -150,7 +155,11 @@ func measure(corpus []Subgraph, opts FlowBenchOptions, stratum func(Subgraph) in
 		}
 		dPreSim := time.Since(t0)
 
-		mismatch := relErr(preRes.Flow, simRes.Flow) > 1e-6
+		t0 = time.Now()
+		solveRes := core.Solve(g)
+		dSolve := time.Since(t0)
+
+		mismatch := relErr(preRes.Flow, simRes.Flow) > 1e-6 || relErr(simRes.Flow, solveRes.Flow) > 1e-6
 		runLP := sampler.take(st, g.NumInteractions())
 		var dLP time.Duration
 		if runLP {
@@ -160,14 +169,14 @@ func measure(corpus []Subgraph, opts FlowBenchOptions, stratum func(Subgraph) in
 				return all, strata, fmt.Errorf("bench: LP on seed %d: %w", s.Seed, err)
 			}
 			dLP = time.Since(t0)
-			mismatch = mismatch || relErr(lpFlow, preRes.Flow) > 1e-6 || relErr(lpFlow, simRes.Flow) > 1e-6
+			mismatch = mismatch || relErr(lpFlow, preRes.Flow) > 1e-6 || relErr(lpFlow, simRes.Flow) > 1e-6 || relErr(lpFlow, solveRes.Flow) > 1e-6
 		}
 		if opts.VerifyFlows && mismatch {
 			all.Mismatch++
 			strata[st].Mismatch++
 		}
-		all.addAvg(dGreedy, dLP, dPre, dPreSim, runLP)
-		strata[st].addAvg(dGreedy, dLP, dPre, dPreSim, runLP)
+		all.addAvg(dGreedy, dLP, dPre, dPreSim, dSolve, runLP)
+		strata[st].addAvg(dGreedy, dLP, dPre, dPreSim, dSolve, runLP)
 	}
 	all = all.avg()
 	for i := range strata {
@@ -176,27 +185,30 @@ func measure(corpus []Subgraph, opts FlowBenchOptions, stratum func(Subgraph) in
 	return all, strata, nil
 }
 
-// RunFlowBench times Greedy, LP, Pre and PreSim on every corpus subgraph
-// (LP subject to the sampling options) and aggregates averages per class.
+// RunFlowBench times Greedy, LP, Pre, PreSim and Solve on every corpus
+// subgraph (LP subject to the sampling options) and aggregates averages per
+// class.
 func RunFlowBench(corpus []Subgraph, opts FlowBenchOptions) (FlowReport, error) {
 	all, perClass, err := measure(corpus, opts, func(s Subgraph) int { return int(s.Class) })
 	return FlowReport{All: all, PerClass: perClass}, err
+}
+
+// printRows renders a header (its first column named corner) and one row
+// of average runtimes per cell: the paper's four methods, then Solve.
+func printRows(w io.Writer, corner string, names []string, cells []Cell) {
+	const format = "%-16s %10s %12s %12s %12s %12s\n"
+	fmt.Fprintf(w, format, corner, "Greedy", "LP", "Pre", "PreSim", "Solve")
+	for i, c := range cells {
+		fmt.Fprintf(w, format, fmt.Sprintf("%s (%d)", names[i], c.Count),
+			fmtDuration(c.Greedy), fmtDuration(c.LP), fmtDuration(c.Pre), fmtDuration(c.PreSim), fmtDuration(c.Solve))
+	}
 }
 
 // Print renders the report in the layout of Tables 6–8 (average msec per
 // subgraph; LP averaged over its sampled runs).
 func (r FlowReport) Print(w io.Writer, title string) {
 	fmt.Fprintf(w, "%s\n", title)
-	fmt.Fprintf(w, "%-16s %10s %12s %12s %12s\n", "", "Greedy", "LP", "Pre", "PreSim")
-	row := func(name string, c Cell) {
-		fmt.Fprintf(w, "%-16s %10s %12s %12s %12s\n",
-			fmt.Sprintf("%s (%d)", name, c.Count),
-			fmtDuration(c.Greedy), fmtDuration(c.LP), fmtDuration(c.Pre), fmtDuration(c.PreSim))
-	}
-	row("All", r.All)
-	row("Class A", r.PerClass[0])
-	row("Class B", r.PerClass[1])
-	row("Class C", r.PerClass[2])
+	printRows(w, "", []string{"All", "Class A", "Class B", "Class C"}, append([]Cell{r.All}, r.PerClass[:]...))
 	fmt.Fprintf(w, "raw LP sampled on %d/%d/%d subgraphs per class (size-capped; "+
 		"its average understates the true LP cost on large class-C inputs)\n",
 		r.PerClass[0].LPCount, r.PerClass[1].LPCount, r.PerClass[2].LPCount)
@@ -235,10 +247,5 @@ func RunBucketBench(corpus []Subgraph, opts FlowBenchOptions) (BucketReport, err
 // Print renders the bucket report as the series behind Figure 11.
 func (r BucketReport) Print(w io.Writer, title string) {
 	fmt.Fprintf(w, "%s\n", title)
-	fmt.Fprintf(w, "%-16s %10s %12s %12s %12s\n", "#interactions", "Greedy", "LP", "Pre", "PreSim")
-	for i, c := range r.Buckets {
-		fmt.Fprintf(w, "%-16s %10s %12s %12s %12s\n",
-			fmt.Sprintf("%s (%d)", bucketNames[i], c.Count),
-			fmtDuration(c.Greedy), fmtDuration(c.LP), fmtDuration(c.Pre), fmtDuration(c.PreSim))
-	}
+	printRows(w, "#interactions", bucketNames[:], r.Buckets[:])
 }

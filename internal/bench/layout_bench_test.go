@@ -267,8 +267,8 @@ func TestSolveAllocationBudget(t *testing.T) {
 		t.Skip("no class-A seed subgraph")
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		if res, err := core.Solve(g, core.EngineTEG); err != nil || res.Class != core.ClassA {
-			t.Fatalf("Solve = %+v, %v; want class A", res, err)
+		if res := core.Solve(g); res.Class != core.ClassA {
+			t.Fatalf("Solve = %+v; want class A", res)
 		}
 	})
 	t.Logf("Solve on a class-A subgraph of %d vertices, %d interactions: %.0f allocs", g.NumLiveVertices(), g.NumInteractions(), allocs)

@@ -66,7 +66,7 @@ func benchBatchSeeds(b *testing.B, workers int) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.BatchSeedsContext(context.Background(), n, seeds, tin.DefaultExtractOptions(), core.EngineLP, workers); err != nil {
+		if _, err := core.BatchSeedsContext(context.Background(), n, seeds, tin.DefaultExtractOptions(), workers); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -7,41 +7,12 @@ import (
 	"flownet/internal/tin"
 )
 
-// This file implements batched flow computation: running the flow
-// computation over many independent instances on a bounded worker pool.
-// It is safe because nothing in this package keeps hidden shared state —
-// see the package comment's Concurrency section. Results are returned in
-// input order and each item's Result is byte-identical to what a
-// sequential loop would produce, since the items never interact.
-
-// BatchPreSim runs the complete PreSim pipeline on every graph, on at most
-// par.Workers(workers) goroutines (workers = 0 selects GOMAXPROCS, 1 runs
-// sequentially). Results are returned in input order. Every item is
-// attempted even if another fails; the returned error is the error of the
-// lowest-indexed failed item (its Result slot is zero), or nil.
-func BatchPreSim(gs []*tin.Graph, engine Engine, workers int) ([]Result, error) {
-	results := make([]Result, len(gs))
-	errs := make([]error, len(gs))
-	par.ForEach(par.Workers(workers), len(gs), func(i int) {
-		r, err := PreSim(gs[i], engine)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		results[i] = r
-	})
-	return results, firstError(errs)
-}
-
-// firstError returns the lowest-indexed non-nil error.
-func firstError(errs []error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// This file implements batched flow computation: answering many seeds on a
+// bounded worker pool. It is safe because nothing in this package keeps
+// hidden shared state — see the package comment's Concurrency section.
+// Results are returned in input order and each seed's Result is
+// byte-identical to what a sequential loop would produce, since the seeds
+// never interact.
 
 // SeedResult is one BatchSeedsContext outcome: the seed vertex, whether a
 // flow subgraph existed around it, and — if so — what Solve answered.
@@ -57,16 +28,15 @@ type SeedResult struct {
 // every seed is answered exactly as it would be alone — the seed query of
 // Extract (Figure 10; it only reads the finalized network, so concurrent
 // extraction is safe), then Solve. Results are in seed order, identical to
-// a sequential loop. The returned error is ctx's if it was cancelled, else
-// the lowest-indexed Solve failure, or nil.
+// a sequential loop. The returned error is ctx's if it was cancelled (the
+// results are partial then), else nil.
 //
 // Every worker checks ctx before starting a seed, so once it is cancelled
 // (a client disconnected, a deadline passed) the remaining seeds are
 // skipped; seeds in flight run to completion — the flow computation is not
 // interruptible — so at most one subgraph per worker is wasted.
-func BatchSeedsContext(ctx context.Context, n *tin.Network, seeds []tin.VertexID, extract tin.ExtractOptions, engine Engine, workers int) ([]SeedResult, error) {
+func BatchSeedsContext(ctx context.Context, n *tin.Network, seeds []tin.VertexID, extract tin.ExtractOptions, workers int) ([]SeedResult, error) {
 	results := make([]SeedResult, len(seeds))
-	errs := make([]error, len(seeds))
 	par.ForEach(par.Workers(workers), len(seeds), func(i int) {
 		results[i].Seed = seeds[i]
 		if ctx.Err() != nil {
@@ -76,16 +46,8 @@ func BatchSeedsContext(ctx context.Context, n *tin.Network, seeds []tin.VertexID
 		if !x.Ok {
 			return
 		}
-		r, err := Solve(x.Graph, engine)
-		if err != nil {
-			errs[i] = err
-			return
-		}
 		results[i].Ok = true
-		results[i].Result = r
+		results[i].Result = Solve(x.Graph)
 	})
-	if err := ctx.Err(); err != nil {
-		return results, err
-	}
-	return results, firstError(errs)
+	return results, ctx.Err()
 }

@@ -18,7 +18,7 @@ func TestBatchSeedsContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 4} {
-		results, err := BatchSeedsContext(ctx, n, seeds, tin.DefaultExtractOptions(), EngineLP, workers)
+		results, err := BatchSeedsContext(ctx, n, seeds, tin.DefaultExtractOptions(), workers)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}

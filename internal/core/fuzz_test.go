@@ -104,8 +104,8 @@ func FuzzFlowEquivalence(f *testing.F) {
 
 // FuzzSolveAgreesWithEngines cross-checks Solve, the one answer path, on
 // random instances with and without cycles and with heavily shared
-// timestamps: under either engine it must agree with the raw LP and the raw
-// time-expanded reduction (neither needs a DAG), report Cyclic exactly when
+// timestamps: it must agree with the raw LP and the raw time-expanded
+// reduction (neither needs a DAG), report Cyclic exactly when
 // the instance is, and never fall below the greedy scan — matching it on
 // acyclic greedy-soluble instances (Lemma 2 is stated for DAGs).
 func FuzzSolveAgreesWithEngines(f *testing.F) {
@@ -147,23 +147,18 @@ func FuzzSolveAgreesWithEngines(f *testing.F) {
 			t.Fatalf("raw LP flow %v != raw TEG flow %v\n%s", lpFlow, tegFlow, g)
 		}
 		greedy := Greedy(g)
-		for _, engine := range []Engine{EngineLP, EngineTEG} {
-			res, err := Solve(g, engine)
-			if err != nil {
-				t.Fatalf("Solve(%s) failed on valid input: %v\n%s", engine, err, g)
-			}
-			if !feq(res.Flow, tegFlow) {
-				t.Fatalf("Solve(%s) flow %v != engines' %v\n%s", engine, res.Flow, tegFlow, g)
-			}
-			if res.Cyclic == g.IsDAG() {
-				t.Fatalf("Solve(%s): Cyclic = %t on a graph with IsDAG = %t\n%s", engine, res.Cyclic, g.IsDAG(), g)
-			}
-			if greedy > res.Flow && !feq(greedy, res.Flow) {
-				t.Fatalf("greedy flow %v exceeds Solve(%s) = %v\n%s", greedy, engine, res.Flow, g)
-			}
-			if !res.Cyclic && GreedySoluble(g) && !feq(greedy, res.Flow) {
-				t.Fatalf("acyclic greedy-soluble graph: greedy %v != Solve(%s) = %v\n%s", greedy, engine, res.Flow, g)
-			}
+		res := Solve(g)
+		if !feq(res.Flow, tegFlow) {
+			t.Fatalf("Solve flow %v != engines' %v\n%s", res.Flow, tegFlow, g)
+		}
+		if res.Cyclic == g.IsDAG() {
+			t.Fatalf("Solve: Cyclic = %t on a graph with IsDAG = %t\n%s", res.Cyclic, g.IsDAG(), g)
+		}
+		if greedy > res.Flow && !feq(greedy, res.Flow) {
+			t.Fatalf("greedy flow %v exceeds Solve = %v\n%s", greedy, res.Flow, g)
+		}
+		if !res.Cyclic && GreedySoluble(g) && !feq(greedy, res.Flow) {
+			t.Fatalf("acyclic greedy-soluble graph: greedy %v != Solve = %v\n%s", greedy, res.Flow, g)
 		}
 	})
 }

@@ -13,12 +13,14 @@
 //   - DAG preprocessing (Algorithm 1, Section 4.2.3).
 //   - Graph simplification (Algorithm 2, Section 4.2.4).
 //   - The LP formulation of temporal maximum flow (Section 4.2.1), solved
-//     (by solveLP alone) with the bounded-variable simplex of internal/lp.
+//     (by solveLP alone) with the bounded-variable simplex of internal/lp:
+//     the paper's baseline and the oracle of the tests, never served.
 //   - The Pre and PreSim pipelines evaluated in Section 6.2, DAG-only as in
 //     the paper, with a pluggable exact engine (LP, or the time-expanded
 //     reduction of internal/teg).
-//   - Solve, the one answer path for any flow instance: PreSim on a DAG,
-//     the time-expanded reduction on a cyclic one.
+//   - Solve, the one answer path for any flow instance: PreSim's reductions
+//     on a DAG, the time-expanded reduction on a class-C residue and on a
+//     cyclic instance.
 //
 // All algorithms interpret "before" via the canonical interaction order
 // defined by package tin, so greedy, LP and the time-expanded reduction
@@ -30,9 +32,9 @@
 // mutable variables, and every algorithm works exclusively on its argument
 // graph (the LP and TEG engines build fresh problem instances per call).
 // Concurrent calls on distinct graphs are therefore always safe — this is
-// what BatchPreSim, BatchSeedsContext and the parallel pattern searches
-// rely on. The non-mutating entry points (Greedy, PathArrivals,
-// GreedySoluble, Pre, PreSim, Solve, MaxFlow, MaxFlowLP) are additionally
+// what BatchSeedsContext and the parallel pattern searches rely on. The
+// non-mutating entry points (Greedy, PathArrivals, GreedySoluble, Pre,
+// PreSim, Solve, MaxFlowLP) are additionally
 // safe to call concurrently on the same graph: they treat the input as
 // read-only and clone it before any modification.
 // Preprocess and Simplify mutate their argument in place and must not run

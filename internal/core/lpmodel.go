@@ -106,7 +106,12 @@ func solveLP(g *tin.Graph) (float64, *LPModel, *lp.Solution, error) {
 }
 
 // MaxFlowLP computes the temporal maximum flow of g from the LP model alone,
-// the paper's baseline. An unbounded LP is reported as math.Inf(1).
+// the paper's baseline and the oracle the tests compare Solve with. An
+// unbounded LP is reported as math.Inf(1). The baseline's limit is the
+// simplex's absolute 1e-9 tolerance (internal/lp): it agrees with the
+// time-expanded reduction to 1e-9 relative on quantities of 1e-6 and up, is
+// percent-level off on quantities near 1e-9 and answers 0 below them
+// (TestEnginesAgreeAcrossMagnitudes).
 func MaxFlowLP(g *tin.Graph) (float64, error) {
 	flow, _, _, err := solveLP(g)
 	return flow, err

@@ -71,25 +71,35 @@ type Result struct {
 }
 
 // Solve computes the maximum flow of any flow instance: the one answer path
-// behind served and batched queries, cmd/flowcalc and the root MaxFlow. One
-// topological sort decides. A cyclic instance (pair extractions may be)
-// goes to the time-expanded reduction, which needs no DAG, whatever engine
-// was asked for: the LP is as exact there, but its rows grow quadratically
-// and cyclic instances are the large ones. An acyclic instance runs PreSim,
-// with that order handed to Algorithm 1. The input graph is not modified.
-func Solve(g *tin.Graph, engine Engine) (Result, error) {
+// behind served and batched queries, cmd/flowcalc and the root MaxFlow, and
+// the one place that knows which exact engine answers — the time-expanded
+// reduction, always. One topological sort decides the rest: a cyclic
+// instance (pair extractions may be) goes to the reduction as it is, which
+// needs no DAG; an acyclic one runs PreSim's reductions, with that order
+// handed to Algorithm 1, and only a class-C residue reaches the reduction.
+// The LP is as exact in real arithmetic but is not on this path: its dense
+// tableau is quadratic in the interaction count, its absolute 1e-9
+// tolerances lose quantities below about 1e-6 (see MaxFlowLP), and it can
+// fail where the reduction cannot — so Solve returns no error. Pre and
+// PreSim keep it as the paper's baseline and as the oracle the served
+// answers are tested against. The input graph is not modified.
+func Solve(g *tin.Graph) Result {
 	order, err := g.TopoOrder()
 	if err != nil {
-		return Result{Flow: teg.MaxFlow(g), Class: ClassC, UsedEngine: true, Cyclic: true}, nil
+		return Result{Flow: teg.MaxFlow(g), Class: ClassC, UsedEngine: true, Cyclic: true}
 	}
-	return pipeline(g, engine, true, order)
+	res, residue := reduce(g, true, order)
+	if residue != nil {
+		res.Flow = teg.MaxFlow(residue)
+	}
+	return res
 }
 
 // Pre is the paper's "Pre" method: test greedy solubility (Lemma 2); if it
 // fails, preprocess (Algorithm 1) and re-test; only if that also fails run
 // the exact engine. The input graph is not modified and must be a DAG.
 func Pre(g *tin.Graph, engine Engine) (Result, error) {
-	return pipeline(g, engine, false, nil)
+	return pipeline(g, engine, false)
 }
 
 // PreSim is the paper's complete solution: Pre plus graph simplification
@@ -98,24 +108,48 @@ func Pre(g *tin.Graph, engine Engine) (Result, error) {
 // instances acyclic, as rigid pattern instances are, pays no topological
 // sort on the greedy-soluble ones.
 func PreSim(g *tin.Graph, engine Engine) (Result, error) {
-	return pipeline(g, engine, true, nil)
+	return pipeline(g, engine, true)
 }
 
-// pipeline is Pre (simplify false) or PreSim. order is g's topological
-// order if the caller has it; nil computes it when Algorithm 1 runs.
-func pipeline(g *tin.Graph, engine Engine, simplify bool, order []tin.VertexID) (Result, error) {
-	var res Result
+// pipeline is Pre (simplify false) or PreSim: reduce, then the chosen
+// engine on a class-C residue.
+func pipeline(g *tin.Graph, engine Engine, simplify bool) (Result, error) {
+	var order []tin.VertexID
+	if !GreedySoluble(g) {
+		var err error
+		if order, err = g.TopoOrder(); err != nil {
+			return Result{}, fmt.Errorf("core: preprocess: %w", err)
+		}
+	}
+	res, residue := reduce(g, simplify, order)
+	if residue == nil {
+		return res, nil
+	}
+	if engine == EngineTEG {
+		res.Flow = teg.MaxFlow(residue)
+		return res, nil
+	}
+	flow, m, _, err := solveLP(residue)
+	if err != nil {
+		return res, fmt.Errorf("core: %s engine: %w", engine, err)
+	}
+	res.Flow, res.LPVariables = flow, m.Prob.NumVars()
+	return res, nil
+}
+
+// reduce is the pipeline up to the exact engine: the solubility tests,
+// Algorithm 1 and (simplify) Algorithm 2 on a clone of the DAG g. order is
+// g's topological order, needed unless g is greedy-soluble. A nil residue
+// means the result is complete; otherwise the instance is class C, Flow is
+// still unset and the residue's maximum flow is g's.
+func reduce(g *tin.Graph, simplify bool, order []tin.VertexID) (res Result, residue *tin.Graph) {
 	if GreedySoluble(g) {
 		res.Flow = Greedy(g)
 		res.Class = ClassA
 		return res, nil
 	}
 	h := g.Clone()
-	pre, err := preprocess(h, order)
-	if err != nil {
-		return res, err
-	}
-	res.Pre = pre
+	res.Pre = preprocess(h, order)
 	res.Class = ClassB
 	if ZeroFlow(h) {
 		return res, nil
@@ -137,21 +171,5 @@ func pipeline(g *tin.Graph, engine Engine, simplify bool, order []tin.VertexID) 
 		}
 	}
 	res.UsedEngine = true
-	if engine == EngineTEG {
-		res.Flow = teg.MaxFlow(h)
-		return res, nil
-	}
-	flow, m, _, err := solveLP(h)
-	if err != nil {
-		return res, fmt.Errorf("core: %s engine: %w", engine, err)
-	}
-	res.Flow, res.LPVariables = flow, m.Prob.NumVars()
-	return res, nil
-}
-
-// MaxFlow computes the temporal maximum flow of g with Solve and the LP
-// engine — the paper's recommended configuration.
-func MaxFlow(g *tin.Graph) (float64, error) {
-	res, err := Solve(g, EngineLP)
-	return res.Flow, err
+	return res, h
 }

@@ -143,13 +143,10 @@ func TestPipelineDoesNotMutateInput(t *testing.T) {
 	}
 }
 
-func TestMaxFlowFacade(t *testing.T) {
-	f, err := MaxFlow(figure3())
-	if err != nil {
-		t.Fatalf("MaxFlow: %v", err)
-	}
-	if math.Abs(f-5) > 1e-9 {
-		t.Errorf("MaxFlow=%g, want 5", f)
+func TestSolveFigure3(t *testing.T) {
+	want := Result{Flow: 5, Class: ClassC, UsedEngine: true}
+	if res := Solve(figure3()); res != want {
+		t.Errorf("Solve = %+v, want %+v", res, want)
 	}
 }
 

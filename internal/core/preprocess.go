@@ -25,19 +25,17 @@ type PreprocessStats struct {
 //
 // Preprocess preserves the maximum flow of the graph and never deletes
 // interactions on the source's outgoing edges. The graph must be a DAG.
-func Preprocess(g *tin.Graph) (PreprocessStats, error) { return preprocess(g, nil) }
-
-// preprocess is Preprocess given a topological order of g's live vertices
-// (nil computes it).
-func preprocess(g *tin.Graph, order []tin.VertexID) (PreprocessStats, error) {
-	var st PreprocessStats
-	if order == nil {
-		var err error
-		if order, err = g.TopoOrder(); err != nil {
-			return st, fmt.Errorf("core: preprocess: %w", err)
-		}
+func Preprocess(g *tin.Graph) (PreprocessStats, error) {
+	order, err := g.TopoOrder()
+	if err != nil {
+		return PreprocessStats{}, fmt.Errorf("core: preprocess: %w", err)
 	}
+	return preprocess(g, order), nil
+}
 
+// preprocess is Preprocess given a topological order of g's live vertices.
+func preprocess(g *tin.Graph, order []tin.VertexID) PreprocessStats {
+	var st PreprocessStats
 	// deleteUpstream removes v (which has no live outgoing edges) and its
 	// incoming edges, recursing into predecessors that lose their last
 	// outgoing edge. Mirrors lines 18-22 of Algorithm 1.
@@ -107,7 +105,7 @@ func preprocess(g *tin.Graph, order []tin.VertexID) (PreprocessStats, error) {
 			deleteUpstream(v)
 		}
 	}
-	return st, nil
+	return st
 }
 
 // ZeroFlow reports whether the graph trivially carries no flow from source

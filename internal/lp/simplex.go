@@ -18,7 +18,15 @@
 // The solver is deliberately a straightforward dense tableau implementation:
 // in the reproduced paper the LP is the expensive baseline that the graph
 // preprocessing and simplification techniques beat, so a sparse revised
-// simplex would only distort that comparison's shape.
+// simplex would only distort that comparison's shape. That is its whole
+// role here: cmd/repro measures it as that baseline and the tests use it
+// as an oracle independent of the max-flow code; no served or batched
+// answer comes from it (core.Solve hands class-C instances to the
+// time-expanded reduction). Its tolerances (epsCost, epsPivot, epsBound)
+// are an absolute 1e-9, so objective values are trustworthy for
+// right-hand sides and bounds of about 1e-6 and up, and a problem whose
+// quantities are below 1e-9 looks solved at 0; they are the baseline's
+// limit and are not scaled to the input.
 package lp
 
 import (

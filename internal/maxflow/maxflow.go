@@ -100,11 +100,15 @@ func (g *Graph) Reset() {
 	copy(g.cap, g.orig)
 }
 
-const eps = 1e-12
-
 // Dinic computes the maximum flow from s to t using Dinic's algorithm with
 // BFS level graphs and DFS blocking flows. It returns math.Inf(1) if an
 // infinite-capacity augmenting path exists.
+//
+// Residual capacities are compared with 0, not with a tolerance: every
+// augmentation subtracts its bottleneck from the arc that set it and leaves
+// that arc at exactly 0, so the searches terminate without one, and an
+// absolute tolerance would make every arc of smaller capacity carry nothing
+// — an "exact" answer below the greedy lower bound on tiny quantities.
 func (g *Graph) Dinic(s, t int) float64 {
 	if s == t {
 		panic("maxflow: source equals sink")
@@ -126,7 +130,7 @@ func (g *Graph) Dinic(s, t int) float64 {
 			v := queue[qi]
 			for _, a := range g.csrArc[g.csrOff[v]:g.csrOff[v+1]] {
 				u := g.to[a]
-				if g.cap[a] > eps && level[u] < 0 {
+				if g.cap[a] > 0 && level[u] < 0 {
 					level[u] = level[v] + 1
 					queue = append(queue, u)
 				}
@@ -143,11 +147,11 @@ func (g *Graph) Dinic(s, t int) float64 {
 		for ; iter[v] < g.csrOff[v+1]; iter[v]++ {
 			a := g.csrArc[iter[v]]
 			u := g.to[a]
-			if g.cap[a] <= eps || level[u] != level[v]+1 {
+			if g.cap[a] <= 0 || level[u] != level[v]+1 {
 				continue
 			}
 			d := dfs(int(u), math.Min(f, g.cap[a]))
-			if d > eps {
+			if d > 0 {
 				if !math.IsInf(d, 1) {
 					g.cap[a] -= d
 					g.cap[a^1] += d
@@ -165,7 +169,7 @@ func (g *Graph) Dinic(s, t int) float64 {
 		copy(iter, g.csrOff[:g.n])
 		for {
 			f := dfs(s, math.Inf(1))
-			if f <= eps {
+			if f <= 0 {
 				break
 			}
 			total += f
@@ -199,7 +203,7 @@ func (g *Graph) EdmondsKarp(s, t int) float64 {
 			v := queue[qi]
 			for _, a := range g.csrArc[g.csrOff[v]:g.csrOff[v+1]] {
 				u := g.to[a]
-				if g.cap[a] > eps && parent[u] < 0 && int(u) != s {
+				if g.cap[a] > 0 && parent[u] < 0 && int(u) != s {
 					parent[u] = a
 					if int(u) == t {
 						found = true

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"flownet/internal/core"
 	"flownet/internal/pattern"
 	"flownet/internal/tin"
 )
@@ -27,13 +26,8 @@ func TestConcurrentClients(t *testing.T) {
 	// Expected values, computed directly, before any request is served.
 	extract := tin.DefaultExtractOptions()
 	wantSeed := make(map[tin.VertexID]float64, len(seeds))
-	for _, v := range seeds {
-		g, _ := n.ExtractSubgraph(v, extract)
-		r, err := core.PreSim(g, core.EngineLP)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantSeed[v] = r.Flow
+	for _, r := range lpSeedFlows(t, n, seeds, extract) {
+		wantSeed[r.Seed] = r.Flow
 	}
 	tables := pattern.Precompute(n, true)
 	wantPattern := make(map[string]pattern.Summary)
@@ -45,10 +39,7 @@ func TestConcurrentClients(t *testing.T) {
 		wantPattern[name] = sum
 	}
 	batchSeeds := seeds[:4]
-	wantBatch, err := core.BatchSeedsContext(context.Background(), n, batchSeeds, extract, core.EngineLP, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantBatch := lpSeedFlows(t, n, batchSeeds, extract)
 	batchBody, _ := json.Marshal(BatchRequest{Seeds: []int{int(batchSeeds[0]), int(batchSeeds[1]), int(batchSeeds[2]), int(batchSeeds[3])}})
 
 	const goroutines = 8
@@ -76,7 +67,7 @@ func TestConcurrentClients(t *testing.T) {
 						errc <- err
 						return
 					}
-					if !res.Ok || res.Flow != wantSeed[v] {
+					if !res.Ok || !closeEnough(res.Flow, wantSeed[v]) {
 						errc <- fmt.Errorf("seed %d: served %+v, want flow %v", v, res, wantSeed[v])
 						return
 					}
@@ -114,7 +105,7 @@ func TestConcurrentClients(t *testing.T) {
 						return
 					}
 					for j, want := range wantBatch {
-						if res.Results[j].Ok != want.Ok || res.Results[j].Flow != want.Flow {
+						if res.Results[j].Ok != want.Ok || !closeEnough(res.Results[j].Flow, want.Flow) {
 							errc <- fmt.Errorf("batch seed %d: served %+v, want %+v", want.Seed, res.Results[j], want)
 							return
 						}

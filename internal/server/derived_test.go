@@ -160,8 +160,7 @@ func TestReaderPinnedBelowABump(t *testing.T) {
 			q := tin.Query{Source: 0, Sink: 2, Footprint: true}
 			return flowQueryKey(q), func(context.Context) (any, []tin.VertexID, error) {
 				x := n.Extract(q)
-				sol, err := core.Solve(x.Graph, core.EngineLP)
-				return sol.Flow, x.Footprint, err
+				return core.Solve(x.Graph).Flow, x.Footprint, nil
 			}, nil
 		})
 		return a.cache + " " + string(a.body)

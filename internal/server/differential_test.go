@@ -144,7 +144,8 @@ func TestDifferentialIncrementalVsRebuild(t *testing.T) {
 //
 // oracleSolve fills res for g the way the server did before core.Solve
 // existed — its own acyclicity test, then the time-expanded engine or
-// PreSim — so the comparison also checks Solve's dispatch independently.
+// PreSim over the LP — so the comparison also checks Solve's dispatch
+// independently; sameAnswer allows the two engines their last digits.
 func oracleSolve(t *testing.T, g *tin.Graph, res *FlowResult) {
 	t.Helper()
 	res.Ok = true
@@ -158,6 +159,14 @@ func oracleSolve(t *testing.T, g *tin.Graph, res *FlowResult) {
 		t.Fatal(err)
 	}
 	res.Flow, res.Class, res.Method, res.UsedEngine = r.Flow, r.Class.String(), "presim", r.UsedEngine
+}
+
+// sameAnswer reports whether a served answer is the oracle's: the flow
+// within relTol, every other field exactly.
+func sameAnswer(got, want FlowResult) bool {
+	ok := closeEnough(got.Flow, want.Flow)
+	want.Flow = got.Flow
+	return ok && got == want
 }
 
 func TestWindowedServingMatchesRestrictOracle(t *testing.T) {
@@ -196,7 +205,7 @@ func TestWindowedServingMatchesRestrictOracle(t *testing.T) {
 			if status, _, body := get(t, ts, q, &got); status != 200 {
 				t.Fatalf("%s: status %d (%s)", q, status, body)
 			}
-			if got != want {
+			if !sameAnswer(got, want) {
 				t.Fatalf("%s:\n got %+v\nwant %+v", q, got, want)
 			}
 		}
@@ -214,7 +223,7 @@ func TestWindowedServingMatchesRestrictOracle(t *testing.T) {
 				if status, _, body := get(t, ts, q, &got); status != 200 {
 					t.Fatalf("%s: status %d (%s)", q, status, body)
 				}
-				if got != want {
+				if !sameAnswer(got, want) {
 					t.Fatalf("%s:\n got %+v\nwant %+v", q, got, want)
 				}
 			}

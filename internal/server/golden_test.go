@@ -19,8 +19,9 @@ import (
 // testdata/golden_bodies.json freezes the wire of the three cached routes
 // as answered by the commit before they were folded into one serveQuery
 // and one core.Solve (the parent of the PR that added this file): status,
-// body bytes and X-Flownet-Cache of every request of goldenScript, for both
-// engines, before and after an ingest. The differential and table tests
+// body bytes and X-Flownet-Cache of every request of goldenScript, before
+// and after an ingest, under the key "teg" — the engine that commit had to
+// be asked for and the only one served since. The differential and table tests
 // compare the server with the library it calls, so a mistake both share —
 // a dropped field, a changed error text, a key that stops normalising —
 // passes them; byte equality with the old, separately written handlers
@@ -209,14 +210,14 @@ func issue(s *Server, req string) (int, string, string) {
 
 // computeGolden runs the script on the current code: one pass, one ingest,
 // the same pass again.
-func computeGolden(t *testing.T, engine core.Engine) []goldenEntry {
+func computeGolden(t *testing.T) []goldenEntry {
 	t.Helper()
 	n := testNetwork(t)
 	script := goldenScript(t, n)
 	ingest := fmt.Sprintf(`POST /ingest {"network":"test","interactions":[`+
 		`{"from":0,"to":1,"time":%[1]g,"qty":5},{"from":1,"to":2,"time":%[1]g,"qty":4},`+
 		`{"from":2,"to":0,"time":%[2]g,"qty":3}]}`, n.MaxTime()+1, n.MaxTime()+2)
-	s := New(Config{CacheSize: 4096, Engine: engine, AllowIngest: true, Workers: 4})
+	s := New(Config{CacheSize: 4096, AllowIngest: true, Workers: 4})
 	if err := s.AddNetwork("test", n); err != nil {
 		t.Fatal(err)
 	}
@@ -243,12 +244,9 @@ func computeGolden(t *testing.T, engine core.Engine) []goldenEntry {
 }
 
 func TestGoldenBodies(t *testing.T) {
-	got := map[string][]goldenEntry{}
-	for _, engine := range []core.Engine{core.EngineLP, core.EngineTEG} {
-		got[engine.String()] = computeGolden(t, engine)
-	}
+	got := computeGolden(t)
 	if *updateGolden {
-		raw, err := json.MarshalIndent(got, "", " ")
+		raw, err := json.MarshalIndent(map[string][]goldenEntry{"teg": got}, "", " ")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,29 +259,27 @@ func TestGoldenBodies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want map[string][]goldenEntry
-	if err := json.Unmarshal(raw, &want); err != nil {
+	var fixture map[string][]goldenEntry
+	if err := json.Unmarshal(raw, &fixture); err != nil {
 		t.Fatal(err)
 	}
-	for engine, entries := range got {
-		if len(entries) != len(want[engine]) {
-			t.Fatalf("engine %s: script has %d entries, fixture %d (regenerate with -update-golden only for a deliberate change)",
-				engine, len(entries), len(want[engine]))
+	want := fixture["teg"]
+	if len(got) != len(want) {
+		t.Fatalf("script has %d entries, fixture %d (regenerate with -update-golden only for a deliberate change)",
+			len(got), len(want))
+	}
+	var sawTEG, sawHit, sawRetained bool
+	for i, g := range got {
+		if g != want[i] {
+			t.Errorf("entry %d:\n got %+v\nwant %+v", i, g, want[i])
 		}
-		var sawTEG, sawHit, sawRetained bool
-		for i, g := range entries {
-			w := want[engine][i]
-			if g != w {
-				t.Errorf("engine %s entry %d:\n got %+v\nwant %+v", engine, i, g, w)
-			}
-			sawTEG = sawTEG || strings.Contains(g.Body, `"method":"teg"`)
-			sawHit = sawHit || g.Cache == "miss,hit"
-			sawRetained = sawRetained || (i > len(entries)/2 && g.Cache == "hit,hit") // second pass
-		}
-		// The script must keep covering what it was written to cover.
-		if !sawTEG || !sawHit || !sawRetained {
-			t.Errorf("engine %s: script covers cyclic pair %t, miss-then-hit %t, retained-across-ingest %t; want all",
-				engine, sawTEG, sawHit, sawRetained)
-		}
+		sawTEG = sawTEG || strings.Contains(g.Body, `"method":"teg"`)
+		sawHit = sawHit || g.Cache == "miss,hit"
+		sawRetained = sawRetained || (i > len(got)/2 && g.Cache == "hit,hit") // second pass
+	}
+	// The script must keep covering what it was written to cover.
+	if !sawTEG || !sawHit || !sawRetained {
+		t.Errorf("script covers cyclic pair %t, miss-then-hit %t, retained-across-ingest %t; want all",
+			sawTEG, sawHit, sawRetained)
 	}
 }

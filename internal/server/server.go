@@ -83,7 +83,9 @@ var (
 	posInf = math.Inf(1)
 )
 
-// Config configures a Server.
+// Config configures a Server. The exact engine is not among its fields:
+// every flow is core.Solve's answer, and /patterns asks pattern.Options for
+// the same time-expanded reduction.
 type Config struct {
 	// Workers bounds every worker pool the server uses (batch flow and
 	// per-instance pattern flows): 0 selects GOMAXPROCS, 1 or negative
@@ -92,8 +94,6 @@ type Config struct {
 	// CacheSize is the result cache capacity in entries; 0 or negative
 	// disables caching.
 	CacheSize int
-	// Engine is the exact solver for class-C instances (default EngineLP).
-	Engine core.Engine
 	// AllowIngest enables the write path: POST /ingest (append interactions
 	// to a loaded network) and POST /networks (register a new empty
 	// network). Off by default; both endpoints answer 403 then.
@@ -616,10 +616,7 @@ func (s *Server) handleFlow(w http.ResponseWriter, r *http.Request) {
 			if err := ctx.Err(); err != nil { // between the two expensive stages
 				return nil, nil, err
 			}
-			sol, err := core.Solve(x.Graph, s.cfg.Engine)
-			if err != nil {
-				return nil, nil, err
-			}
+			sol := core.Solve(x.Graph)
 			res.Ok = true
 			res.Vertices = x.Graph.NumLiveVertices()
 			res.Edges = x.Graph.NumLiveEdges()
@@ -688,7 +685,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return key, func(ctx context.Context) (any, []tin.VertexID, error) {
 			// ctx aborts the remaining seeds on a client disconnect or the
 			// QueryTimeout; a partial batch is an error, not an answer.
-			results, err := core.BatchSeedsContext(ctx, n, seeds, opts, s.cfg.Engine, s.workers(req.Workers))
+			results, err := core.BatchSeedsContext(ctx, n, seeds, opts, s.workers(req.Workers))
 			if err != nil {
 				return nil, nil, err
 			}
@@ -741,7 +738,7 @@ func (s *Server) handlePatterns(w http.ResponseWriter, r *http.Request) {
 			// Ctx lets a deadline cut a long enumeration short.
 			opts := pattern.Options{
 				MaxInstances: int64(maxInst),
-				Engine:       s.cfg.Engine,
+				Engine:       core.EngineTEG,
 				MinPaths:     minPaths,
 				Workers:      s.workers(workers),
 				Ctx:          ctx,

@@ -2,10 +2,10 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -93,6 +93,36 @@ func firstSeeds(t testing.TB, n *tin.Network, count int) []tin.VertexID {
 	return seeds
 }
 
+// relTol is the tolerance (the benchmark driver's) within which a served
+// flow must equal the LP oracle's: the service answers with the
+// time-expanded reduction, the oracle with the simplex, and the two sum in
+// different orders. Class, method and engine use are compared exactly.
+const relTol = 1e-9
+
+func closeEnough(a, b float64) bool {
+	return a == b || math.Abs(a-b) <= relTol*math.Max(math.Abs(a), math.Abs(b))
+}
+
+// lpSeedFlows is the LP oracle of a batch: every seed's extraction solved
+// by PreSim with the simplex as its engine.
+func lpSeedFlows(t *testing.T, n *tin.Network, seeds []tin.VertexID, opts tin.ExtractOptions) []core.SeedResult {
+	t.Helper()
+	out := make([]core.SeedResult, len(seeds))
+	for i, v := range seeds {
+		out[i].Seed = v
+		g, ok := n.ExtractSubgraph(v, opts)
+		if !ok {
+			continue
+		}
+		r, err := core.PreSim(g, core.EngineLP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i].Ok, out[i].Result = true, r
+	}
+	return out
+}
+
 func TestFlowPair(t *testing.T) {
 	_, ts, n := newTestServer(t, Config{CacheSize: 16})
 	src, snk := firstReachablePair(t, n)
@@ -121,7 +151,7 @@ func TestFlowPair(t *testing.T) {
 	} else {
 		want, wantMethod = teg.MaxFlow(g), "teg"
 	}
-	if res.Flow != want || res.Method != wantMethod {
+	if !closeEnough(res.Flow, want) || res.Method != wantMethod {
 		t.Fatalf("served (%v, %s) != direct (%v, %s)", res.Flow, res.Method, want, wantMethod)
 	}
 }
@@ -140,7 +170,7 @@ func TestFlowSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Ok || res.Flow != want.Flow || res.Class != want.Class.String() || res.Method != "presim" {
+	if !res.Ok || !closeEnough(res.Flow, want.Flow) || res.Class != want.Class.String() || res.Method != "presim" || res.UsedEngine != want.UsedEngine {
 		t.Fatalf("served %+v != direct %+v", res, want)
 	}
 	if res.Interactions != g.NumInteractions() {
@@ -163,7 +193,7 @@ func TestFlowWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Ok || res.Flow != want.Flow {
+	if !res.Ok || !closeEnough(res.Flow, want.Flow) {
 		t.Fatalf("windowed served flow %v != direct %v", res.Flow, want.Flow)
 	}
 
@@ -281,17 +311,14 @@ func TestBatch(t *testing.T) {
 	}
 
 	ids := append(append([]tin.VertexID(nil), seeds...), 0)
-	want, err := core.BatchSeedsContext(context.Background(), n, ids, tin.DefaultExtractOptions(), core.EngineLP, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := lpSeedFlows(t, n, ids, tin.DefaultExtractOptions())
 	if len(res.Results) != len(want) {
 		t.Fatalf("got %d results, want %d", len(res.Results), len(want))
 	}
 	solved := 0
 	for i, w := range want {
 		g := res.Results[i]
-		if g.Seed != int(w.Seed) || g.Ok != w.Ok || g.Flow != w.Flow {
+		if g.Seed != int(w.Seed) || g.Ok != w.Ok || !closeEnough(g.Flow, w.Flow) || (w.Ok && g.Class != w.Class.String()) {
 			t.Fatalf("result %d: served %+v != direct %+v", i, g, w)
 		}
 		if w.Ok {
