@@ -22,7 +22,6 @@ import (
 	"flownet/internal/core"
 	"flownet/internal/datagen"
 	"flownet/internal/pattern"
-	"flownet/internal/teg"
 	"flownet/internal/tin"
 )
 
@@ -253,19 +252,6 @@ func BenchmarkAblationEngine(b *testing.B) {
 				b.Fatal(err)
 			}
 		})
-	})
-}
-
-// BenchmarkAblationMaxflow compares Dinic against Edmonds–Karp on the
-// time-expanded networks (the paper cites the quadratic EK bound).
-func BenchmarkAblationMaxflow(b *testing.B) {
-	f := getFixture(b, datagen.DatasetBitcoin)
-	subs := f.byCls[core.ClassC]
-	b.Run("Dinic", func(b *testing.B) {
-		flowMethodBench(b, subs, 0, func(g *tin.Graph) { teg.MaxFlow(g) })
-	})
-	b.Run("EdmondsKarp", func(b *testing.B) {
-		flowMethodBench(b, subs, 0, func(g *tin.Graph) { teg.MaxFlowEdmondsKarp(g) })
 	})
 }
 

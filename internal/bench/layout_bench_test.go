@@ -250,31 +250,70 @@ func TestQueryAllocationBudget(t *testing.T) {
 	})
 }
 
-// TestSolveAllocationBudget guards the solve half of a seed query, which
-// TestQueryAllocationBudget only bounds together with extraction: on a
-// class-A subgraph core.Solve is one topological sort and one greedy scan,
-// and the scan's event stream is two blocks (slots and their occupancy)
-// however many interactions it orders.
+// TestSolveAllocationBudget guards the solve half of a query, which
+// TestQueryAllocationBudget only bounds together with extraction, on three
+// instances of the bench network:
+//
+//   - a class-A seed subgraph: one topological sort and one greedy scan,
+//     whose event stream is two blocks (slots and their occupancy) however
+//     many interactions it orders;
+//   - a class-C seed subgraph: the reductions on a clone, then the
+//     time-expanded engine;
+//   - a cyclic windowed pair instance: the topological sort that finds the
+//     cycle, then the engine alone.
+//
+// The engine's residual network is a fixed set of flat arrays however many
+// buffer states it has, and the sort's frontier lives in its output, so
+// every budget is a constant, not a function of the instance.
 func TestSolveAllocationBudget(t *testing.T) {
 	n := loadBenchNetwork(t)
-	var g *tin.Graph
-	for seed := 0; seed < n.NumVertices() && g == nil; seed++ {
-		if h, ok := n.ExtractSubgraph(tin.VertexID(seed), tin.DefaultExtractOptions()); ok && core.GreedySoluble(h) {
-			g = h
+	firstSeed := func(keep func(*tin.Graph) bool) *tin.Graph {
+		for seed := 0; seed < n.NumVertices(); seed++ {
+			if h, ok := n.ExtractSubgraph(tin.VertexID(seed), tin.DefaultExtractOptions()); ok && keep(h) {
+				return h
+			}
+		}
+		return nil
+	}
+	classC := func(h *tin.Graph) bool {
+		res := core.Solve(h)
+		return res.Class == core.ClassC && res.UsedEngine && !res.Cyclic
+	}
+	// The unwindowed pair instances of this network are most of it; a
+	// one-percent window keeps one small.
+	var pair *tin.Graph
+	window := tin.ExtractOptions{Window: &tin.TimeWindow{From: 0, To: n.MaxTime() / 100}}
+	for src := tin.VertexID(1); src < 64 && pair == nil; src++ {
+		if x := n.Extract(tin.Query{Source: src, Sink: 0, ExtractOptions: window}); x.Ok {
+			if res := core.Solve(x.Graph); res.Cyclic && res.Flow > 0 {
+				pair = x.Graph
+			}
 		}
 	}
-	if g == nil {
-		t.Skip("no class-A seed subgraph")
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		if res := core.Solve(g); res.Class != core.ClassA {
-			t.Fatalf("Solve = %+v; want class A", res)
-		}
-	})
-	t.Logf("Solve on a class-A subgraph of %d vertices, %d interactions: %.0f allocs", g.NumLiveVertices(), g.NumInteractions(), allocs)
-	const budget = 9
-	if allocs > budget {
-		t.Errorf("Solve allocates %.0f objects per run, budget %d", allocs, budget)
+	for _, c := range []struct {
+		name   string
+		g      *tin.Graph
+		want   func(core.Result) bool
+		budget float64
+	}{
+		{"classA", firstSeed(core.GreedySoluble), func(r core.Result) bool { return r.Class == core.ClassA }, 9},
+		{"classC", firstSeed(classC), func(r core.Result) bool { return r.Class == core.ClassC && !r.Cyclic }, 48},
+		{"cyclicPair", pair, func(r core.Result) bool { return r.Cyclic }, 16},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if c.g == nil {
+				t.Skip("no such instance in the bench network")
+			}
+			allocs := testing.AllocsPerRun(10, func() {
+				if res := core.Solve(c.g); !c.want(res) {
+					t.Fatalf("Solve = %+v", res)
+				}
+			})
+			t.Logf("Solve on %d vertices, %d interactions: %.0f allocs", c.g.NumLiveVertices(), c.g.NumInteractions(), allocs)
+			if allocs > c.budget {
+				t.Errorf("Solve allocates %.0f objects per run, budget %.0f", allocs, c.budget)
+			}
+		})
 	}
 }
 

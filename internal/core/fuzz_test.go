@@ -107,7 +107,10 @@ func FuzzFlowEquivalence(f *testing.F) {
 // timestamps: it must agree with the raw LP and the raw time-expanded
 // reduction (neither needs a DAG), report Cyclic exactly when
 // the instance is, and never fall below the greedy scan — matching it on
-// acyclic greedy-soluble instances (Lemma 2 is stated for DAGs).
+// acyclic greedy-soluble instances (Lemma 2 is stated for DAGs). The raw
+// reduction must also equal the written-out one (referenceMaxFlow) exactly:
+// quantities are integers 0..31, so every sum is exact, and the two share
+// no layout.
 func FuzzSolveAgreesWithEngines(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 1, 5, 1, 1, 2, 3, 2, 0, 3, 2, 1, 2, 4, 4, 2, 2, 5, 1}) // 0→1, 1⇄2, both into 3: flow 5
 	f.Add([]byte{1, 0, 0, 1, 5, 1, 1, 1, 3, 2, 0, 1, 2, 1, 2, 1, 4, 2, 2, 1, 1}) // the same at one shared timestamp
@@ -145,6 +148,9 @@ func FuzzSolveAgreesWithEngines(f *testing.F) {
 		tegFlow := teg.MaxFlow(g)
 		if !feq(lpFlow, tegFlow) {
 			t.Fatalf("raw LP flow %v != raw TEG flow %v\n%s", lpFlow, tegFlow, g)
+		}
+		if ref := referenceMaxFlow(g); tegFlow != ref {
+			t.Fatalf("raw TEG flow %v != written-out reduction %v\n%s", tegFlow, ref, g)
 		}
 		greedy := Greedy(g)
 		res := Solve(g)

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"flownet/internal/teg"
 	"flownet/internal/tin"
 )
 
@@ -27,8 +26,9 @@ func scaled(g *tin.Graph, s float64) *tin.Graph {
 // tie — over eighteen orders of magnitude of quantity (one satoshi is 1e-8
 // BTC, a Prosper loan 1e4 USD).
 //
-//   - Unit scale: Solve equals the time-expanded Edmonds–Karp exactly; every
-//     sum of small integers is exact in float64, whatever its order.
+//   - Unit scale: Solve equals the written-out reduction solved with
+//     Edmonds–Karp (referenceMaxFlow) exactly; every sum of small integers
+//     is exact in float64, whatever its order.
 //   - Scales 1e-6 … 1e12: Solve equals the LP oracle within relTol = 1e-9
 //     relative (the tolerance the server tests and the benchmark driver
 //     hold served flows to), and Greedy never exceeds Solve by more.
@@ -65,8 +65,8 @@ func TestEnginesAgreeAcrossMagnitudes(t *testing.T) {
 		} else {
 			cyclic++
 		}
-		if ek := teg.MaxFlowEdmondsKarp(g); unit.Flow != ek {
-			t.Fatalf("integer quantities: Solve = %v, Edmonds–Karp = %v\n%s", unit.Flow, ek, g)
+		if ref := referenceMaxFlow(g); unit.Flow != ref {
+			t.Fatalf("integer quantities: Solve = %v, written-out reduction = %v\n%s", unit.Flow, ref, g)
 		}
 		for _, s := range []float64{1e-6, 1e-3, 1, 1e3, 1e6, 1e9, 1e12} {
 			h := scaled(g, s)

@@ -4,105 +4,104 @@
 // CIAC 2017) that Section 4.2.1 of Kosyfaki et al. invokes: one static node
 // per (vertex, buffer-state) pair, infinite "holdover" arcs modelling the
 // buffer between consecutive events, and one finite arc per interaction.
+// It answers every class-C residue and every cyclic instance (core.Solve)
+// with Dinic's algorithm over the network's residual form, kept as flat
+// arrays: an intermediate vertex with k incident interactions has k+1
+// buffer states, numbered vertex by vertex in id order, each vertex's in
+// canonical order, and buffer state x owns the residual slots 4x … 4x+3:
 //
-// The reduction yields the same optimum as the LP formulation in
-// internal/core and is solved here with Dinic's algorithm; it doubles as an
-// independent oracle for certifying the LP solver in tests.
+//	4x    holdover back to x−1 (its residual is the buffer held)
+//	4x+1  holdover forward to x+1 (+Inf)
+//	4x+2  the reverse of the interaction that arrived into x
+//	4x+3  the interaction leaving x
+//
+// A slot the state lacks is absent (to −1, residual 0). The source's slots
+// follow, one per interaction it sends, in canonical order; then the
+// reverse slots of the interactions into the sink, which is never scanned.
+// The order is fixed because Dinic's choices follow it: it is each node's
+// arc order in an adjacency list that adds the holdovers, then the
+// interactions in canonical order, and the flows served are that list's.
 package teg
 
 import (
+	"fmt"
 	"math"
 
-	"flownet/internal/maxflow"
 	"flownet/internal/tin"
 )
 
-// Expanded is a time-expanded static network built from an interaction
-// graph, ready to be solved.
-type Expanded struct {
-	G    *maxflow.Graph
-	S, T int
-	// ArcOf maps each interaction (indexed by canonical Ord, dense over
-	// [0, OrdBound)) to the static arc that carries it, so per-interaction
-	// transfer amounts can be read back after solving. Ords without a live
-	// interaction map to -1.
-	ArcOf []int32
+// network is the residual form of a time-expanded graph: slot a leads to
+// node to[a] with residual res[a], and pair[a] is its reverse. Nodes
+// 0 … n−1 are buffer states, n is the source, n+1 the sink.
+type network struct {
+	to, pair           []int32
+	res                []float64
+	n, srcEnd          int32 // the source's slots are [4n, srcEnd)
+	level, iter, queue []int32
 }
 
-// Build constructs the time-expanded static network of g. Buffer semantics
-// follow the canonical interaction order of package tin: an interaction can
-// forward only quantity deposited by interactions strictly earlier in that
-// order.
-//
-// All bookkeeping is dense: positions, slot bases and the arc map are flat
-// slices indexed by vertex id or canonical Ord — no per-event map lookups
-// on this hot path, and the node numbering is deterministic (vertex id
-// order) rather than map-iteration order.
-func Build(g *tin.Graph) *Expanded {
-	events := g.Events()
-	numV := g.NumV
-	ordBound := g.OrdBound()
-
-	// Assign, per intermediate vertex, a dense index to each incident
-	// event (its position in the vertex's own event timeline).
-	posOf := make([][2]int32, ordBound) // Ord -> positions at (from, to); -1 if N/A
-	countOf := make([]int32, numV)
+// build lays out the time-expanded network of g over its events (g's
+// canonical order); if arc is non-nil, arc[i] receives the slot carrying
+// events[i]. An interaction forwards only quantity deposited strictly
+// earlier in the canonical order.
+func build(g *tin.Graph, events []tin.Event, arc []int32) *network {
+	// cur[v] counts v's incident interactions, then becomes v's cursor: the
+	// buffer state v is in before its next interaction.
+	cur := make([]int32, g.NumV)
 	for _, ev := range events {
-		// An event incident to two intermediate vertices occupies one
-		// position in each vertex's own timeline.
-		pf, pt := int32(-1), int32(-1)
-		if ev.From != g.Source && ev.From != g.Sink {
-			pf = countOf[ev.From]
-			countOf[ev.From] = pf + 1
+		if ev.To == g.Source || ev.From == g.Sink {
+			panic(fmt.Sprintf("teg: interaction %d->%d enters the source or leaves the sink", ev.From, ev.To))
 		}
-		if ev.To != g.Sink && ev.To != g.Source {
-			pt = countOf[ev.To]
-			countOf[ev.To] = pt + 1
-		}
-		posOf[ev.Ord] = [2]int32{pf, pt}
+		cur[ev.From]++
+		cur[ev.To]++
 	}
-
-	// Static node layout: 0 = super source, 1 = super sink, then per
-	// intermediate vertex (in id order) its buffer states 0..count
-	// (count+1 nodes).
-	slotBase := make([]int32, numV)
-	n := int32(2)
-	for v := 0; v < numV; v++ {
-		slotBase[v] = -1
-		if countOf[v] > 0 {
-			slotBase[v] = n
-			n += countOf[v] + 1
+	fromSrc, intoSink := cur[g.Source], cur[g.Sink]
+	cur[g.Source], cur[g.Sink] = 0, 0 // the terminals have no buffer states
+	var n int32
+	for v, k := range cur {
+		cur[v] = n
+		if k > 0 {
+			n += k + 1
 		}
 	}
-	sg := maxflow.NewGraph(int(n))
-	// Holdover arcs between consecutive buffer states.
-	for v := 0; v < numV; v++ {
-		for i := int32(0); i < countOf[v]; i++ {
-			sg.AddArc(int(slotBase[v]+i), int(slotBase[v]+i+1), math.Inf(1))
+	slots := 4*n + fromSrc + intoSink
+	net := &network{to: make([]int32, slots), pair: make([]int32, slots), res: make([]float64, slots), n: n, srcEnd: 4*n + fromSrc}
+	for a := range net.to {
+		net.to[a] = -1
+	}
+	link := func(a, r, tail, head int32, c float64) {
+		net.to[a], net.res[a], net.pair[a] = head, c, r
+		net.to[r], net.pair[r] = tail, a
+	}
+	// advance moves v over a holdover to its next state; it returns the last.
+	advance := func(v tin.VertexID) int32 {
+		x := cur[v]
+		cur[v]++
+		link(4*x+1, 4*x+4, x, x+1, math.Inf(1))
+		return x
+	}
+	nextSrc, nextSink := 4*n, net.srcEnd
+	for i, ev := range events {
+		a, tail := nextSrc, n
+		if ev.From == g.Source {
+			nextSrc++
+		} else {
+			tail = advance(ev.From)
+			a = 4*tail + 3
+		}
+		r, head := nextSink, n+1
+		if ev.To == g.Sink {
+			nextSink++
+		} else {
+			head = advance(ev.To) + 1
+			r = 4*head + 2
+		}
+		link(a, r, tail, head, ev.Qty)
+		if arc != nil {
+			arc[i] = a
 		}
 	}
-	arcOf := make([]int32, ordBound)
-	for i := range arcOf {
-		arcOf[i] = -1
-	}
-	for _, ev := range events {
-		var from, to int32
-		p := posOf[ev.Ord]
-		switch {
-		case ev.From == g.Source:
-			from = 0
-		default:
-			from = slotBase[ev.From] + p[0] // buffer state before this event
-		}
-		switch {
-		case ev.To == g.Sink:
-			to = 1
-		default:
-			to = slotBase[ev.To] + p[1] + 1 // buffer state after this event
-		}
-		arcOf[ev.Ord] = int32(sg.AddArc(int(from), int(to), ev.Qty))
-	}
-	return &Expanded{G: sg, S: 0, T: 1, ArcOf: arcOf}
+	return net
 }
 
 // MaxFlow computes the temporal maximum flow of g by building the
@@ -110,28 +109,110 @@ func Build(g *tin.Graph) *Expanded {
 // infinite-capacity source-to-sink channel exists (possible only with
 // synthetic infinite-quantity interactions).
 func MaxFlow(g *tin.Graph) float64 {
-	ex := Build(g)
-	return ex.G.Dinic(ex.S, ex.T)
+	return build(g, g.Events(), nil).dinic()
 }
 
-// MaxFlowEdmondsKarp is MaxFlow solved with Edmonds–Karp instead of Dinic;
-// it exists for cross-validation and for the complexity ablation benches
-// (the paper cites the quadratic Edmonds–Karp bound for this reduction).
-func MaxFlowEdmondsKarp(g *tin.Graph) float64 {
-	ex := Build(g)
-	return ex.G.EdmondsKarp(ex.S, ex.T)
-}
-
-// Transfers solves the expanded network and returns, indexed by Ord like
-// ArcOf, the quantity the optimal solution moves through each interaction.
+// Transfers solves the expanded network and returns, indexed by Ord over
+// [0, OrdBound), the quantity the optimal solution moves through each
+// interaction (0 at an Ord without one).
 func Transfers(g *tin.Graph) (total float64, byOrd []float64) {
-	ex := Build(g)
-	total = ex.G.Dinic(ex.S, ex.T)
-	byOrd = make([]float64, len(ex.ArcOf))
-	for ord, arc := range ex.ArcOf {
-		if arc >= 0 {
-			byOrd[ord] = ex.G.Flow(int(arc))
+	events := g.Events()
+	arc := make([]int32, len(events))
+	net := build(g, events, arc)
+	total = net.dinic()
+	byOrd = make([]float64, g.OrdBound())
+	for i, ev := range events {
+		if a := arc[i]; math.IsInf(ev.Qty, 1) {
+			byOrd[ev.Ord] = net.res[net.pair[a]] // +Inf stays +Inf; the reverse holds the flow
+		} else {
+			byOrd[ev.Ord] = ev.Qty - net.res[a]
 		}
 	}
 	return total, byOrd
+}
+
+// end is one past the last slot of node v, a buffer state or the source.
+func (net *network) end(v int32) int32 {
+	if v < net.n {
+		return 4*v + 4
+	}
+	return net.srcEnd
+}
+
+// dinic computes the maximum flow (+Inf over an infinite augmenting path)
+// with BFS level graphs and DFS blocking flows. Residuals are compared with
+// 0, not a tolerance: an augmentation leaves its bottleneck slot at exactly
+// 0, so the searches end, and an absolute tolerance would make every
+// interaction of smaller quantity carry nothing — an "exact" answer below
+// the greedy lower bound on tiny quantities.
+func (net *network) dinic() float64 {
+	nodes := net.n + 2
+	net.level, net.iter, net.queue = make([]int32, nodes), make([]int32, nodes), make([]int32, 0, nodes)
+	var total float64
+	for net.bfs() {
+		for v := range net.iter {
+			net.iter[v] = 4 * int32(v)
+		}
+		for {
+			f := net.dfs(net.n, math.Inf(1))
+			if f <= 0 {
+				break
+			}
+			total += f
+			if math.IsInf(f, 1) {
+				return f
+			}
+		}
+	}
+	return total
+}
+
+// bfs levels the nodes by residual distance from the source and reports
+// whether the sink is reachable. It stops at the sink: no augmenting path
+// of the phase runs through a node no closer than the sink.
+func (net *network) bfs() bool {
+	level, sink := net.level, net.n+1
+	for v := range level {
+		level[v] = -1
+	}
+	level[net.n] = 0
+	queue := append(net.queue[:0], net.n)
+	for i := 0; i < len(queue); i++ {
+		v := queue[i]
+		for a, end := 4*v, net.end(v); a < end; a++ {
+			if u := net.to[a]; net.res[a] > 0 && level[u] < 0 {
+				level[u] = level[v] + 1
+				if u == sink {
+					return true
+				}
+				queue = append(queue, u)
+			}
+		}
+	}
+	return false
+}
+
+// dfs pushes up to f from node v to the sink along the level graph and
+// returns what it pushed.
+func (net *network) dfs(v int32, f float64) float64 {
+	if v == net.n+1 {
+		return f
+	}
+	for end := net.end(v); net.iter[v] < end; net.iter[v]++ {
+		a := net.iter[v]
+		u := net.to[a]
+		if net.res[a] <= 0 || net.level[u] != net.level[v]+1 {
+			continue
+		}
+		if d := net.dfs(u, math.Min(f, net.res[a])); d > 0 {
+			if math.IsInf(d, 1) {
+				net.res[net.pair[a]] = d
+			} else {
+				net.res[a] -= d
+				net.res[net.pair[a]] += d
+			}
+			return d
+		}
+	}
+	return 0
 }

@@ -1,7 +1,9 @@
 package teg
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"flownet/internal/tin"
@@ -19,30 +21,60 @@ func figure3() *tin.Graph {
 }
 
 func TestFigure3MaxFlow(t *testing.T) {
-	g := figure3()
-	if f := MaxFlow(g); f != 5 {
+	if f := MaxFlow(figure3()); f != 5 {
 		t.Errorf("MaxFlow=%g, want 5", f)
-	}
-	if f := MaxFlowEdmondsKarp(g); f != 5 {
-		t.Errorf("MaxFlowEdmondsKarp=%g, want 5", f)
 	}
 }
 
 func TestBuildStructure(t *testing.T) {
 	g := figure3()
-	ex := Build(g)
-	// One arc per interaction.
-	if len(ex.ArcOf) != 5 {
-		t.Errorf("ArcOf has %d entries, want 5", len(ex.ArcOf))
+	net := build(g, g.Events(), nil)
+	// y and z have 3 incident events each, so 4 buffer states each; the
+	// source sends 2 interactions and the sink receives 2.
+	if net.n != 8 {
+		t.Errorf("buffer states = %d, want 8", net.n)
 	}
-	// Node count: super source + super sink + per intermediate vertex
-	// (y and z, 3 incident events each) 4 states = 2 + 8.
-	if n := ex.G.NumVertices(); n != 10 {
-		t.Errorf("expanded vertices = %d, want 10", n)
+	if len(net.to) != 4*8+2+2 || net.srcEnd != 4*8+2 {
+		t.Errorf("slots = %d, source's end at %d; want 36 and 34", len(net.to), net.srcEnd)
 	}
-	// Arcs: 5 interactions + 3 holdovers per intermediate vertex * 2.
-	if a := ex.G.NumArcs(); a != 11 {
-		t.Errorf("expanded arcs = %d, want 11", a)
+	// Every present slot is paired with one that leads back to its owner.
+	owner := func(a int32) int32 {
+		switch {
+		case a < 4*net.n:
+			return a / 4
+		case a < net.srcEnd:
+			return net.n
+		}
+		return net.n + 1
+	}
+	present := 0
+	for a, u := range net.to {
+		if u < 0 {
+			if net.res[a] != 0 {
+				t.Errorf("absent slot %d has residual %g", a, net.res[a])
+			}
+			continue
+		}
+		present++
+		if r := net.pair[a]; net.pair[r] != int32(a) || net.to[r] != owner(int32(a)) || u != owner(r) {
+			t.Errorf("slot %d -> %d and its pair %d -> %d do not reverse each other", a, u, r, net.to[r])
+		}
+	}
+	// 5 interactions + 3 holdovers per intermediate vertex * 2, both ways.
+	if present != 2*11 {
+		t.Errorf("present slots = %d, want 22", present)
+	}
+	// y's first state (0): no holdover back, +Inf forward, nothing arrived,
+	// nothing leaves. Its second (1): back to 0, forward to 2, the reverse
+	// of (1,5) from the source (node 8), and (3,5) into z's third state (6).
+	want := []int32{-1, 1, -1, -1, 0, 2, 8, 6}
+	for a, u := range want {
+		if net.to[a] != u {
+			t.Errorf("slot %d leads to %d, want %d", a, net.to[a], u)
+		}
+	}
+	if !math.IsInf(net.res[1], 1) || net.res[6] != 0 {
+		t.Errorf("holdover forward residual %g, arrival reverse %g; want +Inf and 0", net.res[1], net.res[6])
 	}
 }
 
@@ -118,5 +150,29 @@ func TestDirectSourceSinkEdge(t *testing.T) {
 	g.Finalize()
 	if f := MaxFlow(g); f != 7 {
 		t.Errorf("MaxFlow=%g, want 7", f)
+	}
+}
+
+func TestSourceOrSinkMisusePanics(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		from, to tin.VertexID
+	}{
+		{"into the source", 1, 0},
+		{"out of the sink", 2, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			g := tin.NewGraph(3, 0, 2)
+			g.AddSeq(g.AddEdge(0, 1), [2]float64{1, 3})
+			g.AddSeq(g.AddEdge(1, 2), [2]float64{2, 3})
+			g.AddSeq(g.AddEdge(c.from, c.to), [2]float64{3, 3})
+			g.Finalize()
+			defer func() {
+				if r := recover(); r == nil || !strings.HasPrefix(fmt.Sprint(r), "teg: ") {
+					t.Fatalf("recovered %v, want a teg: panic", r)
+				}
+			}()
+			MaxFlow(g)
+		})
 	}
 }

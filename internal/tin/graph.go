@@ -341,27 +341,27 @@ func (g *Graph) TopoOrder() ([]VertexID, error) {
 			indeg[v] = g.inDeg[v]
 		}
 	}
+	// order[lo:] is the frontier: sorted, then scanned, the vertices it
+	// frees appended behind it as the next one.
 	order := make([]VertexID, 0, g.liveVerts)
-	frontier := make([]VertexID, 0)
 	for v := 0; v < g.NumV; v++ {
 		if g.vertAlive[v] && indeg[v] == 0 {
-			frontier = append(frontier, VertexID(v))
+			order = append(order, VertexID(v))
 		}
 	}
-	for len(frontier) > 0 {
+	for lo := 0; lo < len(order); {
+		frontier := order[lo:]
 		slices.Sort(frontier)
-		next := frontier[:0:0]
+		lo = len(order)
 		for _, v := range frontier {
-			order = append(order, v)
 			g.OutEdges(v, func(e EdgeID) {
 				u := g.Edges[e].To
 				indeg[u]--
 				if indeg[u] == 0 {
-					next = append(next, u)
+					order = append(order, u)
 				}
 			})
 		}
-		frontier = next
 	}
 	if len(order) != g.liveVerts {
 		return nil, errors.New("tin: graph contains a directed cycle")
