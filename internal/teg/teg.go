@@ -5,10 +5,23 @@
 // per (vertex, buffer-state) pair, infinite "holdover" arcs modelling the
 // buffer between consecutive events, and one finite arc per interaction.
 // It answers every class-C residue and every cyclic instance (core.Solve)
-// with Dinic's algorithm over the network's residual form, kept as flat
-// arrays: an intermediate vertex with k incident interactions has k+1
-// buffer states, numbered vertex by vertex in id order, each vertex's in
-// canonical order, and buffer state x owns the residual slots 4x … 4x+3:
+// with Dinic's algorithm over the network's residual form.
+//
+// Only live interactions are laid out. An interaction is live when its tail
+// is the source or has received a live interaction strictly earlier in the
+// canonical order (by Ord, not Time), and its head is the sink or sends a
+// live interaction strictly later. Quantities are not consulted. A forward
+// scan in canonical order (earliest arrival) and a backward scan over its
+// survivors (latest useful departure) find them: a survivor of both still
+// has the arrival that kept it forward, since that arrival precedes a kept
+// departure, so one pass each way is the fixpoint. Every other interaction
+// lies on no source-to-sink path of the expansion and carries nothing in
+// any feasible flow; on a pair query it is nearly all of the instance.
+//
+// The residual form is kept as flat arrays: an intermediate vertex with k
+// incident live interactions has k+1 buffer states, numbered vertex by
+// vertex in id order, each vertex's in canonical order, and buffer state x
+// owns the residual slots 4x … 4x+3:
 //
 //	4x    holdover back to x−1 (its residual is the buffer held)
 //	4x+1  holdover forward to x+1 (+Inf)
@@ -40,18 +53,48 @@ type network struct {
 	level, iter, queue []int32
 }
 
-// build lays out the time-expanded network of g over its events (g's
-// canonical order); if arc is non-nil, arc[i] receives the slot carrying
-// events[i]. An interaction forwards only quantity deposited strictly
-// earlier in the canonical order.
-func build(g *tin.Graph, events []tin.Event, arc []int32) *network {
-	// cur[v] counts v's incident interactions, then becomes v's cursor: the
-	// buffer state v is in before its next interaction.
-	cur := make([]int32, g.NumV)
+// live checks that no event enters the source or leaves the sink, then
+// compacts events (g's canonical order) in place to the live ones and
+// returns them. mark is zeroed scratch of g.NumV entries; it is left dirty.
+func live(g *tin.Graph, events []tin.Event, mark []int32) []tin.Event {
+	// Forward, over every event: mark[v] = 1 once v has received a kept
+	// interaction.
+	kept := events[:0]
 	for _, ev := range events {
 		if ev.To == g.Source || ev.From == g.Sink {
 			panic(fmt.Sprintf("teg: interaction %d->%d enters the source or leaves the sink", ev.From, ev.To))
 		}
+		if ev.From == g.Source || mark[ev.From] != 0 {
+			mark[ev.To] = 1
+			kept = append(kept, ev)
+		}
+	}
+	// Backward over the survivors: mark[v] = 2 once v sends a kept one; the
+	// kept interactions are packed at the end, still in canonical order.
+	i := len(kept)
+	for j := len(kept) - 1; j >= 0; j-- {
+		if ev := kept[j]; ev.To == g.Sink || mark[ev.To] == 2 {
+			mark[ev.From] = 2
+			i--
+			kept[i] = ev
+		}
+	}
+	return kept[i:]
+}
+
+// build lays out the time-expanded network of g's live events, taken from
+// events (g's canonical order, compacted in place), and returns it with
+// them; if arc is non-nil, arc[i] receives the slot carrying the i-th live
+// event. An interaction forwards only quantity deposited strictly earlier
+// in the canonical order.
+func build(g *tin.Graph, events []tin.Event, arc []int32) (*network, []tin.Event) {
+	// cur marks arrivals and departures for live, then counts v's incident
+	// interactions, then becomes v's cursor: the buffer state v is in
+	// before its next interaction.
+	cur := make([]int32, g.NumV)
+	events = live(g, events, cur)
+	clear(cur)
+	for _, ev := range events {
 		cur[ev.From]++
 		cur[ev.To]++
 	}
@@ -101,24 +144,26 @@ func build(g *tin.Graph, events []tin.Event, arc []int32) *network {
 			arc[i] = a
 		}
 	}
-	return net
+	return net, events
 }
 
 // MaxFlow computes the temporal maximum flow of g by building the
-// time-expanded network and running Dinic. It returns math.Inf(1) when an
-// infinite-capacity source-to-sink channel exists (possible only with
-// synthetic infinite-quantity interactions).
+// time-expanded network of its live interactions and running Dinic. It
+// returns math.Inf(1) when an infinite-capacity source-to-sink channel
+// exists (possible only with synthetic infinite-quantity interactions).
 func MaxFlow(g *tin.Graph) float64 {
-	return build(g, g.Events(), nil).dinic()
+	net, _ := build(g, g.Events(), nil)
+	return net.dinic()
 }
 
 // Transfers solves the expanded network and returns, indexed by Ord over
 // [0, OrdBound), the quantity the optimal solution moves through each
-// interaction (0 at an Ord without one).
+// interaction (0 at an Ord without one, and on an interaction that is not
+// live).
 func Transfers(g *tin.Graph) (total float64, byOrd []float64) {
 	events := g.Events()
 	arc := make([]int32, len(events))
-	net := build(g, events, arc)
+	net, events := build(g, events, arc)
 	total = net.dinic()
 	byOrd = make([]float64, g.OrdBound())
 	for i, ev := range events {

@@ -516,8 +516,40 @@ func (n *Network) collectPair(source, sink VertexID, sc *queryScratch) bool {
 	}
 	// Adjacency walks emit edges grouped by From vertex in discovery
 	// order; sort so the id order matches the original edge-table scan.
-	slices.Sort(sc.edgeIDs)
+	sc.sortEdgeIDs()
 	return len(sc.edgeIDs) > 0
+}
+
+// sortEdgeIDs sorts sc.edgeIDs (non-negative) ascending in linear time: an
+// LSD radix sort, one counting pass per byte, into the pooled sc.spareIDs
+// and back. A byte in which no two ids differ needs no pass.
+func (sc *queryScratch) sortEdgeIDs() {
+	src := sc.edgeIDs
+	var differ EdgeID
+	for _, id := range src {
+		differ |= id ^ src[0]
+	}
+	dst := growBuf(sc.spareIDs, len(src))
+	for shift := 0; differ>>shift != 0; shift += 8 {
+		if byte(differ>>shift) == 0 {
+			continue
+		}
+		var at [256]int32
+		for _, id := range src {
+			at[byte(id>>shift)]++
+		}
+		var sum int32
+		for d, c := range at {
+			at[d], sum = sum, sum+c
+		}
+		for _, id := range src {
+			d := byte(id >> shift)
+			dst[at[d]] = id
+			at[d]++
+		}
+		src, dst = dst, src
+	}
+	sc.edgeIDs, sc.spareIDs = src, dst
 }
 
 // reachInto marks every vertex reachable from v (backward: reaching v)

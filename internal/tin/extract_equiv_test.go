@@ -194,6 +194,29 @@ func TestExtractEquivalenceRandom(t *testing.T) {
 	}
 }
 
+// TestSortEdgeIDs checks the pair query's radix sort against slices.Sort on
+// ids that differ in one byte only, in every byte, and not at all; the small
+// networks above never reach its upper bytes.
+func TestSortEdgeIDs(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var sc queryScratch
+	for _, c := range []struct {
+		n    int
+		base EdgeID
+		span int32
+	}{{0, 0, 1}, {1, 7, 1}, {5, 1 << 20, 1}, {300, 0, 256}, {300, 1 << 16, 1 << 8}, {2000, 0, math.MaxInt32}, {2000, 1 << 24, 1 << 12}} {
+		sc.edgeIDs = sc.edgeIDs[:0]
+		for i := 0; i < c.n; i++ {
+			sc.edgeIDs = append(sc.edgeIDs, c.base+rng.Int31n(c.span))
+		}
+		want := slices.Sorted(slices.Values(sc.edgeIDs))
+		sc.sortEdgeIDs()
+		if !slices.Equal(sc.edgeIDs, want) {
+			t.Errorf("%d ids from %d over %d: radix order differs from slices.Sort", c.n, c.base, c.span)
+		}
+	}
+}
+
 // TestBuildFlowGraph pins the public hand-built-edge-list builder against
 // the reference builder, and its distinct-ids precondition: pattern
 // instances are injective, so a repeated id is a caller bug and panics.

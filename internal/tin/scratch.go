@@ -36,7 +36,8 @@ type queryScratch struct {
 	pathEdges []EdgeID // flat storage of all enumerated paths
 	pathEnds  []int32  // exclusive end offsets into pathEdges, one per path
 
-	edgeIDs []EdgeID // admitted edge ids
+	edgeIDs  []EdgeID // admitted edge ids
+	spareIDs []EdgeID // the other half of sortEdgeIDs' radix passes
 
 	// Admission digraph adjacency pool: valA[v] (guarded by markA) heads a
 	// linked list of out-neighbours through innerTo/innerNext.
