@@ -1,11 +1,13 @@
 package bench
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"flownet/internal/core"
+	"flownet/internal/datagen"
 	"flownet/internal/tin"
 )
 
@@ -56,11 +58,18 @@ func buildFootprintNetwork(tb testing.TB, background int) *tin.Network {
 	return n
 }
 
-// extractPair runs the serving path's pair query (footprint included) for
-// the fixture's fixed 0 -> 9 pair.
+// extractPair runs the pair query (footprint included) for the fixture's
+// fixed 0 -> 9 pair.
 func extractPair(n *tin.Network) (*tin.Graph, bool) {
 	x := n.Extract(tin.Query{Source: 0, Sink: 9, Footprint: true})
 	return x.Graph, x.Ok
+}
+
+// extractPairResidue is extractPair as the server asks it, residue
+// included. The fixture is a DAG, so the answer is the whole instance.
+func extractPairResidue(n *tin.Network) (*tin.Graph, bool) {
+	x := n.Extract(tin.Query{Source: 0, Sink: 9, Footprint: true, Residue: true})
+	return x.Graph, x.Ok && !x.Residue
 }
 
 // BenchmarkPairQueryFootprintScaling runs the identical pair query — same
@@ -112,6 +121,11 @@ func TestPairQueryCostIsFootprintBound(t *testing.T) {
 	if _, err := core.PreSim(gs, core.EngineTEG); err != nil {
 		t.Fatal(err)
 	}
+	for _, n := range []*tin.Network{small, large} {
+		if g, ok := extractPairResidue(n); !ok || g.String() != gs.String() {
+			t.Fatal("the residue query does not answer the acyclic fixture whole")
+		}
+	}
 
 	time := func(n *tin.Network) (best float64) {
 		for i := 0; i < 5; i++ {
@@ -147,14 +161,97 @@ func TestPairQueryCostIsFootprintBound(t *testing.T) {
 			t.Errorf("pair query on the %s background took %.2fx the 10K time; extraction cost is not footprint-bound",
 				c.what, tLarge/tSmall)
 		}
-		allocs := testing.AllocsPerRun(20, func() {
-			if _, ok := extractPair(c.n); !ok {
+		for _, extract := range []func(*tin.Network) (*tin.Graph, bool){extractPair, extractPairResidue} {
+			allocs := testing.AllocsPerRun(20, func() {
+				if _, ok := extract(c.n); !ok {
+					t.Fatal("extraction failed")
+				}
+			})
+			if allocs > pairAllocBudget && !raceEnabled {
+				t.Errorf("steady-state pair extraction on %s allocates %.0f objects per query, budget %d", c.what, allocs, pairAllocBudget)
+			}
+			t.Logf("steady-state pair extraction on %s: %.0f allocs per query", c.what, allocs)
+		}
+	}
+}
+
+// pairAllocBudget bounds the objects a steady-state pair extraction
+// allocates: the result graph's blocks and the footprint.
+const pairAllocBudget = 10
+
+// TestPairResidueIsLiveBound guards the served path of a cyclic pair on the
+// pair_heavy corpus shape — Prosper, 4 000 vertices, generator seed 1, read
+// back through the text codec as flownetd loads it, pairs drawn as
+// benchmark/ops.go draws them. Each such instance is the whole giant
+// component (~44 K interactions, cyclic); its residue must lay out at most a
+// twentieth of them, and a steady-state residue extraction must allocate no
+// more objects than any pair extraction and at most a tenth of the bytes
+// the whole instance costs. Counts, not clock.
+func TestPairResidueIsLiveBound(t *testing.T) {
+	var text bytes.Buffer
+	if err := tin.WriteNetwork(&text, datagen.Prosper(datagen.Config{Vertices: 4000, Seed: 1})); err != nil {
+		t.Fatal(err)
+	}
+	n, err := tin.ReadNetwork(&text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	var cyclic []tin.Query
+	for draws := 0; len(cyclic) < 8; draws++ {
+		if draws == 64 {
+			t.Fatalf("%d of %d drawn pairs are cyclic", len(cyclic), draws)
+		}
+		a := rng.Intn(n.NumVertices())
+		b := rng.Intn(n.NumVertices() - 1)
+		if b >= a {
+			b++
+		}
+		q := tin.Query{Source: tin.VertexID(a), Sink: tin.VertexID(b), Footprint: true, Residue: true}
+		if rng.Float64() < 0.25 {
+			from := rng.Float64() * 0.5 * n.MaxTime()
+			to := from + (0.25+0.25*rng.Float64())*n.MaxTime()
+			q.Window = &tin.TimeWindow{From: float64(int64(from)), To: float64(int64(to))}
+		}
+		x := n.Extract(q)
+		if !x.Ok || !x.Residue {
+			continue
+		}
+		cyclic = append(cyclic, q)
+		t.Logf("pair %d->%d window %v: %d of %d interactions live", a, b, q.Window, x.Graph.NumInteractions(), x.Interactions)
+		if x.Graph.NumInteractions() > x.Interactions/20 {
+			t.Errorf("pair %d->%d: the residue lays out %d of %d interactions, want at most a twentieth",
+				a, b, x.Graph.NumInteractions(), x.Interactions)
+		}
+	}
+
+	if raceEnabled {
+		return // no steady state to count under the race detector
+	}
+	q := cyclic[0]
+	extract := func(q tin.Query) func() {
+		return func() {
+			if !n.Extract(q).Ok {
 				t.Fatal("extraction failed")
 			}
-		})
-		if allocs > 10 && !raceEnabled {
-			t.Errorf("steady-state pair extraction on %s allocates %.0f objects per query, budget 10", c.what, allocs)
 		}
-		t.Logf("steady-state pair extraction on %s: %.0f allocs per query", c.what, allocs)
+	}
+	if allocs := testing.AllocsPerRun(20, extract(q)); allocs > pairAllocBudget {
+		t.Errorf("steady-state residue extraction allocates %.0f objects per query, budget %d", allocs, pairAllocBudget)
+	}
+	bytesPerOp := func(q tin.Query) int64 {
+		run := extract(q)
+		return testing.Benchmark(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+		}).AllocedBytesPerOp()
+	}
+	whole := q
+	whole.Residue = false
+	residueBytes, wholeBytes := bytesPerOp(q), bytesPerOp(whole)
+	t.Logf("steady-state extraction: %d bytes per residue, %d per whole instance", residueBytes, wholeBytes)
+	if residueBytes > wholeBytes/10 {
+		t.Errorf("a residue extraction allocates %d bytes, the whole instance %d; want at most a tenth", residueBytes, wholeBytes)
 	}
 }

@@ -64,9 +64,10 @@ type Result struct {
 	Sim SimplifyStats
 	// LPVariables is the variable count of the final LP (0 if none ran).
 	LPVariables int
-	// Cyclic is true when Solve met a directed cycle and the time-expanded
-	// engine answered: the pipeline and its classes are defined on DAGs.
-	// Class is ClassC and UsedEngine true then, the statistics zero.
+	// Cyclic is true when SolveResidue answered — Solve met a directed
+	// cycle, or the caller handed over a cyclic pair's residue — with the
+	// time-expanded engine: the pipeline and its classes are defined on
+	// DAGs. Class is ClassC and UsedEngine true then, the statistics zero.
 	Cyclic bool
 }
 
@@ -74,9 +75,10 @@ type Result struct {
 // behind served and batched queries, cmd/flowcalc and the root MaxFlow, and
 // the one place that knows which exact engine answers — the time-expanded
 // reduction, always. One topological sort decides the rest: a cyclic
-// instance (pair extractions may be) goes to the reduction as it is, which
-// needs no DAG; an acyclic one runs PreSim's reductions, with that order
-// handed to Algorithm 1, and only a class-C residue reaches the reduction.
+// instance (pair extractions may be) goes to the reduction as it is
+// (SolveResidue), which needs no DAG; an acyclic one runs PreSim's
+// reductions, with that order handed to Algorithm 1, and only a class-C
+// residue reaches the reduction.
 // The LP is as exact in real arithmetic but is not on this path: its dense
 // tableau is quadratic in the interaction count, its absolute 1e-9
 // tolerances lose quantities below about 1e-6 (see MaxFlowLP), and it can
@@ -86,13 +88,23 @@ type Result struct {
 func Solve(g *tin.Graph) Result {
 	order, err := g.TopoOrder()
 	if err != nil {
-		return Result{Flow: teg.MaxFlow(g), Class: ClassC, UsedEngine: true, Cyclic: true}
+		return SolveResidue(g)
 	}
-	res, residue := reduce(g, true, order)
+	res, residue, _ := reduce(g, true, order)
 	if residue != nil {
 		res.Flow = teg.MaxFlow(residue)
 	}
 	return res
+}
+
+// SolveResidue is Solve's answer to a cyclic instance, and the served
+// answer to a cyclic pair's residue (tin.Query.Residue): the time-expanded
+// reduction on g as it is, Class C with the engine used and the statistics
+// zero. The reduction lays out only g's live interactions, and a residue is
+// exactly those, so the flow of an instance and of its residue are the same
+// bits.
+func SolveResidue(g *tin.Graph) Result {
+	return Result{Flow: teg.MaxFlow(g), Class: ClassC, UsedEngine: true, Cyclic: true}
 }
 
 // Pre is the paper's "Pre" method: test greedy solubility (Lemma 2); if it
@@ -114,16 +126,9 @@ func PreSim(g *tin.Graph, engine Engine) (Result, error) {
 // pipeline is Pre (simplify false) or PreSim: reduce, then the chosen
 // engine on a class-C residue.
 func pipeline(g *tin.Graph, engine Engine, simplify bool) (Result, error) {
-	var order []tin.VertexID
-	if !GreedySoluble(g) {
-		var err error
-		if order, err = g.TopoOrder(); err != nil {
-			return Result{}, fmt.Errorf("core: preprocess: %w", err)
-		}
-	}
-	res, residue := reduce(g, simplify, order)
-	if residue == nil {
-		return res, nil
+	res, residue, err := reduce(g, simplify, nil)
+	if err != nil || residue == nil {
+		return res, err
 	}
 	if engine == EngineTEG {
 		res.Flow = teg.MaxFlow(residue)
@@ -139,37 +144,43 @@ func pipeline(g *tin.Graph, engine Engine, simplify bool) (Result, error) {
 
 // reduce is the pipeline up to the exact engine: the solubility tests,
 // Algorithm 1 and (simplify) Algorithm 2 on a clone of the DAG g. order is
-// g's topological order, needed unless g is greedy-soluble. A nil residue
+// g's topological order, or nil to have reduce sort g only when it is not
+// greedy-soluble — the error is that sort's, on a cyclic g. A nil residue
 // means the result is complete; otherwise the instance is class C, Flow is
 // still unset and the residue's maximum flow is g's.
-func reduce(g *tin.Graph, simplify bool, order []tin.VertexID) (res Result, residue *tin.Graph) {
+func reduce(g *tin.Graph, simplify bool, order []tin.VertexID) (res Result, residue *tin.Graph, err error) {
 	if GreedySoluble(g) {
 		res.Flow = Greedy(g)
 		res.Class = ClassA
-		return res, nil
+		return res, nil, nil
+	}
+	if order == nil {
+		if order, err = g.TopoOrder(); err != nil {
+			return Result{}, nil, fmt.Errorf("core: preprocess: %w", err)
+		}
 	}
 	h := g.Clone()
 	res.Pre = preprocess(h, order)
 	res.Class = ClassB
 	if ZeroFlow(h) {
-		return res, nil
+		return res, nil, nil
 	}
 	if GreedySoluble(h) {
 		res.Flow = Greedy(h)
-		return res, nil
+		return res, nil, nil
 	}
 	res.Class = ClassC
 	if simplify {
 		res.Sim = Simplify(h)
 		if ZeroFlow(h) {
-			return res, nil
+			return res, nil, nil
 		}
 		if GreedySoluble(h) {
 			res.Flow = Greedy(h)
 			res.SolvedGreedyAfterSimplify = true
-			return res, nil
+			return res, nil, nil
 		}
 	}
 	res.UsedEngine = true
-	return res, h
+	return res, h, nil
 }

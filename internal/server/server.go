@@ -604,6 +604,9 @@ func (s *Server) handleFlow(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return "", nil, err
 		}
+		// A cyclic pair comes back as its residue, which the engine solves to
+		// the instance's bits; the reported sizes stay the instance's.
+		q.Residue = true
 		return flowQueryKey(q), func(ctx context.Context) (any, []tin.VertexID, error) {
 			res := FlowResult{Network: sh.Name(), Query: "pair", Source: int(q.Source), Sink: int(q.Sink)}
 			if q.Source == q.Sink {
@@ -616,11 +619,14 @@ func (s *Server) handleFlow(w http.ResponseWriter, r *http.Request) {
 			if err := ctx.Err(); err != nil { // between the two expensive stages
 				return nil, nil, err
 			}
-			sol := core.Solve(x.Graph)
+			var sol core.Result
+			if x.Residue {
+				sol = core.SolveResidue(x.Graph)
+			} else {
+				sol = core.Solve(x.Graph)
+			}
 			res.Ok = true
-			res.Vertices = x.Graph.NumLiveVertices()
-			res.Edges = x.Graph.NumLiveEdges()
-			res.Interactions = x.Graph.NumInteractions()
+			res.Vertices, res.Edges, res.Interactions = x.Vertices, x.Edges, x.Interactions
 			res.Flow = sol.Flow
 			res.Class, res.Method = classMethod(sol)
 			res.UsedEngine = sol.UsedEngine

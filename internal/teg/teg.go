@@ -17,6 +17,10 @@
 // departure, so one pass each way is the fixpoint. Every other interaction
 // lies on no source-to-sink path of the expansion and carries nothing in
 // any feasible flow; on a pair query it is nearly all of the instance.
+// internal/tin applies the same rule per edge run, before any copy, when a
+// pair query asks for its residue (tin.Query.Residue): a served cyclic pair
+// arrives here with its live interactions only, which this prune keeps
+// whole, and solves to the bits of the whole instance (FuzzPairResidue).
 //
 // The residual form is kept as flat arrays: an intermediate vertex with k
 // incident live interactions has k+1 buffer states, numbered vertex by

@@ -3,6 +3,7 @@ package tin
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -11,10 +12,20 @@ import (
 // DFS run over dense epoch-stamped marks (queryScratch), pair queries
 // collect their edge set by walking the CSR out-adjacency of the fwd∩bwd
 // frontier instead of scanning the edge table, time windows are applied
-// per edge with a binary search during graph assembly, and the flow graph
+// per edge with a binary search before graph assembly, and the flow graph
 // is built directly into its final memory layout (no intermediate maps, no
 // Finalize sort). Equivalence with the original map-and-scan pipeline is
 // locked in by extract_oracle_test.go and FuzzExtractEquivalence.
+//
+// A pair query that asks for its residue (Query.Residue) copies less: over
+// the admitted edges' runs, with no copy, it decides whether the instance
+// is cyclic and, if so, finds its live interactions — those on a
+// source-to-sink path that respects the canonical order, the rule of
+// internal/teg — by earliest-arrival and latest-departure labelling, and
+// builds the graph of those alone. On each edge they are one contiguous
+// run, so the copy is one slice per live edge. FuzzPairResidue (in
+// internal/teg) holds the residue to the engine's own prune of the full
+// instance.
 
 // ExtractOptions control seed-based subgraph extraction (Section 6.2 of the
 // paper).
@@ -28,8 +39,8 @@ type ExtractOptions struct {
 	// edges, so a Window never changes which subgraphs are discarded.
 	MaxInteractions int
 	// Window, when non-nil, restricts the extracted graph to interactions
-	// with Time in [Window.From, Window.To] (inclusive), applied per edge
-	// during assembly. The result is identical to extracting without a
+	// with Time in [Window.From, Window.To] (inclusive), found per edge
+	// before assembly. The result is identical to extracting without a
 	// window and calling Graph.RestrictWindow, but out-of-window
 	// interactions are never materialized.
 	Window *TimeWindow
@@ -71,16 +82,33 @@ type Query struct {
 	ExtractOptions
 	// Footprint asks for Extraction.Footprint.
 	Footprint bool
+	// Residue asks, on a pair query whose instance is cyclic, for the
+	// instance's time-respecting residue instead of the instance: the graph
+	// of its live interactions, those on a path from the source to the sink
+	// along which each interaction follows the previous one in the
+	// canonical order (internal/teg's rule). The maximum flow is the same,
+	// and the time-expanded engine solves either to the same bits. An
+	// acyclic instance and a seed query are answered whole whatever
+	// Residue says: the Pre/PreSim classes are defined on the whole DAG.
+	Residue bool
 }
 
 // Extraction is the answer to a Query.
 type Extraction struct {
-	// Graph is the finalized flow instance; nil when Ok is false.
+	// Graph is the finalized flow instance, or its residue when Residue is
+	// true; nil when Ok is false.
 	Graph *Graph
 	// Ok is false when no instance exists: the seed has no returning path
 	// or its subgraph exceeds MaxInteractions, or the sink is unreachable
 	// from the source.
 	Ok bool
+	// Vertices, Edges and Interactions are the instance's live vertex,
+	// edge and interaction counts when Ok — its Graph's, or, for a residue,
+	// those of the instance the residue was cut from.
+	Vertices, Edges, Interactions int
+	// Residue is true when Graph is the residue of a cyclic pair instance
+	// (Query.Residue).
+	Residue bool
 	// Footprint (only when Query.Footprint is set) is the query's read
 	// footprint in ascending order: for a seed query the vertices whose
 	// outgoing adjacency the path enumeration iterated, for a pair query
@@ -130,7 +158,14 @@ func (n *Network) Extract(q Query) Extraction {
 	if !ok {
 		return x
 	}
-	g := n.buildFlowGraph(sc.edgeIDs, q.Source, q.Sink, q.Window, sc)
+	n.windowRuns(q.Window, sc)
+	// A pair's admitted edges leave the source, never enter it, and none
+	// leaves the sink, so the viability checks below hold for every pair
+	// collectPair admits: the residue needs none of them.
+	if q.Residue && q.Source != q.Sink && n.pairResidue(q.Source, q.Sink, sc, &x) {
+		return x
+	}
+	g := n.buildFlowGraph(sc.edgeIDs, sc.lo, sc.hi, q.Source, q.Sink, sc)
 	// Viability is judged on the unwindowed shape (the builder keeps edges
 	// the window emptied), matching extract-then-RestrictWindow semantics.
 	if g.InDegree(g.Source) != 0 || g.OutDegree(g.Sink) != 0 || g.OutDegree(g.Source) == 0 {
@@ -140,7 +175,221 @@ func (n *Network) Extract(q Query) Extraction {
 		g.DropEmptyEdges()
 	}
 	x.Graph, x.Ok = g, true
+	x.Vertices, x.Edges, x.Interactions = g.NumLiveVertices(), g.NumLiveEdges(), g.NumInteractions()
 	return x
+}
+
+// windowRuns sets sc.lo/sc.hi to the in-window run of each admitted edge
+// (sc.edgeIDs) and sc.first/sc.last to the first and last Ord of each
+// non-empty run.
+func (n *Network) windowRuns(w *TimeWindow, sc *queryScratch) {
+	k := len(sc.edgeIDs)
+	sc.lo, sc.hi = growBuf(sc.lo, k), growBuf(sc.hi, k)
+	sc.first, sc.last = growBuf(sc.first, k), growBuf(sc.last, k)
+	for i, id := range sc.edgeIDs {
+		seq := n.Edge(id).Seq
+		lo, hi := w.bounds(seq)
+		sc.lo[i], sc.hi[i] = int32(lo), int32(hi)
+		if hi > lo {
+			sc.first[i], sc.last[i] = seq[lo].Ord, seq[hi-1].Ord
+		}
+	}
+}
+
+// Labels of the residue's labelling. Ords are non-negative, so -1 precedes
+// every interaction and MaxInt64 follows every one.
+const (
+	beforeAll = -1
+	afterAll  = math.MaxInt64
+)
+
+// pairResidue is Query.Residue on a pair query, over the admitted edges
+// (sc.edgeIDs) and their in-window runs (windowRuns). It records
+// the instance's sizes in x and, if the instance is cyclic, its residue,
+// and reports whether it was; an acyclic instance leaves the edge list and
+// its runs as they were, for the full build.
+//
+// The residue applies teg's rule per edge run. Forward, ea[v] is the least
+// Ord at which v receives an interaction that is kept forward — one whose
+// tail is the source or was reached strictly earlier — computed by label
+// setting in Ord order over the local out-adjacency (labels only grow along
+// a path). Backward, ld[v] is the greatest Ord at which v sends a
+// forward-kept interaction whose head is the sink or sends one strictly
+// later, by the mirror pass over the in-edges. An interaction on edge
+// (u, v) is then live exactly when ea[u] < Ord < ld[v]: one contiguous part
+// of the edge's run, since runs ascend in Ord. (Ords are unique in the
+// network, so an arrival and a departure never tie: the comparisons could
+// as well be non-strict.) Each relaxation needs one
+// Ord search of a run, and the cached first and last Ords settle it without
+// touching the edge unless the label falls inside the run.
+func (n *Network) pairResidue(source, sink VertexID, sc *queryScratch, x *Extraction) bool {
+	ids := sc.edgeIDs
+	nv := n.localIDs(ids, source, sink, sc)
+
+	// Sizes, as the full build would report them after DropEmptyEdges, the
+	// local out-adjacency of the non-empty runs and their in-degrees.
+	sc.outStart, sc.indeg = growBuf(sc.outStart, nv+1), growBuf(sc.indeg, nv)
+	clear(sc.outStart)
+	clear(sc.indeg)
+	edges, ias := 0, 0
+	for i := range ids {
+		if k := int(sc.hi[i] - sc.lo[i]); k > 0 {
+			edges++
+			ias += k
+			sc.outStart[sc.elf[i]+1]++
+			sc.indeg[sc.elt[i]]++
+		}
+	}
+	x.Vertices, x.Edges, x.Interactions = nv, edges, ias
+	for v := 0; v < nv; v++ {
+		sc.outStart[v+1] += sc.outStart[v]
+	}
+	sc.outArcs = growBuf(sc.outArcs, edges)
+	for i := range ids {
+		if sc.hi[i] > sc.lo[i] {
+			u := sc.elf[i]
+			sc.outArcs[sc.outStart[u]] = arc{v: sc.elt[i], i: int32(i), first: sc.first[i], last: sc.last[i]}
+			sc.outStart[u]++
+		}
+	}
+	// The fill advanced every start to its vertex's end: shift them back.
+	copy(sc.outStart[1:], sc.outStart[:nv])
+	sc.outStart[0] = 0
+	outArcs := func(v VertexID) []arc { return sc.outArcs[sc.outStart[v]:sc.outStart[v+1]] }
+
+	// Kahn over every local vertex, as Graph.TopoOrder counts them.
+	indeg, queue := sc.indeg, sc.stack[:0]
+	for v := 0; v < nv; v++ {
+		if indeg[v] == 0 {
+			queue = append(queue, VertexID(v))
+		}
+	}
+	for h := 0; h < len(queue); h++ {
+		for _, a := range outArcs(queue[h]) {
+			if indeg[a.v]--; indeg[a.v] == 0 {
+				queue = append(queue, a.v)
+			}
+		}
+	}
+	sc.stack = queue
+	if len(queue) == nv {
+		return false
+	}
+
+	// run returns the in-window run of the edge at position i.
+	run := func(i int32) []Interaction { return n.Edge(ids[i]).Seq[sc.lo[i]:sc.hi[i]] }
+
+	// Forward: earliest arrival, the source at -inf.
+	ea := growBuf(sc.ea, nv)
+	for v := range ea {
+		ea[v] = afterAll
+	}
+	ea[0] = beforeAll
+	sc.heap = append(sc.heap[:0], label{ord: beforeAll, v: 0})
+	for len(sc.heap) > 0 {
+		top := sc.pop()
+		if top.ord != ea[top.v] {
+			continue // superseded by a smaller label
+		}
+		for _, a := range outArcs(top.v) {
+			if a.last <= top.ord {
+				continue
+			}
+			t := a.first
+			if t <= top.ord {
+				seq := run(a.i)
+				t = seq[afterOrd(seq, top.ord)].Ord
+			}
+			if t < ea[a.v] {
+				ea[a.v] = t
+				sc.push(label{ord: t, v: a.v})
+			}
+		}
+	}
+
+	// Backward: latest useful departure, the sink at +inf. It reaches only
+	// the few vertices that lead to the sink in time, so it reads their
+	// in-edges off the network, keeping the admitted ones — those found in
+	// the sorted edge-id list — with non-empty runs. The heap is a min-heap,
+	// so its keys are negated.
+	ld := growBuf(sc.ld, nv)
+	for v := range ld {
+		ld[v] = beforeAll
+	}
+	ld[1] = afterAll
+	sc.heap = append(sc.heap[:0], label{ord: -afterAll, v: 1})
+	for len(sc.heap) > 0 {
+		top := sc.pop()
+		if -top.ord != ld[top.v] {
+			continue
+		}
+		for _, e := range n.InEdges(sc.netOf[top.v]) {
+			i, ok := slices.BinarySearch(ids, e)
+			if !ok || sc.hi[i] == sc.lo[i] || sc.first[i] >= -top.ord {
+				continue
+			}
+			u := sc.elf[i]
+			t := sc.last[i]
+			if t >= -top.ord {
+				seq := run(int32(i))
+				t = seq[afterOrd(seq, -top.ord-1)-1].Ord
+			}
+			if t > ea[u] && t > ld[u] { // kept forward, and later than u's best
+				ld[u] = t
+				sc.push(label{ord: -t, v: u})
+			}
+		}
+	}
+
+	// The live part of each run, and the live edges in id order.
+	sc.live = sc.live[:0]
+	for u := 0; u < nv; u++ {
+		from := ea[u]
+		if from == afterAll {
+			continue
+		}
+		for _, a := range outArcs(VertexID(u)) {
+			to := ld[a.v]
+			if a.last <= from || a.first >= to {
+				continue
+			}
+			seq := run(a.i)
+			lo, hi := 0, len(seq)
+			if a.first <= from {
+				lo = afterOrd(seq, from)
+			}
+			if a.last >= to {
+				hi = afterOrd(seq, to-1)
+			}
+			if lo < hi {
+				sc.lo[a.i], sc.hi[a.i] = sc.lo[a.i]+int32(lo), sc.lo[a.i]+int32(hi)
+				sc.live = append(sc.live, a.i)
+			}
+		}
+	}
+	slices.Sort(sc.live)
+	for j, i := range sc.live { // j <= i: compacting in place reads ahead of the writes
+		ids[j], sc.lo[j], sc.hi[j] = ids[i], sc.lo[i], sc.hi[i]
+	}
+	k := len(sc.live)
+	x.Graph = n.buildFlowGraph(ids[:k], sc.lo[:k], sc.hi[:k], source, sink, sc)
+	x.Ok, x.Residue = true, true
+	return true
+}
+
+// afterOrd returns the index of the first interaction of seq (ascending in
+// Ord) whose Ord exceeds ord, or len(seq).
+func afterOrd(seq []Interaction, ord int64) int {
+	lo, hi := 0, len(seq)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if seq[m].Ord > ord {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return lo
 }
 
 // ExtractSubgraph is the seed query without a footprint: the §6.2
@@ -317,27 +566,24 @@ func (n *Network) BuildFlowGraph(edgeIDs []EdgeID, source, sink VertexID) *Graph
 	sc := scratchPool.Get().(*queryScratch)
 	defer scratchPool.Put(sc)
 	sc.begin(n.numV)
-	return n.buildFlowGraph(edgeIDs, source, sink, nil, sc)
+	sc.lo, sc.hi = growBuf(sc.lo, len(edgeIDs)), growBuf(sc.hi, len(edgeIDs))
+	for i, id := range edgeIDs {
+		sc.lo[i], sc.hi[i] = 0, int32(len(n.Edge(id).Seq))
+	}
+	return n.buildFlowGraph(edgeIDs, sc.lo, sc.hi, source, sink, sc)
 }
 
-// buildFlowGraph is the direct builder behind every extraction: it
-// assembles the finalized graph straight into its final memory layout.
-// edgeIDs must be distinct (a repeat panics); their order fixes local vertex
-// ids (first-occurrence) exactly like the original builder, and graph edge ids
-// follow the earliest-full-interaction order the original lazy creation
-// produced. Interactions are inserted in network canonical order with
-// densely re-ranked Ords — relative order, and therefore every algorithm
-// decision, is unchanged. With a window, out-of-window interactions are
-// skipped via binary search; empty edges stay alive for the caller's
-// degree checks.
-func (n *Network) buildFlowGraph(edgeIDs []EdgeID, source, sink VertexID, w *TimeWindow, sc *queryScratch) *Graph {
+// localIDs sets sc.elf/sc.elt to the local endpoints of each edge of
+// edgeIDs and sc.netOf to the network vertex of each local one, and returns
+// the local vertex count: source 0, sink 1, inner 2+ in first-occurrence
+// order (From before To, matching the original mapping order).
+func (n *Network) localIDs(edgeIDs []EdgeID, source, sink VertexID, sc *queryScratch) int {
 	k := len(edgeIDs)
-	// Local vertex ids: source 0, sink 1, inner 2+ in first-occurrence
-	// order (From before To, matching the original mapping order).
 	lidEpoch := sc.nextEpoch()
 	sc.elf = growBuf(sc.elf, k)
 	sc.elt = growBuf(sc.elt, k)
 	nv := VertexID(2)
+	sc.netOf = append(sc.netOf[:0], source, sink)
 	mapLocal := func(v VertexID) VertexID {
 		if sc.markA[v] == lidEpoch {
 			return VertexID(sc.valA[v])
@@ -346,6 +592,7 @@ func (n *Network) buildFlowGraph(edgeIDs []EdgeID, source, sink VertexID, w *Tim
 		nv++
 		sc.markA[v] = lidEpoch
 		sc.valA[v] = int32(id)
+		sc.netOf = append(sc.netOf, v)
 		return id
 	}
 	for i, id := range edgeIDs {
@@ -367,6 +614,22 @@ func (n *Network) buildFlowGraph(edgeIDs []EdgeID, source, sink VertexID, w *Tim
 		}
 		sc.elf[i], sc.elt[i] = lf, lt
 	}
+	return int(nv)
+}
+
+// buildFlowGraph is the direct builder behind every extraction: it
+// assembles the finalized graph straight into its final memory layout.
+// edgeIDs must be distinct (a repeat panics); their order fixes local vertex
+// ids (first-occurrence) exactly like the original builder, and graph edge ids
+// follow the earliest-full-interaction order the original lazy creation
+// produced. Edge i contributes the interactions Seq[lo[i]:hi[i]] — its
+// in-window run, or its live run in a residue — inserted in network
+// canonical order with densely re-ranked Ords: relative order, and
+// therefore every algorithm decision, is unchanged. Empty edges stay alive
+// for the caller's degree checks.
+func (n *Network) buildFlowGraph(edgeIDs []EdgeID, lo, hi []int32, source, sink VertexID, sc *queryScratch) *Graph {
+	k := len(edgeIDs)
+	nv := n.localIDs(edgeIDs, source, sink, sc)
 
 	// Graph edge ids: rank by earliest full-sequence interaction — the
 	// order the lazy builder first encountered each edge in the Ord-sorted
@@ -387,36 +650,31 @@ func (n *Network) buildFlowGraph(edgeIDs []EdgeID, source, sink VertexID, w *Tim
 		sc.gid[i] = EdgeID(r)
 	}
 
-	// Per-edge in-window ranges over the canonical (time-sorted) sequences.
-	sc.lo = growBuf(sc.lo, k)
-	sc.hi = growBuf(sc.hi, k)
 	totalIA := 0
-	for i, id := range edgeIDs {
-		lo, hi := w.bounds(n.Edge(id).Seq)
-		sc.lo[i], sc.hi[i] = int32(lo), int32(hi)
-		totalIA += hi - lo
+	for i := range edgeIDs {
+		totalIA += int(hi[i] - lo[i])
 	}
 
 	// The graph's own memory: one block per kind, carved into cap-clamped
 	// sub-slices so post-build mutation appends (AddReducedEdge) reallocate
 	// instead of clobbering a neighbouring run.
 	g := &Graph{
-		NumV: int(nv), Source: 0, Sink: 1,
+		NumV: nv, Source: 0, Sink: 1,
 		Edges:     make([]Edge, k),
-		liveEdges: k, liveVerts: int(nv),
+		liveEdges: k, liveVerts: nv,
 		numIA: totalIA, nextOrd: int64(totalIA),
 		finalized: true,
 	}
-	jag := make([][]EdgeID, 2*int(nv))
+	jag := make([][]EdgeID, 2*nv)
 	g.out = jag[:nv:nv]
 	g.in = jag[nv:][:nv:nv]
-	bools := make([]bool, int(nv)+k)
+	bools := make([]bool, nv+k)
 	for i := range bools {
 		bools[i] = true
 	}
 	g.vertAlive = bools[:nv:nv]
 	g.edgeAlive = bools[nv:][:k:k]
-	degs := make([]int, 2*int(nv))
+	degs := make([]int, 2*nv)
 	g.outDeg = degs[:nv:nv]
 	g.inDeg = degs[nv:][:nv:nv]
 	adj := make([]EdgeID, 2*k)
@@ -427,11 +685,11 @@ func (n *Network) buildFlowGraph(edgeIDs []EdgeID, source, sink VertexID, w *Tim
 		g.inDeg[sc.elt[i]]++
 	}
 	off := 0
-	for v := 0; v < int(nv); v++ {
+	for v := 0; v < nv; v++ {
 		g.out[v] = adj[off : off : off+g.outDeg[v]]
 		off += g.outDeg[v]
 	}
-	for v := 0; v < int(nv); v++ {
+	for v := 0; v < nv; v++ {
 		g.in[v] = adj[off : off : off+g.inDeg[v]]
 		off += g.inDeg[v]
 	}
@@ -447,7 +705,7 @@ func (n *Network) buildFlowGraph(edgeIDs []EdgeID, source, sink VertexID, w *Tim
 		g.out[lf] = append(g.out[lf], EdgeID(r))
 		g.in[lt] = append(g.in[lt], EdgeID(r))
 		sc.runOff[r] = iaOff
-		iaOff += sc.hi[i] - sc.lo[i]
+		iaOff += hi[i] - lo[i]
 	}
 	sc.runOff[k] = iaOff
 
@@ -458,7 +716,7 @@ func (n *Network) buildFlowGraph(edgeIDs []EdgeID, source, sink VertexID, w *Tim
 	for i, id := range edgeIDs {
 		seq := n.Edge(id).Seq
 		ge := sc.gid[i]
-		for _, ia := range seq[sc.lo[i]:sc.hi[i]] {
+		for _, ia := range seq[lo[i]:hi[i]] {
 			sc.refs = append(sc.refs, iaRef{ia: ia, ge: ge})
 		}
 	}

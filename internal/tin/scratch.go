@@ -48,13 +48,28 @@ type queryScratch struct {
 	// list (see Network.buildFlowGraph).
 	elf    []VertexID // local From per edge
 	elt    []VertexID // local To per edge
+	netOf  []VertexID // network vertex per local vertex
 	order  []int32    // edge positions sorted by first-interaction Ord
 	gid    []EdgeID   // graph edge id per position
-	lo     []int32    // in-window range start per edge
-	hi     []int32    // in-window range end per edge
+	lo     []int32    // run start per edge (in-window, then live)
+	hi     []int32    // run end per edge
 	runOff []int32    // arena offset per graph edge (len k+1)
 	cur    []int32    // fill cursor per graph edge
 	refs   []iaRef    // interaction refs, sorted into canonical order
+
+	// Pair residue buffers (see Network.pairResidue): the first and last
+	// Ord of each edge's in-window run, by position; the local
+	// out-adjacency of the non-empty runs (CSR over local vertex ids, each
+	// arc carrying its run's Ord bounds) and their in-degrees; the
+	// earliest-arrival and latest-departure labels per local vertex, their
+	// heap, and the positions of the live edges.
+	first, last []int64
+	outStart    []int32
+	outArcs     []arc
+	indeg       []int32
+	ea, ld      []int64
+	heap        []label
+	live        []int32
 }
 
 // iaRef is one interaction tagged with its graph edge, used to establish
@@ -62,6 +77,65 @@ type queryScratch struct {
 type iaRef struct {
 	ia Interaction
 	ge EdgeID
+}
+
+// arc is one admitted edge in the residue's local out-adjacency: its local
+// head, its position in the edge-id list, and the first and last Ord of its
+// in-window run.
+type arc struct {
+	v           VertexID
+	i           int32
+	first, last int64
+}
+
+// label is a heap entry of the residue's labelling: a local vertex and the
+// Ord it was labelled with.
+type label struct {
+	ord int64
+	v   VertexID
+}
+
+// push adds l to the min-heap sc.heap.
+func (sc *queryScratch) push(l label) {
+	h := append(sc.heap, l)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if h[p].ord <= l.ord {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = l
+	sc.heap = h
+}
+
+// pop removes and returns the least entry of the non-empty min-heap sc.heap.
+func (sc *queryScratch) pop() label {
+	h := sc.heap
+	top, l := h[0], h[len(h)-1]
+	h = h[:len(h)-1]
+	if len(h) > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= len(h) {
+				break
+			}
+			if c+1 < len(h) && h[c+1].ord < h[c].ord {
+				c++
+			}
+			if h[c].ord >= l.ord {
+				break
+			}
+			h[i] = h[c]
+			i = c
+		}
+		h[i] = l
+	}
+	sc.heap = h
+	return top
 }
 
 // scratchPool is the one pool of extraction scratch: every caller — the
