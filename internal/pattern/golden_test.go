@@ -146,7 +146,7 @@ func computeGolden(t *testing.T) goldenFile {
 			if err != nil {
 				t.Fatalf("%s: append: %v", net, err)
 			}
-			up := tb.Update(n, changed)
+			up := tb.Update(n, endpoints(n, changed))
 			out.Tables[net+"/update/L2"] = freezeTable(up.L2)
 			out.Tables[net+"/update/L3"] = freezeTable(up.L3)
 			out.Tables[net+"/update/C2"] = freezeTable(up.C2)

@@ -31,9 +31,9 @@
 //
 // The delta maintenance of footnote 2 is Tables.Update: it brings
 // precomputed tables current after an append by recomputing only the row
-// groups whose anchor a changed edge can affect, so a live network
-// (internal/store) keeps its PB tables warm at a cost proportional to the
-// ingest, not the network.
+// groups whose anchor a change at a touched vertex can affect, so a live
+// network (internal/store) keeps its PB tables warm at a cost proportional
+// to the ingest, not the network.
 package pattern
 
 import "fmt"

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"flownet/internal/core"
@@ -25,18 +26,26 @@ func buildFrom(v int, recs []interactionRecord) *tin.Network {
 	return n
 }
 
-// changedEdges returns the ids, in the grown network, of edges touched by
-// the appended records.
-func changedEdges(n *tin.Network, appended []interactionRecord) []tin.EdgeID {
-	seen := make(map[tin.EdgeID]bool)
-	var out []tin.EdgeID
+// touchedBy returns the vertices the appended records touch — the
+// endpoints of the edges they change — ascending and distinct.
+func touchedBy(appended []interactionRecord) []tin.VertexID {
+	var out []tin.VertexID
 	for _, r := range appended {
-		if id, ok := n.HasEdge(r.from, r.to); ok && !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
+		out = append(out, r.from, r.to)
 	}
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// endpoints returns the distinct endpoints, ascending, of edges of n — the
+// touched vertices of an append that changed them.
+func endpoints(n *tin.Network, edges []tin.EdgeID) []tin.VertexID {
+	var out []tin.VertexID
+	for _, e := range edges {
+		out = append(out, n.Edge(e).From, n.Edge(e).To)
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 func tablesEqual(t *testing.T, name string, a, b *Table) {
@@ -100,7 +109,7 @@ func TestUpdateMatchesFullRecompute(t *testing.T) {
 			}
 			recs = append(recs, appended...)
 			grown := buildFrom(v, recs)
-			tables = tables.Update(grown, changedEdges(grown, appended))
+			tables = tables.Update(grown, touchedBy(appended))
 			fresh := Precompute(grown, true)
 			tablesEqual(t, "L2", tables.L2, fresh.L2)
 			tablesEqual(t, "L3", tables.L3, fresh.L3)
@@ -119,7 +128,7 @@ func TestUpdateNewAnchorAppears(t *testing.T) {
 	}
 	appended := []interactionRecord{{1, 0, 2, 4}}
 	grown := buildFrom(3, []interactionRecord{{0, 1, 1, 5}, {1, 0, 2, 4}})
-	updated := tables.L2.Update(grown, changedEdges(grown, appended))
+	updated := tables.L2.Update(grown, touchedBy(appended))
 	if len(updated.Rows) != 2 {
 		t.Fatalf("rows=%d, want 2 (anchors 0 and 1)", len(updated.Rows))
 	}
@@ -157,7 +166,7 @@ func TestUpdateSearchConsistency(t *testing.T) {
 	}
 	recs = append(recs, appended...)
 	grown := buildFrom(v, recs)
-	tables = tables.Update(grown, changedEdges(grown, appended))
+	tables = tables.Update(grown, touchedBy(appended))
 
 	opts := Options{Engine: core.EngineLP}
 	for _, p := range []*Pattern{P1, P2, P3, P5, RP1, RP2, RP3} {
@@ -246,7 +255,10 @@ func TestMinPathsRelaxedChains(t *testing.T) {
 // build is the update in which every anchor is affected, so patching any
 // append forward must give exactly the freshly precomputed tables: same
 // rows in the same order, same edges, flows and arrival sequences bit for
-// bit.
+// bit. The tables are patched once across up to three appended batches,
+// from the union of their endpoints plus up to four random extra vertices:
+// the superset a server hands Update when the stamps it reads include
+// vertices touched after its pin.
 func FuzzTablesUpdate(f *testing.F) {
 	f.Add(int64(1), uint8(12), uint8(40), uint8(10))
 	f.Add(int64(2), uint8(3), uint8(0), uint8(6))
@@ -261,17 +273,29 @@ func FuzzTablesUpdate(f *testing.F) {
 		n.Finalize()
 		tables := Precompute(n, true)
 
-		items := make([]tin.BatchItem, appended)
+		var touched []tin.VertexID
 		at := math.Max(n.MaxTime(), 0)
-		for i := range items {
-			at += float64(rng.Intn(2)) // duplicate timestamps included
-			items[i] = tin.BatchItem{From: tin.VertexID(rng.Intn(v)), To: tin.VertexID(rng.Intn(v)), Time: at, Qty: float64(rng.Intn(9))}
+		for left, batches := int(appended), 1+rng.Intn(3); batches > 0; batches-- {
+			items := make([]tin.BatchItem, left)
+			if batches > 1 {
+				items = items[:rng.Intn(left+1)]
+			}
+			left -= len(items)
+			for i := range items {
+				at += float64(rng.Intn(2)) // duplicate timestamps included
+				items[i] = tin.BatchItem{From: tin.VertexID(rng.Intn(v)), To: tin.VertexID(rng.Intn(v)), Time: at, Qty: float64(rng.Intn(9))}
+			}
+			_, changed, err := n.AppendBatchDelta(items)
+			if err != nil {
+				t.Fatalf("append: %v", err)
+			}
+			touched = append(touched, endpoints(n, changed)...)
 		}
-		_, changed, err := n.AppendBatchDelta(items)
-		if err != nil {
-			t.Fatalf("append: %v", err)
+		for extra := rng.Intn(5); extra > 0; extra-- {
+			touched = append(touched, tin.VertexID(rng.Intn(v)))
 		}
-		updated, fresh := tables.Update(n, changed), Precompute(n, true)
+		slices.Sort(touched)
+		updated, fresh := tables.Update(n, slices.Compact(touched)), Precompute(n, true)
 		for _, c := range []struct {
 			name      string
 			got, want *Table

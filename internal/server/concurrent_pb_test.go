@@ -54,14 +54,13 @@ func TestPBQueriesDuringIngestMatchGB(t *testing.T) {
 	}
 
 	s := New(Config{CacheSize: 0, AllowIngest: true}) // cache off: every request computes
-	s.tableThreshold = 1 << 20                        // a reader stalled by the scheduler still patches, whatever it missed
 	if err := s.AddNetwork("live", buildNet(t, numV, all)); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	sh, _ := s.Store().Get("live")
-	tc := s.tablesFor(sh)
+	nd := s.derivedFor("live")
 	s.PrecomputeTables()
 	rebuilds := s.derived.tableRebuilds.Load()
 	patterns := []*pattern.Pattern{pattern.P2, pattern.P3, pattern.RP2}
@@ -118,7 +117,7 @@ func TestPBQueriesDuringIngestMatchGB(t *testing.T) {
 				}
 				turn.Lock()
 				sh.View(func(n *tin.Network, gen uint64) {
-					tables := tc.get(n, gen)
+					tables := nd.tablesAt(n, gen, &s.derived)
 					turn.Unlock()
 					for _, p := range patterns {
 						pb, err := pattern.SearchPB(n, tables, p, pattern.Options{})
@@ -181,12 +180,12 @@ func TestPBQueriesDuringIngestMatchGB(t *testing.T) {
 	// Keep the readers going until they have seen the final generation.
 	final := sh.Generation()
 	deadline := time.Now().Add(10 * time.Second)
-	for !tc.ready(final) && time.Now().Before(deadline) {
+	for !nd.ready(final) && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	close(stop)
 	wg.Wait()
-	if !tc.ready(final) {
+	if !nd.ready(final) {
 		t.Fatalf("no reader brought the tables to the final generation %d", final)
 	}
 

@@ -4,31 +4,31 @@ package server
 // be correct to throw away — memoized responses and PB path tables. Both
 // are tagged with the network generation they hold for, so they can never
 // serve a stale answer; this file is about keeping as much of them as
-// possible *warm* across ingests instead of rebuilding from scratch.
+// possible *warm* across ingests instead of recomputing it from scratch.
 //
 // The store's delta-bearing change notification (store.SubscribeDelta)
-// names the edges an ingest touched and their endpoint vertices. Two
-// consumers use it:
+// names the vertices an ingest touched. The notification only stamps them
+// into the network's derived record (netDerived): per vertex, the last
+// generation that touched it, and the last reindex. Everything else is read
+// off those stamps by whoever needs it:
 //
-//   - tableCache logs the changed edges per generation and patches the PB
-//     path tables forward with pattern.Tables.Update on the next query,
-//     falling back to a full pattern.Precompute when the delta is too
-//     large (tableUpdateThreshold), when a reindex re-ranked the
-//     edge order (Update's preconditions no longer hold), when the log
-//     misses a bump, or when no tables were built yet.
-//
-//   - stamps notes, per vertex, the last generation that touched it: a
-//     lookup serves a cached response across a bump iff no vertex of its
+//   - a lookup serves a cached response across a bump iff no vertex of its
 //     recorded read footprint (the vertex set the answer depended on) was
-//     touched since, instead of the whole network's cache dying with it.
+//     touched since, instead of the whole network's cache dying with it;
 //
-// Both are optimizations only: a dropped table cache rebuilds on the next
-// PB query, and a refused response recomputes on the spot. The writer's
-// share is O(delta), and nothing runs between an ingest and the next query.
+//   - a PB query whose pin is ahead of the cached tables patches them
+//     forward with pattern.Tables.Update over the vertices stamped since the
+//     tables' generation, and rebuilds with pattern.Precompute only when
+//     there are no tables yet, when a reindex re-ranked the canonical order
+//     since (Update's preconditions no longer hold), or when it is pinned
+//     below the cached tables.
+//
+// Both are optimizations only: a refused response recomputes on the spot,
+// and rebuilt tables equal patched ones. The writer's share is O(delta), and
+// nothing runs between an ingest and the next query.
 
 import (
 	"maps"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -37,23 +37,11 @@ import (
 	"flownet/internal/tin"
 )
 
-const (
-	// tableUpdateThreshold is the changed-edge count above which the
-	// accumulated delta is abandoned and the next PB query rebuilds the
-	// tables from scratch. Update cost scales with the affected-anchor
-	// neighborhoods, rebuild cost with the whole network; for deltas past a
-	// few hundred edges the bookkeeping stops paying for itself on the
-	// networks the benchmarks model. (Tests set Server.tableThreshold:
-	// negative disables incremental updates entirely.)
-	tableUpdateThreshold = 256
-
-	// maxFootprintVertices caps the per-entry footprint recorded with a
-	// cached response. A footprint this large means the answer read a big
-	// slice of the network — retention would rarely succeed and the
-	// stamp compares would be slow — so the entry falls back to
-	// stale-on-change (nil footprint).
-	maxFootprintVertices = 1024
-)
+// maxFootprintVertices caps the per-entry footprint recorded with a cached
+// response. A footprint this large means the answer read a big slice of the
+// network — retention would rarely succeed and the stamp compares would be
+// slow — so the entry falls back to stale-on-change (nil footprint).
+const maxFootprintVertices = 1024
 
 // cachedResponse is one memoized response body, the generation it was
 // computed at and the read footprint its freshness is judged by (see
@@ -85,202 +73,12 @@ func clampFootprint(foot []tin.VertexID) []tin.VertexID {
 	return foot
 }
 
-// ---- warm PB path tables ----------------------------------------------
+// ---- stamps -----------------------------------------------------------
 
-// tableDelta is one entry of a tableCache's change log: what the bumps of
-// generations (from, gen] did to the network. A single bump has from ==
-// gen-1 and lists its changed edges; full marks a range the tables cannot
-// be patched across — a reindex re-ranked the canonical order, or the log
-// outgrew tableLogLimit and was collapsed.
-type tableDelta struct {
-	from, gen uint64
-	edges     []tin.EdgeID
-	full      bool
-}
-
-// tableLogLimit caps the edge ids a change log holds (an empty delta
-// counts as one). A network that keeps ingesting while nobody asks a PB
-// question must not grow the log without bound: past the limit the log
-// collapses into one full entry and the next PB query rebuilds.
-const tableLogLimit = 16 * tableUpdateThreshold
-
-// tableCache is one network's lazily built, generation-tagged PB path
-// tables, kept warm across ingests. Readers are not held up by writers (a
-// version is pinned, not locked), so a delta can arrive while a reader
-// pinned at an older generation is still building — its first build
-// included. The cache therefore logs every delta it is told of, tagged
-// with its generation, and a reader pinned at generation g brings the
-// tables to g with exactly the entries in (tables' generation, g] —
-// pattern.Tables.Update when they are few enough (srv.tableThreshold), a
-// rebuild otherwise — leaving later entries for later readers. The tables
-// are only ever patched across a range the log covers without a gap: a
-// bump the cache was never told of (it is created lazily, by the first
-// reader) rebuilds, it is never skipped.
-//
-// The build runs outside tc.mu under a single-flight guard (building +
-// cond), so concurrent first queries run one build — not one each — and
-// ready() keeps answering (for /stats and /networks) meanwhile. Only a
-// reader that moves the tables forward installs them: one pinned below the
-// cached tables has nothing to patch from, builds its own from scratch and
-// installs nothing — it is holding a version at least one complete table
-// refresh old.
-type tableCache struct {
-	srv  *Server
-	mu   sync.Mutex
-	cond *sync.Cond
-	// building marks an in-progress build that will move gen forward;
-	// readers the cached tables do not serve yet sleep on cond.
-	building bool
-	tables   pattern.Tables
-	// gen is the generation the cached tables are current for; 0 means
-	// never built.
-	gen uint64
-	// log holds the deltas past gen in ascending order, logged holds their
-	// size against tableLogLimit.
-	log    []tableDelta
-	logged int
-}
-
-// recordDelta logs one generation bump. Called from the store's change
-// notification, before the bumped version is published — so the entry is
-// in the log before any reader can be pinned at gen.
-func (tc *tableCache) recordDelta(gen uint64, d store.Delta) {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	if last := len(tc.log) - 1; last >= 0 && tc.log[last].full {
-		tc.log[last].gen = gen // already resigned to a rebuild across this range
-		return
-	}
-	tc.logged += max(1, len(d.Edges))
-	if d.Full || tc.logged > tableLogLimit {
-		from := gen - 1
-		if len(tc.log) > 0 {
-			from = tc.log[0].from
-		}
-		tc.log = append(tc.log[:0], tableDelta{from: from, gen: gen, full: true})
-		tc.logged = 0
-		return
-	}
-	tc.log = append(tc.log, tableDelta{from: gen - 1, gen: gen, edges: d.Edges})
-}
-
-// plan says how to bring the cached tables to generation gen > tc.gen: the
-// distinct changed edges of (tc.gen, gen] in ascending order, or rebuild
-// when there are no tables yet, updates are disabled, the delta is over
-// the threshold, or the log does not lead from tc.gen to gen one patchable
-// entry after the other. Callers hold tc.mu.
-func (tc *tableCache) plan(gen uint64) (changed []tin.EdgeID, rebuild bool) {
-	threshold := tc.srv.tableThreshold
-	if tc.gen == 0 || threshold < 0 {
-		return nil, true
-	}
-	at := tc.gen // the generation the entries read so far lead to
-	for _, d := range tc.log {
-		if at == gen {
-			break
-		}
-		if d.full || d.from != at {
-			return nil, true
-		}
-		changed = append(changed, d.edges...)
-		at = d.gen
-	}
-	if at != gen {
-		return nil, true // the log ends short: a bump recorded by nobody
-	}
-	slices.Sort(changed)
-	changed = slices.Compact(changed)
-	return changed, len(changed) > threshold
-}
-
-// get returns the PB path tables for generation gen of n (with the C2
-// chain table included, so every catalogue pattern has a PB plan). Callers
-// must hold a pin on n, and gen must be the generation it was pinned at.
-//
-// When the cached tables lag, get patches them forward with Update if the
-// logged delta qualifies (counted in derived.tableUpdates), else rebuilds
-// from scratch (derived.tableRebuilds). Concurrent callers single-flight:
-// one builds, those it may serve wait on cond and reuse the result.
-func (tc *tableCache) get(n *tin.Network, gen uint64) pattern.Tables {
-	tc.mu.Lock()
-	for tc.building && tc.gen < gen {
-		tc.cond.Wait()
-	}
-	if tc.gen >= gen {
-		t, stale := tc.tables, tc.gen > gen
-		tc.mu.Unlock()
-		if stale {
-			// Pinned below the cached tables: what it builds is its own.
-			tc.srv.derived.tableRebuilds.Add(1)
-			return pattern.Precompute(n, true)
-		}
-		return t
-	}
-	prev := tc.tables
-	changed, rebuild := tc.plan(gen)
-	tc.building = true
-	tc.mu.Unlock()
-
-	// Build outside the mutex: ready() and concurrent getters must not
-	// block behind a long Precompute.
-	var tables pattern.Tables
-	switch {
-	case rebuild:
-		tables = pattern.Precompute(n, true)
-		tc.srv.derived.tableRebuilds.Add(1)
-	case len(changed) == 0:
-		// Growth-only bumps (new isolated vertices): no edge changed, the
-		// tables are already correct — just retag them.
-		tables = prev
-		tc.srv.derived.tableUpdates.Add(1)
-	default:
-		tables = prev.Update(n, changed)
-		tc.srv.derived.tableUpdates.Add(1)
-	}
-
-	tc.mu.Lock()
-	tc.tables, tc.gen = tables, gen
-	tc.log = slices.DeleteFunc(tc.log, func(d tableDelta) bool { return d.gen <= gen })
-	tc.logged = 0
-	for _, d := range tc.log {
-		tc.logged += max(1, len(d.edges))
-	}
-	tc.building = false
-	tc.cond.Broadcast()
-	tc.mu.Unlock()
-	return tables
-}
-
-// ready reports whether the cached tables match generation gen. It never
-// blocks behind an in-progress build.
-func (tc *tableCache) ready(gen uint64) bool {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	return tc.gen == gen
-}
-
-// tablesFor returns (lazily creating) the table cache of a shard. Caches
-// are keyed by network name — the same key the store's change notification
-// delivers — so deltas reach the right cache.
-func (s *Server) tablesFor(sh *store.Shard) *tableCache {
-	s.tablesMu.Lock()
-	defer s.tablesMu.Unlock()
-	tc, ok := s.tables[sh.Name()]
-	if !ok {
-		tc = &tableCache{srv: s}
-		tc.cond = sync.NewCond(&tc.mu)
-		s.tables[sh.Name()] = tc
-	}
-	return tc
-}
-
-// ---- response-cache freshness -----------------------------------------
-
-// stamps is one network's invalidation record: which generation last
-// changed what. The store's change notification writes it, on the writer's
-// goroutine and before the bumped version is published, so a reader pinned
-// at generation g sees every stamp up to g — the ordering that lets
-// tableCache keep an exact log. Lookups only load.
+// stamps records which generation last changed what. The store's change
+// notification writes them, on the writer's goroutine and before the bumped
+// version is published, so a reader pinned at generation g sees every stamp
+// up to g. Readers only load.
 type stamps struct {
 	// touched[v] is the last generation whose delta had v as an endpoint of
 	// a changed edge; a vertex beyond the table reads as 0. The table grows
@@ -342,35 +140,114 @@ func (st *stamps) fresh(e cachedResponse, gen uint64) bool {
 	return true
 }
 
-// stampsFor returns (creating it on first use) the stamps of a network.
-// Readers and the change notification both come through here, so no bump
-// is stamped nowhere; the map is copy-on-write, so neither takes a lock.
-func (s *Server) stampsFor(name string) *stamps {
-	for {
-		old := s.stamps.Load()
-		if st := (*old)[name]; st != nil {
-			return st
+// touchedSince lists, ascending, the vertices below numV stamped above gen.
+// It may include vertices touched after the caller's pin, which Update
+// recomputes from the pinned network like any other.
+func (st *stamps) touchedSince(gen uint64, numV int) []tin.VertexID {
+	t := *st.touched.Load()
+	var out []tin.VertexID
+	for v := range min(len(t), numV) {
+		if t[v].Load() > gen {
+			out = append(out, tin.VertexID(v))
 		}
-		st := &stamps{}
-		st.touched.Store(new([]atomic.Uint64))
+	}
+	return out
+}
+
+// ---- the per-network record --------------------------------------------
+
+// netDerived is one network's derived record: its stamps, and its PB path
+// tables with the generation they are current for.
+type netDerived struct {
+	stamps
+	// tables is nil until the first build. It is replaced, never modified,
+	// so a reader at the cached generation needs nothing but the load.
+	tables atomic.Pointer[genTables]
+	// mu is held by the one reader that moves the tables forward (advance);
+	// readers the cached tables do not serve yet queue behind it and reuse
+	// what it installs, so concurrent first queries run one build.
+	mu sync.Mutex
+}
+
+// genTables is a set of PB path tables (with the C2 chain table, so every
+// catalogue pattern has a PB plan) and the generation they are current for.
+type genTables struct {
+	gen    uint64
+	tables pattern.Tables
+}
+
+// ready reports whether the cached tables are current for generation gen.
+func (nd *netDerived) ready(gen uint64) bool {
+	c := nd.tables.Load()
+	return c != nil && c.gen == gen
+}
+
+// tablesAt returns the PB path tables for generation gen of n. Callers
+// must hold a pin on n, and gen must be the generation it was pinned at.
+//
+// Cached tables at an older generation t are patched to gen with Update
+// over the vertices stamped above t (counted in ds.tableUpdates). A rebuild
+// (ds.tableRebuilds) runs only when there are no tables yet or a reindex
+// came after t. A reader pinned below the cached tables builds its own
+// outside the mutex and installs nothing: it is holding a version at least
+// one complete table refresh old.
+func (nd *netDerived) tablesAt(n *tin.Network, gen uint64, ds *derivedStats) pattern.Tables {
+	c := nd.tables.Load()
+	if c == nil || c.gen < gen {
+		c = nd.advance(n, gen, ds)
+	}
+	if c.gen == gen {
+		return c.tables
+	}
+	ds.tableRebuilds.Add(1)
+	return pattern.Precompute(n, true)
+}
+
+// advance brings the cached tables to generation gen of n, unless another
+// reader moved them there or past it while this one queued, and returns
+// what is cached then.
+func (nd *netDerived) advance(n *tin.Network, gen uint64, ds *derivedStats) *genTables {
+	nd.mu.Lock()
+	defer nd.mu.Unlock()
+	c := nd.tables.Load()
+	if c != nil && c.gen >= gen {
+		return c
+	}
+	next := &genTables{gen: gen}
+	if c == nil || nd.floor.Load() > c.gen {
+		next.tables = pattern.Precompute(n, true)
+		ds.tableRebuilds.Add(1)
+	} else {
+		next.tables = c.tables.Update(n, nd.touchedSince(c.gen, n.NumVertices()))
+		ds.tableUpdates.Add(1)
+	}
+	nd.tables.Store(next)
+	return next
+}
+
+// derivedFor returns (creating it on first use) the derived record of a
+// network. Readers and the change notification both come through here, so
+// no bump is stamped nowhere; the map is copy-on-write, so neither takes a
+// lock.
+func (s *Server) derivedFor(name string) *netDerived {
+	for {
+		old := s.nets.Load()
+		if nd := (*old)[name]; nd != nil {
+			return nd
+		}
+		nd := &netDerived{}
+		nd.touched.Store(new([]atomic.Uint64))
 		next := maps.Clone(*old)
-		next[name] = st
-		if s.stamps.CompareAndSwap(old, &next) {
-			return st
+		next[name] = nd
+		if s.nets.CompareAndSwap(old, &next) {
+			return nd
 		}
 	}
 }
 
 // onStoreDelta is the store's change notification (fired on the writer's
-// goroutine, before the bumped version is published): it logs the delta
-// with the table cache and stamps it for the response cache, both in
-// O(delta) whatever the cache holds.
+// goroutine, before the bumped version is published): it stamps the delta,
+// in O(delta) whatever the caches hold.
 func (s *Server) onStoreDelta(name string, gen uint64, d store.Delta) {
-	s.tablesMu.Lock()
-	tc := s.tables[name]
-	s.tablesMu.Unlock()
-	if tc != nil {
-		tc.recordDelta(gen, d)
-	}
-	s.stampsFor(name).record(gen, d)
+	s.derivedFor(name).record(gen, d)
 }

@@ -273,7 +273,7 @@ var freshSink bool
 // its worst: a footprint at the cap, every vertex of it inside the table
 // and none of them touched, so all 1 024 are loaded and compared.
 func TestFreshCheckBudget(t *testing.T) {
-	st := New(Config{}).stampsFor("live")
+	st := New(Config{}).derivedFor("live")
 	e := cachedResponse{gen: 1, foot: make([]tin.VertexID, maxFootprintVertices)}
 	for i := range e.foot {
 		e.foot[i] = tin.VertexID(2 * i)
@@ -327,8 +327,8 @@ func TestTablesUpdatedNotRebuilt(t *testing.T) {
 		t.Fatalf("after first PB query: %+v, want exactly one rebuild", d)
 	}
 
-	// A small append (2 changed edges, far under the threshold): the next
-	// PB query must update, not rebuild, and see the new 2-cycle.
+	// A small append (2 changed edges): the next PB query must update, not
+	// rebuild, and see the new 2-cycle.
 	post(t, ts, "/ingest", IngestRequest{Network: "live", Interactions: []IngestInteraction{
 		{From: 2, To: 3, Time: 3, Qty: 5}, {From: 3, To: 2, Time: 4, Qty: 4},
 	}}, nil)
@@ -351,48 +351,10 @@ func TestTablesUpdatedNotRebuilt(t *testing.T) {
 	}
 }
 
-// TestTableThresholdDisables checks the update threshold's two
-// fallbacks: a negative threshold always rebuilds, and a delta larger than
-// the threshold falls back to a rebuild too.
-func TestTableThresholdDisables(t *testing.T) {
-	run := func(threshold int, ingest []IngestInteraction, wantUpdates, wantRebuilds uint64) {
-		t.Helper()
-		s := New(Config{CacheSize: 64, AllowIngest: true})
-		s.tableThreshold = threshold
-		if err := s.AddNetwork("live", buildNet(t, 8, []tin.BatchItem{
-			{From: 0, To: 1, Time: 1, Qty: 5},
-			{From: 1, To: 0, Time: 2, Qty: 4},
-		})); err != nil {
-			t.Fatal(err)
-		}
-		ts := httptest.NewServer(s.Handler())
-		t.Cleanup(ts.Close)
-		get(t, ts, "/patterns?net=live&pattern=P2&mode=pb", nil)
-		post(t, ts, "/ingest", IngestRequest{Network: "live", Interactions: ingest}, nil)
-		get(t, ts, "/patterns?net=live&pattern=P2&mode=pb", nil)
-		if d := derivedStatsOf(t, ts); d.TableUpdates != wantUpdates || d.TableRebuilds != wantRebuilds {
-			t.Fatalf("threshold %d: derived stats %+v, want %d updates / %d rebuilds",
-				threshold, d, wantUpdates, wantRebuilds)
-		}
-	}
-
-	small := []IngestInteraction{{From: 2, To: 3, Time: 3, Qty: 5}}
-	// Negative threshold: incremental updates disabled outright.
-	run(-1, small, 0, 2)
-	// Threshold 1 with a 3-edge delta: over the limit, rebuild.
-	run(1, []IngestInteraction{
-		{From: 2, To: 3, Time: 3, Qty: 5},
-		{From: 3, To: 4, Time: 4, Qty: 5},
-		{From: 4, To: 5, Time: 5, Qty: 5},
-	}, 0, 2)
-	// Threshold 1 with a 1-edge delta: update.
-	run(1, small, 1, 1)
-}
-
 // TestTableBuildSingleFlight is the regression for the doubled first
-// build: tableCache.get used to run pattern.Precompute under no build
+// build: the table cache used to run pattern.Precompute under no build
 // lock, so N concurrent first PB queries ran N full precomputes. The
-// single-flight guard must collapse them into exactly one build.
+// record's mutex must collapse them into exactly one build.
 func TestTableBuildSingleFlight(t *testing.T) {
 	s, ts, _ := newTestServer(t, Config{CacheSize: 0}) // cache off: every request computes
 	const concurrent = 8
@@ -438,16 +400,15 @@ func pbEqualsGB(t *testing.T, n *tin.Network, tables pattern.Tables, what string
 // writers do not wait for them, so the reader that runs the *first* build
 // may hold a generation the network has already left. The bump it missed
 // must not be lost: the next reader has to get tables that know the new
-// edge — patched forward when the cache saw the delta, rebuilt when the
-// cache did not exist yet — never the first reader's tables retagged.
+// edge — patched forward from the vertices the bump stamped — never the
+// first reader's tables retagged.
 func TestFirstTableBuildBelowCurrentGeneration(t *testing.T) {
 	for _, c := range []struct {
-		name                      string
-		cacheExists               bool
-		wantUpdates, wantRebuilds uint64
+		name          string
+		derivedBefore bool
 	}{
-		{"delta logged before the first build", true, 1, 1},
-		{"cache created after the bump", false, 0, 2},
+		{"delta logged before the first build", true},
+		{"cache created after the bump", false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			s := New(Config{AllowIngest: true})
@@ -455,16 +416,16 @@ func TestFirstTableBuildBelowCurrentGeneration(t *testing.T) {
 				t.Fatal(err)
 			}
 			sh, _ := s.Store().Get("live")
-			if c.cacheExists {
-				s.tablesFor(sh)
+			if c.derivedBefore {
+				s.derivedFor("live")
 			}
 			old, oldGen, release := sh.Acquire()
 			// Close a 2-cycle while the first reader is still on its way.
 			if _, err := sh.Append([]store.Item{{From: 1, To: 0, Time: 2, Qty: 4}}, store.Options{}); err != nil {
 				t.Fatal(err)
 			}
-			tc := s.tablesFor(sh)
-			if got := pbEqualsGB(t, old, tc.get(old, oldGen), "first reader"); got != 0 {
+			nd := s.derivedFor("live")
+			if got := pbEqualsGB(t, old, nd.tablesAt(old, oldGen, &s.derived), "first reader"); got != 0 {
 				t.Fatalf("first reader's version has %d P2 instances, want 0", got)
 			}
 			release()
@@ -472,12 +433,13 @@ func TestFirstTableBuildBelowCurrentGeneration(t *testing.T) {
 				if gen != oldGen+1 {
 					t.Fatalf("generation %d after one append to %d", gen, oldGen)
 				}
-				if got := pbEqualsGB(t, n, tc.get(n, gen), "next reader"); got != 2 {
+				if got := pbEqualsGB(t, n, nd.tablesAt(n, gen, &s.derived), "next reader"); got != 2 {
 					t.Fatalf("next reader sees %d P2 instances, want the new 2-cycle from both anchors", got)
 				}
 			})
-			if u, r := s.derived.tableUpdates.Load(), s.derived.tableRebuilds.Load(); u != c.wantUpdates || r != c.wantRebuilds {
-				t.Fatalf("%d updates, %d rebuilds; want %d and %d", u, r, c.wantUpdates, c.wantRebuilds)
+			// Stamps exist from the first notification, so both orders patch.
+			if u, r := s.derived.tableUpdates.Load(), s.derived.tableRebuilds.Load(); u != 1 || r != 1 {
+				t.Fatalf("%d updates, %d rebuilds; want 1 and 1", u, r)
 			}
 		})
 	}
@@ -492,27 +454,27 @@ func TestReaderBelowCachedTablesBuildsItsOwn(t *testing.T) {
 		t.Fatal(err)
 	}
 	sh, _ := s.Store().Get("live")
-	tc := s.tablesFor(sh)
+	nd := s.derivedFor("live")
 	old, oldGen, release := sh.Acquire()
 	defer release()
 	if _, err := sh.Append([]store.Item{{From: 1, To: 0, Time: 2, Qty: 4}}, store.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	s.PrecomputeTables()
-	if !tc.ready(oldGen+1) || s.derived.tableRebuilds.Load() != 1 {
+	if !nd.ready(oldGen+1) || s.derived.tableRebuilds.Load() != 1 {
 		t.Fatalf("tables not built once at generation %d", oldGen+1)
 	}
-	if got := pbEqualsGB(t, old, tc.get(old, oldGen), "reader below the cached tables"); got != 0 {
+	if got := pbEqualsGB(t, old, nd.tablesAt(old, oldGen, &s.derived), "reader below the cached tables"); got != 0 {
 		t.Fatalf("old version has %d P2 instances, want 0", got)
 	}
-	if !tc.ready(oldGen + 1) {
+	if !nd.ready(oldGen + 1) {
 		t.Fatal("a reader below the cached tables installed what it built")
 	}
 	if got := s.derived.tableRebuilds.Load(); got != 2 {
 		t.Fatalf("%d rebuilds, want 2 (the old reader's own)", got)
 	}
 	sh.View(func(n *tin.Network, gen uint64) {
-		if got := pbEqualsGB(t, n, tc.get(n, gen), "current reader"); got != 2 {
+		if got := pbEqualsGB(t, n, nd.tablesAt(n, gen, &s.derived), "current reader"); got != 2 {
 			t.Fatalf("current reader sees %d P2 instances, want the 2-cycle from both anchors", got)
 		}
 	})

@@ -31,7 +31,6 @@ func TestDifferentialIncrementalVsRebuild(t *testing.T) {
 	tm := 10.0
 
 	inc := New(Config{CacheSize: 256, AllowIngest: true})
-	inc.tableThreshold = 4 // small, so the over-threshold rebuild path runs too
 	if err := inc.AddNetwork("diff", buildNet(t, numV, nil)); err != nil {
 		t.Fatal(err)
 	}

@@ -30,9 +30,10 @@
 // a lookup serves a memoized response only if the stamps prove its recorded
 // read footprint missed every ingested edge since (and recomputes it
 // otherwise), and the lazily built pattern tables are patched forward with
-// pattern.Tables.Update for small deltas instead of being rebuilt from
-// scratch. See derived.go for the machinery and /stats "derived" for the
-// update/rebuild and retained/purged counters.
+// pattern.Tables.Update over the vertices stamped since they were built,
+// rebuilt from scratch only after a reindex. See derived.go for the
+// machinery and /stats "derived" for the update/rebuild and
+// retained/purged counters.
 package server
 
 import (
@@ -48,7 +49,6 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -132,23 +132,16 @@ type Server struct {
 	inflight chan struct{}
 	panics   atomic.Uint64
 
-	// tableThreshold is the changed-edge count up to which stale PB tables
-	// are patched forward instead of rebuilt (tableUpdateThreshold; a field
-	// so in-package tests can lower or disable it); derived holds the
-	// update/rebuild and retained/purged counters (see derived.go).
-	tableThreshold int
-	derived        derivedStats
+	// derived holds the update/rebuild and retained/purged counters (see
+	// derived.go).
+	derived derivedStats
 
-	// tables caches the lazily built PB path tables per network name. This
-	// is derived, rebuildable state — the store owns the networks
-	// themselves.
-	tablesMu sync.Mutex
-	tables   map[string]*tableCache
-
-	// stamps holds, per network name, what each generation bump touched:
-	// what cached responses are judged fresh by (see derived.go). The map is
+	// nets holds, per network name, the derived record: what each
+	// generation bump touched, which cached responses are judged fresh by,
+	// and the lazily built PB path tables (see derived.go). This is
+	// rebuildable state — the store owns the networks themselves. The map is
 	// replaced, never modified, so lookups read it without a lock.
-	stamps atomic.Pointer[map[string]*stamps]
+	nets atomic.Pointer[map[string]*netDerived]
 }
 
 // routes lists every instrumented endpoint, in /stats display order.
@@ -157,8 +150,9 @@ var routes = []string{"/flow", "/flow/batch", "/patterns", "/ingest", "/networks
 // New creates a server over cfg.Store (or a fresh in-memory store when
 // nil). Every change the store accepts — from this server's /ingest or
 // from any other store client — drives that network's derived state: the
-// PB table cache accumulates the changed edges and the touched vertices
-// are stamped for the response cache (see derived.go). The subscription
+// touched vertices are stamped, which the response cache judges freshness
+// by and the PB tables are patched forward from (see derived.go). The
+// subscription
 // lasts for the store's lifetime (store.SubscribeDelta has no
 // unsubscribe), so create at most one server per store and let them share
 // that lifetime; a discarded server would otherwise stay pinned by the
@@ -174,11 +168,8 @@ func New(cfg Config) *Server {
 		cache:   cache.New[string, cachedResponse](cfg.CacheSize),
 		started: time.Now(),
 		metrics: make(map[string]*endpointMetrics, len(routes)),
-		tables:  make(map[string]*tableCache),
-
-		tableThreshold: tableUpdateThreshold,
 	}
-	s.stamps.Store(&map[string]*stamps{})
+	s.nets.Store(&map[string]*netDerived{})
 	st.SubscribeDelta(s.onStoreDelta)
 	for _, r := range routes {
 		s.metrics[r] = newEndpointMetrics()
@@ -223,9 +214,9 @@ func (s *Server) Store() *store.Store { return s.store }
 // network (they are otherwise built on the first /patterns?mode=pb query).
 func (s *Server) PrecomputeTables() {
 	for _, sh := range s.store.Shards() {
-		tc := s.tablesFor(sh)
+		nd := s.derivedFor(sh.Name())
 		sh.View(func(n *tin.Network, gen uint64) {
-			tc.get(n, gen)
+			nd.tablesAt(n, gen, &s.derived)
 		})
 	}
 }
@@ -391,7 +382,7 @@ func (s *Server) answerQuery(ctx context.Context, route, kind string, sh *store.
 	// Kinds and network names never contain '|', so keys of different
 	// routes or networks cannot collide whatever the query part holds.
 	key := kind + "|" + sh.Name() + "|" + query
-	if hit, ok := s.serveCached(route, key, s.stampsFor(sh.Name()), gen); ok {
+	if hit, ok := s.serveCached(route, key, &s.derivedFor(sh.Name()).stamps, gen); ok {
 		return hit
 	}
 	// An expired deadline fails fast instead of burning a worker on an
@@ -752,7 +743,7 @@ func (s *Server) handlePatterns(w http.ResponseWriter, r *http.Request) {
 			var sum pattern.Summary
 			var err error
 			if mode == "pb" {
-				sum, err = pattern.SearchPB(n, s.tablesFor(sh).get(n, gen), p, opts)
+				sum, err = pattern.SearchPB(n, s.derivedFor(sh.Name()).tablesAt(n, gen, &s.derived), p, opts)
 			} else {
 				sum, err = pattern.SearchGB(n, p, opts)
 			}
@@ -852,7 +843,7 @@ func (s *Server) networkInfos() map[string]NetworkInfo {
 	shs := s.store.Shards()
 	infos := make(map[string]NetworkInfo, len(shs))
 	for _, sh := range shs {
-		tc := s.tablesFor(sh)
+		nd := s.derivedFor(sh.Name())
 		// One View, so the network's numbers and its generation belong to
 		// one version (Pending is the current version's, which an ingest
 		// in flight may already have moved on).
@@ -870,7 +861,7 @@ func (s *Server) networkInfos() map[string]NetworkInfo {
 				Interactions:        st.Interactions,
 				AvgQty:              st.AvgQty,
 				MaxTime:             mt,
-				TablesReady:         tc.ready(gen),
+				TablesReady:         nd.ready(gen),
 				Generation:          gen,
 				PendingInteractions: sh.Pending(),
 			}
@@ -944,11 +935,11 @@ func (s *Server) handleCreateNetwork(w http.ResponseWriter, r *http.Request) {
 // when Reindex is set). The store both makes the batch durable (WAL, on a
 // durable store) and drives the derived state: its delta-bearing change
 // notification fires for every append that changed what queries can
-// observe, feeding the PB table cache's change log and stamping the
-// touched vertices, by which later lookups tell the cached answers the
-// delta provably missed (still served) from the rest (recomputed in
-// place) — that network's only. The request does nothing else for the
-// cache: its cost does not depend on what the cache holds.
+// observe and stamps the touched vertices, by which later lookups tell the
+// cached answers the delta provably missed (still served) from the rest
+// (recomputed in place), and the next PB query knows which table rows to
+// recompute — that network's only. The request does nothing else for the
+// derived state: its cost does not depend on what the caches hold.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	var req IngestRequest
 	if !decodeBody(w, r, &req) {

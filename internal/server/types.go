@@ -150,9 +150,11 @@ type NetworkInfo struct {
 	// empty). Ingest clients — cmd/flowload's writers among them — start
 	// their timestamps here to append in order without a probe write.
 	MaxTime float64 `json:"max_time,omitempty"`
-	// TablesReady reports whether the PB path tables have been built for
-	// the network's current generation (they are precomputed lazily on the
-	// first /patterns?mode=pb query and invalidated by ingestion).
+	// TablesReady reports whether the PB path tables are current for the
+	// network's current generation. They are built on the first
+	// /patterns?mode=pb query; after an ingest, the next one patches them
+	// forward over the vertices the ingest touched (rebuilds them after a
+	// reindex), and until then they are not ready.
 	TablesReady bool `json:"tables_ready"`
 	// Generation is the network's current generation (starts at 1, bumped
 	// by every ingest that changes query results).
@@ -209,8 +211,10 @@ type StoreStats struct {
 }
 
 // DerivedStats counts how the server maintained its derived state across
-// ingests: whether stale PB path tables were patched forward
-// (table_updates) or rebuilt from scratch (table_rebuilds), and how many
+// ingests: whether stale PB path tables were patched forward over the
+// vertices stamped since they were built (table_updates) or built from
+// scratch — the first build, the first after a reindex, and one for a
+// reader pinned below the cached tables (table_rebuilds) — and how many
 // lookups served a cached response computed at an earlier generation,
 // proved fresh by its footprint (cache_retained), versus found one and
 // refused it as stale (cache_purged). Both move on the lookup, not on the

@@ -88,19 +88,17 @@ type Result struct {
 // derived state (pattern tables, memoized query answers) to be maintained
 // incrementally instead of rebuilt. Exactly one of three shapes occurs:
 //
-//   - An append: Edges lists the distinct ids of edges that are new or
-//     received new interactions, Vertices their distinct endpoints, both
-//     ascending. Existing edge ids and the relative canonical order of
-//     existing interactions are preserved, which is the precondition of
-//     pattern.Tables.Update.
-//   - A reindex: Full is true and Edges/Vertices are nil. The canonical
-//     order was re-ranked wholesale, so per-edge deltas cannot describe the
-//     change — consumers must rebuild.
-//   - A vertex growth: Full is false and Edges/Vertices are empty. The new
+//   - An append: Vertices lists, ascending, the distinct endpoints of the
+//     edges that are new or received new interactions. Existing edge ids
+//     and the relative canonical order of existing interactions are
+//     preserved, which is the precondition of pattern.Tables.Update.
+//   - A reindex: Full is true and Vertices is nil. The canonical order was
+//     re-ranked wholesale, so touched vertices cannot describe the change —
+//     consumers must rebuild.
+//   - A vertex growth: Full is false and Vertices is empty. The new
 //     vertices are isolated, so edge-derived state is unaffected, but the
 //     vertex count itself is query-observable.
 type Delta struct {
-	Edges    []tin.EdgeID
 	Vertices []tin.VertexID
 	Full     bool
 }
@@ -241,7 +239,7 @@ type draft struct {
 // observed before its notification: a reader that pins generation g is
 // guaranteed the subscribers already ran for every bump up to and
 // including g, which is what lets delta consumers keep an exact
-// per-generation change log.
+// per-generation record of what changed.
 func (d *draft) bump(delta Delta) {
 	d.gen++
 	d.sh.store.notify(d.sh.name, d.gen, delta)
@@ -349,13 +347,13 @@ func (d *draft) append(items []Item, opts Options) (out outcome, err error) {
 	d.sh.pending = append(d.sh.pending, parked...)
 	out.Appended, out.Deferred, out.Skipped = appended, len(parked), skipped
 	if appended > 0 {
-		d.bump(Delta{Edges: changed, Vertices: endpointsOf(next, changed)})
+		d.bump(Delta{Vertices: endpointsOf(next, changed)})
 	}
 	return out, nil
 }
 
 // endpointsOf flattens the changed edges' endpoints into a distinct,
-// ascending vertex list — the touched-vertex side of an append Delta.
+// ascending vertex list — an append Delta's touched vertices.
 func endpointsOf(n *tin.Network, edges []tin.EdgeID) []tin.VertexID {
 	if len(edges) == 0 {
 		return nil

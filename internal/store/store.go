@@ -265,12 +265,12 @@ func (s *Store) abortOpen() {
 // *before* the bumped version is published: they must be fast and must not
 // query the store. Because of that order, a reader that pins generation g
 // has a guarantee that the callback already ran for every bump up to g —
-// delta consumers can therefore keep an exact per-network change log with
-// no gaps. Readers are not held up meanwhile: one pinned at an older
-// generation may be running while the callback records a newer delta, so a
-// consumer must tag what it records with the generation. Recovery replay
-// does not notify (it happens
-// before SubscribeDelta can be called on the returned store).
+// delta consumers can therefore keep an exact per-network record of what
+// changed with no gaps. Readers are not held up meanwhile: one pinned at an
+// older generation may be running while the callback records a newer
+// delta, so a consumer must tag what it records with the generation.
+// Recovery replay does not notify (it happens before SubscribeDelta can be
+// called on the returned store).
 // Subscriptions last for the store's lifetime — there is no unsubscribe —
 // so a subscriber must live as long as the store (one Server per Store, as
 // cmd/flownetd does).

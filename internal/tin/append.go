@@ -486,9 +486,9 @@ func (n *Network) AppendBatch(items []BatchItem) (int, error) {
 // new or received new interactions. Because appends preserve existing edge
 // ids and the relative canonical order of existing interactions, the
 // returned delta is exactly what incremental derived-state maintenance
-// needs — pattern.Tables.Update takes it verbatim, and the endpoints of the
-// changed edges bound which cached query answers can differ on the new
-// network state.
+// needs: the endpoints of the changed edges are the touched vertices
+// pattern.Tables.Update takes, and they bound which cached query answers
+// can differ on the new network state.
 func (n *Network) AppendBatchDelta(items []BatchItem) (int, []EdgeID, error) {
 	next, appended, changed, err := n.WithBatch(items)
 	if err != nil {
