@@ -21,8 +21,9 @@
 // generation, so stale answers are never replayed. Ingests carry their
 // delta: cached answers whose read footprint provably missed the changed
 // edges survive the bump, and stale PB pattern tables are patched forward
-// incrementally when at most 256 edges changed (rebuilt from scratch
-// otherwise). -workers bounds every worker pool.
+// over the vertices that every ingest since their build stamped, whatever
+// the delta's size (rebuilt in full only after a reindex). -workers
+// bounds every worker pool.
 // With -allow-ingest the service may start with no -net at all and be
 // populated entirely over HTTP.
 //

@@ -74,11 +74,8 @@ type BatchItem struct {
 // are never written); the runs they point at — edge sequences and adjacency
 // runs — are shared along the line of versions and only ever grow past the
 // length an older version's table records, so sharing them is safe and an
-// append to a run with spare capacity copies nothing.
-//
-// A network under construction (network.go) is the degenerate case: one
-// tail over an empty base — every edge is fresh, every run its own — that
-// its single owner writes in place until Finalize folds it.
+// append to a run with spare capacity copies nothing. Only a finalized
+// network has a tail: one under construction is a builder (network.go).
 type tail struct {
 	// slots finds a base edge's or a vertex's entry in the tables below.
 	slots *slots
@@ -96,9 +93,6 @@ type tail struct {
 	// never written in place: a batch that opens edges merges a new pair.
 	keys []int64
 	ids  []EdgeID
-	// idx takes their place while the network is being built (network.go):
-	// one owner writes it in place, an edge at a time, and Finalize drops it.
-	idx map[int64]EdgeID
 	// added counts, and qty sums, the interactions appended since the base.
 	added int
 	qty   float64
@@ -124,15 +118,6 @@ func (t *tail) edge(b *base, e EdgeID) *Edge {
 		return &t.grown[s-1]
 	}
 	return &b.edges[e]
-}
-
-// find looks a pair key up among the edges opened since the base.
-func (t *tail) find(key int64) (EdgeID, bool) {
-	if t.idx != nil {
-		id, ok := t.idx[key]
-		return id, ok
-	}
-	return findPair(t.keys, t.ids, key)
 }
 
 // tailRun returns v's extended adjacency run out of a tail's out or in
@@ -281,7 +266,7 @@ func (n *Network) appended(items []BatchItem) (next *Network, count int, anyLate
 		key := pairKey(it.From, it.To)
 		id, ok := findPair(b.pairKeys, b.pairIDs, key)
 		if !ok {
-			id, ok = t.find(key)
+			id, ok = findPair(t.keys, t.ids, key)
 		}
 		if !ok {
 			id, ok = opened[key]
@@ -406,9 +391,7 @@ func (n *Network) GrowVertices(numV int) {
 		return
 	}
 	if !n.finalized {
-		// The builder owns its tail: extend the vertex slots in place.
-		sl := n.tail.slots
-		sl.out, sl.in = grownSlots(sl.out, numV), grownSlots(sl.in, numV)
+		// The builder has no per-vertex state: Finalize lays out numV.
 		n.numV = numV
 		return
 	}

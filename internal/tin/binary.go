@@ -180,8 +180,8 @@ func WriteNetworkBinary(w io.Writer, n *Network) error {
 		}
 	}
 	// Adjacency and pair sections are recomputed from the edge table rather
-	// than taken from the network's fields, so the writer also serves
-	// networks still in the builder representation.
+	// than taken from the network's fields, so the writer also serves a
+	// version whose vertex count grew past its base's (WithVertices).
 	outOff, inOff, outAdj, inAdj := buildAdjacency(n.numV, edges)
 	for _, v := range outOff {
 		if err := wi32(v); err != nil {

@@ -8,7 +8,7 @@ import (
 
 // CSR image of a finalized network — its base.
 //
-// Finalize compacts the jagged builder representation into flat,
+// Finalize scatters the builder's interaction log into flat,
 // offset-indexed arrays chosen so that the hot loops — Algorithm 1
 // preprocessing feeds, Dinic on the time-expanded graph, the Figure 10
 // seed extraction and the pattern adjacency walks — iterate over
@@ -32,9 +32,10 @@ import (
 // A base is never written after it is built: an append derives a new
 // network version that shares the base and carries what was added in a
 // small tail (append.go), so deriving costs O(batch) whatever the size of
-// the base. The one O(N) routine is buildBase, which lays out a fresh image
-// — for Finalize, for the fold of base + tail into a new base, and for the
-// re-rank that ends an out-of-order merge. Three-index sub-slicing of Seq
+// the base. Two O(N) routines lay out a fresh image: builder.layout, the
+// first image of a network under construction (network.go), and buildBase,
+// the fold of base + tail into a new base (also before the re-rank that ends
+// an out-of-order merge). Three-index sub-slicing of Seq
 // guarantees that nothing can ever grow into a neighbouring edge's run (or
 // into a read-only mapping).
 type base struct {
@@ -99,9 +100,9 @@ func (b *base) setQtySum(s float64) {
 }
 
 // buildBase lays out a fresh CSR image over numV vertices from numE edges
-// whose sequences (jagged, arena-backed or tail runs — edge(e) says where)
-// hold total interactions: it copies every run into one arena in edge-id
-// order and derives the adjacency arrays. pairKeys/pairIDs are the sorted
+// whose sequences (arena-backed or tail runs — edge(e) says where) hold
+// total interactions: it copies every run into one arena in edge-id order
+// and derives the adjacency arrays. pairKeys/pairIDs are the sorted
 // pair index when the caller has one cheaper than a sort of all edges (a
 // fold merges two sorted indexes); nil derives it from the edge table.
 // Nothing of the source is retained.
@@ -122,8 +123,8 @@ func buildBase(numV, numE, total int, edge func(EdgeID) *Edge, pairKeys []int64,
 }
 
 // indexEdges derives the adjacency and (unless given) pair-lookup arrays
-// from the edge table — for buildBase, and after the copying snapshot
-// reader rebuilt the table.
+// from the edge table — for builder.layout, for buildBase, and after the
+// copying snapshot reader rebuilt the table.
 func (b *base) indexEdges(numV int, pairKeys []int64, pairIDs []EdgeID) {
 	b.outOff, b.inOff, b.outAdj, b.inAdj = buildAdjacency(numV, b.edges)
 	if pairKeys == nil {
@@ -134,7 +135,7 @@ func (b *base) indexEdges(numV int, pairKeys []int64, pairIDs []EdgeID) {
 
 // buildAdjacency derives the offset-based out/in adjacency from an edge
 // table. Edges are scanned in id order, so each vertex's run lists its
-// edges ascending by id — the same order the jagged builder produced.
+// edges ascending by id, which is the order they were first seen in.
 func buildAdjacency(numV int, edges []Edge) (outOff, inOff []int32, outAdj, inAdj []EdgeID) {
 	outOff = make([]int32, numV+1)
 	inOff = make([]int32, numV+1)

@@ -1,38 +1,202 @@
 package tin
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
 
-// FuzzReadNetwork checks that the parser never panics on arbitrary input
-// and that whatever it accepts round-trips losslessly.
+// refReadNetwork is the text reader written the plain way: every line
+// through strings.TrimSpace and strings.Fields, every parsed line buffered,
+// and the network built once the vertex count is known. FuzzReadNetwork
+// holds ReadNetwork, which parses lines in place straight into the
+// builder, to it.
+func refReadNetwork(r io.Reader) (*Network, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	type line struct {
+		from, to VertexID
+		t, q     float64
+	}
+	var lines []line
+	declared := -1
+	maxID := VertexID(-1)
+	lineNo := 0
+	for sc.Scan() {
+		lineNo++
+		txt := strings.TrimSpace(sc.Text())
+		if txt == "" {
+			continue
+		}
+		if strings.HasPrefix(txt, "#") {
+			var nv int
+			if _, err := fmt.Sscanf(txt, "# vertices %d", &nv); err == nil {
+				declared = nv
+			}
+			continue
+		}
+		f := strings.Fields(txt)
+		if len(f) != 4 {
+			return nil, fmt.Errorf("tin: line %d: want 4 fields, got %d", lineNo, len(f))
+		}
+		from, err := strconv.ParseInt(f[0], 10, 32)
+		if err != nil {
+			return nil, fmt.Errorf("tin: line %d: bad from id: %v", lineNo, err)
+		}
+		to, err := strconv.ParseInt(f[1], 10, 32)
+		if err != nil {
+			return nil, fmt.Errorf("tin: line %d: bad to id: %v", lineNo, err)
+		}
+		t, err := strconv.ParseFloat(f[2], 64)
+		if err != nil {
+			return nil, fmt.Errorf("tin: line %d: bad time: %v", lineNo, err)
+		}
+		q, err := strconv.ParseFloat(f[3], 64)
+		if err != nil {
+			return nil, fmt.Errorf("tin: line %d: bad quantity: %v", lineNo, err)
+		}
+		if from < 0 || to < 0 {
+			return nil, fmt.Errorf("tin: line %d: negative vertex id", lineNo)
+		}
+		if q < 0 || math.IsNaN(q) || math.IsInf(q, 0) {
+			return nil, fmt.Errorf("tin: line %d: invalid quantity %g", lineNo, q)
+		}
+		if math.IsNaN(t) || math.IsInf(t, 0) {
+			return nil, fmt.Errorf("tin: line %d: invalid time %g", lineNo, t)
+		}
+		lines = append(lines, line{VertexID(from), VertexID(to), t, q})
+		if VertexID(from) > maxID {
+			maxID = VertexID(from)
+		}
+		if VertexID(to) > maxID {
+			maxID = VertexID(to)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	nv := int(maxID) + 1
+	if declared > nv {
+		nv = declared
+	}
+	if nv == 0 {
+		return nil, fmt.Errorf("tin: empty network file")
+	}
+	if nv > MaxVertices {
+		return nil, fmt.Errorf("tin: vertex count %d exceeds limit %d", nv, MaxVertices)
+	}
+	n := NewNetwork(nv)
+	for _, l := range lines {
+		n.AddInteraction(l.from, l.to, l.t, l.q)
+	}
+	n.Finalize()
+	return n, nil
+}
+
+// FuzzReadNetwork holds ReadNetwork to refReadNetwork (checkReadNetwork).
 func FuzzReadNetwork(f *testing.F) {
-	f.Add("0 1 1.5 2.5\n1 2 3 4\n")
-	f.Add("# vertices 10\n0 1 1 1\n")
-	f.Add("")
-	f.Add("0 1 1 1\n0 1 1 1\n0 1 1 1\n")
-	f.Add("3 3 5 5\n")  // self loop: ignored
-	f.Add("0 1 -3 4\n") // negative time is legal
-	f.Add("not a line\n")
+	for _, seed := range []string{
+		"0 1 1.5 2.5\n1 2 3 4\n",
+		"",
+		"0 1 1 1\n0 1 1 1\n0 1 1 1\n",
+		"3 3 5 5\n",             // self loop: ignored, but counts towards the vertex count
+		"0 1 -3 4\n2 1 -7 1\n",  // negative times are legal, and out of order
+		"not a line\n",          // wrong field count
+		"0\v1\f2\t3\r\n1 2 3 4", // every ASCII separator; no final newline
+		"0\u00a01\u00a02 3\n",   // U+00A0 separates only as Unicode white space
+		"0 1 2\u00853\n",        // so does U+0085
+		"0 1 2 3\x85\n",         // a bare 0x85 byte is not a separator
+		"\x850 1 2 3\n",         // nor trimmed away as one
+		"+1 2 3 4\n",            // a sign ParseInt takes
+		"1_0 2 3 4\n",           // an underscore it does not
+		"0x1 2 3 4\n",           // nor a base prefix, which ParseFloat takes
+		"1 2 0x1p-2 1_0\n",      // with an exponent, but no underscore without one
+		"0 1 nan 1\n0 1 1 inf\n",
+		"# vertices 10\n0 1 1 1\n", // a header above max id + 1
+		"0 5 1 1\n# vertices 2\n",  // a header below it, after the lines
+		"#vertices 9\n# vertices x\n1 0 1 1\n",
+		"0 1 1 1\n1 0 0 1\n2 1 1 2\n1 2 1 1\n", // time ties across edges
+	} {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data string) {
-		n, err := ReadNetwork(strings.NewReader(data))
-		if err != nil {
-			return
+		if largeVertexCount(data) {
+			t.Skip()
 		}
-		var buf bytes.Buffer
-		if err := WriteNetwork(&buf, n); err != nil {
-			t.Fatalf("WriteNetwork after successful read: %v", err)
-		}
-		m, err := ReadNetwork(&buf)
-		if err != nil {
-			t.Fatalf("re-read of written network: %v", err)
-		}
-		if m.NumEdges() != n.NumEdges() || m.NumInteractions() != n.NumInteractions() {
-			t.Fatalf("round trip changed shape: %+v vs %+v", m.Stats(), n.Stats())
-		}
+		checkReadNetwork(t, data)
 	})
+}
+
+// TestReadNetworkLongLine runs FuzzReadNetwork's check on a line longer
+// than the scanner's first buffer. It is not a fuzz seed: every mutation of
+// a 1 MiB input is a 1 MiB execution, and the fuzzer spends a minute
+// minimizing each one that finds new coverage.
+func TestReadNetworkLongLine(t *testing.T) {
+	checkReadNetwork(t, "0 "+strings.Repeat(" ", 1<<20)+"1 2 3\n")
+}
+
+// checkReadNetwork holds ReadNetwork to refReadNetwork on data: the same
+// decision with the same error, and on accept the same network, byte for
+// byte in the binary format. What it accepts must also survive the text
+// writer.
+func checkReadNetwork(t *testing.T, data string) {
+	t.Helper()
+	n, err := ReadNetwork(strings.NewReader(data))
+	ref, refErr := refReadNetwork(strings.NewReader(data))
+	if fmt.Sprint(err) != fmt.Sprint(refErr) {
+		t.Fatalf("ReadNetwork error %v, reference %v", err, refErr)
+	}
+	if err != nil {
+		return
+	}
+	if !bytes.Equal(snapshotBytes(t, n), snapshotBytes(t, ref)) {
+		t.Fatalf("ReadNetwork and the reference disagree: %+v vs %+v", n.Stats(), ref.Stats())
+	}
+	var buf bytes.Buffer
+	if err := WriteNetwork(&buf, n); err != nil {
+		t.Fatalf("WriteNetwork after successful read: %v", err)
+	}
+	m, err := ReadNetwork(&buf)
+	if err != nil {
+		t.Fatalf("re-read of written network: %v", err)
+	}
+	if m.NumEdges() != n.NumEdges() || m.NumInteractions() != n.NumInteractions() {
+		t.Fatalf("round trip changed shape: %+v vs %+v", m.Stats(), n.Stats())
+	}
+}
+
+// largeVertexCount reports whether data would load as a network of more
+// than 1<<16 vertices, by a vertex id or a "# vertices" header the readers
+// accept. Such counts are legal, but the adjacency offsets cost an
+// execution up to hundreds of MB, and the readers treat an id the same way
+// whatever its size (TestReadNetworkRejectsInvalidInput pins the limit).
+// Anything else stays fuzzed: times, quantities, ids that fail the 32-bit
+// parse, and counts above MaxVertices, which are rejected before anything
+// is allocated.
+func largeVertexCount(data string) bool {
+	large := func(v int64) bool { return v > 1<<16 && v <= MaxVertices }
+	for _, line := range strings.Split(data, "\n") {
+		line = strings.TrimSpace(line)
+		if strings.HasPrefix(line, "#") {
+			var nv int
+			if _, err := fmt.Sscanf(line, "# vertices %d", &nv); err == nil && large(int64(nv)) {
+				return true
+			}
+			continue
+		}
+		f := strings.Fields(line)
+		for _, id := range f[:min(len(f), 2)] {
+			if v, err := strconv.ParseInt(id, 10, 32); err == nil && large(v+1) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // FuzzExtractSubgraph checks that extraction on arbitrary parsed networks

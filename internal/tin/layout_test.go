@@ -166,6 +166,7 @@ func FuzzLayoutEquivalence(f *testing.F) {
 	f.Add([]byte{0, 1, 10, 3, 1, 2, 20, 4})
 	f.Add([]byte{0, 1, 5, 1, 1, 0, 5, 1, 0, 1, 5, 2}) // duplicate timestamps
 	f.Add([]byte{2, 3, 9, 1, 2, 3, 1, 1, 2, 3, 4, 1}) // one edge, shuffled times
+	f.Add([]byte{0, 1, 5, 1, 1, 2, 3, 1, 1, 0, 5, 1}) // out of time order, with a tie
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		numV, items := decodeLayoutFuzzInput(data)
@@ -219,24 +220,22 @@ func FuzzLayoutEquivalence(f *testing.F) {
 	})
 }
 
-// TestSpanUnsortedBeforeFinalize pins the Span contract on builder-state
-// networks: before Finalize the per-edge sequence is in insertion order,
-// so the sorted fast path (first/last element) must not kick in.
+// TestSpanUnsortedBeforeFinalize pins the Span contract on sequences not
+// known to be in canonical order (an Edge literal, as a Graph under
+// construction holds them): the sorted fast path (first/last element) must
+// not kick in. Finalize marks every run canonical, and then it must.
 func TestSpanUnsortedBeforeFinalize(t *testing.T) {
-	n := NewNetwork(2)
-	n.AddInteraction(0, 1, 5, 1)
-	n.AddInteraction(0, 1, 1, 1)
-	n.AddInteraction(0, 1, 9, 1)
-	e, ok := n.HasEdge(0, 1)
-	if !ok {
-		t.Fatal("edge 0->1 missing")
-	}
-	first, last := n.Edge(e).Span()
+	raw := Edge{From: 0, To: 1, Seq: []Interaction{{Time: 5, Qty: 1}, {Time: 1, Qty: 1}, {Time: 9, Qty: 1}}}
+	first, last := raw.Span()
 	if first != 1 || last != 9 {
-		t.Fatalf("pre-finalize span (%g,%g), want (1,9): fast path on unsorted sequence", first, last)
+		t.Fatalf("unsorted span (%g,%g), want (1,9): fast path on unsorted sequence", first, last)
+	}
+	n := NewNetwork(2)
+	for _, ia := range raw.Seq {
+		n.AddInteraction(raw.From, raw.To, ia.Time, ia.Qty)
 	}
 	n.Finalize()
-	e, _ = n.HasEdge(0, 1)
+	e, _ := n.HasEdge(0, 1)
 	ed := n.Edge(e)
 	first, last = ed.Span()
 	if first != 1 || last != 9 {

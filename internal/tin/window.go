@@ -44,8 +44,11 @@ func (g *Graph) RestrictWindow(from, to float64) *Graph {
 // with Time in [from, to] (inclusive). Vertex ids are preserved; edges
 // whose sequences become empty are dropped. The result is finalized:
 // surviving rows are re-inserted in the original's canonical order, so
-// theirs is the same.
+// theirs is the same (and its Finalize sorts nothing). n must be finalized.
 func (n *Network) RestrictWindow(from, to float64) *Network {
+	if !n.finalized {
+		panic("tin: RestrictWindow before Finalize")
+	}
 	m := NewNetwork(n.numV)
 	for _, ev := range n.events() {
 		if ev.Time >= from && ev.Time <= to {

@@ -73,20 +73,19 @@ func TestNetworkRestrictWindow(t *testing.T) {
 	}
 }
 
-// TestNetworkRestrictWindowBuilderState: restricting a network that has not
-// been finalized works too (rows are sorted by Ord, not assumed sorted).
+// TestNetworkRestrictWindowBuilderState: a network under construction is a
+// write-only log, so restricting one is a programming error, like an
+// AddInteraction after Finalize.
 func TestNetworkRestrictWindowBuilderState(t *testing.T) {
 	n := NewNetwork(3)
 	n.AddInteraction(0, 1, 5, 1)
 	n.AddInteraction(0, 1, 1, 2)
-	n.AddInteraction(1, 2, 3, 1)
-	m := n.RestrictWindow(1, 3)
-	if m.NumInteractions() != 2 {
-		t.Fatalf("interactions=%d, want 2", m.NumInteractions())
-	}
-	if !m.Finalized() {
-		t.Fatal("restricted network must be finalized")
-	}
+	defer func() {
+		if r := recover(); r != "tin: RestrictWindow before Finalize" {
+			t.Fatalf("recovered %v, want the RestrictWindow-before-Finalize panic", r)
+		}
+	}()
+	n.RestrictWindow(1, 3)
 }
 
 func TestNetworkRestrictWindowExtractable(t *testing.T) {
