@@ -6,6 +6,7 @@ import (
 
 	"flownet/internal/core"
 	"flownet/internal/datagen"
+	"flownet/internal/pattern"
 	"flownet/internal/tin"
 )
 
@@ -254,9 +255,9 @@ func TestQueryAllocationBudget(t *testing.T) {
 // TestQueryAllocationBudget only bounds together with extraction, on three
 // instances of the bench network:
 //
-//   - a class-A seed subgraph: one topological sort and one greedy scan,
-//     whose event stream is two blocks (slots and their occupancy) however
-//     many interactions it orders;
+//   - a class-A seed subgraph: one topological sort (its order and the
+//     in-degrees) and one greedy scan (its buffers and its cursors over the
+//     graph's Ord index), however many interactions it orders;
 //   - a class-C seed subgraph: the reductions on a clone, then the
 //     time-expanded engine;
 //   - a cyclic windowed pair instance: the topological sort that finds the
@@ -296,7 +297,7 @@ func TestSolveAllocationBudget(t *testing.T) {
 		want   func(core.Result) bool
 		budget float64
 	}{
-		{"classA", firstSeed(core.GreedySoluble), func(r core.Result) bool { return r.Class == core.ClassA }, 9},
+		{"classA", firstSeed(core.GreedySoluble), func(r core.Result) bool { return r.Class == core.ClassA }, 4},
 		{"classC", firstSeed(classC), func(r core.Result) bool { return r.Class == core.ClassC && !r.Cyclic }, 48},
 		{"cyclicPair", pair, func(r core.Result) bool { return r.Cyclic }, 16},
 	} {
@@ -314,6 +315,56 @@ func TestSolveAllocationBudget(t *testing.T) {
 				t.Errorf("Solve allocates %.0f objects per run, budget %.0f", allocs, c.budget)
 			}
 		})
+	}
+}
+
+// TestInstanceFlowAllocationBudget guards the per-instance work of the GB
+// search (Section 5.1) on the smallest and the largest P5 instance of the
+// bench network: pattern.InstanceFlow builds the instance's graph — its
+// own blocks, the Ord index among them, filled by merging the edges' runs
+// — and runs the greedy scan over that index (P5 is decomposable, so every
+// instance is class A). The count is the same for both: nothing is
+// allocated per interaction or per edge.
+func TestInstanceFlowAllocationBudget(t *testing.T) {
+	n := loadBenchNetwork(t)
+	size := func(inst *pattern.Instance) int {
+		ias := 0
+		for _, e := range inst.EdgeIDs {
+			ias += len(n.Edge(e).Seq)
+		}
+		return ias
+	}
+	var small, large *pattern.Instance
+	if err := pattern.EnumerateGB(n, pattern.P5, func(inst *pattern.Instance) bool {
+		if small == nil || size(inst) < size(small) {
+			small = inst.Clone()
+		}
+		if large == nil || size(inst) > size(large) {
+			large = inst.Clone()
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if small == nil {
+		t.Fatal("the bench network has no P5 instance")
+	}
+	const budget = 9
+	var counts []float64
+	for _, inst := range []*pattern.Instance{small, large} {
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := pattern.InstanceFlow(n, pattern.P5, inst, core.EngineTEG); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("InstanceFlow on a P5 instance of %d interactions: %.0f allocs", size(inst), allocs)
+		if allocs > budget {
+			t.Errorf("InstanceFlow allocates %.0f objects per run on %d interactions, budget %d", allocs, size(inst), budget)
+		}
+		counts = append(counts, allocs)
+	}
+	if counts[0] != counts[1] {
+		t.Errorf("InstanceFlow allocates %.0f objects on the smallest instance and %.0f on the largest", counts[0], counts[1])
 	}
 }
 

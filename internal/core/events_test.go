@@ -9,9 +9,9 @@ import (
 	"flownet/internal/tin"
 )
 
-// sortedEvents is Graph.Events as it was before it placed by Ord — gather
-// the live interactions, then comparison-sort them — kept as the reference
-// the placement is compared with.
+// sortedEvents is Graph.Events as it was before it walked the Ord index —
+// gather the live interactions, then comparison-sort them — kept as the
+// reference the walk is compared with.
 func sortedEvents(g *tin.Graph) []tin.Event {
 	var evs []tin.Event
 	for id := range g.Edges {
@@ -27,8 +27,9 @@ func sortedEvents(g *tin.Graph) []tin.Event {
 	return evs
 }
 
-// checkEvents requires Events to equal the sorted reference and every Ord
-// to be unique and inside [0, OrdBound).
+// checkEvents requires Events, and the interactions the greedy scan visits
+// (it walks the index itself, not Events), to equal the sorted reference,
+// and every Ord to be unique and inside [0, OrdBound).
 func checkEvents(t *testing.T, stage string, g *tin.Graph) {
 	t.Helper()
 	want := sortedEvents(g)
@@ -40,7 +41,12 @@ func checkEvents(t *testing.T, stage string, g *tin.Graph) {
 		seen[ev.Ord] = true
 	}
 	if got := g.Events(); !slices.Equal(got, want) {
-		t.Fatalf("%s: Events placed\n%v\nsorted\n%v\n%s", stage, got, want, g)
+		t.Fatalf("%s: Events walked\n%v\nsorted\n%v\n%s", stage, got, want, g)
+	}
+	var scanned []tin.Event
+	scan(g, func(ev tin.Event, _ float64, _ []float64) { scanned = append(scanned, ev) })
+	if !slices.Equal(scanned, want) {
+		t.Fatalf("%s: the greedy scan visited\n%v\nsorted\n%v\n%s", stage, scanned, want, g)
 	}
 	if len(want) != g.NumInteractions() {
 		t.Fatalf("%s: %d events, NumInteractions = %d", stage, len(want), g.NumInteractions())
@@ -48,8 +54,9 @@ func checkEvents(t *testing.T, stage string, g *tin.Graph) {
 }
 
 // TestEventsPlacementEqualsSort walks generated graphs through every step
-// that hands out, deletes or inherits Ords and compares the placed event
-// stream with the sorted one at each.
+// that hands out, deletes or inherits Ords and compares the event stream
+// Events collects and the greedy scan visits, both walks of the graph's
+// Ord index, with the sorted one at each.
 func TestEventsPlacementEqualsSort(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
 		cfg := datagen.DefaultDAGConfig()

@@ -52,12 +52,14 @@ import (
 // min(q, B_v) from its origin's buffer. It returns the quantity buffered at
 // the sink after the last interaction. visit, when non-nil, sees every
 // interaction once processed, with the quantity it moved (0 if none) and
-// the live buffer vector, which it must not keep.
+// the live buffer vector, which it must not keep. The order is the
+// graph's own Ord index (tin.Graph.InOrder): nothing is collected, placed
+// or sorted.
 func scan(g *tin.Graph, visit func(ev tin.Event, q float64, buf []float64)) float64 {
 	buf := make([]float64, g.NumV)
 	buf[g.Source] = math.Inf(1)
-	for _, ev := range g.Events() {
-		q := math.Min(ev.Qty, buf[ev.From])
+	for ev := range g.InOrder {
+		q := min(ev.Qty, buf[ev.From])
 		if q > 0 {
 			if !math.IsInf(buf[ev.From], 1) {
 				buf[ev.From] -= q
@@ -73,9 +75,10 @@ func scan(g *tin.Graph, visit func(ev tin.Event, q float64, buf []float64)) floa
 
 // Greedy computes the greedy flow of g (Definition 5).
 //
-// Greedy runs in O(n) for n interactions — the paper's single scan: the
-// events are placed by Ord, not sorted — and is exact for the maximum-flow
-// problem whenever GreedySoluble reports true.
+// Greedy runs in O(n + m) for n interactions on m edges — the paper's
+// single scan, a walk of the Ord index the graph's builder handed over,
+// not a sort — and is exact for the maximum-flow problem whenever
+// GreedySoluble reports true.
 func Greedy(g *tin.Graph) float64 { return scan(g, nil) }
 
 // Arrival is one positive greedy transfer into a designated vertex: the

@@ -108,7 +108,17 @@ func EnumerateGB(n *tin.Network, p *Pattern, fn func(*Instance) bool) error {
 		V:       make([]tin.VertexID, p.NV),
 		EdgeIDs: make([]tin.EdgeID, len(p.Edges)),
 	}
-	usedVert := make(map[tin.VertexID]bool, p.NV)
+	// placed reports whether v is already a vertex of the instance, one of
+	// those placed before step: a scan of at most NV-1 entries (a pattern
+	// has at most four vertices), no set to maintain.
+	placed := func(step int, v tin.VertexID) bool {
+		for _, pv := range plan.order[:step] {
+			if inst.V[pv] == v {
+				return true
+			}
+		}
+		return false
+	}
 
 	less := func() bool {
 		for _, lp := range p.LessPairs {
@@ -145,7 +155,7 @@ func EnumerateGB(n *tin.Network, p *Pattern, fn func(*Instance) bool) error {
 			} else {
 				cand = ne.From
 			}
-			if usedVert[cand] {
+			if placed(step, cand) {
 				continue
 			}
 			inst.V[pv] = cand
@@ -163,10 +173,7 @@ func EnumerateGB(n *tin.Network, p *Pattern, fn func(*Instance) bool) error {
 			if !ok {
 				continue
 			}
-			usedVert[cand] = true
-			cont := rec(step + 1)
-			delete(usedVert, cand)
-			if !cont {
+			if !rec(step + 1) {
 				return false
 			}
 		}
@@ -185,10 +192,7 @@ func EnumerateGB(n *tin.Network, p *Pattern, fn func(*Instance) bool) error {
 			continue
 		}
 		inst.V[p.Source] = vid
-		usedVert[vid] = true
-		cont := rec(1)
-		delete(usedVert, vid)
-		if !cont {
+		if !rec(1) {
 			return nil
 		}
 	}

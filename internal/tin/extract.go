@@ -623,10 +623,11 @@ func (n *Network) localIDs(edgeIDs []EdgeID, source, sink VertexID, sc *queryScr
 // ids (first-occurrence) exactly like the original builder, and graph edge ids
 // follow the earliest-full-interaction order the original lazy creation
 // produced. Edge i contributes the interactions Seq[lo[i]:hi[i]] — its
-// in-window run, or its live run in a residue — inserted in network
-// canonical order with densely re-ranked Ords: relative order, and
-// therefore every algorithm decision, is unchanged. Empty edges stay alive
-// for the caller's degree checks.
+// in-window run, or its live run in a residue — in network canonical order
+// with densely re-ranked Ords: relative order, and therefore every
+// algorithm decision, is unchanged. The runs are merged, not sorted, and
+// the merge hands the graph its Ord index (see Graph.InOrder). Empty edges
+// stay alive for the caller's degree checks.
 func (n *Network) buildFlowGraph(edgeIDs []EdgeID, lo, hi []int32, source, sink VertexID, sc *queryScratch) *Graph {
 	k := len(edgeIDs)
 	nv := n.localIDs(edgeIDs, source, sink, sc)
@@ -634,13 +635,13 @@ func (n *Network) buildFlowGraph(edgeIDs []EdgeID, lo, hi []int32, source, sink 
 	// Graph edge ids: rank by earliest full-sequence interaction — the
 	// order the lazy builder first encountered each edge in the Ord-sorted
 	// ref stream. Network edges always carry >= 1 interaction.
-	sc.order = growBuf(sc.order, k)
-	for i := range sc.order {
-		sc.order[i] = int32(i)
+	sc.order, sc.key = growBuf(sc.order, k), growBuf(sc.key, k)
+	totalIA := 0
+	for i, id := range edgeIDs {
+		sc.order[i], sc.key[i] = int32(i), n.Edge(id).Seq[0].Ord
+		totalIA += int(hi[i] - lo[i])
 	}
-	slices.SortFunc(sc.order, func(a, b int32) int {
-		return cmp.Compare(n.Edge(edgeIDs[a]).Seq[0].Ord, n.Edge(edgeIDs[b]).Seq[0].Ord)
-	})
+	slices.SortFunc(sc.order, func(a, b int32) int { return cmp.Compare(sc.key[a], sc.key[b]) })
 	sc.gid = growBuf(sc.gid, k)
 	for r, i := range sc.order {
 		// Ords are unique network-wide, so a repeated id sorts next to itself.
@@ -648,11 +649,6 @@ func (n *Network) buildFlowGraph(edgeIDs []EdgeID, lo, hi []int32, source, sink 
 			panic(fmt.Sprintf("tin: BuildFlowGraph: duplicate edge id %d", edgeIDs[i]))
 		}
 		sc.gid[i] = EdgeID(r)
-	}
-
-	totalIA := 0
-	for i := range edgeIDs {
-		totalIA += int(hi[i] - lo[i])
 	}
 
 	// The graph's own memory: one block per kind, carved into cap-clamped
@@ -677,7 +673,9 @@ func (n *Network) buildFlowGraph(edgeIDs []EdgeID, lo, hi []int32, source, sink 
 	degs := make([]int, 2*nv)
 	g.outDeg = degs[:nv:nv]
 	g.inDeg = degs[nv:][:nv:nv]
-	adj := make([]EdgeID, 2*k)
+	ids := make([]EdgeID, 2*k+totalIA)
+	adj := ids[: 2*k : 2*k]
+	g.byOrd = ids[2*k:]
 	arena := make([]Interaction, totalIA)
 
 	for i := range edgeIDs {
@@ -696,42 +694,70 @@ func (n *Network) buildFlowGraph(edgeIDs []EdgeID, lo, hi []int32, source, sink 
 
 	// Edges, adjacency runs and arena offsets in creation order. Appending
 	// graph edge ids in ascending creation order reproduces the original
-	// AddEdge append order per vertex.
-	sc.runOff = growBuf(sc.runOff, k+1)
+	// AddEdge append order per vertex. The edge at position i gets its run
+	// to merge, its arena offset and a cursor of what is merged.
+	sc.runs, sc.off, sc.cur = growBuf(sc.runs, k), growBuf(sc.off, k), growBuf(sc.cur, k)
+	clear(sc.cur)
 	iaOff := int32(0)
 	for r, i := range sc.order {
 		lf, lt := sc.elf[i], sc.elt[i]
-		g.Edges[r] = Edge{From: lf, To: lt, canonical: true}
+		end := iaOff + hi[i] - lo[i]
+		g.Edges[r] = Edge{From: lf, To: lt, Seq: arena[iaOff:end:end], canonical: true}
 		g.out[lf] = append(g.out[lf], EdgeID(r))
 		g.in[lt] = append(g.in[lt], EdgeID(r))
-		sc.runOff[r] = iaOff
-		iaOff += hi[i] - lo[i]
+		sc.runs[i], sc.off[i] = n.Edge(edgeIDs[i]).Seq[lo[i]:hi[i]], iaOff
+		iaOff = end
 	}
-	sc.runOff[k] = iaOff
 
-	// Interactions in network canonical order; the dense rank becomes the
-	// graph Ord, exactly what insert-then-Finalize assigned (canonical
-	// network order is (Time, tie) order, Finalize's sort key).
-	sc.refs = sc.refs[:0]
-	for i, id := range edgeIDs {
-		seq := n.Edge(id).Seq
-		ge := sc.gid[i]
-		for _, ia := range seq[lo[i]:hi[i]] {
-			sc.refs = append(sc.refs, iaRef{ia: ia, ge: ge})
+	// Interactions in network canonical order, by a k-way merge of the
+	// runs, each already in it; the dense rank becomes the graph Ord,
+	// exactly what insert-then-Finalize assigned (canonical network order
+	// is (Time, tie) order, Finalize's sort key). Runs are admitted in
+	// sc.order: a run's key, its edge's first Ord, bounds its head from
+	// below, so no run waiting for admission can precede an admitted head
+	// smaller than its key. One admitted run, a, merges outside the heap
+	// for as long as its head precedes the heap's top: a run that merges
+	// on its own — every one-interaction edge of an unwindowed build —
+	// never touches the heap.
+	sc.heap = sc.heap[:0]
+	next, a := 0, int32(-1) // sc.order[next:] wait for admission
+	head := func(i int32) int64 {
+		if i < 0 || int(sc.cur[i]) == len(sc.runs[i]) {
+			return afterAll
 		}
+		return sc.runs[i][sc.cur[i]].Ord
 	}
-	slices.SortFunc(sc.refs, func(a, b iaRef) int { return cmp.Compare(a.ia.Ord, b.ia.Ord) })
-	sc.cur = growBuf(sc.cur, k)
-	clear(sc.cur)
-	for rank, r := range sc.refs {
-		pos := sc.runOff[r.ge] + sc.cur[r.ge]
-		sc.cur[r.ge]++
-		arena[pos] = Interaction{Time: r.ia.Time, Qty: r.ia.Qty, Ord: int64(rank)}
+	for rank := range int64(totalIA) {
+		for next < k {
+			least := head(a)
+			if len(sc.heap) > 0 {
+				least = min(least, sc.heap[0].ord)
+			}
+			c := sc.order[next]
+			if sc.key[c] > least {
+				break
+			}
+			next++
+			if h := head(c); h == afterAll {
+				continue
+			} else if head(a) == afterAll {
+				a = c
+			} else {
+				sc.push(label{ord: h, v: c})
+			}
+		}
+		if h := head(a); h == afterAll {
+			a = sc.pop().v
+		} else if len(sc.heap) > 0 && sc.heap[0].ord < h {
+			a = sc.replace(label{ord: h, v: a}).v
+		}
+		j := sc.cur[a]
+		sc.cur[a]++
+		ia := sc.runs[a][j]
+		arena[sc.off[a]+j] = Interaction{Time: ia.Time, Qty: ia.Qty, Ord: rank}
+		g.byOrd[rank] = sc.gid[a]
 	}
-	for r := 0; r < k; r++ {
-		lo, hi := sc.runOff[r], sc.runOff[r+1]
-		g.Edges[r].Seq = arena[lo:hi:hi]
-	}
+	clear(sc.runs[:k]) // a pooled scratch must not pin the network's arena
 	return g
 }
 

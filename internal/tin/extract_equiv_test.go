@@ -312,7 +312,9 @@ func decodeEquivFuzzInput(data []byte) (numV int, base []BatchItem, appends [][]
 // FuzzExtractEquivalence fuzzes the frontier-driven extraction fast path
 // against the scan-based reference, with and without windows, on networks
 // grown through random append interleavings (in-order batches via
-// AppendBatch, out-of-order ones via MergeUnordered).
+// AppendBatch, out-of-order ones via MergeUnordered), and the pattern-
+// instance builder BuildFlowGraph on an edge list the input chooses
+// (checkBuildFlowGraph).
 func FuzzExtractEquivalence(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{0x55, 0, 1, 10, 3, 1, 2, 20, 4, 2, 0, 30, 5})
@@ -363,5 +365,43 @@ func FuzzExtractEquivalence(f *testing.F) {
 				checkQuery(t, q, refG, refOK, refFoot, n)
 			}
 		}
+		checkBuildFlowGraph(t, n, data)
 	})
+}
+
+// checkBuildFlowGraph builds a flow graph over an edge list the fuzz input
+// chooses — each record picks an edge, in record order, each edge once —
+// with the vertex split (source == sink) and between two vertices, and
+// requires the direct builder to equal the reference one, Ords included,
+// and its Events to be the live interactions sorted by Ord.
+func checkBuildFlowGraph(t *testing.T, n *Network, data []byte) {
+	t.Helper()
+	if n.NumEdges() == 0 {
+		return
+	}
+	var ids []EdgeID
+	picked := make(map[EdgeID]bool)
+	for rec := data[1:]; len(rec) >= 4; rec = rec[4:] {
+		e := EdgeID((int(rec[2])<<8 | int(rec[3])) % n.NumEdges())
+		if !picked[e] {
+			picked[e] = true
+			ids = append(ids, e)
+		}
+	}
+	numV := n.NumVertices()
+	source := VertexID(int(data[0]) % numV)
+	for _, sink := range []VertexID{source, VertexID((int(source) + 1 + int(data[len(data)-1])%(numV-1)) % numV)} {
+		got, want := n.BuildFlowGraph(ids, source, sink), refBuildFlowGraph(n, ids, source, sink)
+		if graphSig(got) != graphSig(want) {
+			t.Fatalf("BuildFlowGraph(%v, %d, %d):\n got %s\nwant %s", ids, source, sink, graphSig(got), graphSig(want))
+		}
+		evs := got.Events()
+		if want := want.Events(); !slices.Equal(evs, want) {
+			t.Fatalf("BuildFlowGraph(%v, %d, %d) events:\n got %v\nwant %v", ids, source, sink, evs, want)
+		}
+		if want := refEvents(got); !slices.Equal(evs, want) {
+			t.Fatalf("BuildFlowGraph(%v, %d, %d): Events\n%v\nsorted\n%v", ids, source, sink, evs, want)
+		}
+		checkGraphInvariants(t, got)
+	}
 }

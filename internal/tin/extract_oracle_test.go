@@ -93,6 +93,23 @@ func refSortedVertexSet(set map[VertexID]bool) []VertexID {
 	return vs
 }
 
+// refEvents is Graph.Events by comparison sort: the live interactions,
+// gathered edge by edge and sorted by Ord.
+func refEvents(g *Graph) []Event {
+	var evs []Event
+	for id := range g.Edges {
+		if !g.EdgeAlive(EdgeID(id)) {
+			continue
+		}
+		e := &g.Edges[id]
+		for _, ia := range e.Seq {
+			evs = append(evs, Event{Interaction: ia, From: e.From, To: e.To, Edge: EdgeID(id)})
+		}
+	}
+	sort.Slice(evs, func(a, b int) bool { return evs[a].Ord < evs[b].Ord })
+	return evs
+}
+
 // refBuildFlowGraph is the original map-based BuildFlowGraph.
 func refBuildFlowGraph(n *Network, edgeIDs []EdgeID, source, sink VertexID) *Graph {
 	local := make(map[VertexID]VertexID)

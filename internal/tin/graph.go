@@ -37,6 +37,11 @@ type Graph struct {
 	liveVerts int
 	numIA     int // live interaction count
 
+	// byOrd is the canonical order as an index: byOrd[o] is the edge that
+	// was handed Ord o, -1 where no interaction was; len(byOrd) is
+	// OrdBound. Deletions leave their entries behind as holes, which the
+	// walk (InOrder) tells apart with a per-edge cursor.
+	byOrd     []EdgeID
 	nextOrd   int64
 	finalized bool
 }
@@ -89,7 +94,7 @@ func (g *Graph) AddEdge(from, to VertexID) EdgeID {
 // chains with single edges whose interactions inherit the Ord of the
 // arrivals they represent.
 func (g *Graph) AddReducedEdge(from, to VertexID, seq []Interaction) EdgeID {
-	g.admitSeq(seq)
+	g.admitSeq(EdgeID(len(g.Edges)), seq)
 	return g.addEdge(Edge{From: from, To: to, Seq: seq, canonical: true})
 }
 
@@ -122,6 +127,7 @@ func (g *Graph) AddInteraction(e EdgeID, t, q float64) {
 		panic(fmt.Sprintf("tin: invalid interaction (%v,%v)", t, q))
 	}
 	g.Edges[e].Seq = append(g.Edges[e].Seq, Interaction{Time: t, Qty: q, Ord: g.nextOrd})
+	g.byOrd = append(g.byOrd, e)
 	g.nextOrd++
 	g.numIA++
 }
@@ -143,6 +149,13 @@ func (g *Graph) Finalize() {
 	}
 	g.finalized = true
 	g.nextOrd, _ = rankEdges(g.Edges, g.nextOrd)
+	// The ranks are dense: every entry of the index is handed out anew.
+	g.byOrd = growBuf(g.byOrd, int(g.nextOrd))
+	for id := range g.Edges {
+		for _, ia := range g.Edges[id].Seq {
+			g.byOrd[ia.Ord] = EdgeID(id)
+		}
+	}
 }
 
 // Finalized reports whether Finalize has been called.
@@ -156,8 +169,9 @@ func (g *Graph) Finalized() bool { return g.finalized }
 func (g *Graph) OrdBound() int64 { return g.nextOrd }
 
 // admitSeq panics unless seq is in canonical order — Ords non-negative and
-// strictly ascending — and raises OrdBound past its largest Ord.
-func (g *Graph) admitSeq(seq []Interaction) {
+// strictly ascending — then raises OrdBound past its largest Ord and
+// records edge e as the holder of each of its Ords.
+func (g *Graph) admitSeq(e EdgeID, seq []Interaction) {
 	prev := int64(-1)
 	for _, ia := range seq {
 		if ia.Ord <= prev {
@@ -165,7 +179,13 @@ func (g *Graph) admitSeq(seq []Interaction) {
 		}
 		prev = ia.Ord
 	}
-	g.nextOrd = max(g.nextOrd, prev+1)
+	for g.nextOrd <= prev {
+		g.byOrd = append(g.byOrd, -1)
+		g.nextOrd++
+	}
+	for _, ia := range seq {
+		g.byOrd[ia.Ord] = e
+	}
 }
 
 // Clone returns a deep copy of the graph, preserving liveness state and
@@ -185,6 +205,7 @@ func (g *Graph) Clone() *Graph {
 		liveEdges: g.liveEdges,
 		liveVerts: g.liveVerts,
 		numIA:     g.numIA,
+		byOrd:     slices.Clone(g.byOrd),
 		nextOrd:   g.nextOrd,
 		finalized: g.finalized,
 	}
@@ -260,7 +281,7 @@ func (g *Graph) DeleteInteraction(e EdgeID, i int) {
 // simplification, which rebuilds sequences from greedy arrivals). The new
 // sequence must be in canonical order (see admitSeq); numIA is adjusted.
 func (g *Graph) SetSeq(e EdgeID, seq []Interaction) {
-	g.admitSeq(seq)
+	g.admitSeq(e, seq)
 	g.numIA += len(seq) - len(g.Edges[e].Seq)
 	g.Edges[e].Seq = seq
 }
@@ -316,18 +337,43 @@ type Event struct {
 	Edge     EdgeID
 }
 
-// Events returns all live interactions of the graph (a deleted edge keeps
-// none) in canonical order, each placed at its Ord (see OrdBound) in a
-// freshly allocated slice.
-func (g *Graph) Events() []Event {
-	return placeByOrd(g.nextOrd, func(put func(int64, Event)) {
-		for id := range g.Edges {
-			e := &g.Edges[id]
-			for _, ia := range e.Seq {
-				put(ia.Ord, Event{Interaction: ia, From: e.From, To: e.To, Edge: EdgeID(id)})
-			}
+// InOrder yields every live interaction of the graph (a deleted edge keeps
+// none) in canonical order. It walks the Ord index with one cursor per
+// edge: the entry at Ord o counts only if it is the next interaction of
+// the edge it names, so the holes deletions leave are skipped and nothing
+// is placed or sorted — O(OrdBound + edges). A complete walk panics if an
+// interaction was left behind, i.e. its Ord is not the one the index
+// records for its edge (taken twice or outside [0, OrdBound)).
+func (g *Graph) InOrder(yield func(Event) bool) {
+	cur := make([]int32, len(g.Edges))
+	for o, e := range g.byOrd {
+		if e < 0 {
+			continue
 		}
-	})
+		ed := &g.Edges[e]
+		i := cur[e]
+		if int(i) >= len(ed.Seq) || ed.Seq[i].Ord != int64(o) {
+			continue
+		}
+		cur[e] = i + 1
+		if !yield(Event{Interaction: ed.Seq[i], From: ed.From, To: ed.To, Edge: e}) {
+			return
+		}
+	}
+	for id := range g.Edges {
+		if seq := g.Edges[id].Seq; int(cur[id]) < len(seq) {
+			panic(fmt.Sprintf("tin: Ord %d of edge %d is taken twice or outside [0,%d)", seq[cur[id]].Ord, id, g.nextOrd))
+		}
+	}
+}
+
+// Events returns InOrder's interactions in a freshly allocated slice.
+func (g *Graph) Events() []Event {
+	evs := make([]Event, 0, g.numIA)
+	for ev := range g.InOrder {
+		evs = append(evs, ev)
+	}
+	return evs
 }
 
 // TopoOrder returns the live vertices in a topological order of the live

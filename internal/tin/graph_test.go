@@ -1,6 +1,7 @@
 package tin
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -221,6 +222,25 @@ func TestDeleteInteractionAndSetSeq(t *testing.T) {
 	g.SetSeq(e, []Interaction{{Time: 9, Qty: 1, Ord: 100}})
 	if g.NumInteractions() != 1 {
 		t.Fatalf("IA=%d after SetSeq, want 1", g.NumInteractions())
+	}
+}
+
+// TestInOrderRejectsBrokenOrds pins the check that replaced placement's:
+// an interaction whose Ord is not the one the graph's index records for
+// its edge — one outside [0, OrdBound), or one another edge already holds
+// — is left behind by the walk, and a complete walk panics.
+func TestInOrderRejectsBrokenOrds(t *testing.T) {
+	for name, ord := range map[string]int64{"outside the bound": 5, "negative": -1, "taken twice": 0} {
+		g := figure3Graph()
+		g.Edges[4].Seq[0].Ord = ord // z->t held Ord 4
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.HasPrefix(fmt.Sprint(r), "tin:") {
+					t.Errorf("%s: Events recovered %v, want a tin: panic", name, r)
+				}
+			}()
+			g.Events()
+		}()
 	}
 }
 

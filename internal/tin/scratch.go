@@ -46,16 +46,17 @@ type queryScratch struct {
 
 	// Direct flow-graph build buffers, indexed by position in the edge-id
 	// list (see Network.buildFlowGraph).
-	elf    []VertexID // local From per edge
-	elt    []VertexID // local To per edge
-	netOf  []VertexID // network vertex per local vertex
-	order  []int32    // edge positions sorted by first-interaction Ord
-	gid    []EdgeID   // graph edge id per position
-	lo     []int32    // run start per edge (in-window, then live)
-	hi     []int32    // run end per edge
-	runOff []int32    // arena offset per graph edge (len k+1)
-	cur    []int32    // fill cursor per graph edge
-	refs   []iaRef    // interaction refs, sorted into canonical order
+	elf   []VertexID      // local From per edge
+	elt   []VertexID      // local To per edge
+	netOf []VertexID      // network vertex per local vertex
+	order []int32         // edge positions sorted by first-interaction Ord
+	key   []int64         // first-interaction Ord per position
+	gid   []EdgeID        // graph edge id per position
+	lo    []int32         // run start per edge (in-window, then live)
+	hi    []int32         // run end per edge
+	runs  [][]Interaction // run per position (cleared after the merge)
+	off   []int32         // arena offset per position
+	cur   []int32         // merged count per position
 
 	// Pair residue buffers (see Network.pairResidue): the first and last
 	// Ord of each edge's in-window run, by position; the local
@@ -72,13 +73,6 @@ type queryScratch struct {
 	live        []int32
 }
 
-// iaRef is one interaction tagged with its graph edge, used to establish
-// the canonical (network Ord) insertion order during the direct build.
-type iaRef struct {
-	ia Interaction
-	ge EdgeID
-}
-
 // arc is one admitted edge in the residue's local out-adjacency: its local
 // head, its position in the edge-id list, and the first and last Ord of its
 // in-window run.
@@ -88,8 +82,9 @@ type arc struct {
 	first, last int64
 }
 
-// label is a heap entry of the residue's labelling: a local vertex and the
-// Ord it was labelled with.
+// label is a heap entry: in the residue's labelling, a local vertex and
+// the Ord it was labelled with; in buildFlowGraph's merge, an edge
+// position and the Ord of its run's head.
 type label struct {
 	ord int64
 	v   VertexID
@@ -114,27 +109,35 @@ func (sc *queryScratch) push(l label) {
 // pop removes and returns the least entry of the non-empty min-heap sc.heap.
 func (sc *queryScratch) pop() label {
 	h := sc.heap
-	top, l := h[0], h[len(h)-1]
-	h = h[:len(h)-1]
-	if len(h) > 0 {
-		i := 0
-		for {
-			c := 2*i + 1
-			if c >= len(h) {
-				break
-			}
-			if c+1 < len(h) && h[c+1].ord < h[c].ord {
-				c++
-			}
-			if h[c].ord >= l.ord {
-				break
-			}
-			h[i] = h[c]
-			i = c
-		}
-		h[i] = l
+	l := h[len(h)-1]
+	sc.heap = h[:len(h)-1]
+	if len(sc.heap) == 0 {
+		return l
 	}
-	sc.heap = h
+	return sc.replace(l)
+}
+
+// replace returns the least entry of the non-empty min-heap sc.heap and
+// puts l in its place: a pop and a push for the price of one.
+func (sc *queryScratch) replace(l label) label {
+	h := sc.heap
+	top := h[0]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && h[c+1].ord < h[c].ord {
+			c++
+		}
+		if h[c].ord >= l.ord {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = l
 	return top
 }
 

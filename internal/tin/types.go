@@ -54,9 +54,11 @@ func (a Interaction) Less(b Interaction) bool {
 }
 
 // placeByOrd returns the items fill puts, each in the slot its Ord names,
-// empty slots squeezed out. Every ordering this module derives from Ords is
-// derived here, by index and never by comparison, so it is the one check of
-// what an Ord is (see Graph.OrdBound): unique and inside [0, bound).
+// empty slots squeezed out: the order of a container without an Ord index
+// (a Network, a graph's insertion order while Finalize ranks it), derived
+// by index and never by comparison. It checks what an Ord is (see
+// Graph.OrdBound): unique and inside [0, bound). A Graph's own order is
+// the walk of its index, Graph.InOrder, which makes the same check.
 func placeByOrd[T any](bound int64, fill func(put func(ord int64, item T))) []T {
 	slot, full := make([]T, bound), make([]bool, bound)
 	fill(func(ord int64, item T) {
