@@ -320,11 +320,10 @@ func TestSolveAllocationBudget(t *testing.T) {
 
 // TestInstanceFlowAllocationBudget guards the per-instance work of the GB
 // search (Section 5.1) on the smallest and the largest P5 instance of the
-// bench network: pattern.InstanceFlow builds the instance's graph — its
-// own blocks, the Ord index among them, filled by merging the edges' runs
-// — and runs the greedy scan over that index (P5 is decomposable, so every
-// instance is class A). The count is the same for both: nothing is
-// allocated per interaction or per edge.
+// bench network. P5 is decomposable (Lemma 2 holds on every instance), so
+// pattern.InstanceFlow is the positional greedy scan over the instance's
+// edge runs: no flow graph, no scratch on the heap — nothing is allocated,
+// whatever the instance's size.
 func TestInstanceFlowAllocationBudget(t *testing.T) {
 	n := loadBenchNetwork(t)
 	size := func(inst *pattern.Instance) int {
@@ -349,7 +348,7 @@ func TestInstanceFlowAllocationBudget(t *testing.T) {
 	if small == nil {
 		t.Fatal("the bench network has no P5 instance")
 	}
-	const budget = 9
+	const budget = 0
 	var counts []float64
 	for _, inst := range []*pattern.Instance{small, large} {
 		allocs := testing.AllocsPerRun(10, func() {
@@ -365,6 +364,32 @@ func TestInstanceFlowAllocationBudget(t *testing.T) {
 	}
 	if counts[0] != counts[1] {
 		t.Errorf("InstanceFlow allocates %.0f objects on the smallest instance and %.0f on the largest", counts[0], counts[1])
+	}
+}
+
+// TestSearchGBAllocationBudget guards the decomposable GB search as a
+// whole: SearchGB(P5) on one worker fans out per anchor, reuses its
+// collector across anchors and summarises each petal once per anchor, so
+// it allocates fewer objects than it finds instances (the per-instance
+// flow graphs it replaced cost about nine each).
+func TestSearchGBAllocationBudget(t *testing.T) {
+	n := loadBenchNetwork(t)
+	opts := pattern.Options{Workers: 1}
+	sum, err := pattern.SearchGB(n, pattern.P5, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Instances == 0 {
+		t.Fatal("the bench network has no P5 instance")
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := pattern.SearchGB(n, pattern.P5, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("SearchGB(P5, Workers: 1): %.0f allocs for %d instances", allocs, sum.Instances)
+	if allocs >= float64(sum.Instances) {
+		t.Errorf("SearchGB(P5) allocates %.0f objects for %d instances, want fewer", allocs, sum.Instances)
 	}
 }
 

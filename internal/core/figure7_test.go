@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"flownet/internal/teg"
@@ -245,5 +246,38 @@ func TestPathArrivalsSourceChain(t *testing.T) {
 				t.Errorf("chain %v arrival %d: %v, chain alone %v", chain, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// TestPathArrivalsLongChain: a path longer than the positional scan keeps
+// on the stack (eight runs) takes its scratch from the heap and still
+// equals GreedyArrivals on the path's graph, bits included.
+func TestPathArrivalsLongChain(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const hops = 12
+	g := tin.NewGraph(hops+1, 0, hops)
+	for i := 0; i < hops; i++ {
+		e := g.AddEdge(tin.VertexID(i), tin.VertexID(i+1))
+		for k := 1 + rng.Intn(6); k > 0; k-- {
+			g.AddInteraction(e, float64(3*i+rng.Intn(8)), float64(1+rng.Intn(999))/100)
+		}
+	}
+	g.Finalize()
+	seqs := make([][]tin.Interaction, hops)
+	for i := range seqs {
+		seqs[i] = g.Edges[i].Seq
+	}
+	wantFlow, want := GreedyArrivals(g)
+	flow, got := PathArrivals(seqs)
+	if math.Float64bits(flow) != math.Float64bits(wantFlow) || len(got) != len(want) {
+		t.Fatalf("flow %v arrivals %v, GreedyArrivals %v %v", flow, got, wantFlow, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("arrival %d: %v, GreedyArrivals %v", i, got[i], want[i])
+		}
+	}
+	if wantFlow == 0 {
+		t.Error("the chain carries nothing; the check is vacuous")
 	}
 }

@@ -6,10 +6,12 @@
 //     interactions in canonical order, with Greedy, GreedyArrivals and
 //     GreedyTrace as its visitors.
 //   - The greedy-solubility test (Lemmas 1 and 2, Section 4.2.2).
-//   - The greedy scan along a single path with its arrival sequence
-//     (PathArrivals; Lemmas 1 and 3) — the one positional path scan, used
-//     by graph simplification here and by the path tables and relaxed
-//     searches of internal/pattern.
+//   - The greedy scan of an instance given by position, as runs between
+//     positions (ScanRuns), with its chain case, the scan along a single
+//     path with its arrival sequence (PathArrivals; Lemmas 1 and 3) — the
+//     one positional scan, used by graph simplification here and by the
+//     path tables, the relaxed searches and the decomposable rigid
+//     patterns of internal/pattern.
 //   - DAG preprocessing (Algorithm 1, Section 4.2.3).
 //   - Graph simplification (Algorithm 2, Section 4.2.4).
 //   - The LP formulation of temporal maximum flow (Section 4.2.1), solved
@@ -103,51 +105,107 @@ func GreedyArrivals(g *tin.Graph) (float64, []Arrival) {
 	return flow, arrivals
 }
 
+// ScanRuns is the greedy scan of Definition 5 over an instance given by
+// position instead of as a graph: run i moves the interactions of seqs[i]
+// (sorted by Ord, all drawn from one container, so no two runs share an
+// Ord) from position from[i] to position to[i]. Position source holds an
+// infinite buffer; every other position starts empty. The scan merges the
+// runs by their heads — a k-pointer merge, O(n·k) for n interactions in k
+// runs, meant for the few runs of a path or a pattern instance — and each
+// interaction moves min(q, B) exactly as scan does on the instance's graph,
+// in the same order, so the flow into sink is the same bits. If arrivals is
+// non-nil, every positive transfer into sink is appended to it in the form
+// GreedyArrivals reports (with the container's Ords).
+//
+// It is the package's one positional scan: PathArrivals is its chain case,
+// and internal/pattern hands it a decomposable pattern instance (Lemma 2),
+// whose positions are the pattern's vertices, and the arrival sequences of
+// an instance's petals (Lemma 3). The scratch of a short instance stays on
+// the stack; runs and positions are not capped.
+func ScanRuns(seqs [][]tin.Interaction, from, to []int, source, sink int, arrivals *[]Arrival) float64 {
+	npos := max(source, sink) + 1
+	for i := range seqs {
+		npos = max(npos, from[i]+1, to[i]+1)
+	}
+	var bufStack [8]float64
+	var nextStack [8]int
+	var headStack [8]int64
+	buf := stackOr(bufStack[:], npos)
+	next := stackOr(nextStack[:], len(seqs)) // first unread interaction of each run
+	head := stackOr(headStack[:], len(seqs)) // its Ord; math.MaxInt64 once the run is read
+	for i, seq := range seqs {
+		head[i] = math.MaxInt64
+		if len(seq) > 0 {
+			head[i] = seq[0].Ord
+		}
+	}
+	buf[source] = math.Inf(1)
+	for {
+		// The earliest unread interaction is next; Ords are distinct.
+		r, least := -1, int64(math.MaxInt64)
+		for i, h := range head {
+			if h < least {
+				r, least = i, h
+			}
+		}
+		if r < 0 {
+			return buf[sink]
+		}
+		seq := seqs[r]
+		ia := seq[next[r]]
+		next[r]++
+		if next[r] < len(seq) {
+			head[r] = seq[next[r]].Ord
+		} else {
+			head[r] = math.MaxInt64
+		}
+		f, t := from[r], to[r]
+		q := min(ia.Qty, buf[f])
+		if q <= 0 {
+			continue
+		}
+		if !math.IsInf(buf[f], 1) {
+			buf[f] -= q
+		}
+		buf[t] += q
+		if t == sink && arrivals != nil {
+			*arrivals = append(*arrivals, Arrival{Time: ia.Time, Qty: q, Ord: ia.Ord})
+		}
+	}
+}
+
+// stackOr returns stack[:n] when n fits, a fresh zeroed slice otherwise:
+// callers pass a zeroed local array, which stays on their stack.
+func stackOr[T any](stack []T, n int) []T {
+	if n <= len(stack) {
+		return stack[:n]
+	}
+	return make([]T, n)
+}
+
 // PathArrivals runs the greedy scan along a path given as the interaction
 // sequences of its edges, seqs[i] belonging to the i-th edge (each sorted by
 // Ord, all drawn from one container), with an infinite buffer in front of
 // the first edge. It returns the total flow into the path's end together
 // with the arrival sequence there, in the form GreedyArrivals reports.
 //
-// Vertices are positional — position i feeds seqs[i] and is fed by
-// seqs[i-1] — so a cyclic path (last vertex = first vertex) needs no
-// splitting: position 0 acts as the source copy, position len(seqs) as the
+// It is ScanRuns's chain case: position i feeds seqs[i] and is fed by
+// seqs[i-1], so a cyclic path (last vertex = first vertex) needs no
+// splitting — position 0 acts as the source copy, position len(seqs) as the
 // sink copy. By Lemma 1 the flow is the path's maximum flow, and by Lemma 3
 // the arrival sequence is an exact summary of the path: it is what
 // Simplify substitutes for a source chain and what the pattern path tables
 // of Section 5.2 store.
 func PathArrivals(seqs [][]tin.Interaction) (float64, []Arrival) {
 	k := len(seqs)
-	buf := make([]float64, k+1)
-	buf[0] = math.Inf(1)
-	next := make([]int, k) // next[i] is the first unread interaction of seqs[i]
-	var arrivals []Arrival
-	for {
-		// Merge the k sorted runs: the earliest unread interaction is next.
-		// Ties cannot occur within one container; the lowest position wins.
-		pos := -1
-		for i, seq := range seqs {
-			if next[i] < len(seq) && (pos < 0 || seq[next[i]].Ord < seqs[pos][next[pos]].Ord) {
-				pos = i
-			}
-		}
-		if pos < 0 {
-			return buf[k], arrivals
-		}
-		ia := seqs[pos][next[pos]]
-		next[pos]++
-		q := math.Min(ia.Qty, buf[pos])
-		if q <= 0 {
-			continue
-		}
-		if !math.IsInf(buf[pos], 1) {
-			buf[pos] -= q
-		}
-		buf[pos+1] += q
-		if pos+1 == k {
-			arrivals = append(arrivals, Arrival{Time: ia.Time, Qty: q, Ord: ia.Ord})
-		}
+	var fromStack, toStack [8]int
+	from, to := stackOr(fromStack[:], k), stackOr(toStack[:], k)
+	for i := range k {
+		from[i], to[i] = i, i+1
 	}
+	var arrivals []Arrival
+	flow := ScanRuns(seqs, from, to, 0, k, &arrivals)
+	return flow, arrivals
 }
 
 // GreedyTrace reproduces the paper's Table 2: it returns the buffer vector

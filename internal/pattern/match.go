@@ -93,9 +93,11 @@ func buildPlan(p *Pattern) (*matchPlan, error) {
 // graph browsing (Section 5.1): pattern vertices are instantiated in a
 // connectivity-respecting order, candidates are drawn from adjacency lists,
 // and every structural and distinctness constraint is checked as soon as
-// its operands are placed. fn is called for each instance; returning false
-// stops the enumeration. The Instance passed to fn is reused across calls —
-// copy it if it must be retained.
+// its operands are placed. Instances come anchor by anchor, in ascending
+// order of the graph vertex the source maps to (matcher.anchor enumerates
+// one anchor). fn is called for each instance; returning false stops the
+// enumeration. The Instance passed to fn is reused across calls — copy it
+// if it must be retained.
 func EnumerateGB(n *tin.Network, p *Pattern, fn func(*Instance) bool) error {
 	if p.Kind != KindRigid {
 		return fmt.Errorf("pattern %s: EnumerateGB requires a rigid pattern", p.Name)
@@ -104,99 +106,91 @@ func EnumerateGB(n *tin.Network, p *Pattern, fn func(*Instance) bool) error {
 	if err != nil {
 		return err
 	}
-	inst := &Instance{
-		V:       make([]tin.VertexID, p.NV),
-		EdgeIDs: make([]tin.EdgeID, len(p.Edges)),
-	}
-	// placed reports whether v is already a vertex of the instance, one of
-	// those placed before step: a scan of at most NV-1 entries (a pattern
-	// has at most four vertices), no set to maintain.
-	placed := func(step int, v tin.VertexID) bool {
-		for _, pv := range plan.order[:step] {
-			if inst.V[pv] == v {
-				return true
-			}
-		}
-		return false
-	}
-
-	less := func() bool {
-		for _, lp := range p.LessPairs {
-			if inst.V[lp[0]] >= inst.V[lp[1]] {
-				return false
-			}
-		}
-		return true
-	}
-
-	var rec func(step int) bool
-	rec = func(step int) bool {
-		if step == p.NV {
-			if !less() {
-				return true
-			}
-			return fn(inst)
-		}
-		pv := plan.order[step]
-		ae := plan.anchorEdge[step]
-		e := p.Edges[ae]
-		var candidates []tin.EdgeID
-		forward := e[0] != pv // anchor edge goes placed -> pv
-		if forward {
-			candidates = n.OutEdges(inst.V[e[0]])
-		} else {
-			candidates = n.InEdges(inst.V[e[1]])
-		}
-		for _, eid := range candidates {
-			ne := n.Edge(eid)
-			var cand tin.VertexID
-			if forward {
-				cand = ne.To
-			} else {
-				cand = ne.From
-			}
-			if placed(step, cand) {
-				continue
-			}
-			inst.V[pv] = cand
-			inst.EdgeIDs[ae] = eid
-			ok := true
-			for _, j := range plan.checkEdges[step] {
-				ce := p.Edges[j]
-				id, exists := n.HasEdge(inst.V[ce[0]], inst.V[ce[1]])
-				if !exists {
-					ok = false
-					break
-				}
-				inst.EdgeIDs[j] = id
-			}
-			if !ok {
-				continue
-			}
-			if !rec(step + 1) {
-				return false
-			}
-		}
-		return true
-	}
-
-	// Seed the anchor with every graph vertex (vertices are unlabeled, so
-	// there is no pruning beyond degree: anchors need at least one outgoing
-	// and, for cyclic patterns, one incoming edge).
+	m := matcher{n: n, p: p, plan: plan, fn: fn}
+	m.inst = Instance{V: make([]tin.VertexID, p.NV), EdgeIDs: make([]tin.EdgeID, len(p.Edges))}
 	for v := 0; v < n.NumVertices(); v++ {
-		vid := tin.VertexID(v)
-		if n.OutDegree(vid) == 0 {
-			continue
-		}
-		if p.Cyclic() && n.InDegree(vid) == 0 {
-			continue
-		}
-		inst.V[p.Source] = vid
-		if !rec(1) {
-			return nil
+		if !m.anchor(tin.VertexID(v)) {
+			break
 		}
 	}
 	return nil
+}
+
+// matcher is the backtracking state of one enumeration. The plan is shared
+// read-only by every matcher of a search; the instance under construction
+// is the matcher's own, so goroutines enumerating concurrently need one
+// matcher each.
+type matcher struct {
+	n    *tin.Network
+	p    *Pattern
+	plan *matchPlan
+	inst Instance // V and EdgeIDs sized to the pattern
+	fn   func(*Instance) bool
+}
+
+// anchor hands fn the instances whose source maps to graph vertex a, in
+// EnumerateGB's order, and reports whether fn let the enumeration go on.
+// Vertices are unlabeled, so there is no pruning beyond degree: an anchor
+// needs an outgoing and, for a cyclic pattern, an incoming edge.
+func (m *matcher) anchor(a tin.VertexID) bool {
+	if m.n.OutDegree(a) == 0 || m.p.Cyclic() && m.n.InDegree(a) == 0 {
+		return true
+	}
+	m.inst.V[m.p.Source] = a
+	return m.rec(1)
+}
+
+// rec places the pattern vertex of the given step and recurses, and
+// reports whether fn let the enumeration go on.
+func (m *matcher) rec(step int) bool {
+	n, p, plan, inst := m.n, m.p, m.plan, &m.inst
+	if step == p.NV {
+		for _, lp := range p.LessPairs {
+			if inst.V[lp[0]] >= inst.V[lp[1]] {
+				return true
+			}
+		}
+		return m.fn(inst)
+	}
+	pv := plan.order[step]
+	ae := plan.anchorEdge[step]
+	e := p.Edges[ae]
+	var candidates []tin.EdgeID
+	forward := e[0] != pv // anchor edge goes placed -> pv
+	if forward {
+		candidates = n.OutEdges(inst.V[e[0]])
+	} else {
+		candidates = n.InEdges(inst.V[e[1]])
+	}
+next:
+	for _, eid := range candidates {
+		ne := n.Edge(eid)
+		cand := ne.From
+		if forward {
+			cand = ne.To
+		}
+		// Distinctness: a scan of the at most NV-1 vertices placed so far,
+		// no set to maintain.
+		for _, placed := range plan.order[:step] {
+			if inst.V[placed] == cand {
+				continue next
+			}
+		}
+		inst.V[pv] = cand
+		inst.EdgeIDs[ae] = eid
+		for _, j := range plan.checkEdges[step] {
+			ce := p.Edges[j]
+			id, exists := n.HasEdge(inst.V[ce[0]], inst.V[ce[1]])
+			if !exists {
+				continue next
+			}
+			inst.EdgeIDs[j] = id
+		}
+		if !m.rec(step + 1) {
+			return false
+		}
+	}
+	return true
 }
 
 // CollectGB gathers up to limit instances (0 = no limit) as copies, sorted

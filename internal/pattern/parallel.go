@@ -5,15 +5,20 @@ import (
 	"flownet/internal/tin"
 )
 
-// This file contains the parallel execution layer of the pattern searches.
-// Both searchers keep their enumeration single-threaded (it is cheap and
-// inherently ordered) and fan the expensive per-instance flow computations
-// out to a bounded worker pool; results reach the one fold (search.go) in
-// enumeration order via par.OrderedFanOut, so the Summary is bit-for-bit
-// the same for any Options.Workers value — including TotalFlow
-// (floating-point addition order preserved), the MaxInstances cut-off, the
-// Truncated flag, and which error is reported first. There is no separate
-// sequential arm: with one worker OrderedFanOut is the plain loop.
+// This file contains the parallel execution layer of the pattern searches,
+// with two units of work. searchAnchors fans out whole anchors — the
+// relaxed GB searches and the decomposable rigid ones, whose instances cost
+// a scan each, so one channel hand-off per instance would cost more than
+// the flow. searchInstances keeps enumeration single-threaded and fans out
+// single instances — the LP-class work (P4/P6 GB and PB), where a hub
+// anchor holds most of the instances and per-anchor fan-out would leave
+// one worker solving them. Either way results reach the one fold
+// (search.go) in enumeration order via par.OrderedFanOut, so the Summary
+// is bit-for-bit the same for any Options.Workers value — including
+// TotalFlow (floating-point addition order preserved), the MaxInstances
+// cut-off, the Truncated flag, and which error is reported first. There is
+// no separate sequential arm: with one worker OrderedFanOut is the plain
+// loop.
 
 // flowOutcome is one solved instance: its maximum flow or the error that
 // prevented computing it.
@@ -68,11 +73,11 @@ func searchInstances(p *Pattern, n *tin.Network, opts Options, reused bool, enum
 	return f.result()
 }
 
-// searchAnchors folds the relaxed instances found at each anchor
-// 0..NumVertices-1 into a Summary. collect computes the flows of one
-// anchor's instances in isolation (it runs concurrently for distinct
-// anchors when opts.workers() > 1); they are folded in (anchor, instance)
-// order, so the result is the same for any worker count.
+// searchAnchors folds the instances found at each anchor 0..NumVertices-1
+// into a Summary. collect computes the flows of one anchor's instances in
+// isolation (it runs concurrently for distinct anchors when
+// opts.workers() > 1); they are folded in (anchor, instance) order, so the
+// result is the same for any worker count.
 func searchAnchors(name string, n *tin.Network, opts Options, collect func(a tin.VertexID) []float64) (Summary, error) {
 	f := newFold(name, opts)
 	par.OrderedFanOut(opts.workers(),

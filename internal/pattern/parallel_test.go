@@ -3,6 +3,8 @@ package pattern
 import (
 	"context"
 	"errors"
+	"math"
+	"math/rand"
 	"testing"
 
 	"flownet/internal/core"
@@ -71,32 +73,90 @@ func TestParallelSearchMinPaths(t *testing.T) {
 
 // TestParallelTruncationSemantics pins down the cut-off contract: the
 // parallel search must report exactly the first MaxInstances instances in
-// enumeration order, with Truncated set iff the cut-off was reached.
+// enumeration order, with Truncated set iff the cut-off was reached. The
+// hub inputs put the cut inside one anchor, whose instances one worker
+// collects: its Summary, flow bits included, must not depend on the
+// worker count either.
 func TestParallelTruncationSemantics(t *testing.T) {
-	n := randomNetwork(11, 16)
-	exhaustive, err := SearchGB(n, P2, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
+	random, hub := randomNetwork(11, 16), hubNetwork(14)
+	for _, c := range []struct {
+		name string
+		n    *tin.Network
+		p    *Pattern
+		hub  bool
+	}{{"random/P2", random, P2, false}, {"hub/P2", hub, P2, true}, {"hub/P5", hub, P5, true}} {
+		exhaustive, err := SearchGB(c.n, c.p, Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if exhaustive.Instances < 3 {
+			t.Fatalf("%s: need >= 3 instances, have %d", c.name, exhaustive.Instances)
+		}
+		cuts := []int64{exhaustive.Instances - 1, exhaustive.Instances}
+		if c.hub {
+			// The hub, vertex 0, is the first anchor; cut halfway into it.
+			atHub := int64(0)
+			if err := EnumerateGB(c.n, c.p, func(inst *Instance) bool {
+				if inst.V[c.p.Source] != 0 {
+					return false
+				}
+				atHub++
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if atHub < 4 {
+				t.Fatalf("%s: the hub has %d instances", c.name, atHub)
+			}
+			cuts = append(cuts, atHub/2)
+		}
+		for _, max := range cuts {
+			want, err := SearchGB(c.n, c.p, Options{MaxInstances: max, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !want.Truncated || want.Instances != max {
+				t.Errorf("%s cut-off %d: %+v, want %d instances truncated", c.name, max, want, max)
+			}
+			// Cut-off exactly at the instance count still marks Truncated,
+			// like the sequential search always has.
+			if max == exhaustive.Instances && math.Float64bits(want.TotalFlow) != math.Float64bits(exhaustive.TotalFlow) {
+				t.Errorf("%s exact cut-off: %+v, exhaustive %+v", c.name, want, exhaustive)
+			}
+			for _, workers := range []int{2, 4} {
+				got, err := SearchGB(c.n, c.p, Options{MaxInstances: max, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want || math.Float64bits(got.TotalFlow) != math.Float64bits(want.TotalFlow) {
+					t.Errorf("%s cut-off %d workers=%d: %+v, sequential %+v", c.name, max, workers, got, want)
+				}
+			}
+		}
 	}
-	if exhaustive.Instances < 3 {
-		t.Skipf("need >= 3 P2 instances, have %d", exhaustive.Instances)
+}
+
+// hubNetwork is a hub, vertex 0, on a 2-cycle with every other vertex and
+// on the 3-cycle 0→v→v+1→0 for every v, each edge carrying a few
+// interactions with fractional quantities: anchor 0 holds most of the P2
+// and P5 instances.
+func hubNetwork(v int) *tin.Network {
+	rng := rand.New(rand.NewSource(3))
+	n := tin.NewNetwork(v)
+	add := func(a, b int) {
+		for k := 1 + rng.Intn(3); k > 0; k-- {
+			n.AddInteraction(tin.VertexID(a), tin.VertexID(b), float64(rng.Intn(20)), float64(1+rng.Intn(999))/100)
+		}
 	}
-	cut, err := SearchGB(n, P2, Options{MaxInstances: exhaustive.Instances - 1, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
+	for x := 1; x < v; x++ {
+		add(0, x)
+		add(x, 0)
+		if x+1 < v {
+			add(x, x+1)
+		}
 	}
-	if !cut.Truncated || cut.Instances != exhaustive.Instances-1 {
-		t.Errorf("cut-off search: %+v, want %d instances truncated", cut, exhaustive.Instances-1)
-	}
-	// Cut-off exactly at the instance count still marks Truncated, like the
-	// sequential search always has.
-	exact, err := SearchGB(n, P2, Options{MaxInstances: exhaustive.Instances, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !exact.Truncated || exact.Instances != exhaustive.Instances || exact.TotalFlow != exhaustive.TotalFlow {
-		t.Errorf("exact cut-off: %+v, exhaustive %+v", exact, exhaustive)
-	}
+	n.Finalize()
+	return n
 }
 
 // TestInstanceClone verifies the deep copy EnumerateGB consumers rely on.

@@ -9,7 +9,13 @@
 //     adjacency — rigid patterns by the generic backtracking matcher
 //     EnumerateGB, with each instance's flow computed by the algorithms of
 //     internal/core; the relaxed patterns of §5.3 by the anchored-path
-//     walker.
+//     walker. A rigid pattern is decomposable when Lemma 2 holds on its
+//     split form (every vertex but Source and Sink has one outgoing edge;
+//     derived from the edges, not declared): its instances' flows are the
+//     positional greedy scan over their edges' runs (core.ScanRuns), with
+//     no flow graph built, and a bundle of petals (P5) scans each
+//     instance's petal summaries, each computed once per anchor (Lemma 3).
+//     Other patterns' instances get a flow graph and PreSim.
 //   - PB (preprocessing-based, §5.2): instances are assembled by scanning
 //     and joining precomputed path tables (2-hop cycles L2, 3-hop cycles
 //     L3, 2-hop chains C2) that also carry the greedy arrival sequences of
@@ -22,12 +28,14 @@
 // anchored 2-/3-hop paths of a vertex (anchoredPaths — table rows are its
 // output, a full build is an Update of every anchor, and the relaxed GB
 // searchers browse through it), the Lemma-3 scan along one path
-// (core.PathArrivals), the §5.3 rule grouping parallel paths into relaxed
-// instances (grouper — fed by the walker under GB and by a table's row
-// group under PB, which is all that tells the two apart), and the fold of
-// instances into a Summary (fold — the cut-off, the Truncated flag and
-// cancellation for every searcher and every worker count). EnumerateGB
-// shares none of them and serves as their independent check.
+// (core.PathArrivals, the chain case of core.ScanRuns), the §5.3 rule
+// grouping parallel paths into relaxed instances (grouper — fed by the
+// walker under GB and by a table's row group under PB, which is all that
+// tells the two apart), and the fold of instances into a Summary (fold —
+// the cut-off, the Truncated flag and cancellation for every searcher and
+// every worker count). EnumerateGB shares none of them and serves as
+// their independent check for instances; FuzzInstanceFlow checks the
+// flows against the flow graph and PreSim.
 //
 // The delta maintenance of footnote 2 is Tables.Update: it brings
 // precomputed tables current after an append by recomputing only the row
@@ -75,10 +83,6 @@ type Pattern struct {
 	// interchangeable middle vertices of the P4 diamond) so each instance
 	// is reported exactly once.
 	LessPairs [][2]int
-	// Decomposable marks patterns whose split instances satisfy Lemma 2
-	// (every non-terminal vertex with out-degree one), so the maximum flow
-	// is the sum of independent precomputed path flows under PB.
-	Decomposable bool
 }
 
 // Cyclic reports whether the pattern's source and sink labels map to the
@@ -126,19 +130,19 @@ var (
 	P1 = &Pattern{
 		Name: "P1", Kind: KindRigid, NV: 3,
 		Edges:  [][2]int{{0, 1}, {1, 2}},
-		Source: 0, Sink: 2, Decomposable: true,
+		Source: 0, Sink: 2,
 	}
 	// P2: 2-hop cycle a→b→a.
 	P2 = &Pattern{
 		Name: "P2", Kind: KindRigid, NV: 2,
 		Edges:  [][2]int{{0, 1}, {1, 0}},
-		Source: 0, Sink: 0, Decomposable: true,
+		Source: 0, Sink: 0,
 	}
 	// P3: 3-hop cycle a→b→c→a.
 	P3 = &Pattern{
 		Name: "P3", Kind: KindRigid, NV: 3,
 		Edges:  [][2]int{{0, 1}, {1, 2}, {2, 0}},
-		Source: 0, Sink: 0, Decomposable: true,
+		Source: 0, Sink: 0,
 	}
 	// P4: diamond cycle a→b→{c,d}→a. After splitting a, vertex b has two
 	// outgoing edges, so instances are LP-class; c and d are automorphic
@@ -154,7 +158,7 @@ var (
 	P5 = &Pattern{
 		Name: "P5", Kind: KindRigid, NV: 4,
 		Edges:  [][2]int{{0, 1}, {1, 0}, {0, 2}, {2, 3}, {3, 0}},
-		Source: 0, Sink: 0, Decomposable: true,
+		Source: 0, Sink: 0,
 	}
 	// P6: 3-hop cycle with feedback chord a→b→c→a plus b→a; b has two
 	// outgoing edges after the split, so instances are LP-class.
@@ -164,11 +168,11 @@ var (
 		Source: 0, Sink: 0,
 	}
 	// RP1: relaxed 2-hop chain star a→{x_i}→c (one instance per (a, c)).
-	RP1 = &Pattern{Name: "RP1", Kind: KindRelaxedChains, Decomposable: true}
+	RP1 = &Pattern{Name: "RP1", Kind: KindRelaxedChains}
 	// RP2: relaxed 2-hop cycles a→{x_i}→a (one instance per anchor a).
-	RP2 = &Pattern{Name: "RP2", Kind: KindRelaxed2Cycles, Decomposable: true}
+	RP2 = &Pattern{Name: "RP2", Kind: KindRelaxed2Cycles}
 	// RP3: relaxed vertex-disjoint 3-hop cycles a→{x_i}→{y_i}→a.
-	RP3 = &Pattern{Name: "RP3", Kind: KindRelaxed3Cycles, Decomposable: true}
+	RP3 = &Pattern{Name: "RP3", Kind: KindRelaxed3Cycles}
 )
 
 // Catalogue lists the patterns of Figure 12 in the paper's order.

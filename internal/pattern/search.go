@@ -24,12 +24,15 @@ type Options struct {
 	// cycles"): an aggregated instance is reported only if it bundles at
 	// least this many parallel paths. 0 or 1 means any.
 	MinPaths int
-	// Workers bounds the worker pool that solves per-instance flows
-	// (SearchGB, and the SearchPB plans that cannot reuse precomputed
-	// flows). 0 selects GOMAXPROCS, 1 (or any negative value) runs fully
-	// sequentially. The result is identical for every worker count: flows
-	// are aggregated in enumeration order, so instance counts, total flow
-	// and cut-off behavior match the sequential search bit-for-bit.
+	// Workers bounds the worker pool of a search: SearchGB hands it whole
+	// anchors (relaxed and decomposable rigid patterns) or single
+	// instances (the LP-class P4, P6 and other non-decomposable patterns),
+	// and the SearchPB plans that cannot reuse precomputed flows hand it
+	// single instances. 0 selects GOMAXPROCS, 1 (or any negative value)
+	// runs fully sequentially. The result is identical for every worker
+	// count: flows are aggregated in enumeration order, so instance
+	// counts, total flow and cut-off behavior match the sequential search
+	// bit-for-bit.
 	Workers int
 	// Ctx, when non-nil, cancels the search: once Ctx is done the search
 	// stops promptly and returns Ctx.Err(). The Summary accumulated so far
@@ -144,11 +147,17 @@ func (f *fold) result() (Summary, error) { return f.sum, f.err }
 
 // SearchGB finds all instances of the pattern by graph browsing and
 // computes each instance's maximum flow with the core algorithms
-// (Section 5.1): no precomputed data is used. Instance flows are computed
-// on opts.Workers goroutines; see Options.Workers.
+// (Section 5.1): no precomputed data is used. A decomposable rigid pattern
+// is searched anchor by anchor with the positional scan
+// (searchDecomposable), any other rigid pattern instance by instance with
+// InstanceFlow. The work runs on opts.Workers goroutines; see
+// Options.Workers.
 func SearchGB(n *tin.Network, p *Pattern, opts Options) (Summary, error) {
 	switch p.Kind {
 	case KindRigid:
+		if p.decomposable() {
+			return searchDecomposable(n, p, opts)
+		}
 		var enumErr error
 		sum, err := searchInstances(p, n, opts, true, func(emit func(*Instance) bool) {
 			enumErr = EnumerateGB(n, p, emit)
