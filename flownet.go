@@ -348,8 +348,9 @@ func MaxFlowLP(g *Graph) (float64, error) { return core.MaxFlowLP(g) }
 
 // MaxFlowTEG computes the maximum flow via the time-expanded static
 // reduction (Akrida et al.) alone, with none of the pipeline's reductions:
-// the residual network laid out as flat arrays, four slots per buffer
-// state, and solved with Dinic's algorithm. It takes cyclic graphs.
+// the residual network laid out as flat arrays, one node per block of a
+// vertex's arrivals-then-departures, and solved with Dinic's algorithm. It
+// takes cyclic graphs.
 func MaxFlowTEG(g *Graph) float64 { return teg.MaxFlow(g) }
 
 // Pre runs the paper's Pre pipeline: solubility test, preprocessing,

@@ -117,6 +117,12 @@ func FuzzSolveAgreesWithEngines(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 5, 1, 1, 2, 4})                                     // a chain: acyclic, class A
 	f.Add([]byte{1, 0, 0, 1, 5, 0, 1, 2, 3, 1, 1, 3, 5, 1, 2, 4, 4, 2, 2, 5, 1}) // the paper's Figure 3: acyclic, class C
 	f.Add([]byte{2, 0, 0, 0, 9, 1, 2, 0, 9, 3, 1, 0, 9, 2, 3, 0, 5, 2, 0, 0, 9}) // 0→1→3→2→4 with 2→1 closing a cycle, all ties
+	// 1 and 2 turn from sending back to receiving three and two times, sending
+	// to each other and to the sink 3 on tied timestamps: one node per
+	// receive-then-send round in the engine's network, one per arrival in the
+	// written-out one.
+	f.Add([]byte{1, 0, 0, 0, 5, 1, 1, 1, 3, 2, 2, 1, 2, 0, 0, 1, 4, 1, 2, 2, 3,
+		0, 1, 2, 2, 2, 0, 3, 1, 1, 2, 4, 4, 2, 2, 4, 5, 0, 0, 5, 3, 1, 1, 5, 2, 2, 2, 6, 6})
 	// Massive ties: 64 interactions spread over 6 and over 8 vertices, all at
 	// one timestamp and alternating between two, with every edge pointing
 	// forward (a DAG, so PreSim runs) and with edges both ways (cyclic) — the

@@ -22,22 +22,39 @@
 // arrives here with its live interactions only, which this prune keeps
 // whole, and solves to the bits of the whole instance (FuzzPairResidue).
 //
-// The residual form is kept as flat arrays: an intermediate vertex with k
-// incident live interactions has k+1 buffer states, numbered vertex by
-// vertex in id order, each vertex's in canonical order, and buffer state x
-// owns the residual slots 4x … 4x+3:
+// The expansion gives each vertex one node per block of its live events. In
+// canonical order a vertex's events form a word over arrivals (A) and
+// departures (D); cut into maximal runs A⁺D⁺, each run is one block, so a
+// new block opens only at an arrival that follows a departure, and
+// consecutive blocks of a vertex are joined by a holdover pair: +Inf
+// forward, the buffer carried as the backward residual. This is the
+// per-arrival expansion with its holdovers contracted, and the maximum
+// flow is the same: inside a block every arrival precedes every departure,
+// so a merged node lets an arrival reach only the departures it reached
+// over +Inf holdovers before, and every flow of one maps onto the other.
+// The first live event of a vertex other than the terminals is an arrival
+// and its last a departure, so a vertex that receives everything before it
+// sends anything is one node, and an instance whose vertices all do is its
+// static graph.
 //
-//	4x    holdover back to x−1 (its residual is the buffer held)
-//	4x+1  holdover forward to x+1 (+Inf)
-//	4x+2  the reverse of the interaction that arrived into x
-//	4x+3  the interaction leaving x
+// The residual form is a CSR (compressed sparse row) array set: nodes are
+// the blocks, numbered vertex by vertex in id order, each vertex's in
+// canonical order, then the source (n) and the sink (n+1); node v owns the
+// slots [start[v], start[v+1]), and slot a leads to to[a] with residual
+// res[a], its reverse being pair[a]. A block's slots are, in this order:
 //
-// A slot the state lacks is absent (to −1, residual 0). The source's slots
-// follow, one per interaction it sends, in canonical order; then the
-// reverse slots of the interactions into the sink, which is never scanned.
-// The order is fixed because Dinic's choices follow it: it is each node's
-// arc order in an adjacency list that adds the holdovers, then the
-// interactions in canonical order, and the flows served are that list's.
+//	the holdover back to the vertex's previous block (its residual is the buffer held)
+//	the holdover forward to the vertex's next block (+Inf)
+//	the reverses of the interactions arriving into it, in canonical order
+//	the interactions leaving it, in canonical order
+//
+// a holdover being absent from the vertex's first or last block. The
+// source's slots are its interactions, in canonical order; the sink's are
+// the reverses of the interactions into it, and Dinic never scans them.
+// The order is fixed because Dinic's choices follow it, and the flows
+// served are the ones it gives. Three passes over the live events size
+// every array before any is filled: one counts each vertex's blocks, one
+// each node's slots, one lays the arcs.
 package teg
 
 import (
@@ -47,13 +64,14 @@ import (
 	"flownet/internal/tin"
 )
 
-// network is the residual form of a time-expanded graph: slot a leads to
-// node to[a] with residual res[a], and pair[a] is its reverse. Nodes
-// 0 … n−1 are buffer states, n is the source, n+1 the sink.
+// network is the residual form of a time-expanded graph: node v owns the
+// slots [start[v], start[v+1]), slot a leads to node to[a] with residual
+// res[a], and pair[a] is its reverse. Nodes 0 … n−1 are blocks, n is the
+// source, n+1 the sink.
 type network struct {
-	to, pair           []int32
+	start, to, pair    []int32
 	res                []float64
-	n, srcEnd          int32 // the source's slots are [4n, srcEnd)
+	n                  int32
 	level, iter, queue []int32
 }
 
@@ -91,64 +109,118 @@ func live(g *tin.Graph, events []tin.Event, mark []int32) []tin.Event {
 // them; if arc is non-nil, arc[i] receives the slot carrying the i-th live
 // event. An interaction forwards only quantity deposited strictly earlier
 // in the canonical order.
-func build(g *tin.Graph, events []tin.Event, arc []int32) (*network, []tin.Event) {
-	// cur marks arrivals and departures for live, then counts v's incident
-	// interactions, then becomes v's cursor: the buffer state v is in
-	// before its next interaction.
-	cur := make([]int32, g.NumV)
+func build(g *tin.Graph, events []tin.Event, arc []int32) (network, []tin.Event) {
+	// cur marks arrivals and departures for live, then holds each vertex's
+	// cursor (see depart) for three passes over the live events; first[v]
+	// is v's first block, first[NumV] the block count.
+	scratch := make([]int32, 2*g.NumV+1)
+	cur, first := scratch[:g.NumV], scratch[g.NumV:]
 	events = live(g, events, cur)
-	clear(cur)
-	for _, ev := range events {
-		cur[ev.From]++
-		cur[ev.To]++
-	}
-	fromSrc, intoSink := cur[g.Source], cur[g.Sink]
-	cur[g.Source], cur[g.Sink] = 0, 0 // the terminals have no buffer states
 	var n int32
-	for v, k := range cur {
-		cur[v] = n
-		if k > 0 {
-			n += k + 1
+	// ends moves the cursors of ev's endpoints over it and returns the
+	// nodes it leaves and enters. A departure is never a vertex's first
+	// event: live keeps the arrival that let it through.
+	ends := func(ev tin.Event) (tail, head int32) {
+		tail, head = n, n+1
+		if ev.From != g.Source {
+			tail = depart(cur, ev.From)
+		}
+		if ev.To != g.Sink {
+			head = arrive(cur, ev.To)
+		}
+		return tail, head
+	}
+
+	// Count the blocks: with every first block at 0, a cursor ends at its
+	// vertex's last.
+	resetCursors(cur, first)
+	for _, ev := range events {
+		ends(ev)
+	}
+	for v, c := range cur {
+		first[v] = n
+		n += c>>1 + 1
+	}
+	first[g.NumV] = n
+
+	// Count the slots per node. start has an entry per node, the terminals
+	// included, and one more for the slot count; one block of int32s holds
+	// it and the other node-indexed arrays.
+	nodes := make([]int32, 4*n+9)
+	net := network{n: n, start: nodes[:n+3], level: nodes[n+3 : 2*n+5], iter: nodes[2*n+5 : 3*n+7], queue: nodes[3*n+7 : 3*n+7 : 4*n+9]}
+	start := net.start
+	for v := range cur {
+		for x := first[v] + 1; x < first[v+1]; x++ {
+			start[x-1]++
+			start[x]++
 		}
 	}
-	slots := 4*n + fromSrc + intoSink
-	net := &network{to: make([]int32, slots), pair: make([]int32, slots), res: make([]float64, slots), n: n, srcEnd: 4*n + fromSrc}
-	for a := range net.to {
-		net.to[a] = -1
+	resetCursors(cur, first)
+	for _, ev := range events {
+		tail, head := ends(ev)
+		start[tail]++
+		start[head]++
 	}
-	link := func(a, r, tail, head int32, c float64) {
+	var slots int32
+	for x, k := range start {
+		start[x] = slots
+		slots += k
+	}
+
+	// Lay the arcs: the holdovers first, so they lead each block's slots,
+	// then the interactions in canonical order.
+	links := make([]int32, 2*slots)
+	net.to, net.pair, net.res = links[:slots], links[slots:], make([]float64, slots)
+	fill := net.iter // each node's next free slot; Dinic resets it per phase
+	copy(fill, start)
+	link := func(tail, head int32, c float64) int32 {
+		a, r := fill[tail], fill[head]
+		fill[tail]++
+		fill[head]++
 		net.to[a], net.res[a], net.pair[a] = head, c, r
 		net.to[r], net.pair[r] = tail, a
+		return a
 	}
-	// advance moves v over a holdover to its next state; it returns the last.
-	advance := func(v tin.VertexID) int32 {
-		x := cur[v]
-		cur[v]++
-		link(4*x+1, 4*x+4, x, x+1, math.Inf(1))
-		return x
+	for v := range cur {
+		for x := first[v] + 1; x < first[v+1]; x++ {
+			link(x-1, x, math.Inf(1))
+		}
 	}
-	nextSrc, nextSink := 4*n, net.srcEnd
+	resetCursors(cur, first)
 	for i, ev := range events {
-		a, tail := nextSrc, n
-		if ev.From == g.Source {
-			nextSrc++
-		} else {
-			tail = advance(ev.From)
-			a = 4*tail + 3
-		}
-		r, head := nextSink, n+1
-		if ev.To == g.Sink {
-			nextSink++
-		} else {
-			head = advance(ev.To) + 1
-			r = 4*head + 2
-		}
-		link(a, r, tail, head, ev.Qty)
+		tail, head := ends(ev)
+		a := link(tail, head, ev.Qty)
 		if arc != nil {
 			arc[i] = a
 		}
 	}
 	return net, events
+}
+
+// resetCursors points every vertex's cursor before its first block. A
+// cursor is 2x+1 while the vertex's last event was a departure from block x
+// and 2x after an arrival into block x; before its first event it is
+// 2(first−1)+1, as if after a departure, so that event opens block first.
+func resetCursors(cur, first []int32) {
+	for v := range cur {
+		cur[v] = 2*first[v] - 1
+	}
+}
+
+// depart returns the block v sends from.
+func depart(cur []int32, v tin.VertexID) int32 {
+	c := cur[v]
+	cur[v] = c | 1
+	return c >> 1
+}
+
+// arrive returns the block v receives into, opening the next one after a
+// departure.
+func arrive(cur []int32, v tin.VertexID) int32 {
+	c := cur[v]
+	c += c & 1
+	cur[v] = c
+	return c >> 1
 }
 
 // MaxFlow computes the temporal maximum flow of g by building the
@@ -180,14 +252,6 @@ func Transfers(g *tin.Graph) (total float64, byOrd []float64) {
 	return total, byOrd
 }
 
-// end is one past the last slot of node v, a buffer state or the source.
-func (net *network) end(v int32) int32 {
-	if v < net.n {
-		return 4*v + 4
-	}
-	return net.srcEnd
-}
-
 // dinic computes the maximum flow (+Inf over an infinite augmenting path)
 // with BFS level graphs and DFS blocking flows. Residuals are compared with
 // 0, not a tolerance: an augmentation leaves its bottleneck slot at exactly
@@ -195,13 +259,9 @@ func (net *network) end(v int32) int32 {
 // interaction of smaller quantity carry nothing — an "exact" answer below
 // the greedy lower bound on tiny quantities.
 func (net *network) dinic() float64 {
-	nodes := net.n + 2
-	net.level, net.iter, net.queue = make([]int32, nodes), make([]int32, nodes), make([]int32, 0, nodes)
 	var total float64
 	for net.bfs() {
-		for v := range net.iter {
-			net.iter[v] = 4 * int32(v)
-		}
+		copy(net.iter, net.start)
 		for {
 			f := net.dfs(net.n, math.Inf(1))
 			if f <= 0 {
@@ -228,7 +288,7 @@ func (net *network) bfs() bool {
 	queue := append(net.queue[:0], net.n)
 	for i := 0; i < len(queue); i++ {
 		v := queue[i]
-		for a, end := 4*v, net.end(v); a < end; a++ {
+		for a, end := net.start[v], net.start[v+1]; a < end; a++ {
 			if u := net.to[a]; net.res[a] > 0 && level[u] < 0 {
 				level[u] = level[v] + 1
 				if u == sink {
@@ -247,7 +307,7 @@ func (net *network) dfs(v int32, f float64) float64 {
 	if v == net.n+1 {
 		return f
 	}
-	for end := net.end(v); net.iter[v] < end; net.iter[v]++ {
+	for end := net.start[v+1]; net.iter[v] < end; net.iter[v]++ {
 		a := net.iter[v]
 		u := net.to[a]
 		if net.res[a] <= 0 || net.level[u] != net.level[v]+1 {
