@@ -41,7 +41,6 @@ import (
 
 	"flownet/internal/bench"
 	"flownet/internal/cli"
-	"flownet/internal/core"
 	"flownet/internal/datagen"
 	"flownet/internal/tin"
 )
@@ -110,12 +109,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			fmt.Fprintln(stdout, "\nTable 5 (subgraph statistics)")
 			bench.PrintTable5(stdout, d.String(), bench.Stats(corpus))
 		}
-		fopts := bench.FlowBenchOptions{
-			Engine:            core.EngineLP,
-			LPSampleLimit:     *lpSample,
-			LPMaxInteractions: *lpMax,
-			VerifyFlows:       true,
-		}
+		fopts := bench.FlowBenchOptions{LPSampleLimit: *lpSample, LPMaxInteractions: *lpMax}
 		if runExp(*exp, flowTable(d)) {
 			rep, err := bench.RunFlowBench(corpus, fopts)
 			if err != nil {
@@ -136,7 +130,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			popts := bench.PatternBenchOptions{
 				WithChains:   d == datagen.DatasetProsper, // as in the paper
 				MaxInstances: *maxInstances,
-				Engine:       core.EngineLP,
 				Workers:      *workers,
 			}
 			rep, err := bench.RunPatternBench(n, popts)

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -10,7 +9,7 @@ import (
 	"flownet/internal/tin"
 )
 
-// Benchmarks behind the O(batch) ingest path: an append derives the next
+// Guards behind the O(batch) ingest path: an append derives the next
 // version of the network over the same base image, so its cost must track
 // the batch, not the network. The fixture is the footprint network of
 // query_bench_test.go; the traffic is the load benchmark's — 32 items with
@@ -66,25 +65,6 @@ func appendBatches(tb testing.TB, n *tin.Network, lo int64, count int) []time.Du
 		took[i] = time.Since(start)
 	}
 	return took
-}
-
-// BenchmarkAppend32 is the number TestAppendCostIsBatchBound asserts, for
-// the developer loop: one 32-item append, folds included (one op in 128
-// pays one), on networks 100x apart in size.
-func BenchmarkAppend32(b *testing.B) {
-	for _, background := range []int{10_000, 1_000_000} {
-		b.Run(fmt.Sprintf("background=%d", background), func(b *testing.B) {
-			n := buildFootprintNetwork(b, background)
-			next := uniformBatches(n, footV, 1)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := n.AppendBatch(next()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // buildSameEdgesNetwork returns a network of the load benchmark's shape —

@@ -195,7 +195,6 @@ func TestRunPatternBench(t *testing.T) {
 	_, n := testCorpus(t)
 	opts := PatternBenchOptions{
 		WithChains: true,
-		Engine:     core.EngineLP,
 		Patterns: []*pattern.Pattern{
 			pattern.P2, pattern.P3, pattern.P5, pattern.P6,
 			pattern.RP2, pattern.RP3,
@@ -222,8 +221,7 @@ func TestRunPatternBench(t *testing.T) {
 
 func TestRunPatternBenchSkipsChainsPatterns(t *testing.T) {
 	_, n := testCorpus(t)
-	rep, err := RunPatternBench(n, PatternBenchOptions{WithChains: false, Engine: core.EngineLP,
-		MaxInstances: 200})
+	rep, err := RunPatternBench(n, PatternBenchOptions{WithChains: false, MaxInstances: 200})
 	if err != nil {
 		t.Fatalf("RunPatternBench: %v", err)
 	}

@@ -8,10 +8,15 @@ import (
 	"flownet/internal/core"
 )
 
-// FlowBenchOptions control the Table 6–8 / Figure 11 measurements.
+// paperEngine is the exact engine Pre, PreSim and the pattern searches hand
+// their residual instances to: the LP, as in the paper. core.Solve, timed
+// beside them, runs the time-expanded engine.
+const paperEngine = core.EngineLP
+
+// FlowBenchOptions control the Table 6–8 / Figure 11 measurements. Every
+// measured subgraph is also a cross-check: a flow on which Pre, PreSim,
+// Solve and (where it ran) the raw LP disagree counts as a Mismatch.
 type FlowBenchOptions struct {
-	// Engine is the exact engine for Pre/PreSim (the paper uses LP).
-	Engine core.Engine
 	// LPSampleLimit caps how many subgraphs per (class, bucket) cell run
 	// the raw LP baseline; its average is extrapolated from the sample.
 	// The LP baseline is quadratic in the interaction count and exists to
@@ -21,20 +26,12 @@ type FlowBenchOptions struct {
 	// interactions (their Pre/PreSim/Greedy numbers are still measured).
 	// 0 = no limit.
 	LPMaxInteractions int
-	// VerifyFlows cross-checks that LP, Pre and PreSim agree on every
-	// subgraph where LP ran (greedy is only a lower bound).
-	VerifyFlows bool
 }
 
 // DefaultFlowBenchOptions keep full-corpus runs tractable while measuring
 // every method on every class.
 func DefaultFlowBenchOptions() FlowBenchOptions {
-	return FlowBenchOptions{
-		Engine:            core.EngineLP,
-		LPSampleLimit:     25,
-		LPMaxInteractions: 2000,
-		VerifyFlows:       true,
-	}
+	return FlowBenchOptions{LPSampleLimit: 25, LPMaxInteractions: 2000}
 }
 
 // Cell aggregates per-method average runtimes over a set of subgraphs.
@@ -142,14 +139,14 @@ func measure(corpus []Subgraph, opts FlowBenchOptions, stratum func(Subgraph) in
 		dGreedy := time.Since(t0)
 
 		t0 = time.Now()
-		preRes, err := core.Pre(g, opts.Engine)
+		preRes, err := core.Pre(g, paperEngine)
 		if err != nil {
 			return all, strata, fmt.Errorf("bench: Pre on seed %d: %w", s.Seed, err)
 		}
 		dPre := time.Since(t0)
 
 		t0 = time.Now()
-		simRes, err := core.PreSim(g, opts.Engine)
+		simRes, err := core.PreSim(g, paperEngine)
 		if err != nil {
 			return all, strata, fmt.Errorf("bench: PreSim on seed %d: %w", s.Seed, err)
 		}
@@ -171,7 +168,7 @@ func measure(corpus []Subgraph, opts FlowBenchOptions, stratum func(Subgraph) in
 			dLP = time.Since(t0)
 			mismatch = mismatch || relErr(lpFlow, preRes.Flow) > 1e-6 || relErr(lpFlow, simRes.Flow) > 1e-6 || relErr(lpFlow, solveRes.Flow) > 1e-6
 		}
-		if opts.VerifyFlows && mismatch {
+		if mismatch {
 			all.Mismatch++
 			strata[st].Mismatch++
 		}

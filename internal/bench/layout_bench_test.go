@@ -10,165 +10,9 @@ import (
 	"flownet/internal/tin"
 )
 
-// Benchmarks behind the CSR layout refactor and the mmap load path:
-// loading a snapshot zero-copy vs decoding it, and traversing the flat
-// adjacency vs a replica of the jagged layout the CSR representation
-// replaced.
-
-// BenchmarkLoadMmap is BenchmarkLoadBinary's zero-copy counterpart: the
-// same snapshot served by mapping the file instead of decoding it.
-func BenchmarkLoadMmap(b *testing.B) {
-	n := loadBenchNetwork(b)
-	path := filepath.Join(b.TempDir(), "net.tinb")
-	if err := tin.SaveNetworkBinary(path, n); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m, err := tin.OpenNetworkMmap(path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if m.NumInteractions() != n.NumInteractions() {
-			b.Fatalf("loaded %d interactions, want %d", m.NumInteractions(), n.NumInteractions())
-		}
-		m.Unmap()
-	}
-	b.ReportMetric(float64(n.NumInteractions()), "interactions/op")
-}
-
-// legacyNetwork replicates the layout the CSR refactor removed: jagged
-// per-vertex adjacency slices, one append-grown sequence per edge, and a
-// map-based pair index. It exists only as the benchmark baseline, and it
-// is built the way the old builder built it — interaction by interaction
-// in time order, growing each edge's slice independently — so its heap
-// scatter matches what a genuinely incrementally-built network had, not
-// an idealized contiguous copy.
-type legacyNetwork struct {
-	edges []legacyEdge
-	out   [][]tin.EdgeID
-	pairs map[int64]tin.EdgeID
-}
-
-type legacyEdge struct {
-	from, to tin.VertexID
-	seq      []tin.Interaction
-}
-
-func legacyFrom(n *tin.Network) *legacyNetwork {
-	l := &legacyNetwork{
-		edges: make([]legacyEdge, n.NumEdges()),
-		out:   make([][]tin.EdgeID, n.NumVertices()),
-		pairs: make(map[int64]tin.EdgeID, n.NumEdges()),
-	}
-	for e := 0; e < n.NumEdges(); e++ {
-		ed := n.Edge(tin.EdgeID(e))
-		l.edges[e] = legacyEdge{from: ed.From, to: ed.To}
-		l.out[ed.From] = append(l.out[ed.From], tin.EdgeID(e))
-		l.pairs[int64(ed.From)<<32|int64(uint32(ed.To))] = tin.EdgeID(e)
-	}
-	// Replay the interactions in canonical (time) order, appending to each
-	// edge's slice as the builder did.
-	type slot struct {
-		e tin.EdgeID
-		i int
-	}
-	byOrd := make([]slot, n.NumInteractions())
-	for e := 0; e < n.NumEdges(); e++ {
-		for i, ia := range n.Edge(tin.EdgeID(e)).Seq {
-			byOrd[ia.Ord] = slot{e: tin.EdgeID(e), i: i}
-		}
-	}
-	for _, s := range byOrd {
-		le := &l.edges[s.e]
-		le.seq = append(le.seq, n.Edge(s.e).Seq[s.i])
-	}
-	return l
-}
-
-// layoutWorkload is the traversal kernel both layouts run: a bounded BFS
-// from each seed over the out-adjacency, scanning every touched edge's
-// sequence. It is the memory-access pattern of extraction and the pattern
-// walks — the hot query loops — minus the algorithmics.
-const (
-	layoutSeeds = 64
-	layoutHops  = 3
-)
-
-func csrWorkload(n *tin.Network) float64 {
-	var sum float64
-	frontier := make([]tin.VertexID, 0, 256)
-	next := make([]tin.VertexID, 0, 256)
-	for seed := 0; seed < layoutSeeds; seed++ {
-		frontier = append(frontier[:0], tin.VertexID(seed))
-		for hop := 0; hop < layoutHops; hop++ {
-			next = next[:0]
-			for _, v := range frontier {
-				for _, e := range n.OutEdges(v) {
-					ed := n.Edge(e)
-					for _, ia := range ed.Seq {
-						sum += ia.Qty
-					}
-					next = append(next, ed.To)
-				}
-			}
-			frontier, next = next, frontier
-		}
-	}
-	return sum
-}
-
-func legacyWorkload(l *legacyNetwork) float64 {
-	var sum float64
-	frontier := make([]tin.VertexID, 0, 256)
-	next := make([]tin.VertexID, 0, 256)
-	for seed := 0; seed < layoutSeeds; seed++ {
-		frontier = append(frontier[:0], tin.VertexID(seed))
-		for hop := 0; hop < layoutHops; hop++ {
-			next = next[:0]
-			for _, v := range frontier {
-				for _, e := range l.out[v] {
-					ed := &l.edges[e]
-					for _, ia := range ed.seq {
-						sum += ia.Qty
-					}
-					next = append(next, ed.to)
-				}
-			}
-			frontier, next = next, frontier
-		}
-	}
-	return sum
-}
-
-// BenchmarkQueryCSRvsLegacy runs the same traversal kernel over the CSR
-// network and over the jagged/map replica, so the layout's cache behavior
-// is isolated from everything else.
-func BenchmarkQueryCSRvsLegacy(b *testing.B) {
-	n := loadBenchNetwork(b)
-	legacy := legacyFrom(n)
-	want := legacyWorkload(legacy)
-	if got := csrWorkload(n); got != want {
-		b.Fatalf("workloads disagree: csr %g, legacy %g", got, want)
-	}
-	b.Run("layout=csr", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if csrWorkload(n) != want {
-				b.Fatal("workload drifted")
-			}
-		}
-	})
-	b.Run("layout=legacy", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if legacyWorkload(legacy) != want {
-				b.Fatal("workload drifted")
-			}
-		}
-	})
-}
+// Guards behind the mmap load path (loading a snapshot zero-copy vs
+// decoding it) and the allocation budgets of the hot query and search
+// paths.
 
 // TestMmapLoadFasterThanDecode is the acceptance check behind the mmap
 // path: serving a snapshot zero-copy must beat fully decoding it. Same
@@ -391,7 +235,9 @@ func TestSearchGBAllocationBudget(t *testing.T) {
 		}
 	})
 	t.Logf("SearchGB(P5, Workers: 1): %.0f allocs for %d instances", allocs, sum.Instances)
-	if allocs >= float64(sum.Instances) {
+	// Under the race detector sync.Pool drops Puts, so each dropped
+	// collector is allocated again.
+	if allocs >= float64(sum.Instances) && !raceEnabled {
 		t.Errorf("SearchGB(P5) allocates %.0f objects for %d instances, want fewer", allocs, sum.Instances)
 	}
 }

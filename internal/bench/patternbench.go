@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"flownet/internal/core"
 	"flownet/internal/pattern"
 	"flownet/internal/tin"
 )
@@ -21,8 +20,6 @@ type PatternBenchOptions struct {
 	// MaxInstances truncates each pattern search (the paper cut P4/P6 off
 	// at 3000 instances on Bitcoin). 0 = exhaustive.
 	MaxInstances int64
-	// Engine is the exact engine for LP-class instances.
-	Engine core.Engine
 	// Workers bounds the per-instance flow worker pool of both searchers
 	// (0 = GOMAXPROCS, 1 = sequential); see pattern.Options.Workers.
 	// Results are identical for every worker count.
@@ -73,7 +70,7 @@ func RunPatternBench(n *tin.Network, opts PatternBenchOptions) (PatternReport, e
 	}
 
 	for _, p := range pats {
-		sopts := pattern.Options{MaxInstances: opts.MaxInstances, Engine: opts.Engine, Workers: opts.Workers}
+		sopts := pattern.Options{MaxInstances: opts.MaxInstances, Engine: paperEngine, Workers: opts.Workers}
 
 		t0 = time.Now()
 		gb, err := pattern.SearchGB(n, p, sopts)

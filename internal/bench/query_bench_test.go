@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -11,12 +10,12 @@ import (
 	"flownet/internal/tin"
 )
 
-// Benchmarks behind the O(footprint) query path: pair-query latency as the
+// Guards behind the O(footprint) query path: pair-query latency as the
 // network grows around a fixed footprint. The frontier-driven extractor
 // walks only the adjacency of the vertices reachable between source and
 // sink, so the cost of a query must track its footprint, not the network —
-// these benchmarks pin that by holding the footprint constant while the
-// background grows 100x.
+// TestPairQueryCostIsFootprintBound pins that by holding the footprint
+// constant while the background grows 100x.
 
 // footV is the vertex count of the fixed footprint: a diamond DAG
 // 0 -> {1,2,3} -> {4,5,6} -> {7,8} -> 9 whose pair subgraph 0->9 is
@@ -70,32 +69,6 @@ func extractPair(n *tin.Network) (*tin.Graph, bool) {
 func extractPairResidue(n *tin.Network) (*tin.Graph, bool) {
 	x := n.Extract(tin.Query{Source: 0, Sink: 9, Footprint: true, Residue: true})
 	return x.Graph, x.Ok && !x.Residue
-}
-
-// BenchmarkPairQueryFootprintScaling runs the identical pair query — same
-// source, sink, and extracted subgraph — against networks 100x apart in
-// size. Flat ns/op across the sub-benchmarks is the O(footprint) claim;
-// a slope is a regression back toward the O(E) edge-table scan.
-func BenchmarkPairQueryFootprintScaling(b *testing.B) {
-	for _, background := range []int{10_000, 100_000, 1_000_000} {
-		b.Run(fmt.Sprintf("background=%d", background), func(b *testing.B) {
-			n := buildFootprintNetwork(b, background)
-			g, ok := extractPair(n)
-			if !ok {
-				b.Fatal("pair 0->9 extracts nothing")
-			}
-			ia := g.NumInteractions()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				g, ok := extractPair(n)
-				if !ok || g.NumInteractions() != ia {
-					b.Fatal("extraction drifted")
-				}
-			}
-			b.ReportMetric(float64(ia), "footprint-ia/op")
-		})
-	}
 }
 
 // TestPairQueryCostIsFootprintBound is the acceptance check behind the

@@ -8,14 +8,11 @@ import (
 	"testing"
 
 	"flownet/internal/datagen"
-	"flownet/internal/store"
 	"flownet/internal/tin"
 )
 
-// The load/replay benchmark corpus: one Bitcoin-shaped network, built once
-// per test binary. ~5k vertices keeps a single -benchtime 1x pass (the CI
-// step that runs every benchmark once) in seconds while still being
-// parse-dominated on the text path.
+// The guards' bench corpus: one Bitcoin-shaped network of ~5k vertices,
+// built once per test binary.
 var (
 	loadNetOnce sync.Once
 	loadNet     *tin.Network
@@ -27,92 +24,6 @@ func loadBenchNetwork(tb testing.TB) *tin.Network {
 		loadNet = datagen.Bitcoin(datagen.Config{Vertices: 5000, Seed: 11})
 	})
 	return loadNet
-}
-
-// BenchmarkLoadText / BenchmarkLoadBinary measure loading the same network
-// through the two codecs behind tin.LoadNetwork — the number the store's
-// binary snapshots exist to improve. interactions/op makes runs on
-// different corpora comparable.
-func BenchmarkLoadText(b *testing.B)   { benchLoad(b, "net.txt") }
-func BenchmarkLoadBinary(b *testing.B) { benchLoad(b, "net.tinb") }
-
-func benchLoad(b *testing.B, name string) {
-	n := loadBenchNetwork(b)
-	path := filepath.Join(b.TempDir(), name)
-	var err error
-	if filepath.Ext(name) == ".tinb" {
-		err = tin.SaveNetworkBinary(path, n)
-	} else {
-		err = tin.SaveNetwork(path, n)
-	}
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m, err := tin.LoadNetwork(path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if m.NumInteractions() != n.NumInteractions() {
-			b.Fatalf("loaded %d interactions, want %d", m.NumInteractions(), n.NumInteractions())
-		}
-	}
-	b.ReportMetric(float64(n.NumInteractions()), "interactions/op")
-}
-
-// BenchmarkWALReplay measures store recovery from a WAL-only state (no
-// snapshot): every batch ever acknowledged is replayed on Open. This is
-// the worst-case restart cost that -snapshot-every bounds.
-func BenchmarkWALReplay(b *testing.B) {
-	const (
-		batches   = 512
-		batchSize = 64
-	)
-	dir := b.TempDir()
-	st, err := store.Open(store.Config{Dir: dir, SnapshotEvery: -1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	sh, err := st.Create("bench", 1024)
-	if err != nil {
-		b.Fatal(err)
-	}
-	items := make([]store.Item, batchSize)
-	for i := 0; i < batches; i++ {
-		for j := range items {
-			items[j] = store.Item{
-				From: int32((i + j) % 1024),
-				To:   int32((i + j + 1) % 1024),
-				Time: float64(i*batchSize + j),
-				Qty:  1,
-			}
-		}
-		if _, err := sh.Append(items, store.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	wantGen := sh.Generation()
-	if err := st.Close(); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st, err := store.Open(store.Config{Dir: dir, SnapshotEvery: -1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		sh, ok := st.Get("bench")
-		if !ok || sh.Generation() != wantGen {
-			b.Fatalf("recovered generation %d, want %d", sh.Generation(), wantGen)
-		}
-		if err := st.Close(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(batches, "records/op")
 }
 
 // TestLoadBinaryFasterThanText is the acceptance check behind the snapshot
@@ -137,8 +48,12 @@ func TestLoadBinaryFasterThanText(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			r := testing.Benchmark(func(b *testing.B) {
 				for j := 0; j < b.N; j++ {
-					if _, err := tin.LoadNetwork(path); err != nil {
+					m, err := tin.LoadNetwork(path)
+					if err != nil {
 						b.Fatal(err)
+					}
+					if m.NumInteractions() != n.NumInteractions() {
+						b.Fatal("short load")
 					}
 				}
 			})

@@ -302,28 +302,3 @@ func gridMax(rows [][]float64, bs, u, c []float64) float64 {
 	rec(0, make([]float64, n))
 	return best
 }
-
-func BenchmarkSimplexMedium(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	n, m := 60, 60
-	p := NewProblem(n)
-	for j := 0; j < n; j++ {
-		p.SetObjective(j, rng.Float64())
-		p.SetBound(j, 1+rng.Float64()*4)
-	}
-	for i := 0; i < m; i++ {
-		var entries []Entry
-		for j := 0; j < n; j++ {
-			if rng.Float64() < 0.3 {
-				entries = append(entries, Entry{j, rng.Float64()*2 - 0.5})
-			}
-		}
-		p.AddConstraint(entries, 5+rng.Float64()*10)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Solve(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

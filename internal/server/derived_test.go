@@ -2,7 +2,9 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -37,9 +39,12 @@ func derivedStatsOf(t *testing.T, ts *httptest.Server) DerivedStats {
 // entirely in the other component survives the generation bump — served as
 // a byte-identical hit with no recomputation — while answers the delta
 // could have affected are refused and recomputed. The counters move at the
-// lookup that finds the entry, not at the ingest.
+// lookup that finds the entry, not at the ingest: 32-item appends beside a
+// full 4 096-entry cache move no counter, evict nothing and leave no
+// goroutine behind.
 func TestCacheRetentionAcrossIngest(t *testing.T) {
-	s := New(Config{CacheSize: 64, AllowIngest: true})
+	const entries = 4096
+	s := New(Config{CacheSize: entries, AllowIngest: true})
 	if err := s.AddNetwork("live", buildNet(t, 6, twoComponents)); err != nil {
 		t.Fatal(err)
 	}
@@ -110,6 +115,38 @@ func TestCacheRetentionAcrossIngest(t *testing.T) {
 	post(t, ts, "/ingest", IngestRequest{Network: "live", Reindex: true}, nil)
 	flow("source=3&sink=5", "miss")
 	wantCounters("pair 3->5 refused after the reindex", 2, 2)
+
+	// Fill the cache with windowed seed answers in the far component, served
+	// in-process so no connection goroutine comes or goes, then append 32
+	// items at a time into the near one, across two tail folds: the change
+	// notification stamps the touched vertices and returns.
+	for i := 0; i < entries; i++ {
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, httptest.NewRequest("GET", fmt.Sprintf("/flow?net=live&seed=3&to=%d", i), nil))
+		if w.Code != 200 {
+			t.Fatalf("windowed seed %d: status %d (%s)", i, w.Code, w.Body)
+		}
+	}
+	sh, _ := s.Store().Get("live")
+	goroutines := runtime.NumGoroutine()
+	batch := make([]store.Item, 32)
+	for b := 0; b < 256; b++ {
+		for i := range batch {
+			batch[i] = store.Item{From: tin.VertexID(i % 2), To: tin.VertexID(i%2 + 1), Time: float64(10 + b*len(batch) + i), Qty: 1}
+		}
+		if _, err := sh.Append(batch, store.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if left := runtime.NumGoroutine() - goroutines; left > 0 {
+		t.Errorf("256 appends beside a full cache left %d goroutines behind", left)
+	}
+	wantCounters("after the appends, before any lookup", 2, 2)
+	var res StatsResult
+	get(t, ts, "/stats", &res)
+	if res.Cache.Len != entries {
+		t.Errorf("the cache holds %d entries after the appends, want %d", res.Cache.Len, entries)
+	}
 }
 
 // TestCacheRetentionOtherNetworkUntouched checks the stamps' scope: an

@@ -2,8 +2,9 @@
 // classic static max-flow problem via a time-expanded graph, following the
 // equivalence of Akrida et al. ("Temporal flows in temporal networks",
 // CIAC 2017) that Section 4.2.1 of Kosyfaki et al. invokes: one static node
-// per (vertex, buffer-state) pair, infinite "holdover" arcs modelling the
-// buffer between consecutive events, and one finite arc per interaction.
+// per block of a vertex's live arrivals-then-departures (below), infinite
+// "holdover" arcs modelling the buffer between consecutive blocks, and one
+// finite arc per interaction.
 // It answers every class-C residue and every cyclic instance (core.Solve)
 // with Dinic's algorithm over the network's residual form.
 //
