@@ -214,31 +214,46 @@ func TestInstanceFlowAllocationBudget(t *testing.T) {
 	}
 }
 
-// TestSearchGBAllocationBudget guards the decomposable GB search as a
-// whole: SearchGB(P5) on one worker fans out per anchor, reuses its
+// TestSearchGBAllocationBudget guards the anchor-by-anchor GB searches as
+// a whole, on one worker and on two. SearchGB(P5) reuses its pooled
 // collector across anchors and summarises each petal once per anchor, so
 // it allocates fewer objects than it finds instances (the per-instance
-// flow graphs it replaced cost about nine each).
+// flow graphs it replaced cost about nine each). RP2 and RP3 reuse the
+// collector's grouper and closing index and scan each path for its flow
+// alone, so they allocate one object per anchor with instances — its flows
+// for the fold — and a few per search, not a grouper per anchor and an
+// arrival sequence per path.
 func TestSearchGBAllocationBudget(t *testing.T) {
 	n := loadBenchNetwork(t)
-	opts := pattern.Options{Workers: 1}
-	sum, err := pattern.SearchGB(n, pattern.P5, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Instances == 0 {
-		t.Fatal("the bench network has no P5 instance")
-	}
-	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := pattern.SearchGB(n, pattern.P5, opts); err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		p      *pattern.Pattern
+		budget func(instances int64) float64
+	}{
+		{pattern.P5, func(instances int64) float64 { return float64(instances) - 1 }},
+		{pattern.RP2, func(instances int64) float64 { return float64(instances) + 32 }},
+		{pattern.RP3, func(instances int64) float64 { return float64(instances) + 32 }},
+	} {
+		for _, workers := range []int{1, 2} {
+			opts := pattern.Options{Workers: workers}
+			sum, err := pattern.SearchGB(n, c.p, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sum.Instances == 0 {
+				t.Fatalf("the bench network has no %s instance", c.p.Name)
+			}
+			allocs := testing.AllocsPerRun(3, func() {
+				if _, err := pattern.SearchGB(n, c.p, opts); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("SearchGB(%s, Workers: %d): %.0f allocs for %d instances", c.p.Name, workers, allocs, sum.Instances)
+			// Under the race detector sync.Pool drops Puts, so each dropped
+			// collector is allocated again.
+			if budget := c.budget(sum.Instances); allocs > budget && !raceEnabled {
+				t.Errorf("SearchGB(%s, Workers: %d) allocates %.0f objects for %d instances, budget %.0f", c.p.Name, workers, allocs, sum.Instances, budget)
+			}
 		}
-	})
-	t.Logf("SearchGB(P5, Workers: 1): %.0f allocs for %d instances", allocs, sum.Instances)
-	// Under the race detector sync.Pool drops Puts, so each dropped
-	// collector is allocated again.
-	if allocs >= float64(sum.Instances) && !raceEnabled {
-		t.Errorf("SearchGB(P5) allocates %.0f objects for %d instances, want fewer", allocs, sum.Instances)
 	}
 }
 

@@ -1,8 +1,13 @@
 // Package par provides the small deterministic parallel-execution helpers
 // behind the library's Workers knobs: a bounded parallel for, and an
-// ordered fan-out whose results are reduced in emission order so that a
-// parallel run is bit-for-bit identical to its sequential counterpart
+// ordered fold whose results are reduced in index order so that a parallel
+// run is bit-for-bit identical to its sequential counterpart
 // (floating-point sums included).
+//
+// Both hand out indices from one atomic counter to the calling goroutine
+// and workers−1 more; there are no channels and no producer goroutine. A
+// panic in any of them stops the hand-out, lets the others drain and is
+// raised again, with its original value, on the calling goroutine.
 package par
 
 import (
@@ -24,127 +29,193 @@ func Workers(n int) int {
 	}
 }
 
-// ForEach runs fn(i) for every i in [0, n) on at most workers goroutines
-// and returns when all calls have completed. With workers <= 1 (or n <= 1)
-// it degenerates to a plain loop on the calling goroutine. fn must be safe
-// to call concurrently for distinct indices.
+// ForEach runs fn(i) for every i in [0, n) on at most workers goroutines,
+// the caller among them, and returns when all calls have completed. With
+// workers <= 1 (or n <= 1) it is a plain loop on the calling goroutine. fn
+// must be safe to call concurrently for distinct indices. If a call panics,
+// no further index is started and the panic is raised on the caller once
+// the calls in flight have returned.
 func ForEach(workers, n int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
+	if workers = min(workers, n); workers <= 1 {
+		for i := range n {
 			fn(i)
 		}
 		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := next.Add(1) - 1
-				if i >= int64(n) {
-					return
-				}
-				fn(int(i))
-			}
-		}()
-	}
-	wg.Wait()
+	c := claims{n: int64(n)}
+	spread(workers, c.stop, func() {
+		for i, ok := c.claim(); ok; i, ok = c.claim() {
+			fn(i)
+		}
+	})
 }
 
-// OrderedFanOut pipes the items emitted by produce through solve on a pool
-// of workers goroutines and hands each result to reduce in emission order,
-// regardless of the order in which workers finish. It is the building block
-// for parallel searches that must agree exactly with their sequential
-// versions: because reduce sees results in the same order a sequential loop
-// would, accumulated sums (and early-stop decisions) are identical.
+// Ordered runs solve(i) for every i in [0, n) on at most workers
+// goroutines, the caller among them, and hands each result to reduce in
+// index order, whatever order the solves finish in. It is the building
+// block for parallel searches that must agree exactly with their
+// sequential versions: reduce sees the results a sequential loop would, in
+// its order, so accumulated sums and early-stop decisions are identical.
 //
-// produce calls emit once per item, in order; emit returns false when the
-// pipeline has stopped and no further items will be consumed. reduce
-// returns false to stop early (cut-off reached, error observed); items
-// already in flight are still solved but their results are discarded.
-// OrderedFanOut returns only after all goroutines have drained.
+// Workers claim indices from an atomic counter. A result whose
+// predecessors are not all reduced yet is held; the worker that completes
+// the prefix reduces it and every held result after it, under the fold's
+// lock. reduce therefore runs on any of the goroutines but never
+// concurrently with itself, and what it writes is the caller's to read once
+// Ordered returns; it should be cheap, since a worker that finishes meanwhile
+// waits for the lock. solve runs concurrently and must be safe for that.
 //
-// produce and reduce run on separate goroutines but never concurrently
-// with themselves; solve runs concurrently on up to workers goroutines and
-// must be safe for that.
-func OrderedFanOut[J, R any](workers int, produce func(emit func(J) bool), solve func(J) R, reduce func(R) bool) {
-	if workers <= 1 {
-		stopped := false
-		produce(func(j J) bool {
-			if stopped {
+// reduce returns false to stop: no index is claimed after that, and the
+// results of the solves in flight (at most workers−1) and of those held
+// ahead of the stop are discarded. Ordered returns once every goroutine
+// has, and reports whether reduce took all n results. A panic in solve or
+// reduce stops it the same way and is raised again on the caller.
+func Ordered[R any](workers, n int, solve func(i int) R, reduce func(R) bool) bool {
+	if workers = min(workers, n); workers <= 1 {
+		for i := range n {
+			if !reduce(solve(i)) {
 				return false
 			}
-			if !reduce(solve(j)) {
-				stopped = true
+		}
+		return true
+	}
+	c := claims{n: int64(n)}
+	f := fold[R]{reduce: reduce, claims: &c}
+	spread(workers, f.stop, func() {
+		for i, ok := c.claim(); ok; i, ok = c.claim() {
+			if !f.deliver(i, solve(i)) {
+				return
 			}
-			return !stopped
-		})
-		return
-	}
-	type job struct {
-		idx int64
-		val J
-	}
-	type result struct {
-		idx int64
-		val R
-	}
-	jobs := make(chan job, workers)
-	results := make(chan result, workers)
-	var stopped atomic.Bool
-	go func() {
-		defer close(jobs)
-		var idx int64
-		produce(func(j J) bool {
-			if stopped.Load() {
-				return false
-			}
-			jobs <- job{idx, j}
-			idx++
-			return true
-		})
-	}()
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for jb := range jobs {
-				results <- result{jb.idx, solve(jb.val)}
+		}
+	})
+	return !f.stopped
+}
+
+// claims hands out the indices [0, n), each once, from an atomic counter.
+type claims struct {
+	next atomic.Int64
+	n    int64
+}
+
+// claim returns the next unclaimed index, or false once none is left.
+func (c *claims) claim() (int, bool) {
+	i := c.next.Add(1) - 1
+	return int(i), i < c.n
+}
+
+// stop ends the hand-out: every later claim fails. Indices claimed before
+// it are the claimers' to finish.
+func (c *claims) stop() { c.next.Store(c.n) }
+
+// spread runs work on the calling goroutine and on workers−1 others and
+// returns once all have returned. If any of them panics, stop is called so
+// that the others claim nothing more, and once they have drained, the
+// first panic's value is raised again on the calling goroutine.
+func spread(workers int, stop func(), work func()) {
+	var (
+		once      sync.Once
+		recovered any
+		panicked  bool
+		wg        sync.WaitGroup
+	)
+	run := func() {
+		defer func() {
+			if r := recover(); r != nil {
+				once.Do(func() { recovered, panicked = r, true })
+				stop()
 			}
 		}()
+		work()
 	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-	// Reorder buffer: results are applied strictly in emission order. Its
-	// size is bounded by the number of in-flight jobs (2*workers + 2).
-	pending := make(map[int64]R)
-	var next int64
-	done := false
-	for r := range results {
-		if done {
-			continue // drain
-		}
-		pending[r.idx] = r.val
-		for {
-			v, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			next++
-			if !reduce(v) {
-				done = true
-				stopped.Store(true)
-				break
-			}
-		}
+	wg.Add(workers - 1)
+	for range workers - 1 {
+		go func() {
+			defer wg.Done()
+			run()
+		}()
 	}
+	run()
+	wg.Wait()
+	if panicked {
+		panic(recovered)
+	}
+}
+
+// fold reduces the results of Ordered in index order. held is a ring:
+// held[i&(len(held)-1)] keeps the result of index i, for next < i <
+// next+len(held), until its turn; its length is a power of two and grows
+// only as far as the workers run ahead of the fold.
+type fold[R any] struct {
+	mu      sync.Mutex
+	reduce  func(R) bool
+	claims  *claims // stopped with the fold
+	next    int     // index of the next result to reduce
+	held    []slot[R]
+	stopped bool
+}
+
+type slot[R any] struct {
+	r    R
+	full bool
+}
+
+// deliver hands the fold the result of index i and reports whether the
+// fold goes on. If i is next in order, r and every held result after it are
+// reduced; otherwise r is held.
+func (f *fold[R]) deliver(i int, r R) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.stopped {
+		return false
+	}
+	if i != f.next {
+		if i-f.next >= len(f.held) {
+			f.grow(i - f.next + 1)
+		}
+		f.held[i&(len(f.held)-1)] = slot[R]{r, true}
+		return true
+	}
+	for {
+		if !f.reduce(r) {
+			f.halt()
+			return false
+		}
+		if f.next++; len(f.held) == 0 {
+			return true
+		}
+		s := &f.held[f.next&(len(f.held)-1)]
+		if !s.full {
+			return true
+		}
+		r = s.r
+		*s = slot[R]{}
+	}
+}
+
+// grow resizes the ring to the next power of two that holds need results
+// from next on, keeping each held result at its index.
+func (f *fold[R]) grow(need int) {
+	size := max(1, 2*len(f.held))
+	for size < need {
+		size *= 2
+	}
+	held := make([]slot[R], size)
+	for i := f.next; i < f.next+len(f.held); i++ {
+		held[i&(size-1)] = f.held[i&(len(f.held)-1)]
+	}
+	f.held = held
+}
+
+// stop discards the fold: nothing more is claimed or reduced.
+func (f *fold[R]) stop() {
+	f.mu.Lock()
+	f.halt()
+	f.mu.Unlock()
+}
+
+// halt is stop with the lock held: the claims end before any other worker
+// can see the fold go on.
+func (f *fold[R]) halt() {
+	f.stopped = true
+	f.claims.stop()
 }

@@ -139,18 +139,20 @@ func searchDecomposable(n *tin.Network, p *Pattern, opts Options) (Summary, erro
 		return Summary{Pattern: p.Name}, err
 	}
 	petals := p.petals()
-	return searchAnchors(p.Name, n, opts, func(a tin.VertexID) []float64 {
-		c := collectors.Get().(*collector)
-		defer collectors.Put(c)
-		return c.collect(n, p, plan, petals, a, opts.MaxInstances)
+	return searchAnchors(p.Name, n, opts, func(c *collector, a tin.VertexID) []float64 {
+		return c.rigid(n, p, plan, petals, a, opts.MaxInstances)
 	})
 }
 
-// collector finds and solves the instances of one anchor at a time. It is
-// pooled, so each worker reuses one across anchors and searches: the only
-// allocation per anchor is the flows it hands to the fold.
+// collector finds and solves the instances of one anchor at a time, of a
+// decomposable rigid pattern (rigid) or a relaxed one (relaxed). It is
+// pooled, so each worker reuses one — its matcher, closing index, petal
+// memo and grouper — across anchors and searches: the only allocation per
+// anchor is the flows it hands to the fold. A collector is put back only
+// after a clean return, which leaves its closing index all -1.
 type collector struct {
-	m      matcher // m.fn is visit
+	m      matcher // m.fn is visit; m.into serves relaxed as well
+	g      grouper
 	petals [][]int
 	max    int64
 	flows  []float64
@@ -164,9 +166,9 @@ var collectors = sync.Pool{New: func() any {
 	return c
 }}
 
-// collect returns the flows of the instances at anchor a, in enumeration
+// rigid returns the flows of the instances at anchor a, in enumeration
 // order, at most max of them (0 = all).
-func (c *collector) collect(n *tin.Network, p *Pattern, plan *matchPlan, petals [][]int, a tin.VertexID, max int64) []float64 {
+func (c *collector) rigid(n *tin.Network, p *Pattern, plan *matchPlan, petals [][]int, a tin.VertexID, max int64) []float64 {
 	c.m.n, c.m.p, c.m.plan = n, p, plan
 	if len(c.m.inst.V) != p.NV || len(c.m.inst.EdgeIDs) != len(p.Edges) {
 		c.m.inst = Instance{V: make([]tin.VertexID, p.NV), EdgeIDs: make([]tin.EdgeID, len(p.Edges))}
@@ -179,10 +181,30 @@ func (c *collector) collect(n *tin.Network, p *Pattern, plan *matchPlan, petals 
 	c.m.n, c.m.p, c.m.plan, c.petals = nil, nil, nil, nil
 	clear(c.runs[:cap(c.runs)])
 	clear(c.memo.runs[:cap(c.memo.runs)])
-	if len(c.flows) == 0 {
+	return cloneFlows(c.flows)
+}
+
+// relaxed returns the flows of the instances of a relaxed pattern of the
+// given kind at anchor a that bundle at least minPaths paths: the walker's
+// paths, grouped, each admitted one's flow computed once.
+func (c *collector) relaxed(n *tin.Network, kind Kind, a tin.VertexID, minPaths int) []float64 {
+	hops, cyclic := kind.shape()
+	c.g.kind = kind
+	for pa := range anchoredPaths(n, a, hops, cyclic, &c.m.into) {
+		if c.g.admits(pa.verts()) {
+			c.g.add(pa.verts(), pa.flow(n))
+		}
+	}
+	return cloneFlows(c.g.instances(minPaths))
+}
+
+// cloneFlows copies an anchor's flows out of the collector's scratch for
+// the fold, which may hold them while other anchors are collected.
+func cloneFlows(flows []float64) []float64 {
+	if len(flows) == 0 {
 		return nil
 	}
-	return slices.Clone(c.flows)
+	return slices.Clone(flows)
 }
 
 // visit is the matcher's callback: it solves one instance and reports

@@ -36,6 +36,9 @@ type matchPlan struct {
 	// checkEdges[i] lists pattern-edge indices whose endpoints are both
 	// placed once order[i] is, excluding anchorEdge[i].
 	checkEdges [][]int
+	// closes is set when a check edge enters the source: the matcher then
+	// indexes each anchor's in-edges (closing) and reads such edges there.
+	closes bool
 }
 
 func buildPlan(p *Pattern) (*matchPlan, error) {
@@ -84,6 +87,7 @@ func buildPlan(p *Pattern) (*matchPlan, error) {
 		at := max(pos[e[0]], pos[e[1]])
 		if j != plan.anchorEdge[at] {
 			plan.checkEdges[at] = append(plan.checkEdges[at], j)
+			plan.closes = plan.closes || e[1] == p.Source
 		}
 	}
 	return plan, nil
@@ -118,14 +122,15 @@ func EnumerateGB(n *tin.Network, p *Pattern, fn func(*Instance) bool) error {
 
 // matcher is the backtracking state of one enumeration. The plan is shared
 // read-only by every matcher of a search; the instance under construction
-// is the matcher's own, so goroutines enumerating concurrently need one
-// matcher each.
+// and the closing index are the matcher's own, so goroutines enumerating
+// concurrently need one matcher each.
 type matcher struct {
 	n    *tin.Network
 	p    *Pattern
 	plan *matchPlan
 	inst Instance // V and EdgeIDs sized to the pattern
 	fn   func(*Instance) bool
+	into closing // the anchor's in-edges, when plan.closes
 }
 
 // anchor hands fn the instances whose source maps to graph vertex a, in
@@ -137,7 +142,13 @@ func (m *matcher) anchor(a tin.VertexID) bool {
 		return true
 	}
 	m.inst.V[m.p.Source] = a
-	return m.rec(1)
+	if !m.plan.closes {
+		return m.rec(1)
+	}
+	m.into.index(m.n, a)
+	more := m.rec(1)
+	m.into.reset()
+	return more
 }
 
 // rec places the pattern vertex of the given step and recurses, and
@@ -180,7 +191,13 @@ next:
 		inst.EdgeIDs[ae] = eid
 		for _, j := range plan.checkEdges[step] {
 			ce := p.Edges[j]
-			id, exists := n.HasEdge(inst.V[ce[0]], inst.V[ce[1]])
+			var id tin.EdgeID
+			var exists bool
+			if ce[1] == p.Source {
+				id, exists = m.into.from(inst.V[ce[0]])
+			} else {
+				id, exists = n.HasEdge(inst.V[ce[0]], inst.V[ce[1]])
+			}
 			if !exists {
 				continue next
 			}

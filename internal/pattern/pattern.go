@@ -33,9 +33,11 @@
 // walker under GB and by a table's row group under PB, which is all that
 // tells the two apart), and the fold of instances into a Summary (fold —
 // the cut-off, the Truncated flag and cancellation for every searcher and
-// every worker count). EnumerateGB shares none of them and serves as
-// their independent check for instances; FuzzInstanceFlow checks the
-// flows against the flow graph and PreSim.
+// every worker count). The walker and EnumerateGB close a cycle at the
+// anchor through one closing index, the anchor's in-edges by tail; the
+// independent check of both is Definition 2 written out in the tests
+// (bruteInstances), and FuzzInstanceFlow checks the flows against the
+// flow graph and PreSim.
 //
 // The delta maintenance of footnote 2 is Tables.Update: it brings
 // precomputed tables current after an append by recomputing only the row

@@ -24,13 +24,16 @@ type Options struct {
 	// cycles"): an aggregated instance is reported only if it bundles at
 	// least this many parallel paths. 0 or 1 means any.
 	MinPaths int
-	// Workers bounds the worker pool of a search: SearchGB hands it whole
-	// anchors (relaxed and decomposable rigid patterns) or single
-	// instances (the LP-class P4, P6 and other non-decomposable patterns),
-	// and the SearchPB plans that cannot reuse precomputed flows hand it
-	// single instances. 0 selects GOMAXPROCS, 1 (or any negative value)
-	// runs fully sequentially. The result is identical for every worker
-	// count: flows are aggregated in enumeration order, so instance
+	// Workers bounds the worker pool of a search, the calling goroutine
+	// included: SearchGB hands it whole anchors (relaxed and decomposable
+	// rigid patterns) or single instances (the LP-class P4, P6 and other
+	// non-decomposable patterns), and the SearchPB plans that cannot reuse
+	// precomputed flows hand it single instances. A worker claims its next
+	// anchor or instance from an atomic counter; there is no channel
+	// hand-off, so a second worker pays even at a few microseconds per
+	// anchor. 0 selects GOMAXPROCS, 1 (or any negative value) runs fully
+	// sequentially. The result is identical for every worker count: flows
+	// are aggregated in enumeration order (par.Ordered), so instance
 	// counts, total flow and cut-off behavior match the sequential search
 	// bit-for-bit.
 	Workers int
@@ -159,7 +162,7 @@ func SearchGB(n *tin.Network, p *Pattern, opts Options) (Summary, error) {
 			return searchDecomposable(n, p, opts)
 		}
 		var enumErr error
-		sum, err := searchInstances(p, n, opts, true, func(emit func(*Instance) bool) {
+		sum, err := searchInstances(p, n, opts, func(emit func(*Instance) bool) {
 			enumErr = EnumerateGB(n, p, emit)
 		})
 		if enumErr != nil {
@@ -169,16 +172,8 @@ func SearchGB(n *tin.Network, p *Pattern, opts Options) (Summary, error) {
 	case KindRelaxedChains, KindRelaxed2Cycles, KindRelaxed3Cycles:
 		// One anchor at a time (concurrently across anchors when
 		// opts.Workers allows), folding instances in ascending anchor order.
-		hops, cyclic := p.Kind.shape()
-		return searchAnchors(p.Name, n, opts, func(a tin.VertexID) []float64 {
-			g := grouper{kind: p.Kind}
-			for pa := range anchoredPaths(n, a, hops, cyclic) {
-				if g.admits(pa.verts()) {
-					flow, _ := pa.arrivals(n)
-					g.add(pa.verts(), flow)
-				}
-			}
-			return g.instances(opts.minPaths())
+		return searchAnchors(p.Name, n, opts, func(c *collector, a tin.VertexID) []float64 {
+			return c.relaxed(n, p.Kind, a, opts.minPaths())
 		})
 	default:
 		return Summary{}, fmt.Errorf("pattern %s: unknown kind", p.Name)
@@ -358,7 +353,8 @@ func searchP5PB(t Tables, opts Options) (Summary, error) {
 // shared prefix a→b makes the paths dependent, so flows are computed on
 // the assembled instance (Figure 8(b)'s "hard pattern" case).
 func searchP4PB(n *tin.Network, t Tables, opts Options) (Summary, error) {
-	return searchInstances(P4, n, opts, false, func(emit func(*Instance) bool) {
+	return searchInstances(P4, n, opts, func(emit func(*Instance) bool) {
+		inst := &Instance{V: make([]tin.VertexID, 4), EdgeIDs: make([]tin.EdgeID, 5)}
 		for a, rows := range t.L3.groups() {
 			for x := range rows {
 				for y := range rows {
@@ -367,16 +363,14 @@ func searchP4PB(n *tin.Network, t Tables, opts Options) (Summary, error) {
 					if rows[x].Verts[1] != rows[y].Verts[1] || c >= d {
 						continue
 					}
-					inst := &Instance{
-						V: []tin.VertexID{a, rows[x].Verts[1], c, d},
-						EdgeIDs: []tin.EdgeID{
-							rows[x].Edges[0], // a->b
-							rows[x].Edges[1], // b->c
-							rows[y].Edges[1], // b->d
-							rows[x].Edges[2], // c->a
-							rows[y].Edges[2], // d->a
-						},
-					}
+					copy(inst.V, []tin.VertexID{a, rows[x].Verts[1], c, d})
+					copy(inst.EdgeIDs, []tin.EdgeID{
+						rows[x].Edges[0], // a->b
+						rows[x].Edges[1], // b->c
+						rows[y].Edges[1], // b->d
+						rows[x].Edges[2], // c->a
+						rows[y].Edges[2], // d->a
+					})
 					if !emit(inst) {
 						return
 					}
@@ -390,7 +384,8 @@ func searchP4PB(n *tin.Network, t Tables, opts Options) (Summary, error) {
 // the Figure 8(b) plan: precomputed paths locate candidates, the input
 // graph supplies the missing edge, and the flow is computed per instance.
 func searchP6PB(n *tin.Network, t Tables, opts Options) (Summary, error) {
-	return searchInstances(P6, n, opts, false, func(emit func(*Instance) bool) {
+	return searchInstances(P6, n, opts, func(emit func(*Instance) bool) {
+		inst := &Instance{V: make([]tin.VertexID, 3), EdgeIDs: make([]tin.EdgeID, 4)}
 		for i := range t.L3.Rows {
 			r := &t.L3.Rows[i]
 			a, b, c := r.Verts[0], r.Verts[1], r.Verts[2]
@@ -398,10 +393,8 @@ func searchP6PB(n *tin.Network, t Tables, opts Options) (Summary, error) {
 			if !ok {
 				continue
 			}
-			inst := &Instance{
-				V:       []tin.VertexID{a, b, c},
-				EdgeIDs: []tin.EdgeID{r.Edges[0], r.Edges[1], r.Edges[2], chord},
-			}
+			copy(inst.V, []tin.VertexID{a, b, c})
+			copy(inst.EdgeIDs, []tin.EdgeID{r.Edges[0], r.Edges[1], r.Edges[2], chord})
 			if !emit(inst) {
 				return
 			}

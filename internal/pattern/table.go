@@ -87,9 +87,12 @@ func (t *Table) NumInteractions() int {
 // disappears — and every other group is carried over, keeping the
 // ascending-anchor layout. Rows within a group are in walker order.
 func (t *Table) rebuilt(n *tin.Network, anchors []tin.VertexID) *Table {
-	out := &Table{Hops: t.Hops, Cyclic: t.Cyclic}
+	// Most rows are carried over: sizing Rows once spares the copies and
+	// clears of growing it by appends, most of an update's time.
+	out := &Table{Hops: t.Hops, Cyclic: t.Cyclic, Rows: make([]Row, 0, len(t.Rows))}
+	c := collectors.Get().(*collector) // for its closing index
 	walk := func(a tin.VertexID) {
-		for p := range anchoredPaths(n, a, t.Hops, t.Cyclic) {
+		for p := range anchoredPaths(n, a, t.Hops, t.Cyclic, &c.m.into) {
 			flow, arr := p.arrivals(n)
 			out.Rows = append(out.Rows, Row{
 				Verts: slices.Clone(p.verts()),
@@ -112,6 +115,7 @@ func (t *Table) rebuilt(n *tin.Network, anchors []tin.VertexID) *Table {
 	for _, a := range anchors {
 		walk(a)
 	}
+	collectors.Put(c)
 	out.index = make(map[tin.VertexID][2]int)
 	start := 0
 	for a, rows := range out.groups() {
