@@ -2,6 +2,7 @@ package bench
 
 import (
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"flownet/internal/core"
@@ -95,74 +96,107 @@ func TestQueryAllocationBudget(t *testing.T) {
 	})
 }
 
-// TestSolveAllocationBudget guards the solve half of a query, which
-// TestQueryAllocationBudget only bounds together with extraction, on three
-// instances of the bench network:
+// TestSolveAllocationBudget guards the solve half of a served query —
+// core.SolveExtraction over a fresh extraction, counted apart from the
+// extraction, which TestQueryAllocationBudget bounds — on three queries of
+// the bench network, as /flow asks them (Query.Residue):
 //
-//   - a class-A seed subgraph: one topological sort (its order and the
-//     in-degrees) and one greedy scan (its buffers and its cursors over the
-//     graph's Ord index), however many interactions it orders;
-//   - a class-C seed subgraph: the reductions on a clone, then the
-//     time-expanded engine;
-//   - a cyclic windowed pair instance: the topological sort that finds the
-//     cycle, then the engine alone.
+//   - a class-A seed: its runs, scanned by position, the scan's scratch on
+//     the stack;
+//   - a class-C seed: its graph, reduced in place (no clone) — one
+//     topological sort, the working lists of Algorithms 1 and 2 and the
+//     arrival sequences that replace chains — then the time-expanded
+//     engine, whose event list and arrays come from its pool: only the
+//     walk's cursors over the Ord index are allocated;
+//   - a cyclic windowed pair: its residue, handed to the engine as it is:
+//     the walk's cursors again.
 //
-// The engine sizes its residual network by counting passes and then
-// allocates four blocks beside the instance's event list — its vertex
-// scratch, the node-indexed arrays, the slots' targets and pairs, their
-// residuals — however many nodes and slots it has, and the sort's frontier
-// lives in its output, so every budget is a constant, not a function of the
-// instance. Measured: 4, 33 and 9.
+// A last case counts the class-A seed query end to end: Extract gives no
+// Graph, and the query allocates its runs and their endpoints, nothing
+// else. No budget depends on the instance's size. Measured: 0, 5 and 1
+// (Solve on the same instances' graphs: 4, 33 and 9); 2 for the whole
+// class-A query. Under the race detector sync.Pool drops what is Put, so
+// the counts are only logged there.
 func TestSolveAllocationBudget(t *testing.T) {
 	n := loadBenchNetwork(t)
-	firstSeed := func(keep func(*tin.Graph) bool) *tin.Graph {
+	seedQuery := func(keep func(tin.Extraction, core.Result) bool) *tin.Query {
 		for seed := 0; seed < n.NumVertices(); seed++ {
-			if h, ok := n.ExtractSubgraph(tin.VertexID(seed), tin.DefaultExtractOptions()); ok && keep(h) {
-				return h
+			q := tin.Query{Source: tin.VertexID(seed), Sink: tin.VertexID(seed), ExtractOptions: tin.DefaultExtractOptions(), Residue: true}
+			if x := n.Extract(q); x.Ok && keep(x, core.SolveExtraction(x)) {
+				return &q
 			}
 		}
 		return nil
 	}
-	classC := func(h *tin.Graph) bool {
-		res := core.Solve(h)
-		return res.Class == core.ClassC && res.UsedEngine && !res.Cyclic
-	}
+	classA := seedQuery(func(x tin.Extraction, _ core.Result) bool { return x.Graph == nil })
+	classC := seedQuery(func(_ tin.Extraction, r core.Result) bool { return r.Class == core.ClassC && !r.Cyclic })
 	// The unwindowed pair instances of this network are most of it; a
 	// one-percent window keeps one small.
-	var pair *tin.Graph
+	var pair *tin.Query
 	window := tin.ExtractOptions{Window: &tin.TimeWindow{From: 0, To: n.MaxTime() / 100}}
 	for src := tin.VertexID(1); src < 64 && pair == nil; src++ {
-		if x := n.Extract(tin.Query{Source: src, Sink: 0, ExtractOptions: window}); x.Ok {
-			if res := core.Solve(x.Graph); res.Cyclic && res.Flow > 0 {
-				pair = x.Graph
-			}
+		q := tin.Query{Source: src, Sink: 0, ExtractOptions: window, Residue: true}
+		if x := n.Extract(q); x.Ok && x.Residue && core.SolveExtraction(x).Flow > 0 {
+			pair = &q
+		}
+	}
+	check := func(t *testing.T, allocs, budget float64) {
+		if allocs > budget && !raceEnabled {
+			t.Errorf("%.0f allocs per run, budget %.0f", allocs, budget)
 		}
 	}
 	for _, c := range []struct {
 		name   string
-		g      *tin.Graph
+		q      *tin.Query
 		want   func(core.Result) bool
 		budget float64
 	}{
-		{"classA", firstSeed(core.GreedySoluble), func(r core.Result) bool { return r.Class == core.ClassA }, 4},
-		{"classC", firstSeed(classC), func(r core.Result) bool { return r.Class == core.ClassC && !r.Cyclic }, 33},
-		{"cyclicPair", pair, func(r core.Result) bool { return r.Cyclic }, 9},
+		{"classA", classA, func(r core.Result) bool { return r.Class == core.ClassA }, 0},
+		{"classC", classC, func(r core.Result) bool { return r.Class == core.ClassC && !r.Cyclic }, 5},
+		{"cyclicPair", pair, func(r core.Result) bool { return r.Cyclic }, 1},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			if c.g == nil {
+			if c.q == nil {
 				t.Skip("no such instance in the bench network")
 			}
-			allocs := testing.AllocsPerRun(10, func() {
-				if res := core.Solve(c.g); !c.want(res) {
-					t.Fatalf("Solve = %+v", res)
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			var before, after runtime.MemStats
+			var total uint64
+			const runs = 10
+			var x tin.Extraction
+			for i := range runs + 1 { // the first run fills the engine's pool
+				x = n.Extract(*c.q)
+				runtime.ReadMemStats(&before)
+				res := core.SolveExtraction(x)
+				runtime.ReadMemStats(&after)
+				if !c.want(res) {
+					t.Fatalf("SolveExtraction = %+v", res)
 				}
-			})
-			t.Logf("Solve on %d vertices, %d interactions: %.0f allocs", c.g.NumLiveVertices(), c.g.NumInteractions(), allocs)
-			if allocs > c.budget {
-				t.Errorf("Solve allocates %.0f objects per run, budget %.0f", allocs, c.budget)
+				if i > 0 {
+					total += after.Mallocs - before.Mallocs
+				}
 			}
+			allocs := float64(total) / runs
+			t.Logf("SolveExtraction on %d vertices, %d interactions: %.0f allocs", x.Vertices, x.Interactions, allocs)
+			check(t, allocs, c.budget)
 		})
 	}
+	t.Run("classAQuery", func(t *testing.T) {
+		if classA == nil {
+			t.Skip("no class-A seed in the bench network")
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			x := n.Extract(*classA)
+			if x.Graph != nil {
+				t.Fatal("a class-A seed query built a graph")
+			}
+			if res := core.SolveExtraction(x); res.Class != core.ClassA {
+				t.Fatalf("SolveExtraction = %+v", res)
+			}
+		})
+		t.Logf("class-A seed query, Extract and SolveExtraction: %.0f allocs", allocs)
+		check(t, allocs, 2)
+	})
 }
 
 // TestInstanceFlowAllocationBudget guards the per-instance work of the GB

@@ -8,8 +8,9 @@ import (
 )
 
 // This file implements batched flow computation: answering many seeds on a
-// bounded worker pool. It is safe because nothing in this package keeps
-// hidden shared state — see the package comment's Concurrency section.
+// bounded worker pool. It is safe because every seed's extraction is its
+// own and the only shared state, teg's pool, hands each solve arrays no
+// other holds — see the package comment's Concurrency section.
 // Results are returned in input order and each seed's Result is
 // byte-identical to what a sequential loop would produce, since the seeds
 // never interact.
@@ -25,11 +26,13 @@ type SeedResult struct {
 }
 
 // BatchSeedsContext runs the Section 6.2 per-seed experiment concurrently:
-// every seed is answered exactly as it would be alone — the seed query of
-// Extract (Figure 10; it only reads the finalized network, so concurrent
-// extraction is safe), then Solve. Results are in seed order, identical to
-// a sequential loop. The returned error is ctx's if it was cancelled (the
-// results are partial then), else nil.
+// every seed is answered exactly as /flow answers it alone — the seed query
+// of Extract (Figure 10; it only reads the finalized network, so concurrent
+// extraction is safe) asking for its smallest form (Query.Residue: a
+// class-A seed's runs, else its graph), then SolveExtraction, which owns
+// that graph. Each Result is Solve's on the seed's whole graph. Results are
+// in seed order, identical to a sequential loop. The returned error is
+// ctx's if it was cancelled (the results are partial then), else nil.
 //
 // Every worker checks ctx before starting a seed, so once it is cancelled
 // (a client disconnected, a deadline passed) the remaining seeds are
@@ -42,12 +45,12 @@ func BatchSeedsContext(ctx context.Context, n *tin.Network, seeds []tin.VertexID
 		if ctx.Err() != nil {
 			return
 		}
-		x := n.Extract(tin.Query{Source: seeds[i], Sink: seeds[i], ExtractOptions: extract})
+		x := n.Extract(tin.Query{Source: seeds[i], Sink: seeds[i], ExtractOptions: extract, Residue: true})
 		if !x.Ok {
 			return
 		}
 		results[i].Ok = true
-		results[i].Result = Solve(x.Graph)
+		results[i].Result = SolveExtraction(x)
 	})
 	return results, ctx.Err()
 }

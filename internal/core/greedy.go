@@ -22,7 +22,9 @@
 //     reduction of internal/teg).
 //   - Solve, the one answer path for any flow instance: PreSim's reductions
 //     on a DAG, the time-expanded reduction on a class-C residue and on a
-//     cyclic instance.
+//     cyclic instance; and SolveExtraction, the same answer to an
+//     extraction in the smallest form it came in (a class-A seed's runs, a
+//     cyclic pair's residue, a graph it owns).
 //
 // All algorithms interpret "before" via the canonical interaction order
 // defined by package tin, so greedy, LP and the time-expanded reduction
@@ -30,17 +32,20 @@
 //
 // # Concurrency
 //
-// This package keeps no hidden shared state: there are no package-level
-// mutable variables, and every algorithm works exclusively on its argument
-// graph (the LP and TEG engines build fresh problem instances per call).
-// Concurrent calls on distinct graphs are therefore always safe — this is
-// what BatchSeedsContext and the parallel pattern searches rely on. The
-// non-mutating entry points (Greedy, PathArrivals, GreedySoluble, Pre,
-// PreSim, Solve, MaxFlowLP) are additionally
-// safe to call concurrently on the same graph: they treat the input as
-// read-only and clone it before any modification.
-// Preprocess and Simplify mutate their argument in place and must not run
-// concurrently with any other use of the same graph.
+// This package has no package-level mutable variables, and every
+// algorithm works exclusively on its argument graph. The only state shared
+// between calls is internal/teg's pool of engine arrays, from which each
+// solve takes arrays no other call holds, clears them and gives them back
+// when it returns (the LP builds a fresh problem per call). Concurrent
+// calls on distinct graphs are therefore always safe — this is what
+// BatchSeedsContext and the parallel pattern searches rely on. Solve
+// reads; SolveExtraction owns. The non-mutating entry points (Greedy,
+// PathArrivals, ScanRuns, GreedySoluble, Pre, PreSim, Solve, MaxFlowLP)
+// are additionally safe to call concurrently on the same graph: they treat
+// the input as read-only and clone it before any modification.
+// SolveExtraction reduces the extraction's graph in place, and Preprocess
+// and Simplify mutate their argument: none may run concurrently with any
+// other use of the same graph.
 package core
 
 import (
@@ -110,8 +115,10 @@ func GreedyArrivals(g *tin.Graph) (float64, []Arrival) {
 // (sorted by Ord, all drawn from one container, so no two runs share an
 // Ord) from position from[i] to position to[i]. Position source holds an
 // infinite buffer; every other position starts empty. The scan merges the
-// runs by their heads — a k-pointer merge, O(n·k) for n interactions in k
-// runs, meant for the few runs of a path or a pattern instance — and each
+// runs by their heads — a k-pointer merge, meant for the few runs of a
+// path, a pattern instance or a class-A seed: each pick of the least head
+// moves that run's whole stretch before the next least, so the cost is
+// O(n + s·k) for n interactions in k runs cut into s stretches — and each
 // interaction moves min(q, B) exactly as scan does on the instance's graph,
 // in the same order, so the flow into sink is the same bits. If arrivals is
 // non-nil, every positive transfer into sink is appended to it in the form
@@ -141,35 +148,39 @@ func ScanRuns(seqs [][]tin.Interaction, from, to []int, source, sink int, arriva
 	}
 	buf[source] = math.Inf(1)
 	for {
-		// The earliest unread interaction is next; Ords are distinct.
-		r, least := -1, int64(math.MaxInt64)
+		// Run r holds the earliest unread interaction, and its interactions
+		// before the least other head (second) come next; Ords are distinct.
+		r, least, second := -1, int64(math.MaxInt64), int64(math.MaxInt64)
 		for i, h := range head {
 			if h < least {
-				r, least = i, h
+				r, least, second = i, h, least
+			} else if h < second {
+				second = h
 			}
 		}
 		if r < 0 {
 			return buf[sink]
 		}
-		seq := seqs[r]
-		ia := seq[next[r]]
-		next[r]++
-		if next[r] < len(seq) {
-			head[r] = seq[next[r]].Ord
-		} else {
-			head[r] = math.MaxInt64
+		seq, f, t := seqs[r], from[r], to[r]
+		j := next[r]
+		for ; j < len(seq) && seq[j].Ord < second; j++ {
+			ia := seq[j]
+			q := min(ia.Qty, buf[f])
+			if q <= 0 {
+				continue
+			}
+			if !math.IsInf(buf[f], 1) {
+				buf[f] -= q
+			}
+			buf[t] += q
+			if t == sink && arrivals != nil {
+				*arrivals = append(*arrivals, Arrival{Time: ia.Time, Qty: q, Ord: ia.Ord})
+			}
 		}
-		f, t := from[r], to[r]
-		q := min(ia.Qty, buf[f])
-		if q <= 0 {
-			continue
-		}
-		if !math.IsInf(buf[f], 1) {
-			buf[f] -= q
-		}
-		buf[t] += q
-		if t == sink && arrivals != nil {
-			*arrivals = append(*arrivals, Arrival{Time: ia.Time, Qty: q, Ord: ia.Ord})
+		next[r] = j
+		head[r] = math.MaxInt64
+		if j < len(seq) {
+			head[r] = seq[j].Ord
 		}
 	}
 }

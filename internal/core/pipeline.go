@@ -64,46 +64,70 @@ type Result struct {
 	Sim SimplifyStats
 	// LPVariables is the variable count of the final LP (0 if none ran).
 	LPVariables int
-	// Cyclic is true when SolveResidue answered — Solve met a directed
-	// cycle, or the caller handed over a cyclic pair's residue — with the
-	// time-expanded engine: the pipeline and its classes are defined on
-	// DAGs. Class is ClassC and UsedEngine true then, the statistics zero.
+	// Cyclic is true when the instance had a directed cycle (Solve met
+	// one, or SolveExtraction was handed a cyclic pair's residue) and the
+	// time-expanded engine answered it as it was: the pipeline and its
+	// classes are defined on DAGs. Class is ClassC and UsedEngine true
+	// then, the statistics zero.
 	Cyclic bool
 }
 
 // Solve computes the maximum flow of any flow instance: the one answer path
-// behind served and batched queries, cmd/flowcalc and the root MaxFlow, and
-// the one place that knows which exact engine answers — the time-expanded
-// reduction, always. One topological sort decides the rest: a cyclic
-// instance (pair extractions may be) goes to the reduction as it is
-// (SolveResidue), which needs no DAG; an acyclic one runs PreSim's
-// reductions, with that order handed to Algorithm 1, and only a class-C
-// residue reaches the reduction.
+// behind cmd/flowcalc and the root MaxFlow and, through SolveExtraction,
+// behind served and batched queries, and the one place that knows which
+// exact engine answers — the time-expanded reduction, always. One
+// topological sort decides the rest: a cyclic instance (pair extractions
+// may be) goes to the reduction as it is, which needs no DAG; an acyclic
+// one runs PreSim's reductions, with that order handed to Algorithm 1, and
+// only a class-C residue reaches the reduction.
 // The LP is as exact in real arithmetic but is not on this path: its dense
 // tableau is quadratic in the interaction count, its absolute 1e-9
 // tolerances lose quantities below about 1e-6 (see MaxFlowLP), and it can
 // fail where the reduction cannot — so Solve returns no error. Pre and
 // PreSim keep it as the paper's baseline and as the oracle the served
 // answers are tested against. The input graph is not modified.
-func Solve(g *tin.Graph) Result {
+func Solve(g *tin.Graph) Result { return solve(g, false) }
+
+// SolveExtraction is Solve's answer to an extraction (x.Ok) in whichever
+// form tin.Query.Residue gave it, and what /flow and BatchSeedsContext
+// serve:
+//
+//   - runs (x.Graph nil), a class-A seed instance by position: the greedy
+//     scan of ScanRuns, the bits Greedy gives on the instance's graph;
+//   - a cyclic pair's residue (x.Residue): the time-expanded reduction,
+//     which lays out only an instance's live interactions — exactly the
+//     residue's — so the bits are the whole instance's;
+//   - the instance's graph: Solve, but x.Graph is consumed — the caller
+//     hands it over, and the reductions run on it in place, not on a clone.
+//
+// The Result is Solve's on the instance's graph in every field.
+func SolveExtraction(x tin.Extraction) Result {
+	switch {
+	case x.Graph == nil:
+		return Result{Flow: ScanRuns(x.Runs, x.RunFrom, x.RunTo, 0, 1, nil), Class: ClassA}
+	case x.Residue:
+		return cyclic(x.Graph)
+	}
+	return solve(x.Graph, true)
+}
+
+// solve is Solve, with the reductions run on g itself when own is set.
+func solve(g *tin.Graph, own bool) Result {
 	order, err := g.TopoOrder()
 	if err != nil {
-		return SolveResidue(g)
+		return cyclic(g)
 	}
-	res, residue, _ := reduce(g, true, order)
+	res, residue, _ := reduce(g, true, order, own)
 	if residue != nil {
 		res.Flow = teg.MaxFlow(residue)
 	}
 	return res
 }
 
-// SolveResidue is Solve's answer to a cyclic instance, and the served
-// answer to a cyclic pair's residue (tin.Query.Residue): the time-expanded
-// reduction on g as it is, Class C with the engine used and the statistics
-// zero. The reduction lays out only g's live interactions, and a residue is
-// exactly those, so the flow of an instance and of its residue are the same
-// bits.
-func SolveResidue(g *tin.Graph) Result {
+// cyclic answers a cyclic instance, or a cyclic pair's residue: the
+// time-expanded reduction on g as it is, Class C with the engine used and
+// the statistics zero.
+func cyclic(g *tin.Graph) Result {
 	return Result{Flow: teg.MaxFlow(g), Class: ClassC, UsedEngine: true, Cyclic: true}
 }
 
@@ -126,7 +150,7 @@ func PreSim(g *tin.Graph, engine Engine) (Result, error) {
 // pipeline is Pre (simplify false) or PreSim: reduce, then the chosen
 // engine on a class-C residue.
 func pipeline(g *tin.Graph, engine Engine, simplify bool) (Result, error) {
-	res, residue, err := reduce(g, simplify, nil)
+	res, residue, err := reduce(g, simplify, nil, false)
 	if err != nil || residue == nil {
 		return res, err
 	}
@@ -143,12 +167,13 @@ func pipeline(g *tin.Graph, engine Engine, simplify bool) (Result, error) {
 }
 
 // reduce is the pipeline up to the exact engine: the solubility tests,
-// Algorithm 1 and (simplify) Algorithm 2 on a clone of the DAG g. order is
-// g's topological order, or nil to have reduce sort g only when it is not
-// greedy-soluble — the error is that sort's, on a cyclic g. A nil residue
-// means the result is complete; otherwise the instance is class C, Flow is
-// still unset and the residue's maximum flow is g's.
-func reduce(g *tin.Graph, simplify bool, order []tin.VertexID) (res Result, residue *tin.Graph, err error) {
+// Algorithm 1 and (simplify) Algorithm 2 on the DAG g — on g itself when
+// own is set, else on a clone. order is g's topological order, or nil to
+// have reduce sort g only when it is not greedy-soluble — the error is that
+// sort's, on a cyclic g. A nil residue means the result is complete;
+// otherwise the instance is class C, Flow is still unset and the residue's
+// maximum flow is g's.
+func reduce(g *tin.Graph, simplify bool, order []tin.VertexID, own bool) (res Result, residue *tin.Graph, err error) {
 	if GreedySoluble(g) {
 		res.Flow = Greedy(g)
 		res.Class = ClassA
@@ -159,7 +184,10 @@ func reduce(g *tin.Graph, simplify bool, order []tin.VertexID) (res Result, resi
 			return Result{}, nil, fmt.Errorf("core: preprocess: %w", err)
 		}
 	}
-	h := g.Clone()
+	h := g
+	if !own {
+		h = g.Clone()
+	}
 	res.Pre = preprocess(h, order)
 	res.Class = ClassB
 	if ZeroFlow(h) {

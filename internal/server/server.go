@@ -595,8 +595,9 @@ func (s *Server) handleFlow(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return "", nil, err
 		}
-		// A cyclic pair comes back as its residue, which the engine solves to
-		// the instance's bits; the reported sizes stay the instance's.
+		// The instance comes back in its smallest form — a class-A seed as its
+		// runs, a cyclic pair as its residue — which solves to its bits; the
+		// reported sizes stay the instance's.
 		q.Residue = true
 		return flowQueryKey(q), func(ctx context.Context) (any, []tin.VertexID, error) {
 			res := FlowResult{Network: sh.Name(), Query: "pair", Source: int(q.Source), Sink: int(q.Sink)}
@@ -610,12 +611,7 @@ func (s *Server) handleFlow(w http.ResponseWriter, r *http.Request) {
 			if err := ctx.Err(); err != nil { // between the two expensive stages
 				return nil, nil, err
 			}
-			var sol core.Result
-			if x.Residue {
-				sol = core.SolveResidue(x.Graph)
-			} else {
-				sol = core.Solve(x.Graph)
-			}
+			sol := core.SolveExtraction(x)
 			res.Ok = true
 			res.Vertices, res.Edges, res.Interactions = x.Vertices, x.Edges, x.Interactions
 			res.Flow = sol.Flow

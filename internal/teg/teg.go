@@ -55,15 +55,41 @@
 // The order is fixed because Dinic's choices follow it, and the flows
 // served are the ones it gives. Three passes over the live events size
 // every array before any is filled: one counts each vertex's blocks, one
-// each node's slots, one lays the arcs.
+// each node's slots, one lays the arcs. MaxFlow takes the event list and
+// the arrays from a pool, and clears what it reuses.
 package teg
 
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"flownet/internal/tin"
 )
+
+// arrays is the memory of one solve: the instance's event list, the
+// engine's three int32 blocks — its vertex scratch, the node-indexed
+// arrays, the slots' targets and pairs — and its float64 block, the
+// slots' residuals. MaxFlow keeps them in pool between solves; Transfers,
+// whose callers are tests, starts from empty ones.
+type arrays struct {
+	events              []tin.Event
+	verts, nodes, links []int32
+	res                 []float64
+}
+
+var pool = sync.Pool{New: func() any { return new(arrays) }}
+
+// cleared returns (*buf)[:n] zeroed, growing *buf first if it is shorter.
+func cleared[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	*buf = (*buf)[:n]
+	clear(*buf)
+	return *buf
+}
 
 // network is the residual form of a time-expanded graph: node v owns the
 // slots [start[v], start[v+1]), slot a leads to node to[a] with residual
@@ -106,15 +132,15 @@ func live(g *tin.Graph, events []tin.Event, mark []int32) []tin.Event {
 }
 
 // build lays out the time-expanded network of g's live events, taken from
-// events (g's canonical order, compacted in place), and returns it with
-// them; if arc is non-nil, arc[i] receives the slot carrying the i-th live
-// event. An interaction forwards only quantity deposited strictly earlier
-// in the canonical order.
-func build(g *tin.Graph, events []tin.Event, arc []int32) (network, []tin.Event) {
+// events (g's canonical order, compacted in place), in mem's blocks, and
+// returns it with them; if arc is non-nil, arc[i] receives the slot
+// carrying the i-th live event. An interaction forwards only quantity
+// deposited strictly earlier in the canonical order.
+func build(g *tin.Graph, events []tin.Event, arc []int32, mem *arrays) (network, []tin.Event) {
 	// cur marks arrivals and departures for live, then holds each vertex's
 	// cursor (see depart) for three passes over the live events; first[v]
 	// is v's first block, first[NumV] the block count.
-	scratch := make([]int32, 2*g.NumV+1)
+	scratch := cleared(&mem.verts, 2*g.NumV+1)
 	cur, first := scratch[:g.NumV], scratch[g.NumV:]
 	events = live(g, events, cur)
 	var n int32
@@ -147,7 +173,7 @@ func build(g *tin.Graph, events []tin.Event, arc []int32) (network, []tin.Event)
 	// Count the slots per node. start has an entry per node, the terminals
 	// included, and one more for the slot count; one block of int32s holds
 	// it and the other node-indexed arrays.
-	nodes := make([]int32, 4*n+9)
+	nodes := cleared(&mem.nodes, int(4*n+9))
 	net := network{n: n, start: nodes[:n+3], level: nodes[n+3 : 2*n+5], iter: nodes[2*n+5 : 3*n+7], queue: nodes[3*n+7 : 3*n+7 : 4*n+9]}
 	start := net.start
 	for v := range cur {
@@ -170,8 +196,8 @@ func build(g *tin.Graph, events []tin.Event, arc []int32) (network, []tin.Event)
 
 	// Lay the arcs: the holdovers first, so they lead each block's slots,
 	// then the interactions in canonical order.
-	links := make([]int32, 2*slots)
-	net.to, net.pair, net.res = links[:slots], links[slots:], make([]float64, slots)
+	links := cleared(&mem.links, int(2*slots))
+	net.to, net.pair, net.res = links[:slots], links[slots:], cleared(&mem.res, int(slots))
 	fill := net.iter // each node's next free slot; Dinic resets it per phase
 	copy(fill, start)
 	link := func(tail, head int32, c float64) int32 {
@@ -229,7 +255,13 @@ func arrive(cur []int32, v tin.VertexID) int32 {
 // returns math.Inf(1) when an infinite-capacity source-to-sink channel
 // exists (possible only with synthetic infinite-quantity interactions).
 func MaxFlow(g *tin.Graph) float64 {
-	net, _ := build(g, g.Events(), nil)
+	mem := pool.Get().(*arrays)
+	defer pool.Put(mem)
+	mem.events = slices.Grow(mem.events[:0], g.NumInteractions())
+	for ev := range g.InOrder {
+		mem.events = append(mem.events, ev)
+	}
+	net, _ := build(g, mem.events, nil, mem)
 	return net.dinic()
 }
 
@@ -240,7 +272,7 @@ func MaxFlow(g *tin.Graph) float64 {
 func Transfers(g *tin.Graph) (total float64, byOrd []float64) {
 	events := g.Events()
 	arc := make([]int32, len(events))
-	net, events := build(g, events, arc)
+	net, events := build(g, events, arc, new(arrays))
 	total = net.dinic()
 	byOrd = make([]float64, g.OrdBound())
 	for i, ev := range events {

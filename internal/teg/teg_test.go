@@ -101,7 +101,7 @@ func TestBuildStructure(t *testing.T) {
 		},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			net, _ := build(c.g, c.g.Events(), nil)
+			net, _ := build(c.g, c.g.Events(), nil, new(arrays))
 			if net.n != c.n || !slices.Equal(net.start, c.start) {
 				t.Fatalf("%d blocks, slot ranges %v; want %d and %v", net.n, net.start, c.n, c.start)
 			}
@@ -361,7 +361,7 @@ func TestBitcoinPairLaysOutLiveEventsOnly(t *testing.T) {
 	g := x.Graph
 	events := g.Events()
 	all := len(events)
-	net, kept := build(g, events, nil)
+	net, kept := build(g, events, nil, new(arrays))
 	if len(kept) > all/10 {
 		t.Errorf("%d of %d interactions are laid out, want at most a tenth", len(kept), all)
 	}

@@ -17,15 +17,17 @@ import (
 // Finalize sort). Equivalence with the original map-and-scan pipeline is
 // locked in by extract_oracle_test.go and FuzzExtractEquivalence.
 //
-// A pair query that asks for its residue (Query.Residue) copies less: over
-// the admitted edges' runs, with no copy, it decides whether the instance
-// is cyclic and, if so, finds its live interactions — those on a
-// source-to-sink path that respects the canonical order, the rule of
-// internal/teg — by earliest-arrival and latest-departure labelling, and
-// builds the graph of those alone. On each edge they are one contiguous
-// run, so the copy is one slice per live edge. FuzzPairResidue (in
-// internal/teg) holds the residue to the engine's own prune of the full
-// instance.
+// A query that asks for its residue (Query.Residue) copies less. A seed
+// query decides Lemma 2 over the admitted edges' in-window runs and, if it
+// holds, answers with the runs themselves, slices of the network's
+// interactions, and no graph. A pair query decides over the runs, with no
+// copy, whether the instance is cyclic and, if so, finds its live
+// interactions — those on a source-to-sink path that respects the
+// canonical order, the rule of internal/teg — by earliest-arrival and
+// latest-departure labelling, and builds the graph of those alone. On each
+// edge they are one contiguous run, so the copy is one slice per live
+// edge. FuzzPairResidue (in internal/teg) holds the residue to the
+// engine's own prune of the full instance.
 
 // ExtractOptions control seed-based subgraph extraction (Section 6.2 of the
 // paper).
@@ -82,29 +84,46 @@ type Query struct {
 	ExtractOptions
 	// Footprint asks for Extraction.Footprint.
 	Footprint bool
-	// Residue asks, on a pair query whose instance is cyclic, for the
-	// instance's time-respecting residue instead of the instance: the graph
-	// of its live interactions, those on a path from the source to the sink
-	// along which each interaction follows the previous one in the
-	// canonical order (internal/teg's rule). The maximum flow is the same,
-	// and the time-expanded engine solves either to the same bits. An
-	// acyclic instance and a seed query are answered whole whatever
-	// Residue says: the Pre/PreSim classes are defined on the whole DAG.
+	// Residue asks for the smallest form of the instance that solves to its
+	// bits, where there is one smaller than the instance's graph:
+	//
+	//   - on a seed query whose instance is greedy-soluble (Lemma 2, class
+	//     A), its runs (Extraction.Runs) and no graph, which the greedy scan
+	//     by position solves to the bits Greedy gives on the graph;
+	//   - on a pair query whose instance is cyclic, its time-respecting
+	//     residue (Extraction.Residue): the graph of its live interactions,
+	//     those on a path from the source to the sink along which each
+	//     interaction follows the previous one in the canonical order
+	//     (internal/teg's rule), which the time-expanded engine solves to
+	//     the instance's bits.
+	//
+	// Any other instance is answered whole whatever Residue says: the
+	// Pre/PreSim classes are defined on the whole DAG.
 	Residue bool
 }
 
 // Extraction is the answer to a Query.
 type Extraction struct {
 	// Graph is the finalized flow instance, or its residue when Residue is
-	// true; nil when Ok is false.
+	// true; nil when Ok is false, and when Runs answers instead. Nothing
+	// else refers to it: the caller owns it and may reduce it in place.
 	Graph *Graph
+	// Runs, when Query.Residue is set and the seed query's instance is
+	// greedy-soluble (Lemma 2), is the instance by position instead of a
+	// Graph: the non-empty in-window run of each admitted edge, run i
+	// leading from local vertex RunFrom[i] to RunTo[i] — the source 0, the
+	// sink 1, inner vertices 2 and up, as the Graph would number them. The
+	// runs are slices of the network's interactions, with its Ords: valid
+	// while the caller holds the network, and never to be written.
+	Runs           [][]Interaction
+	RunFrom, RunTo []int
 	// Ok is false when no instance exists: the seed has no returning path
 	// or its subgraph exceeds MaxInteractions, or the sink is unreachable
 	// from the source.
 	Ok bool
 	// Vertices, Edges and Interactions are the instance's live vertex,
-	// edge and interaction counts when Ok — its Graph's, or, for a residue,
-	// those of the instance the residue was cut from.
+	// edge and interaction counts when Ok — its Graph's, or, for runs or a
+	// residue, those the instance's Graph would report.
 	Vertices, Edges, Interactions int
 	// Residue is true when Graph is the residue of a cyclic pair instance
 	// (Query.Residue).
@@ -125,15 +144,17 @@ type Extraction struct {
 	// from (forward) or arriving at (backward) a vertex already in that
 	// set, and a batch that changes the admitted edge set without growing
 	// reachability only touches edges whose endpoints sit in both sets. In
-	// both cases an append touching no footprint vertex leaves (Graph, Ok)
-	// byte-identical, so the footprint is reported for Ok == false too.
+	// both cases an append touching no footprint vertex leaves the answer
+	// (Graph or Runs, Ok) byte-identical, so the footprint is reported for
+	// Ok == false too.
 	Footprint []VertexID
 }
 
 // Extract answers q against the finalized network. It only reads the
 // network, so concurrent calls are safe; working memory comes from one
-// package-wide pool, so steady-state calls allocate only the returned
-// graph (and footprint).
+// package-wide pool, so steady-state calls allocate only what they return:
+// the graph, or a class-A seed's runs and their endpoints (and the
+// footprint).
 func (n *Network) Extract(q Query) Extraction {
 	if !n.finalized {
 		panic("tin: Extract before Finalize")
@@ -159,11 +180,18 @@ func (n *Network) Extract(q Query) Extraction {
 		return x
 	}
 	n.windowRuns(q.Window, sc)
-	// A pair's admitted edges leave the source, never enter it, and none
-	// leaves the sink, so the viability checks below hold for every pair
-	// collectPair admits: the residue needs none of them.
-	if q.Residue && q.Source != q.Sink && n.pairResidue(q.Source, q.Sink, sc, &x) {
-		return x
+	// A seed's admitted edges are returning paths, and a pair's leave the
+	// source, never enter it, and none leaves the sink, so the viability
+	// checks below hold for every instance the collectors admit: the runs
+	// and the residue need none of them.
+	if q.Residue {
+		if q.Source == q.Sink {
+			if n.seedRuns(q.Source, sc, &x) {
+				return x
+			}
+		} else if n.pairResidue(q.Source, q.Sink, sc, &x) {
+			return x
+		}
 	}
 	g := n.buildFlowGraph(sc.edgeIDs, sc.lo, sc.hi, q.Source, q.Sink, sc)
 	// Viability is judged on the unwindowed shape (the builder keeps edges
@@ -194,6 +222,47 @@ func (n *Network) windowRuns(w *TimeWindow, sc *queryScratch) {
 			sc.first[i], sc.last[i] = seq[lo].Ord, seq[hi-1].Ord
 		}
 	}
+}
+
+// seedRuns is Query.Residue on a seed query, over the admitted edges
+// (sc.edgeIDs) and their in-window runs (windowRuns). It decides Lemma 2 as
+// GreedySoluble does on the built graph after DropEmptyEdges — every local
+// vertex but the terminals has exactly one out-edge whose run is non-empty
+// — and, if it holds, records the non-empty runs, their local endpoints and
+// the sizes the graph would report in x and reports true; otherwise it
+// leaves x as it was, for the full build.
+func (n *Network) seedRuns(seed VertexID, sc *queryScratch, x *Extraction) bool {
+	ids := sc.edgeIDs
+	nv := n.localIDs(ids, seed, seed, sc)
+	sc.indeg = growBuf(sc.indeg, nv) // the out-degrees of the non-empty runs here
+	outdeg := sc.indeg
+	clear(outdeg)
+	edges, ias := 0, 0
+	for i := range ids {
+		if k := int(sc.hi[i] - sc.lo[i]); k > 0 {
+			edges++
+			ias += k
+			outdeg[sc.elf[i]]++
+		}
+	}
+	for _, d := range outdeg[2:] {
+		if d != 1 {
+			return false
+		}
+	}
+	runs, ends := make([][]Interaction, edges), make([]int, 2*edges)
+	j := 0
+	for i, id := range ids {
+		if sc.hi[i] > sc.lo[i] {
+			runs[j] = n.Edge(id).Seq[sc.lo[i]:sc.hi[i]]
+			ends[j], ends[edges+j] = int(sc.elf[i]), int(sc.elt[i])
+			j++
+		}
+	}
+	x.Runs, x.RunFrom, x.RunTo = runs, ends[:edges:edges], ends[edges:]
+	x.Ok = true
+	x.Vertices, x.Edges, x.Interactions = nv, edges, ias
+	return true
 }
 
 // Labels of the residue's labelling. Ords are non-negative, so -1 precedes

@@ -1,6 +1,7 @@
 package tin
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -12,7 +13,10 @@ import (
 // query — {seed, pair} × {no window, window} × {footprint off, on} — must
 // be byte-identical to the preserved map-and-scan reference pipeline
 // (extract_oracle_test.go), with windows checked against the
-// Graph.RestrictWindow oracle. The fuzz target additionally drives random
+// Graph.RestrictWindow oracle; a seed query asked for its smallest form
+// (Query.Residue) must give runs exactly when Lemma 2 holds on that graph,
+// and then the graph's interactions (checkSeedRuns). The fuzz target
+// additionally drives random
 // append interleavings first, so the fast path is exercised on every
 // internal array state appends can produce.
 
@@ -108,6 +112,65 @@ func checkQuery(t *testing.T, q Query, refG *Graph, refOK bool, refFoot []Vertex
 		if off.Ok != on.Ok || graphSig(off.Graph) != graphSig(on.Graph) {
 			t.Fatalf("copy %d, %d->%d window %+v: footprint-off answer differs from footprint-on",
 				ci, q.Source, q.Sink, q.Window)
+		}
+		if q.Source == q.Sink {
+			checkSeedRuns(t, n, q, on.Graph)
+		}
+	}
+}
+
+// checkSeedRuns asks the seed query q for its smallest form (Query.Residue)
+// and holds it to g, the whole graph the same query gives (nil if none):
+// runs exactly when Lemma 2 holds on g — every live vertex but the
+// terminals has one live out-edge — with g's sizes, non-empty, and whose
+// interactions, merged by Ord, are g's in its canonical order on the same
+// endpoints, which is all the greedy scan reads; g itself otherwise.
+func checkSeedRuns(t *testing.T, n *Network, q Query, g *Graph) {
+	t.Helper()
+	q.Residue, q.Footprint = true, false
+	x := n.Extract(q)
+	if g == nil {
+		if x.Ok {
+			t.Fatalf("seed %d window %+v: an instance in its smallest form, none whole", q.Source, q.Window)
+		}
+		return
+	}
+	soluble := true
+	for v := 2; v < g.NumV; v++ {
+		if g.VertexAlive(VertexID(v)) && g.OutDegree(VertexID(v)) != 1 {
+			soluble = false
+		}
+	}
+	if !x.Ok || x.Residue || (x.Graph == nil) != soluble {
+		t.Fatalf("seed %d window %+v: ok=%v residue=%v runs=%v, Lemma 2 holds: %v", q.Source, q.Window, x.Ok, x.Residue, x.Graph == nil, soluble)
+	}
+	if x.Vertices != g.NumLiveVertices() || x.Edges != g.NumLiveEdges() || x.Interactions != g.NumInteractions() {
+		t.Fatalf("seed %d window %+v: sizes %d/%d/%d, graph %d/%d/%d", q.Source, q.Window,
+			x.Vertices, x.Edges, x.Interactions, g.NumLiveVertices(), g.NumLiveEdges(), g.NumInteractions())
+	}
+	if x.Graph != nil {
+		if graphSig(x.Graph) != graphSig(g) {
+			t.Fatalf("seed %d window %+v: the graph asked in its smallest form differs from the whole one", q.Source, q.Window)
+		}
+		return
+	}
+	var got []Event
+	for i, run := range x.Runs {
+		if len(run) == 0 {
+			t.Fatalf("seed %d window %+v: run %d is empty", q.Source, q.Window, i)
+		}
+		for _, ia := range run {
+			got = append(got, Event{Interaction: ia, From: VertexID(x.RunFrom[i]), To: VertexID(x.RunTo[i])})
+		}
+	}
+	slices.SortFunc(got, func(a, b Event) int { return cmp.Compare(a.Ord, b.Ord) })
+	want := g.Events()
+	if len(got) != len(want) {
+		t.Fatalf("seed %d window %+v: %d interactions in the runs, %d in the graph", q.Source, q.Window, len(got), len(want))
+	}
+	for i, w := range want {
+		if a := got[i]; a.Time != w.Time || a.Qty != w.Qty || a.From != w.From || a.To != w.To {
+			t.Fatalf("seed %d window %+v: interaction %d is %+v in the runs, %+v in the graph", q.Source, q.Window, i, a, w)
 		}
 	}
 }

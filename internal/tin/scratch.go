@@ -61,7 +61,8 @@ type queryScratch struct {
 	// Pair residue buffers (see Network.pairResidue): the first and last
 	// Ord of each edge's in-window run, by position; the local
 	// out-adjacency of the non-empty runs (CSR over local vertex ids, each
-	// arc carrying its run's Ord bounds) and their in-degrees; the
+	// arc carrying its run's Ord bounds) and their in-degrees (out-degrees
+	// in Network.seedRuns); the
 	// earliest-arrival and latest-departure labels per local vertex, their
 	// heap, and the positions of the live edges.
 	first, last []int64
