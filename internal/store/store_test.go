@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -706,6 +707,42 @@ func TestOpenReleasesLockOnError(t *testing.T) {
 		t.Fatalf("retry after cleaning the bad directory: %v", err)
 	}
 	s.Close()
+}
+
+// TestOpenRefusesHostileSnapshotHeader: a snapshot whose header counts
+// overflow the section offsets is corrupt, and recovery must fail with an
+// error, copying or mapping — not crash the process that opens the store.
+func TestOpenRefusesHostileSnapshotHeader(t *testing.T) {
+	dir := t.TempDir()
+	s := openTestStore(t, Config{Dir: dir})
+	n := tin.NewNetwork(3)
+	n.AddInteraction(0, 1, 1, 5)
+	n.Finalize()
+	if _, err := s.Add("ext", n); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	snaps, err := filepath.Glob(filepath.Join(dir, "ext", "snapshot-g*.tinb"))
+	if err != nil || len(snaps) != 1 {
+		t.Fatalf("snapshots on disk: %v (%v), want one", snaps, err)
+	}
+	hdr := make([]byte, 40)
+	copy(hdr, "FNTB")
+	binary.LittleEndian.PutUint16(hdr[4:], 2)  // version
+	binary.LittleEndian.PutUint16(hdr[6:], 24) // record size
+	binary.LittleEndian.PutUint64(hdr[8:], 3158064)
+	binary.LittleEndian.PutUint64(hdr[16:], 3480000000000000000)
+	binary.LittleEndian.PutUint64(hdr[24:], 3990000000000000000)
+	binary.LittleEndian.PutUint64(hdr[32:], math.Float64bits(1))
+	if err := os.WriteFile(snaps[0], hdr, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, mmap := range []bool{false, true} {
+		if s, err := Open(Config{Dir: dir, Mmap: mmap}); err == nil {
+			s.Close()
+			t.Errorf("Open (mmap %v) recovered a shard from a snapshot with a hostile header", mmap)
+		}
+	}
 }
 
 // TestDataDirLock: two stores must never serve the same data directory —

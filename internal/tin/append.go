@@ -192,7 +192,7 @@ func (t *tail) own(b *base, e EdgeID) *Edge {
 	if s == 0 {
 		be := &b.edges[e]
 		run := append(make([]Interaction, 0, 2*len(be.Seq)+2), be.Seq...)
-		t.grown = append(t.grown, Edge{From: be.From, To: be.To, Seq: run, canonical: be.canonical})
+		t.grown = append(t.grown, Edge{From: be.From, To: be.To, Seq: run})
 		s = len(t.grown)
 		t.slots.edge[e].Store(int32(s))
 	}
@@ -273,7 +273,7 @@ func (n *Network) appended(items []BatchItem) (next *Network, count int, anyLate
 		}
 		if !ok {
 			id = EdgeID(len(b.edges) + len(t.fresh))
-			t.fresh = append(t.fresh, Edge{From: it.From, To: it.To, canonical: true})
+			t.fresh = append(t.fresh, Edge{From: it.From, To: it.To})
 			t.out = extend(t.out, t.slots.out, b.outRun(it.From), it.From, id)
 			t.in = extend(t.in, t.slots.in, b.inRun(it.To), it.To, id)
 			if opened == nil {

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
 )
 
 // Binary network codec. The text format (io.go) is the interchange format;
@@ -43,11 +42,14 @@ import (
 //
 // Because the sections are exactly the in-memory arrays, an mmap of the
 // file serves the network zero-copy (mmap.go): load is a header check plus
-// O(V+E) validation, never an O(numIA) decode. The copying reader
-// (ReadNetworkBinary) fully validates untrusted input; corrupt bytes of any
-// kind yield an error, never a panic. Version 1 (a canonical-order record
-// stream, last written before the CSR layout existed) is recognized only to
-// be rejected with a message that says how to recover.
+// O(V+E) validation, never an O(numIA) decode. Both loaders fill one image
+// and accept it through one header decode and one structural check, so a
+// file has one meaning whichever loads it; the copying reader
+// (ReadNetworkBinary) also proves the arena in canonical order. Corrupt
+// bytes of any kind yield an error, never a panic. Version 1 (a
+// canonical-order record stream, last written before the CSR layout
+// existed) is recognized only to be rejected with a message that says how
+// to recover.
 //
 // LoadNetwork sniffs the magic, so binary and text files coexist behind one
 // loader — including gzip-compressed binary files under ".gz" names.
@@ -57,10 +59,10 @@ const (
 	binaryVersion1   = 1
 	binaryVersion2   = 2
 	binaryRecordSize = 24
-	// binaryHeaderPrefix covers magic, version, recordSize, numV and numE —
-	// what the reader needs before it dispatches on the version.
-	binaryHeaderPrefix = 4 + 2 + 2 + 8 + 8
-	binaryHeaderV2     = binaryHeaderPrefix + 8 + 8
+	// binaryPrefix covers magic, version and recordSize: what tells the
+	// versions apart.
+	binaryPrefix   = 4 + 2 + 2
+	binaryHeaderV2 = binaryPrefix + 8 + 8 + 8 + 8
 )
 
 // MaxVertices is the vertex count ceiling shared by every layer that
@@ -121,348 +123,389 @@ func layoutV2(numV, numE, numIA int64) v2Layout {
 	return l
 }
 
+// maxInteractions bounds a header's interaction count so that no section
+// offset layoutV2 derives can overflow: with at most MaxVertices vertices
+// and an EdgeID's range of edges, every section but the arena fits in
+// 2^37 bytes, and the arena in half of what an int64 holds.
+const maxInteractions = math.MaxInt64 / (2 * binaryRecordSize)
+
+// image is a version-2 snapshot in memory: the header and the ten
+// sections. The copying reader fills it off a stream, the mapper by
+// aliasing the mapped file (mmap.go); both accept it only through
+// decodeHeader and check, so a file loads as one network either way.
+type image struct {
+	numV, numE, numIA int64
+	maxTime           float64
+	edgeFrom, edgeTo  []int32
+	outOff, inOff     []int32
+	outAdj, inAdj     []EdgeID
+	seqEnd, pairKeys  []int64
+	pairIDs           []EdgeID
+	arena             []Interaction
+}
+
+// le is the little-endian encoding of one section element type.
+type le[T any] struct {
+	size int
+	get  func([]byte) T
+	put  func([]byte, T) []byte
+}
+
+var (
+	leI32 = le[int32]{4,
+		func(b []byte) int32 { return int32(binary.LittleEndian.Uint32(b)) },
+		func(b []byte, v int32) []byte { return binary.LittleEndian.AppendUint32(b, uint32(v)) }}
+	leI64 = le[int64]{8,
+		func(b []byte) int64 { return int64(binary.LittleEndian.Uint64(b)) },
+		func(b []byte, v int64) []byte { return binary.LittleEndian.AppendUint64(b, uint64(v)) }}
+	leRecord = le[Interaction]{binaryRecordSize,
+		func(b []byte) Interaction {
+			return Interaction{
+				Time: math.Float64frombits(binary.LittleEndian.Uint64(b[0:8])),
+				Qty:  math.Float64frombits(binary.LittleEndian.Uint64(b[8:16])),
+				Ord:  int64(binary.LittleEndian.Uint64(b[16:24])),
+			}
+		},
+		func(b []byte, ia Interaction) []byte {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(ia.Time))
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(ia.Qty))
+			return binary.LittleEndian.AppendUint64(b, uint64(ia.Ord))
+		}}
+)
+
 // WriteNetworkBinary writes the network to w in the version-2 binary
-// snapshot format. The network's interactions must be in canonical order
-// (every finalized network qualifies); the written file is exactly the CSR
-// memory image, so saving a network and mmap'ing the file back reproduces
-// it bit for bit.
+// snapshot format. The written file is exactly the CSR memory image of the
+// network's fold, so saving a network and mmap'ing the file back
+// reproduces it bit for bit.
 func WriteNetworkBinary(w io.Writer, n *Network) error {
 	// A version with a tail is written as its fold: the file is the image
 	// of one base, whatever the network was derived through.
 	n = n.Folded()
-	edges := n.base.edges
-	numV, numE, numIA := int64(n.numV), int64(len(edges)), int64(n.numIA)
-	l := layoutV2(numV, numE, numIA)
+	b := n.base
+	numE := len(b.edges)
+	l := layoutV2(int64(n.numV), int64(numE), int64(n.numIA))
+	// bw keeps its first error: every write after it is dropped, and Flush
+	// returns it.
 	bw := bufio.NewWriterSize(w, 1<<20)
-
-	maxTime := math.Inf(-1)
-	for e := range edges {
-		for _, ia := range edges[e].Seq {
-			if ia.Time > maxTime {
-				maxTime = ia.Time
-			}
-		}
-	}
 
 	var hdr [binaryHeaderV2]byte
 	copy(hdr[0:4], binaryMagic)
 	binary.LittleEndian.PutUint16(hdr[4:6], binaryVersion2)
 	binary.LittleEndian.PutUint16(hdr[6:8], binaryRecordSize)
-	binary.LittleEndian.PutUint64(hdr[8:16], uint64(numV))
-	binary.LittleEndian.PutUint64(hdr[16:24], uint64(numE))
-	binary.LittleEndian.PutUint64(hdr[24:32], uint64(numIA))
-	binary.LittleEndian.PutUint64(hdr[32:40], math.Float64bits(maxTime))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
+	binary.LittleEndian.PutUint64(hdr[8:16], uint64(l.numV))
+	binary.LittleEndian.PutUint64(hdr[16:24], uint64(l.numE))
+	binary.LittleEndian.PutUint64(hdr[24:32], uint64(l.numIA))
+	binary.LittleEndian.PutUint64(hdr[32:40], math.Float64bits(n.maxTime))
+	bw.Write(hdr[:])
 
-	wi32 := func(v int32) error {
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], uint32(v))
-		_, err := bw.Write(b[:])
-		return err
+	writeSection(bw, leI32, numE, func(e int) int32 { return b.edges[e].From })
+	writeSection(bw, leI32, numE, func(e int) int32 { return b.edges[e].To })
+	// Vertices grown since the fold (WithVertices) have no adjacency in the
+	// base: their runs are empty, at the end of the edge table.
+	for _, off := range [][]int32{b.outOff, b.inOff} {
+		writeSection(bw, leI32, n.numV+1, func(v int) int32 { return off[min(v, len(off)-1)] })
 	}
-	wi64 := func(v int64) error {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], uint64(v))
-		_, err := bw.Write(b[:])
-		return err
-	}
-
-	for e := range edges {
-		if err := wi32(edges[e].From); err != nil {
-			return err
-		}
-	}
-	for e := range edges {
-		if err := wi32(edges[e].To); err != nil {
-			return err
-		}
-	}
-	// Adjacency and pair sections are recomputed from the edge table rather
-	// than taken from the network's fields, so the writer also serves a
-	// version whose vertex count grew past its base's (WithVertices).
-	outOff, inOff, outAdj, inAdj := buildAdjacency(n.numV, edges)
-	for _, v := range outOff {
-		if err := wi32(v); err != nil {
-			return err
-		}
-	}
-	for _, v := range inOff {
-		if err := wi32(v); err != nil {
-			return err
-		}
-	}
-	for _, v := range outAdj {
-		if err := wi32(v); err != nil {
-			return err
-		}
-	}
-	for _, v := range inAdj {
-		if err := wi32(v); err != nil {
-			return err
-		}
+	for _, adj := range [][]EdgeID{b.outAdj, b.inAdj} {
+		writeSection(bw, leI32, numE, func(i int) int32 { return adj[i] })
 	}
 	var zero [8]byte
-	if _, err := bw.Write(zero[:l.pad1]); err != nil {
-		return err
-	}
+	bw.Write(zero[:l.pad1])
 	end := int64(0)
-	for e := range edges {
-		end += int64(len(edges[e].Seq))
-		if err := wi64(end); err != nil {
-			return err
-		}
-	}
-	pairKeys, pairIDs := buildPairIndex(edges)
-	for _, k := range pairKeys {
-		if err := wi64(k); err != nil {
-			return err
-		}
-	}
-	for _, id := range pairIDs {
-		if err := wi32(id); err != nil {
-			return err
-		}
-	}
-	if _, err := bw.Write(zero[:l.pad2]); err != nil {
-		return err
-	}
-	var rec [binaryRecordSize]byte
-	for e := range edges {
-		for _, ia := range edges[e].Seq {
-			binary.LittleEndian.PutUint64(rec[0:8], math.Float64bits(ia.Time))
-			binary.LittleEndian.PutUint64(rec[8:16], math.Float64bits(ia.Qty))
-			binary.LittleEndian.PutUint64(rec[16:24], uint64(ia.Ord))
-			if _, err := bw.Write(rec[:]); err != nil {
-				return err
-			}
-		}
-	}
+	writeSection(bw, leI64, numE, func(e int) int64 { end += int64(len(b.edges[e].Seq)); return end })
+	writeSection(bw, leI64, numE, func(i int) int64 { return b.pairKeys[i] })
+	writeSection(bw, leI32, numE, func(i int) int32 { return b.pairIDs[i] })
+	bw.Write(zero[:l.pad2])
+	writeSection(bw, leRecord, n.numIA, func(i int) Interaction { return b.arena[i] })
 	return bw.Flush()
 }
 
-// ReadNetworkBinary parses the binary snapshot format. The returned network
-// is finalized; because records carry the canonical order on disk, no
-// re-rank is performed. Corrupt input of any kind yields an
-// error, never a panic.
+// writeSection writes count values, at(0) first, filling the writer's
+// buffer before each write.
+func writeSection[T any](bw *bufio.Writer, c le[T], count int, at func(int) T) {
+	for i := 0; i < count; {
+		buf := bw.AvailableBuffer()
+		for k := max(cap(buf)/c.size, 1); k > 0 && i < count; k-- {
+			buf = c.put(buf, at(i))
+			i++
+		}
+		bw.Write(buf)
+	}
+}
+
+// ReadNetworkBinary parses the binary snapshot format, copying every
+// section onto the heap: it is the portable loader, for gzip'd files,
+// big-endian hosts and platforms without mmap. The returned network is
+// finalized; because records carry the canonical order on disk, no
+// re-rank is performed. Corrupt input of any kind yields an error, never
+// a panic: on top of the structural check it shares with the mapper, it
+// proves the arena in canonical order.
 func ReadNetworkBinary(r io.Reader) (*Network, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
-	var hdr [binaryHeaderPrefix]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	hdr, err := br.Peek(binaryHeaderV2)
+	if len(hdr) < binaryPrefix {
 		return nil, fmt.Errorf("tin: binary header: %w", err)
 	}
-	if string(hdr[0:4]) != binaryMagic {
-		return nil, fmt.Errorf("tin: not a binary network file (magic %q)", hdr[0:4])
+	if err := checkPrefix(hdr); err != nil {
+		return nil, err
 	}
-	if rs := binary.LittleEndian.Uint16(hdr[6:8]); rs != binaryRecordSize {
-		return nil, fmt.Errorf("tin: unsupported binary record size %d (want %d)", rs, binaryRecordSize)
-	}
-	switch v := binary.LittleEndian.Uint16(hdr[4:6]); v {
-	case binaryVersion1:
-		return nil, errors.New("tin: version 1 snapshots are no longer supported; reload from the text format")
-	case binaryVersion2:
-		return readBinaryV2(br, hdr)
-	default:
-		return nil, fmt.Errorf("tin: unsupported binary version %d", v)
-	}
-}
-
-// readBinaryV2 parses the CSR-image format from a stream, copying every
-// section onto the heap and fully validating it — the trust model of a
-// generic loader, as opposed to the mmap path which only light-checks a
-// snapshot the store itself wrote. Section sizes are implied by the header
-// counts, so a lying header fails at EOF instead of committing memory:
-// every section is read in bounded chunks.
-func readBinaryV2(br *bufio.Reader, hdr [binaryHeaderPrefix]byte) (*Network, error) {
-	var ext [binaryHeaderV2 - binaryHeaderPrefix]byte
-	if _, err := io.ReadFull(br, ext[:]); err != nil {
+	if err != nil {
 		return nil, fmt.Errorf("tin: binary v2 header: %w", err)
 	}
-	numV := int64(binary.LittleEndian.Uint64(hdr[8:16]))
-	numE := int64(binary.LittleEndian.Uint64(hdr[16:24]))
-	numIA := int64(binary.LittleEndian.Uint64(ext[0:8]))
-	maxTime := math.Float64frombits(binary.LittleEndian.Uint64(ext[8:16]))
-	if numV <= 0 {
-		return nil, fmt.Errorf("tin: binary network with zero vertices")
-	}
-	if numV > MaxVertices {
-		return nil, fmt.Errorf("tin: binary vertex count %d exceeds limit %d", numV, MaxVertices)
-	}
-	if numE < 0 || numIA < 0 || numE > numIA {
-		return nil, fmt.Errorf("tin: binary v2 counts inconsistent (%d edges, %d interactions)", numE, numIA)
-	}
-	l := layoutV2(numV, numE, numIA)
-
-	edgeFrom, err := readI32Section(br, numE, "edgeFrom")
+	img, l, err := decodeHeader(hdr)
 	if err != nil {
 		return nil, err
 	}
-	edgeTo, err := readI32Section(br, numE, "edgeTo")
-	if err != nil {
+	// The header is only peeked: the reader starts at offset 0, and the
+	// first section skips it.
+	sr := &sectionReader{br: br}
+	img.edgeFrom = readSection(sr, leI32, "edgeFrom", l.edgeFrom, img.numE)
+	img.edgeTo = readSection(sr, leI32, "edgeTo", l.edgeTo, img.numE)
+	img.outOff = readSection(sr, leI32, "outOff", l.outOff, img.numV+1)
+	img.inOff = readSection(sr, leI32, "inOff", l.inOff, img.numV+1)
+	img.outAdj = readSection(sr, leI32, "outAdj", l.outAdj, img.numE)
+	img.inAdj = readSection(sr, leI32, "inAdj", l.inAdj, img.numE)
+	img.seqEnd = readSection(sr, leI64, "seqEnd", l.seqEnd, img.numE)
+	img.pairKeys = readSection(sr, leI64, "pairKeys", l.pairKeys, img.numE)
+	img.pairIDs = readSection(sr, leI32, "pairIDs", l.pairIDs, img.numE)
+	img.arena = readSection(sr, leRecord, "arena", l.arena, img.numIA)
+	if sr.err != nil {
+		return nil, sr.err
+	}
+	if err := img.check(); err != nil {
 		return nil, err
 	}
-	// The adjacency and pair sections are redundant with the edge table;
-	// the untrusted path skips and rebuilds them rather than verifying.
-	skip := (numV+1)*4*2 + numE*4*2 + l.pad1
-	if _, err := io.CopyN(io.Discard, br, skip); err != nil {
-		return nil, fmt.Errorf("tin: binary v2 adjacency: %w", err)
-	}
-	seqEnd, err := readI64Section(br, numE, "seqEnd")
-	if err != nil {
+	if err := img.checkOrder(); err != nil {
 		return nil, err
 	}
-	skip = numE*8 + numE*4 + l.pad2
-	if _, err := io.CopyN(io.Discard, br, skip); err != nil {
-		return nil, fmt.Errorf("tin: binary v2 pair index: %w", err)
-	}
-	arena, err := readArenaSection(br, numIA)
-	if err != nil {
-		return nil, err
-	}
-
-	if err := checkEdgeTable("binary v2", edgeFrom, edgeTo, seqEnd, numV, numIA); err != nil {
-		return nil, err
-	}
-	keys := make([]int64, numE)
-	for e := int64(0); e < numE; e++ {
-		keys[e] = pairKey(edgeFrom[e], edgeTo[e])
-	}
-	slices.Sort(keys)
-	for e := int64(1); e < numE; e++ {
-		if keys[e] == keys[e-1] {
-			return nil, fmt.Errorf("tin: binary v2 duplicate edge (%d,%d)", keys[e]>>32, int32(keys[e])) //nolint:gosec
-		}
-	}
-	// Ord values must be a permutation of [0, numIA) under which timestamps
-	// are non-decreasing and each edge run is ascending — exactly the
-	// canonical-order invariants Finalize establishes.
-	timeByOrd := make([]float64, numIA)
-	seenOrd := make([]bool, numIA)
-	e := int64(0)
-	lastOrd := int64(-1)
-	for i := int64(0); i < numIA; i++ {
-		for i >= seqEnd[e] {
-			e++
-			lastOrd = -1
-		}
-		ia := arena[i]
-		if ia.Qty < 0 || math.IsNaN(ia.Qty) || math.IsInf(ia.Qty, 0) || math.IsNaN(ia.Time) || math.IsInf(ia.Time, 0) {
-			return nil, fmt.Errorf("tin: binary v2 interaction %d: invalid (%v,%v)", i, ia.Time, ia.Qty)
-		}
-		if ia.Ord < 0 || ia.Ord >= numIA || seenOrd[ia.Ord] {
-			return nil, fmt.Errorf("tin: binary v2 interaction %d: ord %d not a permutation of [0,%d)", i, ia.Ord, numIA)
-		}
-		seenOrd[ia.Ord] = true
-		timeByOrd[ia.Ord] = ia.Time
-		if ia.Ord <= lastOrd {
-			return nil, fmt.Errorf("tin: binary v2 interaction %d: edge sequence not in canonical order", i)
-		}
-		lastOrd = ia.Ord
-	}
-	for o := int64(1); o < numIA; o++ {
-		if timeByOrd[o] < timeByOrd[o-1] {
-			return nil, fmt.Errorf("tin: binary v2 ord %d: time %v precedes %v (canonical order violated)", o, timeByOrd[o], timeByOrd[o-1])
-		}
-	}
-	wantMax := math.Inf(-1)
-	if numIA > 0 {
-		wantMax = timeByOrd[numIA-1]
-	}
-	if maxTime != wantMax && !(math.IsInf(maxTime, -1) && math.IsInf(wantMax, -1)) {
-		return nil, fmt.Errorf("tin: binary v2 header maxTime %v does not match records (%v)", maxTime, wantMax)
-	}
-
-	b := &base{edges: edgesFromRuns(edgeFrom, edgeTo, seqEnd, arena), arena: arena}
-	b.indexEdges(int(numV), nil, nil)
-	return &Network{
-		numV:      int(numV),
-		numIA:     int(numIA),
-		nextOrd:   numIA,
-		finalized: true,
-		maxTime:   wantMax,
-		base:      b,
-	}, nil
+	return img.network(nil), nil
 }
 
-// checkEdgeTable validates a version-2 edge table against the header
-// counts — endpoints in range, no self loops, arena runs non-empty,
-// back to back and covering exactly numIA interactions. It is the O(E)
-// structural check the copying reader and the mmap loader share; what
-// names the caller in the error.
-func checkEdgeTable(what string, edgeFrom, edgeTo []int32, seqEnd []int64, numV, numIA int64) error {
-	prev := int64(0)
-	for e := range edgeFrom {
-		f, t := edgeFrom[e], edgeTo[e]
-		if f < 0 || int64(f) >= numV || t < 0 || int64(t) >= numV || f == t {
-			return fmt.Errorf("tin: %s: edge %d endpoints (%d,%d) invalid for %d vertices", what, e, f, t, numV)
-		}
-		if seqEnd[e] <= prev || seqEnd[e] > numIA {
-			return fmt.Errorf("tin: %s: edge %d sequence end %d out of order (prev %d, total %d)", what, e, seqEnd[e], prev, numIA)
-		}
-		prev = seqEnd[e]
+// checkPrefix checks the first 8 bytes of a binary network file — magic,
+// version and record size — and accepts version 2 only.
+func checkPrefix(b []byte) error {
+	if string(b[0:4]) != binaryMagic {
+		return fmt.Errorf("tin: not a binary network file (magic %q)", b[0:4])
 	}
-	if prev != numIA {
-		return fmt.Errorf("tin: %s: edge table covers %d of %d interactions", what, prev, numIA)
+	if rs := binary.LittleEndian.Uint16(b[6:8]); rs != binaryRecordSize {
+		return fmt.Errorf("tin: unsupported binary record size %d (want %d)", rs, binaryRecordSize)
+	}
+	switch v := binary.LittleEndian.Uint16(b[4:6]); v {
+	case binaryVersion1:
+		return errors.New("tin: version 1 snapshots are no longer supported; reload from the text format")
+	case binaryVersion2:
+		return nil
+	default:
+		return fmt.Errorf("tin: unsupported binary version %d", v)
+	}
+}
+
+// decodeHeader decodes the 40-byte header of a version-2 file into an
+// image without sections, and the layout its counts imply. It bounds the
+// counts, so that no section offset overflows: a hostile header is an
+// error here, not an index out of range later.
+func decodeHeader(hdr []byte) (*image, v2Layout, error) {
+	img := &image{
+		numV:    int64(binary.LittleEndian.Uint64(hdr[8:16])),
+		numE:    int64(binary.LittleEndian.Uint64(hdr[16:24])),
+		numIA:   int64(binary.LittleEndian.Uint64(hdr[24:32])),
+		maxTime: math.Float64frombits(binary.LittleEndian.Uint64(hdr[32:40])),
+	}
+	switch {
+	case img.numV <= 0 || img.numV > MaxVertices:
+		return nil, v2Layout{}, fmt.Errorf("tin: binary v2 vertex count %d out of range (0,%d]", img.numV, MaxVertices)
+	case img.numE < 0 || img.numE > math.MaxInt32 || img.numIA < img.numE || img.numIA > maxInteractions:
+		return nil, v2Layout{}, fmt.Errorf("tin: binary v2 counts inconsistent (%d edges, %d interactions)", img.numE, img.numIA)
+	case img.numIA == 0 && !math.IsInf(img.maxTime, -1),
+		img.numIA > 0 && (math.IsNaN(img.maxTime) || math.IsInf(img.maxTime, 0)):
+		return nil, v2Layout{}, fmt.Errorf("tin: binary v2 header maxTime %v invalid for %d interactions", img.maxTime, img.numIA)
+	}
+	return img, layoutV2(img.numV, img.numE, img.numIA), nil
+}
+
+// sectionReader copies sections off a stream in file order. It keeps its
+// first error, and reads nothing after it.
+type sectionReader struct {
+	br  *bufio.Reader
+	pos int64
+	err error
+}
+
+// sectionChunk is how many values readSection takes off the stream at a
+// time; a chunk of records is 96 KiB, well inside the reader's buffer.
+const sectionChunk = 1 << 12
+
+// readSection copies the count values of the section at byte offset off,
+// skipping the padding before it. It grows the result chunk by chunk, so a
+// header that lies about a count fails at EOF instead of committing memory
+// for it.
+func readSection[T any](sr *sectionReader, c le[T], name string, off, count int64) []T {
+	if sr.err != nil {
+		return nil
+	}
+	if _, err := sr.br.Discard(int(off - sr.pos)); err != nil {
+		sr.err = fmt.Errorf("tin: binary v2 padding before %s: %w", name, err)
+		return nil
+	}
+	out := make([]T, 0, min(count, sectionChunk))
+	for int64(len(out)) < count {
+		k := int(min(count-int64(len(out)), sectionChunk))
+		b, err := sr.br.Peek(k * c.size)
+		if err != nil {
+			sr.err = fmt.Errorf("tin: binary v2 %s[%d]: %w", name, len(out), err)
+			return nil
+		}
+		for i := 0; i < k; i++ {
+			out = append(out, c.get(b[i*c.size:]))
+		}
+		sr.br.Discard(len(b))
+	}
+	sr.pos = off + count*int64(c.size)
+	return out
+}
+
+// check is the one structural check both loaders accept an image through.
+// It is O(V+E) and does not read the arena: the edge table is in range and
+// its runs tile the arena (checkEdgeTable); each adjacency run lists
+// exactly the edges leaving (entering) its vertex, in ascending id order;
+// and the pair index lists every edge once, under its own key, strictly
+// ascending. An image that passes holds exactly the arrays indexEdges
+// derives from its edge table.
+func (img *image) check() error {
+	if err := checkEdgeTable(img.edgeFrom, img.edgeTo, img.seqEnd, img.numV, img.numIA); err != nil {
+		return err
+	}
+	if err := checkAdjacency("out", img.outOff, img.outAdj, img.edgeFrom); err != nil {
+		return err
+	}
+	if err := checkAdjacency("in", img.inOff, img.inAdj, img.edgeTo); err != nil {
+		return err
+	}
+	// Keys strictly ascending are distinct, so the ids they are the keys
+	// of are too: numE entries list every edge once (and no edge repeats
+	// another's endpoints).
+	prev := int64(-1)
+	for i, id := range img.pairIDs {
+		k := img.pairKeys[i]
+		if k <= prev || id < 0 || int64(id) >= img.numE || k != pairKey(img.edgeFrom[id], img.edgeTo[id]) {
+			return fmt.Errorf("tin: binary v2 pair index entry %d (key %d, edge %d) out of place", i, k, id)
+		}
+		prev = k
 	}
 	return nil
 }
 
-// edgesFromRuns builds the edge table over a checked version-2 image: edge
-// e's Seq is its arena run, three-index sliced so nothing can grow into the
-// neighbouring run (or into a read-only mapping).
-func edgesFromRuns(edgeFrom, edgeTo []int32, seqEnd []int64, arena []Interaction) []Edge {
-	edges := make([]Edge, len(edgeFrom))
+// checkEdgeTable checks a version-2 edge table against the header counts:
+// endpoints in range, no self loops, arena runs non-empty, back to back
+// and covering exactly numIA interactions.
+func checkEdgeTable(edgeFrom, edgeTo []int32, seqEnd []int64, numV, numIA int64) error {
+	prev := int64(0)
+	for e := range edgeFrom {
+		f, t := edgeFrom[e], edgeTo[e]
+		if f < 0 || int64(f) >= numV || t < 0 || int64(t) >= numV || f == t {
+			return fmt.Errorf("tin: binary v2 edge %d endpoints (%d,%d) invalid for %d vertices", e, f, t, numV)
+		}
+		if seqEnd[e] <= prev || seqEnd[e] > numIA {
+			return fmt.Errorf("tin: binary v2 edge %d sequence end %d out of order (prev %d, total %d)", e, seqEnd[e], prev, numIA)
+		}
+		prev = seqEnd[e]
+	}
+	if prev != numIA {
+		return fmt.Errorf("tin: binary v2 edge table covers %d of %d interactions", prev, numIA)
+	}
+	return nil
+}
+
+// checkAdjacency checks one direction of the adjacency: off tiles adj,
+// and vertex v's run lists, strictly ascending, edges whose endpoint
+// end[e] is v. Entries are distinct within a run by order and across runs
+// by endpoint, so the len(end) entries list every edge once.
+func checkAdjacency(dir string, off []int32, adj []EdgeID, end []int32) error {
+	if off[0] != 0 || int(off[len(off)-1]) != len(adj) {
+		return fmt.Errorf("tin: binary v2 %s-adjacency offsets do not cover the edge table", dir)
+	}
+	for v := 0; v+1 < len(off); v++ {
+		lo, hi := off[v], off[v+1]
+		if hi < lo || int(hi) > len(adj) {
+			return fmt.Errorf("tin: binary v2 %s-adjacency offsets not monotone at vertex %d", dir, v)
+		}
+		prev := EdgeID(-1)
+		for _, e := range adj[lo:hi] {
+			if e <= prev || int(e) >= len(end) || end[e] != VertexID(v) {
+				return fmt.Errorf("tin: binary v2 %s-adjacency of vertex %d lists edge %d out of place", dir, v, e)
+			}
+			prev = e
+		}
+	}
+	return nil
+}
+
+// checkOrder is the O(numIA) proof that the arena is in canonical order,
+// which only the copying reader runs: every interaction is valid, the Ord
+// values are a permutation of [0, numIA) under which timestamps are
+// non-decreasing and each edge run is ascending — exactly the invariants
+// Finalize establishes — and the header's maxTime is the latest time.
+func (img *image) checkOrder() error {
+	timeByOrd := make([]float64, img.numIA)
+	seenOrd := make([]bool, img.numIA)
+	e := 0
+	lastOrd := int64(-1)
+	for i, ia := range img.arena {
+		for int64(i) >= img.seqEnd[e] {
+			e++
+			lastOrd = -1
+		}
+		if ia.Qty < 0 || math.IsNaN(ia.Qty) || math.IsInf(ia.Qty, 0) || math.IsNaN(ia.Time) || math.IsInf(ia.Time, 0) {
+			return fmt.Errorf("tin: binary v2 interaction %d: invalid (%v,%v)", i, ia.Time, ia.Qty)
+		}
+		if ia.Ord < 0 || ia.Ord >= img.numIA || seenOrd[ia.Ord] {
+			return fmt.Errorf("tin: binary v2 interaction %d: ord %d not a permutation of [0,%d)", i, ia.Ord, img.numIA)
+		}
+		seenOrd[ia.Ord] = true
+		timeByOrd[ia.Ord] = ia.Time
+		if ia.Ord <= lastOrd {
+			return fmt.Errorf("tin: binary v2 interaction %d: edge sequence not in canonical order", i)
+		}
+		lastOrd = ia.Ord
+	}
+	for o := 1; o < len(timeByOrd); o++ {
+		if timeByOrd[o] < timeByOrd[o-1] {
+			return fmt.Errorf("tin: binary v2 ord %d: time %v precedes %v (canonical order violated)", o, timeByOrd[o], timeByOrd[o-1])
+		}
+	}
+	if n := len(timeByOrd); n > 0 && img.maxTime != timeByOrd[n-1] {
+		return fmt.Errorf("tin: binary v2 header maxTime %v does not match records (%v)", img.maxTime, timeByOrd[n-1])
+	}
+	return nil
+}
+
+// network returns the finalized network over a checked image. mm is the
+// mapping the image aliases, nil for one on the heap. Edge e's Seq is its
+// arena run, three-index sliced so nothing can grow into the neighbouring
+// run (or into a read-only mapping).
+func (img *image) network(mm *mmapRegion) *Network {
+	edges := make([]Edge, img.numE)
 	off := int64(0)
 	for e := range edges {
-		end := seqEnd[e]
-		edges[e] = Edge{From: edgeFrom[e], To: edgeTo[e], Seq: arena[off:end:end], canonical: true}
+		end := img.seqEnd[e]
+		edges[e] = Edge{From: img.edgeFrom[e], To: img.edgeTo[e], Seq: img.arena[off:end:end]}
 		off = end
 	}
-	return edges
-}
-
-// readI32Section reads count little-endian int32 values, growing the
-// result in bounded chunks so a lying count fails at EOF.
-func readI32Section(br *bufio.Reader, count int64, name string) ([]int32, error) {
-	out := make([]int32, 0, min(count, 1<<16))
-	var b [4]byte
-	for i := int64(0); i < count; i++ {
-		if _, err := io.ReadFull(br, b[:]); err != nil {
-			return nil, fmt.Errorf("tin: binary v2 %s[%d]: %w", name, i, err)
-		}
-		out = append(out, int32(binary.LittleEndian.Uint32(b[:])))
+	return &Network{
+		numV:      int(img.numV),
+		numIA:     int(img.numIA),
+		nextOrd:   img.numIA,
+		finalized: true,
+		maxTime:   img.maxTime,
+		base: &base{
+			edges:    edges,
+			arena:    img.arena,
+			outOff:   img.outOff,
+			inOff:    img.inOff,
+			outAdj:   img.outAdj,
+			inAdj:    img.inAdj,
+			pairKeys: img.pairKeys,
+			pairIDs:  img.pairIDs,
+			mm:       mm,
+		},
 	}
-	return out, nil
-}
-
-// readI64Section reads count little-endian int64 values with the same
-// bounded-growth strategy as readI32Section.
-func readI64Section(br *bufio.Reader, count int64, name string) ([]int64, error) {
-	out := make([]int64, 0, min(count, 1<<16))
-	var b [8]byte
-	for i := int64(0); i < count; i++ {
-		if _, err := io.ReadFull(br, b[:]); err != nil {
-			return nil, fmt.Errorf("tin: binary v2 %s[%d]: %w", name, i, err)
-		}
-		out = append(out, int64(binary.LittleEndian.Uint64(b[:])))
-	}
-	return out, nil
-}
-
-// readArenaSection reads count interaction records with bounded growth.
-func readArenaSection(br *bufio.Reader, count int64) ([]Interaction, error) {
-	out := make([]Interaction, 0, min(count, 1<<16))
-	var rec [binaryRecordSize]byte
-	for i := int64(0); i < count; i++ {
-		if _, err := io.ReadFull(br, rec[:]); err != nil {
-			return nil, fmt.Errorf("tin: binary v2 arena[%d]: %w", i, err)
-		}
-		out = append(out, Interaction{
-			Time: math.Float64frombits(binary.LittleEndian.Uint64(rec[0:8])),
-			Qty:  math.Float64frombits(binary.LittleEndian.Uint64(rec[8:16])),
-			Ord:  int64(binary.LittleEndian.Uint64(rec[16:24])),
-		})
-	}
-	return out, nil
 }

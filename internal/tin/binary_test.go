@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -166,8 +167,13 @@ func TestBinaryCorruptInputsError(t *testing.T) {
 		"ord duplicate": corruptBinary(t, func(b []byte) []byte {
 			return putU64(b, l.arena+16, binary.LittleEndian.Uint64(b[l.arena+binaryRecordSize+16:]))
 		}),
-		"ord range":   corruptBinary(t, func(b []byte) []byte { return putU64(b, l.arena+16, 1<<40) }),
-		"bad maxtime": corruptBinary(t, func(b []byte) []byte { return putU64(b, 32, math.Float64bits(12345)) }),
+		"ord range":      corruptBinary(t, func(b []byte) []byte { return putU64(b, l.arena+16, 1<<40) }),
+		"bad maxtime":    corruptBinary(t, func(b []byte) []byte { return putU64(b, 32, math.Float64bits(12345)) }),
+		"hostile header": hostileHeader(),
+		// In range but wrong: each still names edges that exist, so only
+		// a check against the edge table refuses it.
+		"adjacency swap":    corruptBinary(t, swapOutAdj),
+		"pair id elsewhere": corruptBinary(t, func(b []byte) []byte { binary.LittleEndian.PutUint32(b[l.pairIDs:], 1); return b }),
 	} {
 		if _, err := ReadNetworkBinary(bytes.NewReader(data)); err == nil {
 			t.Errorf("%s: ReadNetworkBinary accepted corrupt input", name)
@@ -175,11 +181,40 @@ func TestBinaryCorruptInputsError(t *testing.T) {
 	}
 }
 
+// hostileHeader is a bare version-2 header whose counts make the section
+// offsets overflow an int64: summed the plain way, the file they imply
+// has a negative size, which passes any "is the file long enough" check.
+func hostileHeader() []byte {
+	hdr := make([]byte, binaryHeaderV2)
+	copy(hdr[0:4], binaryMagic)
+	binary.LittleEndian.PutUint16(hdr[4:6], binaryVersion2)
+	binary.LittleEndian.PutUint16(hdr[6:8], binaryRecordSize)
+	binary.LittleEndian.PutUint64(hdr[8:16], 3158064)
+	binary.LittleEndian.PutUint64(hdr[16:24], 3480000000000000000)
+	binary.LittleEndian.PutUint64(hdr[24:32], 3990000000000000000)
+	binary.LittleEndian.PutUint64(hdr[32:40], math.Float64bits(1))
+	return hdr
+}
+
+// swapOutAdj swaps the first two entries of the out-adjacency section of
+// a snapshot whose vertices 0 and 1 have one out-edge each: each vertex
+// then lists the other's edge.
+func swapOutAdj(b []byte) []byte {
+	numV := int64(binary.LittleEndian.Uint64(b[8:16]))
+	numE := int64(binary.LittleEndian.Uint64(b[16:24]))
+	numIA := int64(binary.LittleEndian.Uint64(b[24:32]))
+	off := layoutV2(numV, numE, numIA).outAdj
+	x, y := slices.Clone(b[off:off+4]), slices.Clone(b[off+4:off+8])
+	copy(b[off:], y)
+	copy(b[off+4:], x)
+	return b
+}
+
 // TestBinaryRejectsV1: a version-1 file (the record-stream format stores
 // wrote before the CSR layout) is refused with a message naming the way
 // out, not misparsed or reported as generic corruption.
 func TestBinaryRejectsV1(t *testing.T) {
-	hdr := make([]byte, binaryHeaderPrefix)
+	hdr := make([]byte, binaryPrefix+8+8) // the prefix, numV and numE
 	copy(hdr[0:4], binaryMagic)
 	binary.LittleEndian.PutUint16(hdr[4:6], binaryVersion1)
 	binary.LittleEndian.PutUint16(hdr[6:8], binaryRecordSize)
@@ -195,7 +230,9 @@ func TestBinaryRejectsV1(t *testing.T) {
 // FuzzLoadNetwork fuzzes the full sniffing load path over raw file bytes:
 // text, binary and gzip inputs — corrupt, truncated or hostile — must
 // either load or error, never panic. Whatever loads must round-trip
-// through the binary codec.
+// through the binary codec. An uncompressed binary input is also opened
+// with OpenNetworkMmap: a file the copying reader accepts, the mapper must
+// accept as the same network (sameLoad).
 func FuzzLoadNetwork(f *testing.F) {
 	f.Add([]byte("0 1 1.5 2.5\n1 2 3 4\n"), false)
 	f.Add([]byte("# vertices 10\n0 1 1 1\n"), false)
@@ -214,6 +251,17 @@ func FuzzLoadNetwork(f *testing.F) {
 	f.Add(valid.Bytes()[:len(valid.Bytes())-5], false) // torn tail
 	f.Add(valid.Bytes(), true)                         // gzip-compressed binary
 	f.Add([]byte{0x1f, 0x8b, 0xff, 0x00}, true)        // gzip magic, corrupt stream
+	f.Add(hostileHeader(), false)
+	chain := NewNetwork(4)
+	chain.AddInteraction(0, 1, 1, 1)
+	chain.AddInteraction(1, 2, 2, 1)
+	chain.AddInteraction(2, 3, 3, 1)
+	chain.Finalize()
+	var swapped bytes.Buffer
+	if err := WriteNetworkBinary(&swapped, chain); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(swapOutAdj(swapped.Bytes()), false) // 0 lists 1->2, 1 lists 0->1
 
 	f.Fuzz(func(t *testing.T, data []byte, gz bool) {
 		dir := t.TempDir()
@@ -235,6 +283,18 @@ func FuzzLoadNetwork(f *testing.F) {
 			t.Fatal(err)
 		}
 		loaded, err := LoadNetwork(path)
+		if !gz && bytes.HasPrefix(data, []byte(binaryMagic)) {
+			mapped, merr := OpenNetworkMmap(path)
+			if merr == nil {
+				defer mapped.Unmap()
+			}
+			if err == nil && merr != nil {
+				t.Fatalf("the copying reader accepts, the mapper refuses: %v", merr)
+			}
+			if err == nil {
+				sameLoad(t, loaded, mapped)
+			}
+		}
 		if err != nil {
 			return
 		}
@@ -250,6 +310,33 @@ func FuzzLoadNetwork(f *testing.F) {
 			t.Fatalf("binary round trip changed shape: %+v vs %+v", again.Stats(), loaded.Stats())
 		}
 	})
+}
+
+// sameLoad fails unless a and b are one network to every accessor a
+// loader fills: counts, MaxTime, each edge with its id and sequence, the
+// pair lookup of every edge and the adjacency of every vertex.
+func sameLoad(t *testing.T, a, b *Network) {
+	t.Helper()
+	if a.Stats() != b.Stats() || math.Float64bits(a.MaxTime()) != math.Float64bits(b.MaxTime()) {
+		t.Fatalf("loads differ: %+v max %v vs %+v max %v", a.Stats(), a.MaxTime(), b.Stats(), b.MaxTime())
+	}
+	for e := range EdgeID(a.NumEdges()) {
+		ea, eb := a.Edge(e), b.Edge(e)
+		if ea.From != eb.From || ea.To != eb.To || !slices.Equal(ea.Seq, eb.Seq) {
+			t.Fatalf("edge %d differs: %d->%d %v vs %d->%d %v", e, ea.From, ea.To, ea.Seq, eb.From, eb.To, eb.Seq)
+		}
+		for _, n := range []*Network{a, b} {
+			if id, ok := n.HasEdge(ea.From, ea.To); !ok || id != e {
+				t.Fatalf("HasEdge(%d,%d) = %d,%v, want edge %d", ea.From, ea.To, id, ok, e)
+			}
+		}
+	}
+	for v := range VertexID(a.NumVertices()) {
+		if !slices.Equal(a.OutEdges(v), b.OutEdges(v)) || !slices.Equal(a.InEdges(v), b.InEdges(v)) {
+			t.Fatalf("vertex %d adjacency differs: out %v vs %v, in %v vs %v",
+				v, a.OutEdges(v), b.OutEdges(v), a.InEdges(v), b.InEdges(v))
+		}
+	}
 }
 
 // TestAtomicSaveLeavesTargetIntact is the crash-safety regression: a save

@@ -26,8 +26,9 @@ import (
 //	pairIDs  []EdgeID       replaces the builder's hash map for HasEdge
 //
 // Every array is a flat numeric slice, which is what makes the FNTB v2
-// snapshot (binary.go) a byte-for-byte image of this struct: an mmap'd
-// snapshot serves these slices zero-copy (mmap.go).
+// snapshot (binary.go) a byte-for-byte image of this struct: the writer
+// writes these slices as they are, and an mmap'd snapshot serves them
+// zero-copy (mmap.go).
 //
 // A base is never written after it is built: an append derives a new
 // network version that shares the base and carries what was added in a
@@ -115,16 +116,16 @@ func buildBase(numV, numE, total int, edge func(EdgeID) *Edge, pairKeys []int64,
 		src := edge(EdgeID(e))
 		off := len(b.arena)
 		b.arena = append(b.arena, src.Seq...)
-		b.edges[e] = Edge{From: src.From, To: src.To, canonical: src.canonical,
-			Seq: b.arena[off:len(b.arena):len(b.arena)]}
+		b.edges[e] = Edge{From: src.From, To: src.To, Seq: b.arena[off:len(b.arena):len(b.arena)]}
 	}
 	b.indexEdges(numV, pairKeys, pairIDs)
 	return b
 }
 
 // indexEdges derives the adjacency and (unless given) pair-lookup arrays
-// from the edge table — for builder.layout, for buildBase, and after the
-// copying snapshot reader rebuilt the table.
+// from the edge table — for builder.layout and for buildBase. A snapshot
+// loader derives neither: it checks that the stored sections are what this
+// would derive (image.check, binary.go).
 func (b *base) indexEdges(numV int, pairKeys []int64, pairIDs []EdgeID) {
 	b.outOff, b.inOff, b.outAdj, b.inAdj = buildAdjacency(numV, b.edges)
 	if pairKeys == nil {

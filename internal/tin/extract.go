@@ -771,7 +771,7 @@ func (n *Network) buildFlowGraph(edgeIDs []EdgeID, lo, hi []int32, source, sink 
 	for r, i := range sc.order {
 		lf, lt := sc.elf[i], sc.elt[i]
 		end := iaOff + hi[i] - lo[i]
-		g.Edges[r] = Edge{From: lf, To: lt, Seq: arena[iaOff:end:end], canonical: true}
+		g.Edges[r] = Edge{From: lf, To: lt, Seq: arena[iaOff:end:end]}
 		g.out[lf] = append(g.out[lf], EdgeID(r))
 		g.in[lt] = append(g.in[lt], EdgeID(r))
 		sc.runs[i], sc.off[i] = n.Edge(edgeIDs[i]).Seq[lo[i]:hi[i]], iaOff

@@ -95,7 +95,7 @@ func (g *Graph) AddEdge(from, to VertexID) EdgeID {
 // arrivals they represent.
 func (g *Graph) AddReducedEdge(from, to VertexID, seq []Interaction) EdgeID {
 	g.admitSeq(EdgeID(len(g.Edges)), seq)
-	return g.addEdge(Edge{From: from, To: to, Seq: seq, canonical: true})
+	return g.addEdge(Edge{From: from, To: to, Seq: seq})
 }
 
 func (g *Graph) addEdge(e Edge) EdgeID {
@@ -210,7 +210,7 @@ func (g *Graph) Clone() *Graph {
 		finalized: g.finalized,
 	}
 	for i, e := range g.Edges {
-		c.Edges[i] = Edge{From: e.From, To: e.To, Seq: append([]Interaction(nil), e.Seq...), canonical: e.canonical}
+		c.Edges[i] = Edge{From: e.From, To: e.To, Seq: append([]Interaction(nil), e.Seq...)}
 	}
 	for v := range g.out {
 		c.out[v] = append([]EdgeID(nil), g.out[v]...)

@@ -417,15 +417,6 @@ func TestEdgeHelpers(t *testing.T) {
 	if got := ed.TotalQty(); got != 12 {
 		t.Errorf("TotalQty=%g, want 12", got)
 	}
-	first, last := ed.Span()
-	if first != 1 || last != 7 {
-		t.Errorf("Span=(%g,%g), want (1,7)", first, last)
-	}
-	var empty Edge
-	first, last = empty.Span()
-	if !math.IsInf(first, 1) || !math.IsInf(last, -1) {
-		t.Errorf("empty Span=(%g,%g)", first, last)
-	}
 }
 
 func TestInteractionString(t *testing.T) {

@@ -2,7 +2,6 @@ package tin
 
 import (
 	"bytes"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -91,13 +90,6 @@ func checkAgainstRef(t *testing.T, n *Network, r *refModel) {
 		for i := range want {
 			if ed.Seq[i] != want[i] {
 				t.Fatalf("edge %d->%d interaction %d: %+v, want %+v", ed.From, ed.To, i, ed.Seq[i], want[i])
-			}
-		}
-		if len(want) > 0 {
-			first, last := ed.Span()
-			if first != want[0].Time || last != want[len(want)-1].Time {
-				t.Fatalf("edge %d->%d span (%g,%g), want (%g,%g)",
-					ed.From, ed.To, first, last, want[0].Time, want[len(want)-1].Time)
 			}
 		}
 		total += len(want)
@@ -218,42 +210,4 @@ func FuzzLayoutEquivalence(f *testing.F) {
 		}
 		mm.Unmap()
 	})
-}
-
-// TestSpanUnsortedBeforeFinalize pins the Span contract on sequences not
-// known to be in canonical order (an Edge literal, as a Graph under
-// construction holds them): the sorted fast path (first/last element) must
-// not kick in. Finalize marks every run canonical, and then it must.
-func TestSpanUnsortedBeforeFinalize(t *testing.T) {
-	raw := Edge{From: 0, To: 1, Seq: []Interaction{{Time: 5, Qty: 1}, {Time: 1, Qty: 1}, {Time: 9, Qty: 1}}}
-	first, last := raw.Span()
-	if first != 1 || last != 9 {
-		t.Fatalf("unsorted span (%g,%g), want (1,9): fast path on unsorted sequence", first, last)
-	}
-	n := NewNetwork(2)
-	for _, ia := range raw.Seq {
-		n.AddInteraction(raw.From, raw.To, ia.Time, ia.Qty)
-	}
-	n.Finalize()
-	e, _ := n.HasEdge(0, 1)
-	ed := n.Edge(e)
-	first, last = ed.Span()
-	if first != 1 || last != 9 {
-		t.Fatalf("post-finalize span (%g,%g), want (1,9)", first, last)
-	}
-	if !sort.SliceIsSorted(ed.Seq, func(i, j int) bool { return ed.Seq[i].Time < ed.Seq[j].Time }) {
-		t.Fatal("finalized sequence not time-sorted")
-	}
-	if ed.Seq[0].Time != first || ed.Seq[len(ed.Seq)-1].Time != last {
-		t.Fatal("finalized span disagrees with sequence endpoints")
-	}
-}
-
-// TestSpanEmpty pins the empty-sequence sentinel values.
-func TestSpanEmpty(t *testing.T) {
-	var e Edge
-	first, last := e.Span()
-	if !math.IsInf(first, 1) || !math.IsInf(last, -1) {
-		t.Fatalf("empty span (%g,%g), want (+Inf,-Inf)", first, last)
-	}
 }

@@ -2,7 +2,6 @@ package tin
 
 import (
 	"fmt"
-	"math"
 	"strings"
 	"unsafe"
 )
@@ -23,6 +22,15 @@ import (
 // receiver onto a heap base, the store releases it when the last pin on
 // the last version over the mapped base drops (and its Close waits for
 // that), and anyone else calls Unmap.
+//
+// Trust. A mapped file is accepted through the copying reader's header
+// decode and structural check (binary.go): the counts are bounded, the
+// edge table is in range and tiles the arena, and every adjacency run and
+// pair-index entry is the one the edge table implies. So the mapper serves
+// exactly the network the copying reader builds from the same bytes. What
+// it skips is the O(numIA) proof that the arena is in canonical order,
+// which would read every page of the arena at load: a file only that proof
+// refuses maps, and every other corrupt file is refused by both loaders.
 //
 // Portability. OpenNetworkMmap falls back to the copying decoder whenever
 // zero-copy cannot work: non-unix builds, big-endian hosts, a compiler
@@ -83,7 +91,7 @@ func OpenNetworkMmap(path string) (*Network, error) {
 	if mmapSupported && hostLE && interactionLayoutOK && !strings.HasSuffix(path, ".gz") {
 		region, err := platformMmap(path)
 		if err == nil {
-			if isV2Image(region.data) {
+			if len(region.data) >= binaryHeaderV2 && checkPrefix(region.data) == nil {
 				n, err := mmapNetwork(region)
 				if err != nil {
 					region.close()
@@ -100,75 +108,31 @@ func OpenNetworkMmap(path string) (*Network, error) {
 	return LoadNetwork(path)
 }
 
-// isV2Image reports whether data starts with a version-2 binary header.
-func isV2Image(data []byte) bool {
-	return len(data) >= binaryHeaderV2 &&
-		string(data[0:4]) == binaryMagic &&
-		leU16(data[4:6]) == binaryVersion2 &&
-		leU16(data[6:8]) == binaryRecordSize
-}
-
-func leU16(b []byte) uint16 { return uint16(b[0]) | uint16(b[1])<<8 }
-
-func leU64(b []byte) uint64 {
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
-
-// mmapNetwork builds a Network whose CSR arrays alias the mapped bytes.
-// Validation is O(V+E) — header consistency, section bounds, offset
-// monotonicity, id ranges — matching the trust model of a snapshot the
-// store wrote itself; the O(numIA) canonical-order proof is the copying
-// reader's job for untrusted input.
+// mmapNetwork builds a Network whose CSR arrays alias the mapped bytes. It
+// accepts the image through the copying reader's header decode and
+// structural check (binary.go), O(V+E); the O(numIA) canonical-order proof
+// is the copying reader's alone, so a load never reads the arena.
 func mmapNetwork(region *mmapRegion) (*Network, error) {
 	data := region.data
-	numV := int64(leU64(data[8:16]))
-	numE := int64(leU64(data[16:24]))
-	numIA := int64(leU64(data[24:32]))
-	maxTime := math.Float64frombits(leU64(data[32:40]))
-	if numV <= 0 || numV > MaxVertices {
-		return nil, fmt.Errorf("tin: mmap: vertex count %d out of range (0,%d]", numV, MaxVertices)
+	img, l, err := decodeHeader(data[:binaryHeaderV2])
+	if err != nil {
+		return nil, err
 	}
-	if numE < 0 || numIA < 0 || numE > numIA {
-		return nil, fmt.Errorf("tin: mmap: counts inconsistent (%d edges, %d interactions)", numE, numIA)
-	}
-	l := layoutV2(numV, numE, numIA)
 	if l.total > int64(len(data)) {
 		return nil, fmt.Errorf("tin: mmap: file is %d bytes, header implies %d", len(data), l.total)
 	}
-
-	edgeFrom := sliceI32(data, l.edgeFrom, numE)
-	edgeTo := sliceI32(data, l.edgeTo, numE)
-	outOff := sliceI32(data, l.outOff, numV+1)
-	inOff := sliceI32(data, l.inOff, numV+1)
-	outAdj := sliceI32(data, l.outAdj, numE)
-	inAdj := sliceI32(data, l.inAdj, numE)
-	seqEnd := sliceI64(data, l.seqEnd, numE)
-	pairKeys := sliceI64(data, l.pairKeys, numE)
-	pairIDs := sliceI32(data, l.pairIDs, numE)
-	arena := sliceIA(data, l.arena, numIA)
-
-	if err := checkEdgeTable("mmap", edgeFrom, edgeTo, seqEnd, numV, numIA); err != nil {
+	img.edgeFrom = view[int32](data, l.edgeFrom, img.numE)
+	img.edgeTo = view[int32](data, l.edgeTo, img.numE)
+	img.outOff = view[int32](data, l.outOff, img.numV+1)
+	img.inOff = view[int32](data, l.inOff, img.numV+1)
+	img.outAdj = view[EdgeID](data, l.outAdj, img.numE)
+	img.inAdj = view[EdgeID](data, l.inAdj, img.numE)
+	img.seqEnd = view[int64](data, l.seqEnd, img.numE)
+	img.pairKeys = view[int64](data, l.pairKeys, img.numE)
+	img.pairIDs = view[EdgeID](data, l.pairIDs, img.numE)
+	img.arena = view[Interaction](data, l.arena, img.numIA)
+	if err := img.check(); err != nil {
 		return nil, err
-	}
-	for e := int64(0); e < numE; e++ {
-		if int64(outAdj[e]) < 0 || int64(outAdj[e]) >= numE || int64(inAdj[e]) < 0 || int64(inAdj[e]) >= numE {
-			return nil, fmt.Errorf("tin: mmap: adjacency entry %d out of range", e)
-		}
-		if int64(pairIDs[e]) < 0 || int64(pairIDs[e]) >= numE {
-			return nil, fmt.Errorf("tin: mmap: pair id %d out of range", e)
-		}
-		if e > 0 && pairKeys[e] <= pairKeys[e-1] {
-			return nil, fmt.Errorf("tin: mmap: pair index not strictly sorted at %d", e)
-		}
-	}
-	if outOff[0] != 0 || inOff[0] != 0 || int64(outOff[numV]) != numE || int64(inOff[numV]) != numE {
-		return nil, fmt.Errorf("tin: mmap: adjacency offsets do not cover the edge table")
-	}
-	for v := int64(0); v < numV; v++ {
-		if outOff[v+1] < outOff[v] || inOff[v+1] < inOff[v] {
-			return nil, fmt.Errorf("tin: mmap: adjacency offsets not monotone at vertex %d", v)
-		}
 	}
 
 	// The arena is always advised MADV_RANDOM: query extraction touches it
@@ -180,53 +144,16 @@ func mmapNetwork(region *mmapRegion) (*Network, error) {
 	// and profit from readahead. Best-effort: a platform without madvise
 	// (the stub is a no-op) or a kernel that rejects the advice still
 	// serves the mapping correctly.
-	_ = adviseRandom(data, l.arena, numIA*binaryRecordSize)
-
-	n := &Network{
-		numV:      int(numV),
-		numIA:     int(numIA),
-		nextOrd:   numIA,
-		finalized: true,
-		maxTime:   maxTime,
-		base: &base{
-			edges:    edgesFromRuns(edgeFrom, edgeTo, seqEnd, arena),
-			arena:    arena,
-			outOff:   outOff,
-			inOff:    inOff,
-			outAdj:   outAdj,
-			inAdj:    inAdj,
-			pairKeys: pairKeys,
-			pairIDs:  pairIDs,
-			mm:       region,
-		},
-	}
-	if numIA == 0 {
-		n.maxTime = math.Inf(-1)
-	}
-	return n, nil
+	_ = adviseRandom(data, l.arena, img.numIA*binaryRecordSize)
+	return img.network(region), nil
 }
 
-// The slice casts below produce len == cap slices, so an append on one of
-// them could only reallocate to the heap, never write through the
-// read-only mapping.
-
-func sliceI32(data []byte, off, count int64) []int32 {
+// view returns the count values of type T at byte offset off of data,
+// aliasing it. The slice has len == cap, so an append to it could only
+// reallocate to the heap, never write through the read-only mapping.
+func view[T any](data []byte, off, count int64) []T {
 	if count == 0 {
-		return []int32{}
+		return []T{}
 	}
-	return unsafe.Slice((*int32)(unsafe.Pointer(&data[off])), count)
-}
-
-func sliceI64(data []byte, off, count int64) []int64 {
-	if count == 0 {
-		return []int64{}
-	}
-	return unsafe.Slice((*int64)(unsafe.Pointer(&data[off])), count)
-}
-
-func sliceIA(data []byte, off, count int64) []Interaction {
-	if count == 0 {
-		return []Interaction{}
-	}
-	return unsafe.Slice((*Interaction)(unsafe.Pointer(&data[off])), count)
+	return unsafe.Slice((*T)(unsafe.Pointer(&data[off])), count)
 }

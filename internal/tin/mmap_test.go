@@ -1,6 +1,7 @@
 package tin
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
@@ -238,28 +239,35 @@ func TestMmapFallbacks(t *testing.T) {
 }
 
 // TestMmapRejectsCorrupt: a mapped image that fails validation must error
-// out, not serve garbage — and must not leak the mapping.
+// out, not serve garbage or panic — and must not leak the mapping. The
+// in-range cases are the ones only a check against the edge table
+// refuses.
 func TestMmapRejectsCorrupt(t *testing.T) {
 	if !mmapExpected() {
 		t.Skip("no mmap on this platform")
 	}
 	n := ioTestNetwork()
-	path := saveTinb(t, n)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	l := layoutV2(int64(n.NumVertices()), int64(n.NumEdges()), int64(n.NumInteractions()))
-	// Out-of-range adjacency entry: caught by the light mmap validation.
-	data[l.outAdj] = 0xff
-	data[l.outAdj+1] = 0xff
-	data[l.outAdj+2] = 0xff
-	data[l.outAdj+3] = 0x7f
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenNetworkMmap(path); err == nil {
-		t.Fatal("corrupt image mapped without error")
+	for name, data := range map[string][]byte{
+		"adjacency out of range": corruptBinary(t, func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[l.outAdj:], 0x7fffffff)
+			return b
+		}),
+		"adjacency swap": corruptBinary(t, swapOutAdj),
+		"pair id elsewhere": corruptBinary(t, func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[l.pairIDs:], 1)
+			return b
+		}),
+		"hostile header": hostileHeader(),
+	} {
+		path := filepath.Join(t.TempDir(), "net.tinb")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if m, err := OpenNetworkMmap(path); err == nil {
+			m.Unmap()
+			t.Errorf("%s: corrupt image mapped without error", name)
+		}
 	}
 }
 

@@ -224,7 +224,7 @@ func (b *builder) layout(numV, total int) *base {
 	start := 0
 	for e := range bs.edges {
 		end := b.count[e]
-		bs.edges[e] = Edge{From: b.from[e], To: b.to[e], Seq: arena[start:end:end], canonical: true}
+		bs.edges[e] = Edge{From: b.from[e], To: b.to[e], Seq: arena[start:end:end]}
 		start = end
 	}
 	bs.indexEdges(numV, nil, nil)
@@ -253,7 +253,6 @@ func rankEdges(edges []Edge, bound int64) (next int64, maxTime float64) {
 			if !slices.IsSortedFunc(seq, byTime) {
 				slices.SortStableFunc(seq, byTime)
 			}
-			edges[e].canonical = true
 			for i := range seq {
 				put(seq[i].Ord, &seq[i])
 			}

@@ -192,9 +192,9 @@ type TimeWindow struct {
 
 // bounds returns the half-open index range [lo, hi) of seq that lies
 // inside the window. seq must be in canonical order (time-sorted), which
-// every finalized network and graph guarantees; the first/last-element
-// span check resolves fully-inside and fully-outside sequences without a
-// binary search (the Edge.Span fast path).
+// every finalized network and graph guarantees; a check of the first and
+// last elements resolves fully-inside and fully-outside sequences without
+// a binary search.
 func (w *TimeWindow) bounds(seq []Interaction) (int, int) {
 	if w == nil {
 		return 0, len(seq)

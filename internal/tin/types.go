@@ -101,10 +101,6 @@ func trimFloat(f float64) string {
 type Edge struct {
 	From, To VertexID
 	Seq      []Interaction
-	// canonical records that Seq is sorted in canonical order (and hence
-	// non-decreasing in Time). Finalize sets it; it lets Span read the
-	// sequence endpoints instead of scanning every interaction.
-	canonical bool
 }
 
 // TotalQty returns the sum of the quantities of all interactions on the
@@ -115,28 +111,4 @@ func (e *Edge) TotalQty() float64 {
 		s += ia.Qty
 	}
 	return s
-}
-
-// Span returns the earliest and latest interaction timestamps on the edge.
-// It returns (+inf, -inf) for an edge with no interactions. On a finalized
-// edge the sequence is sorted in canonical order, so the span is just the
-// first and last elements; unsorted pre-Finalize sequences still get the
-// full scan.
-func (e *Edge) Span() (first, last float64) {
-	if len(e.Seq) == 0 {
-		return math.Inf(1), math.Inf(-1)
-	}
-	if e.canonical {
-		return e.Seq[0].Time, e.Seq[len(e.Seq)-1].Time
-	}
-	first, last = math.Inf(1), math.Inf(-1)
-	for _, ia := range e.Seq {
-		if ia.Time < first {
-			first = ia.Time
-		}
-		if ia.Time > last {
-			last = ia.Time
-		}
-	}
-	return first, last
 }
