@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
+	"time"
 
 	"flownet/internal/datagen"
 	"flownet/internal/tin"
@@ -73,10 +75,13 @@ func TestLoadBinaryFasterThanText(t *testing.T) {
 // TestReadNetworkAllocationBudget bounds what the text reader allocates per
 // interaction on a Bitcoin-shaped corpus of about 100 K interactions, read
 // from memory: the builder's log, the arena and the CSR arrays, and no
-// garbage per line. Measured (linux/amd64, Go 1.24): 65 B per interaction,
-// a sixth of it the scanner's 1 MiB line buffer; the reader that buffered
-// every line and built jagged per-edge sequences before laying the arena
-// out allocated 350 B.
+// garbage per line. Measured (linux/amd64, Go 1.24): 71–76 B per
+// interaction at GOMAXPROCS(2) and 68 B at GOMAXPROCS(1), a sixth of it
+// the scanner's 1 MiB buffer and 3–11 B the blocks of lines in flight
+// (text and parsed records, at most 2×GOMAXPROCS of them); 65 B before
+// the reader parsed in parallel. The reader that buffered every line and
+// built jagged per-edge sequences before laying the arena out allocated
+// 350 B.
 func TestReadNetworkAllocationBudget(t *testing.T) {
 	const budget = 100 // bytes per interaction
 	var text bytes.Buffer
@@ -94,5 +99,55 @@ func TestReadNetworkAllocationBudget(t *testing.T) {
 	t.Logf("ReadNetwork: %d interactions, %.0f B allocated per interaction", n.NumInteractions(), perIA)
 	if perIA > budget {
 		t.Errorf("ReadNetwork allocates %.0f B per interaction, budget %d", perIA, budget)
+	}
+}
+
+// TestReadNetworkUsesTwoCores guards the parallel text reader: on the bench
+// corpus, read from memory, a load at GOMAXPROCS(2) must be at least 1.3×
+// as fast as one at GOMAXPROCS(1), best of three each. The parsing runs
+// on every core; feeding the builder and Finalize stay on one.
+func TestReadNetworkUsesTwoCores(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing test")
+	}
+	if runtime.NumCPU() < 2 {
+		t.Skip("needs two CPUs")
+	}
+	var text bytes.Buffer
+	if err := tin.WriteNetwork(&text, loadBenchNetwork(t)); err != nil {
+		t.Fatal(err)
+	}
+	// The collector is off while a load is timed: at GOMAXPROCS(2) a
+	// collection takes a whole processor for its marking, at GOMAXPROCS(1)
+	// a quarter of one, and how many collections a load meets depends on
+	// what earlier tests left on the heap.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	load := func(procs int) time.Duration {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		runtime.GC()
+		start := time.Now()
+		if _, err := tin.ReadNetwork(bytes.NewReader(text.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+		return time.Since(start)
+	}
+	// The loads alternate, so that a spell of load on a shared host slows
+	// both sides. Such a host can also take the second core away for
+	// seconds, so a measurement that misses the bound is taken again, up to
+	// five times: a reader that parses on one core never reaches it.
+	const attempts = 5
+	for attempt := 1; ; attempt++ {
+		one, two := load(1), load(2)
+		for range 2 {
+			one, two = min(one, load(1)), min(two, load(2))
+		}
+		t.Logf("ReadNetwork, %d bytes: %v at GOMAXPROCS(1), %v at GOMAXPROCS(2) (%.2fx)",
+			text.Len(), one, two, float64(one)/float64(two))
+		if float64(one) >= 1.3*float64(two) {
+			return
+		}
+		if attempt == attempts {
+			t.Fatalf("ReadNetwork at GOMAXPROCS(2) is under 1.3x as fast as at GOMAXPROCS(1) in %d measurements", attempts)
+		}
 	}
 }

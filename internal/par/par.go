@@ -5,9 +5,11 @@
 // (floating-point sums included).
 //
 // Both hand out indices from one atomic counter to the calling goroutine
-// and workers−1 more; there are no channels and no producer goroutine. A
-// panic in any of them stops the hand-out, lets the others drain and is
-// raised again, with its original value, on the calling goroutine.
+// and workers−1 more; there are no channels and no producer goroutine.
+// OrderedFrom is the ordered fold over a sequential source, whose next
+// item each claim takes under a lock. A panic in any of them stops the
+// hand-out, lets the others drain and is raised again, with its original
+// value, on the calling goroutine.
 package par
 
 import (
@@ -80,10 +82,46 @@ func Ordered[R any](workers, n int, solve func(i int) R, reduce func(R) bool) bo
 		return true
 	}
 	c := claims{n: int64(n)}
-	f := fold[R]{reduce: reduce, claims: &c}
+	f := newFold(reduce, c.stop)
 	spread(workers, f.stop, func() {
 		for i, ok := c.claim(); ok; i, ok = c.claim() {
 			if !f.deliver(i, solve(i)) {
+				return
+			}
+		}
+	})
+	return !f.stopped
+}
+
+// OrderedFrom is Ordered over the items next yields rather than over
+// [0, n): the k-th item is solved as index k, and its result is reduced
+// k-th. A claim calls next under the claim lock, so next never runs
+// concurrently with itself and sees its items claimed in the order it
+// yields them; once it has returned false, or the fold has stopped, it is
+// not called again. It suits a sequential source whose items are costly to
+// process, such as a reader cut into blocks: the read stays serial, the
+// solves run in parallel and reduce sees the blocks in input order.
+//
+// Unlike Ordered, it claims at most 2×workers items ahead of the fold: an
+// item is taken from next only once every item that many places before it
+// has been reduced. So however long one solve takes, at most 2×workers
+// items are out between next and reduce, which lets the caller recycle
+// their buffers through a pool of that size.
+func OrderedFrom[T, R any](workers int, next func() (T, bool), solve func(T) R, reduce func(R) bool) bool {
+	if workers <= 1 {
+		for t, ok := next(); ok; t, ok = next() {
+			if !reduce(solve(t)) {
+				return false
+			}
+		}
+		return true
+	}
+	s := feed[T]{next: next}
+	f := newFold(reduce, s.stop)
+	s.ready = func(i int) bool { return f.await(i, 2*workers) }
+	spread(workers, f.stop, func() {
+		for i, t, ok := s.claim(); ok; i, t, ok = s.claim() {
+			if !f.deliver(i, solve(t)) {
 				return
 			}
 		}
@@ -106,6 +144,36 @@ func (c *claims) claim() (int, bool) {
 // stop ends the hand-out: every later claim fails. Indices claimed before
 // it are the claimers' to finish.
 func (c *claims) stop() { c.next.Store(c.n) }
+
+// feed hands out the items of next, numbered in the order they come.
+type feed[T any] struct {
+	mu    sync.Mutex
+	next  func() (T, bool)
+	ready func(i int) bool // waits until index i may be handed out; false if the fold has stopped
+	n     int              // items handed out
+	done  atomic.Bool      // next has returned false, or the fold has stopped
+}
+
+// claim returns the next item and its index, or false once there is none.
+func (s *feed[T]) claim() (int, T, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var t T
+	if s.done.Load() || !s.ready(s.n) {
+		return 0, t, false
+	}
+	t, ok := s.next()
+	if !ok {
+		s.done.Store(true)
+		return 0, t, false
+	}
+	s.n++
+	return s.n - 1, t, true
+}
+
+// stop ends the hand-out like claims.stop. It does not wait for a claim
+// in progress, which completes and is the claimer's to finish.
+func (s *feed[T]) stop() { s.done.Store(true) }
 
 // spread runs work on the calling goroutine and on workers−1 others and
 // returns once all have returned. If any of them panics, stop is called so
@@ -141,17 +209,26 @@ func spread(workers int, stop func(), work func()) {
 	}
 }
 
-// fold reduces the results of Ordered in index order. held is a ring:
-// held[i&(len(held)-1)] keeps the result of index i, for next < i <
-// next+len(held), until its turn; its length is a power of two and grows
-// only as far as the workers run ahead of the fold.
+// fold reduces the results of Ordered and OrderedFrom in index order.
+// held is a ring: held[i&(len(held)-1)] keeps the result of index i, for
+// next < i < next+len(held), until its turn; its length is a power of two
+// and grows only as far as the workers run ahead of the fold.
 type fold[R any] struct {
-	mu      sync.Mutex
-	reduce  func(R) bool
-	claims  *claims // stopped with the fold
-	next    int     // index of the next result to reduce
-	held    []slot[R]
-	stopped bool
+	mu       sync.Mutex
+	reduce   func(R) bool
+	end      func() // ends the hand-out of indices; called when the fold stops
+	next     int    // index of the next result to reduce
+	held     []slot[R]
+	stopped  bool
+	progress sync.Cond // on mu: next has moved or the fold has stopped
+}
+
+// newFold returns a fold over reduce that calls end, which stops the
+// hand-out of indices, when it stops.
+func newFold[R any](reduce func(R) bool, end func()) *fold[R] {
+	f := &fold[R]{reduce: reduce, end: end}
+	f.progress.L = &f.mu
+	return f
 }
 
 type slot[R any] struct {
@@ -175,6 +252,7 @@ func (f *fold[R]) deliver(i int, r R) bool {
 		f.held[i&(len(f.held)-1)] = slot[R]{r, true}
 		return true
 	}
+	defer f.progress.Broadcast()
 	for {
 		if !f.reduce(r) {
 			f.halt()
@@ -190,6 +268,17 @@ func (f *fold[R]) deliver(i int, r R) bool {
 		r = s.r
 		*s = slot[R]{}
 	}
+}
+
+// await blocks until index i is fewer than ahead places past the next
+// result to reduce, and reports whether the fold goes on.
+func (f *fold[R]) await(i, ahead int) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for !f.stopped && i-f.next >= ahead {
+		f.progress.Wait()
+	}
+	return !f.stopped
 }
 
 // grow resizes the ring to the next power of two that holds need results
@@ -217,5 +306,6 @@ func (f *fold[R]) stop() {
 // can see the fold go on.
 func (f *fold[R]) halt() {
 	f.stopped = true
-	f.claims.stop()
+	f.progress.Broadcast()
+	f.end()
 }

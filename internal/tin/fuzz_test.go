@@ -121,6 +121,11 @@ func FuzzReadNetwork(f *testing.F) {
 		"0 5 1 1\n# vertices 2\n",  // a header below it, after the lines
 		"#vertices 9\n# vertices x\n1 0 1 1\n",
 		"0 1 1 1\n1 0 0 1\n2 1 1 2\n1 2 1 1\n", // time ties across edges
+		"0 1 1 1\n1 2 2 2\n2 3 3 3\n3 4 x 4\n", // a bad line in a later block
+		"# vertices 9\n0 1 1 1\n1 2 2 2\n# vertices 7\n2 3 3 3\n", // the last header counts
+		"0 1 1 1\r\n1 2 2 2\r\n\r\n2 0 3 3\r\n",                   // CRLF line ends
+		"0 1 123456789012345 9999999999999999\n0001 2 1e3 0\n",    // digit runs at and past the direct conversion's limits
+		"999999999 1 1 1\n2147483648 1 1 1\n",
 	} {
 		f.Add(seed)
 	}
@@ -142,20 +147,26 @@ func TestReadNetworkLongLine(t *testing.T) {
 
 // checkReadNetwork holds ReadNetwork to refReadNetwork on data: the same
 // decision with the same error, and on accept the same network, byte for
-// byte in the binary format. What it accepts must also survive the text
-// writer.
+// byte in the binary format. ReadNetwork is run twice, with its blocks of
+// lines at their size and at a few bytes, so that every line of a
+// multi-line input crosses a block boundary and its blocks go through the
+// parsers in parallel. What it accepts must also survive the text writer.
 func checkReadNetwork(t *testing.T, data string) {
 	t.Helper()
-	n, err := ReadNetwork(strings.NewReader(data))
 	ref, refErr := refReadNetwork(strings.NewReader(data))
-	if fmt.Sprint(err) != fmt.Sprint(refErr) {
-		t.Fatalf("ReadNetwork error %v, reference %v", err, refErr)
-	}
-	if err != nil {
-		return
-	}
-	if !bytes.Equal(snapshotBytes(t, n), snapshotBytes(t, ref)) {
-		t.Fatalf("ReadNetwork and the reference disagree: %+v vs %+v", n.Stats(), ref.Stats())
+	var n *Network
+	for _, size := range []int{textBlockSize, 5} {
+		var err error
+		n, err = readNetworkInBlocks(data, size)
+		if fmt.Sprint(err) != fmt.Sprint(refErr) {
+			t.Fatalf("ReadNetwork with %d-byte blocks: error %v, reference %v", size, err, refErr)
+		}
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(snapshotBytes(t, n), snapshotBytes(t, ref)) {
+			t.Fatalf("ReadNetwork with %d-byte blocks and the reference disagree: %+v vs %+v", size, n.Stats(), ref.Stats())
+		}
 	}
 	var buf bytes.Buffer
 	if err := WriteNetwork(&buf, n); err != nil {
@@ -168,6 +179,14 @@ func checkReadNetwork(t *testing.T, data string) {
 	if m.NumEdges() != n.NumEdges() || m.NumInteractions() != n.NumInteractions() {
 		t.Fatalf("round trip changed shape: %+v vs %+v", m.Stats(), n.Stats())
 	}
+}
+
+// readNetworkInBlocks is ReadNetwork on data with textBlockSize set to
+// size for the call.
+func readNetworkInBlocks(data string, size int) (*Network, error) {
+	defer func(was int) { textBlockSize = was }(textBlockSize)
+	textBlockSize = size
+	return ReadNetwork(strings.NewReader(data))
 }
 
 // largeVertexCount reports whether data would load as a network of more

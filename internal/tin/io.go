@@ -9,9 +9,12 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode/utf8"
+
+	"flownet/internal/par"
 )
 
 // The on-disk interaction format is one interaction per line:
@@ -158,66 +161,64 @@ func savePayload(f fileWriter, gz bool, write func(io.Writer) error) error {
 // any order; the vertex count is max(id)+1 unless a larger "# vertices N"
 // header is present. The returned network is finalized.
 //
-// Lines go straight into the builder's log: nothing is buffered per line,
-// and the vertex count is decided after the last one. Fields are split on
-// the separators strings.Fields uses, so the accepted language is the one
-// strings.Fields defines.
+// The input is cut into blocks of whole lines (scanBlocks), which up to
+// GOMAXPROCS goroutines parse at once (par.OrderedFrom); one at a time
+// feeds a parsed block into the builder's log, in line order, so edge ids
+// and the canonical order are those of a line-by-line read. The vertex
+// count is decided after the last line. Fields are split on the separators
+// strings.Fields uses, so the accepted language is the one strings.Fields
+// defines. An error names the first bad line of the input, or is the
+// scanner's or the reader's, whichever comes first in the input; reading
+// stops at most 2×GOMAXPROCS blocks past the one that holds it.
 func ReadNetwork(r io.Reader) (*Network, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	sc.Split(scanBlocks)
+	workers := par.Workers(0)
+	// Fed blocks, for reuse: par.OrderedFrom has at most 2×workers out at
+	// once, so the pool never fills and no more are ever allocated.
+	free := make(chan *textBlock, 2*workers)
 	n := NewNetwork(0)
 	declared := -1
 	maxID := VertexID(-1)
 	lineNo := 0
-	var f [4][]byte
-	for sc.Scan() {
-		lineNo++
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		if line[0] == '#' {
-			var nv int
-			if _, err := fmt.Sscanf(string(line), "# vertices %d", &nv); err == nil {
-				declared = nv
+	var err error
+	par.OrderedFrom(workers,
+		func() (*textBlock, bool) {
+			if !sc.Scan() {
+				return nil, false
 			}
-			continue
-		}
-		if nf := splitFields(line, &f); nf != len(f) {
-			return nil, fmt.Errorf("tin: line %d: want 4 fields, got %d", lineNo, nf)
-		}
-		// string(field) does not allocate here: strconv copies what it keeps.
-		from, err := strconv.ParseInt(string(f[0]), 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("tin: line %d: bad from id: %v", lineNo, err)
-		}
-		to, err := strconv.ParseInt(string(f[1]), 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("tin: line %d: bad to id: %v", lineNo, err)
-		}
-		t, err := strconv.ParseFloat(string(f[2]), 64)
-		if err != nil {
-			return nil, fmt.Errorf("tin: line %d: bad time: %v", lineNo, err)
-		}
-		q, err := strconv.ParseFloat(string(f[3]), 64)
-		if err != nil {
-			return nil, fmt.Errorf("tin: line %d: bad quantity: %v", lineNo, err)
-		}
-		if from < 0 || to < 0 {
-			return nil, fmt.Errorf("tin: line %d: negative vertex id", lineNo)
-		}
-		if q < 0 || math.IsNaN(q) || math.IsInf(q, 0) {
-			return nil, fmt.Errorf("tin: line %d: invalid quantity %g", lineNo, q)
-		}
-		if math.IsNaN(t) || math.IsInf(t, 0) {
-			return nil, fmt.Errorf("tin: line %d: invalid time %g", lineNo, t)
-		}
-		// A self loop is dropped, but its ids still count towards the
-		// vertex count.
-		maxID = max(maxID, VertexID(from), VertexID(to))
-		if from != to {
-			n.add(VertexID(from), VertexID(to), t, q)
-		}
+			var b *textBlock
+			select {
+			case b = <-free:
+			default:
+				b = new(textBlock)
+			}
+			b.text = append(b.text[:0], sc.Bytes()...)
+			return b, true
+		},
+		(*textBlock).parse,
+		func(b *textBlock) bool {
+			if b.err != nil {
+				err = fmt.Errorf("tin: line %d: %v", lineNo+b.errLine, b.err)
+				return false
+			}
+			lineNo += b.lines
+			maxID = max(maxID, b.maxID)
+			if b.declared >= 0 {
+				declared = b.declared
+			}
+			for _, l := range b.recs {
+				n.add(l.from, l.to, l.t, l.q)
+			}
+			select {
+			case free <- b:
+			default:
+			}
+			return true
+		})
+	if err != nil {
+		return nil, err
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
@@ -235,6 +236,161 @@ func ReadNetwork(r io.Reader) (*Network, error) {
 	n.numV = nv
 	n.Finalize()
 	return n, nil
+}
+
+// textBlockSize bounds the blocks ReadNetwork parses: a block is the whole
+// lines that end within its first textBlockSize bytes, or one longer line.
+// Tests lower it so that every input crosses block boundaries.
+var textBlockSize = 128 << 10
+
+// scanBlocks is the bufio.SplitFunc of ReadNetwork: it returns blocks of
+// whole lines, each with its final '\n', and the unterminated last line at
+// the end of the input. Since every token ends at a line end, the scanner
+// fails on a line too long for its buffer (bufio.ErrTooLong) exactly where
+// bufio.ScanLines would.
+func scanBlocks(data []byte, atEOF bool) (int, []byte, error) {
+	if len(data) < textBlockSize && !atEOF {
+		return 0, nil, nil // read on: the block may have room for more lines
+	}
+	end := bytes.LastIndexByte(data[:min(len(data), textBlockSize)], '\n')
+	if end < 0 {
+		end = bytes.IndexByte(data, '\n') // a line longer than a block
+	}
+	switch {
+	case end >= 0:
+		return end + 1, data[:end+1], nil
+	case atEOF && len(data) > 0:
+		return len(data), data, nil
+	}
+	return 0, nil, nil
+}
+
+// textBlock is a block of lines and what parsing it found. Its buffers are
+// reused from block to block.
+type textBlock struct {
+	text     []byte
+	recs     []textLine // its interactions, self loops left out
+	lines    int        // how many lines text holds
+	maxID    VertexID   // the largest id on a line, self loops included; -1 if none
+	declared int        // the count of its last "# vertices" header, or -1
+	err      error      // the first bad line's error, without "tin: line N: "
+	errLine  int        // that line's number within the block, from 1
+}
+
+// textLine is one interaction line.
+type textLine struct {
+	from, to VertexID
+	t, q     float64
+}
+
+// parse parses the block's lines, up to the first bad one, and returns b.
+func (b *textBlock) parse() *textBlock {
+	// Room for a record per line, so that appending never reallocates.
+	b.recs = slices.Grow(b.recs[:0], bytes.Count(b.text, []byte{'\n'})+1)
+	b.lines, b.maxID, b.declared, b.err = 0, -1, -1, nil
+	var f [4][]byte
+	for rest := b.text; len(rest) > 0; {
+		line := rest
+		if i := bytes.IndexByte(rest, '\n'); i >= 0 {
+			line, rest = rest[:i], rest[i+1:]
+		} else {
+			rest = nil
+		}
+		b.lines++
+		// TrimSpace also drops the '\r' of a CRLF ending.
+		line = bytes.TrimSpace(line)
+		if len(line) == 0 {
+			continue
+		}
+		if line[0] == '#' {
+			var nv int
+			if _, err := fmt.Sscanf(string(line), "# vertices %d", &nv); err == nil {
+				b.declared = nv
+			}
+			continue
+		}
+		l, err := parseLine(line, &f)
+		if err != nil {
+			b.err, b.errLine = err, b.lines
+			return b
+		}
+		// A self loop is dropped, but its ids still count towards the
+		// vertex count.
+		b.maxID = max(b.maxID, l.from, l.to)
+		if l.from != l.to {
+			b.recs = append(b.recs, l)
+		}
+	}
+	return b
+}
+
+// parseLine parses a trimmed interaction line, splitting it into f. Its
+// errors leave out the line number, which only the block's reader knows.
+func parseLine(line []byte, f *[4][]byte) (textLine, error) {
+	if nf := splitFields(line, f); nf != len(f) {
+		return textLine{}, fmt.Errorf("want 4 fields, got %d", nf)
+	}
+	from, err := parseID(f[0])
+	if err != nil {
+		return textLine{}, fmt.Errorf("bad from id: %v", err)
+	}
+	to, err := parseID(f[1])
+	if err != nil {
+		return textLine{}, fmt.Errorf("bad to id: %v", err)
+	}
+	t, err := parseFloat(f[2])
+	if err != nil {
+		return textLine{}, fmt.Errorf("bad time: %v", err)
+	}
+	q, err := parseFloat(f[3])
+	if err != nil {
+		return textLine{}, fmt.Errorf("bad quantity: %v", err)
+	}
+	if from < 0 || to < 0 {
+		return textLine{}, fmt.Errorf("negative vertex id")
+	}
+	if q < 0 || math.IsNaN(q) || math.IsInf(q, 0) {
+		return textLine{}, fmt.Errorf("invalid quantity %g", q)
+	}
+	if math.IsNaN(t) || math.IsInf(t, 0) {
+		return textLine{}, fmt.Errorf("invalid time %g", t)
+	}
+	return textLine{VertexID(from), VertexID(to), t, q}, nil
+}
+
+// parseID is strconv.ParseInt(s, 10, 32). An id of at most 9 plain digits
+// cannot overflow it and is converted directly.
+func parseID(s []byte) (int64, error) {
+	if v, ok := digits(s, 9); ok {
+		return v, nil
+	}
+	// string(s) does not allocate here: strconv copies what it keeps.
+	return strconv.ParseInt(string(s), 10, 32)
+}
+
+// parseFloat is strconv.ParseFloat(s, 64). A field of at most 15 plain
+// digits is below 2^53, so float64 holds its value exactly — the value
+// ParseFloat returns — and it is converted directly.
+func parseFloat(s []byte) (float64, error) {
+	if v, ok := digits(s, 15); ok {
+		return float64(v), nil
+	}
+	return strconv.ParseFloat(string(s), 64)
+}
+
+// digits returns the value of s if s is 1 to most ASCII digits.
+func digits(s []byte, most int) (int64, bool) {
+	if len(s) == 0 || len(s) > most {
+		return 0, false
+	}
+	var v int64
+	for _, c := range s {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		v = v*10 + int64(c-'0')
+	}
+	return v, true
 }
 
 // asciiSpace marks the separators strings.Fields splits an ASCII line on.

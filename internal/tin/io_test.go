@@ -1,13 +1,18 @@
 package tin
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
+	"time"
 )
 
 func ioTestNetwork() *Network {
@@ -129,6 +134,92 @@ func TestReadNetworkRejectsInvalidInput(t *testing.T) {
 	} {
 		if _, err := ReadNetwork(strings.NewReader(input)); err == nil {
 			t.Errorf("%s: ReadNetwork accepted %q", name, input)
+		}
+	}
+}
+
+// validLines returns valid interaction lines, at least size bytes of them.
+func validLines(size int) string {
+	const line = "0 1 2 1.5\n"
+	return strings.Repeat(line, size/len(line)+1)
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// TestReadNetworkStopsAtTheFirstBadLine: a bad line early in a large input
+// is reported by its number, and the reader stops soon after it — within
+// two of the scanner's 1 MiB buffers and two 128 KiB blocks per parsing
+// goroutine, not at the end of the input.
+func TestReadNetworkStopsAtTheFirstBadLine(t *testing.T) {
+	bound := 2<<20 + runtime.GOMAXPROCS(0)<<18
+	r := &countingReader{r: strings.NewReader("0 1 1 1\nbad line\n" + validLines(bound+4<<20))}
+	if _, err := ReadNetwork(r); fmt.Sprint(err) != "tin: line 2: want 4 fields, got 2" {
+		t.Fatalf("ReadNetwork: %v, want the line 2 error", err)
+	}
+	if r.n > bound {
+		t.Errorf("read %d bytes after a bad line 2, want at most %d", r.n, bound)
+	}
+}
+
+// TestReadNetworkLineLimit: an error comes from whichever of a bad line and
+// a line over the scanner's limit (16 MiB with its line end) is first in
+// the input.
+func TestReadNetworkLineLimit(t *testing.T) {
+	tooLong := "0 1 2 " + strings.Repeat(" ", 1<<24) + "3\n"
+	if _, err := ReadNetwork(strings.NewReader("0 1 1 1\n" + tooLong + "bad\n")); !errors.Is(err, bufio.ErrTooLong) {
+		t.Errorf("a line over the limit before a bad line: %v, want %v", err, bufio.ErrTooLong)
+	}
+	if _, err := ReadNetwork(strings.NewReader("0 1 1 1\nbad\n" + tooLong)); fmt.Sprint(err) != "tin: line 2: want 4 fields, got 1" {
+		t.Errorf("a bad line before a line over the limit: %v, want the line 2 error", err)
+	}
+}
+
+// TestReadNetworkReportsTheReadersError: a reader that fails is reported
+// with its own error, not with the parse error of a bad line it never
+// delivered.
+func TestReadNetworkReportsTheReadersError(t *testing.T) {
+	errDisk := errors.New("disk failed")
+	good := validLines(1 << 20)
+	r := io.MultiReader(strings.NewReader(good), iotest.ErrReader(errDisk), strings.NewReader("bad\n"))
+	if _, err := ReadNetwork(r); !errors.Is(err, errDisk) {
+		t.Errorf("ReadNetwork: %v, want the reader's %v", err, errDisk)
+	}
+}
+
+// TestReadNetworkLeavesNoGoroutine: whether a read succeeds or fails, and
+// however, every goroutine it started has ended by the time the goroutine
+// count is next looked at.
+func TestReadNetworkLeavesNoGoroutine(t *testing.T) {
+	base := runtime.NumGoroutine()
+	good := validLines(1 << 19)
+	for name, input := range map[string]func() io.Reader{
+		"valid":    func() io.Reader { return strings.NewReader(good) },
+		"bad line": func() io.Reader { return strings.NewReader(good + "bad\n" + good) },
+		"reader error": func() io.Reader {
+			return io.MultiReader(strings.NewReader(good), iotest.ErrReader(io.ErrUnexpectedEOF))
+		},
+		"line too long": func() io.Reader {
+			return strings.NewReader(good + strings.Repeat(" ", 1<<24) + "\n" + good)
+		},
+	} {
+		_, err := ReadNetwork(input())
+		if (err == nil) != (name == "valid") {
+			t.Fatalf("%s: ReadNetwork: %v", name, err)
+		}
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines after ReadNetwork returned, %d before", name, runtime.NumGoroutine(), base)
+			}
 		}
 	}
 }
