@@ -42,7 +42,7 @@ func ExampleMaxFlow() {
 	g.AddInteraction(e, 5, 1)
 	g.Finalize()
 
-	max, _ := flownet.MaxFlow(g)
+	max := flownet.MaxFlow(g)
 	fmt.Println(max)
 	// Output: 5
 }
@@ -89,8 +89,8 @@ func ExampleGraph_RestrictWindow() {
 	g.AddInteraction(e, 11, 3)
 	g.Finalize()
 
-	full, _ := flownet.MaxFlow(g)
-	early, _ := flownet.MaxFlow(g.RestrictWindow(0, 5))
+	full := flownet.MaxFlow(g)
+	early := flownet.MaxFlow(g.RestrictWindow(0, 5))
 	fmt.Printf("full=%g window[0,5]=%g\n", full, early)
 	// Output: full=6 window[0,5]=3
 }

@@ -40,11 +40,7 @@ func main() {
 	fmt.Printf("\nGreedy flow  (single scan):        $%g\n", flownet.Greedy(g))
 
 	// Maximum flow: vertices may reserve quantity for later interactions.
-	max, err := flownet.MaxFlow(g)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("Maximum flow (PreSim pipeline):    $%g\n", max)
+	fmt.Printf("Maximum flow (PreSim pipeline):    $%g\n", flownet.MaxFlow(g))
 
 	// Why they differ: y receives $6 at time 2; greedily sending $5 to z at
 	// time 8 leaves only $1 for the $4-capacity interaction to t at time 9.

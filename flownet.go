@@ -19,7 +19,7 @@
 //	...
 //	g.Finalize()
 //	greedy := flownet.Greedy(g)        // single-scan greedy flow (Def. 5)
-//	max, _ := flownet.MaxFlow(g)       // maximum flow (PreSim pipeline)
+//	max := flownet.MaxFlow(g)          // maximum flow (PreSim pipeline)
 //
 // Greedy is linear in the interaction count but only a lower bound in
 // general; it is exact when GreedySoluble reports true (Lemma 2). MaxFlow
@@ -56,10 +56,10 @@
 // HTTP/JSON, with repeated queries memoized in a bounded LRU and replayed
 // byte-identically. With -allow-ingest the service also accepts live
 // traffic: time-ordered interaction batches are appended to resident
-// networks (POST /ingest, backed by Network.AppendBatch and Shard.Append),
-// each append bumps the network's generation, and cached answers record
-// theirs so stale ones are never replayed. Client (NewClient) is
-// the matching Go client; the wire types (FlowResult, BatchRequest,
+// networks (POST /ingest, backed by Shard.Append, which derives the next
+// version with Network.WithBatch), each append bumps the network's
+// generation, and cached answers record theirs so stale ones are never
+// replayed. Client (NewClient) is the matching Go client; the wire types (FlowResult, BatchRequest,
 // IngestRequest, PatternResult, StatsResult, ...) are shared with the
 // server. See the README's Serving and Streaming ingestion sections for
 // curl walkthroughs.
@@ -117,7 +117,7 @@ type (
 	EdgeID = tin.EdgeID
 	// ExtractOptions controls seed-based subgraph extraction (Section 6.2).
 	ExtractOptions = tin.ExtractOptions
-	// BatchItem is one streamed interaction for Network.Append/AppendBatch.
+	// BatchItem is one streamed interaction for Network.AppendBatch.
 	BatchItem = tin.BatchItem
 )
 
@@ -127,9 +127,10 @@ type (
 // running on the version they pinned, neither waiting for the other. It is the same type as a Store's Shard — NewLiveNetwork returns
 // the shard of a private in-memory store — so everything said about Shard
 // (Append, Reindex, Grow, View/Acquire, Generation, Pending) holds for it.
-// Network itself also exposes the single-writer append surface directly —
-// Append, AppendBatch, MergeUnordered, MaxTime — for callers that manage
-// their own synchronization.
+// Network itself also exposes the derivations a shard runs — WithBatch,
+// WithMerged, WithVertices, each returning the next version — and
+// AppendBatch, WithBatch assigned over a single owner's receiver, for
+// callers that manage their own synchronization.
 type (
 	// LiveNetwork is a live-updatable network (generation-counted, safe
 	// for concurrent append and query).
@@ -313,8 +314,8 @@ func LoadNetwork(path string) (*Network, error) { return tin.LoadNetwork(path) }
 // interaction arena is advised MADV_RANDOM, so cold footprint-bound queries
 // on networks larger than RAM fault in only the pages they touch. Appends
 // leave the mapping in place (what they add lives on the heap beside it);
-// it is released when an AppendBatch or MergeUnordered folds the network
-// onto the heap, or by Network.Unmap.
+// it is released when an AppendBatch folds the network onto the heap, or
+// by Network.Unmap.
 func LoadNetworkMmap(path string) (*Network, error) { return tin.OpenNetworkMmap(path) }
 
 // SaveNetwork writes a network to a text (optionally .gz) interaction file.
@@ -335,9 +336,9 @@ func GreedySoluble(g *Graph) bool { return core.GreedySoluble(g) }
 // MaxFlow computes the temporal maximum flow of g the way the service
 // does (core.Solve): the paper's complete PreSim pipeline (solubility test,
 // preprocessing, simplification) with the time-expanded reduction as its
-// exact engine, or that reduction alone when g is cyclic. The error is
-// always nil: unlike the LP, neither can fail.
-func MaxFlow(g *Graph) (float64, error) { return core.Solve(g).Flow, nil }
+// exact engine, or that reduction alone when g is cyclic. Unlike the LP,
+// neither can fail.
+func MaxFlow(g *Graph) float64 { return core.Solve(g).Flow }
 
 // MaxFlowLP computes the maximum flow by solving the LP formulation
 // directly — the paper's baseline, quadratic in the interaction count, and

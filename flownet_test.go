@@ -32,10 +32,7 @@ func TestPublicFlowAPI(t *testing.T) {
 	if flownet.GreedySoluble(g) {
 		t.Errorf("figure 3 graph should not be greedy-soluble")
 	}
-	max, err := flownet.MaxFlow(g)
-	if err != nil {
-		t.Fatalf("MaxFlow: %v", err)
-	}
+	max := flownet.MaxFlow(g)
 	if math.Abs(max-5) > 1e-9 {
 		t.Errorf("MaxFlow=%g, want 5", max)
 	}
@@ -161,15 +158,13 @@ func TestPublicExtensions(t *testing.T) {
 	if !ok {
 		t.Fatalf("no subgraph 0->3")
 	}
-	max, err := flownet.MaxFlow(g)
-	if err != nil || math.Abs(max-4) > 1e-9 {
-		t.Errorf("flow 0->3 = %g (%v), want 4 (3 via chain + 1 direct)", max, err)
+	if max := flownet.MaxFlow(g); math.Abs(max-4) > 1e-9 {
+		t.Errorf("flow 0->3 = %g, want 4 (3 via chain + 1 direct)", max)
 	}
 
 	w := g.RestrictWindow(1, 3)
-	wmax, err := flownet.MaxFlow(w)
-	if err != nil || math.Abs(wmax-3) > 1e-9 {
-		t.Errorf("windowed flow = %g (%v), want 3", wmax, err)
+	if wmax := flownet.MaxFlow(w); math.Abs(wmax-3) > 1e-9 {
+		t.Errorf("windowed flow = %g, want 3", wmax)
 	}
 
 	windowed := n.RestrictWindow(2, 9)
@@ -210,11 +205,7 @@ func TestPublicExtractAndIO(t *testing.T) {
 		}
 		found = true
 		greedy := flownet.Greedy(g)
-		max, err := flownet.MaxFlow(g)
-		if err != nil {
-			t.Fatalf("MaxFlow: %v", err)
-		}
-		if greedy > max+1e-6 {
+		if max := flownet.MaxFlow(g); greedy > max+1e-6 {
 			t.Errorf("greedy %g exceeds max %g", greedy, max)
 		}
 	}
@@ -233,10 +224,7 @@ func TestMaxFlowCyclicInstance(t *testing.T) {
 		if g.IsDAG() {
 			t.Fatalf("%s: instance is acyclic; the test is vacuous", name)
 		}
-		got, err := flownet.MaxFlow(g)
-		if err != nil {
-			t.Fatalf("%s: MaxFlow: %v", name, err)
-		}
+		got := flownet.MaxFlow(g)
 		lp, err := flownet.MaxFlowLP(g)
 		if err != nil {
 			t.Fatalf("%s: MaxFlowLP: %v", name, err)
@@ -301,12 +289,7 @@ func TestExactEnginesCarryTinyQuantities(t *testing.T) {
 			g.AddInteraction(g.AddEdge(ia.from, ia.to), ia.time, ia.qty)
 		}
 		g.Finalize()
-		greedy := flownet.Greedy(g)
-		max, err := flownet.MaxFlow(g)
-		if err != nil {
-			t.Fatalf("q=%g: MaxFlow: %v", q, err)
-		}
-		for name, f := range map[string]float64{"Greedy": greedy, "MaxFlow": max, "MaxFlowTEG": flownet.MaxFlowTEG(g)} {
+		for name, f := range map[string]float64{"Greedy": flownet.Greedy(g), "MaxFlow": flownet.MaxFlow(g), "MaxFlowTEG": flownet.MaxFlowTEG(g)} {
 			if math.Abs(f-3*q) > 1e-9*3*q {
 				t.Errorf("q=%g: %s = %g, want 3q = %g", q, name, f, 3*q)
 			}

@@ -48,23 +48,11 @@ func TestBuildCorpus(t *testing.T) {
 
 func TestBuildCorpusLimits(t *testing.T) {
 	n := datagen.Prosper(datagen.Config{Vertices: 400, Seed: 5})
-	all := BuildCorpus(n, DefaultCorpusOptions())
 	opts := DefaultCorpusOptions()
 	opts.MaxSubgraphs = 3
 	limited := BuildCorpus(n, opts)
 	if len(limited) != 3 {
 		t.Errorf("MaxSubgraphs ignored: got %d", len(limited))
-	}
-	opts = DefaultCorpusOptions()
-	opts.MaxSeeds = 50
-	seeded := BuildCorpus(n, opts)
-	if len(seeded) > len(all) {
-		t.Errorf("MaxSeeds produced more subgraphs than full scan")
-	}
-	for _, s := range seeded {
-		if int(s.Seed) >= 50 {
-			t.Errorf("seed %d beyond MaxSeeds", s.Seed)
-		}
 	}
 }
 
@@ -95,10 +83,10 @@ func TestBuildCorpusParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestBuildCorpusSparseCapParallel pins the cap-window iteration on a
-// sparse network where valid seeds are spaced much further apart than the
-// shrunk near-cap window: a stride bug that skips unscanned seeds after an
-// under-filled window shows up here, not on a dense corpus.
+// TestBuildCorpusSparseCapParallel pins the MaxSubgraphs cut on a sparse
+// network where valid seeds are spaced much further apart than the workers'
+// reach ahead of the collected prefix: a seed skipped or collected out of
+// order near the cut shows up here, not on a dense corpus.
 func TestBuildCorpusSparseCapParallel(t *testing.T) {
 	n := tin.NewNetwork(200)
 	for _, v := range []int{0, 50, 100, 150} {

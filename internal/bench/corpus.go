@@ -21,8 +21,6 @@ type CorpusOptions struct {
 	// Extract are the §6.2 extraction parameters (3 hops, ≤10K interactions
 	// by default).
 	Extract tin.ExtractOptions
-	// MaxSeeds caps how many seed vertices are scanned (0 = all vertices).
-	MaxSeeds int
 	// MaxSubgraphs caps the corpus size (0 = unlimited).
 	MaxSubgraphs int
 	// Workers bounds the pool that extracts and classifies seed subgraphs
@@ -49,69 +47,23 @@ type Subgraph struct {
 // is classified with the Pre pipeline's logic: A = greedy-soluble as-is,
 // B = greedy-soluble after preprocessing, C = needs the exact engine.
 //
-// Extraction and classification run on opts.Workers goroutines; seeds are
-// processed in chunks that are appended in seed order, so the corpus (and
-// the MaxSubgraphs cut) is the same for every worker count.
+// Extraction and classification run on opts.Workers goroutines
+// (par.Ordered), and the subgraphs are collected in seed order, so the
+// corpus (and the MaxSubgraphs cut) is the same for every worker count.
 func BuildCorpus(n *tin.Network, opts CorpusOptions) []Subgraph {
-	seeds := n.NumVertices()
-	if opts.MaxSeeds > 0 && opts.MaxSeeds < seeds {
-		seeds = opts.MaxSeeds
-	}
-	workers := par.Workers(opts.Workers)
 	var corpus []Subgraph
-	if workers <= 1 {
-		// Exact sequential scan: stops at the cap without extracting a
-		// single seed past it.
-		for v := 0; v < seeds; v++ {
-			g, ok := n.ExtractSubgraph(tin.VertexID(v), opts.Extract)
-			if !ok {
-				continue
-			}
-			corpus = append(corpus, Subgraph{Seed: tin.VertexID(v), G: g, Class: classify(g)})
-			if opts.MaxSubgraphs > 0 && len(corpus) >= opts.MaxSubgraphs {
-				break
-			}
+	par.Ordered(par.Workers(opts.Workers), n.NumVertices(), func(v int) *Subgraph {
+		g, ok := n.ExtractSubgraph(tin.VertexID(v), opts.Extract)
+		if !ok {
+			return nil
 		}
-		return corpus
-	}
-	chunk := 8 * workers
-	if chunk < 64 {
-		chunk = 64
-	}
-	slots := make([]*Subgraph, chunk)
-	for lo := 0; lo < seeds; {
-		hi := lo + chunk
-		if hi > seeds {
-			hi = seeds
+		return &Subgraph{Seed: tin.VertexID(v), G: g, Class: classify(g)}
+	}, func(s *Subgraph) bool {
+		if s != nil {
+			corpus = append(corpus, *s)
 		}
-		// Near the cap, shrink the round so at most a pool's worth of
-		// extraction can be wasted on seeds past the cut. The next round
-		// resumes at hi, so no seed is ever skipped.
-		if opts.MaxSubgraphs > 0 {
-			if need := opts.MaxSubgraphs - len(corpus) + workers; hi-lo > need {
-				hi = lo + need
-			}
-		}
-		par.ForEach(workers, hi-lo, func(i int) {
-			seed := tin.VertexID(lo + i)
-			g, ok := n.ExtractSubgraph(seed, opts.Extract)
-			if !ok {
-				slots[i] = nil
-				return
-			}
-			slots[i] = &Subgraph{Seed: seed, G: g, Class: classify(g)}
-		})
-		for i := 0; i < hi-lo; i++ {
-			if slots[i] == nil {
-				continue
-			}
-			corpus = append(corpus, *slots[i])
-			if opts.MaxSubgraphs > 0 && len(corpus) >= opts.MaxSubgraphs {
-				return corpus
-			}
-		}
-		lo = hi
-	}
+		return opts.MaxSubgraphs <= 0 || len(corpus) < opts.MaxSubgraphs
+	})
 	return corpus
 }
 

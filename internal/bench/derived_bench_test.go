@@ -34,7 +34,7 @@ func appendedBenchNetwork(tb testing.TB, deltaEdges int) (*tin.Network, []tin.Ve
 		ed := n.Edge(tin.EdgeID(i))
 		items[i] = tin.BatchItem{From: ed.From, To: ed.To, Time: n.MaxTime() + float64(i) + 1, Qty: 1}
 	}
-	_, changed, err := n.AppendBatchDelta(items)
+	n, _, changed, err := n.WithBatch(items)
 	if err != nil {
 		tb.Fatal(err)
 	}

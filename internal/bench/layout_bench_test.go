@@ -3,6 +3,7 @@ package bench
 import (
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"flownet/internal/core"
@@ -115,8 +116,10 @@ func TestQueryAllocationBudget(t *testing.T) {
 // Graph, and the query allocates its runs and their endpoints, nothing
 // else. No budget depends on the instance's size. Measured: 0, 5 and 1
 // (Solve on the same instances' graphs: 4, 33 and 9); 2 for the whole
-// class-A query. Under the race detector sync.Pool drops what is Put, so
-// the counts are only logged there.
+// class-A query. The counted runs go with the collector off: a collection
+// among them would empty the engine's pool and charge its refill to the
+// solve. Under the race detector sync.Pool drops what is Put, so the
+// counts are only logged there.
 func TestSolveAllocationBudget(t *testing.T) {
 	n := loadBenchNetwork(t)
 	seedQuery := func(keep func(tin.Extraction, core.Result) bool) *tin.Query {
@@ -160,6 +163,7 @@ func TestSolveAllocationBudget(t *testing.T) {
 				t.Skip("no such instance in the bench network")
 			}
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
 			var before, after runtime.MemStats
 			var total uint64
 			const runs = 10

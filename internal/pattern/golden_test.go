@@ -142,7 +142,7 @@ func computeGolden(t *testing.T) goldenFile {
 			out.Tables[net+"/precompute/L2"] = freezeTable(tb.L2)
 			out.Tables[net+"/precompute/L3"] = freezeTable(tb.L3)
 			out.Tables[net+"/precompute/C2"] = freezeTable(tb.C2)
-			_, changed, err := n.AppendBatchDelta(goldenAppend(seed, n))
+			n, _, changed, err := n.WithBatch(goldenAppend(seed, n))
 			if err != nil {
 				t.Fatalf("%s: append: %v", net, err)
 			}

@@ -285,10 +285,11 @@ func FuzzTablesUpdate(f *testing.F) {
 				at += float64(rng.Intn(2)) // duplicate timestamps included
 				items[i] = tin.BatchItem{From: tin.VertexID(rng.Intn(v)), To: tin.VertexID(rng.Intn(v)), Time: at, Qty: float64(rng.Intn(9))}
 			}
-			_, changed, err := n.AppendBatchDelta(items)
+			next, _, changed, err := n.WithBatch(items)
 			if err != nil {
 				t.Fatalf("append: %v", err)
 			}
+			n = next
 			touched = append(touched, endpoints(n, changed)...)
 		}
 		for extra := rng.Intn(5); extra > 0; extra-- {

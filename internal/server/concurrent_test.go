@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"sync"
 	"testing"
@@ -149,9 +150,13 @@ func TestConcurrentPrecompute(t *testing.T) {
 
 func TestListenAndServeGracefulShutdown(t *testing.T) {
 	s := New(Config{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- s.ListenAndServe(ctx, "127.0.0.1:0") }()
+	go func() { done <- s.Serve(ctx, ln) }()
 	time.Sleep(100 * time.Millisecond)
 	cancel()
 	select {

@@ -117,8 +117,7 @@ type Config struct {
 
 // Server serves flow and pattern queries over the networks owned by its
 // store. Create one with New, add finalized networks with AddNetwork (or
-// hand New a pre-populated store), then serve Handler (or call
-// ListenAndServe).
+// hand New a pre-populated store), then serve Handler (or call Serve).
 type Server struct {
 	cfg     Config
 	mux     *http.ServeMux
@@ -225,20 +224,10 @@ func (s *Server) PrecomputeTables() {
 // use; register networks with AddNetwork before serving.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// ListenAndServe serves Handler on addr until ctx is cancelled, then shuts
-// down gracefully, draining in-flight requests for up to 10 seconds. It
-// returns nil after a clean shutdown.
-func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ctx, ln)
-}
-
-// Serve is ListenAndServe on a caller-provided listener — the hook that
-// lets cmd/flownetd (and its tests) bind port 0 and report the actual
-// address before serving.
+// Serve serves Handler on ln until ctx is cancelled, then shuts down
+// gracefully, draining in-flight requests for up to 10 seconds. It returns
+// nil after a clean shutdown. The caller binds the listener, so it can
+// bind port 0 and report the actual address before serving.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	// Read-side timeouts close slowloris connections (headers or bodies
 	// trickled byte-by-byte hold a goroutine and a file descriptor each);

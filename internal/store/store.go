@@ -509,22 +509,6 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// SnapshotAll checkpoints every durable shard that has WAL records
-// pending, returning the first error. Non-durable shards are skipped, so
-// it is a safe flush-everything hook on any store.
-func (s *Store) SnapshotAll() error {
-	var first error
-	for _, sh := range s.Shards() {
-		if !sh.Durability().Durable {
-			continue
-		}
-		if err := sh.Snapshot(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
 // Close stops the background checkpointer, fsyncs and closes every WAL and
 // releases every snapshot mapping, waiting for the readers still pinned on
 // one. The store must not be used afterwards. Close is idempotent.

@@ -93,9 +93,6 @@ func TestMemoryOnlyCatalog(t *testing.T) {
 	if err := sh.Snapshot(); err == nil {
 		t.Fatal("Snapshot on a non-durable shard succeeded")
 	}
-	if err := s.SnapshotAll(); err != nil {
-		t.Fatalf("SnapshotAll on an in-memory catalog: %v (must skip non-durable shards)", err)
-	}
 	st := s.Stats()
 	if st.Durable || st.WALAppends != 0 || st.Networks != 1 {
 		t.Fatalf("memory-only stats %+v", st)
@@ -807,7 +804,7 @@ func TestWALFailurePoisonsShard(t *testing.T) {
 }
 
 // TestSnapshotRepairsPoisonSynchronously: Shard.Snapshot called directly
-// (SnapshotAll, tests, library users) performs the same repair.
+// (tests, library users) performs the same repair.
 func TestSnapshotRepairsPoisonSynchronously(t *testing.T) {
 	s := openTestStore(t, Config{Dir: t.TempDir(), SnapshotEvery: -1})
 	sh, err := s.Create("live", 4)

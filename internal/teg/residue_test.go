@@ -54,8 +54,9 @@ func residueNetwork(data []byte) (n *tin.Network, w *tin.TimeWindow, ends map[fl
 	for b, rest := 0, items[split:]; len(rest) > 0; b++ {
 		batch := append([]tin.BatchItem(nil), rest[:min(chunk, len(rest))]...)
 		rest = rest[len(batch):]
+		var err error
 		if (b+int(ctl>>6))%2 == 0 {
-			if _, err := n.MergeUnordered(batch); err != nil {
+			if n, _, err = n.WithMerged(batch); err != nil {
 				panic(err)
 			}
 			continue
@@ -65,7 +66,7 @@ func residueNetwork(data []byte) (n *tin.Network, w *tin.TimeWindow, ends map[fl
 		for i := range batch {
 			batch[i].Time += shift
 		}
-		if _, err := n.AppendBatch(batch); err != nil {
+		if n, _, _, err = n.WithBatch(batch); err != nil {
 			panic(err)
 		}
 	}

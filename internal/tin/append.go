@@ -33,13 +33,14 @@ import (
 // version are never disturbed: what they can see is never written again.
 //
 // Out-of-order arrivals cannot keep the invariants at all; they are
-// accepted only through MergeUnordered, which folds and re-ranks the whole
+// accepted only through WithMerged, which folds and re-ranks the whole
 // network before it returns — so a finalized network is always in
 // canonical order and always queryable.
 //
-// The With* methods return the derived version and leave the receiver as
-// it was; the pointer-receiver AppendBatch/MergeUnordered/GrowVertices are
-// the same derivations for a single owner, assigned over the receiver.
+// A finalized network changes only by derivation: WithBatch, WithMerged
+// and WithVertices return the next version and leave the receiver as it
+// was. AppendBatch is WithBatch for a single owner, assigned over the
+// receiver.
 
 // foldTailAt is the number of interactions a tail may hold before the
 // version that reaches it is folded. Measured on the load benchmark's shape
@@ -58,7 +59,7 @@ const foldTailAt = 4096
 
 // ErrOutOfOrder reports an interaction whose timestamp precedes the latest
 // timestamp already in the network. Callers that accept late data should
-// route such interactions through MergeUnordered.
+// route such interactions through WithMerged.
 var ErrOutOfOrder = errors.New("tin: interaction out of time order")
 
 // BatchItem is one streamed interaction destined for a finalized network:
@@ -383,21 +384,6 @@ func (n *Network) WithVertices(numV int) *Network {
 	return &next
 }
 
-// GrowVertices extends the vertex space to numV vertices (see
-// WithVertices). It is a no-op when the network already has at least numV
-// vertices. Usable before or after Finalize.
-func (n *Network) GrowVertices(numV int) {
-	if numV <= n.numV {
-		return
-	}
-	if !n.finalized {
-		// The builder has no per-vertex state: Finalize lays out numV.
-		n.numV = numV
-		return
-	}
-	n.become(n.WithVertices(numV))
-}
-
 // CheckItem validates an append candidate's vertex range and values
 // without applying it — the pre-admission check used by callers (such as
 // internal/store) that buffer items for a later merge.
@@ -439,19 +425,11 @@ func (n *Network) checkBatch(items []BatchItem, ordered bool, what string) error
 	return nil
 }
 
-// Append extends a finalized network with one interaction, preserving the
-// canonical order. The interaction must not precede the latest timestamp
-// already present (ErrOutOfOrder otherwise); equal timestamps are fine and
-// order after existing ties, matching what a from-scratch rebuild would do.
-func (n *Network) Append(from, to VertexID, t, q float64) error {
-	_, err := n.AppendBatch([]BatchItem{{From: from, To: to, Time: t, Qty: q}})
-	return err
-}
-
 // AppendBatch extends a finalized network with a time-ordered batch of
-// interactions. The whole batch is validated first — vertex ranges, values,
-// and time order both within the batch and against MaxTime — and nothing is
-// applied unless every item passes, so a failed append leaves the network
+// interactions: WithBatch, assigned over its single owner's receiver. The
+// whole batch is validated first — vertex ranges, values, and time order
+// both within the batch and against MaxTime — and nothing is applied
+// unless every item passes, so a failed append leaves the network
 // untouched. Self loops are skipped silently. It returns the number of
 // interactions actually appended.
 //
@@ -460,31 +438,27 @@ func (n *Network) Append(from, to VertexID, t, q float64) error {
 // canonical ranks, which is exactly where the (Time, insertion index) sort
 // would have placed them.
 func (n *Network) AppendBatch(items []BatchItem) (int, error) {
-	appended, _, err := n.AppendBatchDelta(items)
-	return appended, err
-}
-
-// AppendBatchDelta is AppendBatch, additionally reporting which edges the
-// batch touched: the distinct ids, in ascending order, of edges that are
-// new or received new interactions. Because appends preserve existing edge
-// ids and the relative canonical order of existing interactions, the
-// returned delta is exactly what incremental derived-state maintenance
-// needs: the endpoints of the changed edges are the touched vertices
-// pattern.Tables.Update takes, and they bound which cached query answers
-// can differ on the new network state.
-func (n *Network) AppendBatchDelta(items []BatchItem) (int, []EdgeID, error) {
-	next, appended, changed, err := n.WithBatch(items)
+	next, appended, _, err := n.WithBatch(items)
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	n.become(next)
-	return appended, changed, nil
+	return appended, nil
 }
 
-// WithBatch is AppendBatchDelta as a derivation: it returns the extended
-// version and leaves the receiver — which readers may be using — exactly
-// as it was. Only the newest version of a network should be extended; an
-// older one still can be, at the price of a fold.
+// WithBatch returns the version of a finalized network extended by a
+// time-ordered batch (validated as AppendBatch describes) and leaves the
+// receiver — which readers may be using — exactly as it was. Only the
+// newest version of a network should be extended; an older one still can
+// be, at the price of a fold.
+//
+// changed reports which edges the batch touched: the distinct ids, in
+// ascending order, of edges that are new or received new interactions.
+// Because appends preserve existing edge ids and the relative canonical
+// order of existing interactions, it is exactly what incremental
+// derived-state maintenance needs: the endpoints of the changed edges are
+// the touched vertices pattern.Tables.Update takes, and they bound which
+// cached query answers can differ on the new version.
 func (n *Network) WithBatch(items []BatchItem) (next *Network, appended int, changed []EdgeID, err error) {
 	if err := n.checkBatch(items, true, "AppendBatch"); err != nil {
 		return nil, 0, nil, err
@@ -493,29 +467,19 @@ func (n *Network) WithBatch(items []BatchItem) (next *Network, appended int, cha
 	return next, appended, changed, nil
 }
 
-// MergeUnordered admits interactions regardless of their position in time
-// and integrates them before returning: when any item precedes the latest
-// timestamp, the network is folded and the canonical order of the whole
-// network re-derived — the same (Time, insertion index) rank assignment
-// Finalize performs — so the result is indistinguishable from a
-// from-scratch rebuild with the items inserted last. That costs a full
-// sort over the interactions, so callers should batch out-of-order
-// arrivals and merge once; a batch that happens to be in time order costs
-// no more than AppendBatch. As with AppendBatch, the batch is validated
-// atomically and self loops are skipped. It returns the number of
-// interactions merged.
-func (n *Network) MergeUnordered(items []BatchItem) (int, error) {
-	next, merged, err := n.WithMerged(items)
-	if err != nil {
-		return 0, err
-	}
-	n.become(next)
-	return merged, nil
-}
-
-// WithMerged is MergeUnordered as a derivation (see WithBatch).
+// WithMerged returns the version of a finalized network that admits
+// interactions regardless of their position in time, integrated before it
+// returns: when any item precedes the latest timestamp, the version is
+// folded and the canonical order of the whole network re-derived — the
+// same (Time, insertion index) rank assignment Finalize performs — so the
+// result is indistinguishable from a from-scratch rebuild with the items
+// inserted last. That costs a full sort over the interactions, so callers
+// should batch out-of-order arrivals and merge once; a batch that happens
+// to be in time order costs no more than WithBatch. As with WithBatch, the
+// batch is validated atomically, self loops are skipped and the receiver
+// is left as it was. It returns the number of interactions merged.
 func (n *Network) WithMerged(items []BatchItem) (next *Network, merged int, err error) {
-	if err := n.checkBatch(items, false, "MergeUnordered"); err != nil {
+	if err := n.checkBatch(items, false, "WithMerged"); err != nil {
 		return nil, 0, err
 	}
 	next, merged, anyLate, _ := n.appended(items)

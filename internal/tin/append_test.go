@@ -19,6 +19,16 @@ func buildNetwork(t *testing.T, numV int, items []BatchItem) *Network {
 	return n
 }
 
+// withBatch derives the version of n extended by the time-ordered items.
+func withBatch(t *testing.T, n *Network, items ...BatchItem) *Network {
+	t.Helper()
+	next, _, _, err := n.WithBatch(items)
+	if err != nil {
+		t.Fatalf("WithBatch(%v): %v", items, err)
+	}
+	return next
+}
+
 // networkText renders a network in the canonical interaction text format.
 func networkText(t *testing.T, n *Network) string {
 	t.Helper()
@@ -92,8 +102,8 @@ func TestAppendOutOfOrderRejectedAtomically(t *testing.T) {
 		t.Fatal("failed AppendBatch mutated the network")
 	}
 	// Equal timestamps are legal and break ties after existing interactions.
-	if err := n.Append(2, 3, 7, 1); err != nil {
-		t.Fatalf("Append at MaxTime: %v", err)
+	if _, err := n.AppendBatch([]BatchItem{{2, 3, 7, 1}}); err != nil {
+		t.Fatalf("AppendBatch at MaxTime: %v", err)
 	}
 	if n.NumInteractions() != 3 {
 		t.Fatalf("NumInteractions = %d, want 3", n.NumInteractions())
@@ -123,8 +133,8 @@ func TestAppendValidation(t *testing.T) {
 	}
 }
 
-// TestMergeUnorderedMatchesRebuild checks the out-of-order path: late
-// interactions are merged in one step, the network is immediately
+// TestMergeUnorderedMatchesRebuild checks the out-of-order path: WithMerged
+// merges late interactions in one step, the result is immediately
 // queryable and appendable again, and it matches a from-scratch rebuild
 // (base items first, then the late ones) byte for byte — also when heavy
 // timestamp ties leave only the insertion-index tiebreak to order rows.
@@ -132,10 +142,9 @@ func TestMergeUnorderedMatchesRebuild(t *testing.T) {
 	items := []BatchItem{{0, 1, 10, 5}, {1, 2, 20, 4}, {2, 3, 30, 3}}
 	late := []BatchItem{{0, 2, 15, 2}, {1, 3, 5, 1}}
 
-	n := buildNetwork(t, 4, items)
-	appended, err := n.MergeUnordered(late)
+	n, appended, err := buildNetwork(t, 4, items).WithMerged(late)
 	if err != nil || appended != 2 {
-		t.Fatalf("MergeUnordered: appended=%d err=%v, want 2, nil", appended, err)
+		t.Fatalf("WithMerged: appended=%d err=%v, want 2, nil", appended, err)
 	}
 	// No intermediate state: the merged network answers queries at once.
 	n.ExtractSubgraph(0, DefaultExtractOptions())
@@ -145,30 +154,28 @@ func TestMergeUnorderedMatchesRebuild(t *testing.T) {
 	}
 	sameNetwork(t, whole, n)
 	// In-order appends keep working after a merge.
-	if err := n.Append(3, 0, 40, 2); err != nil {
-		t.Fatalf("Append after MergeUnordered: %v", err)
-	}
+	withBatch(t, n, BatchItem{3, 0, 40, 2})
 
 	// A batch that happens to be in time order is a plain append.
-	m := buildNetwork(t, 4, items)
-	if _, err := m.MergeUnordered([]BatchItem{{0, 2, 35, 1}}); err != nil {
+	m, _, err := buildNetwork(t, 4, items).WithMerged([]BatchItem{{0, 2, 35, 1}})
+	if err != nil {
 		t.Fatal(err)
 	}
 	sameNetwork(t, buildNetwork(t, 4, append(append([]BatchItem{}, items...), BatchItem{0, 2, 35, 1})), m)
 
 	// Validation is atomic, and self loops are skipped.
 	before := networkText(t, m)
-	if _, err := m.MergeUnordered([]BatchItem{{0, 1, 1, 1}, {0, 9, 2, 1}}); err == nil {
-		t.Fatal("MergeUnordered with an out-of-range vertex succeeded, want error")
+	if _, _, err := m.WithMerged([]BatchItem{{0, 1, 1, 1}, {0, 9, 2, 1}}); err == nil {
+		t.Fatal("WithMerged with an out-of-range vertex succeeded, want error")
 	}
 	if got := networkText(t, m); got != before {
-		t.Fatal("failed MergeUnordered left partial state behind")
+		t.Fatal("failed WithMerged left partial state behind")
 	}
-	if appended, err := m.MergeUnordered([]BatchItem{{2, 2, 1, 1}}); err != nil || appended != 0 {
+	if _, appended, err := m.WithMerged([]BatchItem{{2, 2, 1, 1}}); err != nil || appended != 0 {
 		t.Fatalf("self-loop merge: appended=%d err=%v, want 0, nil", appended, err)
 	}
-	if _, err := NewNetwork(2).MergeUnordered(nil); err == nil {
-		t.Error("MergeUnordered before Finalize succeeded, want error")
+	if _, _, err := NewNetwork(2).WithMerged(nil); err == nil {
+		t.Error("WithMerged before Finalize succeeded, want error")
 	}
 
 	// Duplicate timestamps: times from a tiny domain, several merges in a
@@ -190,14 +197,13 @@ func TestMergeUnorderedMatchesRebuild(t *testing.T) {
 		n := buildNetwork(t, numV, all)
 		for round := 0; round < 3; round++ {
 			lateItems := randItems(1+rng.Intn(6), 0, 4)
-			if _, err := n.MergeUnordered(lateItems); err != nil {
-				t.Fatalf("trial %d: MergeUnordered: %v", trial, err)
+			var err error
+			if n, _, err = n.WithMerged(lateItems); err != nil {
+				t.Fatalf("trial %d: WithMerged: %v", trial, err)
 			}
 			all = append(all, lateItems...)
 			inOrder := randItems(1+rng.Intn(3), 4+round, 1)
-			if _, err := n.AppendBatch(inOrder); err != nil {
-				t.Fatalf("trial %d: AppendBatch after merge: %v", trial, err)
-			}
+			n = withBatch(t, n, inOrder...)
 			all = append(all, inOrder...)
 			sameNetwork(t, buildNetwork(t, numV, all), n)
 		}
@@ -206,20 +212,18 @@ func TestMergeUnorderedMatchesRebuild(t *testing.T) {
 
 func TestGrowVertices(t *testing.T) {
 	n := buildNetwork(t, 2, []BatchItem{{0, 1, 1, 1}})
-	if err := n.Append(0, 2, 2, 1); err == nil {
-		t.Fatal("Append beyond vertex range succeeded, want error")
+	if _, _, _, err := n.WithBatch([]BatchItem{{0, 2, 2, 1}}); err == nil {
+		t.Fatal("append beyond vertex range succeeded, want error")
 	}
-	n.GrowVertices(4)
+	n = n.WithVertices(4)
 	if n.NumVertices() != 4 {
 		t.Fatalf("NumVertices = %d, want 4", n.NumVertices())
 	}
-	n.GrowVertices(3) // shrink requests are no-ops
+	n = n.WithVertices(3) // shrink requests are no-ops
 	if n.NumVertices() != 4 {
 		t.Fatalf("NumVertices after no-op grow = %d, want 4", n.NumVertices())
 	}
-	if err := n.Append(2, 3, 2, 1); err != nil {
-		t.Fatalf("Append to grown vertex: %v", err)
-	}
+	n = withBatch(t, n, BatchItem{2, 3, 2, 1})
 	if n.OutDegree(2) != 1 || n.InDegree(3) != 1 {
 		t.Fatal("grown vertices did not receive the appended edge")
 	}

@@ -66,7 +66,7 @@ type base struct {
 }
 
 // numV is the vertex count the image was laid out for. A version can have
-// more (GrowVertices); the extra vertices have no adjacency in the base.
+// more (WithVertices); the extra vertices have no adjacency in the base.
 func (b *base) numV() int { return len(b.outOff) - 1 }
 
 func (b *base) outRun(v VertexID) []EdgeID {

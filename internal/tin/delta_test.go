@@ -5,21 +5,21 @@ import (
 	"testing"
 )
 
-// TestAppendBatchDelta checks the change report: the distinct, ascending
-// ids of edges that are new or received new interactions — and nothing
-// else.
+// TestAppendBatchDelta checks WithBatch's change report: the distinct,
+// ascending ids of edges that are new or received new interactions — and
+// nothing else.
 func TestAppendBatchDelta(t *testing.T) {
 	// Edge ids by first appearance: 0->1 is edge 0, 1->2 is edge 1.
 	n := buildNetwork(t, 5, []BatchItem{{0, 1, 1, 2}, {1, 2, 2, 3}})
 
 	// Touch edge 1 twice, create edge 2 (2->3); edge 0 is untouched.
-	appended, changed, err := n.AppendBatchDelta([]BatchItem{
+	n, appended, changed, err := n.WithBatch([]BatchItem{
 		{From: 1, To: 2, Time: 3, Qty: 1},
 		{From: 2, To: 3, Time: 4, Qty: 1},
 		{From: 1, To: 2, Time: 5, Qty: 1},
 	})
 	if err != nil {
-		t.Fatalf("AppendBatchDelta: %v", err)
+		t.Fatalf("WithBatch: %v", err)
 	}
 	if appended != 3 {
 		t.Fatalf("appended = %d, want 3", appended)
@@ -29,7 +29,7 @@ func TestAppendBatchDelta(t *testing.T) {
 	}
 
 	// A batch of only self loops changes nothing.
-	appended, changed, err = n.AppendBatchDelta([]BatchItem{{From: 3, To: 3, Time: 6, Qty: 1}})
+	_, appended, changed, err = n.WithBatch([]BatchItem{{From: 3, To: 3, Time: 6, Qty: 1}})
 	if err != nil || appended != 0 || changed != nil {
 		t.Fatalf("self-loop batch = (%d, %v, %v), want (0, nil, nil)", appended, changed, err)
 	}
@@ -121,9 +121,11 @@ func TestFootprintCertifiesRetention(t *testing.T) {
 				Time: tm, Qty: float64(rng.Intn(9)) + 0.5,
 			})
 		}
-		if _, _, err := n.AppendBatchDelta(batch); err != nil {
+		next, _, _, err := n.WithBatch(batch)
+		if err != nil {
 			t.Fatalf("trial %d: append: %v", trial, err)
 		}
+		n = next
 
 		checked := 0
 		for v := VertexID(0); v < numV; v++ {

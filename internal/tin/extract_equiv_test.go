@@ -246,11 +246,12 @@ func TestExtractEquivalenceRandom(t *testing.T) {
 				for i := range batch {
 					batch[i].Time = rng.Float64() * tm
 				}
-				if _, err := n.MergeUnordered(batch); err != nil {
+				var err error
+				if n, _, err = n.WithMerged(batch); err != nil {
 					t.Fatal(err)
 				}
-			} else if _, err := n.AppendBatch(batch); err != nil {
-				t.Fatal(err)
+			} else {
+				n = withBatch(t, n, batch...)
 			}
 		}
 		checkExtractEquivalence(t, n)
@@ -375,7 +376,7 @@ func decodeEquivFuzzInput(data []byte) (numV int, base []BatchItem, appends [][]
 // FuzzExtractEquivalence fuzzes the frontier-driven extraction fast path
 // against the scan-based reference, with and without windows, on networks
 // grown through random append interleavings (in-order batches via
-// AppendBatch, out-of-order ones via MergeUnordered), and the pattern-
+// WithBatch, out-of-order ones via WithMerged), and the pattern-
 // instance builder BuildFlowGraph on an edge list the input chooses
 // (checkBuildFlowGraph).
 func FuzzExtractEquivalence(f *testing.F) {
@@ -392,8 +393,9 @@ func FuzzExtractEquivalence(f *testing.F) {
 		n.Finalize()
 		for i, batch := range appends {
 			if unordered[i] {
-				if _, err := n.MergeUnordered(batch); err != nil {
-					t.Fatalf("MergeUnordered: %v", err)
+				var err error
+				if n, _, err = n.WithMerged(batch); err != nil {
+					t.Fatalf("WithMerged: %v", err)
 				}
 				continue
 			}
@@ -415,9 +417,7 @@ func FuzzExtractEquivalence(f *testing.F) {
 			for j := range ordered {
 				ordered[j].Time += shift
 			}
-			if _, err := n.AppendBatch(ordered); err != nil {
-				t.Fatalf("AppendBatch: %v", err)
-			}
+			n = withBatch(t, n, ordered...)
 		}
 
 		for v := 0; v < numV; v++ {

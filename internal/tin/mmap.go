@@ -18,10 +18,10 @@ import (
 // tail lives on the heap and whose base stays mapped, and a fold lays the
 // next base out on the heap. The mapping is released by whoever owns the
 // versions that share it, once none of them can be read any more: a single
-// owner's AppendBatch/MergeUnordered releases it when a fold moves the
-// receiver onto a heap base, the store releases it when the last pin on
-// the last version over the mapped base drops (and its Close waits for
-// that), and anyone else calls Unmap.
+// owner's AppendBatch releases it when a fold moves the receiver onto a
+// heap base, the store releases it when the last pin on the last version
+// over the mapped base drops (and its Close waits for that), and anyone
+// else calls Unmap.
 //
 // Trust. A mapped file is accepted through the copying reader's header
 // decode and structural check (binary.go): the counts are bounded, the
@@ -34,9 +34,10 @@ import (
 //
 // Portability. OpenNetworkMmap falls back to the copying decoder whenever
 // zero-copy cannot work: non-unix builds, big-endian hosts, a compiler
-// that lays Interaction out differently, gzip'd files, or version-1
-// snapshots. The result is the same network either way; only MmapBacked
-// differs.
+// that lays Interaction out differently, or gzip'd files. The result is the
+// same network either way; only MmapBacked differs. A version-1 snapshot
+// is refused on every path, with the copying reader's "reload from the
+// text format" error.
 
 // mmapRegion is a live file mapping backing a network's CSR arrays.
 type mmapRegion struct {
@@ -83,10 +84,11 @@ var interactionLayoutOK = unsafe.Sizeof(Interaction{}) == binaryRecordSize &&
 	unsafe.Offsetof(Interaction{}.Ord) == 16
 
 // OpenNetworkMmap loads a network file, serving it zero-copy from an mmap
-// when possible. Files that cannot be mmap'd — gzip'd, text, version-1
-// binary, or any file on a platform or host where zero-copy is unavailable
-// — load through the regular copying path instead, so callers can use this
-// unconditionally; MmapBacked on the result tells which path was taken.
+// when possible. Files that cannot be mmap'd — gzip'd, text, or any file
+// on a platform or host where zero-copy is unavailable — load through the
+// regular copying path instead, so callers can use this unconditionally;
+// MmapBacked on the result tells which path was taken. A version-1 binary
+// file reaches the copying path too, which refuses it.
 func OpenNetworkMmap(path string) (*Network, error) {
 	if mmapSupported && hostLE && interactionLayoutOK && !strings.HasSuffix(path, ".gz") {
 		region, err := platformMmap(path)

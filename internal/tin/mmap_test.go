@@ -99,43 +99,38 @@ func TestMmapAppendKeepsBaseMapped(t *testing.T) {
 	defer m.Unmap()
 	mapped := m.MmapBacked()
 	last := m.MaxTime()
-	if err := m.Append(0, 1, last+1, 7); err != nil {
-		t.Fatalf("Append on mapped network: %v", err)
+	v := withBatch(t, m, BatchItem{From: 0, To: 1, Time: last + 1, Qty: 7})
+	if m.MmapBacked() != mapped || v.MmapBacked() != mapped {
+		t.Fatal("an append released the mapped base")
 	}
-	if m.MmapBacked() != mapped {
-		t.Fatal("an append released the receiver's mapped base")
+	if v.NumInteractions() != n.NumInteractions()+1 {
+		t.Fatalf("%d interactions after append, want %d", v.NumInteractions(), n.NumInteractions()+1)
 	}
-	if m.NumInteractions() != n.NumInteractions()+1 {
-		t.Fatalf("%d interactions after append, want %d", m.NumInteractions(), n.NumInteractions()+1)
-	}
-	e, ok := m.HasEdge(0, 1)
+	e, ok := v.HasEdge(0, 1)
 	if !ok {
 		t.Fatal("edge 0->1 missing after the append")
 	}
-	seq := m.Edge(e).Seq
+	seq := v.Edge(e).Seq
 	got := seq[len(seq)-1]
 	if got.Time != last+1 || got.Qty != 7 {
 		t.Fatalf("appended interaction = %+v, want time %g qty 7", got, last+1)
 	}
 	// A new edge as well, so adjacency and the pair index grow a tail too.
-	if err := m.Append(4, 0, last+2, 3); err != nil {
-		t.Fatal(err)
-	}
-	n.Append(0, 1, last+1, 7)
-	n.Append(4, 0, last+2, 3)
-	sameNetwork(t, n, m)
+	v = withBatch(t, v, BatchItem{From: 4, To: 0, Time: last + 2, Qty: 3})
+	want := withBatch(t, n, BatchItem{From: 0, To: 1, Time: last + 1, Qty: 7}, BatchItem{From: 4, To: 0, Time: last + 2, Qty: 3})
+	sameNetwork(t, want, v)
 }
 
 // TestMmapMergeYieldsHeapVersion: an out-of-order merge is the heaviest
 // mutation path: it folds onto a heap base and re-ranks there. The derived
-// version leaves the mapped one readable; the single-owner form releases
-// the mapping, since nothing else can be reading it.
+// version leaves the mapped one readable.
 func TestMmapMergeYieldsHeapVersion(t *testing.T) {
 	n := ioTestNetwork()
 	m, err := OpenNetworkMmap(saveTinb(t, n))
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer m.Unmap()
 	mapped := m.MmapBacked()
 	late := []BatchItem{{From: 3, To: 1, Time: 0.5, Qty: 2}}
 	merged, _, err := m.WithMerged(late)
@@ -149,17 +144,11 @@ func TestMmapMergeYieldsHeapVersion(t *testing.T) {
 		t.Fatal("deriving a merged version released the mapping under its parent")
 	}
 	sameNetwork(t, n, m) // the parent is untouched and still readable
-	if _, err := m.MergeUnordered(late); err != nil {
-		t.Fatalf("MergeUnordered: %v", err)
-	}
-	if m.MmapBacked() {
-		t.Fatal("still mmap-backed after an out-of-order merge")
-	}
-	if _, err := n.MergeUnordered(late); err != nil {
+	want, _, err := n.WithMerged(late)
+	if err != nil {
 		t.Fatal(err)
 	}
-	sameNetwork(t, n, m)
-	sameNetwork(t, n, merged)
+	sameNetwork(t, want, merged)
 }
 
 // TestMmapFoldLeavesNothingMapped: a fold of a mapped base must copy every
@@ -181,8 +170,7 @@ func TestMmapFoldLeavesNothingMapped(t *testing.T) {
 		t.Fatal("folded version is mmap-backed")
 	}
 	m.Unmap() // takes grown's base with it; folded must not notice
-	n.Append(0, 1, last+1, 7)
-	sameNetwork(t, n, folded)
+	sameNetwork(t, withBatch(t, n, BatchItem{From: 0, To: 1, Time: last + 1, Qty: 7}), folded)
 	checkExtractEquivalence(t, folded)
 }
 
@@ -198,18 +186,17 @@ func TestMmapGrowKeepsMapping(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Unmap()
-	m.GrowVertices(12)
-	if !m.MmapBacked() {
+	g := m.WithVertices(12)
+	if !g.MmapBacked() {
 		t.Fatal("grow released the mapping; only interaction mutations should")
 	}
-	if m.NumVertices() != 12 {
-		t.Fatalf("NumVertices = %d, want 12", m.NumVertices())
+	if g.NumVertices() != 12 {
+		t.Fatalf("NumVertices = %d, want 12", g.NumVertices())
 	}
-	if len(m.OutEdges(11)) != 0 || len(m.InEdges(11)) != 0 {
+	if len(g.OutEdges(11)) != 0 || len(g.InEdges(11)) != 0 {
 		t.Fatal("new vertex has adjacency")
 	}
-	n.GrowVertices(12)
-	sameNetwork(t, n, m)
+	sameNetwork(t, n.WithVertices(12), g)
 }
 
 // TestMmapFallbacks: inputs the zero-copy path cannot serve — gzip names,

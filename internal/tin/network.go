@@ -17,9 +17,9 @@ import (
 // A network has two states:
 //
 //   - Building (before Finalize): a write-only log (builder) owned by the
-//     one builder. Only AddInteraction, GrowVertices, NumVertices,
-//     NumInteractions and Finalized are meaningful; every other accessor
-//     reads an empty image, and RestrictWindow panics.
+//     one builder. Only AddInteraction, NumVertices, NumInteractions and
+//     Finalized are meaningful; every other accessor reads an empty image,
+//     and RestrictWindow panics.
 //   - Finalized: an immutable value, a base (csr.go) and, over it, a tail
 //     (append.go) holding what was appended since the base was laid out.
 //     Finalize scatters the log into a base: one interaction arena holding
@@ -241,7 +241,7 @@ func (b *builder) layout(numV, total int) *base {
 // out of time order. It returns the new Ord bound (the number of
 // interactions ranked) and the latest timestamp (-inf when there is none).
 // The Seq slices are the storage, jagged or arena-backed: the same body
-// serves Graph.Finalize and the re-rank that ends MergeUnordered (on a
+// serves Graph.Finalize and the re-rank that ends WithMerged (on a
 // freshly folded base nobody else can see). A network under construction
 // has no edge table to rank; its Finalize ranks the log (builder.layout).
 func rankEdges(edges []Edge, bound int64) (next int64, maxTime float64) {

@@ -67,9 +67,8 @@ func TestPublicStoreAPI(t *testing.T) {
 		if !ok {
 			t.Fatal("no flow subgraph after recovery")
 		}
-		f, err := flownet.MaxFlow(g)
-		if err != nil || f != 5 {
-			t.Fatalf("recovered flow = %g (err %v), want 5", f, err)
+		if f := flownet.MaxFlow(g); f != 5 {
+			t.Fatalf("recovered flow = %g, want 5", f)
 		}
 	})
 }

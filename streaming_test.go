@@ -11,7 +11,7 @@ import (
 )
 
 // TestPublicStreamingAPI exercises the root-package streaming surface:
-// Network.Append/AppendBatch extend a finalized network in place, and a
+// Network.AppendBatch extends a finalized network in place, and a
 // LiveNetwork arbitrates concurrent appends and queries with generations.
 func TestPublicStreamingAPI(t *testing.T) {
 	n := flownet.NewNetwork(3)
@@ -19,24 +19,17 @@ func TestPublicStreamingAPI(t *testing.T) {
 	n.AddInteraction(1, 2, 2, 5)
 	n.Finalize()
 
-	if err := n.Append(0, 1, 3, 2); err != nil {
-		t.Fatalf("Network.Append: %v", err)
-	}
-	if _, err := n.AppendBatch([]flownet.BatchItem{{From: 1, To: 2, Time: 4, Qty: 2}}); err != nil {
+	if _, err := n.AppendBatch([]flownet.BatchItem{{From: 0, To: 1, Time: 3, Qty: 2}, {From: 1, To: 2, Time: 4, Qty: 2}}); err != nil {
 		t.Fatalf("Network.AppendBatch: %v", err)
 	}
-	if err := n.Append(0, 2, 1, 1); !errors.Is(err, flownet.ErrOutOfOrder) {
-		t.Fatalf("late Append err = %v, want flownet.ErrOutOfOrder", err)
+	if _, err := n.AppendBatch([]flownet.BatchItem{{From: 0, To: 2, Time: 1, Qty: 1}}); !errors.Is(err, flownet.ErrOutOfOrder) {
+		t.Fatalf("late AppendBatch err = %v, want flownet.ErrOutOfOrder", err)
 	}
 	g, ok := n.FlowSubgraphBetween(0, 2)
 	if !ok {
 		t.Fatal("no flow subgraph after appends")
 	}
-	f, err := flownet.MaxFlow(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f != 7 {
+	if f := flownet.MaxFlow(g); f != 7 {
 		t.Fatalf("flow after appends = %g, want 7", f)
 	}
 
