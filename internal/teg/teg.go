@@ -346,7 +346,7 @@ func (net *network) dfs(v int32, f float64) float64 {
 		if net.res[a] <= 0 || net.level[u] != net.level[v]+1 {
 			continue
 		}
-		if d := net.dfs(u, math.Min(f, net.res[a])); d > 0 {
+		if d := net.dfs(u, min(f, net.res[a])); d > 0 {
 			if math.IsInf(d, 1) {
 				net.res[net.pair[a]] = d
 			} else {

@@ -1,7 +1,7 @@
 package tin
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -23,7 +23,7 @@ import (
 //	inOff    []int32        likewise for incoming edges
 //	inAdj    []EdgeID
 //	pairKeys []int64        sorted (from<<32|to) keys; binary search
-//	pairIDs  []EdgeID       replaces the builder's hash map for HasEdge
+//	pairIDs  []EdgeID       replaces the builder's pair table for HasEdge
 //
 // Every array is a flat numeric slice, which is what makes the FNTB v2
 // snapshot (binary.go) a byte-for-byte image of this struct: the writer
@@ -129,7 +129,7 @@ func buildBase(numV, numE, total int, edge func(EdgeID) *Edge, pairKeys []int64,
 func (b *base) indexEdges(numV int, pairKeys []int64, pairIDs []EdgeID) {
 	b.outOff, b.inOff, b.outAdj, b.inAdj = buildAdjacency(numV, b.edges)
 	if pairKeys == nil {
-		pairKeys, pairIDs = buildPairIndex(b.edges)
+		pairKeys, pairIDs = b.pairIndex()
 	}
 	b.pairKeys, b.pairIDs = pairKeys, pairIDs
 }
@@ -164,16 +164,27 @@ func buildAdjacency(numV int, edges []Edge) (outOff, inOff []int32, outAdj, inAd
 	return outOff, inOff, outAdj, inAdj
 }
 
-// buildPairIndex derives the sorted (from,to) lookup arrays from an edge
-// table.
-func buildPairIndex(edges []Edge) ([]int64, []EdgeID) {
-	keys := make([]int64, len(edges))
-	ids := make([]EdgeID, len(edges))
-	for e := range edges {
-		keys[e] = pairKey(edges[e].From, edges[e].To)
-		ids[e] = EdgeID(e)
+// pairIndex derives the sorted (from,to) lookup arrays from the out
+// adjacency. Vertex v's keys are v<<32|to, so the sorted index is the
+// out-runs in vertex order, each sorted by To: the same array a sort of
+// every key gives, for a sort of each vertex's few.
+func (b *base) pairIndex() ([]int64, []EdgeID) {
+	keys := make([]int64, len(b.outAdj))
+	ids := make([]EdgeID, len(b.outAdj))
+	for v := range b.numV() {
+		lo, hi := b.outOff[v], b.outOff[v+1]
+		run := keys[lo:hi]
+		// A run's To values are distinct, so sorting (To, id) packed into
+		// one int64 sorts it by To.
+		for i, e := range b.outAdj[lo:hi] {
+			run[i] = int64(b.edges[e].To)<<32 | int64(e)
+		}
+		slices.Sort(run)
+		for i, k := range run {
+			ids[int(lo)+i] = EdgeID(uint32(k))
+			run[i] = pairKey(VertexID(v), VertexID(k>>32))
+		}
 	}
-	sort.Sort(&pairSorter{keys, ids})
 	return keys, ids
 }
 

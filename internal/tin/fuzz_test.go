@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -13,10 +14,11 @@ import (
 
 // refReadNetwork is the text reader written the plain way: every line
 // through strings.TrimSpace and strings.Fields, every parsed line buffered,
-// and the network built once the vertex count is known. FuzzReadNetwork
-// holds ReadNetwork, which parses lines in place straight into the
-// builder, to it.
-func refReadNetwork(r io.Reader) (*Network, error) {
+// and the network built once the vertex count is known. It also returns the
+// reference layout of the lines (buildRef), which owes nothing to the
+// builder's. FuzzReadNetwork holds ReadNetwork, which parses lines in place
+// straight into the builder, to both.
+func refReadNetwork(r io.Reader) (*Network, *refModel, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
 	type line struct {
@@ -42,32 +44,32 @@ func refReadNetwork(r io.Reader) (*Network, error) {
 		}
 		f := strings.Fields(txt)
 		if len(f) != 4 {
-			return nil, fmt.Errorf("tin: line %d: want 4 fields, got %d", lineNo, len(f))
+			return nil, nil, fmt.Errorf("tin: line %d: want 4 fields, got %d", lineNo, len(f))
 		}
 		from, err := strconv.ParseInt(f[0], 10, 32)
 		if err != nil {
-			return nil, fmt.Errorf("tin: line %d: bad from id: %v", lineNo, err)
+			return nil, nil, fmt.Errorf("tin: line %d: bad from id: %v", lineNo, err)
 		}
 		to, err := strconv.ParseInt(f[1], 10, 32)
 		if err != nil {
-			return nil, fmt.Errorf("tin: line %d: bad to id: %v", lineNo, err)
+			return nil, nil, fmt.Errorf("tin: line %d: bad to id: %v", lineNo, err)
 		}
 		t, err := strconv.ParseFloat(f[2], 64)
 		if err != nil {
-			return nil, fmt.Errorf("tin: line %d: bad time: %v", lineNo, err)
+			return nil, nil, fmt.Errorf("tin: line %d: bad time: %v", lineNo, err)
 		}
 		q, err := strconv.ParseFloat(f[3], 64)
 		if err != nil {
-			return nil, fmt.Errorf("tin: line %d: bad quantity: %v", lineNo, err)
+			return nil, nil, fmt.Errorf("tin: line %d: bad quantity: %v", lineNo, err)
 		}
 		if from < 0 || to < 0 {
-			return nil, fmt.Errorf("tin: line %d: negative vertex id", lineNo)
+			return nil, nil, fmt.Errorf("tin: line %d: negative vertex id", lineNo)
 		}
 		if q < 0 || math.IsNaN(q) || math.IsInf(q, 0) {
-			return nil, fmt.Errorf("tin: line %d: invalid quantity %g", lineNo, q)
+			return nil, nil, fmt.Errorf("tin: line %d: invalid quantity %g", lineNo, q)
 		}
 		if math.IsNaN(t) || math.IsInf(t, 0) {
-			return nil, fmt.Errorf("tin: line %d: invalid time %g", lineNo, t)
+			return nil, nil, fmt.Errorf("tin: line %d: invalid time %g", lineNo, t)
 		}
 		lines = append(lines, line{VertexID(from), VertexID(to), t, q})
 		if VertexID(from) > maxID {
@@ -78,24 +80,27 @@ func refReadNetwork(r io.Reader) (*Network, error) {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	nv := int(maxID) + 1
 	if declared > nv {
 		nv = declared
 	}
 	if nv == 0 {
-		return nil, fmt.Errorf("tin: empty network file")
+		return nil, nil, fmt.Errorf("tin: empty network file")
 	}
 	if nv > MaxVertices {
-		return nil, fmt.Errorf("tin: vertex count %d exceeds limit %d", nv, MaxVertices)
+		return nil, nil, fmt.Errorf("tin: vertex count %d exceeds limit %d", nv, MaxVertices)
 	}
 	n := NewNetwork(nv)
+	var items []refItem
 	for _, l := range lines {
-		n.AddInteraction(l.from, l.to, l.t, l.q)
+		if n.AddInteraction(l.from, l.to, l.t, l.q) {
+			items = append(items, refItem{from: l.from, to: l.to, time: l.t, qty: l.q})
+		}
 	}
 	n.Finalize()
-	return n, nil
+	return n, buildRef(nv, items), nil
 }
 
 // FuzzReadNetwork holds ReadNetwork to refReadNetwork (checkReadNetwork).
@@ -126,6 +131,17 @@ func FuzzReadNetwork(f *testing.F) {
 		"0 1 1 1\r\n1 2 2 2\r\n\r\n2 0 3 3\r\n",                   // CRLF line ends
 		"0 1 123456789012345 9999999999999999\n0001 2 1e3 0\n",    // digit runs at and past the direct conversion's limits
 		"999999999 1 1 1\n2147483648 1 1 1\n",
+		// Logs in time order with ties, and out of it, that span several
+		// chunks of three records.
+		"0 1 1 1\n0 1 1 2\n1 2 1 3\n0 1 2 4\n1 2 2 5\n0 1 3 6\n0 1 3 7\n",
+		"0 1 3 1\n0 1 1 2\n1 2 1 3\n0 1 3 4\n1 2 0 5\n0 1 1 6\n0 1 2 7\n",
+		// Decimals: leading and trailing zeros, 15 digits (the direct
+		// conversion), 16 and more (strconv), and what is not a plain
+		// decimal.
+		"0 1 1.5 .5\n1 2 5. 0.00\n2 0 0001.250 10.0\n",
+		"0 1 12345678.9012345 .123456789012345\n1 2 1.23456789012345 123456789012345.\n",
+		"0 1 1234567890.123456 .1234567890123456\n1 2 9007199254740993.0 0.30000000000000004\n",
+		"0 1 1..5 1\n", "0 1 . 1\n", "0 1 -0.0 .5e1\n", "0 1 1.5e3 +0.5\n",
 	} {
 		f.Add(seed)
 	}
@@ -147,26 +163,38 @@ func TestReadNetworkLongLine(t *testing.T) {
 
 // checkReadNetwork holds ReadNetwork to refReadNetwork on data: the same
 // decision with the same error, and on accept the same network, byte for
-// byte in the binary format. ReadNetwork is run twice, with its blocks of
-// lines at their size and at a few bytes, so that every line of a
+// byte in the binary format, with every accessor as the reference layout
+// has it (checkAgainstRef). ReadNetwork is run three times: with its
+// blocks of lines at their size, at a few bytes, so that every line of a
 // multi-line input crosses a block boundary and its blocks go through the
-// parsers in parallel. What it accepts must also survive the text writer.
+// parsers in parallel, and at a few bytes with the builder's log in chunks
+// of three records (withSmallChunks), so that Finalize scatters chunks in
+// parallel. What it accepts must also survive the text writer.
 func checkReadNetwork(t *testing.T, data string) {
 	t.Helper()
-	ref, refErr := refReadNetwork(strings.NewReader(data))
+	ref, model, refErr := refReadNetwork(strings.NewReader(data))
 	var n *Network
-	for _, size := range []int{textBlockSize, 5} {
+	for _, run := range []struct {
+		size  int
+		small bool
+	}{{textBlockSize, false}, {5, false}, {5, true}} {
 		var err error
-		n, err = readNetworkInBlocks(data, size)
+		read := func() { n, err = readNetworkInBlocks(data, run.size) }
+		if run.small {
+			withSmallChunks(read)
+		} else {
+			read()
+		}
 		if fmt.Sprint(err) != fmt.Sprint(refErr) {
-			t.Fatalf("ReadNetwork with %d-byte blocks: error %v, reference %v", size, err, refErr)
+			t.Fatalf("ReadNetwork with %d-byte blocks (small chunks %v): error %v, reference %v", run.size, run.small, err, refErr)
 		}
 		if err != nil {
 			return
 		}
 		if !bytes.Equal(snapshotBytes(t, n), snapshotBytes(t, ref)) {
-			t.Fatalf("ReadNetwork with %d-byte blocks and the reference disagree: %+v vs %+v", size, n.Stats(), ref.Stats())
+			t.Fatalf("ReadNetwork with %d-byte blocks (small chunks %v) and the reference disagree: %+v vs %+v", run.size, run.small, n.Stats(), ref.Stats())
 		}
+		checkAgainstRef(t, n, model)
 	}
 	var buf bytes.Buffer
 	if err := WriteNetwork(&buf, n); err != nil {
@@ -187,6 +215,16 @@ func readNetworkInBlocks(data string, size int) (*Network, error) {
 	defer func(was int) { textBlockSize = was }(textBlockSize)
 	textBlockSize = size
 	return ReadNetwork(strings.NewReader(data))
+}
+
+// withSmallChunks runs f with the builder's log in chunks of three records
+// and at least two Ps, so that a log of a few records spans chunks and
+// Finalize scatters them on more than one goroutine.
+func withSmallChunks(f func()) {
+	defer func(was int) { logChunk = was }(logChunk)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	logChunk = 3
+	f()
 }
 
 // largeVertexCount reports whether data would load as a network of more

@@ -369,13 +369,44 @@ func parseID(s []byte) (int64, error) {
 }
 
 // parseFloat is strconv.ParseFloat(s, 64). A field of at most 15 plain
-// digits is below 2^53, so float64 holds its value exactly — the value
-// ParseFloat returns — and it is converted directly.
+// digits with at most one '.' among them, k of them after it, is converted
+// directly: the digits are below 2^52 and 10^k is a float64 exactly, so
+// their correctly rounded quotient is the value ParseFloat returns, by the
+// same division (its exact path; Clinger, "How to Read Floating Point
+// Numbers Accurately", PLDI 1990).
 func parseFloat(s []byte) (float64, error) {
-	if v, ok := digits(s, 15); ok {
-		return float64(v), nil
+	if v, ok := decimal(s); ok {
+		return v, nil
 	}
 	return strconv.ParseFloat(string(s), 64)
+}
+
+// pow10 holds 10^k for the k a decimal can have, each exact in a float64.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
+
+// decimal returns the value of s if s is 1 to 15 ASCII digits with at most
+// one '.' among them: digits, digits '.', '.' digits or digits '.' digits.
+func decimal(s []byte) (float64, bool) {
+	if len(s) == 0 || len(s) > 16 {
+		return 0, false
+	}
+	var v int64
+	i := 0
+	for ; i < len(s) && s[i]-'0' <= 9; i++ {
+		v = v*10 + int64(s[i]-'0')
+	}
+	nd, k := i, 0
+	if i < len(s) && s[i] == '.' {
+		for i++; i < len(s) && s[i]-'0' <= 9; i++ {
+			v = v*10 + int64(s[i]-'0')
+			k++
+		}
+		nd += k
+	}
+	if i < len(s) || nd == 0 || nd > 15 {
+		return 0, false
+	}
+	return float64(v) / pow10[k], true
 }
 
 // digits returns the value of s if s is 1 to most ASCII digits.

@@ -6,9 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -273,5 +277,64 @@ func TestSaveNetworkIsAtomic(t *testing.T) {
 		t.Fatalf("target unreadable after failed save: %v", err)
 	} else {
 		sameNetwork(t, n, m)
+	}
+}
+
+// TestParseFloatMatchesStrconv holds parseFloat, whose plain decimals of at
+// most 15 digits skip strconv, to strconv.ParseFloat bit for bit: the same
+// value, sign of zero included, and the same error.
+func TestParseFloatMatchesStrconv(t *testing.T) {
+	check := func(s string) {
+		got, err := parseFloat([]byte(s))
+		want, wantErr := strconv.ParseFloat(s, 64)
+		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() ||
+			math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("parseFloat(%q) = %v (%#x), %v; strconv: %v (%#x), %v",
+				s, got, math.Float64bits(got), err, want, math.Float64bits(want), wantErr)
+		}
+	}
+	direct := []string{
+		"123456789012345", "12345678.9012345", ".123456789012345", "123456789012345.",
+		"999999999999999", "0.99999999999999", "000000000000001", "0001.250", "007.5",
+		"5.", ".5", "0.00", "0", "0.", ".0", "10.0", "2.62", "0.75", "8.04",
+		"0.1", "0.2", "0.3", "0.4", "0.5", "0.6", "0.7", "0.8", "0.9",
+	}
+	for _, s := range direct {
+		if _, ok := decimal([]byte(s)); !ok {
+			t.Fatalf("%q is not converted directly", s)
+		}
+		check(s)
+	}
+	for _, s := range []string{
+		"1234567890123456", "1234567890.123456", ".1234567890123456", "0000000000000001",
+		"9007199254740993", "0.30000000000000004", "-0.0", "-1.5", "+0.5", "1.5e3",
+		"1e-3", "0x1p-2", "1_0", "inf", "NaN", "", ".", "..5", "1..5", "1.5.", "1,5", "٣",
+	} {
+		if _, ok := decimal([]byte(s)); ok {
+			t.Fatalf("%q is converted directly", s)
+		}
+		check(s)
+	}
+	// A million random decimals of 1 to 17 digits, a '.' anywhere or
+	// nowhere, leading and trailing zeros frequent.
+	r := rand.New(rand.NewSource(1))
+	var b []byte
+	for range 1_000_000 {
+		nd := 1 + r.Intn(17)
+		// One draw gives the digits, another which of them are zeros.
+		x, zero := r.Uint64(), r.Uint64()
+		b = b[:0]
+		for range nd {
+			d := byte('0' + x%10)
+			if zero&3 == 0 {
+				d = '0'
+			}
+			b = append(b, d)
+			x, zero = x/10, zero>>2
+		}
+		if dot := r.Intn(nd + 2); dot <= nd {
+			b = slices.Insert(b, dot, '.')
+		}
+		check(string(b))
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/rand"
 	"path/filepath"
 	"slices"
 	"sort"
@@ -476,5 +477,54 @@ func TestReadNetworkHeaderAndComments(t *testing.T) {
 func TestLoadNetworkMissingFile(t *testing.T) {
 	if _, err := LoadNetwork("/nonexistent/net.txt"); err == nil {
 		t.Fatalf("expected error for missing file")
+	}
+}
+
+// TestPairTableMatchesMap holds the builder's pair table to a Go map over
+// random keys that grow it from empty many times, with the smallest key a
+// network can hold (0->1) and keys of the largest source vertex mixed in:
+// every key gets the id it was first given, every id is the number of
+// distinct keys before it, every count is the number of adds of its key
+// before it, and the table is never half full.
+func TestPairTableMatchesMap(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	keys := []int64{pairKey(0, 1), pairKey(MaxVertices-1, 0), pairKey(MaxVertices-1, MaxVertices-2)}
+	for range 20_000 {
+		from, to := VertexID(r.Intn(MaxVertices)), VertexID(r.Intn(MaxVertices))
+		if from != to {
+			keys = append(keys, pairKey(from, to), pairKey(MaxVertices-1, to))
+		}
+	}
+	type edge struct {
+		id    EdgeID
+		count int32
+	}
+	var p pairTable
+	want := map[int64]*edge{}
+	for range 200_000 {
+		key := keys[r.Intn(len(keys))]
+		fresh := EdgeID(len(want))
+		id, at, isNew := p.add(key, fresh)
+		w, ok := want[key]
+		if !ok {
+			w = &edge{id: fresh}
+			want[key] = w
+		}
+		if isNew == ok || id != w.id || at != w.count {
+			t.Fatalf("add(%#x, %d) = %d, %d, %v; want %d, %d, %v", key, fresh, id, at, isNew, w.id, w.count, !ok)
+		}
+		w.count++
+		if 2*p.n > len(p.slots) || p.n != len(want) {
+			t.Fatalf("%d keys held (want %d) in %d slots", p.n, len(want), len(p.slots))
+		}
+	}
+	if len(want) < 30_000 || len(p.slots) < 1<<16 {
+		t.Fatalf("only %d keys in %d slots: too few growths", len(want), len(p.slots))
+	}
+	counts := p.counts(len(want))
+	for key, w := range want {
+		if counts[w.id] != int(w.count) {
+			t.Fatalf("edge %d (key %#x) counted %d, want %d", w.id, key, counts[w.id], w.count)
+		}
 	}
 }
