@@ -60,6 +60,7 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -181,6 +182,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		logger.Printf("precomputed pattern tables (%v)", time.Since(t0).Round(time.Millisecond))
 	}
 
+	// The boot's garbage — the text reader's blocks and the builder's log,
+	// a snapshot's copy, the tables' scratch — is dead by now, but the
+	// collector's next goal was set while it was live, at about twice the
+	// load's peak, and the served heap would be allowed to grow to that
+	// before its first collection. One collection here sets the goal from
+	// what is served.
+	runtime.GC()
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		return err

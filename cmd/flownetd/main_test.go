@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
-	"flownet/internal/cli"
 	"io"
 	"net/http"
 	"os"
@@ -14,11 +13,17 @@ import (
 	"os/signal"
 	"path/filepath"
 	"regexp"
+	"runtime"
+	"runtime/metrics"
 	"strings"
 	"sync"
 	"syscall"
 	"testing"
 	"time"
+
+	"flownet/internal/cli"
+	"flownet/internal/datagen"
+	"flownet/internal/tin"
 )
 
 // TestMain doubles as a real flownetd entry point: with FLOWNETD_CHILD set
@@ -215,6 +220,42 @@ func postJSON(t *testing.T, url string, in, out any) int {
 		}
 	}
 	return resp.StatusCode
+}
+
+// TestBootCollectsTheLoadsGarbage guards the collection run makes before
+// it serves: once the first request is answered, the collector's heap goal
+// must be set by what is served, not by the load's transient — within
+// 1.2× of the goal a forced collection then sets. Counted, not clocked.
+// On this 3000-vertex Bitcoin corpus (276 K interactions) the goal
+// reads 0.98–0.99× the forced one; booted without that collection, it
+// read 1.35–1.86×, in this package's run and alone.
+func TestBootCollectsTheLoadsGarbage(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "btc.txt")
+	if err := tin.SaveNetwork(path, datagen.Bitcoin(datagen.Config{Vertices: 3000, Seed: 1})); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC() // the generator's garbage is not the boot's
+	base, shutdown := startServer(t, "-net", "btc="+path)
+	defer shutdown()
+	if status := getJSON(t, base+"/flow?net=btc&seed=1", nil); status != http.StatusOK {
+		t.Fatalf("flow: status %d", status)
+	}
+	served := heapGoal()
+	runtime.GC()
+	collected := heapGoal()
+	t.Logf("heap goal after one request %d B, after a forced collection %d B (%.2fx)",
+		served, collected, float64(served)/float64(collected))
+	if float64(served) > 1.2*float64(collected) {
+		t.Errorf("heap goal after one request is %.2fx the goal a collection sets, want at most 1.2x",
+			float64(served)/float64(collected))
+	}
+}
+
+// heapGoal reads the collector's current heap goal.
+func heapGoal() uint64 {
+	s := []metrics.Sample{{Name: "/gc/heap/goal:bytes"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
 }
 
 // TestServeLoadedNetwork boots flownetd on a real port with a network file,

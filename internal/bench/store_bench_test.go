@@ -30,10 +30,11 @@ func loadBenchNetwork(tb testing.TB) *tin.Network {
 
 // TestLoadBinaryFasterThanText is the acceptance check behind the snapshot
 // codec: on the bench corpus, the binary load must beat the text parser.
-// Benchmarks do not fail builds; this test pins the property. The margin
-// is narrow: with the text reader on every core, a shared 2-vCPU Xeon VM
-// logs 1.3–1.5× (32–36 against 24–25 ms), where it logged 1.7× with the
-// builder's pair map and Finalize on one core.
+// Benchmarks do not fail builds; this test pins the property. With each
+// section read straight into its slice, a shared 2-vCPU Xeon VM logs
+// 2.7–3.5× (text 25–29 ms, binary 7–11 ms); decoding value by value into
+// slices grown by append, the binary load took 23–25 ms and the margin
+// was 1.3–1.5×.
 func TestLoadBinaryFasterThanText(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
@@ -77,13 +78,14 @@ func TestLoadBinaryFasterThanText(t *testing.T) {
 // TestReadNetworkAllocationBudget bounds what the text reader allocates per
 // interaction on a Bitcoin-shaped corpus of about 100 K interactions, read
 // from memory: the builder's log and pair table, the arena and the CSR
-// arrays, and no garbage per line. Measured (linux/amd64, Go 1.24): 72–77
-// B per interaction at GOMAXPROCS(2) and 69 B at GOMAXPROCS(1), a sixth of
-// it the scanner's 1 MiB buffer and 3–11 B the blocks of lines in flight
-// (text and parsed records, at most 2×GOMAXPROCS of them); 71–76 and 68 B
-// with a map for the pair table, 65 B before the reader parsed in
-// parallel. The reader that buffered every line and built jagged per-edge
-// sequences before laying the arena out allocated 350 B.
+// arrays, and no garbage per line. Measured (linux/amd64, Go 1.24): 69–71
+// B per interaction at GOMAXPROCS(2), a sixth of it the scanner's 1 MiB
+// buffer, where each block's parsed records become a chunk of the log;
+// 71–77 B when they were copied into chunks of the log's own (at most
+// 2×GOMAXPROCS blocks in flight), 71–76 B with a map for the pair table,
+// 65 B before the reader parsed in parallel. The reader that buffered
+// every line and built jagged per-edge sequences before laying the arena
+// out allocated 350 B.
 func TestReadNetworkAllocationBudget(t *testing.T) {
 	const budget = 100 // bytes per interaction
 	var text bytes.Buffer
@@ -108,9 +110,13 @@ func TestReadNetworkAllocationBudget(t *testing.T) {
 // corpus, read from memory, a load at GOMAXPROCS(2) must be at least 1.3×
 // as fast as one at GOMAXPROCS(1), best of three each. The parsing and
 // Finalize's scatter run on every core; feeding the builder stays on one.
-// Measured on a shared 2-vCPU Xeon VM: 77–93 ms at GOMAXPROCS(1) and
-// 48–55 ms at GOMAXPROCS(2), 1.6–1.8×; 128 and 76 ms, 1.7×, with a map for
-// the builder's pair table and Finalize on one core.
+// Measured on a shared 2-vCPU Xeon VM: 53–82 ms at GOMAXPROCS(1) and
+// 35–40 ms at GOMAXPROCS(2), 1.4–2.1×, with each line read in one pass and
+// the parsed records kept as chunks of the builder's log; 77–93 and
+// 48–55 ms, 1.6–1.8×, splitting each line and then reading each field
+// again, the records copied into the log; 128 and 76 ms, 1.7×, with a map
+// for the builder's pair table and Finalize on one core. While the host
+// withholds the second core, both read 0.8–1.2×.
 func TestReadNetworkUsesTwoCores(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")

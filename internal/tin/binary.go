@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
+	"unsafe"
 )
 
 // Binary network codec. The text format (io.go) is the interchange format;
@@ -144,33 +146,33 @@ type image struct {
 	arena             []Interaction
 }
 
-// le is the little-endian encoding of one section element type.
+// le is the little-endian encoding of one section element type, as the
+// writer appends it.
 type le[T any] struct {
 	size int
-	get  func([]byte) T
 	put  func([]byte, T) []byte
 }
 
 var (
-	leI32 = le[int32]{4,
-		func(b []byte) int32 { return int32(binary.LittleEndian.Uint32(b)) },
-		func(b []byte, v int32) []byte { return binary.LittleEndian.AppendUint32(b, uint32(v)) }}
-	leI64 = le[int64]{8,
-		func(b []byte) int64 { return int64(binary.LittleEndian.Uint64(b)) },
-		func(b []byte, v int64) []byte { return binary.LittleEndian.AppendUint64(b, uint64(v)) }}
-	leRecord = le[Interaction]{binaryRecordSize,
-		func(b []byte) Interaction {
-			return Interaction{
-				Time: math.Float64frombits(binary.LittleEndian.Uint64(b[0:8])),
-				Qty:  math.Float64frombits(binary.LittleEndian.Uint64(b[8:16])),
-				Ord:  int64(binary.LittleEndian.Uint64(b[16:24])),
-			}
-		},
-		func(b []byte, ia Interaction) []byte {
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(ia.Time))
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(ia.Qty))
-			return binary.LittleEndian.AppendUint64(b, uint64(ia.Ord))
-		}}
+	leI32    = le[int32]{4, func(b []byte, v int32) []byte { return binary.LittleEndian.AppendUint32(b, uint32(v)) }}
+	leI64    = le[int64]{8, func(b []byte, v int64) []byte { return binary.LittleEndian.AppendUint64(b, uint64(v)) }}
+	leRecord = le[Interaction]{binaryRecordSize, func(b []byte, ia Interaction) []byte {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(ia.Time))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(ia.Qty))
+		return binary.LittleEndian.AppendUint64(b, uint64(ia.Ord))
+	}}
+)
+
+// The on-disk record is Interaction's memory image — time, qty and ord,
+// 8 bytes each, in that order, no padding — so both loaders take the
+// arena's bytes as they are. These fail to compile otherwise.
+var (
+	_ [unsafe.Sizeof(Interaction{}) - binaryRecordSize]struct{}
+	_ [binaryRecordSize - unsafe.Sizeof(Interaction{})]struct{}
+	_ [unsafe.Offsetof(Interaction{}.Qty) - 8]struct{}
+	_ [8 - unsafe.Offsetof(Interaction{}.Qty)]struct{}
+	_ [unsafe.Offsetof(Interaction{}.Ord) - 16]struct{}
+	_ [16 - unsafe.Offsetof(Interaction{}.Ord)]struct{}
 )
 
 // WriteNetworkBinary writes the network to w in the version-2 binary
@@ -258,16 +260,16 @@ func ReadNetworkBinary(r io.Reader) (*Network, error) {
 	// The header is only peeked: the reader starts at offset 0, and the
 	// first section skips it.
 	sr := &sectionReader{br: br}
-	img.edgeFrom = readSection(sr, leI32, "edgeFrom", l.edgeFrom, img.numE)
-	img.edgeTo = readSection(sr, leI32, "edgeTo", l.edgeTo, img.numE)
-	img.outOff = readSection(sr, leI32, "outOff", l.outOff, img.numV+1)
-	img.inOff = readSection(sr, leI32, "inOff", l.inOff, img.numV+1)
-	img.outAdj = readSection(sr, leI32, "outAdj", l.outAdj, img.numE)
-	img.inAdj = readSection(sr, leI32, "inAdj", l.inAdj, img.numE)
-	img.seqEnd = readSection(sr, leI64, "seqEnd", l.seqEnd, img.numE)
-	img.pairKeys = readSection(sr, leI64, "pairKeys", l.pairKeys, img.numE)
-	img.pairIDs = readSection(sr, leI32, "pairIDs", l.pairIDs, img.numE)
-	img.arena = readSection(sr, leRecord, "arena", l.arena, img.numIA)
+	img.edgeFrom = readSection[int32](sr, "edgeFrom", l.edgeFrom, img.numE)
+	img.edgeTo = readSection[int32](sr, "edgeTo", l.edgeTo, img.numE)
+	img.outOff = readSection[int32](sr, "outOff", l.outOff, img.numV+1)
+	img.inOff = readSection[int32](sr, "inOff", l.inOff, img.numV+1)
+	img.outAdj = readSection[EdgeID](sr, "outAdj", l.outAdj, img.numE)
+	img.inAdj = readSection[EdgeID](sr, "inAdj", l.inAdj, img.numE)
+	img.seqEnd = readSection[int64](sr, "seqEnd", l.seqEnd, img.numE)
+	img.pairKeys = readSection[int64](sr, "pairKeys", l.pairKeys, img.numE)
+	img.pairIDs = readSection[EdgeID](sr, "pairIDs", l.pairIDs, img.numE)
+	img.arena = readSection[Interaction](sr, "arena", l.arena, img.numIA)
 	if sr.err != nil {
 		return nil, sr.err
 	}
@@ -330,15 +332,18 @@ type sectionReader struct {
 	err error
 }
 
-// sectionChunk is how many values readSection takes off the stream at a
-// time; a chunk of records is 96 KiB, well inside the reader's buffer.
-const sectionChunk = 1 << 12
+// sectionStep is the most bytes readSection commits to a section before
+// the stream has shown that it holds them.
+const sectionStep = 1 << 20
 
-// readSection copies the count values of the section at byte offset off,
-// skipping the padding before it. It grows the result chunk by chunk, so a
-// header that lies about a count fails at EOF instead of committing memory
-// for it.
-func readSection[T any](sr *sectionReader, c le[T], name string, off, count int64) []T {
+// readSection reads the count values of the section at byte offset off,
+// skipping the padding before it, straight into a slice of exactly count
+// values. It grows the slice in steps, each at most the size of what was
+// read so far (sectionStep at first), so a header that lies about a count
+// fails at EOF instead of committing memory for it. The values are
+// little-endian on disk: on a big-endian host each is byte-swapped in
+// place.
+func readSection[T int32 | int64 | Interaction](sr *sectionReader, name string, off, count int64) []T {
 	if sr.err != nil {
 		return nil
 	}
@@ -346,21 +351,43 @@ func readSection[T any](sr *sectionReader, c le[T], name string, off, count int6
 		sr.err = fmt.Errorf("tin: binary v2 padding before %s: %w", name, err)
 		return nil
 	}
-	out := make([]T, 0, min(count, sectionChunk))
-	for int64(len(out)) < count {
-		k := int(min(count-int64(len(out)), sectionChunk))
-		b, err := sr.br.Peek(k * c.size)
-		if err != nil {
-			sr.err = fmt.Errorf("tin: binary v2 %s[%d]: %w", name, len(out), err)
+	var zero T
+	size := int64(unsafe.Sizeof(zero))
+	out := make([]T, min(count, sectionStep/size))
+	for read := 0; ; {
+		b := sectionBytes(out[read:])
+		if n, err := io.ReadFull(sr.br, b); err != nil {
+			sr.err = fmt.Errorf("tin: binary v2 %s[%d]: %w", name, int64(read)+int64(n)/size, err)
 			return nil
 		}
-		for i := 0; i < k; i++ {
-			out = append(out, c.get(b[i*c.size:]))
+		if !hostLE {
+			swapWords(b, min(int(size), 8))
 		}
-		sr.br.Discard(len(b))
+		if read = len(out); int64(read) == count {
+			break
+		}
+		grown := make([]T, min(count, 2*int64(read)))
+		copy(grown, out)
+		out = grown
 	}
-	sr.pos = off + count*int64(c.size)
+	sr.pos = off + count*size
 	return out
+}
+
+// sectionBytes returns the memory of s as bytes.
+func sectionBytes[T any](s []T) []byte {
+	if len(s) == 0 {
+		return nil
+	}
+	var zero T
+	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*int(unsafe.Sizeof(zero)))
+}
+
+// swapWords reverses the bytes of each width-byte word of b in place.
+func swapWords(b []byte, width int) {
+	for w := b; len(w) >= width; w = w[width:] {
+		slices.Reverse(w[:width])
+	}
 }
 
 // check is the one structural check both loaders accept an image through.

@@ -5,6 +5,7 @@ import (
 	"compress/gzip"
 	"encoding/binary"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
@@ -225,6 +226,71 @@ func TestBinaryRejectsV1(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("v1 read: err = %v, want one containing %q", err, want)
 	}
+}
+
+// TestSwapWordsReadsBigEndian holds the copying reader's byte swap, which
+// a big-endian host applies to every section it reads, to encoding/binary:
+// words written big-endian and swapped read back little-endian as written.
+func TestSwapWordsReadsBigEndian(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for _, width := range []int{4, 8} {
+		var b []byte
+		var want []uint64
+		for range 100 {
+			v := r.Uint64()
+			if width == 4 {
+				v = uint64(uint32(v))
+				b = binary.BigEndian.AppendUint32(b, uint32(v))
+			} else {
+				b = binary.BigEndian.AppendUint64(b, v)
+			}
+			want = append(want, v)
+		}
+		swapWords(b, width)
+		for i, v := range want {
+			var got uint64
+			if width == 4 {
+				got = uint64(binary.LittleEndian.Uint32(b[i*width:]))
+			} else {
+				got = binary.LittleEndian.Uint64(b[i*width:])
+			}
+			if got != v {
+				t.Fatalf("width %d, word %d: %#x after the swap, written %#x", width, i, got, v)
+			}
+		}
+	}
+}
+
+// TestBinaryReadSwapsOnBigEndian reads a snapshot the way a big-endian
+// host does: with hostLE false, the copying reader swaps each section's
+// words by the width of its values. Given a file whose section words are
+// stored the other way round, it must load the network that was written.
+func TestBinaryReadSwapsOnBigEndian(t *testing.T) {
+	n := ioTestNetwork()
+	var buf bytes.Buffer
+	if err := WriteNetworkBinary(&buf, n); err != nil {
+		t.Fatal(err)
+	}
+	b := buf.Bytes()
+	l := layoutV2(int64(n.NumVertices()), int64(n.NumEdges()), int64(n.NumInteractions()))
+	for _, s := range []struct {
+		from, to int64
+		width    int
+	}{
+		{l.edgeFrom, l.seqEnd - l.pad1, 4}, // endpoints, offsets and adjacency
+		{l.seqEnd, l.pairIDs, 8},
+		{l.pairIDs, l.arena - l.pad2, 4},
+		{l.arena, l.total, 8},
+	} {
+		swapWords(b[s.from:s.to], s.width)
+	}
+	defer func(was bool) { hostLE = was }(hostLE)
+	hostLE = false
+	m, err := ReadNetworkBinary(bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameNetwork(t, n, m)
 }
 
 // FuzzLoadNetwork fuzzes the full sniffing load path over raw file bytes:

@@ -13,79 +13,40 @@ import (
 )
 
 // refReadNetwork is the text reader written the plain way: every line
-// through strings.TrimSpace and strings.Fields, every parsed line buffered,
-// and the network built once the vertex count is known. It also returns the
-// reference layout of the lines (buildRef), which owes nothing to the
-// builder's. FuzzReadNetwork holds ReadNetwork, which parses lines in place
-// straight into the builder, to both.
+// through refParseLine, every parsed line buffered, and the network built
+// once the vertex count is known. It also returns the reference layout of
+// the lines (buildRef), which owes nothing to the builder's.
+// FuzzReadNetwork holds ReadNetwork, which parses lines in place straight
+// into the builder, to both.
 func refReadNetwork(r io.Reader) (*Network, *refModel, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	type line struct {
-		from, to VertexID
-		t, q     float64
-	}
-	var lines []line
+	var lines []textLine
 	declared := -1
 	maxID := VertexID(-1)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		txt := strings.TrimSpace(sc.Text())
-		if txt == "" {
+		l, kind, err := refParseLine(sc.Text())
+		switch {
+		case err != nil:
+			return nil, nil, fmt.Errorf("tin: line %d: %v", lineNo, err)
+		case kind == refBlank:
 			continue
-		}
-		if strings.HasPrefix(txt, "#") {
+		case kind == refComment:
 			var nv int
-			if _, err := fmt.Sscanf(txt, "# vertices %d", &nv); err == nil {
+			if _, err := fmt.Sscanf(strings.TrimSpace(sc.Text()), "# vertices %d", &nv); err == nil {
 				declared = nv
 			}
 			continue
 		}
-		f := strings.Fields(txt)
-		if len(f) != 4 {
-			return nil, nil, fmt.Errorf("tin: line %d: want 4 fields, got %d", lineNo, len(f))
-		}
-		from, err := strconv.ParseInt(f[0], 10, 32)
-		if err != nil {
-			return nil, nil, fmt.Errorf("tin: line %d: bad from id: %v", lineNo, err)
-		}
-		to, err := strconv.ParseInt(f[1], 10, 32)
-		if err != nil {
-			return nil, nil, fmt.Errorf("tin: line %d: bad to id: %v", lineNo, err)
-		}
-		t, err := strconv.ParseFloat(f[2], 64)
-		if err != nil {
-			return nil, nil, fmt.Errorf("tin: line %d: bad time: %v", lineNo, err)
-		}
-		q, err := strconv.ParseFloat(f[3], 64)
-		if err != nil {
-			return nil, nil, fmt.Errorf("tin: line %d: bad quantity: %v", lineNo, err)
-		}
-		if from < 0 || to < 0 {
-			return nil, nil, fmt.Errorf("tin: line %d: negative vertex id", lineNo)
-		}
-		if q < 0 || math.IsNaN(q) || math.IsInf(q, 0) {
-			return nil, nil, fmt.Errorf("tin: line %d: invalid quantity %g", lineNo, q)
-		}
-		if math.IsNaN(t) || math.IsInf(t, 0) {
-			return nil, nil, fmt.Errorf("tin: line %d: invalid time %g", lineNo, t)
-		}
-		lines = append(lines, line{VertexID(from), VertexID(to), t, q})
-		if VertexID(from) > maxID {
-			maxID = VertexID(from)
-		}
-		if VertexID(to) > maxID {
-			maxID = VertexID(to)
-		}
+		lines = append(lines, l)
+		maxID = max(maxID, l.from, l.to)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, nil, err
 	}
-	nv := int(maxID) + 1
-	if declared > nv {
-		nv = declared
-	}
+	nv := max(int(maxID)+1, declared)
 	if nv == 0 {
 		return nil, nil, fmt.Errorf("tin: empty network file")
 	}
@@ -101,6 +62,56 @@ func refReadNetwork(r io.Reader) (*Network, *refModel, error) {
 	}
 	n.Finalize()
 	return n, buildRef(nv, items), nil
+}
+
+// What a line of the text format is, by refParseLine.
+const (
+	refInteraction = iota
+	refBlank
+	refComment
+)
+
+// refParseLine parses one line (without its '\n') the plain way:
+// strings.TrimSpace, strings.Fields, and strconv on every field. Its error
+// leaves out the line number.
+func refParseLine(txt string) (textLine, int, error) {
+	txt = strings.TrimSpace(txt)
+	switch {
+	case txt == "":
+		return textLine{}, refBlank, nil
+	case strings.HasPrefix(txt, "#"):
+		return textLine{}, refComment, nil
+	}
+	f := strings.Fields(txt)
+	if len(f) != 4 {
+		return textLine{}, 0, fmt.Errorf("want 4 fields, got %d", len(f))
+	}
+	from, err := strconv.ParseInt(f[0], 10, 32)
+	if err != nil {
+		return textLine{}, 0, fmt.Errorf("bad from id: %v", err)
+	}
+	to, err := strconv.ParseInt(f[1], 10, 32)
+	if err != nil {
+		return textLine{}, 0, fmt.Errorf("bad to id: %v", err)
+	}
+	t, err := strconv.ParseFloat(f[2], 64)
+	if err != nil {
+		return textLine{}, 0, fmt.Errorf("bad time: %v", err)
+	}
+	q, err := strconv.ParseFloat(f[3], 64)
+	if err != nil {
+		return textLine{}, 0, fmt.Errorf("bad quantity: %v", err)
+	}
+	if from < 0 || to < 0 {
+		return textLine{}, 0, fmt.Errorf("negative vertex id")
+	}
+	if q < 0 || math.IsNaN(q) || math.IsInf(q, 0) {
+		return textLine{}, 0, fmt.Errorf("invalid quantity %g", q)
+	}
+	if math.IsNaN(t) || math.IsInf(t, 0) {
+		return textLine{}, 0, fmt.Errorf("invalid time %g", t)
+	}
+	return textLine{VertexID(from), VertexID(to), t, q}, refInteraction, nil
 }
 
 // FuzzReadNetwork holds ReadNetwork to refReadNetwork (checkReadNetwork).
@@ -142,6 +153,19 @@ func FuzzReadNetwork(f *testing.F) {
 		"0 1 12345678.9012345 .123456789012345\n1 2 1.23456789012345 123456789012345.\n",
 		"0 1 1234567890.123456 .1234567890123456\n1 2 9007199254740993.0 0.30000000000000004\n",
 		"0 1 1..5 1\n", "0 1 . 1\n", "0 1 -0.0 .5e1\n", "0 1 1.5e3 +0.5\n",
+		// Lines the one-pass scanner declines to convert directly, each
+		// followed by lines that leave it its 16 bytes of lookahead.
+		"  0 1 2 3  \n\t1 2 3 4\f\n2 0 3 5\n0 1 2 3\n",
+		"0\t\t1\v\v\v2\f\f3\n0 \t1\v 2\f 3\n0 1 2 3\n0 1 2 3\n",
+		"0 1 2 3\r\n1 2 3 4\r\n2 0 3 5\r\n0 1 2 3\r\n",
+		"1234567 7654321 1234567.1234567 7654321.7654321\n0 1 2 3\n0 1 2 3\n",
+		"12345678 1 12345678.5 1.12345678\n0 1 2 3\n0 1 2 3\n",
+		"0 1000000000 2 3\n0 1 2 3\n0 1 2 3\n", "1000000000 1 2 3\n0 1 2 3\n0 1 2 3\n",
+		"0 1 1234567890123456 2.5\n0 1 2 3\n0 1 2 3\n", "0 1 2 .1234567890123456\n0 1 2 3\n0 1 2 3\n",
+		"0 1 1e5 2\n0 1 2 3\n0 1 2 3\n", "0 1 2 3E-2\n0 1 2 3\n0 1 2 3\n",
+		"-1 2 3 4\n0 1 2 3\n0 1 2 3\n", "0 +1 -2 +3\n0 1 2 3\n0 1 2 3\n",
+		"0 1 . 1\n0 1 2 3\n0 1 2 3\n", "0 1 1.2.3 4\n0 1 2 3\n0 1 2 3\n", "0 1 .5 5.\n0 1 2 3\n0 1 2 3\n",
+		"0 1 2\u00a03\n0 1 2 3\n0 1 2 3\n", "0 1 2é 3\n0 1 2 3\n0 1 2 3\n", "0 1 2 3\x85\n0 1 2 3\n0 1 2 3\n",
 	} {
 		f.Add(seed)
 	}
@@ -167,9 +191,10 @@ func TestReadNetworkLongLine(t *testing.T) {
 // has it (checkAgainstRef). ReadNetwork is run three times: with its
 // blocks of lines at their size, at a few bytes, so that every line of a
 // multi-line input crosses a block boundary and its blocks go through the
-// parsers in parallel, and at a few bytes with the builder's log in chunks
-// of three records (withSmallChunks), so that Finalize scatters chunks in
-// parallel. What it accepts must also survive the text writer.
+// parsers in parallel, and at a few bytes on at least two Ps
+// (withSmallChunks), so that Finalize scatters the log's chunks, which are
+// the blocks' records, in parallel. What it accepts must also survive the
+// text writer.
 func checkReadNetwork(t *testing.T, data string) {
 	t.Helper()
 	ref, model, refErr := refReadNetwork(strings.NewReader(data))

@@ -280,16 +280,24 @@ func TestSaveNetworkIsAtomic(t *testing.T) {
 	}
 }
 
-// TestParseFloatMatchesStrconv holds parseFloat, whose plain decimals of at
-// most 15 digits skip strconv, to strconv.ParseFloat bit for bit: the same
-// value, sign of zero included, and the same error.
+// TestParseFloatMatchesStrconv holds the conversion of a time or quantity
+// field, whose plain decimals of at most 15 digits skip strconv, to
+// strconv.ParseFloat bit for bit: the same value, sign of zero included,
+// and the same error.
 func TestParseFloatMatchesStrconv(t *testing.T) {
+	var f [4]field
+	scan := func(s string) *field {
+		if _, nf := scanLine([]byte(s), &f); nf != 1 {
+			t.Fatalf("%q scans as %d fields", s, nf)
+		}
+		return &f[0]
+	}
 	check := func(s string) {
-		got, err := parseFloat([]byte(s))
+		got, err := scan(s).number()
 		want, wantErr := strconv.ParseFloat(s, 64)
 		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() ||
 			math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("parseFloat(%q) = %v (%#x), %v; strconv: %v (%#x), %v",
+			t.Fatalf("number(%q) = %v (%#x), %v; strconv: %v (%#x), %v",
 				s, got, math.Float64bits(got), err, want, math.Float64bits(want), wantErr)
 		}
 	}
@@ -300,7 +308,7 @@ func TestParseFloatMatchesStrconv(t *testing.T) {
 		"0.1", "0.2", "0.3", "0.4", "0.5", "0.6", "0.7", "0.8", "0.9",
 	}
 	for _, s := range direct {
-		if _, ok := decimal([]byte(s)); !ok {
+		if _, ok := scan(s).plainNumber(); !ok {
 			t.Fatalf("%q is not converted directly", s)
 		}
 		check(s)
@@ -308,9 +316,9 @@ func TestParseFloatMatchesStrconv(t *testing.T) {
 	for _, s := range []string{
 		"1234567890123456", "1234567890.123456", ".1234567890123456", "0000000000000001",
 		"9007199254740993", "0.30000000000000004", "-0.0", "-1.5", "+0.5", "1.5e3",
-		"1e-3", "0x1p-2", "1_0", "inf", "NaN", "", ".", "..5", "1..5", "1.5.", "1,5", "٣",
+		"1e-3", "0x1p-2", "1_0", "inf", "NaN", ".", "..5", "1..5", "1.5.", "1,5", "٣",
 	} {
-		if _, ok := decimal([]byte(s)); ok {
+		if _, ok := scan(s).plainNumber(); ok {
 			t.Fatalf("%q is converted directly", s)
 		}
 		check(s)
@@ -320,21 +328,156 @@ func TestParseFloatMatchesStrconv(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	var b []byte
 	for range 1_000_000 {
-		nd := 1 + r.Intn(17)
-		// One draw gives the digits, another which of them are zeros.
-		x, zero := r.Uint64(), r.Uint64()
-		b = b[:0]
-		for range nd {
-			d := byte('0' + x%10)
-			if zero&3 == 0 {
-				d = '0'
-			}
-			b = append(b, d)
-			x, zero = x/10, zero>>2
-		}
-		if dot := r.Intn(nd + 2); dot <= nd {
-			b = slices.Insert(b, dot, '.')
-		}
+		b = randomDecimal(r, b[:0], 1+r.Intn(17))
 		check(string(b))
 	}
+}
+
+// randomDecimal appends nd random digits to b, a quarter of them zeros,
+// with a '.' inserted anywhere among them or nowhere.
+func randomDecimal(r *rand.Rand, b []byte, nd int) []byte {
+	at := len(b)
+	// One draw gives the digits, another which of them are zeros.
+	x, zero := r.Uint64(), r.Uint64()
+	for range nd {
+		d := byte('0' + x%10)
+		if zero&3 == 0 {
+			d = '0'
+		}
+		b = append(b, d)
+		x, zero = x/10, zero>>2
+	}
+	if dot := r.Intn(nd + 2); dot <= nd {
+		b = slices.Insert(b, at+dot, '.')
+	}
+	return b
+}
+
+// lineAgainstRef parses one line through a block, as ReadNetwork does, and
+// holds the outcome to refParseLine: the same error text, or the same ids
+// and the same time and quantity bits (a self loop is dropped, so only its
+// id is seen), or a blank line or a comment for both. It returns what
+// differs, or "". The line ends the block, or, with pad, a comment line
+// follows it, so that every field has the 16 bytes after its start that
+// the scanner needs to read it eight bytes at a time.
+func lineAgainstRef(b *textBlock, line string, pad bool) string {
+	want, kind, wantErr := refParseLine(line)
+	b.text = append(b.text[:0], line...)
+	if pad {
+		b.text = append(b.text, "\n#                \n"...)
+	}
+	b.parse()
+	switch {
+	case wantErr != nil || b.err != nil:
+		if fmt.Sprint(b.err) != fmt.Sprint(wantErr) {
+			return fmt.Sprintf("line %q: error %v, reference %v", line, b.err, wantErr)
+		}
+	case kind != refInteraction:
+		if b.maxID != -1 || len(b.recs) != 0 {
+			return fmt.Sprintf("line %q: parsed as an interaction, reference: blank or comment", line)
+		}
+	case want.from == want.to:
+		if b.maxID != want.from || len(b.recs) != 0 {
+			return fmt.Sprintf("line %q: max id %d, %d records; reference: self loop at %d", line, b.maxID, len(b.recs), want.from)
+		}
+	case len(b.recs) != 1:
+		return fmt.Sprintf("line %q: %d records, reference %+v", line, len(b.recs), want)
+	default:
+		got := b.recs[0]
+		if b.keys[0] != pairKey(want.from, want.to) ||
+			math.Float64bits(got.time) != math.Float64bits(want.t) || math.Float64bits(got.qty) != math.Float64bits(want.q) {
+			return fmt.Sprintf("line %q: key %#x, %+v; reference %+v", line, b.keys[0], got, want)
+		}
+	}
+	return ""
+}
+
+// TestScanLineMatchesFields holds the one-pass line scanner and its
+// conversions to strings.Fields and strconv (refParseLine), on a table of
+// the lines it must decline to convert directly or split on its own, and
+// on a million random lines (a tenth of them under -race).
+func TestScanLineMatchesFields(t *testing.T) {
+	b := new(textBlock)
+	for _, line := range []string{
+		"0 1 2 3", "  0 1 2 3", "0 1 2 3  ", "\t0 1 2 3\f",
+		"0\t\t1\v\v\v2\f \f3", "0 1 2 3\r", "0\r1 2 3",
+		"", "   ", "\r", "# vertices 7", "  # a comment 1 2 3", "#", "0 # 1 2",
+		"0 1 2", "0 1 2 3 4", "0 1 2 3 #",
+		"999999999 1 2 3", "1000000000 1 2 3", "2147483647 1 2 3", "2147483648 1 2 3",
+		"0000000001 2 3 4", "1 0000000002 3 4", "-0 1 2 3", "+1 2 3 4", "-1 2 3 4", "1.0 2 3 4", "1. 2 3 4",
+		"0 1 123456789012345 1", "0 1 1234567890123456 1", "0 1 9007199254740993 1", "0 1 0.1234567890123456 1",
+		"0 1 1e3 1", "0 1 1E3 1", "0 1 1.5e-3 1", "0 1 -1.5 1", "0 1 +1.5 1", "0 1 2 -0", "0 1 2 -1",
+		"0 1 . 1", "0 1 2 .", "0 1 .. 1", "0 1 1..5 1", "0 1 1.5. 1", "0 1 .5 5.",
+		"0 1 inf 1", "0 1 2 NaN", "0 1 0x10 1", "0 1 1_000 1", "0x1 1 2 3", "1_0 1 2 3",
+		"0\u00a01 2 3", "0 1 2\u00853", "0 1 2 3\x85", "\x850 1 2 3", "0 1 2 3 é", "é", "0 1 2 3\u00a0",
+		"\u00a0# vertices 3", "5 5 2 3", "5 5 x 3",
+	} {
+		for _, pad := range []bool{false, true} {
+			if diff := lineAgainstRef(b, line, pad); diff != "" {
+				t.Fatal(diff)
+			}
+		}
+	}
+	r := rand.New(rand.NewSource(2))
+	var line []byte
+	lines := 1_000_000
+	if raceEnabled {
+		lines /= 10
+	}
+	for i := range lines {
+		line = randomLine(r, line[:0])
+		if diff := lineAgainstRef(b, string(line), i%2 == 0); diff != "" {
+			t.Fatal(diff)
+		}
+	}
+}
+
+// randomLine appends a random line of mostly 4 fields to b: ids and
+// decimals with digit runs on both sides of what is converted directly,
+// now and then a sign, an exponent, a letter or a lone '.', separated by
+// runs of every ASCII separator, blanks at either end, and once in a while
+// a byte outside ASCII.
+func randomLine(r *rand.Rand, b []byte) []byte {
+	const seps = "  \t\v\f\r"
+	sep := func() {
+		for k := 1 + r.Intn(2); k > 0; k-- {
+			b = append(b, seps[r.Intn(len(seps))])
+		}
+	}
+	if r.Intn(10) == 0 {
+		sep()
+	}
+	nf := 4
+	if r.Intn(20) == 0 {
+		nf = 3 + 2*r.Intn(2)
+	}
+	for k := range nf {
+		if k > 0 {
+			sep()
+		}
+		if r.Intn(30) == 0 {
+			b = append(b, "+-"[r.Intn(2)])
+		}
+		if k < 2 {
+			b = randomDecimal(r, b, 1+r.Intn(10))
+			if r.Intn(10) > 0 {
+				b = slices.DeleteFunc(b, func(c byte) bool { return c == '.' })
+			}
+		} else {
+			b = randomDecimal(r, b, r.Intn(18))
+		}
+		switch r.Intn(60) {
+		case 0:
+			b = append(b, 'e')
+			b = strconv.AppendInt(b, int64(r.Intn(40)-20), 10)
+		case 1:
+			b = append(b, "x_."[r.Intn(3)])
+		case 2:
+			b = append(b, []string{"\u00a0", "\u0085", "\x85", "é"}[r.Intn(4)]...)
+		}
+	}
+	if r.Intn(10) == 0 {
+		sep()
+	}
+	return b
 }

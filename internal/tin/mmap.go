@@ -33,11 +33,10 @@ import (
 // refuses maps, and every other corrupt file is refused by both loaders.
 //
 // Portability. OpenNetworkMmap falls back to the copying decoder whenever
-// zero-copy cannot work: non-unix builds, big-endian hosts, a compiler
-// that lays Interaction out differently, or gzip'd files. The result is the
-// same network either way; only MmapBacked differs. A version-1 snapshot
-// is refused on every path, with the copying reader's "reload from the
-// text format" error.
+// zero-copy cannot work: non-unix builds, big-endian hosts, or gzip'd
+// files. The result is the same network either way; only MmapBacked
+// differs. A version-1 snapshot is refused on every path, with the copying
+// reader's "reload from the text format" error.
 
 // mmapRegion is a live file mapping backing a network's CSR arrays.
 type mmapRegion struct {
@@ -75,14 +74,6 @@ var hostLE = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// interactionLayoutOK verifies at init that the compiler laid Interaction
-// out exactly as the on-disk record ({time f64, qty f64, ord i64}, 24
-// bytes, no padding); zero-copy is disabled otherwise.
-var interactionLayoutOK = unsafe.Sizeof(Interaction{}) == binaryRecordSize &&
-	unsafe.Offsetof(Interaction{}.Time) == 0 &&
-	unsafe.Offsetof(Interaction{}.Qty) == 8 &&
-	unsafe.Offsetof(Interaction{}.Ord) == 16
-
 // OpenNetworkMmap loads a network file, serving it zero-copy from an mmap
 // when possible. Files that cannot be mmap'd — gzip'd, text, or any file
 // on a platform or host where zero-copy is unavailable — load through the
@@ -90,7 +81,7 @@ var interactionLayoutOK = unsafe.Sizeof(Interaction{}) == binaryRecordSize &&
 // MmapBacked on the result tells which path was taken. A version-1 binary
 // file reaches the copying path too, which refuses it.
 func OpenNetworkMmap(path string) (*Network, error) {
-	if mmapSupported && hostLE && interactionLayoutOK && !strings.HasSuffix(path, ".gz") {
+	if mmapSupported && hostLE && !strings.HasSuffix(path, ".gz") {
 		region, err := platformMmap(path)
 		if err == nil {
 			if len(region.data) >= binaryHeaderV2 && checkPrefix(region.data) == nil {

@@ -10,7 +10,7 @@ import (
 // mmapExpected reports whether OpenNetworkMmap should actually map on this
 // platform (otherwise it transparently falls back to a copying load and
 // the lifecycle assertions below are vacuous).
-func mmapExpected() bool { return mmapSupported && hostLE && interactionLayoutOK }
+func mmapExpected() bool { return mmapSupported && hostLE }
 
 func saveTinb(t *testing.T, n *Network) string {
 	t.Helper()

@@ -53,15 +53,16 @@ type Network struct {
 	maxTime float64
 }
 
-// logChunk is the number of records in one chunk of a builder's log (96
-// KiB): a chunk is allocated whole and never grown, so growing the log
-// copies nothing. Loading the 1.85 M-interaction Bitcoin corpus (20 000
-// vertices) on a shared 2-vCPU Xeon VM, the chunks allocate 105 MB and peak
-// at 104 MB resident; one []logRec grown by append allocates 330 MB and
-// peaks at 208–221 MB, because every growth holds the old and the new
-// backing array at once, and loads 0.2 s slower. Finalize scatters the
-// chunks of a log in time order in parallel, one chunk a claim. Tests lower
-// it so that small logs span several chunks.
+// logChunk is the number of records in one chunk AddInteraction allocates
+// for a builder's log (96 KiB): a chunk is allocated whole and never grown,
+// so growing the log copies nothing. Loading the 1.85 M-interaction Bitcoin
+// corpus (20 000 vertices) on a shared 2-vCPU Xeon VM, the chunks allocate
+// 105 MB and peak at 104 MB resident; one []logRec grown by append
+// allocates 330 MB and peaks at 208–221 MB, because every growth holds the
+// old and the new backing array at once, and loads 0.2 s slower. (The text
+// reader logs each block's records as a chunk of its own, addChunk.)
+// Finalize scatters the chunks of a log in time order in parallel, one
+// chunk a claim. Tests lower it so that small logs span several chunks.
 var logChunk = 1 << 12
 
 // logRec is one interaction as the builder logs it. at is its place in its
@@ -84,7 +85,8 @@ type builder struct {
 	pairs pairTable
 	// from and to are the edge table: edge e runs from[e] -> to[e].
 	from, to []VertexID
-	// log holds the interactions in insertion order, logChunk to a chunk.
+	// log holds the interactions in insertion order, in chunks that are
+	// never grown past their capacity.
 	log [][]logRec
 	qty float64 // the sum of the logged quantities
 	// maxTime is the latest time logged; unsorted is set once a record
@@ -237,18 +239,46 @@ func (n *Network) add(from, to VertexID, t, q float64) {
 	if isNew {
 		b.from, b.to = append(b.from, from), append(b.to, to)
 	}
-	if len(b.log) == 0 || len(b.log[len(b.log)-1]) == logChunk {
-		b.log = append(b.log, make([]logRec, 0, logChunk))
-	}
 	last := len(b.log) - 1
+	if last < 0 || len(b.log[last]) == cap(b.log[last]) {
+		b.log = append(b.log, make([]logRec, 0, logChunk))
+		last++
+	}
 	b.log[last] = append(b.log[last], logRec{time: t, qty: q, edge: id, at: at})
+	b.logged(t, q)
+	n.numIA++
+}
+
+// addChunk logs recs, validated interactions between distinct vertices
+// whose pair keys are keys, as a chunk of its own: it fills in each
+// record's edge and place in the edge's run, and the log keeps recs. Like
+// add, it does not check the vertex range.
+func (n *Network) addChunk(recs []logRec, keys []int64) {
+	if len(recs) == 0 {
+		return
+	}
+	b := n.build
+	for i := range recs {
+		r := &recs[i]
+		var isNew bool
+		r.edge, r.at, isNew = b.pairs.add(keys[i], EdgeID(len(b.from)))
+		if isNew {
+			b.from, b.to = append(b.from, VertexID(keys[i]>>32)), append(b.to, VertexID(keys[i]))
+		}
+		b.logged(r.time, r.qty)
+	}
+	b.log = append(b.log, recs)
+	n.numIA += len(recs)
+}
+
+// logged notes the time and quantity of a record just logged.
+func (b *builder) logged(t, q float64) {
 	if t < b.maxTime {
 		b.unsorted = true
 	} else {
 		b.maxTime = t
 	}
 	b.qty += q
-	n.numIA++
 }
 
 // Finalize assigns the canonical order to all interactions and lays the
@@ -283,8 +313,13 @@ func (b *builder) layout(numV, total int) *base {
 	}
 	arena := make([]Interaction, total)
 	if !b.unsorted {
+		// first[c] is the rank of chunk c's first record.
+		first := make([]int64, len(b.log))
+		for c := 1; c < len(b.log); c++ {
+			first[c] = first[c-1] + int64(len(b.log[c-1]))
+		}
 		par.ForEach(par.Workers(0), len(b.log), func(c int) {
-			rank := int64(c * logChunk)
+			rank := first[c]
 			for _, r := range b.log[c] {
 				arena[start[r.edge]+int(r.at)] = Interaction{Time: r.time, Qty: r.qty, Ord: rank}
 				rank++
@@ -310,27 +345,38 @@ func (b *builder) layout(numV, total int) *base {
 // records into rank order once and places each at its edge's cursor, which
 // starts at the edge's run and is advanced past every record placed.
 func (b *builder) walkInRankOrder(arena []Interaction, cursor []int) {
-	// order maps rank -> a record's place in the log, its chunk shifted
+	// A key is a record's time and its place in the log, its chunk shifted
 	// above its index in the chunk: ascending as the log index is, and
-	// found with no division. (An int32 bounds the log at 2^31 records,
-	// 100 GB of log and arena.)
-	shift := uint(bits.Len(uint(logChunk - 1)))
-	mask := uint32(1)<<shift - 1
-	rec := func(p int32) *logRec { return &b.log[uint32(p)>>shift][uint32(p)&mask] }
-	order := make([]int32, 0, len(arena))
+	// found with no division. The sort compares keys side by side in one
+	// array, 16 bytes a record, where comparing the records themselves
+	// would chase two of them across the log per comparison.
+	type rankKey struct {
+		time float64
+		pos  int
+	}
+	longest := 1
+	for _, chunk := range b.log {
+		longest = max(longest, len(chunk))
+	}
+	shift := uint(bits.Len(uint(longest - 1)))
+	keys := make([]rankKey, 0, len(arena))
 	for c, chunk := range b.log {
 		for j := range chunk {
-			order = append(order, int32(c<<shift|j))
+			keys = append(keys, rankKey{chunk[j].time, c<<shift | j})
 		}
 	}
-	slices.SortFunc(order, func(x, y int32) int {
-		if c := cmp.Compare(rec(x).time, rec(y).time); c != 0 {
-			return c
+	slices.SortFunc(keys, func(x, y rankKey) int {
+		switch {
+		case x.time < y.time:
+			return -1
+		case x.time > y.time:
+			return 1
 		}
-		return cmp.Compare(x, y)
+		return cmp.Compare(x.pos, y.pos)
 	})
-	for rank, p := range order {
-		r := rec(p)
+	mask := 1<<shift - 1
+	for rank, k := range keys {
+		r := &b.log[k.pos>>shift][k.pos&mask]
 		arena[cursor[r.edge]] = Interaction{Time: r.time, Qty: r.qty, Ord: int64(rank)}
 		cursor[r.edge]++
 	}
