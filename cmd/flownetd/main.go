@@ -61,6 +61,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"runtime/metrics"
 	"strings"
 	"syscall"
 	"time"
@@ -176,19 +177,23 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			name, path, stats.Vertices, stats.Edges, stats.Interactions,
 			time.Since(t0).Round(time.Millisecond))
 	}
+	loaded := gcCycles()
 	if *precompute {
 		t0 := time.Now()
 		srv.PrecomputeTables()
 		logger.Printf("precomputed pattern tables (%v)", time.Since(t0).Round(time.Millisecond))
 	}
 
-	// The boot's garbage — the text reader's blocks and the builder's log,
-	// a snapshot's copy, the tables' scratch — is dead by now, but the
-	// collector's next goal was set while it was live, at about twice the
-	// load's peak, and the served heap would be allowed to grow to that
-	// before its first collection. One collection here sets the goal from
-	// what is served.
-	runtime.GC()
+	// The loads' garbage — the text reader's blocks and the builder's log,
+	// a snapshot's copy — is dead by now, but if the collector's last goal
+	// was set while it was live, at about twice the load's peak, the served
+	// heap would be allowed to grow to that before its first collection. So
+	// collect once, unless a whole cycle has run since the loads returned
+	// (the first to end may have begun before), as -precompute's
+	// allocations make it: that cycle set the goal from what is served.
+	if gcCycles() < loaded+2 {
+		runtime.GC()
+	}
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		return err
@@ -209,6 +214,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	logger.Print("shut down cleanly")
 	return nil
+}
+
+// gcCycles returns how many collection cycles have completed.
+func gcCycles() uint64 {
+	s := []metrics.Sample{{Name: "/gc/cycles/total:gc-cycles"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
 }
 
 // splitNetSpec splits "name=path" (or derives the name from a bare path's

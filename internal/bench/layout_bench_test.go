@@ -19,7 +19,7 @@ import (
 // TestMmapLoadFasterThanDecode is the acceptance check behind the mmap
 // path: serving a snapshot zero-copy must beat fully decoding it. Same
 // best-of-3 shape as TestLoadBinaryFasterThanText. A shared 2-vCPU Xeon VM
-// logs decode 9–11 ms against mmap 0.30–0.33 ms (27–33×); decoding value
+// logs decode 6–11 ms against mmap 0.22–0.33 ms (21–33×); decoding value
 // by value into slices grown by append took 22–25 ms (55–63×).
 func TestMmapLoadFasterThanDecode(t *testing.T) {
 	if testing.Short() {

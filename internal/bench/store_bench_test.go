@@ -110,8 +110,8 @@ func TestReadNetworkAllocationBudget(t *testing.T) {
 // corpus, read from memory, a load at GOMAXPROCS(2) must be at least 1.3×
 // as fast as one at GOMAXPROCS(1), best of three each. The parsing and
 // Finalize's scatter run on every core; feeding the builder stays on one.
-// Measured on a shared 2-vCPU Xeon VM: 53–82 ms at GOMAXPROCS(1) and
-// 35–40 ms at GOMAXPROCS(2), 1.4–2.1×, with each line read in one pass and
+// Measured on a shared 2-vCPU Xeon VM: 41–58 ms at GOMAXPROCS(1) and
+// 30–31 ms at GOMAXPROCS(2), 1.4–1.9×, with each line read in one pass and
 // the parsed records kept as chunks of the builder's log; 77–93 and
 // 48–55 ms, 1.6–1.8×, splitting each line and then reading each field
 // again, the records copied into the log; 128 and 76 ms, 1.7×, with a map

@@ -153,19 +153,13 @@ func FuzzReadNetwork(f *testing.F) {
 		"0 1 12345678.9012345 .123456789012345\n1 2 1.23456789012345 123456789012345.\n",
 		"0 1 1234567890.123456 .1234567890123456\n1 2 9007199254740993.0 0.30000000000000004\n",
 		"0 1 1..5 1\n", "0 1 . 1\n", "0 1 -0.0 .5e1\n", "0 1 1.5e3 +0.5\n",
-		// Lines the one-pass scanner declines to convert directly, each
-		// followed by lines that leave it its 16 bytes of lookahead.
-		"  0 1 2 3  \n\t1 2 3 4\f\n2 0 3 5\n0 1 2 3\n",
-		"0\t\t1\v\v\v2\f\f3\n0 \t1\v 2\f 3\n0 1 2 3\n0 1 2 3\n",
-		"0 1 2 3\r\n1 2 3 4\r\n2 0 3 5\r\n0 1 2 3\r\n",
-		"1234567 7654321 1234567.1234567 7654321.7654321\n0 1 2 3\n0 1 2 3\n",
-		"12345678 1 12345678.5 1.12345678\n0 1 2 3\n0 1 2 3\n",
-		"0 1000000000 2 3\n0 1 2 3\n0 1 2 3\n", "1000000000 1 2 3\n0 1 2 3\n0 1 2 3\n",
-		"0 1 1234567890123456 2.5\n0 1 2 3\n0 1 2 3\n", "0 1 2 .1234567890123456\n0 1 2 3\n0 1 2 3\n",
-		"0 1 1e5 2\n0 1 2 3\n0 1 2 3\n", "0 1 2 3E-2\n0 1 2 3\n0 1 2 3\n",
-		"-1 2 3 4\n0 1 2 3\n0 1 2 3\n", "0 +1 -2 +3\n0 1 2 3\n0 1 2 3\n",
-		"0 1 . 1\n0 1 2 3\n0 1 2 3\n", "0 1 1.2.3 4\n0 1 2 3\n0 1 2 3\n", "0 1 .5 5.\n0 1 2 3\n0 1 2 3\n",
-		"0 1 2\u00a03\n0 1 2 3\n0 1 2 3\n", "0 1 2é 3\n0 1 2 3\n0 1 2 3\n", "0 1 2 3\x85\n0 1 2 3\n0 1 2 3\n",
+		// Lines the one-pass scanner declines to convert directly or to
+		// split on its own.
+		"  0 1 2 3  \n\t1 2 3 4\f\n", "0\t\t1\v\v\v2\f\f3\n0 \t1\v 2\f 3\n", "0 1 2 3\r\n1 2 3 4\r\n",
+		"0 1000000000 2 3\n", "1000000000 1 2 3\n", "0 1 1234567890123456 2.5\n", "0 1 2 .1234567890123456\n",
+		"0 1 1e5 2\n", "0 1 2 3E-2\n", "-1 2 3 4\n", "0 +1 -2 +3\n",
+		"0 1 . 1\n", "0 1 1.2.3 4\n", "0 1 .5 5.\n",
+		"0 1 2\u00a03\n", "0 1 2é 3\n", "0 1 2 3\x85\n",
 	} {
 		f.Add(seed)
 	}

@@ -4,11 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"compress/gzip"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
-	"math/bits"
 	"os"
 	"path/filepath"
 	"slices"
@@ -386,26 +384,21 @@ func scanLine(text []byte, f *[4]field) (end, nf int) {
 			}
 		}
 		start, v, digits, frac, plain := i, uint64(0), 0, -1, true
-		if len(text)-i >= 16 {
-			i, v, digits, frac = plainField(text, i)
+		for ; i < len(text); i++ {
+			c := text[i]
+			if d := c - '0'; d <= 9 {
+				v = v*10 + uint64(d)
+				digits++
+			} else if byteClass[c] != inField {
+				break
+			} else if c == '.' && frac < 0 {
+				frac = digits
+			} else {
+				plain = false
+			}
 		}
-		if i == start {
-			for ; i < len(text); i++ {
-				c := text[i]
-				if d := c - '0'; d <= 9 {
-					v = v*10 + uint64(d)
-					digits++
-				} else if byteClass[c] != inField {
-					break
-				} else if c == '.' && frac < 0 {
-					frac = digits
-				} else {
-					plain = false
-				}
-			}
-			if frac >= 0 {
-				frac = digits - frac
-			}
+		if frac >= 0 {
+			frac = digits - frac
 		}
 		if nf < len(f) {
 			// Field by field: a composite literal is built on the stack
@@ -417,59 +410,6 @@ func scanLine(text []byte, f *[4]field) (end, nf int) {
 	}
 	return i, nf
 }
-
-// plainField reads the field at text[i:] eight bytes at a time if it is
-// plain and short — up to 7 digits, then maybe a '.' and up to 7 more —
-// and a separator ends it: it returns the separator's index, the value of
-// the digits, how many there are and how many follow the '.' (-1 without
-// one). It needs 16 bytes of text from i on, and declines any other field
-// by returning i.
-func plainField(text []byte, i int) (end int, v uint64, digits, frac int) {
-	x := binary.LittleEndian.Uint64(text[i:])
-	n := digitRun(x)
-	if n == 8 {
-		return i, 0, 0, -1
-	}
-	end, v, digits, frac = i+n, digitsValue(x, n), n, -1
-	if text[end] == '.' {
-		x = binary.LittleEndian.Uint64(text[end+1:])
-		k := digitRun(x)
-		if k == 8 {
-			return i, 0, 0, -1
-		}
-		end, v, digits, frac = end+1+k, v*pow10u[k]+digitsValue(x, k), n+k, k
-	}
-	if c := text[end]; c != ' ' && byteClass[c] != separator {
-		return i, 0, 0, -1
-	}
-	return end, v, digits, frac
-}
-
-// ones has a 1 in every byte.
-const ones = 0x0101010101010101
-
-// digitRun returns how many of the bytes of x, low byte first, are ASCII
-// digits before the first that is not (8 if all are).
-func digitRun(x uint64) int {
-	a := x ^ 0x30*ones // a digit's byte becomes its value
-	// A byte's high bit is set in a|(a+0x76) if and only if the byte is
-	// above 9. A carry out of a byte above 0x89 disturbs only the bytes
-	// after it.
-	return bits.TrailingZeros64((a|(a+0x76*ones))&(0x80*ones)) >> 3
-}
-
-// digitsValue returns the value of the first n < 8 bytes of x, low byte
-// first, which are ASCII digits: the bytes after them are shifted out, and
-// pairs, quads and octets of digits are combined by three multiplications.
-func digitsValue(x uint64, n int) uint64 {
-	x = (x & (0x0f * ones)) << (64 - 8*uint(n))
-	x = (x*10 + x>>8) & 0x00ff00ff00ff00ff
-	x = (x*100 + x>>16) & 0x0000ffff0000ffff
-	return (x*10000 + x>>32) & 0xffffffff
-}
-
-// pow10u holds 10^k for the digit counts digitRun can end before.
-var pow10u = [8]uint64{1, 10, 100, 1000, 10000, 100000, 1000000, 10000000}
 
 // splitUnicode is scanLine for a line that holds a byte outside ASCII.
 func splitUnicode(text []byte, f *[4]field) (end, nf int) {

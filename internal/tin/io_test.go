@@ -287,6 +287,11 @@ func TestSaveNetworkIsAtomic(t *testing.T) {
 func TestParseFloatMatchesStrconv(t *testing.T) {
 	var f [4]field
 	scan := func(s string) *field {
+		if s == "" {
+			// No line scans as an empty field, but its conversion still
+			// fails as strconv's does.
+			return &field{}
+		}
 		if _, nf := scanLine([]byte(s), &f); nf != 1 {
 			t.Fatalf("%q scans as %d fields", s, nf)
 		}
@@ -316,7 +321,7 @@ func TestParseFloatMatchesStrconv(t *testing.T) {
 	for _, s := range []string{
 		"1234567890123456", "1234567890.123456", ".1234567890123456", "0000000000000001",
 		"9007199254740993", "0.30000000000000004", "-0.0", "-1.5", "+0.5", "1.5e3",
-		"1e-3", "0x1p-2", "1_0", "inf", "NaN", ".", "..5", "1..5", "1.5.", "1,5", "٣",
+		"1e-3", "0x1p-2", "1_0", "inf", "NaN", "", ".", "..5", "1..5", "1.5.", "1,5", "٣",
 	} {
 		if _, ok := scan(s).plainNumber(); ok {
 			t.Fatalf("%q is converted directly", s)
@@ -357,15 +362,10 @@ func randomDecimal(r *rand.Rand, b []byte, nd int) []byte {
 // holds the outcome to refParseLine: the same error text, or the same ids
 // and the same time and quantity bits (a self loop is dropped, so only its
 // id is seen), or a blank line or a comment for both. It returns what
-// differs, or "". The line ends the block, or, with pad, a comment line
-// follows it, so that every field has the 16 bytes after its start that
-// the scanner needs to read it eight bytes at a time.
-func lineAgainstRef(b *textBlock, line string, pad bool) string {
+// differs, or "".
+func lineAgainstRef(b *textBlock, line string) string {
 	want, kind, wantErr := refParseLine(line)
 	b.text = append(b.text[:0], line...)
-	if pad {
-		b.text = append(b.text, "\n#                \n"...)
-	}
 	b.parse()
 	switch {
 	case wantErr != nil || b.err != nil:
@@ -412,10 +412,8 @@ func TestScanLineMatchesFields(t *testing.T) {
 		"0\u00a01 2 3", "0 1 2\u00853", "0 1 2 3\x85", "\x850 1 2 3", "0 1 2 3 é", "é", "0 1 2 3\u00a0",
 		"\u00a0# vertices 3", "5 5 2 3", "5 5 x 3",
 	} {
-		for _, pad := range []bool{false, true} {
-			if diff := lineAgainstRef(b, line, pad); diff != "" {
-				t.Fatal(diff)
-			}
+		if diff := lineAgainstRef(b, line); diff != "" {
+			t.Fatal(diff)
 		}
 	}
 	r := rand.New(rand.NewSource(2))
@@ -424,9 +422,9 @@ func TestScanLineMatchesFields(t *testing.T) {
 	if raceEnabled {
 		lines /= 10
 	}
-	for i := range lines {
+	for range lines {
 		line = randomLine(r, line[:0])
-		if diff := lineAgainstRef(b, string(line), i%2 == 0); diff != "" {
+		if diff := lineAgainstRef(b, string(line)); diff != "" {
 			t.Fatal(diff)
 		}
 	}

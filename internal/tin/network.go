@@ -226,59 +226,47 @@ func (n *Network) AddInteraction(from, to VertexID, t, q float64) bool {
 	if q < 0 || math.IsNaN(q) || math.IsNaN(t) || math.IsInf(t, 0) || math.IsInf(q, 0) {
 		panic(fmt.Sprintf("tin: invalid interaction (%v,%v)", t, q))
 	}
-	n.add(from, to, t, q)
-	return true
-}
-
-// add logs a validated interaction between distinct vertices. It does not
-// check the vertex range: the text reader decides the vertex count after
-// the last line.
-func (n *Network) add(from, to VertexID, t, q float64) {
 	b := n.build
-	id, at, isNew := b.pairs.add(pairKey(from, to), EdgeID(len(b.from)))
-	if isNew {
-		b.from, b.to = append(b.from, from), append(b.to, to)
-	}
 	last := len(b.log) - 1
 	if last < 0 || len(b.log[last]) == cap(b.log[last]) {
 		b.log = append(b.log, make([]logRec, 0, logChunk))
 		last++
 	}
-	b.log[last] = append(b.log[last], logRec{time: t, qty: q, edge: id, at: at})
-	b.logged(t, q)
+	b.log[last] = append(b.log[last], logRec{time: t, qty: q})
+	b.note(&b.log[last][len(b.log[last])-1], pairKey(from, to))
 	n.numIA++
+	return true
 }
 
 // addChunk logs recs, validated interactions between distinct vertices
-// whose pair keys are keys, as a chunk of its own: it fills in each
-// record's edge and place in the edge's run, and the log keeps recs. Like
-// add, it does not check the vertex range.
+// whose pair keys are keys, as a chunk of its own, which the log keeps. It
+// does not check the vertex range: the text reader decides the vertex
+// count after the last line.
 func (n *Network) addChunk(recs []logRec, keys []int64) {
 	if len(recs) == 0 {
 		return
 	}
-	b := n.build
 	for i := range recs {
-		r := &recs[i]
-		var isNew bool
-		r.edge, r.at, isNew = b.pairs.add(keys[i], EdgeID(len(b.from)))
-		if isNew {
-			b.from, b.to = append(b.from, VertexID(keys[i]>>32)), append(b.to, VertexID(keys[i]))
-		}
-		b.logged(r.time, r.qty)
+		n.build.note(&recs[i], keys[i])
 	}
-	b.log = append(b.log, recs)
+	n.build.log = append(n.build.log, recs)
 	n.numIA += len(recs)
 }
 
-// logged notes the time and quantity of a record just logged.
-func (b *builder) logged(t, q float64) {
-	if t < b.maxTime {
+// note fills in the edge of r, a record being logged, and its place in the
+// edge's run, from its pair key, and notes its time and quantity.
+func (b *builder) note(r *logRec, key int64) {
+	var isNew bool
+	r.edge, r.at, isNew = b.pairs.add(key, EdgeID(len(b.from)))
+	if isNew {
+		b.from, b.to = append(b.from, VertexID(key>>32)), append(b.to, VertexID(uint32(key)))
+	}
+	if r.time < b.maxTime {
 		b.unsorted = true
 	} else {
-		b.maxTime = t
+		b.maxTime = r.time
 	}
-	b.qty += q
+	b.qty += r.qty
 }
 
 // Finalize assigns the canonical order to all interactions and lays the
