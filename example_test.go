@@ -65,11 +65,11 @@ func ExamplePreSim() {
 // ExampleSearchPB finds 2-hop transaction cycles with precomputed tables:
 // the network has one mutual pair, matched once per direction.
 func ExampleSearchPB() {
-	n := flownet.NewNetwork(3)
-	n.AddInteraction(0, 1, 1, 5) // 0 pays 1 ...
-	n.AddInteraction(1, 0, 2, 4) // ... and 1 pays back
-	n.AddInteraction(1, 2, 3, 9)
-	n.Finalize()
+	b := flownet.NewNetwork(3)
+	b.AddInteraction(0, 1, 1, 5) // 0 pays 1 ...
+	b.AddInteraction(1, 0, 2, 4) // ... and 1 pays back
+	b.AddInteraction(1, 2, 3, 9)
+	n := b.Finalize()
 
 	tables := flownet.Precompute(n, false)
 	sum, _ := flownet.SearchPB(n, tables, flownet.P2, flownet.PatternOptions{})

@@ -34,10 +34,18 @@
 //
 // # Pattern search
 //
-// Whole networks are represented by Network; the instances of small DAG
-// patterns (cyclic transactions, laundering "flowers", relaxed multi-path
-// patterns) and their flows are enumerated with SearchGB (graph browsing)
-// or, after Precompute, the much faster SearchPB.
+// Whole networks are represented by Network, read with LoadNetwork or
+// built with the NetworkBuilder that NewNetwork returns:
+//
+//	b := flownet.NewNetwork(4)
+//	b.AddInteraction(0, 1, 1.0, 5.0) // at time 1, 5 units move 0 -> 1
+//	...
+//	n := b.Finalize()
+//
+// The instances of small DAG patterns (cyclic transactions, laundering
+// "flowers", relaxed multi-path patterns) and their flows are enumerated
+// with SearchGB (graph browsing) or, after Precompute, the much faster
+// SearchPB.
 //
 // # Concurrency
 //
@@ -105,6 +113,9 @@ import (
 type (
 	// Network is a whole temporal interaction network.
 	Network = tin.Network
+	// NetworkBuilder collects the interactions of a Network under
+	// construction; its Finalize returns the Network.
+	NetworkBuilder = tin.Builder
 	// Graph is a flow-computation instance with designated source and sink.
 	Graph = tin.Graph
 	// Interaction is a timestamped transfer (t, q).
@@ -121,27 +132,25 @@ type (
 	BatchItem = tin.BatchItem
 )
 
-// Streaming types (see internal/store): a LiveNetwork publishes versions
-// of a finalized Network — immutable values, each with its generation — so
+// Streaming types (see internal/store): a live network, a Shard, publishes
+// versions of a Network — immutable values, each with its generation — so
 // that time-ordered interaction batches can extend it while queries keep
-// running on the version they pinned, neither waiting for the other. It is the same type as a Store's Shard — NewLiveNetwork returns
-// the shard of a private in-memory store — so everything said about Shard
-// (Append, Reindex, Grow, View/Acquire, Generation, Pending) holds for it.
+// running on the version they pinned, neither waiting for the other.
+// NewLiveNetwork returns the shard of a private in-memory store, so
+// everything said about Shard (Append, Reindex, Grow, View/Acquire,
+// Generation, Pending) holds for it.
 // Network itself also exposes the derivations a shard runs — WithBatch,
 // WithMerged, WithVertices, each returning the next version — and
 // AppendBatch, WithBatch assigned over a single owner's receiver, for
 // callers that manage their own synchronization.
 type (
-	// LiveNetwork is a live-updatable network (generation-counted, safe
-	// for concurrent append and query).
-	LiveNetwork = store.Shard
-	// StreamOptions configure one LiveNetwork/Shard Append call.
+	// StreamOptions configure one Shard Append call.
 	StreamOptions = store.Options
-	// StreamResult reports what one LiveNetwork/Shard mutation did.
+	// StreamResult reports what one Shard mutation did.
 	StreamResult = store.Result
 )
 
-// Out-of-order policies for LiveNetwork/Shard Append.
+// Out-of-order policies for Shard Append.
 const (
 	// StreamPolicyReject fails a batch with out-of-order items atomically.
 	StreamPolicyReject = store.PolicyReject
@@ -173,8 +182,7 @@ type (
 	// StoreCounters are the store-wide durability counters (WAL appends,
 	// fsyncs, snapshots, recoveries).
 	StoreCounters = store.Stats
-	// StreamItem is one streamed interaction for Shard.Append and
-	// LiveNetwork appends via the store.
+	// StreamItem is one streamed interaction for Shard.Append.
 	StreamItem = store.Item
 )
 
@@ -201,17 +209,16 @@ func OpenStore(cfg StoreConfig) (*Store, error) { return store.Open(cfg) }
 // (the format is sniffed), so binary files are drop-in replacements.
 func SaveNetworkBinary(path string, n *Network) error { return tin.SaveNetworkBinary(path, n) }
 
-// NewLiveNetwork makes a finalized network live-updatable — as the sole
-// shard of a private in-memory store; the caller must not use n directly
-// afterwards.
-func NewLiveNetwork(n *Network) (*LiveNetwork, error) {
+// NewLiveNetwork makes a network live-updatable — as the sole shard of a
+// private in-memory store; the caller must not use n directly afterwards.
+func NewLiveNetwork(n *Network) (*Shard, error) {
 	return privateStore().Add(liveNetworkName, n)
 }
 
 // NewEmptyLiveNetwork creates a live network with numV vertices and no
 // interactions, to be populated entirely by appends. It panics when numV
 // is negative or exceeds the store's vertex ceiling (1<<24).
-func NewEmptyLiveNetwork(numV int) *LiveNetwork {
+func NewEmptyLiveNetwork(numV int) *Shard {
 	sh, err := privateStore().Create(liveNetworkName, numV)
 	if err != nil {
 		panic(err)
@@ -219,7 +226,7 @@ func NewEmptyLiveNetwork(numV int) *LiveNetwork {
 	return sh
 }
 
-// liveNetworkName is the name a standalone LiveNetwork is registered under
+// liveNetworkName is the name a standalone live network is registered under
 // in its private store (and reports from Name).
 const liveNetworkName = "live"
 
@@ -300,8 +307,10 @@ func PatternCatalogueByName(name string) *Pattern { return pattern.ByName(name) 
 // source and sink.
 func NewGraph(numV int, source, sink VertexID) *Graph { return tin.NewGraph(numV, source, sink) }
 
-// NewNetwork creates an empty interaction network with numV vertices.
-func NewNetwork(numV int) *Network { return tin.NewNetwork(numV) }
+// NewNetwork returns the builder of an interaction network with numV
+// vertices; its Finalize returns the Network. It panics when numV is
+// negative or exceeds the vertex ceiling (1<<24).
+func NewNetwork(numV int) *NetworkBuilder { return tin.NewBuilder(numV) }
 
 // LoadNetwork reads a network from an interaction file — text or binary
 // (the format is sniffed), optionally gzip-compressed under a .gz name.

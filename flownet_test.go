@@ -100,12 +100,12 @@ func TestReducedEdgeRaisesOrdBound(t *testing.T) {
 }
 
 func TestPublicNetworkAndPatterns(t *testing.T) {
-	n := flownet.NewNetwork(4)
-	n.AddInteraction(0, 1, 1, 5)
-	n.AddInteraction(1, 0, 2, 4)
-	n.AddInteraction(1, 2, 3, 3)
-	n.AddInteraction(2, 0, 4, 3)
-	n.Finalize()
+	b := flownet.NewNetwork(4)
+	b.AddInteraction(0, 1, 1, 5)
+	b.AddInteraction(1, 0, 2, 4)
+	b.AddInteraction(1, 2, 3, 3)
+	b.AddInteraction(2, 0, 4, 3)
+	n := b.Finalize()
 
 	tables := flownet.Precompute(n, true)
 	opts := flownet.PatternOptions{Engine: flownet.EngineLP}
@@ -147,12 +147,12 @@ func TestPublicNetworkAndPatterns(t *testing.T) {
 func TestPublicExtensions(t *testing.T) {
 	// Time-window restriction (§7), source-sink subgraph extraction, and
 	// table delta updates (footnote 2) are all reachable from the facade.
-	n := flownet.NewNetwork(4)
-	n.AddInteraction(0, 1, 1, 5)
-	n.AddInteraction(1, 2, 2, 4)
-	n.AddInteraction(2, 3, 3, 3)
-	n.AddInteraction(1, 3, 9, 1)
-	n.Finalize()
+	b := flownet.NewNetwork(4)
+	b.AddInteraction(0, 1, 1, 5)
+	b.AddInteraction(1, 2, 2, 4)
+	b.AddInteraction(2, 3, 3, 3)
+	b.AddInteraction(1, 3, 9, 1)
+	n := b.Finalize()
 
 	g, ok := n.FlowSubgraphBetween(0, 3)
 	if !ok {
@@ -238,13 +238,13 @@ func TestMaxFlowCyclicInstance(t *testing.T) {
 	}
 
 	// 0→1, then the 1⇄2 cycle, both draining into 3: all 5 units arrive.
-	n := flownet.NewNetwork(4)
-	n.AddInteraction(0, 1, 1, 5)
-	n.AddInteraction(1, 2, 2, 3)
-	n.AddInteraction(2, 1, 3, 2)
-	n.AddInteraction(1, 3, 4, 4)
-	n.AddInteraction(2, 3, 5, 1)
-	n.Finalize()
+	b := flownet.NewNetwork(4)
+	b.AddInteraction(0, 1, 1, 5)
+	b.AddInteraction(1, 2, 2, 3)
+	b.AddInteraction(2, 1, 3, 2)
+	b.AddInteraction(1, 3, 4, 4)
+	b.AddInteraction(2, 3, 5, 1)
+	n := b.Finalize()
 	g, ok := n.FlowSubgraphBetween(0, 3)
 	if !ok {
 		t.Fatal("0 cannot reach 3")
@@ -256,13 +256,13 @@ func TestMaxFlowCyclicInstance(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for found := 0; found < 50; {
 		const numV = 7
-		n := flownet.NewNetwork(numV)
+		nb := flownet.NewNetwork(numV)
 		for i := 0; i < 24; i++ {
 			if a, b := rng.Intn(numV), rng.Intn(numV); a != b {
-				n.AddInteraction(flownet.VertexID(a), flownet.VertexID(b), float64(rng.Intn(12)), float64(1+rng.Intn(9)))
+				nb.AddInteraction(flownet.VertexID(a), flownet.VertexID(b), float64(rng.Intn(12)), float64(1+rng.Intn(9)))
 			}
 		}
-		n.Finalize()
+		n := nb.Finalize()
 		src, snk := flownet.VertexID(rng.Intn(numV)), flownet.VertexID(rng.Intn(numV))
 		if src == snk {
 			continue

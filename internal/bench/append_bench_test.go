@@ -75,23 +75,24 @@ func buildSameEdgesNetwork(tb testing.TB, interactions int) *tin.Network {
 	tb.Helper()
 	const numV, numE = 6000, 8000
 	rng := rand.New(rand.NewSource(7))
-	n := tin.NewNetwork(numV)
+	b := tin.NewBuilder(numV)
 	type pair struct{ from, to tin.VertexID }
 	var pairs []pair
+	seen := make(map[pair]bool, numE)
 	for len(pairs) < numE {
 		p := pair{tin.VertexID(rng.Intn(numV)), tin.VertexID(rng.Intn(numV))}
-		if _, dup := n.HasEdge(p.from, p.to); p.from == p.to || dup {
+		if p.from == p.to || seen[p] {
 			continue
 		}
-		n.AddInteraction(p.from, p.to, rng.Float64(), 1)
+		seen[p] = true
+		b.AddInteraction(p.from, p.to, rng.Float64(), 1)
 		pairs = append(pairs, p)
 	}
 	for i := numE; i < interactions; i++ {
 		p := pairs[rng.Intn(numE)]
-		n.AddInteraction(p.from, p.to, rng.Float64(), float64(rng.Intn(5))+1)
+		b.AddInteraction(p.from, p.to, rng.Float64(), float64(rng.Intn(5))+1)
 	}
-	n.Finalize()
-	return n
+	return b.Finalize()
 }
 
 // TestAppendCostIsBatchBound is the acceptance check behind versioned

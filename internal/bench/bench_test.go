@@ -88,13 +88,13 @@ func TestBuildCorpusParallelMatchesSequential(t *testing.T) {
 // reach ahead of the collected prefix: a seed skipped or collected out of
 // order near the cut shows up here, not on a dense corpus.
 func TestBuildCorpusSparseCapParallel(t *testing.T) {
-	n := tin.NewNetwork(200)
+	nb := tin.NewBuilder(200)
 	for _, v := range []int{0, 50, 100, 150} {
 		a, b := tin.VertexID(v), tin.VertexID(v+1)
-		n.AddInteraction(a, b, float64(v), 5)
-		n.AddInteraction(b, a, float64(v)+1, 5)
+		nb.AddInteraction(a, b, float64(v), 5)
+		nb.AddInteraction(b, a, float64(v)+1, 5)
 	}
-	n.Finalize()
+	n := nb.Finalize()
 	for _, maxSub := range []int{0, 6} {
 		opts := DefaultCorpusOptions()
 		opts.MaxSubgraphs = maxSub

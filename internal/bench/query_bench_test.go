@@ -31,14 +31,14 @@ func buildFootprintNetwork(tb testing.TB, background int) *tin.Network {
 	tb.Helper()
 	numV := footV + 2 + background/50
 	rng := rand.New(rand.NewSource(int64(background)))
-	n := tin.NewNetwork(numV)
+	b := tin.NewBuilder(numV)
 	layers := [][]tin.VertexID{{0}, {1, 2, 3}, {4, 5, 6}, {7, 8}, {9}}
 	t := 1.0
 	for l := 0; l+1 < len(layers); l++ {
 		for _, from := range layers[l] {
 			for _, to := range layers[l+1] {
 				for k := 0; k < 3; k++ {
-					n.AddInteraction(from, to, t, float64(k)+1)
+					b.AddInteraction(from, to, t, float64(k)+1)
 					t += 0.25
 				}
 			}
@@ -51,10 +51,9 @@ func buildFootprintNetwork(tb testing.TB, background int) *tin.Network {
 		if from == to {
 			continue
 		}
-		n.AddInteraction(from, to, rng.Float64()*maxT, float64(rng.Intn(5))+1)
+		b.AddInteraction(from, to, rng.Float64()*maxT, float64(rng.Intn(5))+1)
 	}
-	n.Finalize()
-	return n
+	return b.Finalize()
 }
 
 // extractPair runs the pair query (footprint included) for the fixture's

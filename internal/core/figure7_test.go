@@ -164,19 +164,18 @@ func TestPaperFigure7ChainArrivalsStepwise(t *testing.T) {
 // figure2Network is the transaction network of the paper's Figure 2(a):
 // u1=0, u2=1, u3=2, u4=3.
 func figure2Network() *tin.Network {
-	n := tin.NewNetwork(4)
-	n.AddInteraction(0, 1, 2, 5)
-	n.AddInteraction(0, 1, 4, 3)
-	n.AddInteraction(0, 1, 8, 1)
-	n.AddInteraction(1, 2, 3, 4)
-	n.AddInteraction(1, 2, 5, 2)
-	n.AddInteraction(2, 0, 1, 2)
-	n.AddInteraction(2, 0, 6, 5)
-	n.AddInteraction(2, 3, 9, 4)
-	n.AddInteraction(3, 0, 7, 6)
-	n.AddInteraction(1, 3, 10, 1)
-	n.Finalize()
-	return n
+	b := tin.NewBuilder(4)
+	b.AddInteraction(0, 1, 2, 5)
+	b.AddInteraction(0, 1, 4, 3)
+	b.AddInteraction(0, 1, 8, 1)
+	b.AddInteraction(1, 2, 3, 4)
+	b.AddInteraction(1, 2, 5, 2)
+	b.AddInteraction(2, 0, 1, 2)
+	b.AddInteraction(2, 0, 6, 5)
+	b.AddInteraction(2, 3, 9, 4)
+	b.AddInteraction(3, 0, 7, 6)
+	b.AddInteraction(1, 3, 10, 1)
+	return b.Finalize()
 }
 
 // networkPath returns the interaction sequences along the given vertices.

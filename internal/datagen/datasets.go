@@ -55,7 +55,7 @@ type shape struct {
 
 func generate(cfg Config, sh shape) *tin.Network {
 	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x5eed))
-	n := tin.NewNetwork(cfg.Vertices)
+	n := tin.NewBuilder(cfg.Vertices)
 	v := cfg.Vertices
 
 	type pair struct{ a, b tin.VertexID }
@@ -127,8 +127,7 @@ func generate(cfg Config, sh shape) *tin.Network {
 			n.AddInteraction(p.a, p.b, t, sh.amount(rng))
 		}
 	}
-	n.Finalize()
-	return n
+	return n.Finalize()
 }
 
 // lognormal draws exp(mu + sigma·N(0,1)) rounded to two decimals, floored

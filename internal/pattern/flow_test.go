@@ -128,16 +128,15 @@ func TestInstanceFlowBranches(t *testing.T) {
 // interactions, quantities in hundredths (whose sums round, so a reordered
 // sum shows in the bits) and timestamps drawn from few values (ties).
 func fractionalNetwork(rng *rand.Rand, v, ias int) *tin.Network {
-	n := tin.NewNetwork(v)
+	nb := tin.NewBuilder(v)
 	for i := 0; i < ias; i++ {
 		a, b := tin.VertexID(rng.Intn(v)), tin.VertexID(rng.Intn(v))
 		if a == b {
 			continue
 		}
-		n.AddInteraction(a, b, float64(rng.Intn(ias/4+1)), float64(1+rng.Intn(999))/100)
+		nb.AddInteraction(a, b, float64(rng.Intn(ias/4+1)), float64(1+rng.Intn(999))/100)
 	}
-	n.Finalize()
-	return n
+	return nb.Finalize()
 }
 
 // FuzzInstanceFlow checks checkInstanceFlows on a random network with

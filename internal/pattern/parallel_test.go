@@ -142,10 +142,10 @@ func TestParallelTruncationSemantics(t *testing.T) {
 // and P5 instances.
 func hubNetwork(v int) *tin.Network {
 	rng := rand.New(rand.NewSource(3))
-	n := tin.NewNetwork(v)
+	nb := tin.NewBuilder(v)
 	add := func(a, b int) {
 		for k := 1 + rng.Intn(3); k > 0; k-- {
-			n.AddInteraction(tin.VertexID(a), tin.VertexID(b), float64(rng.Intn(20)), float64(1+rng.Intn(999))/100)
+			nb.AddInteraction(tin.VertexID(a), tin.VertexID(b), float64(rng.Intn(20)), float64(1+rng.Intn(999))/100)
 		}
 	}
 	for x := 1; x < v; x++ {
@@ -155,8 +155,7 @@ func hubNetwork(v int) *tin.Network {
 			add(x, x+1)
 		}
 	}
-	n.Finalize()
-	return n
+	return nb.Finalize()
 }
 
 // TestInstanceClone verifies the deep copy EnumerateGB consumers rely on.

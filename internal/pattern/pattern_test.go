@@ -12,19 +12,18 @@ import (
 // figure2Network is the transaction network of the paper's Figure 2(a):
 // u1=0, u2=1, u3=2, u4=3.
 func figure2Network() *tin.Network {
-	n := tin.NewNetwork(4)
-	n.AddInteraction(0, 1, 2, 5)
-	n.AddInteraction(0, 1, 4, 3)
-	n.AddInteraction(0, 1, 8, 1)
-	n.AddInteraction(1, 2, 3, 4)
-	n.AddInteraction(1, 2, 5, 2)
-	n.AddInteraction(2, 0, 1, 2)
-	n.AddInteraction(2, 0, 6, 5)
-	n.AddInteraction(2, 3, 9, 4)
-	n.AddInteraction(3, 0, 7, 6)
-	n.AddInteraction(1, 3, 10, 1)
-	n.Finalize()
-	return n
+	b := tin.NewBuilder(4)
+	b.AddInteraction(0, 1, 2, 5)
+	b.AddInteraction(0, 1, 4, 3)
+	b.AddInteraction(0, 1, 8, 1)
+	b.AddInteraction(1, 2, 3, 4)
+	b.AddInteraction(1, 2, 5, 2)
+	b.AddInteraction(2, 0, 1, 2)
+	b.AddInteraction(2, 0, 6, 5)
+	b.AddInteraction(2, 3, 9, 4)
+	b.AddInteraction(3, 0, 7, 6)
+	b.AddInteraction(1, 3, 10, 1)
+	return b.Finalize()
 }
 
 func TestCatalogueValid(t *testing.T) {
@@ -165,7 +164,7 @@ func TestPrecomputeCyclesBadHops(t *testing.T) {
 // triangles so every catalogue pattern has instances.
 func randomNetwork(seed int64, v int) *tin.Network {
 	rng := rand.New(rand.NewSource(seed))
-	n := tin.NewNetwork(v)
+	nb := tin.NewBuilder(v)
 	edges := 3 * v
 	for i := 0; i < edges; i++ {
 		a := tin.VertexID(rng.Intn(v))
@@ -175,14 +174,13 @@ func randomNetwork(seed int64, v int) *tin.Network {
 		}
 		k := 1 + rng.Intn(3)
 		for j := 0; j < k; j++ {
-			n.AddInteraction(a, b, float64(rng.Intn(100)), float64(1+rng.Intn(9)))
+			nb.AddInteraction(a, b, float64(rng.Intn(100)), float64(1+rng.Intn(9)))
 		}
 		if rng.Float64() < 0.4 {
-			n.AddInteraction(b, a, float64(rng.Intn(100)), float64(1+rng.Intn(9)))
+			nb.AddInteraction(b, a, float64(rng.Intn(100)), float64(1+rng.Intn(9)))
 		}
 	}
-	n.Finalize()
-	return n
+	return nb.Finalize()
 }
 
 // TestGBEqualsPBAllPatterns is the central application-level property test:
@@ -300,13 +298,13 @@ func TestSummaryAvgFlow(t *testing.T) {
 func TestP4CanonicalOrder(t *testing.T) {
 	// Diamond: a=0, b=1, c=2, d=3 with c/d automorphic; the LessPairs
 	// constraint must yield exactly one instance.
-	n := tin.NewNetwork(4)
-	n.AddInteraction(0, 1, 1, 5) // a->b
-	n.AddInteraction(1, 2, 2, 3) // b->c
-	n.AddInteraction(1, 3, 3, 2) // b->d
-	n.AddInteraction(2, 0, 4, 3) // c->a
-	n.AddInteraction(3, 0, 5, 2) // d->a
-	n.Finalize()
+	nb := tin.NewBuilder(4)
+	nb.AddInteraction(0, 1, 1, 5) // a->b
+	nb.AddInteraction(1, 2, 2, 3) // b->c
+	nb.AddInteraction(1, 3, 3, 2) // b->d
+	nb.AddInteraction(2, 0, 4, 3) // c->a
+	nb.AddInteraction(3, 0, 5, 2) // d->a
+	n := nb.Finalize()
 	ins, err := CollectGB(n, P4, 0)
 	if err != nil {
 		t.Fatalf("CollectGB: %v", err)
@@ -336,12 +334,12 @@ func TestP6NeedsLP(t *testing.T) {
 	// greedy: b=6, sends 5 to c, 1 on chord; c forwards min(2,5)=2: total 3.
 	// optimal: send 2 to c (enough for c→a), keep 3 for chord (cap 3),
 	// c forwards 2: total 5.
-	n := tin.NewNetwork(3)
-	n.AddInteraction(0, 1, 1, 6)
-	n.AddInteraction(1, 2, 2, 5)
-	n.AddInteraction(1, 0, 3, 3)
-	n.AddInteraction(2, 0, 4, 2)
-	n.Finalize()
+	b := tin.NewBuilder(3)
+	b.AddInteraction(0, 1, 1, 6)
+	b.AddInteraction(1, 2, 2, 5)
+	b.AddInteraction(1, 0, 3, 3)
+	b.AddInteraction(2, 0, 4, 2)
+	n := b.Finalize()
 	ins, err := CollectGB(n, P6, 0)
 	if err != nil {
 		t.Fatalf("CollectGB: %v", err)
@@ -360,13 +358,13 @@ func TestP6NeedsLP(t *testing.T) {
 
 func TestRelaxedPatternsSmall(t *testing.T) {
 	// Star of 2-cycles around vertex 0: a→1→a, a→2→a.
-	n := tin.NewNetwork(4)
-	n.AddInteraction(0, 1, 1, 5)
-	n.AddInteraction(1, 0, 2, 3)
-	n.AddInteraction(0, 2, 3, 4)
-	n.AddInteraction(2, 0, 4, 4)
-	n.AddInteraction(0, 3, 5, 1) // dangling, no cycle
-	n.Finalize()
+	b := tin.NewBuilder(4)
+	b.AddInteraction(0, 1, 1, 5)
+	b.AddInteraction(1, 0, 2, 3)
+	b.AddInteraction(0, 2, 3, 4)
+	b.AddInteraction(2, 0, 4, 4)
+	b.AddInteraction(0, 3, 5, 1) // dangling, no cycle
+	n := b.Finalize()
 	gb, err := SearchGB(n, RP2, Options{})
 	if err != nil {
 		t.Fatalf("GB: %v", err)

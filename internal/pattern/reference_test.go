@@ -81,18 +81,17 @@ func referenceNetwork(seed int64) *tin.Network {
 	rng := rand.New(rand.NewSource(seed))
 	v := 4 + rng.Intn(9)
 	density := 0.1 + 0.5*rng.Float64()
-	n := tin.NewNetwork(v)
+	nb := tin.NewBuilder(v)
 	for a := 0; a < v; a++ {
 		for b := 0; b < v; b++ {
 			if a != b && rng.Float64() < density {
 				for k := 1 + rng.Intn(2); k > 0; k-- {
-					n.AddInteraction(tin.VertexID(a), tin.VertexID(b), float64(rng.Intn(20)), float64(1+rng.Intn(9)))
+					nb.AddInteraction(tin.VertexID(a), tin.VertexID(b), float64(rng.Intn(20)), float64(1+rng.Intn(9)))
 				}
 			}
 		}
 	}
-	n.Finalize()
-	return n
+	return nb.Finalize()
 }
 
 // TestInstancesMatchDefinition2 is the independent instance reference of

@@ -18,12 +18,11 @@ type interactionRecord struct {
 }
 
 func buildFrom(v int, recs []interactionRecord) *tin.Network {
-	n := tin.NewNetwork(v)
+	b := tin.NewBuilder(v)
 	for _, r := range recs {
-		n.AddInteraction(r.from, r.to, r.t, r.q)
+		b.AddInteraction(r.from, r.to, r.t, r.q)
 	}
-	n.Finalize()
-	return n
+	return b.Finalize()
 }
 
 // touchedBy returns the vertices the appended records touch — the
@@ -187,14 +186,14 @@ func TestUpdateSearchConsistency(t *testing.T) {
 
 func TestMinPathsConstraint(t *testing.T) {
 	// Anchor 0 has two 2-cycles, anchor 3 has one.
-	n := tin.NewNetwork(5)
-	n.AddInteraction(0, 1, 1, 5)
-	n.AddInteraction(1, 0, 2, 3)
-	n.AddInteraction(0, 2, 3, 4)
-	n.AddInteraction(2, 0, 4, 4)
-	n.AddInteraction(3, 4, 5, 2)
-	n.AddInteraction(4, 3, 6, 2)
-	n.Finalize()
+	b := tin.NewBuilder(5)
+	b.AddInteraction(0, 1, 1, 5)
+	b.AddInteraction(1, 0, 2, 3)
+	b.AddInteraction(0, 2, 3, 4)
+	b.AddInteraction(2, 0, 4, 4)
+	b.AddInteraction(3, 4, 5, 2)
+	b.AddInteraction(4, 3, 6, 2)
+	n := b.Finalize()
 	tb := Precompute(n, true)
 
 	// MinPaths 2: only anchor 0 qualifies for RP2 (anchors 1, 2, 3, 4 have
@@ -226,13 +225,13 @@ func TestMinPathsConstraint(t *testing.T) {
 
 func TestMinPathsRelaxedChains(t *testing.T) {
 	// Two chains 0→1→3 and 0→2→3 share the (0,3) endpoint pair.
-	n := tin.NewNetwork(5)
-	n.AddInteraction(0, 1, 1, 5)
-	n.AddInteraction(1, 3, 2, 3)
-	n.AddInteraction(0, 2, 3, 4)
-	n.AddInteraction(2, 3, 4, 2)
-	n.AddInteraction(0, 4, 5, 1) // single chain 0→4→? none
-	n.Finalize()
+	b := tin.NewBuilder(5)
+	b.AddInteraction(0, 1, 1, 5)
+	b.AddInteraction(1, 3, 2, 3)
+	b.AddInteraction(0, 2, 3, 4)
+	b.AddInteraction(2, 3, 4, 2)
+	b.AddInteraction(0, 4, 5, 1) // single chain 0→4→? none
+	n := b.Finalize()
 	tb := Precompute(n, true)
 	opts := Options{MinPaths: 2}
 	gb, err := SearchGB(n, RP1, opts)
@@ -266,11 +265,11 @@ func FuzzTablesUpdate(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, numV, base, appended uint8) {
 		v := 2 + int(numV)%40
 		rng := rand.New(rand.NewSource(seed))
-		n := tin.NewNetwork(v)
+		b := tin.NewBuilder(v)
 		for i := 0; i < int(base); i++ {
-			n.AddInteraction(tin.VertexID(rng.Intn(v)), tin.VertexID(rng.Intn(v)), float64(rng.Intn(50)), float64(rng.Intn(9)))
+			b.AddInteraction(tin.VertexID(rng.Intn(v)), tin.VertexID(rng.Intn(v)), float64(rng.Intn(50)), float64(rng.Intn(9)))
 		}
-		n.Finalize()
+		n := b.Finalize()
 		tables := Precompute(n, true)
 
 		var touched []tin.VertexID

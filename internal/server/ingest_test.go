@@ -17,12 +17,11 @@ import (
 // buildNet finalizes a small hand-built network.
 func buildNet(t testing.TB, numV int, items []tin.BatchItem) *tin.Network {
 	t.Helper()
-	n := tin.NewNetwork(numV)
+	b := tin.NewBuilder(numV)
 	for _, it := range items {
-		n.AddInteraction(it.From, it.To, it.Time, it.Qty)
+		b.AddInteraction(it.From, it.To, it.Time, it.Qty)
 	}
-	n.Finalize()
-	return n
+	return b.Finalize()
 }
 
 // chainItems carries 5 units 0 -> 1 -> 2 at times 1, 2: pair flow 0->2 is 5.

@@ -13,7 +13,7 @@
 //	GET  /stats       per-endpoint counters, cache stats, uptime
 //	GET  /healthz     liveness probe
 //
-// Loaded networks are finalized and immutable and every query entry point
+// Loaded networks are immutable and every query entry point
 // of the library is read-only (see the root package's Concurrency section),
 // so requests are served fully concurrently. Successful /flow, /flow/batch
 // and /patterns responses are memoized in a bounded LRU (internal/cache)
@@ -116,7 +116,7 @@ type Config struct {
 }
 
 // Server serves flow and pattern queries over the networks owned by its
-// store. Create one with New, add finalized networks with AddNetwork (or
+// store. Create one with New, add networks with AddNetwork (or
 // hand New a pre-populated store), then serve Handler (or call Serve).
 type Server struct {
 	cfg     Config
@@ -192,15 +192,15 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// AddNetwork registers a finalized network under the given name — a thin
+// AddNetwork registers a network under the given name — a thin
 // wrapper over the store's Add (which, on a durable store, also writes the
 // network's initial snapshot). When exactly one network is loaded,
 // requests may omit the network parameter. The caller must not use n
 // directly afterwards: the store wraps it for live updates, and direct
 // access would race with ingestion.
 func (s *Server) AddNetwork(name string, n *tin.Network) error {
-	if n == nil || !n.Finalized() {
-		return fmt.Errorf("server: network %q must be non-nil and finalized", name)
+	if n == nil {
+		return fmt.Errorf("server: network %q must be non-nil", name)
 	}
 	_, err := s.store.Add(name, n)
 	return err

@@ -361,10 +361,8 @@ func (s *Store) Create(name string, vertices int) (*Shard, error) {
 	if err := s.reserve(name); err != nil {
 		return nil, err
 	}
-	empty := tin.NewNetwork(vertices)
-	empty.Finalize()
 	sh := &Shard{store: s, name: name}
-	sh.publish(empty, 1, 0)
+	sh.publish(tin.NewBuilder(vertices).Finalize(), 1, 0)
 	if s.durable() {
 		if err := sh.makeDir(); err != nil {
 			s.unreserve(name)
@@ -402,9 +400,9 @@ func (sh *Shard) makeDir() error {
 	return nil
 }
 
-// Add registers an externally built, finalized network — the -net load
-// path. Durable stores write the network's initial binary snapshot right
-// away, so recovery is self-contained: a restart restores the network
+// Add registers an externally built network — the -net load path.
+// Durable stores write the network's initial binary snapshot right away,
+// so recovery is self-contained: a restart restores the network
 // (plus everything ingested since) from the data directory alone, without
 // the original file. Like Create, the snapshot write happens with only
 // the name reserved, so a large initial snapshot never stalls queries.
@@ -412,13 +410,13 @@ func (s *Store) Add(name string, n *tin.Network) (*Shard, error) {
 	if err := validateName(name); err != nil {
 		return nil, err
 	}
+	if n == nil {
+		return nil, fmt.Errorf("store: network %q must be non-nil", name)
+	}
 	// ReadNetworkBinary rejects empty and oversized snapshots, so Add must
 	// too, or the initial snapshot would be unrecoverable.
-	if n != nil && (n.NumVertices() == 0 || n.NumVertices() > maxCreateVertices) {
+	if n.NumVertices() == 0 || n.NumVertices() > maxCreateVertices {
 		return nil, fmt.Errorf("store: network %q: vertex count %d outside [1,%d]", name, n.NumVertices(), maxCreateVertices)
-	}
-	if n == nil || !n.Finalized() {
-		return nil, fmt.Errorf("store: network %q must be non-nil and finalized", name)
 	}
 	if err := s.reserve(name); err != nil {
 		return nil, err
@@ -1008,8 +1006,7 @@ func (s *Store) recoverShard(dir, name string) (*Shard, error) {
 				lastErr = fmt.Errorf("WAL base vertex count %d exceeds limit", hdr.numV)
 				continue
 			}
-			base = tin.NewNetwork(int(hdr.numV))
-			base.Finalize()
+			base = tin.NewBuilder(int(hdr.numV)).Finalize()
 		}
 		if hdr.baseGen < 1 {
 			lastErr = fmt.Errorf("WAL base generation must be >= 1, got %d", hdr.baseGen)

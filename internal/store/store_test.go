@@ -305,10 +305,10 @@ func TestAutoCheckpoint(t *testing.T) {
 // snapshot: the reopened store restores the network without the original
 // source, including post-Add ingests.
 func TestAddExternalNetworkDurable(t *testing.T) {
-	n := tin.NewNetwork(3)
-	n.AddInteraction(0, 1, 1, 5)
-	n.AddInteraction(1, 2, 2, 5)
-	n.Finalize()
+	b := tin.NewBuilder(3)
+	b.AddInteraction(0, 1, 1, 5)
+	b.AddInteraction(1, 2, 2, 5)
+	n := b.Finalize()
 
 	dir := t.TempDir()
 	s := openTestStore(t, Config{Dir: dir})
@@ -712,9 +712,9 @@ func TestOpenReleasesLockOnError(t *testing.T) {
 func TestOpenRefusesHostileSnapshotHeader(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, Config{Dir: dir})
-	n := tin.NewNetwork(3)
-	n.AddInteraction(0, 1, 1, 5)
-	n.Finalize()
+	b := tin.NewBuilder(3)
+	b.AddInteraction(0, 1, 1, 5)
+	n := b.Finalize()
 	if _, err := s.Add("ext", n); err != nil {
 		t.Fatal(err)
 	}
@@ -889,9 +889,9 @@ func TestInjectedSnapshotFaultFailsAdd(t *testing.T) {
 		Dir: dir,
 		FS:  fault.NewInjector(nil, &fault.Rule{Op: fault.OpSync, Path: "snapshot-"}),
 	})
-	n := tin.NewNetwork(3)
-	n.AddInteraction(0, 1, 1, 5)
-	n.Finalize()
+	b := tin.NewBuilder(3)
+	b.AddInteraction(0, 1, 1, 5)
+	n := b.Finalize()
 	if _, err := s.Add("net", n); !errors.Is(err, ErrDurability) {
 		t.Fatalf("Add with failing snapshot fsync: err = %v, want ErrDurability", err)
 	}
@@ -914,8 +914,7 @@ func TestCreateAddEnforceRecoveryBounds(t *testing.T) {
 	if _, err := s.Create("big", maxCreateVertices+1); err == nil {
 		t.Error("Create accepted a vertex count recovery would reject")
 	}
-	empty := tin.NewNetwork(0)
-	empty.Finalize()
+	empty := tin.NewBuilder(0).Finalize()
 	if _, err := s.Add("empty", empty); err == nil {
 		t.Error("Add accepted a zero-vertex network whose snapshot cannot be read back")
 	}
@@ -1086,15 +1085,14 @@ func TestNoReaderSeesAnUnannouncedGeneration(t *testing.T) {
 // versionTestNetwork is a small dense network: 40 vertices, 600 interactions
 // at times 1..600, so seeds have returning paths and pairs have routes.
 func versionTestNetwork() *tin.Network {
-	n := tin.NewNetwork(40)
+	b := tin.NewBuilder(40)
 	for i := 0; i < 600; i++ {
 		from, to := tin.VertexID(i*7%40), tin.VertexID((i*11+3)%40)
 		if from != to {
-			n.AddInteraction(from, to, float64(i+1), float64(i%9+1))
+			b.AddInteraction(from, to, float64(i+1), float64(i%9+1))
 		}
 	}
-	n.Finalize()
-	return n
+	return b.Finalize()
 }
 
 // versionBatch returns the i-th 64-item batch of the append stream used by

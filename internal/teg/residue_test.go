@@ -23,10 +23,10 @@ import (
 // network interaction; ends maps it to the interaction's endpoints.
 func residueNetwork(data []byte) (n *tin.Network, w *tin.TimeWindow, ends map[float64][2]tin.VertexID) {
 	const numV, maxItems = 8, 512
-	n = tin.NewNetwork(numV)
+	b := tin.NewBuilder(numV)
 	ends = map[float64][2]tin.VertexID{}
 	if len(data) == 0 {
-		n.Finalize()
+		n = b.Finalize()
 		return n, nil, ends
 	}
 	ctl := data[0]
@@ -47,15 +47,15 @@ func residueNetwork(data []byte) (n *tin.Network, w *tin.TimeWindow, ends map[fl
 	}
 	split := int(ctl>>2) % (len(items) + 1)
 	for _, it := range items[:split] {
-		n.AddInteraction(it.From, it.To, it.Time, it.Qty)
+		b.AddInteraction(it.From, it.To, it.Time, it.Qty)
 	}
-	n.Finalize()
+	n = b.Finalize()
 	chunk := 1 + int(ctl>>5)
-	for b, rest := 0, items[split:]; len(rest) > 0; b++ {
+	for k, rest := 0, items[split:]; len(rest) > 0; k++ {
 		batch := append([]tin.BatchItem(nil), rest[:min(chunk, len(rest))]...)
 		rest = rest[len(batch):]
 		var err error
-		if (b+int(ctl>>6))%2 == 0 {
+		if (k+int(ctl>>6))%2 == 0 {
 			if n, _, err = n.WithMerged(batch); err != nil {
 				panic(err)
 			}

@@ -9,8 +9,8 @@ import (
 	"sync/atomic"
 )
 
-// This file implements streaming append: extending a *finalized* network
-// with new interactions. The paper computes flow over a fixed network; a
+// This file implements streaming append: extending a network with new
+// interactions. The paper computes flow over a fixed network; a
 // live service (internal/store, internal/server) must also absorb
 // interactions that arrive after load.
 //
@@ -20,7 +20,7 @@ import (
 // sequence — every ordering invariant (Ord is the global canonical rank,
 // edge sequences sorted by Ord) is preserved without any re-sort.
 //
-// A finalized network is an immutable value, so an append is a derivation:
+// A network is an immutable value, so an append is a derivation:
 // appended returns the next version, which shares the base image (csr.go)
 // and carries everything added since that base in a tail — the grown runs
 // of touched edges, the new edges, the extended adjacency runs of their
@@ -34,10 +34,10 @@ import (
 //
 // Out-of-order arrivals cannot keep the invariants at all; they are
 // accepted only through WithMerged, which folds and re-ranks the whole
-// network before it returns — so a finalized network is always in
-// canonical order and always queryable.
+// network before it returns — so a network is always in canonical order
+// and always queryable.
 //
-// A finalized network changes only by derivation: WithBatch, WithMerged
+// A network changes only by derivation: WithBatch, WithMerged
 // and WithVertices return the next version and leave the receiver as it
 // was. AppendBatch is WithBatch for a single owner, assigned over the
 // receiver.
@@ -75,8 +75,8 @@ type BatchItem struct {
 // are never written); the runs they point at — edge sequences and adjacency
 // runs — are shared along the line of versions and only ever grow past the
 // length an older version's table records, so sharing them is safe and an
-// append to a run with spare capacity copies nothing. Only a finalized
-// network has a tail: one under construction is a builder (network.go).
+// append to a run with spare capacity copies nothing. A network under
+// construction is a Builder (network.go), which has no tail.
 type tail struct {
 	// slots finds a base edge's or a vertex's entry in the tables below.
 	slots *slots
@@ -256,7 +256,7 @@ func (n *Network) appended(items []BatchItem) (next *Network, count int, anyLate
 		t = n.fork(n.numV, len(apply))
 	}
 	b := n.base
-	next = &Network{numV: n.numV, base: b, tail: t, finalized: true,
+	next = &Network{numV: n.numV, base: b, tail: t,
 		numIA: n.numIA + len(apply), nextOrd: n.nextOrd, maxTime: n.maxTime}
 
 	// Resolve every item's edge, opening missing edges in first-occurrence
@@ -338,9 +338,6 @@ func (n *Network) rebuilt() *Network {
 // owners about to spend that anyway, such as a snapshot write — appends
 // fold on their own when the tail passes a fixed size.
 func (n *Network) Folded() *Network {
-	if !n.finalized {
-		panic("tin: Folded before Finalize")
-	}
 	if n.tail == nil {
 		return n
 	}
@@ -362,7 +359,7 @@ func (n *Network) become(next *Network) {
 }
 
 // MaxTime returns the latest interaction timestamp in the network, or -inf
-// when the network has no interactions. Only valid after Finalize.
+// when the network has no interactions.
 func (n *Network) MaxTime() float64 { return n.maxTime }
 
 // WithVertices returns the network with its vertex space extended to numV
@@ -398,13 +395,9 @@ func (n *Network) CheckItem(it BatchItem) error {
 }
 
 // checkBatch validates a whole batch before anything is derived from it:
-// the network must be finalized, every non-loop item must pass CheckItem
-// and, when ordered, must not precede its predecessor or MaxTime. what
-// names the caller in the not-finalized error.
-func (n *Network) checkBatch(items []BatchItem, ordered bool, what string) error {
-	if !n.finalized {
-		return fmt.Errorf("tin: %s before Finalize", what)
-	}
+// every non-loop item must pass CheckItem and, when ordered, must not
+// precede its predecessor or MaxTime.
+func (n *Network) checkBatch(items []BatchItem, ordered bool) error {
 	last := n.maxTime
 	for i, it := range items {
 		if it.From == it.To {
@@ -433,8 +426,8 @@ func (n *Network) checkBatch(items []BatchItem, ordered bool, what string) error
 // untouched. Self loops are skipped silently. It returns the number of
 // interactions actually appended.
 //
-// The resulting network is indistinguishable from one built by adding the
-// same interactions before Finalize: appended interactions take the next
+// The resulting network is indistinguishable from one a Builder finalizes
+// after the same interactions are added: appended interactions take the next
 // canonical ranks, which is exactly where the (Time, insertion index) sort
 // would have placed them.
 func (n *Network) AppendBatch(items []BatchItem) (int, error) {
@@ -460,7 +453,7 @@ func (n *Network) AppendBatch(items []BatchItem) (int, error) {
 // the touched vertices pattern.Tables.Update takes, and they bound which
 // cached query answers can differ on the new version.
 func (n *Network) WithBatch(items []BatchItem) (next *Network, appended int, changed []EdgeID, err error) {
-	if err := n.checkBatch(items, true, "AppendBatch"); err != nil {
+	if err := n.checkBatch(items, true); err != nil {
 		return nil, 0, nil, err
 	}
 	next, appended, _, changed = n.appended(items)
@@ -479,7 +472,7 @@ func (n *Network) WithBatch(items []BatchItem) (next *Network, appended int, cha
 // batch is validated atomically, self loops are skipped and the receiver
 // is left as it was. It returns the number of interactions merged.
 func (n *Network) WithMerged(items []BatchItem) (next *Network, merged int, err error) {
-	if err := n.checkBatch(items, false, "WithMerged"); err != nil {
+	if err := n.checkBatch(items, false); err != nil {
 		return nil, 0, err
 	}
 	next, merged, anyLate, _ := n.appended(items)

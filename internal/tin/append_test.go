@@ -11,12 +11,11 @@ import (
 // buildNetwork finalizes a fresh network containing the given items.
 func buildNetwork(t *testing.T, numV int, items []BatchItem) *Network {
 	t.Helper()
-	n := NewNetwork(numV)
+	b := NewBuilder(numV)
 	for _, it := range items {
-		n.AddInteraction(it.From, it.To, it.Time, it.Qty)
+		b.AddInteraction(it.From, it.To, it.Time, it.Qty)
 	}
-	n.Finalize()
-	return n
+	return b.Finalize()
 }
 
 // withBatch derives the version of n extended by the time-ordered items.
@@ -128,9 +127,6 @@ func TestAppendValidation(t *testing.T) {
 	if err != nil || appended != 1 {
 		t.Fatalf("AppendBatch with self loop: appended=%d err=%v, want 1, nil", appended, err)
 	}
-	if _, err := NewNetwork(2).AppendBatch(nil); err == nil {
-		t.Error("AppendBatch before Finalize succeeded, want error")
-	}
 }
 
 // TestMergeUnorderedMatchesRebuild checks the out-of-order path: WithMerged
@@ -173,9 +169,6 @@ func TestMergeUnorderedMatchesRebuild(t *testing.T) {
 	}
 	if _, appended, err := m.WithMerged([]BatchItem{{2, 2, 1, 1}}); err != nil || appended != 0 {
 		t.Fatalf("self-loop merge: appended=%d err=%v, want 0, nil", appended, err)
-	}
-	if _, _, err := NewNetwork(2).WithMerged(nil); err == nil {
-		t.Error("WithMerged before Finalize succeeded, want error")
 	}
 
 	// Duplicate timestamps: times from a tiny domain, several merges in a
@@ -232,8 +225,7 @@ func TestGrowVertices(t *testing.T) {
 // TestAppendEmptyNetwork covers the live-service bootstrap: a network
 // finalized empty, then populated entirely by appends.
 func TestAppendEmptyNetwork(t *testing.T) {
-	n := NewNetwork(3)
-	n.Finalize()
+	n := NewBuilder(3).Finalize()
 	if !math.IsInf(n.MaxTime(), -1) {
 		t.Fatalf("empty MaxTime = %v, want -inf", n.MaxTime())
 	}

@@ -518,11 +518,10 @@ func (img *image) network(mm *mmapRegion) *Network {
 		off = end
 	}
 	return &Network{
-		numV:      int(img.numV),
-		numIA:     int(img.numIA),
-		nextOrd:   img.numIA,
-		finalized: true,
-		maxTime:   img.maxTime,
+		numV:    int(img.numV),
+		numIA:   int(img.numIA),
+		nextOrd: img.numIA,
+		maxTime: img.maxTime,
 		base: &base{
 			edges:    edges,
 			arena:    img.arena,

@@ -27,9 +27,6 @@ func TestBinaryRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameNetwork(t, n, m)
-	if !m.Finalized() {
-		t.Fatal("binary load returned an unfinalized network")
-	}
 	if m.MaxTime() != n.MaxTime() {
 		t.Fatalf("MaxTime after binary load = %v, want %v", m.MaxTime(), n.MaxTime())
 	}
@@ -38,8 +35,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 // TestBinaryRoundTripEmpty covers a network with vertices but no
 // interactions — the shape of a freshly created ingest-ready network.
 func TestBinaryRoundTripEmpty(t *testing.T) {
-	n := NewNetwork(7)
-	n.Finalize()
+	n := NewBuilder(7).Finalize()
 	var buf bytes.Buffer
 	if err := WriteNetworkBinary(&buf, n); err != nil {
 		t.Fatal(err)
@@ -306,10 +302,10 @@ func FuzzLoadNetwork(f *testing.F) {
 	f.Add([]byte(binaryMagic), false)
 	f.Add([]byte("FNTB garbage that is not a real header"), false)
 	var valid bytes.Buffer
-	n := NewNetwork(3)
-	n.AddInteraction(0, 1, 1, 5)
-	n.AddInteraction(1, 2, 2, 5)
-	n.Finalize()
+	b := NewBuilder(3)
+	b.AddInteraction(0, 1, 1, 5)
+	b.AddInteraction(1, 2, 2, 5)
+	n := b.Finalize()
 	if err := WriteNetworkBinary(&valid, n); err != nil {
 		f.Fatal(err)
 	}
@@ -318,11 +314,11 @@ func FuzzLoadNetwork(f *testing.F) {
 	f.Add(valid.Bytes(), true)                         // gzip-compressed binary
 	f.Add([]byte{0x1f, 0x8b, 0xff, 0x00}, true)        // gzip magic, corrupt stream
 	f.Add(hostileHeader(), false)
-	chain := NewNetwork(4)
-	chain.AddInteraction(0, 1, 1, 1)
-	chain.AddInteraction(1, 2, 2, 1)
-	chain.AddInteraction(2, 3, 3, 1)
-	chain.Finalize()
+	cb := NewBuilder(4)
+	cb.AddInteraction(0, 1, 1, 1)
+	cb.AddInteraction(1, 2, 2, 1)
+	cb.AddInteraction(2, 3, 3, 1)
+	chain := cb.Finalize()
 	var swapped bytes.Buffer
 	if err := WriteNetworkBinary(&swapped, chain); err != nil {
 		f.Fatal(err)

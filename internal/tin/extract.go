@@ -156,9 +156,6 @@ type Extraction struct {
 // the graph, or a class-A seed's runs and their endpoints (and the
 // footprint).
 func (n *Network) Extract(q Query) Extraction {
-	if !n.finalized {
-		panic("tin: Extract before Finalize")
-	}
 	sc := scratchPool.Get().(*queryScratch)
 	defer scratchPool.Put(sc)
 	sc.begin(n.numV)

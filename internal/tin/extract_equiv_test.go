@@ -222,7 +222,7 @@ func TestExtractEquivalenceRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 25; trial++ {
 		numV := 4 + rng.Intn(6)
-		n := NewNetwork(numV)
+		b := NewBuilder(numV)
 		tm := 0.0
 		randItem := func() BatchItem {
 			tm += rng.Float64()
@@ -233,9 +233,9 @@ func TestExtractEquivalenceRandom(t *testing.T) {
 		}
 		for i, k := 0, rng.Intn(30); i < k; i++ {
 			it := randItem()
-			n.AddInteraction(it.From, it.To, it.Time, it.Qty)
+			b.AddInteraction(it.From, it.To, it.Time, it.Qty)
 		}
-		n.Finalize()
+		n := b.Finalize()
 		for step, steps := 0, rng.Intn(5); step < steps; step++ {
 			batch := make([]BatchItem, 1+rng.Intn(6))
 			for i := range batch {
@@ -285,14 +285,14 @@ func TestSortEdgeIDs(t *testing.T) {
 // the reference builder, and its distinct-ids precondition: pattern
 // instances are injective, so a repeated id is a caller bug and panics.
 func TestBuildFlowGraph(t *testing.T) {
-	n := NewNetwork(5)
-	n.AddInteraction(0, 1, 1, 2)
-	n.AddInteraction(1, 2, 3, 1)
-	n.AddInteraction(1, 2, 7, 4)
-	n.AddInteraction(2, 4, 5, 2)
-	n.AddInteraction(0, 3, 9, 1)
-	n.AddInteraction(3, 4, 9, 3)
-	n.Finalize()
+	b := NewBuilder(5)
+	b.AddInteraction(0, 1, 1, 2)
+	b.AddInteraction(1, 2, 3, 1)
+	b.AddInteraction(1, 2, 7, 4)
+	b.AddInteraction(2, 4, 5, 2)
+	b.AddInteraction(0, 3, 9, 1)
+	b.AddInteraction(3, 4, 9, 3)
+	n := b.Finalize()
 	ids := func(pairs ...[2]VertexID) []EdgeID {
 		var out []EdgeID
 		for _, p := range pairs {
@@ -386,11 +386,11 @@ func FuzzExtractEquivalence(f *testing.F) {
 	f.Add([]byte{0x03, 2, 3, 9, 1, 3, 2, 9, 1, 2, 3, 9, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		numV, base, appends, unordered, w := decodeEquivFuzzInput(data)
-		n := NewNetwork(numV)
+		b := NewBuilder(numV)
 		for _, it := range base {
-			n.AddInteraction(it.From, it.To, it.Time, it.Qty)
+			b.AddInteraction(it.From, it.To, it.Time, it.Qty)
 		}
-		n.Finalize()
+		n := b.Finalize()
 		for i, batch := range appends {
 			if unordered[i] {
 				var err error

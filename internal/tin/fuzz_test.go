@@ -13,12 +13,12 @@ import (
 )
 
 // refReadNetwork is the text reader written the plain way: every line
-// through refParseLine, every parsed line buffered, and the network built
+// through refParseLine, every parsed line buffered, and the builder filled
 // once the vertex count is known. It also returns the reference layout of
 // the lines (buildRef), which owes nothing to the builder's.
 // FuzzReadNetwork holds ReadNetwork, which parses lines in place straight
 // into the builder, to both.
-func refReadNetwork(r io.Reader) (*Network, *refModel, error) {
+func refReadNetwork(r io.Reader) (*Builder, *refModel, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
 	var lines []textLine
@@ -53,15 +53,14 @@ func refReadNetwork(r io.Reader) (*Network, *refModel, error) {
 	if nv > MaxVertices {
 		return nil, nil, fmt.Errorf("tin: vertex count %d exceeds limit %d", nv, MaxVertices)
 	}
-	n := NewNetwork(nv)
+	b := NewBuilder(nv)
 	var items []refItem
 	for _, l := range lines {
-		if n.AddInteraction(l.from, l.to, l.t, l.q) {
+		if b.AddInteraction(l.from, l.to, l.t, l.q) {
 			items = append(items, refItem{from: l.from, to: l.to, time: l.t, qty: l.q})
 		}
 	}
-	n.Finalize()
-	return n, buildRef(nv, items), nil
+	return b, buildRef(nv, items), nil
 }
 
 // What a line of the text format is, by refParseLine.
@@ -188,10 +187,18 @@ func TestReadNetworkLongLine(t *testing.T) {
 // parsers in parallel, and at a few bytes on at least two Ps
 // (withSmallChunks), so that Finalize scatters the log's chunks, which are
 // the blocks' records, in parallel. What it accepts must also survive the
-// text writer.
+// text writer. The reference builder is finalized twice: Finalize only
+// reads the log, so both networks must be the same, byte for byte.
 func checkReadNetwork(t *testing.T, data string) {
 	t.Helper()
-	ref, model, refErr := refReadNetwork(strings.NewReader(data))
+	refB, model, refErr := refReadNetwork(strings.NewReader(data))
+	var ref *Network
+	if refErr == nil {
+		ref = refB.Finalize()
+		if !bytes.Equal(snapshotBytes(t, refB.Finalize()), snapshotBytes(t, ref)) {
+			t.Fatal("a second Finalize of the reference builder differs from the first")
+		}
+	}
 	var n *Network
 	for _, run := range []struct {
 		size  int

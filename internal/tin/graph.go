@@ -158,9 +158,6 @@ func (g *Graph) Finalize() {
 	}
 }
 
-// Finalized reports whether Finalize has been called.
-func (g *Graph) Finalized() bool { return g.finalized }
-
 // OrdBound returns the exclusive upper bound of the graph's Ords. Every
 // interaction's Ord is unique in the graph and inside [0, OrdBound):
 // AddInteraction, Finalize and extraction hand out dense ranks, deletions

@@ -159,7 +159,7 @@ func savePayload(f fileWriter, gz bool, write func(io.Writer) error) error {
 
 // ReadNetwork parses the interaction text format. Vertex ids may appear in
 // any order; the vertex count is max(id)+1 unless a larger "# vertices N"
-// header is present. The returned network is finalized.
+// header is present.
 //
 // The input is cut into blocks of whole lines (scanBlocks), which up to
 // GOMAXPROCS goroutines parse at once (par.OrderedFrom); one at a time
@@ -178,7 +178,7 @@ func ReadNetwork(r io.Reader) (*Network, error) {
 	// Fed blocks, for reuse: par.OrderedFrom has at most 2×workers out at
 	// once, so the pool never fills and no more are ever allocated.
 	free := make(chan *textBlock, 2*workers)
-	n := NewNetwork(0)
+	bld := NewBuilder(0)
 	declared := -1
 	maxID := VertexID(-1)
 	lineNo := 0
@@ -208,7 +208,7 @@ func ReadNetwork(r io.Reader) (*Network, error) {
 			if b.declared >= 0 {
 				declared = b.declared
 			}
-			n.addChunk(b.recs, b.keys)
+			bld.addChunk(b.recs, b.keys)
 			b.recs = nil // the log keeps them
 			select {
 			case free <- b:
@@ -232,9 +232,8 @@ func ReadNetwork(r io.Reader) (*Network, error) {
 	if nv > MaxVertices {
 		return nil, fmt.Errorf("tin: vertex count %d exceeds limit %d", nv, MaxVertices)
 	}
-	n.numV = nv
-	n.Finalize()
-	return n, nil
+	bld.numV = nv
+	return bld.Finalize(), nil
 }
 
 // textBlockSize bounds the blocks ReadNetwork parses: a block is the whole

@@ -20,15 +20,14 @@ import (
 )
 
 func ioTestNetwork() *Network {
-	n := NewNetwork(5)
-	n.AddInteraction(0, 1, 2, 5)
-	n.AddInteraction(0, 1, 2, 3) // duplicate timestamp: exercises tie-break order
-	n.AddInteraction(1, 2, 3, 4)
-	n.AddInteraction(2, 3, 4.5, 2.25)
-	n.AddInteraction(3, 4, 9, 1)
-	n.AddInteraction(2, 0, 6, 5)
-	n.Finalize()
-	return n
+	b := NewBuilder(5)
+	b.AddInteraction(0, 1, 2, 5)
+	b.AddInteraction(0, 1, 2, 3) // duplicate timestamp: exercises tie-break order
+	b.AddInteraction(1, 2, 3, 4)
+	b.AddInteraction(2, 3, 4.5, 2.25)
+	b.AddInteraction(3, 4, 9, 1)
+	b.AddInteraction(2, 0, 6, 5)
+	return b.Finalize()
 }
 
 func sameNetwork(t *testing.T, a, b *Network) {

@@ -170,14 +170,13 @@ func FuzzLayoutEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		numV, items := decodeLayoutFuzzInput(data)
 		build := func() *Network {
-			n := NewNetwork(numV)
+			b := NewBuilder(numV)
 			for _, it := range items {
-				if !n.AddInteraction(it.from, it.to, it.time, it.qty) {
+				if !b.AddInteraction(it.from, it.to, it.time, it.qty) {
 					t.Fatalf("AddInteraction(%d,%d,%g,%g) rejected", it.from, it.to, it.time, it.qty)
 				}
 			}
-			n.Finalize()
-			return n
+			return b.Finalize()
 		}
 		n := build()
 		ref := buildRef(numV, items)

@@ -38,9 +38,6 @@ func TestMmapRoundTrip(t *testing.T) {
 	if m.MaxTime() != n.MaxTime() {
 		t.Fatalf("MaxTime = %v, want %v", m.MaxTime(), n.MaxTime())
 	}
-	if !m.Finalized() {
-		t.Fatal("mapped network not finalized")
-	}
 }
 
 // TestMmapAdviseRandom: the MADV_RANDOM every mapped arena gets is pure

@@ -12,41 +12,31 @@ import (
 
 // Network is a whole interaction network (Definition 1 of the paper): a
 // directed multigraph over dense vertex ids with an interaction sequence on
-// every edge. It is append-oriented and, once finalized, compacted into a
-// cache-local CSR layout (see csr.go); flow is computed on subgraphs
-// extracted from it (ExtractSubgraph, or the pattern matchers in
-// internal/pattern).
+// every edge, laid out in a cache-local CSR layout (see csr.go); flow is
+// computed on subgraphs extracted from it (ExtractSubgraph, or the pattern
+// matchers in internal/pattern). A Network is made by a Builder's Finalize,
+// by a loader or by a derivation of another Network.
 //
-// A network has two states:
-//
-//   - Building (before Finalize): a write-only log (builder) owned by the
-//     one builder. Only AddInteraction, NumVertices, NumInteractions and
-//     Finalized are meaningful; every other accessor reads an empty image,
-//     and RestrictWindow panics.
-//   - Finalized: an immutable value, a base (csr.go) and, over it, a tail
-//     (append.go) holding what was appended since the base was laid out.
-//     Finalize scatters the log into a base: one interaction arena holding
-//     every sequence back to back in canonical order, a flat edge table
-//     whose Seq fields are sub-slices of the arena, offset-based out/in
-//     adjacency and a sorted pair index; its layout is exactly the FNTB v2
-//     on-disk layout, so snapshots can be mmap'd and served zero-copy. The
-//     tail is nil until something is appended, and neither is ever written
-//     once a reader can see it: an append derives the next version, which
-//     shares the base.
+// A network is an immutable value, a base (csr.go) and, over it, a tail
+// (append.go) holding what was appended since the base was laid out. A base
+// is one interaction arena holding every sequence back to back in
+// canonical order, a flat edge table whose Seq fields are sub-slices of the
+// arena, offset-based out/in adjacency and a sorted pair index; its layout
+// is exactly the FNTB v2 on-disk layout, so snapshots can be mmap'd and
+// served zero-copy. The tail is nil until something is appended, and
+// neither is ever written once a reader can see it: an append derives the
+// next version, which shares the base.
 type Network struct {
 	numV int
-	// base is the CSR image; empty while building.
+	// base is the CSR image.
 	base *base
 	// tail is what was appended since base was laid out; nil when nothing
 	// was. Parallel edges are collapsed: an interaction on an existing
 	// (from,to) pair joins that edge's sequence.
 	tail *tail
-	// build is the log of a network under construction; nil once finalized.
-	build *builder
 
-	numIA     int
-	nextOrd   int64
-	finalized bool
+	numIA   int
+	nextOrd int64
 
 	// maxTime is the latest interaction timestamp (-inf when empty); it is
 	// derived by Finalize and maintained by the append path (append.go).
@@ -76,10 +66,13 @@ type logRec struct {
 	at        int32
 }
 
-// builder is what AddInteraction writes and Finalize reads, once: the edges
-// in first-occurrence order and every interaction in insertion order. It
+// Builder is a network under construction: a write-only log that
+// AddInteraction writes and Finalize reads, holding the edges in
+// first-occurrence order and every interaction in insertion order. It
 // holds no per-edge sequence and no adjacency; Finalize lays those out.
-type builder struct {
+type Builder struct {
+	numV  int
+	numIA int // the records logged
 	// pairs maps a pair key to its edge id and the number of interactions
 	// logged on the edge.
 	pairs pairTable
@@ -174,14 +167,13 @@ func (p *pairTable) grow() {
 	}
 }
 
-// NewNetwork creates an empty network with numV vertices.
-func NewNetwork(numV int) *Network {
-	return &Network{
-		numV:    numV,
-		base:    &base{},
-		build:   &builder{maxTime: math.Inf(-1)},
-		maxTime: math.Inf(-1),
+// NewBuilder creates an empty network builder over numV vertices. It
+// panics when numV is negative or exceeds MaxVertices.
+func NewBuilder(numV int) *Builder {
+	if numV < 0 || numV > MaxVertices {
+		panic(fmt.Sprintf("tin: NewBuilder vertex count %d out of range [0,%d]", numV, MaxVertices))
 	}
+	return &Builder{numV: numV, maxTime: math.Inf(-1)}
 }
 
 func pairKey(from, to VertexID) int64 { return int64(from)<<32 | int64(uint32(to)) }
@@ -213,20 +205,16 @@ func (n *Network) Edge(e EdgeID) *Edge {
 // AddInteraction records that quantity q flowed from -> to at time t,
 // creating the edge if necessary. Self loops are ignored (they cannot
 // affect any flow between distinct vertices) and reported as false.
-func (n *Network) AddInteraction(from, to VertexID, t, q float64) bool {
-	if n.finalized {
-		panic("tin: AddInteraction after Finalize")
-	}
+func (b *Builder) AddInteraction(from, to VertexID, t, q float64) bool {
 	if from == to {
 		return false
 	}
-	if from < 0 || int(from) >= n.numV || to < 0 || int(to) >= n.numV {
-		panic(fmt.Sprintf("tin: interaction (%d,%d) out of vertex range [0,%d)", from, to, n.numV))
+	if from < 0 || int(from) >= b.numV || to < 0 || int(to) >= b.numV {
+		panic(fmt.Sprintf("tin: interaction (%d,%d) out of vertex range [0,%d)", from, to, b.numV))
 	}
 	if q < 0 || math.IsNaN(q) || math.IsNaN(t) || math.IsInf(t, 0) || math.IsInf(q, 0) {
 		panic(fmt.Sprintf("tin: invalid interaction (%v,%v)", t, q))
 	}
-	b := n.build
 	last := len(b.log) - 1
 	if last < 0 || len(b.log[last]) == cap(b.log[last]) {
 		b.log = append(b.log, make([]logRec, 0, logChunk))
@@ -234,7 +222,7 @@ func (n *Network) AddInteraction(from, to VertexID, t, q float64) bool {
 	}
 	b.log[last] = append(b.log[last], logRec{time: t, qty: q})
 	b.note(&b.log[last][len(b.log[last])-1], pairKey(from, to))
-	n.numIA++
+	b.numIA++
 	return true
 }
 
@@ -242,20 +230,20 @@ func (n *Network) AddInteraction(from, to VertexID, t, q float64) bool {
 // whose pair keys are keys, as a chunk of its own, which the log keeps. It
 // does not check the vertex range: the text reader decides the vertex
 // count after the last line.
-func (n *Network) addChunk(recs []logRec, keys []int64) {
+func (b *Builder) addChunk(recs []logRec, keys []int64) {
 	if len(recs) == 0 {
 		return
 	}
 	for i := range recs {
-		n.build.note(&recs[i], keys[i])
+		b.note(&recs[i], keys[i])
 	}
-	n.build.log = append(n.build.log, recs)
-	n.numIA += len(recs)
+	b.log = append(b.log, recs)
+	b.numIA += len(recs)
 }
 
 // note fills in the edge of r, a record being logged, and its place in the
 // edge's run, from its pair key, and notes its time and quantity.
-func (b *builder) note(r *logRec, key int64) {
+func (b *Builder) note(r *logRec, key int64) {
 	var isNew bool
 	r.edge, r.at, isNew = b.pairs.add(key, EdgeID(len(b.from)))
 	if isNew {
@@ -269,29 +257,27 @@ func (b *builder) note(r *logRec, key int64) {
 	b.qty += r.qty
 }
 
-// Finalize assigns the canonical order to all interactions and lays the
-// network out in the CSR layout. Must be called once before the network is
-// queried.
-func (n *Network) Finalize() {
-	if n.finalized {
-		panic("tin: Finalize called twice")
-	}
-	n.finalized = true
-	n.base, n.maxTime = n.build.layout(n.numV, n.numIA), n.build.maxTime
-	n.nextOrd = int64(n.numIA)
-	n.build = nil
+// Finalize assigns the canonical order to the logged interactions and
+// returns them as a network in the CSR layout. It only reads the log (the
+// layout is scattered into fresh memory), so it does not consume the
+// builder: more interactions may be added after it, and each call returns
+// a network of everything logged so far.
+func (b *Builder) Finalize() *Network {
+	return &Network{numV: b.numV, base: b.layout(), numIA: b.numIA,
+		nextOrd: int64(b.numIA), maxTime: b.maxTime}
 }
 
-// layout lays the log of total records out as a base over numV vertices:
-// it ranks, counts and scatters. The rank of a record is its position in
-// the canonical order, by (time, insertion index), and each edge's run of
-// the arena starts at a prefix sum of the per-edge counts. A log in time
-// order — a saved file, a window of a network, a stream — is its own rank
-// order, and a record's slot in its run is its place by insertion (at), so
-// its chunks are scattered on every core with no cursor. Anything else is
-// sorted once, and walking the log in rank order fills every run in
-// canonical order, so no run is sorted on its own.
-func (b *builder) layout(numV, total int) *base {
+// layout lays the log out as a base: it ranks, counts and scatters. The
+// rank of a record is its position in the canonical order, by (time,
+// insertion index), and each edge's run of the arena starts at a prefix
+// sum of the per-edge counts. A log in time order — a saved file, a window
+// of a network, a stream — is its own rank order, and a record's slot in
+// its run is its place by insertion (at), so its chunks are scattered on
+// every core with no cursor. Anything else is sorted once, and walking the
+// log in rank order fills every run in canonical order, so no run is
+// sorted on its own.
+func (b *Builder) layout() *base {
+	total := b.numIA
 	// start[e] is where edge e's run starts.
 	start := b.pairs.counts(len(b.from))
 	off := 0
@@ -324,7 +310,7 @@ func (b *builder) layout(numV, total int) *base {
 		}
 		bs.edges[e] = Edge{From: b.from[e], To: b.to[e], Seq: arena[start[e]:end:end]}
 	}
-	bs.indexEdges(numV, nil, nil)
+	bs.indexEdges(b.numV, nil, nil)
 	bs.setQtySum(b.qty)
 	return bs
 }
@@ -332,7 +318,7 @@ func (b *builder) layout(numV, total int) *base {
 // walkInRankOrder scatters a log out of time order into arena: it sorts the
 // records into rank order once and places each at its edge's cursor, which
 // starts at the edge's run and is advanced past every record placed.
-func (b *builder) walkInRankOrder(arena []Interaction, cursor []int) {
+func (b *Builder) walkInRankOrder(arena []Interaction, cursor []int) {
 	// A key is a record's time and its place in the log, its chunk shifted
 	// above its index in the chunk: ascending as the log index is, and
 	// found with no division. The sort compares keys side by side in one
@@ -381,7 +367,7 @@ func (b *builder) walkInRankOrder(arena []Interaction, cursor []int) {
 // The Seq slices are the storage, jagged or arena-backed: the same body
 // serves Graph.Finalize and the re-rank that ends WithMerged (on a
 // freshly folded base nobody else can see). A network under construction
-// has no edge table to rank; its Finalize ranks the log (builder.layout).
+// has no edge table to rank; its Finalize ranks the log (Builder.layout).
 func rankEdges(edges []Edge, bound int64) (next int64, maxTime float64) {
 	byTime := func(a, b Interaction) int { return cmp.Compare(a.Time, b.Time) }
 	byRefTime := func(a, b *Interaction) int { return cmp.Compare(a.Time, b.Time) }
@@ -405,9 +391,6 @@ func rankEdges(edges []Edge, bound int64) (next int64, maxTime float64) {
 	}
 	return int64(len(refs)), maxTime
 }
-
-// Finalized reports whether Finalize has been called.
-func (n *Network) Finalized() bool { return n.finalized }
 
 // HasEdge reports whether an edge from -> to exists, and returns its id.
 func (n *Network) HasEdge(from, to VertexID) (EdgeID, bool) {

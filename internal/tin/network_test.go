@@ -17,19 +17,18 @@ import (
 // u3->u4 (9,4); u4->u1 (7,6); u2->u4 (10,1).
 // Vertices: u1=0, u2=1, u3=2, u4=3.
 func figure2Network() *Network {
-	n := NewNetwork(4)
-	n.AddInteraction(0, 1, 2, 5)
-	n.AddInteraction(0, 1, 4, 3)
-	n.AddInteraction(0, 1, 8, 1)
-	n.AddInteraction(1, 2, 3, 4)
-	n.AddInteraction(1, 2, 5, 2)
-	n.AddInteraction(2, 0, 1, 2)
-	n.AddInteraction(2, 0, 6, 5)
-	n.AddInteraction(2, 3, 9, 4)
-	n.AddInteraction(3, 0, 7, 6)
-	n.AddInteraction(1, 3, 10, 1)
-	n.Finalize()
-	return n
+	b := NewBuilder(4)
+	b.AddInteraction(0, 1, 2, 5)
+	b.AddInteraction(0, 1, 4, 3)
+	b.AddInteraction(0, 1, 8, 1)
+	b.AddInteraction(1, 2, 3, 4)
+	b.AddInteraction(1, 2, 5, 2)
+	b.AddInteraction(2, 0, 1, 2)
+	b.AddInteraction(2, 0, 6, 5)
+	b.AddInteraction(2, 3, 9, 4)
+	b.AddInteraction(3, 0, 7, 6)
+	b.AddInteraction(1, 3, 10, 1)
+	return b.Finalize()
 }
 
 func TestNetworkBasics(t *testing.T) {
@@ -63,19 +62,19 @@ func TestNetworkBasics(t *testing.T) {
 }
 
 func TestNetworkSelfLoopIgnored(t *testing.T) {
-	n := NewNetwork(2)
-	if n.AddInteraction(1, 1, 1, 5) {
+	b := NewBuilder(2)
+	if b.AddInteraction(1, 1, 1, 5) {
 		t.Errorf("self loop accepted")
 	}
-	n.AddInteraction(0, 1, 1, 5)
-	n.Finalize()
+	b.AddInteraction(0, 1, 1, 5)
+	n := b.Finalize()
 	if n.NumEdges() != 1 || n.NumInteractions() != 1 {
 		t.Errorf("self loop recorded: E=%d IA=%d", n.NumEdges(), n.NumInteractions())
 	}
 }
 
 func TestNetworkValidationPanics(t *testing.T) {
-	n := NewNetwork(2)
+	b := NewBuilder(2)
 	for _, c := range []struct {
 		name     string
 		from, to VertexID
@@ -92,17 +91,30 @@ func TestNetworkValidationPanics(t *testing.T) {
 					t.Fatalf("expected panic")
 				}
 			}()
-			n.AddInteraction(c.from, c.to, c.tm, c.q)
+			b.AddInteraction(c.from, c.to, c.tm, c.q)
+		})
+	}
+	// A vertex count outside [0, MaxVertices] fails when the builder is
+	// made, with a named message, not later in an allocation.
+	for _, numV := range []int{-1, MaxVertices + 1} {
+		t.Run(fmt.Sprintf("NewBuilder(%d)", numV), func(t *testing.T) {
+			defer func() {
+				r, _ := recover().(string)
+				if !strings.HasPrefix(r, "tin: NewBuilder vertex count") {
+					t.Fatalf("recovered %q, want the NewBuilder vertex-count panic", r)
+				}
+			}()
+			NewBuilder(numV)
 		})
 	}
 }
 
 func TestNetworkCanonicalOrder(t *testing.T) {
-	n := NewNetwork(3)
-	n.AddInteraction(0, 1, 5, 1) // tie at t=5: first inserted wins
-	n.AddInteraction(1, 2, 5, 2)
-	n.AddInteraction(0, 1, 1, 3)
-	n.Finalize()
+	b := NewBuilder(3)
+	b.AddInteraction(0, 1, 5, 1) // tie at t=5: first inserted wins
+	b.AddInteraction(1, 2, 5, 2)
+	b.AddInteraction(0, 1, 1, 3)
+	n := b.Finalize()
 	e01, _ := n.HasEdge(0, 1)
 	e12, _ := n.HasEdge(1, 2)
 	seq01 := n.Edge(e01).Seq
@@ -237,20 +249,20 @@ func TestExtractSubgraphFigure2(t *testing.T) {
 }
 
 func TestExtractSubgraphNoCycle(t *testing.T) {
-	n := NewNetwork(3)
-	n.AddInteraction(0, 1, 1, 1)
-	n.AddInteraction(1, 2, 2, 1)
-	n.Finalize()
+	b := NewBuilder(3)
+	b.AddInteraction(0, 1, 1, 1)
+	b.AddInteraction(1, 2, 2, 1)
+	n := b.Finalize()
 	if _, ok := n.ExtractSubgraph(0, DefaultExtractOptions()); ok {
 		t.Fatalf("extracted subgraph from acyclic seed")
 	}
 }
 
 func TestExtractSubgraphTwoHop(t *testing.T) {
-	n := NewNetwork(2)
-	n.AddInteraction(0, 1, 1, 5)
-	n.AddInteraction(1, 0, 2, 4)
-	n.Finalize()
+	b := NewBuilder(2)
+	b.AddInteraction(0, 1, 1, 5)
+	b.AddInteraction(1, 0, 2, 4)
+	n := b.Finalize()
 	g, ok := n.ExtractSubgraph(0, DefaultExtractOptions())
 	if !ok {
 		t.Fatalf("no subgraph")
@@ -262,12 +274,12 @@ func TestExtractSubgraphTwoHop(t *testing.T) {
 }
 
 func TestExtractSubgraphMaxInteractions(t *testing.T) {
-	n := NewNetwork(2)
+	b := NewBuilder(2)
 	for i := 0; i < 6; i++ {
-		n.AddInteraction(0, 1, float64(i), 1)
-		n.AddInteraction(1, 0, float64(i)+0.5, 1)
+		b.AddInteraction(0, 1, float64(i), 1)
+		b.AddInteraction(1, 0, float64(i)+0.5, 1)
 	}
-	n.Finalize()
+	n := b.Finalize()
 	if _, ok := n.ExtractSubgraph(0, ExtractOptions{MaxHops: 3, MaxInteractions: 5}); ok {
 		t.Errorf("subgraph over interaction cap not discarded")
 	}
@@ -279,14 +291,14 @@ func TestExtractSubgraphMaxInteractions(t *testing.T) {
 func TestExtractSubgraphSkipsInnerCycles(t *testing.T) {
 	// Both v->x->y->v and v->y->x->v exist: inner edges x->y and y->x would
 	// form a 2-cycle; the second path must be skipped.
-	n := NewNetwork(3)           // v=0, x=1, y=2
-	n.AddInteraction(0, 1, 1, 1) // v->x
-	n.AddInteraction(1, 2, 2, 1) // x->y
-	n.AddInteraction(2, 0, 3, 1) // y->v
-	n.AddInteraction(0, 2, 4, 1) // v->y
-	n.AddInteraction(2, 1, 5, 1) // y->x
-	n.AddInteraction(1, 0, 6, 1) // x->v
-	n.Finalize()
+	b := NewBuilder(3)           // v=0, x=1, y=2
+	b.AddInteraction(0, 1, 1, 1) // v->x
+	b.AddInteraction(1, 2, 2, 1) // x->y
+	b.AddInteraction(2, 0, 3, 1) // y->v
+	b.AddInteraction(0, 2, 4, 1) // v->y
+	b.AddInteraction(2, 1, 5, 1) // y->x
+	b.AddInteraction(1, 0, 6, 1) // x->v
+	n := b.Finalize()
 	g, ok := n.ExtractSubgraph(0, DefaultExtractOptions())
 	if !ok {
 		t.Fatalf("no subgraph")
@@ -300,10 +312,10 @@ func TestExtractSubgraphSkipsInnerCycles(t *testing.T) {
 }
 
 func TestBuildFlowGraphDistinctSourceSink(t *testing.T) {
-	n := NewNetwork(3)
-	n.AddInteraction(0, 1, 1, 5)
-	n.AddInteraction(1, 2, 2, 4)
-	n.Finalize()
+	b := NewBuilder(3)
+	b.AddInteraction(0, 1, 1, 5)
+	b.AddInteraction(1, 2, 2, 4)
+	n := b.Finalize()
 	e01, _ := n.HasEdge(0, 1)
 	e12, _ := n.HasEdge(1, 2)
 	g := n.BuildFlowGraph([]EdgeID{e01, e12}, 0, 2)
@@ -316,11 +328,11 @@ func TestBuildFlowGraphDistinctSourceSink(t *testing.T) {
 }
 
 func TestBuildFlowGraphPreservesTieOrder(t *testing.T) {
-	n := NewNetwork(3)
-	n.AddInteraction(0, 1, 5, 1) // inserted first at t=5
-	n.AddInteraction(1, 2, 5, 2) // inserted second at t=5
-	n.AddInteraction(2, 0, 6, 3)
-	n.Finalize()
+	b := NewBuilder(3)
+	b.AddInteraction(0, 1, 5, 1) // inserted first at t=5
+	b.AddInteraction(1, 2, 5, 2) // inserted second at t=5
+	b.AddInteraction(2, 0, 6, 3)
+	n := b.Finalize()
 	g, ok := n.ExtractSubgraph(0, DefaultExtractOptions())
 	if !ok {
 		t.Fatalf("no subgraph")
@@ -353,21 +365,21 @@ func TestFlowSubgraphBetween(t *testing.T) {
 	}
 
 	// Unreachable pair: nothing points at an isolated extra vertex.
-	m := NewNetwork(3)
-	m.AddInteraction(0, 1, 1, 2)
-	m.Finalize()
+	b := NewBuilder(3)
+	b.AddInteraction(0, 1, 1, 2)
+	m := b.Finalize()
 	if _, ok := m.FlowSubgraphBetween(0, 2); ok {
 		t.Errorf("vertex 2 is unreachable, but a subgraph was returned")
 	}
 }
 
 func TestFlowSubgraphBetweenDropsTerminalEdges(t *testing.T) {
-	n := NewNetwork(3)
-	n.AddInteraction(0, 1, 1, 5)
-	n.AddInteraction(1, 0, 2, 4) // into the source: dropped
-	n.AddInteraction(1, 2, 3, 3)
-	n.AddInteraction(2, 1, 4, 2) // out of the sink: dropped
-	n.Finalize()
+	b := NewBuilder(3)
+	b.AddInteraction(0, 1, 1, 5)
+	b.AddInteraction(1, 0, 2, 4) // into the source: dropped
+	b.AddInteraction(1, 2, 3, 3)
+	b.AddInteraction(2, 1, 4, 2) // out of the sink: dropped
+	n := b.Finalize()
 	g, ok := n.FlowSubgraphBetween(0, 2)
 	if !ok {
 		t.Fatalf("no subgraph")

@@ -17,12 +17,11 @@ import (
 
 // rebuildFrom finalizes a fresh network from an insertion log.
 func rebuildFrom(numV int, items []refItem) *Network {
-	n := NewNetwork(numV)
+	b := NewBuilder(numV)
 	for _, it := range items {
-		n.AddInteraction(it.from, it.to, it.time, it.qty)
+		b.AddInteraction(it.from, it.to, it.time, it.qty)
 	}
-	n.Finalize()
-	return n
+	return b.Finalize()
 }
 
 func snapshotBytes(t *testing.T, n *Network) []byte {

@@ -42,19 +42,15 @@ func (g *Graph) RestrictWindow(from, to float64) *Graph {
 
 // RestrictWindow returns a new network containing only the interactions
 // with Time in [from, to] (inclusive). Vertex ids are preserved; edges
-// whose sequences become empty are dropped. The result is finalized:
-// surviving rows are re-inserted in the original's canonical order, so
-// theirs is the same (and its Finalize sorts nothing). n must be finalized.
+// whose sequences become empty are dropped. Surviving rows are re-inserted
+// in the original's canonical order, so theirs is the same (and the
+// builder's Finalize sorts nothing).
 func (n *Network) RestrictWindow(from, to float64) *Network {
-	if !n.finalized {
-		panic("tin: RestrictWindow before Finalize")
-	}
-	m := NewNetwork(n.numV)
+	b := NewBuilder(n.numV)
 	for _, ev := range n.events() {
 		if ev.Time >= from && ev.Time <= to {
-			m.AddInteraction(ev.From, ev.To, ev.Time, ev.Qty)
+			b.AddInteraction(ev.From, ev.To, ev.Time, ev.Qty)
 		}
 	}
-	m.Finalize()
-	return m
+	return b.Finalize()
 }

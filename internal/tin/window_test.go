@@ -73,21 +73,6 @@ func TestNetworkRestrictWindow(t *testing.T) {
 	}
 }
 
-// TestNetworkRestrictWindowBuilderState: a network under construction is a
-// write-only log, so restricting one is a programming error, like an
-// AddInteraction after Finalize.
-func TestNetworkRestrictWindowBuilderState(t *testing.T) {
-	n := NewNetwork(3)
-	n.AddInteraction(0, 1, 5, 1)
-	n.AddInteraction(0, 1, 1, 2)
-	defer func() {
-		if r := recover(); r != "tin: RestrictWindow before Finalize" {
-			t.Fatalf("recovered %v, want the RestrictWindow-before-Finalize panic", r)
-		}
-	}()
-	n.RestrictWindow(1, 3)
-}
-
 func TestNetworkRestrictWindowExtractable(t *testing.T) {
 	n := figure2Network()
 	m := n.RestrictWindow(2, 9)

@@ -16,8 +16,8 @@ import (
 // of a private in-memory store) and a shard of a durable store, with and
 // without a checkpoint before the restart — and must leave all of them in
 // the identical (contents, pending, generation) state; the durable ones
-// must also come back in that state after a restart. A LiveNetwork and a
-// Shard are one type, so one scenario body serves both.
+// must also come back in that state after a restart. Each is a Shard, so
+// one scenario body serves all of them.
 
 // chain is a 0 -> 1 -> 2 chain carrying 5 units at times 1, 2.
 var chain = []flownet.StreamItem{{From: 0, To: 1, Time: 1, Qty: 5}, {From: 1, To: 2, Time: 2, Qty: 5}}
@@ -25,7 +25,7 @@ var chain = []flownet.StreamItem{{From: 0, To: 1, Time: 1, Qty: 5}, {From: 1, To
 var deferLate = flownet.StreamOptions{OnOutOfOrder: flownet.StreamPolicyDefer}
 
 // flow02 computes the maximum 0 -> 2 flow of the live network.
-func flow02(t *testing.T, sh *flownet.LiveNetwork) float64 {
+func flow02(t *testing.T, sh *flownet.Shard) float64 {
 	t.Helper()
 	var f float64
 	sh.View(func(n *flownet.Network, _ uint64) {
@@ -42,7 +42,7 @@ func flow02(t *testing.T, sh *flownet.LiveNetwork) float64 {
 	return f
 }
 
-func mustAppend(t *testing.T, sh *flownet.LiveNetwork, items []flownet.StreamItem, opts flownet.StreamOptions) flownet.StreamResult {
+func mustAppend(t *testing.T, sh *flownet.Shard, items []flownet.StreamItem, opts flownet.StreamOptions) flownet.StreamResult {
 	t.Helper()
 	res, err := sh.Append(items, opts)
 	if err != nil {
@@ -59,7 +59,7 @@ type liveState struct {
 	gen      uint64
 }
 
-func stateOf(sh *flownet.LiveNetwork) liveState {
+func stateOf(sh *flownet.Shard) liveState {
 	var b strings.Builder
 	sh.View(func(n *flownet.Network, _ uint64) {
 		fmt.Fprintf(&b, "vertices=%d maxTime=%v\n", n.NumVertices(), n.MaxTime())
@@ -77,11 +77,11 @@ type liveScenario struct {
 	// base, when set, is loaded into the network before it goes live
 	// (NewLiveNetwork / Store.Add instead of the empty constructors).
 	base []flownet.StreamItem
-	run  func(t *testing.T, sh *flownet.LiveNetwork)
+	run  func(t *testing.T, sh *flownet.Shard)
 }
 
 var liveScenarios = []liveScenario{
-	{name: "append changes flow", vertices: 3, run: func(t *testing.T, sh *flownet.LiveNetwork) {
+	{name: "append changes flow", vertices: 3, run: func(t *testing.T, sh *flownet.Shard) {
 		if got := sh.Generation(); got != 1 {
 			t.Fatalf("initial generation = %d, want 1", got)
 		}
@@ -100,7 +100,7 @@ var liveScenarios = []liveScenario{
 			t.Fatalf("flow after second batch = %g, want 7", got)
 		}
 	}},
-	{name: "reject policy", vertices: 3, base: chain, run: func(t *testing.T, sh *flownet.LiveNetwork) {
+	{name: "reject policy", vertices: 3, base: chain, run: func(t *testing.T, sh *flownet.Shard) {
 		before := stateOf(sh)
 		_, err := sh.Append([]flownet.StreamItem{{From: 0, To: 2, Time: 1.5, Qty: 1}}, flownet.StreamOptions{})
 		if !errors.Is(err, flownet.ErrOutOfOrder) {
@@ -110,7 +110,7 @@ var liveScenarios = []liveScenario{
 			t.Fatalf("failed append changed state: %+v, want %+v", after, before)
 		}
 	}},
-	{name: "defer and reindex", vertices: 3, run: func(t *testing.T, sh *flownet.LiveNetwork) {
+	{name: "defer and reindex", vertices: 3, run: func(t *testing.T, sh *flownet.Shard) {
 		mustAppend(t, sh, chain, flownet.StreamOptions{})
 		gen := sh.Generation()
 		// One in-order item and one late item: the former lands, the latter parks.
@@ -142,7 +142,7 @@ var liveScenarios = []liveScenario{
 			t.Fatalf("idle Reindex: %+v err=%v, want no-op at generation %d", rres, err, gen+2)
 		}
 	}},
-	{name: "parked items are validated atomically", vertices: 3, base: chain, run: func(t *testing.T, sh *flownet.LiveNetwork) {
+	{name: "parked items are validated atomically", vertices: 3, base: chain, run: func(t *testing.T, sh *flownet.Shard) {
 		before := stateOf(sh)
 		// The in-order item is fine; a parked one is invalid (bad vertex).
 		_, err := sh.Append([]flownet.StreamItem{
@@ -157,7 +157,7 @@ var liveScenarios = []liveScenario{
 			t.Fatal("failed append left partial state behind")
 		}
 	}},
-	{name: "grow bumps alone", vertices: 2, run: func(t *testing.T, sh *flownet.LiveNetwork) {
+	{name: "grow bumps alone", vertices: 2, run: func(t *testing.T, sh *flownet.Shard) {
 		item := []flownet.StreamItem{{From: 0, To: 5, Time: 1, Qty: 2}}
 		if _, err := sh.Append(item, flownet.StreamOptions{}); err == nil {
 			t.Fatal("out-of-range append without Grow succeeded, want error")
@@ -195,7 +195,7 @@ var liveScenarios = []liveScenario{
 			t.Fatalf("rejected oversize grow left state behind: %+v", after)
 		}
 	}},
-	{name: "explicit grow", vertices: 3, base: chain[:1], run: func(t *testing.T, sh *flownet.LiveNetwork) {
+	{name: "explicit grow", vertices: 3, base: chain[:1], run: func(t *testing.T, sh *flownet.Shard) {
 		if res, err := sh.Grow(2); err != nil || res.Generation != 1 {
 			t.Fatalf("shrinking Grow = %+v err=%v, want a no-op at generation 1", res, err)
 		}
@@ -204,7 +204,7 @@ var liveScenarios = []liveScenario{
 		}
 		mustAppend(t, sh, []flownet.StreamItem{{From: 8, To: 9, Time: 3, Qty: 1}}, flownet.StreamOptions{})
 	}},
-	{name: "pending buffer keeps arrival order", vertices: 3, run: func(t *testing.T, sh *flownet.LiveNetwork) {
+	{name: "pending buffer keeps arrival order", vertices: 3, run: func(t *testing.T, sh *flownet.Shard) {
 		mustAppend(t, sh, []flownet.StreamItem{{From: 0, To: 1, Time: 5, Qty: 1}}, flownet.StreamOptions{})
 		// Two parked batches with equal timestamps: only their arrival
 		// order decides the merged canonical order, so a restart that
@@ -223,20 +223,19 @@ var liveScenarios = []liveScenario{
 // recovered shard.
 type liveConstructor struct {
 	name string
-	open func(t *testing.T, sc liveScenario) (sh *flownet.LiveNetwork, reopen func() *flownet.LiveNetwork)
+	open func(t *testing.T, sc liveScenario) (sh *flownet.Shard, reopen func() *flownet.Shard)
 }
 
 func baseNetwork(sc liveScenario) *flownet.Network {
-	n := flownet.NewNetwork(sc.vertices)
+	b := flownet.NewNetwork(sc.vertices)
 	for _, it := range sc.base {
-		n.AddInteraction(it.From, it.To, it.Time, it.Qty)
+		b.AddInteraction(it.From, it.To, it.Time, it.Qty)
 	}
-	n.Finalize()
-	return n
+	return b.Finalize()
 }
 
 func durableConstructor(name string, checkpoint bool) liveConstructor {
-	return liveConstructor{name: name, open: func(t *testing.T, sc liveScenario) (*flownet.LiveNetwork, func() *flownet.LiveNetwork) {
+	return liveConstructor{name: name, open: func(t *testing.T, sc liveScenario) (*flownet.Shard, func() *flownet.Shard) {
 		cfg := flownet.StoreConfig{Dir: t.TempDir(), SnapshotEvery: -1, Mmap: os.Getenv("FLOWNET_TEST_MMAP") != ""}
 		st, err := flownet.OpenStore(cfg)
 		if err != nil {
@@ -252,7 +251,7 @@ func durableConstructor(name string, checkpoint bool) liveConstructor {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sh, func() *flownet.LiveNetwork {
+		return sh, func() *flownet.Shard {
 			if checkpoint {
 				if err := sh.Snapshot(); err != nil {
 					t.Fatal(err)
@@ -276,7 +275,7 @@ func durableConstructor(name string, checkpoint bool) liveConstructor {
 }
 
 var liveConstructors = []liveConstructor{
-	{name: "NewLiveNetwork", open: func(t *testing.T, sc liveScenario) (*flownet.LiveNetwork, func() *flownet.LiveNetwork) {
+	{name: "NewLiveNetwork", open: func(t *testing.T, sc liveScenario) (*flownet.Shard, func() *flownet.Shard) {
 		if sc.base == nil {
 			return flownet.NewEmptyLiveNetwork(sc.vertices), nil
 		}
@@ -326,17 +325,13 @@ func TestLiveNetworkScenarios(t *testing.T) {
 	}
 }
 
-// TestNewLiveNetworkRequiresFinalized: only a finalized network can go live.
+// TestNewLiveNetworkRequiresFinalized: a nil network cannot go live; a
+// finalized one, which is every Network, can.
 func TestNewLiveNetworkRequiresFinalized(t *testing.T) {
 	if _, err := flownet.NewLiveNetwork(nil); err == nil {
 		t.Error("NewLiveNetwork(nil) succeeded")
 	}
-	if _, err := flownet.NewLiveNetwork(flownet.NewNetwork(2)); err == nil {
-		t.Error("NewLiveNetwork of an unfinalized network succeeded")
-	}
-	n := flownet.NewNetwork(2)
-	n.Finalize()
-	if _, err := flownet.NewLiveNetwork(n); err != nil {
+	if _, err := flownet.NewLiveNetwork(flownet.NewNetwork(2).Finalize()); err != nil {
 		t.Errorf("NewLiveNetwork of a finalized network: %v", err)
 	}
 }

@@ -11,13 +11,14 @@ import (
 )
 
 // TestPublicStreamingAPI exercises the root-package streaming surface:
-// Network.AppendBatch extends a finalized network in place, and a
-// LiveNetwork arbitrates concurrent appends and queries with generations.
+// Network.AppendBatch extends a network in place, and the Shard that
+// NewLiveNetwork returns arbitrates concurrent appends and queries with
+// generations.
 func TestPublicStreamingAPI(t *testing.T) {
-	n := flownet.NewNetwork(3)
-	n.AddInteraction(0, 1, 1, 5)
-	n.AddInteraction(1, 2, 2, 5)
-	n.Finalize()
+	b := flownet.NewNetwork(3)
+	b.AddInteraction(0, 1, 1, 5)
+	b.AddInteraction(1, 2, 2, 5)
+	n := b.Finalize()
 
 	if _, err := n.AppendBatch([]flownet.BatchItem{{From: 0, To: 1, Time: 3, Qty: 2}, {From: 1, To: 2, Time: 4, Qty: 2}}); err != nil {
 		t.Fatalf("Network.AppendBatch: %v", err)
@@ -42,7 +43,7 @@ func TestPublicStreamingAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Appended != 1 || res.Generation != 2 {
-		t.Fatalf("LiveNetwork.Append result %+v, want Appended=1 Generation=2", res)
+		t.Fatalf("Shard.Append result %+v, want Appended=1 Generation=2", res)
 	}
 	if flownet.NewEmptyLiveNetwork(5).NetStats().Vertices != 5 {
 		t.Fatal("NewEmptyLiveNetwork vertex count wrong")
