@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"flownet/internal/core"
@@ -151,14 +152,24 @@ func TestPairQueryCostIsFootprintBound(t *testing.T) {
 // allocates: the result graph's blocks and the footprint.
 const pairAllocBudget = 10
 
+// coldResidueBudget bounds the bytes one cyclic residue extraction on the
+// pair_heavy corpus shape allocates on a cold scratch. The eight guarded
+// pairs take 0.20–0.43 MB: the marks and labels by vertex, the reach lists
+// and heaps, and the residue. An int32 array sized by the instance's ~44 K
+// edges adds 0.18 MB, which the largest of them cannot absorb; the
+// per-edge scratch the labelling kept before it read the network's
+// adjacency took 3.2–4.1 MB.
+const coldResidueBudget = 512 << 10
+
 // TestPairResidueIsLiveBound guards the served path of a cyclic pair on the
 // pair_heavy corpus shape — Prosper, 4 000 vertices, generator seed 1, read
 // back through the text codec as flownetd loads it, pairs drawn as
 // benchmark/ops.go draws them. Each such instance is the whole giant
 // component (~44 K interactions, cyclic); its residue must lay out at most a
-// twentieth of them, and a steady-state residue extraction must allocate no
+// twentieth of them, a steady-state residue extraction must allocate no
 // more objects than any pair extraction and at most a tenth of the bytes
-// the whole instance costs. Counts, not clock.
+// the whole instance costs, and one on a cold scratch at most
+// coldResidueBudget bytes. Counts, not clock.
 func TestPairResidueIsLiveBound(t *testing.T) {
 	var text bytes.Buffer
 	if err := tin.WriteNetwork(&text, datagen.Prosper(datagen.Config{Vertices: 4000, Seed: 1})); err != nil {
@@ -210,6 +221,24 @@ func TestPairResidueIsLiveBound(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(20, extract(q)); allocs > pairAllocBudget {
 		t.Errorf("steady-state residue extraction allocates %.0f objects per query, budget %d", allocs, pairAllocBudget)
+	}
+	// On a cold scratch — two collections empty the pool and its victim
+	// cache — a residue extraction allocates its scratch too: arrays sized
+	// by the network's vertices and by the residue, none by the instance's
+	// edges.
+	for _, q := range cyclic {
+		runtime.GC()
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		extract(q)()
+		runtime.ReadMemStats(&after)
+		cold := after.TotalAlloc - before.TotalAlloc
+		t.Logf("pair %d->%d on a cold scratch: %d bytes", q.Source, q.Sink, cold)
+		if cold > coldResidueBudget {
+			t.Errorf("pair %d->%d: a residue extraction on a cold scratch allocates %d bytes, budget %d",
+				q.Source, q.Sink, cold, coldResidueBudget)
+		}
 	}
 	bytesPerOp := func(q tin.Query) int64 {
 		run := extract(q)

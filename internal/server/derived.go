@@ -37,17 +37,11 @@ import (
 	"flownet/internal/tin"
 )
 
-// maxFootprintVertices caps the per-entry footprint recorded with a cached
-// response. A footprint this large means the answer read a big slice of the
-// network — retention would rarely succeed and the stamp compares would be
-// slow — so the entry falls back to stale-on-change (nil footprint).
-const maxFootprintVertices = 1024
-
 // cachedResponse is one memoized response body, the generation it was
 // computed at and the read footprint its freshness is judged by (see
 // stamps.fresh). foot is ascending; nil means the footprint is unknown
-// (batch and pattern answers, or over the cap) and the entry is stale after
-// any change to its network.
+// (batch and pattern answers, or over tin.MaxFootprintVertices) and the
+// entry is stale after any change to its network.
 type cachedResponse struct {
 	body []byte
 	gen  uint64
@@ -62,15 +56,6 @@ type derivedStats struct {
 	tableRebuilds atomic.Uint64
 	cacheRetained atomic.Uint64
 	cachePurged   atomic.Uint64
-}
-
-// clampFootprint applies maxFootprintVertices: an over-the-cap footprint is
-// recorded as unknown (nil), falling back to stale-on-change.
-func clampFootprint(foot []tin.VertexID) []tin.VertexID {
-	if len(foot) > maxFootprintVertices {
-		return nil
-	}
-	return foot
 }
 
 // ---- stamps -----------------------------------------------------------

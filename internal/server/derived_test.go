@@ -311,11 +311,11 @@ var freshSink bool
 // and none of them touched, so all 1 024 are loaded and compared.
 func TestFreshCheckBudget(t *testing.T) {
 	st := New(Config{}).derivedFor("live")
-	e := cachedResponse{gen: 1, foot: make([]tin.VertexID, maxFootprintVertices)}
+	e := cachedResponse{gen: 1, foot: make([]tin.VertexID, tin.MaxFootprintVertices)}
 	for i := range e.foot {
 		e.foot[i] = tin.VertexID(2 * i)
 	}
-	st.record(2, store.Delta{Vertices: []tin.VertexID{2*maxFootprintVertices - 1}})
+	st.record(2, store.Delta{Vertices: []tin.VertexID{2*tin.MaxFootprintVertices - 1}})
 	if allocs := testing.AllocsPerRun(100, func() { freshSink = st.fresh(e, 2) }); allocs != 0 || !freshSink {
 		t.Errorf("the stamp compare allocates %.0f objects and answers %v, want none and fresh", allocs, freshSink)
 	}

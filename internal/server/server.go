@@ -401,7 +401,7 @@ func (s *Server) answerQuery(ctx context.Context, route, kind string, sh *store.
 	// at the deadline: it must not plant a result the timed-out path would
 	// have refused to compute.
 	if len(body) <= maxCachedBytes && ctx.Err() == nil {
-		s.cache.Put(key, cachedResponse{body: body, gen: gen, foot: clampFootprint(foot)})
+		s.cache.Put(key, cachedResponse{body: body, gen: gen, foot: foot})
 	}
 	return answer{status: http.StatusOK, body: body, cache: "miss"}
 }

@@ -98,6 +98,10 @@ func checkPairResidue(t *testing.T, n *tin.Network, w *tin.TimeWindow, ends map[
 						s, d, win, res.Ok, res.Footprint, full.Ok, full.Footprint)
 				}
 				if !full.Ok {
+					if res.Graph != nil || res.Residue || [3]int{res.Vertices, res.Edges, res.Interactions} != [3]int{} {
+						t.Fatalf("%d->%d window %v: no instance, yet the residue query reports graph %v, residue %v and sizes %d/%d/%d",
+							s, d, win, res.Graph, res.Residue, res.Vertices, res.Edges, res.Interactions)
+					}
 					continue
 				}
 				if checkResidue(t, s, d, win, full, res, ends) {
@@ -190,6 +194,18 @@ func FuzzPairResidue(f *testing.F) {
 	f.Add([]byte{0x55, 0, 1, 10, 3, 1, 2, 20, 4, 2, 1, 30, 5, 2, 3, 40, 6})
 	f.Add([]byte{0xff, 0, 1, 5, 1, 1, 0, 5, 1, 0, 1, 5, 2, 1, 2, 4, 9})
 	f.Add([]byte{0x40, 0, 1, 1, 9, 1, 2, 2, 9, 2, 1, 3, 9, 2, 3, 4, 9, 1, 3, 5, 9, 3, 4, 6, 9})
+	// Window [2, 13]: of pair 0->3 it empties 0->1, the only edge into the
+	// cycle 1<->2, so no non-empty edge reaches the cycle from the source.
+	f.Add([]byte{23, 0, 1, 1, 1, 1, 2, 10, 2, 2, 1, 11, 3, 2, 3, 12, 4, 0, 3, 13, 5})
+	// A DAG: every pair is answered whole.
+	f.Add([]byte{20, 0, 1, 1, 1, 1, 2, 2, 2, 0, 2, 3, 3, 2, 3, 4, 4, 1, 3, 5, 5})
+	// Pair 0->5: the source reaches the cycle 1<->2, the sink is reached from
+	// the cycle 3<->4 and sends to the source, but the source is not
+	// backward-reachable.
+	f.Add([]byte{28, 0, 1, 1, 1, 1, 2, 2, 2, 2, 1, 3, 3, 3, 4, 4, 4, 4, 3, 5, 5, 4, 5, 6, 6, 5, 0, 7, 7})
+	// Pair 0->3: 4 is reached at 22, after 2 last departs at 20, and its
+	// run to 2 has an interaction at 21 between the two labels.
+	f.Add([]byte{40, 0, 1, 10, 1, 1, 2, 2, 2, 1, 2, 18, 3, 2, 3, 6, 4, 2, 3, 20, 5, 0, 4, 22, 6, 4, 2, 4, 7, 4, 2, 21, 8, 4, 2, 24, 9, 2, 1, 1, 10})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		n, w, ends := residueNetwork(data)
 		checkPairResidue(t, n, w, ends)

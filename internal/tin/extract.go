@@ -20,14 +20,17 @@ import (
 // A query that asks for its residue (Query.Residue) copies less. A seed
 // query decides Lemma 2 over the admitted edges' in-window runs and, if it
 // holds, answers with the runs themselves, slices of the network's
-// interactions, and no graph. A pair query decides over the runs, with no
-// copy, whether the instance is cyclic and, if so, finds its live
-// interactions — those on a source-to-sink path that respects the
-// canonical order, the rule of internal/teg — by earliest-arrival and
-// latest-departure labelling, and builds the graph of those alone. On each
-// edge they are one contiguous run, so the copy is one slice per live
-// edge. FuzzPairResidue (in internal/teg) holds the residue to the
-// engine's own prune of the full instance.
+// interactions, and no graph. A pair query works in network vertex ids
+// over the CSR (pairWalk): its backward reach counts the instance's sizes,
+// a depth-first search decides whether it is cyclic, and if it is, the
+// query finds its live interactions — those on a source-to-sink path that
+// respects the canonical order, the rule of internal/teg — by
+// earliest-arrival and latest-departure labelling over the network's
+// adjacency, and builds the graph of those alone, with no edge list of the
+// whole instance and no per-edge scratch. On each edge they are one
+// contiguous run, so the copy is one slice per live edge. FuzzPairResidue
+// (in internal/teg) holds the residue to the engine's own prune of the
+// full instance.
 
 // ExtractOptions control seed-based subgraph extraction (Section 6.2 of the
 // paper).
@@ -147,8 +150,16 @@ type Extraction struct {
 	// both cases an append touching no footprint vertex leaves the answer
 	// (Graph or Runs, Ok) byte-identical, so the footprint is reported for
 	// Ok == false too.
+	//
+	// A footprint of more than MaxFootprintVertices vertices is reported as
+	// nil, unknown: an answer that read that much of the network is rarely
+	// kept across an append, and a cache compares the footprint on each hit.
 	Footprint []VertexID
 }
+
+// MaxFootprintVertices caps the footprint Extract reports (see
+// Extraction.Footprint).
+const MaxFootprintVertices = 1024
 
 // Extract answers q against the finalized network. It only reads the
 // network, so concurrent calls are safe; working memory comes from one
@@ -160,41 +171,45 @@ func (n *Network) Extract(q Query) Extraction {
 	defer scratchPool.Put(sc)
 	sc.begin(n.numV)
 
-	// Both collectors leave the admitted edge ids in sc.edgeIDs (ascending,
-	// distinct) and the read footprint in sc.vertsA.
+	// Both collectors leave the read footprint in sc.vertsA; the seed's also
+	// leaves its admitted edge ids in sc.edgeIDs (ascending, distinct), a
+	// pair's are collected below unless its residue answers.
+	var x Extraction
 	var ok bool
+	p := pairWalk{n: n, sc: sc, source: q.Source, sink: q.Sink, w: q.Window}
 	if q.Source == q.Sink {
 		ok = n.collectSeed(q.Source, q.ExtractOptions, sc)
 	} else {
-		ok = n.collectPair(q.Source, q.Sink, sc)
+		ok = p.reach(&x)
 	}
-	var x Extraction
-	if q.Footprint {
+	if q.Footprint && len(sc.vertsA) <= MaxFootprintVertices {
 		x.Footprint = slices.Clone(sc.vertsA)
 		slices.Sort(x.Footprint)
 	}
 	if !ok {
-		return x
+		return Extraction{Footprint: x.Footprint}
 	}
-	n.windowRuns(q.Window, sc)
 	// A seed's admitted edges are returning paths, and a pair's leave the
 	// source, never enter it, and none leaves the sink, so the viability
 	// checks below hold for every instance the collectors admit: the runs
 	// and the residue need none of them.
-	if q.Residue {
-		if q.Source == q.Sink {
-			if n.seedRuns(q.Source, sc, &x) {
-				return x
-			}
-		} else if n.pairResidue(q.Source, q.Sink, sc, &x) {
+	if q.Source != q.Sink {
+		if q.Residue && p.cyclic() {
+			x.Graph = p.residue()
+			x.Ok, x.Residue = true, true
 			return x
 		}
+		p.collect()
+	}
+	n.windowRuns(q.Window, sc)
+	if q.Residue && q.Source == q.Sink && n.seedRuns(q.Source, sc, &x) {
+		return x
 	}
 	g := n.buildFlowGraph(sc.edgeIDs, sc.lo, sc.hi, q.Source, q.Sink, sc)
 	// Viability is judged on the unwindowed shape (the builder keeps edges
 	// the window emptied), matching extract-then-RestrictWindow semantics.
 	if g.InDegree(g.Source) != 0 || g.OutDegree(g.Sink) != 0 || g.OutDegree(g.Source) == 0 {
-		return x
+		return Extraction{Footprint: x.Footprint}
 	}
 	if q.Window != nil {
 		g.DropEmptyEdges()
@@ -205,19 +220,13 @@ func (n *Network) Extract(q Query) Extraction {
 }
 
 // windowRuns sets sc.lo/sc.hi to the in-window run of each admitted edge
-// (sc.edgeIDs) and sc.first/sc.last to the first and last Ord of each
-// non-empty run.
+// (sc.edgeIDs).
 func (n *Network) windowRuns(w *TimeWindow, sc *queryScratch) {
 	k := len(sc.edgeIDs)
 	sc.lo, sc.hi = growBuf(sc.lo, k), growBuf(sc.hi, k)
-	sc.first, sc.last = growBuf(sc.first, k), growBuf(sc.last, k)
 	for i, id := range sc.edgeIDs {
-		seq := n.Edge(id).Seq
-		lo, hi := w.bounds(seq)
+		lo, hi := w.bounds(n.Edge(id).Seq)
 		sc.lo[i], sc.hi[i] = int32(lo), int32(hi)
-		if hi > lo {
-			sc.first[i], sc.last[i] = seq[lo].Ord, seq[hi-1].Ord
-		}
 	}
 }
 
@@ -231,8 +240,8 @@ func (n *Network) windowRuns(w *TimeWindow, sc *queryScratch) {
 func (n *Network) seedRuns(seed VertexID, sc *queryScratch, x *Extraction) bool {
 	ids := sc.edgeIDs
 	nv := n.localIDs(ids, seed, seed, sc)
-	sc.indeg = growBuf(sc.indeg, nv) // the out-degrees of the non-empty runs here
-	outdeg := sc.indeg
+	sc.outdeg = growBuf(sc.outdeg, nv)
+	outdeg := sc.outdeg
 	clear(outdeg)
 	edges, ias := 0, 0
 	for i := range ids {
@@ -262,6 +271,165 @@ func (n *Network) seedRuns(seed VertexID, sc *queryScratch, x *Extraction) bool 
 	return true
 }
 
+// pairWalk is a pair query over the network's own CSR, in network vertex
+// ids. Its forward reach from the source stamps markA (listed first in
+// vertsA), its backward reach from the sink markB; both ignore edges into
+// the source and out of the sink, which cannot carry flow — otherwise a
+// vertex whose only route to the sink passes through the source would be
+// admitted. An edge u→v is admitted, part of the instance, exactly when u
+// is forward-reached and v backward-reached (each then in both sets), u is
+// not the sink and v not the source.
+type pairWalk struct {
+	n            *Network
+	sc           *queryScratch
+	source, sink VertexID
+	w            *TimeWindow
+	fwd, bwd     int32 // the epochs of the two reaches
+	nf           int   // sc.vertsA[:nf] is the forward set
+}
+
+// reach runs both reaches and leaves their union, the footprint, in
+// sc.vertsA. The backward one counts the instance as it goes — expanding v,
+// each in-edge from a forward-reached vertex is admitted — and records in x
+// the sizes the instance's graph reports after DropEmptyEdges: every vertex
+// of both sets (the two ends counted once, as the graph's source and sink),
+// the admitted edges whose in-window run is non-empty and the interactions
+// of those runs. It reports whether any edge is admitted, that is whether
+// the sink is reachable from the source.
+func (p *pairWalk) reach(x *Extraction) bool {
+	n, sc := p.n, p.sc
+	p.fwd = sc.nextEpoch()
+	sc.vertsA = append(sc.vertsA[:0], p.source)
+	sc.stack = append(sc.stack[:0], p.source)
+	sc.markA[p.source] = p.fwd
+	for len(sc.stack) > 0 {
+		v := sc.stack[len(sc.stack)-1]
+		sc.stack = sc.stack[:len(sc.stack)-1]
+		if v == p.sink {
+			continue
+		}
+		for _, e := range n.OutEdges(v) {
+			if u := n.Edge(e).To; u != p.source && sc.markA[u] != p.fwd {
+				sc.markA[u] = p.fwd
+				sc.vertsA = append(sc.vertsA, u)
+				sc.stack = append(sc.stack, u)
+			}
+		}
+	}
+	p.nf = len(sc.vertsA)
+
+	p.bwd = sc.nextEpoch()
+	admitted, edges, ias, inner := 0, 0, 0, 0
+	sc.markB[p.sink] = p.bwd
+	if sc.markA[p.sink] != p.fwd {
+		sc.vertsA = append(sc.vertsA, p.sink)
+	}
+	sc.stack = append(sc.stack[:0], p.sink)
+	for len(sc.stack) > 0 {
+		v := sc.stack[len(sc.stack)-1]
+		sc.stack = sc.stack[:len(sc.stack)-1]
+		if v == p.source {
+			continue
+		}
+		for _, e := range n.InEdges(v) {
+			ed := n.Edge(e)
+			u := ed.From
+			if u == p.sink {
+				continue
+			}
+			inF := sc.markA[u] == p.fwd
+			if inF {
+				admitted++
+				if lo, hi := p.w.bounds(ed.Seq); hi > lo {
+					edges++
+					ias += hi - lo
+				}
+			}
+			if sc.markB[u] != p.bwd {
+				sc.markB[u] = p.bwd
+				sc.stack = append(sc.stack, u)
+				if !inF {
+					sc.vertsA = append(sc.vertsA, u)
+				} else if u != p.source {
+					inner++
+				}
+			}
+		}
+	}
+	x.Vertices, x.Edges, x.Interactions = 2+inner, edges, ias
+	return admitted > 0
+}
+
+// cyclic reports whether the instance after DropEmptyEdges has a directed
+// cycle, as Graph.TopoOrder decides it: an iterative depth-first search over
+// the admitted edges with a non-empty in-window run, stopping at the first
+// edge back into the search path. It is rooted at every vertex of the
+// instance, not only the source: under a window, a cycle may lie among
+// vertices that no non-empty edge reaches from the source. The search state
+// lives in valA, free for forward-reached vertices: -1 not yet visited,
+// -2 done, else on the path with the index of the next out-edge to try.
+func (p *pairWalk) cyclic() bool {
+	const unseen, done = -1, -2
+	n, sc := p.n, p.sc
+	forward := sc.vertsA[:p.nf]
+	for _, v := range forward {
+		sc.valA[v] = unseen
+	}
+	for _, root := range forward {
+		if sc.markB[root] != p.bwd || sc.valA[root] != unseen {
+			continue
+		}
+		sc.valA[root] = 0
+		sc.stack = append(sc.stack[:0], root)
+		for len(sc.stack) > 0 {
+			u := sc.stack[len(sc.stack)-1]
+			out := n.OutEdges(u)
+			i := sc.valA[u]
+			if u == p.sink || int(i) == len(out) {
+				sc.valA[u] = done
+				sc.stack = sc.stack[:len(sc.stack)-1]
+				continue
+			}
+			sc.valA[u]++
+			ed := n.Edge(out[i])
+			v := ed.To
+			if v == p.source || sc.markB[v] != p.bwd || sc.valA[v] == done {
+				continue
+			}
+			if lo, hi := p.w.bounds(ed.Seq); hi == lo {
+				continue
+			}
+			if sc.valA[v] != unseen {
+				return true
+			}
+			sc.valA[v] = 0
+			sc.stack = append(sc.stack, v)
+		}
+	}
+	return false
+}
+
+// collect gathers the admitted edge ids into sc.edgeIDs, ascending: it walks
+// the out-adjacency of the vertices in both reaches only, since every
+// admitted edge departs from one, so the edge table is never scanned.
+func (p *pairWalk) collect() {
+	n, sc := p.n, p.sc
+	sc.edgeIDs = sc.edgeIDs[:0]
+	for _, v := range sc.vertsA[:p.nf] {
+		if v == p.sink || sc.markB[v] != p.bwd {
+			continue
+		}
+		for _, e := range n.OutEdges(v) {
+			if u := n.Edge(e).To; u != p.source && sc.markB[u] == p.bwd {
+				sc.edgeIDs = append(sc.edgeIDs, e)
+			}
+		}
+	}
+	// Adjacency walks emit edges grouped by From vertex in discovery order;
+	// sort so the id order matches the original edge-table scan.
+	sc.sortEdgeIDs()
+}
+
 // Labels of the residue's labelling. Ords are non-negative, so -1 precedes
 // every interaction and MaxInt64 follows every one.
 const (
@@ -269,178 +437,120 @@ const (
 	afterAll  = math.MaxInt64
 )
 
-// pairResidue is Query.Residue on a pair query, over the admitted edges
-// (sc.edgeIDs) and their in-window runs (windowRuns). It records
-// the instance's sizes in x and, if the instance is cyclic, its residue,
-// and reports whether it was; an acyclic instance leaves the edge list and
-// its runs as they were, for the full build.
+// residue builds the residue of a cyclic instance: the graph of its live
+// interactions, by two passes over the network's adjacency in network
+// vertex ids, each reading an edge's in-window run where it reaches it.
 //
 // The residue applies teg's rule per edge run. Forward, ea[v] is the least
 // Ord at which v receives an interaction that is kept forward — one whose
 // tail is the source or was reached strictly earlier — computed by label
-// setting in Ord order over the local out-adjacency (labels only grow along
-// a path). Backward, ld[v] is the greatest Ord at which v sends a
+// setting in Ord order over the out-adjacency (labels only grow along a
+// path). Backward, ld[v] is the greatest Ord at which v sends a
 // forward-kept interaction whose head is the sink or sends one strictly
-// later, by the mirror pass over the in-edges. An interaction on edge
-// (u, v) is then live exactly when ea[u] < Ord < ld[v]: one contiguous part
-// of the edge's run, since runs ascend in Ord. (Ords are unique in the
-// network, so an arrival and a departure never tie: the comparisons could
-// as well be non-strict.) Each relaxation needs one
-// Ord search of a run, and the cached first and last Ords settle it without
-// touching the edge unless the label falls inside the run.
-func (n *Network) pairResidue(source, sink VertexID, sc *queryScratch, x *Extraction) bool {
-	ids := sc.edgeIDs
-	nv := n.localIDs(ids, source, sink, sc)
-
-	// Sizes, as the full build would report them after DropEmptyEdges, the
-	// local out-adjacency of the non-empty runs and their in-degrees.
-	sc.outStart, sc.indeg = growBuf(sc.outStart, nv+1), growBuf(sc.indeg, nv)
-	clear(sc.outStart)
-	clear(sc.indeg)
-	edges, ias := 0, 0
-	for i := range ids {
-		if k := int(sc.hi[i] - sc.lo[i]); k > 0 {
-			edges++
-			ias += k
-			sc.outStart[sc.elf[i]+1]++
-			sc.indeg[sc.elt[i]]++
-		}
+// later, by the mirror pass over the in-adjacency through ea-labelled tails
+// only. An interaction on edge (u, v) is then live exactly when
+// ea[u] < Ord < ld[v]: one contiguous part of the edge's run, since runs
+// ascend in Ord. (Ords are unique in the network, so an arrival and a
+// departure never tie: the comparisons could as well be non-strict.) Each
+// relaxation needs one Ord search of a run, and the run's first and last
+// Ords settle it without a search unless the label falls inside the run.
+// The backward pass reads the live runs off the in-edges of the labelled
+// heads as it goes and hands them, in edge-id order, to buildFlowGraph.
+//
+// The labels are indexed by network vertex and only the footprint's are
+// set; every vertex a pass reads lies in it, since the tail of a
+// traversable edge into a backward-reached vertex is backward-reached.
+func (p *pairWalk) residue() *Graph {
+	n, sc := p.n, p.sc
+	if len(sc.ea) < n.numV {
+		sc.ea, sc.ld = make([]int64, n.numV), make([]int64, n.numV)
 	}
-	x.Vertices, x.Edges, x.Interactions = nv, edges, ias
-	for v := 0; v < nv; v++ {
-		sc.outStart[v+1] += sc.outStart[v]
+	ea, ld := sc.ea, sc.ld
+	for _, v := range sc.vertsA {
+		ea[v], ld[v] = afterAll, beforeAll
 	}
-	sc.outArcs = growBuf(sc.outArcs, edges)
-	for i := range ids {
-		if sc.hi[i] > sc.lo[i] {
-			u := sc.elf[i]
-			sc.outArcs[sc.outStart[u]] = arc{v: sc.elt[i], i: int32(i), first: sc.first[i], last: sc.last[i]}
-			sc.outStart[u]++
-		}
-	}
-	// The fill advanced every start to its vertex's end: shift them back.
-	copy(sc.outStart[1:], sc.outStart[:nv])
-	sc.outStart[0] = 0
-	outArcs := func(v VertexID) []arc { return sc.outArcs[sc.outStart[v]:sc.outStart[v+1]] }
-
-	// Kahn over every local vertex, as Graph.TopoOrder counts them.
-	indeg, queue := sc.indeg, sc.stack[:0]
-	for v := 0; v < nv; v++ {
-		if indeg[v] == 0 {
-			queue = append(queue, VertexID(v))
-		}
-	}
-	for h := 0; h < len(queue); h++ {
-		for _, a := range outArcs(queue[h]) {
-			if indeg[a.v]--; indeg[a.v] == 0 {
-				queue = append(queue, a.v)
-			}
-		}
-	}
-	sc.stack = queue
-	if len(queue) == nv {
-		return false
-	}
-
-	// run returns the in-window run of the edge at position i.
-	run := func(i int32) []Interaction { return n.Edge(ids[i]).Seq[sc.lo[i]:sc.hi[i]] }
 
 	// Forward: earliest arrival, the source at -inf.
-	ea := growBuf(sc.ea, nv)
-	for v := range ea {
-		ea[v] = afterAll
-	}
-	ea[0] = beforeAll
-	sc.heap = append(sc.heap[:0], label{ord: beforeAll, v: 0})
+	ea[p.source] = beforeAll
+	sc.heap = append(sc.heap[:0], label{ord: beforeAll, v: p.source})
 	for len(sc.heap) > 0 {
 		top := sc.pop()
-		if top.ord != ea[top.v] {
-			continue // superseded by a smaller label
+		if top.ord != ea[top.v] || top.v == p.sink {
+			continue // superseded by a smaller label, or the sink
 		}
-		for _, a := range outArcs(top.v) {
-			if a.last <= top.ord {
+		for _, e := range n.OutEdges(top.v) {
+			ed := n.Edge(e)
+			v := ed.To
+			if v == p.source || sc.markB[v] != p.bwd {
 				continue
 			}
-			t := a.first
-			if t <= top.ord {
-				seq := run(a.i)
-				t = seq[afterOrd(seq, top.ord)].Ord
+			lo, hi := p.w.bounds(ed.Seq)
+			run := ed.Seq[lo:hi]
+			if len(run) == 0 || run[len(run)-1].Ord <= top.ord {
+				continue
 			}
-			if t < ea[a.v] {
-				ea[a.v] = t
-				sc.push(label{ord: t, v: a.v})
+			t := run[0].Ord
+			if t <= top.ord {
+				t = run[afterOrd(run, top.ord)].Ord
+			}
+			if t < ea[v] {
+				ea[v] = t
+				sc.push(label{ord: t, v: v})
 			}
 		}
 	}
 
-	// Backward: latest useful departure, the sink at +inf. It reaches only
-	// the few vertices that lead to the sink in time, so it reads their
-	// in-edges off the network, keeping the admitted ones — those found in
-	// the sorted edge-id list — with non-empty runs. The heap is a min-heap,
-	// so its keys are negated.
-	ld := growBuf(sc.ld, nv)
-	for v := range ld {
-		ld[v] = beforeAll
-	}
-	ld[1] = afterAll
-	sc.heap = append(sc.heap[:0], label{ord: -afterAll, v: 1})
+	// Backward: latest useful departure, the sink at +inf. The heap is a
+	// min-heap, so its keys are negated. A vertex's label is final when it
+	// is popped, so the live runs into it are read off its in-edges then:
+	// the latest live interaction of a run is the tail's departure label.
+	ld[p.sink] = afterAll
+	sc.heap = append(sc.heap[:0], label{ord: -afterAll, v: p.sink})
+	sc.spans = sc.spans[:0]
 	for len(sc.heap) > 0 {
 		top := sc.pop()
-		if -top.ord != ld[top.v] {
+		to := -top.ord
+		if to != ld[top.v] || top.v == p.source {
 			continue
 		}
-		for _, e := range n.InEdges(sc.netOf[top.v]) {
-			i, ok := slices.BinarySearch(ids, e)
-			if !ok || sc.hi[i] == sc.lo[i] || sc.first[i] >= -top.ord {
+		for _, e := range n.InEdges(top.v) {
+			ed := n.Edge(e)
+			u := ed.From
+			if u == p.sink || ea[u] == afterAll {
 				continue
 			}
-			u := sc.elf[i]
-			t := sc.last[i]
-			if t >= -top.ord {
-				seq := run(int32(i))
-				t = seq[afterOrd(seq, -top.ord-1)-1].Ord
+			from := ea[u]
+			lo, hi := p.w.bounds(ed.Seq)
+			run := ed.Seq[lo:hi]
+			if len(run) == 0 || run[len(run)-1].Ord <= from || run[0].Ord >= to {
+				continue
 			}
-			if t > ea[u] && t > ld[u] { // kept forward, and later than u's best
+			a, b := 0, len(run)
+			if run[0].Ord <= from {
+				a = afterOrd(run, from)
+			}
+			if run[len(run)-1].Ord >= to {
+				b = afterOrd(run, to-1)
+			}
+			if a >= b { // ea[u] >= ld[v] can leave the bounds crossed
+				continue
+			}
+			sc.spans = append(sc.spans, span{e: e, lo: int32(lo + a), hi: int32(lo + b)})
+			if t := run[b-1].Ord; t > ld[u] {
 				ld[u] = t
 				sc.push(label{ord: -t, v: u})
 			}
 		}
 	}
-
-	// The live part of each run, and the live edges in id order.
-	sc.live = sc.live[:0]
-	for u := 0; u < nv; u++ {
-		from := ea[u]
-		if from == afterAll {
-			continue
-		}
-		for _, a := range outArcs(VertexID(u)) {
-			to := ld[a.v]
-			if a.last <= from || a.first >= to {
-				continue
-			}
-			seq := run(a.i)
-			lo, hi := 0, len(seq)
-			if a.first <= from {
-				lo = afterOrd(seq, from)
-			}
-			if a.last >= to {
-				hi = afterOrd(seq, to-1)
-			}
-			if lo < hi {
-				sc.lo[a.i], sc.hi[a.i] = sc.lo[a.i]+int32(lo), sc.lo[a.i]+int32(hi)
-				sc.live = append(sc.live, a.i)
-			}
-		}
+	slices.SortFunc(sc.spans, func(a, b span) int { return cmp.Compare(a.e, b.e) })
+	k := len(sc.spans)
+	ids := growBuf(sc.edgeIDs, k)
+	sc.lo, sc.hi = growBuf(sc.lo, k), growBuf(sc.hi, k)
+	for i, s := range sc.spans {
+		ids[i], sc.lo[i], sc.hi[i] = s.e, s.lo, s.hi
 	}
-	slices.Sort(sc.live)
-	for j, i := range sc.live { // j <= i: compacting in place reads ahead of the writes
-		ids[j], sc.lo[j], sc.hi[j] = ids[i], sc.lo[i], sc.hi[i]
-	}
-	k := len(sc.live)
-	x.Graph = n.buildFlowGraph(ids[:k], sc.lo[:k], sc.hi[:k], source, sink, sc)
-	x.Ok, x.Residue = true, true
-	return true
+	sc.edgeIDs = ids
+	return n.buildFlowGraph(ids, sc.lo, sc.hi, p.source, p.sink, sc)
 }
 
 // afterOrd returns the index of the first interaction of seq (ascending in
@@ -640,16 +750,15 @@ func (n *Network) BuildFlowGraph(edgeIDs []EdgeID, source, sink VertexID) *Graph
 }
 
 // localIDs sets sc.elf/sc.elt to the local endpoints of each edge of
-// edgeIDs and sc.netOf to the network vertex of each local one, and returns
-// the local vertex count: source 0, sink 1, inner 2+ in first-occurrence
-// order (From before To, matching the original mapping order).
+// edgeIDs and returns the local vertex count: source 0, sink 1, inner 2+ in
+// first-occurrence order (From before To, matching the original mapping
+// order).
 func (n *Network) localIDs(edgeIDs []EdgeID, source, sink VertexID, sc *queryScratch) int {
 	k := len(edgeIDs)
 	lidEpoch := sc.nextEpoch()
 	sc.elf = growBuf(sc.elf, k)
 	sc.elt = growBuf(sc.elt, k)
 	nv := VertexID(2)
-	sc.netOf = append(sc.netOf[:0], source, sink)
 	mapLocal := func(v VertexID) VertexID {
 		if sc.markA[v] == lidEpoch {
 			return VertexID(sc.valA[v])
@@ -658,7 +767,6 @@ func (n *Network) localIDs(edgeIDs []EdgeID, source, sink VertexID, sc *queryScr
 		nv++
 		sc.markA[v] = lidEpoch
 		sc.valA[v] = int32(id)
-		sc.netOf = append(sc.netOf, v)
 		return id
 	}
 	for i, id := range edgeIDs {
@@ -827,49 +935,6 @@ func (n *Network) buildFlowGraph(edgeIDs []EdgeID, lo, hi []int32, source, sink 
 	return g
 }
 
-// collectPair gathers the edges on directed source→sink paths. It reports
-// false when the sink is unreachable from the source.
-func (n *Network) collectPair(source, sink VertexID, sc *queryScratch) bool {
-	// Reachability is computed on the modified graph in which edges into
-	// the source and out of the sink are already absent — otherwise a
-	// vertex whose only route to the sink passes through the source would
-	// be falsely admitted.
-	fwdEpoch := sc.nextEpoch()
-	sc.vertsA, sc.stack = n.reachInto(source, false, source, sink, sc.markA, fwdEpoch, sc.vertsA, sc.stack)
-	bwdEpoch := sc.nextEpoch()
-	sc.vertsB, sc.stack = n.reachInto(sink, true, source, sink, sc.markB, bwdEpoch, sc.vertsB, sc.stack)
-
-	// Frontier-driven edge collection: walk the out-adjacency of the
-	// fwd∩bwd vertices only. Every admitted edge departs from an
-	// intersection vertex, so the edge table is never scanned.
-	sc.edgeIDs = sc.edgeIDs[:0]
-	for _, v := range sc.vertsA {
-		if sc.markB[v] != bwdEpoch || v == sink {
-			continue
-		}
-		for _, e := range n.OutEdges(v) {
-			u := n.Edge(e).To
-			if u == source {
-				continue
-			}
-			if sc.markA[u] == fwdEpoch && sc.markB[u] == bwdEpoch {
-				sc.edgeIDs = append(sc.edgeIDs, e)
-			}
-		}
-	}
-	// The footprint is fwd ∪ bwd: extend the forward list with the
-	// backward-only vertices while the marks are still live.
-	for _, v := range sc.vertsB {
-		if sc.markA[v] != fwdEpoch {
-			sc.vertsA = append(sc.vertsA, v)
-		}
-	}
-	// Adjacency walks emit edges grouped by From vertex in discovery
-	// order; sort so the id order matches the original edge-table scan.
-	sc.sortEdgeIDs()
-	return len(sc.edgeIDs) > 0
-}
-
 // sortEdgeIDs sorts sc.edgeIDs (non-negative) ascending in linear time: an
 // LSD radix sort, one counting pass per byte, into the pooled sc.spareIDs
 // and back. A byte in which no two ids differ needs no pass.
@@ -900,40 +965,4 @@ func (sc *queryScratch) sortEdgeIDs() {
 		src, dst = dst, src
 	}
 	sc.edgeIDs, sc.spareIDs = src, dst
-}
-
-// reachInto marks every vertex reachable from v (backward: reaching v)
-// with epoch in marks and collects them into list, ignoring edges into
-// source and edges out of sink. It returns the (possibly re-allocated)
-// list and stack buffers.
-func (n *Network) reachInto(v VertexID, backward bool, source, sink VertexID, marks []int32, epoch int32, list, stack []VertexID) ([]VertexID, []VertexID) {
-	list = append(list[:0], v)
-	stack = append(stack[:0], v)
-	marks[v] = epoch
-	for len(stack) > 0 {
-		x := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		var edges []EdgeID
-		if backward {
-			edges = n.InEdges(x)
-		} else {
-			edges = n.OutEdges(x)
-		}
-		for _, e := range edges {
-			ed := n.Edge(e)
-			if ed.To == source || ed.From == sink {
-				continue
-			}
-			u := ed.To
-			if backward {
-				u = ed.From
-			}
-			if marks[u] != epoch {
-				marks[u] = epoch
-				list = append(list, u)
-				stack = append(stack, u)
-			}
-		}
-	}
-	return list, stack
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 )
 
@@ -467,4 +468,80 @@ func checkBuildFlowGraph(t *testing.T, n *Network, data []byte) {
 		}
 		checkGraphInvariants(t, got)
 	}
+}
+
+// TestConcurrentPairQueries runs pair queries, cyclic and acyclic, windowed
+// and not, from four goroutines over one network and holds each answer to
+// the one the same query gave alone: the pooled scratch, labels included,
+// must carry nothing from one query into another running beside it.
+func TestConcurrentPairQueries(t *testing.T) {
+	// Vertices 0-19 trade at random, so most of their pairs are cyclic;
+	// 20-39 only ever send to a higher id, so their pairs are acyclic.
+	rng := rand.New(rand.NewSource(45))
+	var items []BatchItem
+	for i := 0; i < 600; i++ {
+		from, to := VertexID(rng.Intn(20)), VertexID(rng.Intn(20))
+		if i%2 == 1 {
+			from = VertexID(20 + rng.Intn(19))
+			to = from + 1 + VertexID(rng.Intn(int(39-from)))
+		}
+		items = append(items, BatchItem{From: from, To: to, Time: float64(i), Qty: float64(rng.Intn(9)) + 0.5})
+	}
+	n := buildNetwork(t, 40, items)
+
+	answer := func(x Extraction) string {
+		return fmt.Sprintf("ok=%v residue=%v sizes=%d/%d/%d footprint=%v graph=%s",
+			x.Ok, x.Residue, x.Vertices, x.Edges, x.Interactions, x.Footprint, graphSig(x.Graph))
+	}
+	var queries []Query
+	var want []string
+	kinds := map[[2]bool]int{} // answered instances by {residue, windowed}
+	for _, part := range []VertexID{0, 20} {
+		for i := 0; i < 24; i++ {
+			s, d := part+VertexID(rng.Intn(20)), part+VertexID(rng.Intn(20))
+			if s == d {
+				continue
+			}
+			q := Query{Source: s, Sink: d, Footprint: true, Residue: true}
+			if i%2 == 1 {
+				from := float64(rng.Intn(300))
+				q.Window = &TimeWindow{From: from, To: from + 300}
+			}
+			x := n.Extract(q)
+			if x.Ok {
+				kinds[[2]bool{x.Residue, q.Window != nil}]++
+			}
+			queries, want = append(queries, q), append(want, answer(x))
+		}
+	}
+	for _, r := range []bool{false, true} {
+		for _, w := range []bool{false, true} {
+			if kinds[[2]bool{r, w}] == 0 {
+				t.Fatalf("no answered pair with residue=%v windowed=%v among %d queries", r, w, len(queries))
+			}
+		}
+	}
+
+	rounds := 20
+	if raceEnabled {
+		rounds = 4
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for i := range queries {
+					j := (i + g*len(queries)/4 + r) % len(queries) // each goroutine its own rotation
+					if got := answer(n.Extract(queries[j])); got != want[j] {
+						t.Errorf("goroutine %d, %d->%d window %v:\n got %s\nwant %s",
+							g, queries[j].Source, queries[j].Sink, queries[j].Window, got, want[j])
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -9,10 +9,10 @@ import (
 // queryScratch is the reusable working memory of the extraction fast path
 // (extract.go): dense epoch-stamped visited marks keyed by VertexID, the
 // DFS path stack, edge-id and interaction-reference buffers for the direct
-// flow-graph build, and the admission digraph's adjacency pool. Reusing one
-// scratch across queries makes steady-state extraction allocate only the
-// returned graph's own memory (~8 allocations) instead of a fresh
-// constellation of maps per query.
+// flow-graph build, the admission digraph's adjacency pool and the pair
+// residue's labels. Reusing one scratch across queries makes steady-state
+// extraction allocate only the returned graph's own memory (~8
+// allocations) instead of a fresh constellation of maps per query.
 //
 // A scratch is reused across networks of different sizes (the mark arrays
 // grow on demand) but never concurrently: Extract and BuildFlowGraph each
@@ -22,14 +22,14 @@ type queryScratch struct {
 	// epoch e; bumping the epoch empties every set in O(1). Two mark
 	// arrays exist because extraction needs two simultaneous vertex sets
 	// (iterated+on-path, forward+backward reach); valA carries a value for
-	// markA-guarded entries (local vertex ids, admission adjacency heads).
+	// markA-guarded entries (local vertex ids, admission adjacency heads,
+	// the pair's cycle search state).
 	epoch int32
 	markA []int32
 	markB []int32
 	valA  []int32
 
-	vertsA []VertexID // visit list paired with markA
-	vertsB []VertexID // visit list paired with markB
+	vertsA []VertexID // visit list paired with markA (a pair's: the footprint)
 	stack  []VertexID
 
 	pathStack []EdgeID // current DFS path (edge ids)
@@ -48,7 +48,6 @@ type queryScratch struct {
 	// list (see Network.buildFlowGraph).
 	elf   []VertexID      // local From per edge
 	elt   []VertexID      // local To per edge
-	netOf []VertexID      // network vertex per local vertex
 	order []int32         // edge positions sorted by first-interaction Ord
 	key   []int64         // first-interaction Ord per position
 	gid   []EdgeID        // graph edge id per position
@@ -58,32 +57,27 @@ type queryScratch struct {
 	off   []int32         // arena offset per position
 	cur   []int32         // merged count per position
 
-	// Pair residue buffers (see Network.pairResidue): the first and last
-	// Ord of each edge's in-window run, by position; the local
-	// out-adjacency of the non-empty runs (CSR over local vertex ids, each
-	// arc carrying its run's Ord bounds) and their in-degrees (out-degrees
-	// in Network.seedRuns); the
-	// earliest-arrival and latest-departure labels per local vertex, their
-	// heap, and the positions of the live edges.
-	first, last []int64
-	outStart    []int32
-	outArcs     []arc
-	indeg       []int32
-	ea, ld      []int64
-	heap        []label
-	live        []int32
+	// outdeg holds the out-degrees of a seed's non-empty runs by local
+	// vertex (Network.seedRuns).
+	outdeg []int32
+
+	// Pair residue state (see pairWalk.residue): the earliest-arrival and
+	// latest-departure labels, indexed by network vertex like the marks and
+	// grown once per scratch, of which a query sets only its footprint's;
+	// and the live runs before they are sorted by edge id. heap serves the
+	// labelling and buildFlowGraph's merge.
+	ea, ld []int64
+	spans  []span
+	heap   []label
 }
 
-// arc is one admitted edge in the residue's local out-adjacency: its local
-// head, its position in the edge-id list, and the first and last Ord of its
-// in-window run.
-type arc struct {
-	v           VertexID
-	i           int32
-	first, last int64
+// span is one live run of a residue: Seq[lo:hi] of edge e.
+type span struct {
+	e      EdgeID
+	lo, hi int32
 }
 
-// label is a heap entry: in the residue's labelling, a local vertex and
+// label is a heap entry: in the residue's labelling, a network vertex and
 // the Ord it was labelled with; in buildFlowGraph's merge, an edge
 // position and the Ord of its run's head.
 type label struct {
