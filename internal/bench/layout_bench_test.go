@@ -209,8 +209,9 @@ func TestSolveAllocationBudget(t *testing.T) {
 // search (Section 5.1) on the smallest and the largest P5 instance of the
 // bench network. P5 is decomposable (Lemma 2 holds on every instance), so
 // pattern.InstanceFlow is the positional greedy scan over the instance's
-// edge runs: no flow graph, no scratch on the heap — nothing is allocated,
-// whatever the instance's size.
+// edge runs: no flow graph, and the scan, staged by position, keeps no
+// transfer list — its buffers and cursors fit arrays on the stack, and
+// nothing is allocated, whatever the instance's size.
 func TestInstanceFlowAllocationBudget(t *testing.T) {
 	n := loadBenchNetwork(t)
 	size := func(inst *pattern.Instance) int {

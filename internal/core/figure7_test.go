@@ -196,7 +196,8 @@ func TestPathArrivalsMatchesPaper(t *testing.T) {
 	// Section 5.1: greedy arrivals into u3 along u1→u2→u3 are
 	// {(3,$4),(5,$2)}.
 	n := figure2Network()
-	flow, arr := PathArrivals(networkPath(t, n, 0, 1, 2))
+	var arr []Arrival
+	flow := PathArrivals(networkPath(t, n, 0, 1, 2), &arr)
 	if flow != 6 {
 		t.Errorf("flow=%g, want 6", flow)
 	}
@@ -209,7 +210,8 @@ func TestPathArrivalsCyclic(t *testing.T) {
 	// u1→u2→u3→u1: positional buffers make the shared endpoint behave as
 	// separate source and sink copies; flow is 5 (Figure 2(c)).
 	n := figure2Network()
-	flow, arr := PathArrivals(networkPath(t, n, 0, 1, 2, 0))
+	var arr []Arrival
+	flow := PathArrivals(networkPath(t, n, 0, 1, 2, 0), &arr)
 	if flow != 5 {
 		t.Errorf("flow=%g, want 5", flow)
 	}
@@ -236,7 +238,8 @@ func TestPathArrivalsSourceChain(t *testing.T) {
 		}
 		alone.Finalize()
 		wantFlow, want := GreedyArrivals(alone)
-		flow, got := PathArrivals(seqs)
+		var got []Arrival
+		flow := PathArrivals(seqs, &got)
 		if flow != wantFlow || len(got) != len(want) || len(got) == 0 {
 			t.Fatalf("chain %v: flow %g arrivals %v, chain alone %g %v", chain, flow, got, wantFlow, want)
 		}
@@ -267,7 +270,8 @@ func TestPathArrivalsLongChain(t *testing.T) {
 		seqs[i] = g.Edges[i].Seq
 	}
 	wantFlow, want := GreedyArrivals(g)
-	flow, got := PathArrivals(seqs)
+	var got []Arrival
+	flow := PathArrivals(seqs, &got)
 	if math.Float64bits(flow) != math.Float64bits(wantFlow) || len(got) != len(want) {
 		t.Fatalf("flow %v arrivals %v, GreedyArrivals %v %v", flow, got, wantFlow, want)
 	}

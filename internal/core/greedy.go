@@ -6,12 +6,13 @@
 //     interactions in canonical order, with Greedy, GreedyArrivals and
 //     GreedyTrace as its visitors.
 //   - The greedy-solubility test (Lemmas 1 and 2, Section 4.2.2).
-//   - The greedy scan of an instance given by position, as runs between
-//     positions (ScanRuns), with its chain case, the scan along a single
-//     path with its arrival sequence (PathArrivals; Lemmas 1 and 3) — the
-//     one positional scan, used by graph simplification here and by the
-//     path tables, the relaxed searches and the decomposable rigid
-//     patterns of internal/pattern.
+//   - The greedy scan of a Lemma-2 instance given by position, as runs
+//     between positions, staged one position at a time (ScanRuns), with
+//     its chain case, the scan along a single path with its arrival
+//     sequence (PathArrivals; Lemmas 1 and 3) — the one positional scan,
+//     used by graph simplification and class-A seeds here and by the path
+//     tables, the relaxed searches and the decomposable rigid patterns of
+//     internal/pattern.
 //   - DAG preprocessing (Algorithm 1, Section 4.2.3).
 //   - Graph simplification (Algorithm 2, Section 4.2.4).
 //   - The LP formulation of temporal maximum flow (Section 4.2.1), solved
@@ -110,18 +111,31 @@ func GreedyArrivals(g *tin.Graph) (float64, []Arrival) {
 	return flow, arrivals
 }
 
-// ScanRuns is the greedy scan of Definition 5 over an instance given by
-// position instead of as a graph: run i moves the interactions of seqs[i]
-// (sorted by Ord, all drawn from one container, so no two runs share an
-// Ord) from position from[i] to position to[i]. Position source holds an
-// infinite buffer; every other position starts empty. The scan merges the
-// runs by their heads — a k-pointer merge, meant for the few runs of a
-// path, a pattern instance or a class-A seed: each pick of the least head
-// moves that run's whole stretch before the next least, so the cost is
-// O(n + s·k) for n interactions in k runs cut into s stretches — and each
-// interaction moves min(q, B) exactly as scan does on the instance's graph,
-// in the same order, so the flow into sink is the same bits. If arrivals is
-// non-nil, every positive transfer into sink is appended to it in the form
+// ScanRuns is the greedy scan of Definition 5 over a Lemma-2 instance given
+// by position instead of as a graph: run i moves the interactions of
+// seqs[i] (sorted by Ord, all drawn from one container, so no two runs
+// share an Ord) from position from[i] to position to[i]. Position source
+// holds an infinite buffer and every other one starts empty; source and
+// sink differ. Every position but the source leaves by at most one run, and
+// the positions are acyclic once runs into the source are ignored (they
+// move nothing the scan can see): chains, decomposable pattern instances,
+// petal bundles and class-A seeds are such instances. ScanRuns panics on a
+// position with two out-runs and on an out-run of the sink that leads back
+// to it.
+//
+// The scan is staged by position. A position is brought up to an Ord by
+// one merge of its in-runs: each interaction of an in-run moves min(q, B)
+// out of the run's tail once the tail has been brought up to that
+// interaction's Ord, and a source run moves its own quantities. The sink
+// is brought up to the end, so each stage runs only as far as the position
+// downstream of it takes transfers — the last Ord of that position's
+// out-run — and no transfer list is kept. A run out of a position that is
+// empty and has nothing more coming moves nothing more, and one out of an
+// empty position skips, one interaction at a time, to the next
+// interaction into that position (dead stretches are short). Each buffer
+// sees the min(q, B) moves scan makes on the instance's graph, in the same
+// order, so the flow into sink is the same bits. If arrivals is non-nil,
+// every positive transfer into sink is appended to it in the form
 // GreedyArrivals reports (with the container's Ords).
 //
 // It is the package's one positional scan: PathArrivals is its chain case,
@@ -134,55 +148,195 @@ func ScanRuns(seqs [][]tin.Interaction, from, to []int, source, sink int, arriva
 	for i := range seqs {
 		npos = max(npos, from[i]+1, to[i]+1)
 	}
-	var bufStack [8]float64
-	var nextStack [8]int
-	var headStack [8]int64
-	buf := stackOr(bufStack[:], npos)
-	next := stackOr(nextStack[:], len(seqs)) // first unread interaction of each run
-	head := stackOr(headStack[:], len(seqs)) // its Ord; math.MaxInt64 once the run is read
-	for i, seq := range seqs {
-		head[i] = math.MaxInt64
-		if len(seq) > 0 {
-			head[i] = seq[0].Ord
+	var posStack [8]position
+	var runStack [8]runState
+	s := stages{seqs: seqs, from: from, source: source}
+	s.pos = stackOr(posStack[:], npos)
+	s.runs = stackOr(runStack[:], len(seqs))
+	for i, f := range from {
+		if t := to[i]; t != source {
+			s.runs[i].sibling = s.pos[t].in
+			s.pos[t].in = int32(i + 1)
+		}
+		if f != source {
+			if s.pos[f].out != 0 {
+				panic("core: ScanRuns: a position other than the source has two out-runs")
+			}
+			s.pos[f].out = int32(i + 1)
 		}
 	}
-	buf[source] = math.Inf(1)
+	r := int(s.pos[sink].out) - 1
+	if r < 0 {
+		s.fill(sink, math.MaxInt64, arrivals)
+		return s.pos[sink].buf
+	}
+	// The sink's out-run drains it as the sink fills; what it moves goes
+	// where the sink never takes from.
+	v := to[r]
+	for steps := 0; steps < npos && v != source && v != sink && s.pos[v].out != 0; steps++ {
+		v = to[s.pos[v].out-1]
+	}
+	if v == sink {
+		panic("core: ScanRuns: the sink's out-run leads back to it")
+	}
+	for _, ia := range seqs[r] {
+		s.fill(sink, ia.Ord, arrivals)
+		if b := s.pos[sink].buf; min(ia.Qty, b) > 0 && !math.IsInf(b, 1) {
+			s.pos[sink].buf = b - min(ia.Qty, b)
+		}
+	}
+	s.fill(sink, math.MaxInt64, arrivals)
+	return s.pos[sink].buf
+}
+
+// stages is the state of ScanRuns's staged scan.
+type stages struct {
+	seqs   [][]tin.Interaction
+	from   []int
+	source int
+	pos    []position
+	runs   []runState
+}
+
+// position is a position's buffer, the first of the runs into it and the
+// run out of it, each as 1 + its index, 0 for none.
+type position struct {
+	buf     float64
+	in, out int32
+}
+
+// runState is a run's first interaction not yet moved and the next run
+// into the same position (1 + its index, 0 for none).
+type runState struct {
+	next, sibling int32
+}
+
+// fill brings position u up to Ord stop: every interaction before stop of
+// a run into u moves, in Ord order — each pick of the in-run with the
+// least next interaction takes that run's whole stretch before the next
+// least.
+func (s *stages) fill(u int, stop int64, arrivals *[]Arrival) {
+	first := s.pos[u].in
+	if first == 0 {
+		return
+	}
+	if s.runs[first-1].sibling == 0 {
+		s.pos[u].buf = s.take(int(first-1), stop, s.pos[u].buf, arrivals)
+		return
+	}
 	for {
-		// Run r holds the earliest unread interaction, and its interactions
-		// before the least other head (second) come next; Ords are distinct.
-		r, least, second := -1, int64(math.MaxInt64), int64(math.MaxInt64)
-		for i, h := range head {
-			if h < least {
-				r, least, second = i, h, least
+		c, least, second := -1, int64(math.MaxInt64), int64(math.MaxInt64)
+		for r := first; r != 0; r = s.runs[r-1].sibling {
+			if h := s.head(int(r - 1)); h < least {
+				c, least, second = int(r-1), h, least
 			} else if h < second {
 				second = h
 			}
 		}
-		if r < 0 {
-			return buf[sink]
+		if least >= stop {
+			return
 		}
-		seq, f, t := seqs[r], from[r], to[r]
-		j := next[r]
-		for ; j < len(seq) && seq[j].Ord < second; j++ {
-			ia := seq[j]
-			q := min(ia.Qty, buf[f])
-			if q <= 0 {
-				continue
-			}
-			if !math.IsInf(buf[f], 1) {
-				buf[f] -= q
-			}
-			buf[t] += q
-			if t == sink && arrivals != nil {
-				*arrivals = append(*arrivals, Arrival{Time: ia.Time, Qty: q, Ord: ia.Ord})
+		if s.from[c] != s.source || arrivals != nil {
+			s.pos[u].buf = s.take(c, min(second, stop), s.pos[u].buf, arrivals)
+			continue
+		}
+		// A source run moves its own quantities (a petal bundle's summaries
+		// into the sink): take's first loop, without the call.
+		seq, j, b := s.seqs[c], int(s.runs[c].next), s.pos[u].buf
+		for stop := min(second, stop); j < len(seq) && seq[j].Ord < stop; j++ {
+			b += seq[j].Qty
+		}
+		s.pos[u].buf, s.runs[c].next = b, int32(j)
+	}
+}
+
+// head is the Ord of run r's first interaction not yet moved,
+// math.MaxInt64 once it has none.
+func (s *stages) head(r int) int64 {
+	if j, seq := s.runs[r].next, s.seqs[r]; int(j) < len(seq) {
+		return seq[j].Ord
+	}
+	return math.MaxInt64
+}
+
+// take moves the interactions of run r before Ord stop into b, its head
+// position's buffer, and returns b; each positive transfer is appended to
+// arrivals when that is non-nil.
+func (s *stages) take(r int, stop int64, b float64, arrivals *[]Arrival) float64 {
+	seq, j, f := s.seqs[r], int(s.runs[r].next), s.from[r]
+	// Quantities are never negative, so a move of nothing is an addition
+	// of zero, which leaves a buffer's bits as they are: the moves need no
+	// test, only the arrivals do.
+	if f == s.source {
+		for ; j < len(seq) && seq[j].Ord < stop; j++ {
+			b += seq[j].Qty
+			if arrivals != nil && seq[j].Qty > 0 {
+				*arrivals = append(*arrivals, seq[j])
 			}
 		}
-		next[r] = j
-		head[r] = math.MaxInt64
-		if j < len(seq) {
-			head[r] = seq[j].Ord
+		s.runs[r].next = int32(j)
+		return b
+	}
+	// A tail fed by one source run, the first hop of every chain, is
+	// brought up to each interaction in this loop: a merge of two runs.
+	in := int(s.pos[f].in) - 1
+	single := in >= 0 && s.runs[in].sibling == 0
+	fed := single && s.from[in] == s.source
+	var src []tin.Interaction
+	k, bf := 0, s.pos[f].buf
+	if fed {
+		src, k = s.seqs[in], int(s.runs[in].next)
+	}
+	for j < len(seq) && seq[j].Ord < stop {
+		ia := seq[j]
+		if fed {
+			for ; k < len(src) && src[k].Ord < ia.Ord; k++ {
+				bf += src[k].Qty
+			}
+		} else if single {
+			if s.head(in) < ia.Ord {
+				bf = s.take(in, ia.Ord, bf, nil)
+			}
+		} else {
+			s.pos[f].buf = bf
+			s.fill(f, ia.Ord, nil)
+			bf = s.pos[f].buf
+		}
+		j++
+		q := min(ia.Qty, bf)
+		if !math.IsInf(bf, 1) {
+			bf -= q
+		}
+		b += q
+		if arrivals != nil && q > 0 {
+			*arrivals = append(*arrivals, Arrival{Time: ia.Time, Qty: q, Ord: ia.Ord})
+		}
+		if bf == 0 {
+			// Nothing leaves an empty position before the next interaction
+			// into it: skip the dead stretch, or the rest of the run.
+			next := int64(math.MaxInt64)
+			if fed {
+				if k < len(src) {
+					next = src[k].Ord
+				}
+			} else {
+				for c := s.pos[f].in; c != 0; c = s.runs[c-1].sibling {
+					next = min(next, s.head(int(c-1)))
+				}
+			}
+			for j < len(seq) && seq[j].Ord < min(next, stop) {
+				j++
+			}
+			if next == math.MaxInt64 {
+				j = len(seq)
+			}
 		}
 	}
+	if fed {
+		s.runs[in].next = int32(k)
+	}
+	s.pos[f].buf, s.runs[r].next = bf, int32(j)
+	return b
 }
 
 // stackOr returns stack[:n] when n fits, a fresh zeroed slice otherwise:
@@ -197,8 +351,9 @@ func stackOr[T any](stack []T, n int) []T {
 // PathArrivals runs the greedy scan along a path given as the interaction
 // sequences of its edges, seqs[i] belonging to the i-th edge (each sorted by
 // Ord, all drawn from one container), with an infinite buffer in front of
-// the first edge. It returns the total flow into the path's end together
-// with the arrival sequence there, in the form GreedyArrivals reports.
+// the first edge. It returns the total flow into the path's end and, if
+// arrivals is non-nil, appends the arrival sequence there to it, in the
+// form GreedyArrivals reports.
 //
 // It is ScanRuns's chain case: position i feeds seqs[i] and is fed by
 // seqs[i-1], so a cyclic path (last vertex = first vertex) needs no
@@ -207,16 +362,14 @@ func stackOr[T any](stack []T, n int) []T {
 // the arrival sequence is an exact summary of the path: it is what
 // Simplify substitutes for a source chain and what the pattern path tables
 // of Section 5.2 store.
-func PathArrivals(seqs [][]tin.Interaction) (float64, []Arrival) {
+func PathArrivals(seqs [][]tin.Interaction, arrivals *[]Arrival) float64 {
 	k := len(seqs)
 	var fromStack, toStack [8]int
 	from, to := stackOr(fromStack[:], k), stackOr(toStack[:], k)
 	for i := range k {
 		from[i], to[i] = i, i+1
 	}
-	var arrivals []Arrival
-	flow := ScanRuns(seqs, from, to, 0, k, &arrivals)
-	return flow, arrivals
+	return ScanRuns(seqs, from, to, 0, k, arrivals)
 }
 
 // GreedyTrace reproduces the paper's Table 2: it returns the buffer vector

@@ -36,7 +36,8 @@ func Simplify(g *tin.Graph) SimplifyStats {
 		for i, e := range chain {
 			seqs[i] = g.Edges[e].Seq
 		}
-		_, arrivals := PathArrivals(seqs)
+		var arrivals []Arrival
+		PathArrivals(seqs, &arrivals)
 		last := g.Edges[chain[len(chain)-1]].To // vk
 
 		// Remove the chain's edges and inner vertices.

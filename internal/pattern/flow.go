@@ -34,23 +34,38 @@ func InstanceFlow(n *tin.Network, p *Pattern, inst *Instance, engine core.Engine
 // decomposable reports Lemma 2 on the split pattern: every vertex other
 // than Source and Sink has exactly one outgoing edge. Instance vertices are
 // distinct, so this is core.GreedySoluble on the flow graph of every
-// instance: the greedy flow is the maximum flow, instance by instance.
+// instance: the greedy flow is the maximum flow, instance by instance. An
+// acyclic pattern's sink may also have an outgoing edge (the instance's
+// flow graph keeps it), which core.ScanRuns takes if it is one and does
+// not lead back to the sink; otherwise the pattern is not decomposable.
 func (p *Pattern) decomposable() bool {
+	out := func(v int) (d, head int) {
+		for _, e := range p.Edges {
+			if e[0] == v {
+				d, head = d+1, e[1]
+			}
+		}
+		return d, head
+	}
 	for v := 0; v < p.NV; v++ {
 		if v == p.Source || v == p.Sink {
 			continue
 		}
-		out := 0
-		for _, e := range p.Edges {
-			if e[0] == v {
-				out++
-			}
-		}
-		if out != 1 {
+		if d, _ := out(v); d != 1 {
 			return false
 		}
 	}
-	return true
+	if p.Cyclic() {
+		return true // the sink copy has no outgoing edge
+	}
+	d, v := out(p.Sink)
+	for steps := 0; d == 1 && steps < p.NV && v != p.Source; steps++ {
+		if v == p.Sink {
+			return false
+		}
+		_, v = out(v)
+	}
+	return d <= 1
 }
 
 // The greedy scan of a pattern instance runs over positions, one per
@@ -192,7 +207,7 @@ func (c *collector) relaxed(n *tin.Network, kind Kind, a tin.VertexID, minPaths 
 	c.g.kind = kind
 	for pa := range anchoredPaths(n, a, hops, cyclic, &c.m.into) {
 		if c.g.admits(pa.verts()) {
-			c.g.add(pa.verts(), pa.flow(n))
+			c.g.add(pa.verts(), pa.flow(n, nil))
 		}
 	}
 	return cloneFlows(c.g.instances(minPaths))
@@ -268,7 +283,7 @@ func (m *petalMemo) reset() {
 
 // summary returns the bounds in slab of the arrival sequence at the end of
 // the petal whose pattern edges are petal, as inst maps them: the chain
-// case of core.ScanRuns, run once per petal and anchor.
+// case of core.ScanRuns (core.PathArrivals), run once per petal and anchor.
 func (m *petalMemo) summary(n *tin.Network, inst *Instance, petal []int) [2]int {
 	node := int32(0)
 	for _, j := range petal {
@@ -284,15 +299,12 @@ func (m *petalMemo) summary(n *tin.Network, inst *Instance, petal []int) [2]int 
 	if s := m.spans[node]; s[0] >= 0 {
 		return s
 	}
-	var fromStack, toStack [8]int
-	from, to := fromStack[:0], toStack[:0]
 	m.runs = m.runs[:0]
-	for i, j := range petal {
+	for _, j := range petal {
 		m.runs = append(m.runs, n.Edge(inst.EdgeIDs[j]).Seq)
-		from, to = append(from, i), append(to, i+1)
 	}
 	lo := len(m.slab)
-	core.ScanRuns(m.runs, from, to, 0, len(petal), &m.slab)
+	core.PathArrivals(m.runs, &m.slab)
 	m.spans[node] = [2]int{lo, len(m.slab)}
 	return m.spans[node]
 }

@@ -124,6 +124,33 @@ func TestInstanceFlowBranches(t *testing.T) {
 	}
 }
 
+// TestDecomposableSinkOutEdges: an acyclic pattern's sink may leave by one
+// edge that does not lead back to it (backflow) and stay with the
+// positional scan; a sink with two outgoing edges, or with one that leads
+// back to it, sends the pattern to the graph pipeline, because core.ScanRuns
+// takes neither.
+func TestDecomposableSinkOutEdges(t *testing.T) {
+	forked := &Pattern{Name: "forked", Kind: KindRigid, NV: 3,
+		Edges: [][2]int{{0, 1}, {1, 0}, {1, 2}, {2, 0}}, Sink: 1}
+	looped := &Pattern{Name: "looped", Kind: KindRigid, NV: 3,
+		Edges: [][2]int{{0, 1}, {1, 2}, {2, 1}}, Sink: 2}
+	for _, c := range []struct {
+		p    *Pattern
+		want bool
+	}{{backflow, true}, {forked, false}, {looped, false}} {
+		if err := c.p.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if got := c.p.decomposable(); got != c.want {
+			t.Errorf("%s: decomposable() = %v, want %v", c.p.Name, got, c.want)
+		}
+	}
+	n := fractionalNetwork(rand.New(rand.NewSource(5)), 7, 160)
+	if checkInstanceFlows(t, n, forked) == 0 {
+		t.Error("forked: no instances; the check is vacuous")
+	}
+}
+
 // fractionalNetwork is a dense random network on v vertices with ias
 // interactions, quantities in hundredths (whose sums round, so a reordered
 // sum shows in the bits) and timestamps drawn from few values (ties).

@@ -20,19 +20,12 @@ type path struct {
 func (p *path) verts() []tin.VertexID { return p.v[:p.nv] }
 func (p *path) edges() []tin.EdgeID   { return p.e[:p.ne] }
 
-// arrivals runs the Lemma-3 scan along the path (core.PathArrivals): its
-// maximum flow and the greedy arrival sequence at its end.
-func (p *path) arrivals(n *tin.Network) (float64, []tin.Interaction) {
+// flow runs the Lemma-3 scan along the path (core.PathArrivals): its
+// maximum flow, with the greedy arrival sequence at its end appended to
+// arrivals when that is non-nil.
+func (p *path) flow(n *tin.Network, arrivals *[]tin.Interaction) float64 {
 	seqs := p.seqs(n)
-	return core.PathArrivals(seqs[:p.ne])
-}
-
-// flow is the path's maximum flow alone: the scan of arrivals, keeping
-// nothing of what reaches the end.
-func (p *path) flow(n *tin.Network) float64 {
-	seqs := p.seqs(n)
-	from, to := [3]int{0, 1, 2}, [3]int{1, 2, 3}
-	return core.ScanRuns(seqs[:p.ne], from[:p.ne], to[:p.ne], 0, p.ne, nil)
+	return core.PathArrivals(seqs[:p.ne], arrivals)
 }
 
 func (p *path) seqs(n *tin.Network) [3][]tin.Interaction {

@@ -12,9 +12,11 @@
 //     walker. A rigid pattern is decomposable when Lemma 2 holds on its
 //     split form (every vertex but Source and Sink has one outgoing edge;
 //     derived from the edges, not declared): its instances' flows are the
-//     positional greedy scan over their edges' runs (core.ScanRuns), with
-//     no flow graph built, and a bundle of petals (P5) scans each
-//     instance's petal summaries, each computed once per anchor (Lemma 3).
+//     positional greedy scan over their edges' runs (core.ScanRuns, staged
+//     by position, each pattern vertex brought up only as far as the next
+//     one passes transfers on), with no flow graph built and nothing
+//     allocated, and a bundle of petals (P5) scans each instance's petal
+//     summaries, each computed once per anchor (Lemma 3).
 //     Other patterns' instances get a flow graph and PreSim.
 //   - PB (preprocessing-based, §5.2): instances are assembled by scanning
 //     and joining precomputed path tables (2-hop cycles L2, 3-hop cycles

@@ -90,10 +90,19 @@ func (t *Table) rebuilt(n *tin.Network, anchors []tin.VertexID) *Table {
 	// Most rows are carried over: sizing Rows once spares the copies and
 	// clears of growing it by appends, most of an update's time.
 	out := &Table{Hops: t.Hops, Cyclic: t.Cyclic, Rows: make([]Row, 0, len(t.Rows))}
-	c := collectors.Get().(*collector) // for its closing index
+	// A pooled collector lends its closing index, and its petal slab as the
+	// scratch each row's arrivals are scanned into; a row keeps a copy at
+	// its exact length, since the tables live as long as the network.
+	c := collectors.Get().(*collector)
 	walk := func(a tin.VertexID) {
 		for p := range anchoredPaths(n, a, t.Hops, t.Cyclic, &c.m.into) {
-			flow, arr := p.arrivals(n)
+			c.memo.slab = c.memo.slab[:0]
+			flow := p.flow(n, &c.memo.slab)
+			var arr []tin.Interaction
+			if len(c.memo.slab) > 0 {
+				arr = make([]tin.Interaction, len(c.memo.slab))
+				copy(arr, c.memo.slab)
+			}
 			out.Rows = append(out.Rows, Row{
 				Verts: slices.Clone(p.verts()),
 				Edges: slices.Clone(p.edges()),

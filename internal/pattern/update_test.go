@@ -117,6 +117,46 @@ func TestUpdateMatchesFullRecompute(t *testing.T) {
 	}
 }
 
+// TestRowArrivalsAtExactLength: a row keeps its arrival sequence for as
+// long as its table lives, so it holds it at its exact length — no slack
+// of append doubling — in a built table and in one brought current by
+// Update.
+func TestRowArrivalsAtExactLength(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const v = 10
+	var recs []interactionRecord
+	for len(recs) < 400 {
+		if a, b := tin.VertexID(rng.Intn(v)), tin.VertexID(rng.Intn(v)); a != b {
+			recs = append(recs, interactionRecord{a, b, float64(rng.Intn(200)), float64(1 + rng.Intn(9))})
+		}
+	}
+	exact := func(name string, tab *Table) {
+		t.Helper()
+		long := 0
+		for i, r := range tab.Rows {
+			if cap(r.Arr) != len(r.Arr) {
+				t.Fatalf("%s row %d (%v): %d arrivals held in %d", name, i, r.Verts, len(r.Arr), cap(r.Arr))
+			}
+			if len(r.Arr) > 2 {
+				long++
+			}
+		}
+		if long == 0 {
+			t.Fatalf("%s: no row has more than two arrivals; the check is vacuous", name)
+		}
+	}
+	built := Precompute(buildFrom(v, recs[:300]), true)
+	updated := built.Update(buildFrom(v, recs), touchedBy(recs[300:]))
+	for _, c := range []struct {
+		name string
+		tabs Tables
+	}{{"built", built}, {"updated", updated}} {
+		exact(c.name+" L2", c.tabs.L2)
+		exact(c.name+" L3", c.tabs.L3)
+		exact(c.name+" C2", c.tabs.C2)
+	}
+}
+
 func TestUpdateNewAnchorAppears(t *testing.T) {
 	// Base: no cycles at all. Append the closing edge of a 2-cycle: the
 	// updated L2 must gain both anchor groups.
